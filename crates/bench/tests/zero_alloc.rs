@@ -24,7 +24,10 @@
 //!   [`TaskBitstream::reset`] reshapes and pool recycling — the flat
 //!   [`vbs_bitstream::FrameStore`] arena reshapes in place once its word
 //!   capacity covers the largest shape seen, where the legacy per-frame
-//!   layout allocated one `Vec` per frame whenever the mix grew.
+//!   layout allocated one `Vec` per frame whenever the mix grew;
+//! * a **hot-hit** `Scheduler` load + unload pair stays under a small pinned
+//!   allocation count: the load path reads the stream's shape from the
+//!   repository's header memo and never re-parses the stored VBS.
 //!
 //! Everything runs inside one `#[test]` because the counters are
 //! process-global and the harness runs tests concurrently.
@@ -32,12 +35,17 @@
 use vbs_bench::{allocations, CountingAllocator};
 use vbs_bitstream::TaskBitstream;
 use vbs_core::DecodeScratch;
-use vbs_runtime::{devirtualize_into, ReconfigurationController};
-use vbs_sched::BitstreamPool;
+use vbs_runtime::{devirtualize_into, FirstFit, ReconfigurationController};
+use vbs_sched::{BitstreamPool, Outcome, Request, SchedulerConfig};
 use vbs_telemetry::{Stage, Telemetry};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
+
+/// Allocations a hot-hit `execute(Load)` + `execute(Unload)` pair may make:
+/// 40 measured on the 6×6 `fft_stage`, against 109 when every load re-parsed
+/// the stored stream.
+const HOT_PAIR_ALLOCATION_BUDGET: u64 = 60;
 
 #[test]
 fn decode_hot_path_allocation_budget() {
@@ -214,5 +222,47 @@ fn decode_hot_path_allocation_budget() {
     assert_eq!(
         stats.fresh, 0,
         "every checkout must hit the recycled buffer"
+    );
+
+    // --- Hot-hit scheduler load: the decoded image is served from the
+    // cache and the stream's shape from the repository's header memo, so a
+    // load + unload pair costs only the scheduler's own bookkeeping (the
+    // request's name, queue and outcome vectors, the resident entry, the
+    // occupancy snapshots). Re-parsing the stored VBS per load allocates two
+    // `Vec`s per cluster record on top of that.
+    let mut sched = vbs_bench::sched_workload::sched_scheduler(
+        &repository,
+        11,
+        11,
+        0,
+        Box::new(FirstFit),
+        SchedulerConfig::default(),
+    );
+    // One load + unload of the task; returns whether the load was a hot hit.
+    let pair = |sched: &mut vbs_sched::Scheduler| {
+        let loaded = sched.execute(Request::Load {
+            task: "fft_stage".into(),
+            priority: 0,
+            deadline: None,
+        });
+        let Outcome::Loaded { job, cache_hit, .. } = loaded else {
+            panic!("load failed: {loaded:?}");
+        };
+        sched.execute(Request::Unload { job });
+        cache_hit
+    };
+    assert!(!pair(&mut sched), "the first load decodes");
+    for _ in 0..2 {
+        assert!(pair(&mut sched));
+    }
+    let before = allocations();
+    for _ in 0..50 {
+        assert!(pair(&mut sched), "every measured load is a hot hit");
+    }
+    let per_pair = (allocations() - before) / 50;
+    assert!(
+        per_pair <= HOT_PAIR_ALLOCATION_BUDGET,
+        "a hot-hit load + unload pair allocated {per_pair} times \
+         (budget {HOT_PAIR_ALLOCATION_BUDGET}): is the load path parsing the stored VBS again?"
     );
 }

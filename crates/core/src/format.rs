@@ -101,7 +101,31 @@ pub struct Vbs {
     records: Vec<ClusterRecord>,
 }
 
+/// The shape of a [`Vbs`] without its records: everything placement and a
+/// decode-cache lookup need, small enough to keep per stored stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct VbsHeader {
+    /// The architecture the stream targets.
+    pub spec: ArchSpec,
+    /// Cluster size `k` used by the coding.
+    pub cluster_size: u16,
+    /// Task width in macros.
+    pub width: u16,
+    /// Task height in macros.
+    pub height: u16,
+}
+
 impl Vbs {
+    /// The stream's shape (see [`VbsHeader`]).
+    pub const fn header(&self) -> VbsHeader {
+        VbsHeader {
+            spec: self.spec,
+            cluster_size: self.cluster_size,
+            width: self.width,
+            height: self.height,
+        }
+    }
+
     /// Assembles a VBS from its parts. Intended for the encoder; most users
     /// obtain a [`Vbs`] from [`crate::VbsEncoder::encode`] or
     /// [`Vbs::from_bytes`].

@@ -71,5 +71,5 @@ pub use decoder::{
 };
 pub use encoder::VbsEncoder;
 pub use error::VbsError;
-pub use format::{ClusterRecord, ClusterRoutes, Connection, Vbs};
+pub use format::{ClusterRecord, ClusterRoutes, Connection, Vbs, VbsHeader};
 pub use stats::VbsStats;

@@ -232,13 +232,13 @@ impl TaskManager {
     /// Returns [`RuntimeError::NoFreeRegion`] when the fabric cannot host the
     /// task, plus any fetch/decode/memory error.
     pub fn load(&mut self, name: &str) -> Result<TaskHandle, RuntimeError> {
-        let vbs = self.repository.fetch(name)?;
-        let origin =
-            self.find_free_region(vbs.width(), vbs.height())
-                .ok_or(RuntimeError::NoFreeRegion {
-                    width: vbs.width(),
-                    height: vbs.height(),
-                })?;
+        let header = self.repository.header(name)?;
+        let origin = self.find_free_region(header.width, header.height).ok_or(
+            RuntimeError::NoFreeRegion {
+                width: header.width,
+                height: header.height,
+            },
+        )?;
         self.load_at(name, origin)
     }
 

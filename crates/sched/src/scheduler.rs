@@ -383,6 +383,8 @@ impl Scheduler {
     }
 
     /// Creates a scheduler with an explicit eviction policy and config.
+    /// [`SchedulerConfig::verify`] switches on the controller's per-frame
+    /// checksum sidecar, as [`Scheduler::set_verify`] does.
     pub fn with_config(
         manager: TaskManager,
         eviction: Box<dyn EvictionPolicy>,
@@ -392,7 +394,7 @@ impl Scheduler {
         // Share the controller's scratch pool: images the cache evicts feed
         // the controller's decode lanes and vice versa.
         let pool = manager.controller().scratch_pool().clone();
-        Scheduler {
+        let mut scheduler = Scheduler {
             manager,
             eviction,
             cache,
@@ -408,7 +410,9 @@ impl Scheduler {
             staged: HashMap::new(),
             pool,
             deferred_compaction: false,
-        }
+        };
+        scheduler.set_verify(config.verify);
+        scheduler
     }
 
     /// Installs the observability registry stage latencies and pipeline
@@ -595,12 +599,16 @@ impl Scheduler {
             }
             // Unknown or corrupted streams are skipped: the on-demand path
             // reports those errors with the right per-request accounting.
-            let Ok(vbs) = self.manager.repository().fetch(task) else {
+            let repository = self.manager.repository();
+            let Ok(header) = repository.header(task) else {
                 continue;
             };
-            if self.cache.contains(task, vbs.spec()) {
+            if self.cache.contains(task, &header.spec) {
                 continue;
             }
+            let Ok(vbs) = repository.fetch(task) else {
+                continue;
+            };
             out.push((task.clone(), vbs));
         }
         out
@@ -922,10 +930,16 @@ impl Scheduler {
     /// A warm hit accounts exactly like a miss in the classic counters
     /// (miss + decode + decode micros) — that invariance is what keeps
     /// every golden trace bit-identical under any budget — and
-    /// *additionally* bumps the warm-hit counters. It still fetches from
-    /// the repository first: the repository owns the authoritative bytes,
-    /// so a stream corrupted there surfaces as the same decode error a
-    /// cold miss would report instead of being masked by stale cache state.
+    /// *additionally* bumps the warm-hit counters.
+    ///
+    /// The repository stays authoritative on every path: the lookup key is
+    /// [`VbsRepository::header`](vbs_runtime::VbsRepository::header), whose
+    /// verdict comes from a full parse of the stored bytes taken once per
+    /// store, not per load. A stream corrupted there (re-stored, with or
+    /// without [`Scheduler::invalidate_cached`]) therefore surfaces as the
+    /// decode error a cold miss would report, on a hot hit too, instead of
+    /// being masked by stale cache state; the records themselves are
+    /// fetched only when this load decodes them.
     fn decoded_with(
         &mut self,
         job: u64,
@@ -957,14 +971,18 @@ impl Scheduler {
             self.cache_insert(name, spec, Arc::clone(&task), micros);
             return Ok((task, false));
         }
-        let vbs: Vbs = match prefetched {
-            Some(vbs) => vbs,
-            None => self.manager.repository().fetch(name)?,
+        let header = match &prefetched {
+            Some(vbs) => vbs.header(),
+            None => self.manager.repository().header(name)?,
         };
-        let warm = match self.cache.get(name, vbs.spec()) {
+        let warm = match self.cache.get(name, &header.spec) {
             CacheLookup::Hot(cached) => return Ok((cached, true)),
             CacheLookup::Warm => true,
             CacheLookup::Miss => false,
+        };
+        let vbs: Vbs = match prefetched {
+            Some(vbs) => vbs,
+            None => self.manager.repository().fetch(name)?,
         };
         let redecode_start = self.telemetry.now();
         let mut staging = self

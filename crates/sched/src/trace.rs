@@ -251,6 +251,9 @@ impl Trace {
         };
         let job = spec.background.as_ref().map_or(0, |bg| bg.loads as u64) + 1;
         let deadline = |tick: u64| spec.deadline_slack.map(|s| tick + s);
+        // The background arrives with exactly its own capacity: without this
+        // the first push doubles a vector that needs `swaps + 2` more slots.
+        trace.events.reserve_exact(spec.swaps + 2);
         trace.events.push(TraceEvent {
             tick: spec.start,
             op: TraceOp::Load {
@@ -284,9 +287,12 @@ impl Trace {
 
     /// Sorts events by tick; within a tick departures come first, then
     /// swaps, then arrivals (so swaps can reuse freed area before new
-    /// loads compete for it).
+    /// loads compete for it), each class by job id. A well-formed trace
+    /// gives a job at most one event of a class in a tick, so the key is
+    /// unique per event and the in-place unstable sort orders it as a
+    /// stable one would — without a scratch buffer the size of the trace.
     pub fn normalize(&mut self) {
-        self.events.sort_by_key(|e| {
+        self.events.sort_unstable_by_key(|e| {
             (
                 e.tick,
                 match &e.op {

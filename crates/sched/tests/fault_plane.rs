@@ -113,6 +113,22 @@ fn exhausted_retries_reject_gracefully() {
 fn corrupt_write_is_caught_and_scrubbed() {
     let mut sched = scheduler(10, 10, 0, Box::new(FirstFit), base_config());
     sched.set_verify(true);
+    assert_corrupt_write_is_scrubbed(sched);
+}
+
+/// `verify` in the configuration alone switches the checksum sidecar on:
+/// no `set_verify` call is needed for readback to have something to
+/// compare against.
+#[test]
+fn verify_in_the_config_catches_a_corrupt_write() {
+    let config = SchedulerConfig {
+        verify: true,
+        ..base_config()
+    };
+    assert_corrupt_write_is_scrubbed(scheduler(10, 10, 0, Box::new(FirstFit), config));
+}
+
+fn assert_corrupt_write_is_scrubbed(mut sched: Scheduler) {
     sched.set_fault_hook(Some(hook("seed 7\nwrite 1 corrupt")));
 
     let outcome = load(&mut sched, "fir4");

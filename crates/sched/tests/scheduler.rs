@@ -10,8 +10,8 @@ use vbs_runtime::{
     BestFit, FirstFit, PlacementPolicy, ReconfigurationController, TaskManager, VbsRepository,
 };
 use vbs_sched::{
-    replay, LruEviction, Outcome, PriorityEviction, Request, Scheduler, SchedulerConfig, Trace,
-    WorkloadSpec,
+    replay, LruEviction, Outcome, PriorityEviction, RejectReason, Request, Scheduler,
+    SchedulerConfig, Trace, WorkloadSpec,
 };
 
 /// Task set shared by every test in this file: (name, LUTs, grid edge, seed).
@@ -345,6 +345,58 @@ fn cache_invalidation_after_reregistration() {
         .devirtualize(&replacement)
         .unwrap();
     assert_eq!(image.diff_count(&fresh).unwrap(), 0);
+}
+
+/// The repository stays authoritative over a hot cache entry: a stream
+/// corrupted in the store is refused on the next load even when nobody
+/// invalidated its decoded image.
+#[test]
+fn corrupted_restore_is_rejected_despite_a_hot_cache_entry() {
+    let mut sched = scheduler(12, 8, Box::new(FirstFit), SchedulerConfig::default());
+    let load = || Request::Load {
+        task: "fir4".into(),
+        priority: 0,
+        deadline: None,
+    };
+    let Outcome::Loaded { job, .. } = sched.execute(load()) else {
+        panic!("cold load failed");
+    };
+    sched.execute(Request::Unload { job });
+    let warm = sched.execute(load());
+    let Outcome::Loaded {
+        job,
+        cache_hit: true,
+        ..
+    } = warm
+    else {
+        panic!("expected a hot hit: {warm:?}");
+    };
+    sched.execute(Request::Unload { job });
+
+    let mut bytes = sched
+        .manager()
+        .repository()
+        .fetch("fir4")
+        .unwrap()
+        .to_bytes_checked();
+    let middle = bytes.len() / 2;
+    bytes[middle] ^= 0x04;
+    sched.repository_mut().store_bytes("fir4", bytes);
+
+    for _ in 0..2 {
+        let refused = sched.execute(load());
+        assert!(
+            matches!(
+                refused,
+                Outcome::Rejected {
+                    reason: RejectReason::Runtime(_),
+                    ..
+                }
+            ),
+            "served from the stale image: {refused:?}"
+        );
+    }
+    assert!(sched.residents().is_empty());
 }
 
 /// `touch` refreshes a resident's LRU stamp and changes the eviction order.

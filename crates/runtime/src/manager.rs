@@ -37,22 +37,26 @@ pub struct TaskManager {
     controller: ReconfigurationController,
     repository: VbsRepository,
     loaded: Vec<LoadedTask>,
+    /// The occupancy every placement and metric query reads: its `i`-th
+    /// rectangle is `loaded[i].region`, updated wherever `loaded` changes.
+    view: FabricView,
     next_handle: u64,
     policy: Box<dyn PlacementPolicy>,
-    fabric_id: FabricId,
 }
 
 impl TaskManager {
     /// Creates a manager over a controller and a task repository, placing
     /// with [`FirstFit`] and describing fabric 0.
     pub fn new(controller: ReconfigurationController, repository: VbsRepository) -> Self {
+        let device = controller.device();
+        let view = FabricView::new(device.width(), device.height(), Vec::new());
         TaskManager {
             controller,
             repository,
             loaded: Vec::new(),
+            view,
             next_handle: 1,
             policy: Box::new(FirstFit),
-            fabric_id: FabricId::default(),
         }
     }
 
@@ -63,15 +67,15 @@ impl TaskManager {
     }
 
     /// Tags this manager's device as one fabric of a multi-fabric fleet;
-    /// [`TaskManager::fabric_view`] snapshots carry the id.
+    /// [`TaskManager::fabric_view`] carries the id.
     pub fn with_fabric_id(mut self, id: FabricId) -> Self {
-        self.fabric_id = id;
+        self.view = self.view.with_id(id);
         self
     }
 
     /// The fabric this manager drives.
     pub const fn fabric_id(&self) -> FabricId {
-        self.fabric_id
+        self.view.id()
     }
 
     /// The active placement policy.
@@ -79,15 +83,10 @@ impl TaskManager {
         self.policy.as_ref()
     }
 
-    /// A snapshot of the fabric occupancy (device size + loaded regions).
-    pub fn fabric_view(&self) -> FabricView {
-        let device = self.controller.device();
-        FabricView::new(
-            device.width(),
-            device.height(),
-            self.loaded.iter().map(|t| t.region).collect(),
-        )
-        .with_id(self.fabric_id)
+    /// The fabric occupancy (device size + loaded regions), maintained as
+    /// tasks are loaded, moved and removed — reading it copies nothing.
+    pub fn fabric_view(&self) -> &FabricView {
+        &self.view
     }
 
     /// The tasks currently loaded, in load order.
@@ -124,6 +123,7 @@ impl TaskManager {
     /// fabric. Returns the abandoned residents, oldest first, so the
     /// caller can re-place them elsewhere.
     pub fn evacuate(&mut self) -> Vec<LoadedTask> {
+        self.view.clear();
         std::mem::take(&mut self.loaded)
     }
 
@@ -254,6 +254,7 @@ impl TaskManager {
             .position(|t| t.handle == handle)
             .ok_or(RuntimeError::UnknownHandle { id: handle.0 })?;
         let task = self.loaded.remove(index);
+        self.view.remove(index);
         self.controller.unload(task.region)?;
         Ok(())
     }
@@ -318,13 +319,14 @@ impl TaskManager {
         self.ensure_region_free(&new_region, Some(handle))?;
         self.controller.move_region(old_region, origin)?;
         self.loaded[index].region = new_region;
+        self.view.replace(index, new_region);
         Ok(())
     }
 
     /// Searches a free `width` × `height` rectangle with the active
     /// placement policy.
     pub fn find_free_region(&self, width: u16, height: u16) -> Option<Coord> {
-        self.policy.place(width, height, &self.fabric_view())
+        self.policy.place(width, height, &self.view)
     }
 
     fn ensure_region_free(
@@ -347,6 +349,7 @@ impl TaskManager {
     fn register(&mut self, name: &str, region: Rect) -> TaskHandle {
         let handle = TaskHandle(self.next_handle);
         self.next_handle += 1;
+        self.view.push(region);
         self.loaded.push(LoadedTask {
             handle,
             name: name.to_string(),
@@ -359,6 +362,10 @@ impl TaskManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultAction, FaultHook};
+    use proptest::prelude::*;
+    use std::sync::atomic::{AtomicU8, Ordering};
+    use std::sync::{Arc, OnceLock};
     use vbs_arch::{ArchSpec, Device};
     use vbs_flow::CadFlow;
     use vbs_netlist::generate::SyntheticSpec;
@@ -529,6 +536,83 @@ mod tests {
             Err(RuntimeError::RegionBusy { .. })
         ));
         streaming.unload(h2).unwrap();
+    }
+
+    /// A fault model the test flips between healthy, refusing every write
+    /// and offline.
+    #[derive(Debug, Default)]
+    struct ModeHook(AtomicU8);
+
+    impl FaultHook for ModeHook {
+        fn on_region_write(&self, _region: Rect) -> FaultAction {
+            match self.0.load(Ordering::Relaxed) {
+                1 => FaultAction::FailTransient,
+                _ => FaultAction::Pass,
+            }
+        }
+
+        fn offline(&self) -> bool {
+            self.0.load(Ordering::Relaxed) == 2
+        }
+    }
+
+    proptest! {
+        /// 64 calls a case (4096 at the default case count), refused ones
+        /// included: whatever a call did to `loaded`, the maintained view
+        /// answers like a view built from scratch.
+        #[test]
+        fn maintained_view_tracks_the_loaded_tasks(
+            ops in proptest::collection::vec((0u8..16, 0u16..18, 0u16..10, 0usize..64), 64),
+        ) {
+            static FIXTURE: OnceLock<(TaskManager, TaskBitstream)> = OnceLock::new();
+            let (template, task) = FIXTURE.get_or_init(|| {
+                let m = manager();
+                let vbs = m.repository().fetch("task_a").unwrap();
+                let task = m.controller().devirtualize(&vbs).unwrap().0;
+                (m, task)
+            });
+            let device = template.controller().device().clone();
+            let mut m = TaskManager::new(
+                ReconfigurationController::new(device),
+                template.repository().clone(),
+            )
+            .with_fabric_id(FabricId(3));
+            let hook = Arc::new(ModeHook::default());
+            m.controller_mut().set_fault_hook(Some(hook.clone()));
+
+            let (mut handles, mut refused) = (Vec::new(), 0);
+            for (step, &(op, x, y, pick)) in ops.iter().enumerate() {
+                let origin = Coord::new(x, y);
+                let handle = handles.get(pick % handles.len().max(1)).copied();
+                let result = match (op, handle) {
+                    // Origins reach past the 16x8 fabric and onto residents.
+                    (0..=6, _) => m.load_decoded_at("task_a", task, origin).map(|h| handles.push(h)),
+                    (7..=9, Some(handle)) => m.unload(handle),
+                    (10..=12, Some(handle)) => m.relocate(handle, origin),
+                    (13, _) => {
+                        m.evacuate();
+                        Ok(())
+                    }
+                    _ => {
+                        hook.0.store(op % 3, Ordering::Relaxed);
+                        Ok(())
+                    }
+                };
+                refused += usize::from(result.is_err());
+
+                let regions: Vec<Rect> = m.loaded_tasks().iter().map(|t| t.region).collect();
+                let rebuilt = FabricView::new(16, 8, regions).with_id(FabricId(3));
+                let view = m.fabric_view();
+                prop_assert_eq!(view, &rebuilt, "step {} of {:?}", step, ops);
+                prop_assert_eq!(view.free_area(), rebuilt.free_area(), "step {} of {:?}", step, ops);
+                prop_assert_eq!(
+                    view.fragmentation().to_bits(),
+                    rebuilt.fragmentation().to_bits(),
+                    "step {} of {:?}", step, ops
+                );
+            }
+            prop_assert!(refused > 0, "no call was refused in {:?}", ops);
+        }
     }
 
     #[test]

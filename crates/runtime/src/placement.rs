@@ -15,6 +15,7 @@
 //!   lowest resulting top edge wins. Wastes holes but keeps the free space
 //!   in one simply-shaped region.
 
+use std::cell::RefCell;
 use std::fmt;
 use vbs_arch::{Coord, Rect};
 
@@ -33,28 +34,68 @@ impl fmt::Display for FabricId {
     }
 }
 
-/// A snapshot of the fabric's occupancy: device dimensions plus the regions
-/// of every loaded task. All placement policies and the fragmentation
-/// metrics operate on this view.
+/// The occupancy of one fabric: device dimensions plus the region of every
+/// loaded task. All placement policies and the fragmentation metrics operate
+/// on this view. A [`TaskManager`](crate::TaskManager) keeps one up to date
+/// as tasks come and go; [`FabricView::new`] builds a one-off (a what-if
+/// layout for a compaction plan, a test fixture).
+///
+/// Rectangles are **clipped to the fabric** on the way in, so whatever
+/// [`FabricView::occupied`] returns satisfies `origin + size <= fabric size`
+/// and every consumer's edge arithmetic stays in range. Rectangles may
+/// overlap: the coverage queries ([`FabricView::is_free`],
+/// [`FabricView::free_rectangles`], [`FabricView::largest_free_rect_area`])
+/// see their union, while [`FabricView::free_area`] subtracts each
+/// rectangle's own area — a macro covered twice counts twice — and so is a
+/// lower bound that saturates at 0. A task manager never produces overlap.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FabricView {
     id: FabricId,
     width: u16,
     height: u16,
     occupied: Vec<Rect>,
+    /// Running sum of the clipped rectangles' areas (`u64`: overlapping
+    /// input can exceed the fabric's own area).
+    occupied_area: u64,
+}
+
+/// Buffers of the free-space sweep, one set per thread: a query allocates
+/// nothing once they have grown to the thread's largest occupancy.
+#[derive(Debug, Default)]
+struct SweepScratch {
+    /// Distinct rectangle edges plus the fabric bounds, ascending.
+    xs: Vec<u16>,
+    ys: Vec<u16>,
+    /// Row-major busy flags of the compressed grid.
+    blocked: Vec<bool>,
+    /// Per compressed column, the free run below and including the current
+    /// row, in macros.
+    heights: Vec<u16>,
+    /// Open bars: (left column, height, `above` at the left column).
+    stack: Vec<(usize, u16, u32)>,
+}
+
+thread_local! {
+    static SWEEP_SCRATCH: RefCell<SweepScratch> = RefCell::default();
 }
 
 impl FabricView {
     /// Creates a view of a `width` × `height` fabric with the given loaded
-    /// regions (assumed pairwise disjoint and in bounds). The view describes
-    /// fabric 0; use [`FabricView::with_id`] in multi-fabric setups.
-    pub fn new(width: u16, height: u16, occupied: Vec<Rect>) -> Self {
-        FabricView {
+    /// regions, clipped to the fabric (see the type documentation for
+    /// overlapping input). The view describes fabric 0; use
+    /// [`FabricView::with_id`] in multi-fabric setups.
+    pub fn new(width: u16, height: u16, mut occupied: Vec<Rect>) -> Self {
+        let mut view = FabricView {
             id: FabricId::default(),
             width,
             height,
-            occupied,
-        }
+            occupied: Vec::new(),
+            occupied_area: 0,
+        };
+        occupied.iter_mut().for_each(|r| *r = view.clip(*r));
+        view.occupied_area = occupied.iter().map(|r| u64::from(r.area())).sum();
+        view.occupied = occupied;
+        view
     }
 
     /// Tags the view with the fabric it describes.
@@ -78,9 +119,49 @@ impl FabricView {
         self.height
     }
 
-    /// The loaded regions.
+    /// The loaded regions, each clipped to the fabric.
     pub fn occupied(&self) -> &[Rect] {
         &self.occupied
+    }
+
+    /// The part of `rect` on the fabric. When there is none the result is
+    /// the empty rectangle at the far corner, the one place where
+    /// [`Rect::intersects`] cannot mistake it for an obstacle.
+    fn clip(&self, rect: Rect) -> Rect {
+        let x0 = rect.origin.x.min(self.width);
+        let y0 = rect.origin.y.min(self.height);
+        let x1 = (rect.origin.x as u32 + rect.width as u32).min(self.width as u32) as u16;
+        let y1 = (rect.origin.y as u32 + rect.height as u32).min(self.height as u32) as u16;
+        if x0 == x1 || y0 == y1 {
+            return Rect::new(Coord::new(self.width, self.height), 0, 0);
+        }
+        Rect::new(Coord::new(x0, y0), x1 - x0, y1 - y0)
+    }
+
+    /// Appends a loaded region.
+    pub(crate) fn push(&mut self, rect: Rect) {
+        let rect = self.clip(rect);
+        self.occupied_area += u64::from(rect.area());
+        self.occupied.push(rect);
+    }
+
+    /// Removes the `index`-th region, keeping the order of the others.
+    pub(crate) fn remove(&mut self, index: usize) {
+        self.occupied_area -= u64::from(self.occupied.remove(index).area());
+    }
+
+    /// Replaces the `index`-th region (a relocation).
+    pub(crate) fn replace(&mut self, index: usize, rect: Rect) {
+        let rect = self.clip(rect);
+        self.occupied_area += u64::from(rect.area());
+        self.occupied_area -= u64::from(self.occupied[index].area());
+        self.occupied[index] = rect;
+    }
+
+    /// Forgets every region.
+    pub(crate) fn clear(&mut self) {
+        self.occupied.clear();
+        self.occupied_area = 0;
     }
 
     /// Whether `region` lies entirely on the fabric.
@@ -99,80 +180,118 @@ impl FabricView {
         self.width as u32 * self.height as u32
     }
 
-    /// Number of free macros (loaded regions are disjoint by invariant).
+    /// Number of free macros: the fabric's area less the area of every
+    /// loaded region, saturating at 0 (exact for disjoint regions).
     pub fn free_area(&self) -> u32 {
-        self.total_area() - self.occupied.iter().map(Rect::area).sum::<u32>()
+        (self.total_area() as u64).saturating_sub(self.occupied_area) as u32
     }
 
-    /// All maximal free rectangles: free rectangles that cannot be extended
-    /// in any direction. Computed with a per-row histogram sweep, fine for
-    /// the fabric sizes this workspace simulates.
-    pub fn free_rectangles(&self) -> Vec<Rect> {
-        let (w, h) = (self.width as usize, self.height as usize);
-        if w == 0 || h == 0 {
-            return Vec::new();
+    /// Calls `emit` once for every maximal free rectangle, in no particular
+    /// order.
+    ///
+    /// Every edge of a maximal free rectangle lies on a rectangle edge or a
+    /// fabric border, so the sweep runs on the coordinate-compressed grid
+    /// those edges cut — at most `(2n+1)²` cells for `n` regions, never more
+    /// than `W×H` — whose cells are uniformly busy or free: a histogram of
+    /// free run heights per compressed row (weighted by the rows' real
+    /// heights), where every bar popped off the monotone stack spans one
+    /// left-, right- and bottom-maximal candidate.
+    fn sweep_free(&self, mut emit: impl FnMut(Rect)) {
+        if self.width == 0 || self.height == 0 {
+            return;
         }
-        let mut blocked = vec![false; w * h];
-        for rect in &self.occupied {
-            for at in rect.iter() {
-                if (at.x as usize) < w && (at.y as usize) < h {
-                    blocked[at.y as usize * w + at.x as usize] = true;
+        SWEEP_SCRATCH.with_borrow_mut(|scratch| {
+            let SweepScratch {
+                xs,
+                ys,
+                blocked,
+                heights,
+                stack,
+            } = scratch;
+
+            xs.clear();
+            ys.clear();
+            xs.extend([0, self.width]);
+            ys.extend([0, self.height]);
+            for r in &self.occupied {
+                xs.extend([r.origin.x, r.origin.x + r.width]);
+                ys.extend([r.origin.y, r.origin.y + r.height]);
+            }
+            for edges in [&mut *xs, &mut *ys] {
+                edges.sort_unstable();
+                edges.dedup();
+            }
+            let (cols, rows) = (xs.len() - 1, ys.len() - 1);
+
+            blocked.clear();
+            blocked.resize(cols * rows, false);
+            let cell =
+                |edges: &[u16], edge| edges.binary_search(&edge).expect("every edge was listed");
+            for r in &self.occupied {
+                let (c0, c1) = (cell(xs, r.origin.x), cell(xs, r.origin.x + r.width));
+                for row in cell(ys, r.origin.y)..cell(ys, r.origin.y + r.height) {
+                    blocked[row * cols + c0..row * cols + c1].fill(true);
                 }
             }
-        }
-        let free = |x: usize, y: usize| !blocked[y * w + x];
 
-        // For every row (as the top edge), a histogram of free run heights;
-        // every local maximum of the histogram spans one candidate.
-        let mut candidates: Vec<Rect> = Vec::new();
-        let mut heights = vec![0u16; w];
-        for y in 0..h {
-            for (x, height) in heights.iter_mut().enumerate() {
-                *height = if free(x, y) { *height + 1 } else { 0 };
-            }
-            // Stack of (left index, height); the trailing 0 bar flushes
-            // every open rectangle at the right edge.
-            let mut stack: Vec<(usize, u16)> = Vec::new();
-            for (x, &current) in heights.iter().chain(std::iter::once(&0)).enumerate() {
-                let mut left = x;
-                while let Some(&(l, hgt)) = stack.last() {
-                    if hgt <= current {
-                        break;
+            heights.clear();
+            heights.resize(cols, 0);
+            for row in 0..rows {
+                let row_height = ys[row + 1] - ys[row];
+                for (height, &busy) in heights.iter_mut().zip(&blocked[row * cols..]) {
+                    *height = if busy { 0 } else { *height + row_height };
+                }
+                // What stops a rectangle from growing upwards: the top
+                // border or a busy cell. `above` counts those left of `col`,
+                // so a candidate is top-maximal when its span adds to it.
+                let busy_above = |col| row + 1 == rows || blocked[(row + 1) * cols + col];
+                let mut above = 0;
+                // The trailing 0 bar flushes every open rectangle at the
+                // right edge.
+                stack.clear();
+                for (col, &current) in heights.iter().chain(std::iter::once(&0)).enumerate() {
+                    let mut left = (col, above);
+                    while let Some(&(l, hgt, above_l)) = stack.last() {
+                        if hgt <= current {
+                            break;
+                        }
+                        stack.pop();
+                        left = (l, above_l);
+                        if above > above_l {
+                            emit(Rect::new(
+                                Coord::new(xs[l], ys[row + 1] - hgt),
+                                xs[col] - xs[l],
+                                hgt,
+                            ));
+                        }
                     }
-                    stack.pop();
-                    left = l;
-                    // Rectangle of height `hgt` spanning columns [l, x).
-                    candidates.push(Rect::new(
-                        Coord::new(l as u16, (y as u16 + 1) - hgt),
-                        (x - l) as u16,
-                        hgt,
-                    ));
-                }
-                if current > 0 && stack.last().is_none_or(|&(_, hgt)| hgt < current) {
-                    stack.push((left, current));
+                    if current > 0 && stack.last().is_none_or(|&(_, hgt, _)| hgt < current) {
+                        stack.push((left.0, current, left.1));
+                    }
+                    above += u32::from(col < cols && busy_above(col));
                 }
             }
-        }
-
-        // Keep only top-maximal rectangles (the sweep already guarantees
-        // left/right/bottom maximality) and dedup.
-        candidates.retain(|r| {
-            let top = r.origin.y + r.height;
-            top as usize == h
-                || (r.origin.x..r.origin.x + r.width).any(|x| !free(x as usize, top as usize))
         });
-        candidates.sort_by_key(|r| (r.origin.y, r.origin.x, r.width, r.height));
-        candidates.dedup();
-        candidates
     }
 
-    /// Area of the largest free rectangle, 0 when the fabric is full.
+    /// All maximal free rectangles — free rectangles that cannot be extended
+    /// in any direction — ordered by origin (row, then column), then size.
+    /// `O(n log n + c)` for `n` loaded regions cutting the fabric into
+    /// `c <= min((2n+1)², W×H)` compressed cells, plus the sort of the
+    /// result.
+    pub fn free_rectangles(&self) -> Vec<Rect> {
+        let mut rects = Vec::new();
+        self.sweep_free(|r| rects.push(r));
+        rects.sort_unstable_by_key(|r| (r.origin.y, r.origin.x, r.width, r.height));
+        rects
+    }
+
+    /// Area of the largest free rectangle, 0 when the fabric is full. Same
+    /// sweep and cost as [`FabricView::free_rectangles`], without the list.
     pub fn largest_free_rect_area(&self) -> u32 {
-        self.free_rectangles()
-            .iter()
-            .map(Rect::area)
-            .max()
-            .unwrap_or(0)
+        let mut largest = 0;
+        self.sweep_free(|r| largest = largest.max(r.area()));
+        largest
     }
 
     /// External fragmentation in `[0, 1]`: the share of free macros *not* in
@@ -183,7 +302,8 @@ impl FabricView {
         if free == 0 {
             return 0.0;
         }
-        1.0 - self.largest_free_rect_area() as f64 / free as f64
+        // `min`: overlapping regions make `free` a lower bound.
+        1.0 - self.largest_free_rect_area().min(free) as f64 / free as f64
     }
 }
 
@@ -292,9 +412,144 @@ impl PlacementPolicy for BottomLeftSkyline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
 
     fn view(occupied: Vec<Rect>) -> FabricView {
         FabricView::new(8, 6, occupied)
+    }
+
+    /// The reference the compressed sweep is held to: the per-macro
+    /// histogram sweep this crate shipped before, over a `W×H` busy map
+    /// filled from the *unclipped* rectangles in `u32` arithmetic.
+    fn free_rectangles_per_cell(width: u16, height: u16, occupied: &[Rect]) -> Vec<Rect> {
+        let (w, h) = (width as usize, height as usize);
+        let free = |x: usize, y: usize| {
+            !occupied.iter().any(|r| {
+                let (x, y) = (x as u32, y as u32);
+                (r.origin.x as u32..r.origin.x as u32 + r.width as u32).contains(&x)
+                    && (r.origin.y as u32..r.origin.y as u32 + r.height as u32).contains(&y)
+            })
+        };
+        let mut candidates: Vec<Rect> = Vec::new();
+        let mut heights = vec![0u16; w];
+        for y in 0..h {
+            for (x, height) in heights.iter_mut().enumerate() {
+                *height = if free(x, y) { *height + 1 } else { 0 };
+            }
+            let mut stack: Vec<(usize, u16)> = Vec::new();
+            for (x, &current) in heights.iter().chain(std::iter::once(&0)).enumerate() {
+                let mut left = x;
+                while let Some(&(l, hgt)) = stack.last() {
+                    if hgt <= current {
+                        break;
+                    }
+                    stack.pop();
+                    left = l;
+                    candidates.push(Rect::new(
+                        Coord::new(l as u16, (y as u16 + 1) - hgt),
+                        (x - l) as u16,
+                        hgt,
+                    ));
+                }
+                if current > 0 && stack.last().is_none_or(|&(_, hgt)| hgt < current) {
+                    stack.push((left, current));
+                }
+            }
+        }
+        // Keep only top-maximal rectangles (the sweep already guarantees
+        // left/right/bottom maximality) and dedup.
+        candidates.retain(|r| {
+            let top = (r.origin.y + r.height) as usize;
+            top == h || (r.origin.x..r.origin.x + r.width).any(|x| !free(x as usize, top))
+        });
+        candidates.sort_by_key(|r| (r.origin.y, r.origin.x, r.width, r.height));
+        candidates.dedup();
+        candidates
+    }
+
+    /// One random occupancy: a fabric that is at times a single row or
+    /// column, holding up to eight rectangles that may overlap, hug any
+    /// border, cover everything or stick out past the top-right corner.
+    fn random_occupancy(rng: &mut TestRng) -> (u16, u16, Vec<Rect>) {
+        let mut below = |n: u16| (rng.next_u64() % n as u64) as u16;
+        let (width, height) = match below(8) {
+            0 => (1, 1 + below(24)),
+            1 => (1 + below(24), 1),
+            _ => (1 + below(20), 1 + below(20)),
+        };
+        let occupied = (0..below(9))
+            .map(|_| match below(8) {
+                0 => Rect::at_origin(width, height),
+                1 => Rect::new(Coord::new(below(width), below(height)), width, height),
+                2 => Rect::new(Coord::new(below(width), below(height)), u16::MAX, u16::MAX),
+                3 => Rect::new(Coord::new(width + below(3), below(height)), 2, 2),
+                _ => {
+                    let (x, y) = (below(width), below(height));
+                    let (w, h) = (1 + below(width - x), 1 + below(height - y));
+                    // Half of the in-bounds rectangles touch a border.
+                    match below(8) {
+                        0 => Rect::new(Coord::new(0, y), w, h),
+                        1 => Rect::new(Coord::new(x, 0), w, h),
+                        2 => Rect::new(Coord::new(width - w, y), w, h),
+                        3 => Rect::new(Coord::new(x, height - h), w, h),
+                        _ => Rect::new(Coord::new(x, y), w, h),
+                    }
+                }
+            })
+            .collect();
+        (width, height, occupied)
+    }
+
+    proptest! {
+        /// 32 occupancies a case, so the default 64 cases compare 2048.
+        #[test]
+        fn compressed_sweep_matches_the_per_cell_oracle(seed in 0u64..u64::MAX) {
+            let mut rng = TestRng::from_name(&seed.to_string());
+            // A view kept across rounds and updated in place must answer
+            // like one built from scratch.
+            let mut kept = FabricView::new(0, 0, Vec::new());
+            for round in 0..32 {
+                let (width, height, occupied) = random_occupancy(&mut rng);
+                let context = format!("seed {seed} round {round}: {width}x{height} {occupied:?}");
+                let expected = free_rectangles_per_cell(width, height, &occupied);
+                let view = FabricView::new(width, height, occupied.clone());
+                prop_assert_eq!(&view.free_rectangles(), &expected, "{}", context);
+                prop_assert_eq!(
+                    view.largest_free_rect_area(),
+                    expected.iter().map(Rect::area).max().unwrap_or(0),
+                    "{}", context
+                );
+                kept.clear();
+                (kept.width, kept.height) = (width, height);
+                occupied.iter().for_each(|&r| kept.push(r));
+                prop_assert_eq!(&kept, &view, "{}", context);
+                prop_assert_eq!(kept.free_area(), view.free_area(), "{}", context);
+                prop_assert_eq!(&kept.free_rectangles(), &expected, "{}", context);
+            }
+        }
+    }
+
+    #[test]
+    fn clipped_and_overlapping_input_is_well_defined() {
+        // Out of bounds on both axes, past `u16` when summed naively.
+        let v = view(vec![Rect::new(Coord::new(6, 4), u16::MAX, u16::MAX)]);
+        assert_eq!(v.occupied(), [Rect::new(Coord::new(6, 4), 2, 2)]);
+        assert_eq!(v.free_area(), 44);
+        assert_eq!(BottomLeftSkyline.place(2, 2, &v), Some(Coord::new(0, 0)));
+        // Entirely off the fabric: nothing is busy.
+        let v = view(vec![Rect::new(Coord::new(9, 9), 3, 3)]);
+        assert_eq!(v.free_rectangles(), vec![Rect::at_origin(8, 6)]);
+        assert_eq!(v.free_area(), 48);
+        // Overlap: coverage is the union, `free_area` a saturating lower
+        // bound, fragmentation stays in range.
+        let v = view(vec![Rect::at_origin(8, 4), Rect::at_origin(8, 4)]);
+        assert_eq!(v.free_rectangles(), vec![Rect::new(Coord::new(0, 4), 8, 2)]);
+        assert_eq!(v.free_area(), 0);
+        assert_eq!(v.fragmentation(), 0.0);
+        let v = view(vec![Rect::at_origin(8, 3), Rect::at_origin(4, 3)]);
+        assert_eq!((v.free_area(), v.largest_free_rect_area()), (12, 24));
+        assert_eq!(v.fragmentation(), 0.0);
     }
 
     #[test]

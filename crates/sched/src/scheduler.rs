@@ -1398,13 +1398,12 @@ impl Scheduler {
     /// spot.
     fn replacement_origin(&self, width: u16, height: u16, failed: Coord) -> Option<Coord> {
         let view = self.manager.fabric_view();
-        let mut busy: Vec<Rect> = self
-            .manager
-            .loaded_tasks()
+        let busy = view
+            .occupied()
             .iter()
-            .map(|t| t.region)
+            .copied()
+            .chain([Rect::new(failed, width, height)])
             .collect();
-        busy.push(Rect::new(failed, width, height));
         let masked = vbs_runtime::FabricView::new(view.width(), view.height(), busy);
         self.manager.policy().place(width, height, &masked)
     }

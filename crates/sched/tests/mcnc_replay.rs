@@ -14,8 +14,9 @@
 //!
 //! See `crates/sched/README.md` for the full workflow.
 
-use std::collections::HashSet;
-use vbs_sched::{CacheBudget, McncCorpus, SchedulerConfig, TraceOp};
+use std::collections::{HashMap, HashSet};
+use vbs_arch::Rect;
+use vbs_sched::{CacheBudget, McncCorpus, Outcome, Request, SchedulerConfig, TraceOp};
 
 fn corpus() -> McncCorpus {
     McncCorpus::load(concat!(
@@ -146,6 +147,120 @@ fn variant_trace_swaps_through_every_variant() {
         assert!(
             swapped.contains(variant) || initial,
             "variant `{variant}` never enters the scenario"
+        );
+    }
+}
+
+/// Area of the largest free rectangle, macro by macro: for every row, a
+/// histogram of free run heights and the widest span under every bar. Knows
+/// nothing of `FabricView`.
+fn largest_free_rect_per_cell(width: u16, height: u16, occupied: &[Rect]) -> u32 {
+    let mut heights = vec![0u32; width as usize];
+    let mut largest = 0;
+    for y in 0..height {
+        for (x, h) in heights.iter_mut().enumerate() {
+            let at = vbs_arch::Coord::new(x as u16, y);
+            *h = if occupied.iter().any(|r| r.contains(at)) {
+                0
+            } else {
+                *h + 1
+            };
+        }
+        for (x, &h) in heights.iter().enumerate() {
+            let span = heights[x..].iter().take_while(|&&other| other >= h).count()
+                + heights[..x]
+                    .iter()
+                    .rev()
+                    .take_while(|&&other| other >= h)
+                    .count();
+            largest = largest.max(h * span as u32);
+        }
+    }
+    largest
+}
+
+/// The scheduler's fragmentation and utilization sums are the same `f64`s,
+/// added in the same order, as a per-macro sweep of the loaded regions after
+/// every processed request gives.
+#[test]
+fn sampled_sums_match_a_per_cell_resample() {
+    let corpus = corpus();
+    let (width, height) = corpus.single;
+    let total = width as u32 * height as u32;
+    for name in ["steady", "variant"] {
+        let trace = corpus.trace(name).expect("corpus trace");
+        let mut sched = corpus.single_scheduler();
+        let (mut fragmentation_sum, mut utilization_sum, mut samples) = (0.0f64, 0.0f64, 0u64);
+        let mut jobs: HashMap<u64, u64> = HashMap::new();
+        // One request per round, so that every sample can be retaken.
+        let mut step = |sched: &mut vbs_sched::Scheduler, request: Request| {
+            let outcome = sched.execute(request);
+            let occupied: Vec<Rect> = sched
+                .manager()
+                .loaded_tasks()
+                .iter()
+                .map(|t| t.region)
+                .collect();
+            let free = total - occupied.iter().map(Rect::area).sum::<u32>();
+            let largest = largest_free_rect_per_cell(width, height, &occupied);
+            fragmentation_sum += match free {
+                0 => 0.0,
+                _ => 1.0 - largest as f64 / free as f64,
+            };
+            utilization_sum += 1.0 - free as f64 / total as f64;
+            samples += 1;
+            outcome
+        };
+        for event in &trace.events {
+            sched.advance_to(event.tick);
+            let (job, load) = match &event.op {
+                TraceOp::Unload { job } => (job, None),
+                TraceOp::Load {
+                    job,
+                    task,
+                    priority,
+                    deadline,
+                }
+                | TraceOp::Swap {
+                    job,
+                    task,
+                    priority,
+                    deadline,
+                } => (job, Some((task, priority, deadline))),
+            };
+            if !matches!(event.op, TraceOp::Load { .. }) {
+                if let Some(resident) = jobs.remove(job) {
+                    step(&mut sched, Request::Unload { job: resident });
+                }
+            }
+            if let Some((task, &priority, &deadline)) = load {
+                let request = Request::Load {
+                    task: task.clone(),
+                    priority,
+                    deadline,
+                };
+                if let Outcome::Loaded { job: resident, .. } = step(&mut sched, request) {
+                    jobs.insert(*job, resident);
+                }
+            }
+        }
+        let metrics = sched.metrics();
+        assert!(
+            metrics.evictions > 0 && metrics.fragmentation_sum > 0.0,
+            "{name} never fragments the fabric: {metrics:?}"
+        );
+        assert_eq!(metrics.fragmentation_samples, samples, "{name}");
+        assert_eq!(
+            metrics.fragmentation_sum.to_bits(),
+            fragmentation_sum.to_bits(),
+            "{name}: {} vs {fragmentation_sum}",
+            metrics.fragmentation_sum
+        );
+        assert_eq!(
+            metrics.utilization_sum.to_bits(),
+            utilization_sum.to_bits(),
+            "{name}: {} vs {utilization_sum}",
+            metrics.utilization_sum
         );
     }
 }

@@ -7,8 +7,8 @@ use vbs_repro::flow::CadFlow;
 use vbs_repro::netlist::generate::SyntheticSpec;
 use vbs_repro::netlist::TruthTable;
 use vbs_repro::runtime::{
-    BestFit, BottomLeftSkyline, FirstFit, PlacementPolicy, ReconfigurationController, TaskManager,
-    VbsRepository,
+    BestFit, BottomLeftSkyline, FabricView, FirstFit, PlacementPolicy, ReconfigurationController,
+    TaskManager, VbsRepository,
 };
 use vbs_repro::sched::{
     LruEviction, Outcome, PriorityEviction, Request, Scheduler, SchedulerConfig,
@@ -170,6 +170,59 @@ proptest! {
         // A rectangle always intersects itself and contains itself.
         prop_assert!(a.intersects(&a));
         prop_assert!(a.contains_rect(&a));
+    }
+
+    /// A hand-built occupancy may hold anything — rectangles off the fabric,
+    /// reaching past `u16`, or on top of each other: the view clips them, its
+    /// metrics stay in range and every policy answers with a free in-bounds
+    /// position or none, without a panic.
+    #[test]
+    fn fabric_view_tolerates_any_rectangles(
+        w in 0u16..20,
+        h in 0u16..20,
+        rects in proptest::collection::vec((0u16..24, 0u16..24, 0u16..12, 0u16..12, 0u8..4), 0..6),
+        task in (1u16..8, 1u16..8),
+    ) {
+        use vbs_repro::arch::Rect;
+        let occupied: Vec<Rect> = rects
+            .iter()
+            .map(|&(x, y, rw, rh, stretch)| {
+                let (rw, rh) = if stretch == 0 { (u16::MAX, u16::MAX - rh) } else { (rw, rh) };
+                Rect::new(Coord::new(x, y), rw, rh)
+            })
+            .collect();
+        let view = FabricView::new(w, h, occupied.clone());
+        prop_assert_eq!(view.occupied().len(), occupied.len());
+        prop_assert!(view.occupied().iter().all(|r| view.in_bounds(r)));
+
+        let busy = |x: u16, y: u16| occupied.iter().any(|r| {
+            (r.origin.x as u32..r.origin.x as u32 + r.width as u32).contains(&(x as u32))
+                && (r.origin.y as u32..r.origin.y as u32 + r.height as u32).contains(&(y as u32))
+        });
+        let free_cells = (0..h).flat_map(|y| (0..w).map(move |x| (x, y)))
+            .filter(|&(x, y)| !busy(x, y))
+            .count() as u32;
+        let disjoint = view.occupied().iter().enumerate().all(|(i, a)| {
+            view.occupied()[i + 1..].iter().all(|b| !a.intersects(b))
+        });
+        prop_assert!(view.free_area() <= free_cells);
+        if disjoint {
+            prop_assert_eq!(view.free_area(), free_cells);
+        }
+        prop_assert!(view.largest_free_rect_area() <= free_cells);
+        prop_assert!((0.0..=1.0).contains(&view.fragmentation()));
+        for free in view.free_rectangles() {
+            prop_assert!(view.is_free(&free), "{} is not free in {:?}", free, view);
+        }
+
+        let (tw, th) = task;
+        for policy in [&FirstFit as &dyn PlacementPolicy, &BestFit, &BottomLeftSkyline] {
+            if let Some(origin) = policy.place(tw, th, &view) {
+                let region = Rect::new(origin, tw, th);
+                prop_assert!(view.is_free(&region), "{} put {} on {:?}", policy.name(), region, view);
+                prop_assert!(region.iter().all(|at| !busy(at.x, at.y)));
+            }
+        }
     }
 
     /// Sides: opposite is an involution and preserves the channel axis.

@@ -21,8 +21,8 @@
 //!   (`N_raw`, the number of raw configuration bits per macro).
 //! * [`geometry`] — coordinates, rectangles, sides and tracks.
 //! * [`macro_model`] — the black-box I/O numbering of a macro
-//!   ([`MacroIo`](macro_model::MacroIo)) and the bit-exact raw frame layout
-//!   ([`FrameLayout`](macro_model::FrameLayout)).
+//!   ([`MacroIo`]) and the bit-exact raw frame layout
+//!   ([`FrameLayout`]).
 //! * [`wires`] — global wire naming shared by the router, the bit-stream
 //!   generator and the VBS encoder/decoder.
 //! * [`device`] — a sized device (grid of macros).

@@ -1,13 +1,22 @@
 //! Criterion bench of the run-time controller: de-virtualization throughput,
 //! sequentially and with a worker pool (Section II-C notes the decode is
 //! parallelizable macro by macro), plus the zero-allocation scratch-reuse
-//! path and the streaming decode→write path.
+//! path and the frame-emitting `decode_streaming` variant.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use vbs_arch::Coord;
 use vbs_bench::run_circuit;
-use vbs_bitstream::TaskBitstream;
-use vbs_core::{DecodeScratch, Devirtualizer, NullSink};
-use vbs_runtime::{devirtualize_into, ReconfigurationController};
+use vbs_bitstream::{FrameRef, TaskBitstream};
+use vbs_core::{DecodeScratch, Devirtualizer, FrameSink};
+use vbs_runtime::ReconfigurationController;
+
+struct CountingSink(u64);
+
+impl FrameSink for CountingSink {
+    fn emit(&mut self, _at: Coord, _frame: FrameRef<'_>) {
+        self.0 += 1;
+    }
+}
 
 fn decode_throughput(c: &mut Criterion) {
     let circuit = vbs_netlist::mcnc::by_name("s298").expect("table entry");
@@ -17,44 +26,36 @@ fn decode_throughput(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("decode");
     group.sample_size(20);
+    let mut staging = TaskBitstream::empty(*vbs.spec(), 1, 1);
     for workers in [1usize, 4] {
         let controller = ReconfigurationController::new(device.clone()).with_workers(workers);
         group.bench_with_input(
-            BenchmarkId::new("devirtualize", workers),
+            BenchmarkId::new("decode_into (controller lanes)", workers),
             &workers,
-            |b, _| b.iter(|| controller.devirtualize(&vbs).expect("decode")),
+            |b, _| b.iter(|| controller.decode_into(&vbs, &mut staging).expect("decode")),
         );
     }
 
     // Scratch reuse: steady-state zero-allocation decode into a recycled
     // buffer.
-    let mut scratch = DecodeScratch::new();
-    let mut staging = TaskBitstream::empty(*vbs.spec(), 1, 1);
-    group.bench_function("decode_into (scratch reuse)", |b| {
-        b.iter(|| devirtualize_into(&vbs, &mut staging, &mut scratch).expect("decode"))
-    });
-
-    // Streaming: frames pushed to a sink as each cluster record completes.
     let devirt = Devirtualizer::new(&vbs).expect("devirtualizer");
-    group.bench_function("decode_streaming (null sink)", |b| {
+    let mut scratch = DecodeScratch::new();
+    group.bench_function("decode_into (scratch reuse)", |b| {
         b.iter(|| {
-            let mut sink = NullSink::default();
             devirt
-                .decode_streaming(&mut staging, &mut scratch, &mut sink)
-                .expect("decode");
-            sink.frames
+                .decode_into(&mut staging, &mut scratch)
+                .expect("decode")
         })
     });
 
-    // Streaming into live configuration memory: decode→resident latency of
-    // a single load with writes overlapped (the decode scratch comes from
-    // the controller's pool).
-    let mut controller = ReconfigurationController::new(device);
-    group.bench_function("load_streaming (into memory)", |b| {
+    // Frames pushed to a sink as each cluster record completes.
+    group.bench_function("decode_streaming (counting sink)", |b| {
         b.iter(|| {
-            controller
-                .load_streaming(&vbs, vbs_arch::Coord::new(0, 0), &mut staging)
-                .expect("load")
+            let mut sink = CountingSink(0);
+            devirt
+                .decode_streaming(&mut staging, &mut scratch, &mut sink)
+                .expect("decode");
+            sink.0
         })
     });
     group.finish();

@@ -113,11 +113,11 @@ fn main() {
                 // One warm-up decode, then the measured one: steady state.
                 let mut best = u64::MAX;
                 for _ in 0..3 {
-                    match controller.devirtualize(&vbs) {
-                        Ok((task, report)) => {
-                            best = best.min(report.micros);
-                            pool.put(task);
-                        }
+                    let mut task = pool.checkout(*vbs.spec(), vbs.width(), vbs.height());
+                    let decoded = controller.decode_into(&vbs, &mut task);
+                    pool.put(task);
+                    match decoded {
+                        Ok(report) => best = best.min(report.micros),
                         Err(e) => {
                             eprintln!("decode failed: {e}");
                             best = u64::MAX;

@@ -1,32 +1,21 @@
-//! Decode→resident throughput baseline: buffered vs scratch-reuse vs
-//! streaming vs pooled-parallel load paths, plus the batch-vs-greedy
-//! compaction pause study and the 4-fabric fleet replay, emitted as
-//! machine-readable `BENCH_decode.json` so perf numbers accumulate per PR.
+//! Decode→resident throughput baseline: the scratch-reuse and
+//! pooled-parallel load paths, plus the batch-vs-greedy compaction pause
+//! study and the 4-fabric fleet replay, emitted as machine-readable
+//! `BENCH_decode.json` so perf numbers accumulate per PR.
 //!
 //! Per-load paths timed over the scheduler workload task mix on one
 //! `--fabric`-sized device (a load = de-virtualize one VBS and make it
 //! resident in configuration memory):
 //!
-//! * **legacy** — the pre-scratch path exactly as it shipped before this
-//!   subsystem existed: fresh decoded image per load *and* fresh decode
-//!   state per record (`decode_record_into` + `load_decoded`);
-//! * **buffered** — the one-shot path: one header-pre-reserved scratch
-//!   shared across the records of each load, allocated per load
-//!   (`devirtualize_stream` on a cold pool + `load_decoded`);
-//! * **scratch** — buffered writes, but decode state and the staging image
-//!   come from a persistent [`vbs_core::DecodeScratch`]
-//!   (`devirtualize_into` + `load_decoded`): zero allocations steady-state;
-//! * **streaming** — scratch reuse *and* frame writes overlapped with the
-//!   decode (`load_streaming`): memory writes begin after the first cluster
-//!   record instead of after the last.
-//!
-//! The **parallel** arm sweeps decode lanes 1/2/4 through the full
-//! `ReconfigurationController::load` path in two flavors: *pooled* (the
-//! persistent [`vbs_runtime::DecodeWorkerPool`] lanes drawing every scratch
-//! and partial image from a warm [`vbs_runtime::ScratchPool`] — zero
-//! allocations per load) and *fresh* (the pre-pool behavior, re-created
-//! inline: scoped threads spawned per load, `DecodeScratch::new()` and a
-//! fresh partial per worker per load).
+//! * **scratch** — one thread, no pool: decode state and the staging image
+//!   live in a persistent [`vbs_core::DecodeScratch`] and a reused
+//!   [`TaskBitstream`] (`Devirtualizer::decode_into` + `load_decoded`),
+//!   zero allocations steady-state;
+//! * **pooled_w1/2/4** — the full `ReconfigurationController::load` path
+//!   at 1/2/4 decode lanes: the persistent
+//!   [`vbs_runtime::DecodeWorkerPool`] lanes draw every scratch and partial
+//!   image from a warm [`vbs_runtime::ScratchPool`] — zero allocations per
+//!   load.
 //!
 //! The **compaction** arm fragments two identical schedulers and defrags
 //! one with the batch-planned `Scheduler::compact` (each task moved at most
@@ -35,8 +24,7 @@
 //! requests), reporting pause microseconds and frames rewritten for both.
 //!
 //! The fleet section replays the same seeded trace through a
-//! `--fabrics`-sized multi-fabric scheduler in staged-pipeline mode vs
-//! streaming mode.
+//! `--fabrics`-sized multi-fabric scheduler.
 //!
 //! The **mcnc** arm runs the checked-in corpus (`tests/traces/mcnc/`)
 //! instead of the synthetic task mix: per-circuit pooled-load throughput
@@ -60,11 +48,8 @@ use vbs_arch::{ArchSpec, Coord, Device, Rect};
 use vbs_bench::sched_workload::{sched_device, sched_fleet, sched_repository, sched_trace};
 use vbs_bench::{allocations, CountingAllocator};
 use vbs_bitstream::{Kernels, TaskBitstream};
-use vbs_core::{DecodeScratch, Devirtualizer, Vbs};
-use vbs_runtime::{
-    devirtualize_into, devirtualize_stream, BestFit, FabricView, ReconfigurationController,
-    ScratchPool, VbsRepository,
-};
+use vbs_core::{decode, DecodeScratch, Devirtualizer, Vbs};
+use vbs_runtime::{BestFit, FabricView, ReconfigurationController, VbsRepository};
 use vbs_sched::{
     replay, replay_multi, CacheBudget, CacheStats, LeastLoaded, McncCorpus, MultiConfig, Outcome,
     Request, Scheduler, SchedulerConfig, Trace,
@@ -232,63 +217,27 @@ fn run_path(
     }
 }
 
-fn per_load_paths(options: &Options, repository: &VbsRepository) -> Vec<PathResult> {
+/// The scratch arm: a persistent arena and staging image on one thread,
+/// outside any pool — the floor the pooled lanes are compared against.
+fn scratch_path(options: &Options, repository: &VbsRepository) -> PathResult {
     let device = sched_device(options.fabric.0, options.fabric.1);
     let streams = streams(repository);
     let origin = Coord::new(0, 0);
-    let mut results = Vec::new();
-
-    // Legacy (pre-scratch): fresh image per load, fresh decode state per
-    // record — the path as it existed before the scratch-arena rework.
-    let mut controller = ReconfigurationController::new(device.clone());
-    results.push(run_path("legacy", options, &streams, |vbs| {
-        let devirt = Devirtualizer::new(vbs).expect("devirtualizer");
-        let mut task = TaskBitstream::empty(*vbs.spec(), vbs.width(), vbs.height());
-        for record in vbs.records() {
-            devirt
-                .decode_record_into(record, &mut task)
-                .expect("decode");
-        }
-        controller.load_decoded(&task, origin).expect("load");
-    }));
-
-    // Buffered: one shared, header-pre-reserved scratch per load — the
-    // cold pool (capacity 0) allocates per load like the pre-pool one-shot
-    // path did.
-    let mut controller = ReconfigurationController::new(device.clone());
-    results.push(run_path("buffered", options, &streams, |vbs| {
-        let once = ScratchPool::new(0);
-        let (task, _report) = devirtualize_stream(vbs, 1, &once).expect("decode");
-        controller.load_decoded(&task, origin).expect("load");
-    }));
-
-    // Scratch reuse: persistent arena + staging, buffered writes.
-    let mut controller = ReconfigurationController::new(device.clone());
-    let mut scratch = DecodeScratch::new();
-    results.push(run_path("scratch", options, &streams, |vbs| {
-        let mut staging = scratch.take_staging(*vbs.spec(), vbs.width(), vbs.height());
-        devirtualize_into(vbs, &mut staging, &mut scratch).expect("decode");
-        controller.load_decoded(&staging, origin).expect("load");
-        scratch.put_staging(staging);
-    }));
-
-    // Streaming: pooled scratch + frame writes overlapping the decode.
     let mut controller = ReconfigurationController::new(device);
-    let mut staging = TaskBitstream::empty(*streams[0].spec(), 1, 1);
-    results.push(run_path("streaming", options, &streams, |vbs| {
-        controller
-            .load_streaming(vbs, origin, &mut staging)
-            .expect("load");
-    }));
-
-    results
+    let mut scratch = DecodeScratch::new();
+    let mut staging = TaskBitstream::empty(*streams[0].spec(), 0, 0);
+    run_path("scratch", options, &streams, |vbs| {
+        Devirtualizer::new(vbs)
+            .and_then(|d| d.decode_into(&mut staging, &mut scratch))
+            .expect("decode");
+        controller.load_decoded(&staging, origin).expect("load");
+    })
 }
 
-/// The parallel arm: the full `load` path at 1/2/4 decode lanes, pooled
-/// (persistent `DecodeWorkerPool` + warm `ScratchPool`) vs fresh (the
-/// pre-pool behavior: scoped threads, fresh scratch and partial per worker
-/// per load). Returns `(pooled, fresh)` results per lane count.
-fn parallel_paths(options: &Options, repository: &VbsRepository) -> Vec<(PathResult, PathResult)> {
+/// The parallel arm: the full `load` path at 1/2/4 decode lanes on the
+/// persistent `DecodeWorkerPool` + warm `ScratchPool`, one result per lane
+/// count.
+fn parallel_paths(options: &Options, repository: &VbsRepository) -> Vec<PathResult> {
     let streams = streams(repository);
     let origin = Coord::new(0, 0);
     let largest = streams
@@ -327,62 +276,10 @@ fn parallel_paths(options: &Options, repository: &VbsRepository) -> Vec<(PathRes
             }
         }
     }
-    let mut results = Vec::new();
-    for (i, &workers) in lanes.iter().enumerate() {
-        let mut controller = ReconfigurationController::new(device.clone());
-        let fresh = run_path(format!("fresh_w{workers}"), options, &streams, |vbs| {
-            let task = fresh_parallel_decode(vbs, workers);
-            controller.load_decoded(&task, origin).expect("load");
-        });
-        results.push((pooled[i].take().expect("pooled lane measured"), fresh));
-    }
-    results
-}
-
-/// The pre-pool parallel decode, re-created as the baseline: scoped worker
-/// threads spawned per load, each with a fresh scratch and a lazily
-/// allocated fresh partial image, merged at the end.
-fn fresh_parallel_decode(vbs: &Vbs, workers: usize) -> TaskBitstream {
-    let devirtualizer = Devirtualizer::new(vbs).expect("devirtualizer");
-    let records = vbs.records();
-    let spec = *vbs.spec();
-    let (w, h) = (vbs.width().max(1), vbs.height().max(1));
-    let mut task = TaskBitstream::empty(spec, w, h);
-    if workers <= 1 || records.len() < 2 {
-        let mut scratch = DecodeScratch::new();
-        devirtualizer
-            .decode_into(&mut task, &mut scratch)
-            .expect("decode");
-        return task;
-    }
-    let chunk = records.len().div_ceil(workers);
-    let partials: Vec<Option<TaskBitstream>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = records
-            .chunks(chunk)
-            .map(|slice| {
-                let devirt = &devirtualizer;
-                scope.spawn(move || {
-                    let mut local: Option<TaskBitstream> = None;
-                    let mut scratch = DecodeScratch::new();
-                    for record in slice {
-                        let target = local.get_or_insert_with(|| TaskBitstream::empty(spec, w, h));
-                        devirt
-                            .decode_record_with(record, target, &mut scratch)
-                            .expect("decode");
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("decode workers never panic"))
-            .collect()
-    });
-    for partial in partials.into_iter().flatten() {
-        task.merge_disjoint(&partial).expect("disjoint partials");
-    }
-    task
+    pooled
+        .into_iter()
+        .map(|run| run.expect("pooled lane measured"))
+        .collect()
 }
 
 /// One compaction strategy's cost on a deterministically fragmented fabric.
@@ -728,7 +625,7 @@ fn scaling_paths(options: &Options, repository: &VbsRepository) -> Vec<ScalingRe
         .iter()
         .max_by_key(|v| v.width() as u64 * v.height() as u64)
         .expect("workload streams");
-    let (task, _) = devirtualize_stream(largest, 1, &ScratchPool::default()).expect("decode");
+    let task = decode(largest).expect("decode");
     let (tw, th) = (task.width(), task.height());
     let iterations = options.loads.max(1);
     let origin = Coord::new(0, 0);
@@ -816,7 +713,7 @@ fn frame_write_paths(options: &Options, repository: &VbsRepository) -> Vec<Frame
         .into_iter()
         .max_by_key(|v| v.width() as u64 * v.height() as u64)
         .expect("workload streams");
-    let (task, _) = devirtualize_stream(&vbs, 1, &ScratchPool::default()).expect("decode");
+    let task = decode(&vbs).expect("decode");
     let mut memory = vbs_bitstream::ConfigMemory::new(&device);
     let (tw, th) = (task.width(), task.height());
     assert!(
@@ -898,7 +795,6 @@ fn frame_write_paths(options: &Options, repository: &VbsRepository) -> Vec<Frame
 }
 
 struct FleetResult {
-    name: &'static str,
     elapsed: Duration,
     events: usize,
     accepted: u64,
@@ -921,12 +817,7 @@ impl FleetResult {
     }
 }
 
-fn run_fleet(
-    name: &'static str,
-    options: &Options,
-    repository: &VbsRepository,
-    multi_config: MultiConfig,
-) -> FleetResult {
+fn run_fleet(options: &Options, repository: &VbsRepository) -> FleetResult {
     let config = SchedulerConfig {
         eviction_limit: 1,
         compaction: true,
@@ -939,14 +830,13 @@ fn run_fleet(
         Box::new(LeastLoaded),
         &|| Box::new(BestFit),
         config,
-        multi_config,
+        MultiConfig::default(),
     );
     let trace = sched_trace(options.loads, options.seed);
     let start = Instant::now();
     let report = replay_multi(&mut multi, &trace);
     let elapsed = start.elapsed();
     FleetResult {
-        name,
         elapsed,
         events: report.events,
         accepted: report.multi.loads_accepted,
@@ -1241,8 +1131,8 @@ fn memory_sweep(trace: &Trace, make: &dyn Fn(CacheBudget) -> Scheduler) -> Vec<M
 /// The memory arm: cache-budget sweeps over the synthetic workload on the
 /// `--fabric` device and over the MCNC steady trace on a 100×100
 /// production-scale device, plus the warm re-decode allocation gate (the
-/// pooled `redecode_into` seam re-decoding a held stream into a reused
-/// arena must allocate nothing).
+/// pooled lanes re-decoding a held stream into a reused arena must
+/// allocate nothing).
 fn memory_arm(
     options: &Options,
     repository: &VbsRepository,
@@ -1309,9 +1199,7 @@ fn memory_arm(
         options,
         std::slice::from_ref(&vbs),
         |vbs| {
-            controller
-                .redecode_into(vbs, &mut staging)
-                .expect("redecode");
+            controller.decode_into(vbs, &mut staging).expect("redecode");
         },
     );
 
@@ -1326,7 +1214,9 @@ fn main() {
         options.loads, options.fabric.0, options.fabric.1, options.fabrics, options.seed
     );
 
-    let paths = per_load_paths(&options, &repository);
+    let scratch = scratch_path(&options, &repository);
+    let parallel = parallel_paths(&options, &repository);
+    let paths: Vec<&PathResult> = std::iter::once(&scratch).chain(&parallel).collect();
     println!(
         "{:<12} {:>12} {:>12} {:>12} {:>12}",
         "path", "ns/frame", "ns/load", "loads/s", "allocs/load"
@@ -1356,40 +1246,13 @@ fn main() {
             s.max as f64 / 1e3
         );
     }
-    let streaming = &paths[3];
-    let vs_legacy = streaming.loads_per_sec() / paths[0].loads_per_sec();
-    let vs_buffered = streaming.loads_per_sec() / paths[1].loads_per_sec();
-    println!(
-        "streaming decode→resident throughput: {vs_legacy:.2}x vs legacy, {vs_buffered:.2}x vs buffered"
-    );
-
-    let parallel = parallel_paths(&options, &repository);
-    println!(
-        "{:<12} {:>12} {:>12} {:>14} {:>14}",
-        "parallel", "pooled l/s", "fresh l/s", "pooled alloc/l", "fresh alloc/l"
-    );
-    for (pooled, fresh) in &parallel {
-        println!(
-            "{:<12} {:>12.1} {:>12.1} {:>14.1} {:>14.1}",
-            pooled.name.trim_start_matches("pooled_"),
-            pooled.loads_per_sec(),
-            fresh.loads_per_sec(),
-            pooled.allocs_per_load(),
-            fresh.allocs_per_load()
-        );
-    }
-    let pooled4 = &parallel[2].0;
-    let speedup_pooled4_vs_scratch = pooled4.loads_per_sec() / paths[2].loads_per_sec();
-    let speedup_pooled4_vs_fresh4 = pooled4.loads_per_sec() / parallel[2].1.loads_per_sec();
-    println!(
-        "pooled 4-lane load path: {speedup_pooled4_vs_scratch:.2}x vs 1-thread scratch, \
-         {speedup_pooled4_vs_fresh4:.2}x vs fresh 4-worker"
-    );
+    let (pooled1, pooled4) = (&parallel[0], &parallel[2]);
+    let speedup_pooled4_vs_scratch = pooled4.loads_per_sec() / scratch.loads_per_sec();
+    println!("pooled 4-lane load path: {speedup_pooled4_vs_scratch:.2}x vs 1-thread scratch");
     // The adaptive-lane regression gate: configuring more lanes than the
     // load can use must never cost throughput (the pool falls back to a
     // sequential decode below its record threshold). 0.95 absorbs run
     // noise, not a real regression.
-    let pooled1 = &parallel[0].0;
     assert!(
         pooled4.loads_per_sec() >= pooled1.loads_per_sec() * 0.95,
         "pooled 4-lane path regressed below 1-lane: {:.1} vs {:.1} loads/s",
@@ -1473,25 +1336,13 @@ fn main() {
         );
     }
 
-    let fleet_buffered = run_fleet("pipelined", &options, &repository, MultiConfig::default());
-    let fleet_streaming = run_fleet(
-        "streaming",
-        &options,
-        &repository,
-        MultiConfig {
-            streaming: true,
-            ..MultiConfig::default()
-        },
+    let fleet = run_fleet(&options, &repository);
+    println!(
+        "fleet {:>10.0} events/s  {:>6} accepted  {:>9} decode µs",
+        fleet.events_per_sec(),
+        fleet.accepted,
+        fleet.decode_micros
     );
-    for f in [&fleet_buffered, &fleet_streaming] {
-        println!(
-            "fleet {:<10} {:>10.0} events/s  {:>6} accepted  {:>9} decode µs",
-            f.name,
-            f.events_per_sec(),
-            f.accepted,
-            f.decode_micros
-        );
-    }
 
     let (corpus, mcnc_tasks, mcnc_replays) = mcnc_arm(&options);
     println!(
@@ -1599,17 +1450,11 @@ fn main() {
 
     let parallel_json = parallel
         .iter()
-        .flat_map(|(pooled, fresh)| {
-            [
-                format!("    \"{}\": {}", pooled.name, pooled.json()),
-                format!("    \"{}\": {}", fresh.name, fresh.json()),
-            ]
-        })
+        .map(|pooled| format!("    \"{}\": {}", pooled.name, pooled.json()))
         .collect::<Vec<_>>()
         .join(",\n");
     let latency_json = paths
         .iter()
-        .chain(parallel.iter().flat_map(|(pooled, fresh)| [pooled, fresh]))
         .map(|p| format!("    \"{}\": {}", p.name, p.latency_json()))
         .collect::<Vec<_>>()
         .join(",\n");
@@ -1664,22 +1509,16 @@ fn main() {
         warm_redecode.allocs_per_load(),
     );
     let json = format!(
-        "{{\n  \"bench\": \"decode_perf\",\n  \"loads\": {},\n  \"fabric\": \"{}x{}\",\n  \"fabrics\": {},\n  \"seed\": {},\n  \"paths\": {{\n    \"legacy\": {},\n    \"buffered\": {},\n    \"scratch\": {},\n    \"streaming\": {}\n  }},\n  \"latency\": {{\n{}\n  }},\n  \"speedup_streaming_vs_legacy\": {:.3},\n  \"speedup_streaming_vs_buffered\": {:.3},\n  \"parallel\": {{\n{},\n    \"speedup_pooled4_vs_scratch\": {:.3},\n    \"speedup_pooled4_vs_fresh4\": {:.3}\n  }},\n  \"compaction\": {{\n    \"batch\": {},\n    \"greedy\": {},\n    \"budgeted\": {}\n  }},\n  \"frame_write\": {{\n    \"load\": {},\n    \"clear\": {},\n    \"relocate\": {},\n    \"kernels\": {{\n      \"backend\": \"{}\",\n{}\n    }}\n  }},\n  \"scaling\": {{\n{}\n  }},\n  \"fleet\": {{\n    \"pipelined\": {},\n    \"streaming\": {}\n  }},\n  \"mcnc\": {{\n    \"single\": \"{}x{}\",\n    \"fleet\": \"{}x{}x{}\",\n    \"tasks\": {{\n{}\n    }},\n    \"replays\": {{\n{}\n    }}\n  }},\n  \"fault\": {{\n{},\n    \"verify_overhead\": {:.3}\n  }},\n  \"memory\": {}\n}}\n",
+        "{{\n  \"bench\": \"decode_perf\",\n  \"loads\": {},\n  \"fabric\": \"{}x{}\",\n  \"fabrics\": {},\n  \"seed\": {},\n  \"paths\": {{\n    \"scratch\": {}\n  }},\n  \"latency\": {{\n{}\n  }},\n  \"parallel\": {{\n{},\n    \"speedup_pooled4_vs_scratch\": {:.3}\n  }},\n  \"compaction\": {{\n    \"batch\": {},\n    \"greedy\": {},\n    \"budgeted\": {}\n  }},\n  \"frame_write\": {{\n    \"load\": {},\n    \"clear\": {},\n    \"relocate\": {},\n    \"kernels\": {{\n      \"backend\": \"{}\",\n{}\n    }}\n  }},\n  \"scaling\": {{\n{}\n  }},\n  \"fleet\": {},\n  \"mcnc\": {{\n    \"single\": \"{}x{}\",\n    \"fleet\": \"{}x{}x{}\",\n    \"tasks\": {{\n{}\n    }},\n    \"replays\": {{\n{}\n    }}\n  }},\n  \"fault\": {{\n{},\n    \"verify_overhead\": {:.3}\n  }},\n  \"memory\": {}\n}}\n",
         options.loads,
         options.fabric.0,
         options.fabric.1,
         options.fabrics,
         options.seed,
-        paths[0].json(),
-        paths[1].json(),
-        paths[2].json(),
-        paths[3].json(),
+        scratch.json(),
         latency_json,
-        vs_legacy,
-        vs_buffered,
         parallel_json,
         speedup_pooled4_vs_scratch,
-        speedup_pooled4_vs_fresh4,
         compaction[0].json(),
         compaction[1].json(),
         budgeted.json(),
@@ -1689,8 +1528,7 @@ fn main() {
         kernel_backend,
         kernels_json,
         scaling_json,
-        fleet_buffered.json(),
-        fleet_streaming.json(),
+        fleet.json(),
         corpus.single.0,
         corpus.single.1,
         corpus.fleet.0,

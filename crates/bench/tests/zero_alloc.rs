@@ -5,8 +5,6 @@
 //!
 //! * steady-state `decode_into` (warm scratch, recycled buffer) performs
 //!   **zero** heap allocations per load;
-//! * steady-state streaming loads (`load_streaming` into configuration
-//!   memory) also perform zero allocations;
 //! * steady-state **parallel** loads through the persistent multi-lane
 //!   [`vbs_runtime::DecodeWorkerPool`] (4 decode lanes, every scratch and
 //!   partial image drawn from a warm [`vbs_runtime::ScratchPool`]) perform
@@ -36,8 +34,8 @@
 
 use vbs_bench::{allocations, CountingAllocator};
 use vbs_bitstream::TaskBitstream;
-use vbs_core::DecodeScratch;
-use vbs_runtime::{devirtualize_into, FirstFit, ReconfigurationController};
+use vbs_core::{DecodeScratch, Devirtualizer, Vbs};
+use vbs_runtime::{FirstFit, ReconfigurationController};
 use vbs_sched::{BitstreamPool, Outcome, Request, SchedulerConfig};
 use vbs_telemetry::{Stage, Telemetry};
 
@@ -51,6 +49,14 @@ static ALLOC: CountingAllocator = CountingAllocator;
 /// stream.
 const HOT_PAIR_ALLOCATION_BUDGET: u64 = 12;
 
+/// `Devirtualizer::decode_into` on a caller-held scratch and image — the
+/// decode the pooled lanes run, without the pool.
+fn decode_into(vbs: &Vbs, staging: &mut TaskBitstream, scratch: &mut DecodeScratch) {
+    Devirtualizer::new(vbs)
+        .and_then(|d| d.decode_into(staging, scratch))
+        .expect("decode");
+}
+
 #[test]
 fn decode_hot_path_allocation_budget() {
     let repository = vbs_bench::sched_workload::sched_repository();
@@ -61,9 +67,9 @@ fn decode_hot_path_allocation_budget() {
     // pre-reserve (regression for incremental Vec/HashMap growth: without
     // reservation this is hundreds of allocations).
     let mut scratch = DecodeScratch::new();
-    let mut staging = scratch.take_staging(*vbs.spec(), vbs.width(), vbs.height());
+    let mut staging = TaskBitstream::empty(*vbs.spec(), vbs.width(), vbs.height());
     let before = allocations();
-    devirtualize_into(&vbs, &mut staging, &mut scratch).expect("decode");
+    decode_into(&vbs, &mut staging, &mut scratch);
     let cold = allocations() - before;
     assert!(
         cold <= 24,
@@ -73,11 +79,11 @@ fn decode_hot_path_allocation_budget() {
 
     // --- Steady state: zero allocations per load, across repeats.
     for _ in 0..2 {
-        devirtualize_into(&vbs, &mut staging, &mut scratch).expect("decode");
+        decode_into(&vbs, &mut staging, &mut scratch);
     }
     let before = allocations();
     for _ in 0..50 {
-        devirtualize_into(&vbs, &mut staging, &mut scratch).expect("decode");
+        decode_into(&vbs, &mut staging, &mut scratch);
     }
     let steady = allocations() - before;
     assert_eq!(
@@ -85,37 +91,13 @@ fn decode_hot_path_allocation_budget() {
         "steady-state decode_into must not allocate (got {steady} over 50 loads)"
     );
 
-    // --- Steady-state streaming load into live configuration memory:
-    // decode plus frame writes (scratch from the controller's pool), still
-    // zero allocations.
-    let mut controller = ReconfigurationController::new(device.clone());
-    let origin = vbs_arch::Coord::new(2, 3);
-    for _ in 0..2 {
-        controller
-            .load_streaming(&vbs, origin, &mut staging)
-            .expect("load");
-    }
-    let before = allocations();
-    for _ in 0..50 {
-        controller
-            .load_streaming(&vbs, origin, &mut staging)
-            .expect("load");
-    }
-    let steady = allocations() - before;
-    assert_eq!(
-        steady, 0,
-        "steady-state load_streaming must not allocate (got {steady} over 50 loads)"
-    );
-
-    // The loads actually configured the fabric.
-    assert!(controller.memory().occupied_macros() > 0);
-
     // --- Steady-state parallel loads: the persistent 4-lane worker pool
     // runs the full decode→resident `load` path on pooled scratches and
     // partial images. Warm-up (the explicit `warm` plus two loads) settles
     // the pool; after that, zero allocations per load — dispatch is a
     // condvar epoch bump, every buffer recycles.
     let workers = 4usize;
+    let origin = vbs_arch::Coord::new(2, 3);
     let mut parallel = ReconfigurationController::new(device).with_workers(workers);
     parallel.warm(&vbs).expect("warm");
     for _ in 0..2 {
@@ -210,7 +192,7 @@ fn decode_hot_path_allocation_budget() {
         for i in 0..rounds * mix.len() {
             let vbs = &mix[i % mix.len()];
             let mut staging = pool.checkout(*vbs.spec(), vbs.width(), vbs.height());
-            devirtualize_into(vbs, &mut staging, scratch).expect("decode");
+            decode_into(vbs, &mut staging, scratch);
             pool.put(staging);
         }
     };

@@ -117,28 +117,6 @@ impl ConfigMemory {
         Ok(())
     }
 
-    /// Writes one frame at device-absolute coordinates `at`, overwriting
-    /// whatever was configured there — a single stride-wide word copy. This
-    /// is the primitive the streaming load path uses to begin configuring a
-    /// task before its whole stream is decoded; it performs no heap
-    /// allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` lies outside the device or `frame` belongs to a
-    /// different architecture — streaming writers validate the whole target
-    /// region (and share the device's architecture by construction) before
-    /// the first frame is emitted.
-    pub fn write_frame(&mut self, at: Coord, frame: FrameRef<'_>) {
-        assert_eq!(
-            self.store.spec(),
-            frame.spec(),
-            "streamed frame targets a different architecture than this memory"
-        );
-        let idx = self.index(at);
-        self.store.frame_mut(idx).copy_from(frame);
-    }
-
     /// Clears every frame of a rectangular region (task removal) — one
     /// `fill(0)` per fabric row.
     ///
@@ -307,7 +285,14 @@ impl ConfigMemory {
         self.store.iter().filter(|f| !f.is_empty()).count()
     }
 
-    fn check_load(&self, task: &TaskBitstream, origin: Coord) -> Result<(), BitstreamError> {
+    /// The validation [`ConfigMemory::load_task`] runs before it writes:
+    /// callers that must decide something else first (a fault gate, say)
+    /// can learn whether the write would be accepted without performing it.
+    ///
+    /// # Errors
+    ///
+    /// As [`ConfigMemory::load_task`].
+    pub fn check_load(&self, task: &TaskBitstream, origin: Coord) -> Result<(), BitstreamError> {
         if task.spec() != self.store.spec() {
             return Err(BitstreamError::LayoutMismatch);
         }

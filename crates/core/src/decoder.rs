@@ -24,12 +24,12 @@
 //! its time in the allocator. Two pieces make that possible:
 //!
 //! * [`DecodeScratch`] — a reusable arena holding every buffer the decode
-//!   needs (the Dijkstra search state, the per-record net bookkeeping, the
-//!   claimed-wire list and an optional staging bit-stream). A warm scratch
-//!   makes [`Devirtualizer::decode_into`] perform **zero heap allocations**
-//!   per load; a cold scratch performs one allocation per buffer because
-//!   every buffer is pre-reserved from the VBS header before the first
-//!   record is expanded.
+//!   needs (the Dijkstra search state, the per-record net bookkeeping and
+//!   the claimed-wire list). A warm scratch makes
+//!   [`Devirtualizer::decode_into`] perform **zero heap allocations** per
+//!   load; a cold scratch performs one allocation per buffer because every
+//!   buffer is pre-reserved from the VBS header before the first record is
+//!   expanded.
 //! * [`FrameSink`] — a push interface through which
 //!   [`Devirtualizer::decode_streaming`] emits each macro frame as soon as
 //!   its cluster record has been expanded, so a run-time controller can
@@ -42,7 +42,7 @@ use crate::format::{ClusterRecord, ClusterRoutes, Connection, Vbs};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use vbs_arch::WireRef;
-use vbs_arch::{ArchSpec, Coord, Device, Rect};
+use vbs_arch::{ArchSpec, Coord, Device};
 use vbs_bitstream::{edge_to_switch, FrameRef, SwitchSetting, TaskBitstream};
 use vbs_route::{RrGraph, RrNode};
 
@@ -66,34 +66,9 @@ use vbs_route::{RrGraph, RrNode};
 /// # }
 /// ```
 pub fn decode(vbs: &Vbs) -> Result<TaskBitstream, VbsError> {
-    Devirtualizer::new(vbs)?.run()
-}
-
-/// Decodes a VBS and reports the device rectangle it would occupy when loaded
-/// with its lower-left corner at `origin` — the information the run-time
-/// placer needs for relocation.
-///
-/// # Errors
-///
-/// Propagates the errors of [`decode`].
-pub fn decode_at(vbs: &Vbs, origin: Coord) -> Result<(Rect, TaskBitstream), VbsError> {
-    let task = decode(vbs)?;
-    Ok((Rect::new(origin, task.width(), task.height()), task))
-}
-
-/// Decodes `vbs` into a caller-provided bit-stream using a caller-provided
-/// scratch arena — the zero-allocation entry point (see
-/// [`Devirtualizer::decode_into`]).
-///
-/// # Errors
-///
-/// As [`decode`].
-pub fn decode_into(
-    vbs: &Vbs,
-    task: &mut TaskBitstream,
-    scratch: &mut DecodeScratch,
-) -> Result<(), VbsError> {
-    Devirtualizer::new(vbs)?.decode_into(task, scratch)
+    let mut task = TaskBitstream::empty(*vbs.spec(), 0, 0);
+    Devirtualizer::new(vbs)?.decode_into(&mut task, &mut DecodeScratch::new())?;
+    Ok(task)
 }
 
 /// A consumer of decoded configuration frames.
@@ -104,6 +79,13 @@ pub fn decode_into(
 /// controller can overlap configuration-memory writes with the decode of the
 /// remaining records), and the frames of clusters with no record — which are
 /// all-zero — are emitted once at the end.
+///
+/// Nothing in this workspace's run-time stack implements it: the
+/// reconfiguration controller decodes into a staging image and writes that
+/// in one gated step, so a failed load leaves the fabric untouched. The
+/// consumers are the repository benchmark's decode lane (a counting sink
+/// that times pure de-virtualization) and any external controller that
+/// wants to start writing frames before the stream is fully decoded.
 ///
 /// # Contract
 ///
@@ -120,20 +102,6 @@ pub trait FrameSink {
     /// coordinates `at`, as a borrowed view into the decoder's staging
     /// arena.
     fn emit(&mut self, at: Coord, frame: FrameRef<'_>);
-}
-
-/// A [`FrameSink`] that counts emitted frames and discards them — useful to
-/// measure pure decode throughput on the streaming path.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink {
-    /// Number of frames emitted so far.
-    pub frames: u64,
-}
-
-impl FrameSink for NullSink {
-    fn emit(&mut self, _at: Coord, _frame: FrameRef<'_>) {
-        self.frames += 1;
-    }
 }
 
 /// The reusable decode arena: every buffer the de-virtualization of one
@@ -161,7 +129,6 @@ pub struct DecodeScratch {
     adj: AdjCache,
     claimed: Vec<WireRef>,
     emitted: Vec<bool>,
-    staging: Option<TaskBitstream>,
 }
 
 impl DecodeScratch {
@@ -176,24 +143,6 @@ impl DecodeScratch {
     /// Empty for raw-fallback records.
     pub fn claimed_wires(&self) -> &[WireRef] {
         &self.claimed
-    }
-
-    /// Takes the staging bit-stream out of the scratch, reshaped (in place,
-    /// reusing its allocations) to an all-empty `width` × `height` task of
-    /// `spec`. Return it with [`DecodeScratch::put_staging`] so the next
-    /// load reuses the buffer.
-    pub fn take_staging(&mut self, spec: ArchSpec, width: u16, height: u16) -> TaskBitstream {
-        let mut staging = self
-            .staging
-            .take()
-            .unwrap_or_else(|| TaskBitstream::empty(spec, 0, 0));
-        staging.reset(spec, width, height);
-        staging
-    }
-
-    /// Returns a staging bit-stream for reuse by the next decode.
-    pub fn put_staging(&mut self, staging: TaskBitstream) {
-        self.staging = Some(staging);
     }
 
     /// Pre-reserves every internal buffer for decoding `vbs`, exactly as
@@ -574,11 +523,11 @@ impl NetScratch {
 /// The de-virtualization engine for one Virtual Bit-Stream.
 ///
 /// The engine borrows the stream and expands records on demand; use
-/// [`Devirtualizer::run`] for the whole task, [`Devirtualizer::decode_into`]
-/// for the zero-allocation reuse path, [`Devirtualizer::decode_streaming`]
-/// to emit frames as they complete, or
-/// [`Devirtualizer::decode_record_into`] to expand a single record (the
-/// run-time controller uses the latter to parallelize decoding).
+/// [`Devirtualizer::decode_into`] for the whole task (zero allocations on a
+/// warm scratch), [`Devirtualizer::decode_streaming`] to emit frames as they
+/// complete, or [`Devirtualizer::decode_record_with`] to expand a single
+/// record (the run-time decode lanes use the latter to parallelize
+/// decoding).
 #[derive(Debug)]
 pub struct Devirtualizer<'a> {
     vbs: &'a Vbs,
@@ -600,30 +549,6 @@ impl<'a> Devirtualizer<'a> {
             grid,
             geometry,
         })
-    }
-
-    /// Decodes every record into a fresh task bit-stream.
-    ///
-    /// The single-shot path shares one pre-reserved [`DecodeScratch`] across
-    /// every record of the stream, so even one-off callers avoid per-record
-    /// allocations; long-running callers should hold their own scratch and
-    /// use [`Devirtualizer::decode_into`] instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first record-level failure.
-    pub fn run(&self) -> Result<TaskBitstream, VbsError> {
-        let mut task = TaskBitstream::empty(
-            *self.vbs.spec(),
-            self.vbs.width().max(1),
-            self.vbs.height().max(1),
-        );
-        let mut scratch = DecodeScratch::new();
-        scratch.reserve_for(self.vbs, &self.geometry);
-        for record in self.vbs.records() {
-            self.decode_record_with(record, &mut task, &mut scratch)?;
-        }
-        Ok(task)
     }
 
     /// Decodes every record into `task` (reshaped in place to the stream's
@@ -699,38 +624,19 @@ impl<'a> Devirtualizer<'a> {
     }
 
     /// Expands one record into `task` (only the record's own frames are
-    /// touched) and returns the task-relative wires the expansion claimed.
+    /// touched) with every working buffer taken from `scratch`, and leaves
+    /// the task-relative wires the expansion claimed in
+    /// [`DecodeScratch::claimed_wires`].
     ///
     /// The claimed-wire list is what the offline feedback loop of the encoder
     /// inspects: a coded record is only kept if its expansion stays within
     /// the wires the original routing used for the cluster.
-    ///
-    /// This compatibility wrapper allocates a scratch per call; repeated
-    /// callers should use [`Devirtualizer::decode_record_with`] and read
-    /// [`DecodeScratch::claimed_wires`].
     ///
     /// # Errors
     ///
     /// Returns [`VbsError::DecodeConflict`], [`VbsError::DecodeNoPath`],
     /// [`VbsError::DanglingBoundary`] or [`VbsError::Malformed`] when the
     /// record cannot be expanded.
-    pub fn decode_record_into(
-        &self,
-        record: &ClusterRecord,
-        task: &mut TaskBitstream,
-    ) -> Result<Vec<WireRef>, VbsError> {
-        let mut scratch = DecodeScratch::new();
-        self.decode_record_with(record, task, &mut scratch)?;
-        Ok(std::mem::take(&mut scratch.claimed))
-    }
-
-    /// As [`Devirtualizer::decode_record_into`], but with every working
-    /// buffer taken from `scratch`; the claimed wires are left in
-    /// [`DecodeScratch::claimed_wires`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Devirtualizer::decode_record_into`].
     pub fn decode_record_with(
         &self,
         record: &ClusterRecord,
@@ -1288,14 +1194,6 @@ mod tests {
         assert!(frame.bit(0));
     }
 
-    #[test]
-    fn decode_at_reports_the_target_rectangle() {
-        let vbs = Vbs::new(spec(), 1, 3, 2, Vec::new()).unwrap();
-        let (rect, task) = decode_at(&vbs, Coord::new(5, 6)).unwrap();
-        assert_eq!(rect, Rect::new(Coord::new(5, 6), 3, 2));
-        assert_eq!(task.width(), 3);
-    }
-
     fn two_net_vbs() -> Vbs {
         Vbs::new(
             spec(),
@@ -1329,19 +1227,23 @@ mod tests {
     fn decode_into_matches_buffered_decode_across_scratch_reuse() {
         let vbs = two_net_vbs();
         let buffered = decode(&vbs).unwrap();
+        let devirt = Devirtualizer::new(&vbs).unwrap();
         let mut scratch = DecodeScratch::new();
         let mut task = TaskBitstream::empty(spec(), 1, 1);
         // Reuse the same scratch and buffer over and over; every iteration
         // must be bit-identical to the fresh decode.
         for _ in 0..3 {
-            decode_into(&vbs, &mut task, &mut scratch).unwrap();
+            devirt.decode_into(&mut task, &mut scratch).unwrap();
             assert_eq!(task.diff_count(&buffered).unwrap(), 0);
         }
         // Interleave a different stream: the scratch carries no state over.
         let empty = Vbs::new(spec(), 1, 2, 2, Vec::new()).unwrap();
-        decode_into(&empty, &mut task, &mut scratch).unwrap();
+        Devirtualizer::new(&empty)
+            .unwrap()
+            .decode_into(&mut task, &mut scratch)
+            .unwrap();
         assert_eq!(task.popcount(), 0);
-        decode_into(&vbs, &mut task, &mut scratch).unwrap();
+        devirt.decode_into(&mut task, &mut scratch).unwrap();
         assert_eq!(task.diff_count(&buffered).unwrap(), 0);
     }
 
@@ -1396,15 +1298,16 @@ mod tests {
         let devirt = Devirtualizer::new(&vbs).unwrap();
         let mut scratch = DecodeScratch::new();
         let mut task = TaskBitstream::empty(spec(), 4, 4);
-        let legacy = devirt
-            .decode_record_into(&vbs.records()[0], &mut task)
-            .unwrap();
-        let mut task2 = TaskBitstream::empty(spec(), 4, 4);
         devirt
-            .decode_record_with(&vbs.records()[0], &mut task2, &mut scratch)
+            .decode_record_with(&vbs.records()[0], &mut task, &mut scratch)
             .unwrap();
-        assert_eq!(scratch.claimed_wires(), legacy.as_slice());
-        assert!(!scratch.claimed_wires().is_empty());
-        assert_eq!(task.diff_count(&task2).unwrap(), 0);
+        let claimed = scratch.claimed_wires();
+        assert!(!claimed.is_empty());
+        assert!(
+            claimed.windows(2).all(|w| w[0] < w[1]),
+            "sorted and deduplicated: {claimed:?}"
+        );
+        // The stream holds one record, so expanding it is the whole decode.
+        assert_eq!(task.diff_count(&decode(&vbs).unwrap()).unwrap(), 0);
     }
 }

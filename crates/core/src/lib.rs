@@ -14,7 +14,7 @@
 //!
 //! The crate provides:
 //!
-//! * [`format`] — the binary format (header + records), bit-level
+//! * [`mod@format`] — the binary format (header + records), bit-level
 //!   serialization, and size accounting;
 //! * [`encoder`] — the `vbsgen` backend: extracts per-macro (or per-cluster)
 //!   connection lists from a placed-and-routed task, with the offline
@@ -66,9 +66,7 @@ pub mod format;
 pub mod stats;
 
 pub use cluster::{ClusterGrid, ClusterIo};
-pub use decoder::{
-    decode, decode_at, decode_into, DecodeScratch, Devirtualizer, FrameSink, NullSink,
-};
+pub use decoder::{decode, DecodeScratch, Devirtualizer, FrameSink};
 pub use encoder::VbsEncoder;
 pub use error::VbsError;
 pub use format::{ClusterRecord, ClusterRoutes, Connection, Vbs, VbsHeader};

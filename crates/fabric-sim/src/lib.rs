@@ -5,8 +5,8 @@
 //! configuration written into the fabric's configuration memory implements
 //! the intended circuit. The simulator:
 //!
-//! * interprets a [`TaskBitstream`] switch by switch and rebuilds the
-//!   electrical nets it creates ([`extract_connectivity`]);
+//! * interprets a [`vbs_bitstream::TaskBitstream`] switch by switch and
+//!   rebuilds the electrical nets it creates ([`extract_connectivity`]);
 //! * checks a configuration against the placed netlist it is supposed to
 //!   implement ([`verify_against_netlist`]): every source pin must reach all
 //!   of its sink pins, no two nets may be shorted, and every LUT site must

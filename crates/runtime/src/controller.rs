@@ -5,10 +5,9 @@ use crate::fault::{FaultAction, FaultHook};
 use crate::parallel::DecodeWorkerPool;
 use crate::pool::ScratchPool;
 use std::sync::Arc;
-use std::time::Instant;
 use vbs_arch::{Coord, Device, Rect};
-use vbs_bitstream::{BitstreamError, ConfigMemory, FrameRef, TaskBitstream};
-use vbs_core::{Devirtualizer, FrameSink, Vbs};
+use vbs_bitstream::{BitstreamError, ConfigMemory, TaskBitstream};
+use vbs_core::Vbs;
 use vbs_telemetry::Telemetry;
 
 /// Timing and composition report of one de-virtualization.
@@ -334,57 +333,18 @@ impl ReconfigurationController {
         target.set_bit(offset, !old);
     }
 
-    /// De-virtualizes `vbs` without writing it to the fabric, returning the
-    /// raw task configuration (checked out of the scratch pool — return it
-    /// with [`ScratchPool::put`] to recycle) and a timing report. Used by
-    /// the decode throughput experiments and by
-    /// [`ReconfigurationController::load`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::Decode`] when the stream cannot be expanded.
-    pub fn devirtualize(&self, vbs: &Vbs) -> Result<(TaskBitstream, DecodeReport), RuntimeError> {
-        let mut task =
-            self.decoder
-                .pool()
-                .checkout(*vbs.spec(), vbs.width().max(1), vbs.height().max(1));
-        match self.decoder.decode_into(vbs, &mut task) {
-            Ok(report) => Ok((task, report)),
-            Err(e) => {
-                self.decoder.pool().put(task);
-                Err(e)
-            }
-        }
-    }
-
     /// De-virtualizes `vbs` into a caller-provided bit-stream (reshaped in
-    /// place) on the controller's decode lanes — the zero-allocation
-    /// buffered-decode handoff for callers that keep or cache decoded
-    /// images. Sequential and parallel lane counts produce bit-identical
-    /// results.
+    /// place) on the controller's decode lanes, without writing it to the
+    /// fabric — the one decode of the run-time stack, zero-allocation once
+    /// the pools are warm. Callers that keep or cache decoded images (first
+    /// decodes and warm-tier re-decodes alike) hand the result to
+    /// [`ReconfigurationController::load_decoded`]. Sequential and parallel
+    /// lane counts produce bit-identical results.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::Decode`] when the stream cannot be expanded.
     pub fn decode_into(
-        &self,
-        vbs: &Vbs,
-        task: &mut TaskBitstream,
-    ) -> Result<DecodeReport, RuntimeError> {
-        self.decoder.decode_into(vbs, task)
-    }
-
-    /// Re-expands a stream whose decoded image was demoted to compressed
-    /// bytes — the warm-hit path of a tiered decode cache. The machinery is
-    /// exactly [`ReconfigurationController::decode_into`] (pooled lanes,
-    /// zero allocations once the pools are warm); the separate entry point
-    /// exists so cache re-decodes are a named seam callers and telemetry
-    /// can distinguish from first decodes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::Decode`] when the stream cannot be expanded.
-    pub fn redecode_into(
         &self,
         vbs: &Vbs,
         task: &mut TaskBitstream,
@@ -415,11 +375,16 @@ impl ReconfigurationController {
         outcome
     }
 
-    /// The gated write path every load funnels through: consult the fault
-    /// model, write, keep the sidecar current from the source image, then
-    /// apply any injected corruption (which the sidecar, fed from the
-    /// source, will catch on verify).
+    /// The gated write path every load funnels through: validate, consult
+    /// the fault model, write, keep the sidecar current from the source
+    /// image, then apply any injected corruption (which the sidecar, fed
+    /// from the source, will catch on verify). Validation comes first so a
+    /// write the memory would refuse anyway never reaches the hook — a
+    /// seeded fault plan counts the writes it is shown.
     fn write_decoded(&mut self, task: &TaskBitstream, origin: Coord) -> Result<(), RuntimeError> {
+        self.memory
+            .check_load(task, origin)
+            .map_err(RuntimeError::Memory)?;
         let region = Rect::new(origin, task.width(), task.height());
         let corrupt = self.gate_write(region)?;
         self.memory
@@ -432,82 +397,6 @@ impl ReconfigurationController {
             self.apply_corruption(region, bit);
         }
         Ok(())
-    }
-
-    /// De-virtualizes `vbs` **into** the configuration memory at `origin`,
-    /// beginning frame writes as soon as each cluster record is expanded —
-    /// the streaming load path: instead of buffering the whole decoded task
-    /// and then writing it, decode and configuration-memory writes overlap
-    /// within the single load. `staging` receives the decoded image as a
-    /// byproduct (callers typically pool it or feed a decode cache); the
-    /// decode scratch is checked out of the controller's pool, so a warm
-    /// call allocates nothing.
-    ///
-    /// The final memory state is bit-identical to
-    /// [`ReconfigurationController::load`]: every frame of the task
-    /// rectangle is written exactly once per completed cluster (stale
-    /// content of the region is overwritten either way).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::Memory`] if the task sticks out of the device
-    /// (checked before the first write) or [`RuntimeError::Decode`] when the
-    /// stream cannot be expanded. Unlike the buffered path, a decode failure
-    /// happens *after* some frames may have been written; the controller
-    /// then clears the whole target region, so the memory ends blank there
-    /// rather than partially configured.
-    pub fn load_streaming(
-        &mut self,
-        vbs: &Vbs,
-        origin: Coord,
-        staging: &mut TaskBitstream,
-    ) -> Result<DecodeReport, RuntimeError> {
-        let (w, h) = (vbs.width().max(1), vbs.height().max(1));
-        if origin.x as u32 + w as u32 > self.memory.width() as u32
-            || origin.y as u32 + h as u32 > self.memory.height() as u32
-        {
-            return Err(RuntimeError::Memory(BitstreamError::DoesNotFit {
-                origin,
-                width: w,
-                height: h,
-            }));
-        }
-        let region = Rect::new(origin, w, h);
-        let corrupt = self.gate_write(region)?;
-        let telemetry = self.decoder.pool().telemetry();
-        let start = telemetry.now();
-        let devirtualizer = Devirtualizer::new(vbs)?;
-        let mut scratch = self.decoder.pool().checkout_scratch();
-        let mut sink = MemorySink {
-            memory: &mut self.memory,
-            origin,
-        };
-        let result = devirtualizer.decode_streaming(staging, &mut scratch, &mut sink);
-        self.decoder.pool().put_scratch(scratch);
-        if let Err(e) = result {
-            // Frames already streamed would leave the region half
-            // configured: blank it so a failed load never leaves partial
-            // state behind (the region held no resident task — the caller
-            // checked — so blank is what it was). The region was bounds
-            // validated above, so the clear cannot fail.
-            let _ = self.memory.clear_region(region);
-            if let Some(integrity) = &mut self.integrity {
-                integrity.record_clear(region);
-            }
-            return Err(RuntimeError::Decode(e));
-        }
-        if let Some(integrity) = &mut self.integrity {
-            integrity.record_load(staging, origin);
-        }
-        if let Some(bit) = corrupt {
-            self.apply_corruption(region, bit);
-        }
-        Ok(DecodeReport {
-            records: vbs.records().len(),
-            workers: 1,
-            micros: telemetry.now().saturating_sub(start),
-            raw_bits: staging.size_bits(),
-        })
     }
 
     /// Writes an already-decoded task bit-stream into the configuration
@@ -585,81 +474,6 @@ impl ReconfigurationController {
     }
 }
 
-/// De-virtualizes a Virtual Bit-Stream into a position-independent raw task
-/// image on `workers` decode lanes drawing every buffer from `pool`,
-/// outside any controller.
-///
-/// This is the one-shot decoded-stream handoff: de-virtualization only
-/// depends on the stream itself (the decoded frames are written wherever
-/// the task is later placed), so callers without a controller can expand a
-/// stream and hand the finished [`TaskBitstream`] on. The lanes are
-/// transient (created per call); long-running callers should hold a
-/// [`DecodeWorkerPool`] — or a [`ReconfigurationController`] — whose
-/// persistent lanes make repeated decodes allocation-free.
-///
-/// # Errors
-///
-/// Returns [`RuntimeError::Decode`] when the stream cannot be expanded.
-pub fn devirtualize_stream(
-    vbs: &Vbs,
-    workers: usize,
-    pool: &ScratchPool,
-) -> Result<(TaskBitstream, DecodeReport), RuntimeError> {
-    let lanes = DecodeWorkerPool::with_pool(workers, pool.clone());
-    let mut task = pool.checkout(*vbs.spec(), vbs.width().max(1), vbs.height().max(1));
-    match lanes.decode_into(vbs, &mut task) {
-        Ok(report) => Ok((task, report)),
-        Err(e) => {
-            pool.put(task);
-            Err(e)
-        }
-    }
-}
-
-/// De-virtualizes `vbs` into a caller-provided bit-stream with a
-/// caller-provided scratch arena — the zero-allocation decode handoff used
-/// by per-worker decode pipelines: each worker keeps one
-/// [`vbs_core::DecodeScratch`] (typically checked out of a [`ScratchPool`])
-/// and a recycled [`TaskBitstream`] alive across loads, so steady-state
-/// decoding performs no heap allocation at all. Results are bit-identical
-/// to [`devirtualize_stream`].
-///
-/// # Errors
-///
-/// Returns [`RuntimeError::Decode`] when the stream cannot be expanded.
-pub fn devirtualize_into(
-    vbs: &Vbs,
-    task: &mut TaskBitstream,
-    scratch: &mut vbs_core::DecodeScratch,
-) -> Result<DecodeReport, RuntimeError> {
-    let start = Instant::now();
-    let devirtualizer = Devirtualizer::new(vbs)?;
-    devirtualizer.decode_into(task, scratch)?;
-    Ok(DecodeReport {
-        records: vbs.records().len(),
-        workers: 1,
-        micros: u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX),
-        raw_bits: task.size_bits(),
-    })
-}
-
-/// A [`FrameSink`] writing task-relative frames into a device's
-/// configuration memory at a fixed origin. The target region is validated
-/// before streaming starts, so emission cannot fail.
-struct MemorySink<'a> {
-    memory: &'a mut ConfigMemory,
-    origin: Coord,
-}
-
-impl FrameSink for MemorySink<'_> {
-    fn emit(&mut self, at: Coord, frame: FrameRef<'_>) {
-        self.memory.write_frame(
-            Coord::new(self.origin.x + at.x, self.origin.y + at.y),
-            frame,
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -690,8 +504,10 @@ mod tests {
         let parallel = ReconfigurationController::new(device).with_workers(4);
         // Force real fan-out so this differential compares the two paths.
         parallel.set_decode_threshold(2);
-        let (a, ra) = sequential.devirtualize(&vbs).unwrap();
-        let (b, rb) = parallel.devirtualize(&vbs).unwrap();
+        let mut a = TaskBitstream::empty(*vbs.spec(), 0, 0);
+        let mut b = TaskBitstream::empty(*vbs.spec(), 0, 0);
+        let ra = sequential.decode_into(&vbs, &mut a).unwrap();
+        let rb = parallel.decode_into(&vbs, &mut b).unwrap();
         assert_eq!(a.diff_count(&b).unwrap(), 0);
         assert_eq!(a.diff_count(&raw).unwrap(), 0);
         assert_eq!(ra.records, rb.records);
@@ -719,56 +535,6 @@ mod tests {
         let mut controller = ReconfigurationController::new(device);
         assert!(matches!(
             controller.load(&vbs, Coord::new(19, 11)),
-            Err(RuntimeError::Memory(_))
-        ));
-        assert_eq!(controller.memory().occupied_macros(), 0);
-    }
-
-    #[test]
-    fn streaming_load_matches_buffered_load_bit_for_bit() {
-        let (device, vbs, raw) = task_vbs();
-        let mut buffered = ReconfigurationController::new(device.clone());
-        buffered.load(&vbs, Coord::new(3, 2)).unwrap();
-
-        let mut streaming = ReconfigurationController::new(device);
-        let mut staging = TaskBitstream::empty(*vbs.spec(), 1, 1);
-        // Pre-soil the target region to prove streaming overwrites stale
-        // frames of recordless clusters too.
-        streaming
-            .memory
-            .frame_mut(Coord::new(4, 3))
-            .set_bit(0, true);
-        let report = streaming
-            .load_streaming(&vbs, Coord::new(3, 2), &mut staging)
-            .unwrap();
-        assert_eq!(report.records, vbs.records().len());
-        assert_eq!(staging.diff_count(&raw).unwrap(), 0);
-
-        let region = Rect::new(Coord::new(3, 2), vbs.width(), vbs.height());
-        let a = buffered.memory().read_region(region).unwrap();
-        let b = streaming.memory().read_region(region).unwrap();
-        assert_eq!(a.diff_count(&b).unwrap(), 0);
-        assert_eq!(
-            buffered.memory().occupied_macros(),
-            streaming.memory().occupied_macros()
-        );
-
-        // Repeat with the warm pool + staging: still identical.
-        streaming.memory.clear_region(region).unwrap();
-        streaming
-            .load_streaming(&vbs, Coord::new(3, 2), &mut staging)
-            .unwrap();
-        let b2 = streaming.memory().read_region(region).unwrap();
-        assert_eq!(a.diff_count(&b2).unwrap(), 0);
-    }
-
-    #[test]
-    fn streaming_load_rejects_out_of_bounds_before_writing() {
-        let (device, vbs, _) = task_vbs();
-        let mut controller = ReconfigurationController::new(device);
-        let mut staging = TaskBitstream::empty(*vbs.spec(), 1, 1);
-        assert!(matches!(
-            controller.load_streaming(&vbs, Coord::new(19, 11), &mut staging),
             Err(RuntimeError::Memory(_))
         ));
         assert_eq!(controller.memory().occupied_macros(), 0);
@@ -947,19 +713,5 @@ mod tests {
         assert_eq!(controller.memory().occupied_macros(), 0);
         let whole = Rect::at_origin(controller.memory().width(), controller.memory().height());
         controller.verify_region(whole).unwrap();
-    }
-
-    #[test]
-    fn devirtualize_stream_draws_from_the_given_pool() {
-        let (_, vbs, raw) = task_vbs();
-        let pool = ScratchPool::default();
-        let (a, _) = devirtualize_stream(&vbs, 1, &pool).unwrap();
-        assert_eq!(a.diff_count(&raw).unwrap(), 0);
-        let (b, report) = devirtualize_stream(&vbs, 2, &pool).unwrap();
-        assert_eq!(b.diff_count(&raw).unwrap(), 0);
-        assert_eq!(report.workers, 2);
-        pool.put(a);
-        pool.put(b);
-        assert!(pool.stats().recycled >= 2);
     }
 }

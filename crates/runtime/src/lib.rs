@@ -13,8 +13,13 @@
 //!
 //! * [`VbsRepository`] — the external memory holding the serialized VBS of
 //!   every task;
-//! * [`ReconfigurationController`] — fetch + decode (sequentially or on a
-//!   persistent [`DecodeWorkerPool`]) + write to the configuration memory;
+//! * [`ReconfigurationController`] — three verbs over one decode and one
+//!   gated write: `decode_into` (de-virtualize on the persistent
+//!   [`DecodeWorkerPool`] lanes, sequentially or in parallel),
+//!   `load_decoded` (validate, consult the fault model, write, keep the
+//!   checksum sidecar current) and `load` (the two in a row on a pooled
+//!   staging image). A load that fails at any step leaves the
+//!   configuration memory untouched;
 //! * [`ScratchPool`] — recycled decode state (scratch arenas + staging
 //!   images) shared by every decode lane, so steady-state loads perform
 //!   zero heap allocations at any worker count;
@@ -22,6 +27,18 @@
 //!   rectangle, loads, unloads and relocates running tasks;
 //! * [`placement`] — pluggable placement policies (first-fit, best-fit,
 //!   bottom-left skyline) plus the occupancy/fragmentation view they share.
+//!
+//! There is one load path. The controller used to offer a second one, a
+//! streaming load that wrote frames through a `FrameSink` while the decode
+//! was still running and cleared the region again when the decode failed
+//! half way; with it came four more spellings of the same decode (a
+//! pool-checkout variant, a warm re-decode alias and two free functions
+//! outside any controller). Switching the stack onto the streaming path moved no
+//! end-to-end metric of the repository benchmark (`ops_per_s` −2.4 % /
+//! +1.4 % / −6.7 % on `hot_replay` / `churn_replay` / `fleet_replay` over
+//! two alternating 6 s pairs, inside the run-to-run spread), and deleting
+//! it moved none either (ten alternating 20 s pairs, `cold_load` 4.09 k →
+//! 4.18 k loads/s with parent quartiles 4.05–4.17 k), so it is gone.
 //!
 //! `unsafe` is denied crate-wide and allowed only inside the worker-pool
 //! module backing [`DecodeWorkerPool`], whose lifetime-erasure contract is
@@ -39,9 +56,7 @@ pub mod placement;
 mod pool;
 mod repository;
 
-pub use controller::{
-    devirtualize_into, devirtualize_stream, DecodeReport, ReconfigurationController,
-};
+pub use controller::{DecodeReport, ReconfigurationController};
 pub use error::RuntimeError;
 pub use fault::{FaultAction, FaultHook};
 pub use manager::{LoadedTask, TaskHandle, TaskManager};

@@ -7,7 +7,7 @@ use crate::placement::{FabricId, FabricView, FirstFit, PlacementPolicy};
 use crate::pool::ScratchPool;
 use crate::repository::VbsRepository;
 use vbs_arch::{Coord, Rect};
-use vbs_bitstream::{BitstreamError, TaskBitstream};
+use vbs_bitstream::TaskBitstream;
 use vbs_core::Vbs;
 
 /// Identifier of a loaded task instance.
@@ -147,35 +147,10 @@ impl TaskManager {
         Ok(self.register(name, region))
     }
 
-    /// Loads a task at an explicit position through the **streaming** write
-    /// path: configuration-memory frames are written as each cluster record
-    /// decodes, instead of after the whole stream is buffered. `staging`
-    /// receives the decoded image (position independent, suitable for a
-    /// decode cache); the controller's scratch pool provides every other
-    /// buffer, so a warm call allocates nothing. The final memory state is
-    /// bit-identical to [`TaskManager::load_at`].
-    ///
-    /// # Errors
-    ///
-    /// As [`TaskManager::load_at`]. On a decode failure the target region is
-    /// blanked (it held no task — see
-    /// [`ReconfigurationController::load_streaming`]).
-    pub fn load_streaming_at(
-        &mut self,
-        name: &str,
-        vbs: &Vbs,
-        staging: &mut TaskBitstream,
-        origin: Coord,
-    ) -> Result<(TaskHandle, DecodeReport), RuntimeError> {
-        let region = Rect::new(origin, vbs.width().max(1), vbs.height().max(1));
-        self.ensure_region_free(&region, None)?;
-        let report = self.controller.load_streaming(vbs, origin, staging)?;
-        Ok((self.register(name, region), report))
-    }
-
     /// De-virtualizes `vbs` into `staging` on the controller's decode lanes
     /// (zero allocations when the pool is warm, at any worker count) — the
-    /// buffered-decode handoff for callers that cache decoded images.
+    /// decode handoff for callers that cache decoded images, first decodes
+    /// and warm-tier re-decodes alike.
     ///
     /// # Errors
     ///
@@ -186,23 +161,6 @@ impl TaskManager {
         staging: &mut TaskBitstream,
     ) -> Result<DecodeReport, RuntimeError> {
         self.controller.decode_into(vbs, staging)
-    }
-
-    /// Re-expands a stream whose decoded image fell out of a tiered cache's
-    /// hot tier (see [`ReconfigurationController::redecode_into`]): same
-    /// pooled lanes and zero steady-state allocations as
-    /// [`TaskManager::devirtualize_into`], kept as a separate seam so
-    /// warm-hit re-decodes stay distinguishable from first decodes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::Decode`] when the stream cannot be expanded.
-    pub fn redevirtualize_into(
-        &mut self,
-        vbs: &Vbs,
-        staging: &mut TaskBitstream,
-    ) -> Result<DecodeReport, RuntimeError> {
-        self.controller.redecode_into(vbs, staging)
     }
 
     /// Loads an already-decoded task bit-stream at an explicit position —
@@ -281,34 +239,6 @@ impl TaskManager {
         self.relocate_resident_at(index, origin)
     }
 
-    /// Relocates a loaded task, with `task` (the scheduler's cached decoded
-    /// image) validating the resident's shape. Since the configuration
-    /// memory already holds exactly that image, the move itself is the same
-    /// bulk arena copy as [`TaskManager::relocate`] — the cached stream is
-    /// never re-written frame by frame.
-    ///
-    /// # Errors
-    ///
-    /// As [`TaskManager::relocate`], plus a memory error when `task` does not
-    /// have the shape of the loaded instance.
-    pub fn relocate_decoded(
-        &mut self,
-        handle: TaskHandle,
-        task: &TaskBitstream,
-        origin: Coord,
-    ) -> Result<(), RuntimeError> {
-        let index = self
-            .loaded
-            .iter()
-            .position(|t| t.handle == handle)
-            .ok_or(RuntimeError::UnknownHandle { id: handle.0 })?;
-        let current = self.loaded[index].region;
-        if task.width() != current.width || task.height() != current.height {
-            return Err(RuntimeError::Memory(BitstreamError::LayoutMismatch));
-        }
-        self.relocate_resident_at(index, origin)
-    }
-
     fn relocate_resident_at(&mut self, index: usize, origin: Coord) -> Result<(), RuntimeError> {
         let old_region = self.loaded[index].region;
         let new_region = Rect::new(origin, old_region.width, old_region.height);
@@ -364,6 +294,7 @@ mod tests {
     use super::*;
     use crate::fault::{FaultAction, FaultHook};
     use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
     use std::sync::atomic::{AtomicU8, Ordering};
     use std::sync::{Arc, OnceLock};
     use vbs_arch::{ArchSpec, Device};
@@ -504,42 +435,8 @@ mod tests {
         assert_eq!(before.diff_count(&after).unwrap(), 0);
     }
 
-    #[test]
-    fn streaming_load_at_matches_load_at() {
-        let mut buffered = manager();
-        buffered.load_at("task_a", Coord::new(2, 1)).unwrap();
-
-        let mut streaming = manager();
-        let vbs = streaming.repository().fetch("task_a").unwrap();
-        let mut staging = TaskBitstream::empty(*vbs.spec(), 1, 1);
-        let (handle, report) = streaming
-            .load_streaming_at("task_a", &vbs, &mut staging, Coord::new(2, 1))
-            .unwrap();
-        assert_eq!(report.records, vbs.records().len());
-
-        let region = streaming.loaded_tasks()[0].region;
-        assert_eq!(region, buffered.loaded_tasks()[0].region);
-        let a = buffered.controller().memory().read_region(region).unwrap();
-        let b = streaming.controller().memory().read_region(region).unwrap();
-        assert_eq!(a.diff_count(&b).unwrap(), 0);
-
-        // The streamed instance is a first-class resident: unload clears it.
-        streaming.unload(handle).unwrap();
-        assert_eq!(streaming.controller().memory().occupied_macros(), 0);
-
-        // Overlap with a resident is rejected before anything is written.
-        let (h2, _) = streaming
-            .load_streaming_at("task_a", &vbs, &mut staging, Coord::new(0, 0))
-            .unwrap();
-        assert!(matches!(
-            streaming.load_streaming_at("task_a", &vbs, &mut staging, Coord::new(1, 1)),
-            Err(RuntimeError::RegionBusy { .. })
-        ));
-        streaming.unload(h2).unwrap();
-    }
-
-    /// A fault model the test flips between healthy, refusing every write
-    /// and offline.
+    /// A fault model the tests flip between healthy (0), refusing every
+    /// write transiently (1) or for good (3), and offline (2).
     #[derive(Debug, Default)]
     struct ModeHook(AtomicU8);
 
@@ -547,6 +444,7 @@ mod tests {
         fn on_region_write(&self, _region: Rect) -> FaultAction {
             match self.0.load(Ordering::Relaxed) {
                 1 => FaultAction::FailTransient,
+                3 => FaultAction::FailPersistent,
                 _ => FaultAction::Pass,
             }
         }
@@ -568,7 +466,8 @@ mod tests {
             let (template, task) = FIXTURE.get_or_init(|| {
                 let m = manager();
                 let vbs = m.repository().fetch("task_a").unwrap();
-                let task = m.controller().devirtualize(&vbs).unwrap().0;
+                let mut task = TaskBitstream::empty(*vbs.spec(), 0, 0);
+                m.controller().decode_into(&vbs, &mut task).unwrap();
                 (m, task)
             });
             let device = template.controller().device().clone();
@@ -613,6 +512,106 @@ mod tests {
             }
             prop_assert!(refused > 0, "no call was refused in {:?}", ops);
         }
+    }
+
+    /// Every `.vbs` stream of the checked-in MCNC corpus, in name order —
+    /// the population `vbs-core`'s `corrupt_decode` suite mutates.
+    fn corpus_streams() -> Vec<Vec<u8>> {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/traces/mcnc");
+        let mut paths: Vec<_> = std::fs::read_dir(dir)
+            .expect("corpus directory present")
+            .map(|entry| entry.expect("corpus dir entry").path())
+            .filter(|path| path.extension().is_some_and(|e| e == "vbs"))
+            .collect();
+        paths.sort();
+        paths
+            .iter()
+            .map(|path| std::fs::read(path).expect("corpus stream readable"))
+            .collect()
+    }
+
+    /// A load that fails leaves the fabric exactly as it was: memory,
+    /// bookkeeping, occupancy and the checksum sidecar. The failing loads
+    /// are corpus streams with two flipped bits that still parse but no
+    /// longer de-virtualize (the `corrupt_decode` mutation), a write the
+    /// fault model refuses for good, and an origin off the device.
+    #[test]
+    fn a_failed_load_leaves_the_fabric_untouched() {
+        let streams = corpus_streams();
+        let spec = *Vbs::from_bytes(&streams[0]).expect("corpus parses").spec();
+        let mut repo = VbsRepository::new();
+        repo.store_bytes("left", streams[0].clone());
+        repo.store_bytes("right", streams[1].clone());
+        let device = Device::new(spec, 30, 10).unwrap();
+        let mut m = TaskManager::new(ReconfigurationController::new(device), repo);
+        m.controller_mut().enable_integrity();
+        let hook = Arc::new(ModeHook::default());
+        m.controller_mut().set_fault_hook(Some(hook.clone()));
+        m.load_at("left", Coord::new(0, 0)).unwrap();
+        m.load_at("right", Coord::new(10, 0)).unwrap();
+
+        let whole = Rect::at_origin(30, 10);
+        let memory = m.controller().memory().read_region(whole).unwrap();
+        let loaded = m.loaded_tasks().to_vec();
+        let view = m.fabric_view().clone();
+        let assert_untouched = |m: &TaskManager, context: &str| {
+            let now = m.controller().memory().read_region(whole).unwrap();
+            assert_eq!(memory.diff_count(&now).unwrap(), 0, "{context}: memory");
+            assert_eq!(m.loaded_tasks(), loaded, "{context}: residents");
+            assert_eq!(m.fabric_view(), &view, "{context}: occupancy");
+            for task in &loaded {
+                m.controller()
+                    .verify_region(task.region)
+                    .unwrap_or_else(|e| panic!("{context}: {} fails verify: {e}", task.name));
+            }
+        };
+
+        // Free, in bounds for every corpus shape (the largest is 9x9).
+        let target = Coord::new(20, 0);
+        let mut decode_failures = 0;
+        for seed in 0..200 {
+            // Replayable from the printed seed alone.
+            let mut rng = TestRng::from_name(&format!("mutant {seed}"));
+            let index = rng.next_u64() as usize % streams.len();
+            let mut bytes = streams[index].clone();
+            for _ in 0..2 {
+                let at = rng.next_u64() as usize % bytes.len();
+                bytes[at] ^= 1 << (rng.next_u64() % 8);
+            }
+            if Vbs::from_bytes(&bytes).is_err() {
+                continue;
+            }
+            let context = format!("seed {seed}, stream {index}");
+            m.repository_mut().store_bytes("mutant", bytes);
+            match m.load_at("mutant", target) {
+                // The mutation spared the routing: a real load. Take it
+                // back off, which must restore the same fabric too.
+                Ok(handle) => m.unload(handle).unwrap(),
+                Err(e) => decode_failures += usize::from(matches!(e, RuntimeError::Decode(_))),
+            }
+            assert_untouched(&m, &context);
+        }
+        assert!(
+            decode_failures >= 50,
+            "only {decode_failures} mutants parsed and then failed to decode"
+        );
+
+        hook.0.store(3, Ordering::Relaxed);
+        assert!(matches!(
+            m.load_at("left", target),
+            Err(RuntimeError::WriteFault {
+                transient: false,
+                ..
+            })
+        ));
+        assert_untouched(&m, "persistent write fault");
+        hook.0.store(0, Ordering::Relaxed);
+
+        assert!(matches!(
+            m.load_at("left", Coord::new(24, 4)),
+            Err(RuntimeError::Memory(_))
+        ));
+        assert_untouched(&m, "out-of-bounds origin");
     }
 
     #[test]

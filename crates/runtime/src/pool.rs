@@ -11,12 +11,11 @@
 //!   a decode cache evicts them or a lane abandons a failed decode, and
 //!   [`TaskBitstream::reset`] reshapes a recycled buffer in place, so
 //!   steady-state decoding recycles memory instead of allocating it.
-//! * **Scratches** — every decode lane (the sequential load path, each
-//!   worker of a [`crate::DecodeWorkerPool`], the multi-fabric pipeline
-//!   workers) checks a [`DecodeScratch`] out per decode and parks it back
-//!   afterwards. After warm-up the pool holds one warm scratch per
-//!   concurrent lane (`scratch_fresh == lanes`) and no lane ever allocates
-//!   again.
+//! * **Scratches** — every decode lane (the sequential load path and each
+//!   worker of a [`crate::DecodeWorkerPool`]) checks a [`DecodeScratch`]
+//!   out per decode and parks it back afterwards. After warm-up the pool
+//!   holds one warm scratch per concurrent lane (`scratch_fresh == lanes`)
+//!   and no lane ever allocates again.
 //!
 //! The pool is `Clone` + thread-safe (a shared handle): one pool typically
 //! serves every fabric of a fleet, its schedulers' decode caches and every

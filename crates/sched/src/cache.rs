@@ -287,8 +287,9 @@ impl DecodeCache {
     /// the least-recently-used entry is evicted outright when the count cap
     /// overflows. Under a finite budget the cost model gates admission —
     /// a stream whose value density does not clearly beat the poorest hot
-    /// incumbent (see [`ADMISSION_MARGIN`]) lands in (or stays in) the warm
-    /// tier instead of churning the hot set — the count-cap victim is
+    /// incumbent (by the factor `ADMISSION_MARGIN`, 2) lands in (or stays
+    /// in) the warm tier instead of churning the hot set — the count-cap
+    /// victim is
     /// *demoted* to warm instead of dropped, and byte pressure demotes
     /// minimum-score hot entries then drops minimum-score warm entries
     /// until both tiers fit.
@@ -495,19 +496,9 @@ impl DecodeCache {
             .sum()
     }
 
-    /// Whether a **decoded** stream of `(name, spec)` is resident, without
-    /// touching the hit/miss counters or the LRU stamps. Warm entries do
-    /// not count: they still need a decode, so pipelines planning decode
-    /// work must treat them as absent. The multi-fabric decode pipeline
-    /// uses this to plan which streams still need decoding.
-    pub fn contains(&self, name: &str, spec: &ArchSpec) -> bool {
-        self.entries
-            .iter()
-            .any(|e| e.name == name && e.spec == *spec && e.is_hot())
-    }
-
-    /// Whether a decoded stream of task `name` is resident under any spec,
-    /// without touching the counters.
+    /// Whether a **decoded** stream of task `name` is resident under any
+    /// spec, without touching the hit/miss counters or the LRU stamps. Warm
+    /// entries do not count: they still need a decode.
     pub fn contains_name(&self, name: &str) -> bool {
         self.entries.iter().any(|e| e.name == name && e.is_hot())
     }

@@ -17,18 +17,41 @@
 //! * [`DecodeCache`] — an LRU cache of decoded [`vbs_bitstream::TaskBitstream`]s
 //!   keyed by `(task, spec)`, so repeated loads skip de-virtualization;
 //! * [`BitstreamPool`] — a fleet-wide free-list of decoded-image buffers:
-//!   cache evictions recycle into it, decode workers check out of it, so
-//!   steady-state decoding allocates nothing
-//!   ([`SchedulerConfig::streaming`] additionally overlaps config-memory
-//!   writes with the decode of each load);
+//!   cache evictions recycle into it, decode lanes check out of it, so
+//!   steady-state decoding allocates nothing;
 //! * [`Trace`] / [`replay`] — a deterministic trace format, a seeded
 //!   synthetic workload generator and a simulator reporting acceptance
 //!   rate, fragmentation, decode time, cache hit rate and relocations;
 //! * [`MultiFabricScheduler`] — one request stream sharded over K fabrics
 //!   through a pluggable [`ShardPolicy`] ([`RoundRobin`], [`LeastLoaded`],
 //!   [`CacheAffinity`]), with cross-fabric migration of capacity-rejected
-//!   loads and a decode pipeline that overlaps de-virtualization with
-//!   config-memory writes; [`replay_multi`] replays traces against a fleet.
+//!   loads and one writer thread per busy fabric, so one fabric's
+//!   config-memory writes overlap another's decodes; [`replay_multi`]
+//!   replays traces against a fleet.
+//!
+//! # One load path
+//!
+//! A load is always the same three steps: look the task up in the decode
+//! cache (on a miss or a warm hit, de-virtualize it on the fabric
+//! controller's decode lanes), pick a region (compacting and evicting if
+//! the placement policy finds none), and write the decoded image through
+//! the controller's fault-gated `load_decoded`. The fleet adds routing and
+//! migration around that, nothing inside it. Two alternatives used to sit
+//! beside it, each behind a configuration flag: a *streaming* mode that
+//! wrote frames while the decode was still running, and a fleet pipeline
+//! that decoded a round's streams on extra worker threads and handed them
+//! to the fabrics through channels. Both were proven bit-identical to
+//! this path by differentials, and neither moved a number the repository
+//! benchmark (`bash benchmark/run.sh`, seed 2015, 2 vCPUs) can see. With
+//! both streaming defaults on, `ops_per_s` read −2.4 % on `hot_replay`,
+//! +1.4 % on `churn_replay` and −6.7 % on `fleet_replay` over two
+//! alternating 6 s pairs, all inside the parent's own run-to-run spread.
+//! With both deleted, ten alternating 20 s pairs read `fleet_replay`
+//! 26.1 k → 27.1 k loads/s (parent quartiles 25.9–26.6 k, run-to-run range
+//! 8 %), `hot_replay` 63.8 k → 64.2 k, `churn_replay` 222.6 k → 222.3 k:
+//! unresolved, far inside the 25 % bound, every scheduling verdict exactly
+//! equal. So both are gone, and with them the only way a failed load could
+//! leave a region half written.
 //!
 //! Placement is pluggable through [`vbs_runtime::PlacementPolicy`]
 //! (first-fit, best-fit, bottom-left skyline) on the manager the scheduler

@@ -16,7 +16,6 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use vbs_arch::{ArchSpec, Coord, Rect};
 use vbs_bitstream::{BitstreamError, TaskBitstream};
-use vbs_core::Vbs;
 use vbs_runtime::{RuntimeError, TaskHandle, TaskManager};
 use vbs_telemetry::{CounterBank, EventKind, Stage, Telemetry};
 
@@ -159,14 +158,6 @@ pub struct SchedulerConfig {
     pub compaction: bool,
     /// Decoded streams kept in the cache (0 disables caching).
     pub cache_capacity: usize,
-    /// Whether loads take the streaming decode→write path when they can:
-    /// a load that needs a fresh decode *and* fits the fabric without
-    /// eviction or compaction writes configuration frames as each cluster
-    /// record expands, instead of buffering the full decoded image first.
-    /// Outcomes, counters, cache behavior and the final configuration
-    /// memory are bit-identical to the buffered path (the differential
-    /// suite pins this down); only the latency profile changes.
-    pub streaming: bool,
     /// Maximum retries of a transiently refused configuration write
     /// before the load is re-placed elsewhere (and, failing that,
     /// rejected). The retry budget is the bounded-backoff knob: retries
@@ -204,7 +195,6 @@ impl Default for SchedulerConfig {
             eviction_limit: 2,
             compaction: true,
             cache_capacity: 16,
-            streaming: false,
             write_retry_limit: 2,
             verify: false,
             compaction_frame_budget: 0,
@@ -361,10 +351,6 @@ pub struct Scheduler {
     telemetry: Telemetry,
     /// Fabric tag stamped on this scheduler's events.
     fabric: u16,
-    /// Streams de-virtualized ahead of time by an external decode pipeline
-    /// (see [`Scheduler::stage_decoded`]), waiting to be consumed by the
-    /// next load of their task.
-    staged: HashMap<String, (Arc<TaskBitstream>, u64)>,
     /// Recycled decoded-image buffers: cache evictions return here, decodes
     /// check out of here. Shared fleet-wide in multi-fabric deployments.
     pool: BitstreamPool,
@@ -407,7 +393,6 @@ impl Scheduler {
             counters: CounterBank::new(),
             telemetry: Telemetry::disabled(),
             fabric: 0,
-            staged: HashMap::new(),
             pool,
             deferred_compaction: false,
         };
@@ -448,12 +433,6 @@ impl Scheduler {
     pub fn set_pool(&mut self, pool: BitstreamPool) {
         self.manager.set_scratch_pool(pool.clone());
         self.pool = pool;
-    }
-
-    /// Switches the streaming decode→write load path on or off (see
-    /// [`SchedulerConfig::streaming`]).
-    pub fn set_streaming(&mut self, streaming: bool) {
-        self.config.streaming = streaming;
     }
 
     /// Installs a fault model on this fabric's controller (see
@@ -532,38 +511,18 @@ impl Scheduler {
     }
 
     /// Drops the cached decoded stream(s) of `name` — required after the
-    /// repository replaces the task's VBS under the same name. Also drops
-    /// any staged (pipeline-decoded) stream of the task.
+    /// repository replaces the task's VBS under the same name.
     pub fn invalidate_cached(&mut self, name: &str) {
         self.cache.invalidate(name);
-        self.staged.remove(name);
-    }
-
-    /// Hands over a stream de-virtualized by an external decode pipeline.
-    ///
-    /// The next load of `name` consumes the staged stream instead of
-    /// decoding on demand, with identical accounting: the lookup still
-    /// counts a cache miss, `micros` (measured by the decode worker) is
-    /// folded into the decode-time counters, and the stream enters the
-    /// decode cache. Replaying a trace through a pipeline that stages every
-    /// upcoming decode therefore produces bit-identical counters to the
-    /// on-demand path — the differential tests rely on this.
-    pub fn stage_decoded(
-        &mut self,
-        name: impl Into<String>,
-        stream: Arc<TaskBitstream>,
-        micros: u64,
-    ) {
-        self.staged.insert(name.into(), (stream, micros));
     }
 
     /// Whether this scheduler already holds decode state for task `name`
-    /// (decode cache — hot *or* warm tier, any spec — or a staged stream).
-    /// Cache-affinity shard routing keys on this; a warm entry still makes
-    /// this fabric the cheap place to route the task (a pooled re-decode
-    /// beats a cold miss). Counters are not touched.
+    /// (decode cache — hot *or* warm tier, any spec). Cache-affinity shard
+    /// routing keys on this; a warm entry still makes this fabric the cheap
+    /// place to route the task (a pooled re-decode beats a cold miss).
+    /// Counters are not touched.
     pub fn holds_decoded(&self, name: &str) -> bool {
-        self.cache.retains_name(name) || self.staged.contains_key(name)
+        self.cache.retains_name(name)
     }
 
     /// Number of requests of any kind currently queued.
@@ -577,41 +536,6 @@ impl Scheduler {
             .iter()
             .filter(|p| matches!(p.request, Request::Load { .. }))
             .count()
-    }
-
-    /// The de-virtualizations the next [`Scheduler::process_pending`] round
-    /// will perform: for every queued load that will reach the decode step
-    /// (deadline not already missed) and whose stream is neither cached nor
-    /// staged, the task name and its fetched VBS — one entry per distinct
-    /// task. A decode pipeline feeds these to its worker pool and hands the
-    /// results back through [`Scheduler::stage_decoded`].
-    pub fn pending_decode_fetches(&self) -> Vec<(String, Vbs)> {
-        let mut out: Vec<(String, Vbs)> = Vec::new();
-        for pending in &self.queue {
-            let Request::Load { task, deadline, .. } = &pending.request else {
-                continue;
-            };
-            if deadline.is_some_and(|d| self.clock > d) {
-                continue;
-            }
-            if self.staged.contains_key(task) || out.iter().any(|(name, _)| name == task) {
-                continue;
-            }
-            // Unknown or corrupted streams are skipped: the on-demand path
-            // reports those errors with the right per-request accounting.
-            let repository = self.manager.repository();
-            let Ok(header) = repository.header(task) else {
-                continue;
-            };
-            if self.cache.contains(task, &header.spec) {
-                continue;
-            }
-            let Ok(vbs) = repository.fetch(task) else {
-                continue;
-            };
-            out.push((task.clone(), vbs));
-        }
-        out
     }
 
     /// Marks a resident job as used "now" for LRU-eviction purposes.
@@ -921,10 +845,7 @@ impl Scheduler {
     }
 
     /// Fetches the decoded stream of `name` through the cache (counting the
-    /// hot hit, the warm hit + pooled re-decode, or the miss + decode),
-    /// optionally reusing a stream the caller already fetched (the
-    /// streaming fast path fetches before deciding to fall back — the
-    /// fallback must not deserialize the VBS twice).
+    /// hot hit, the warm hit + pooled re-decode, or the miss + decode).
     /// Returns the stream and whether it was a (hot) cache hit.
     ///
     /// A warm hit accounts exactly like a miss in the classic counters
@@ -944,56 +865,19 @@ impl Scheduler {
         &mut self,
         job: u64,
         name: &str,
-        prefetched: Option<Vbs>,
     ) -> Result<(Arc<TaskBitstream>, bool), RuntimeError> {
-        // A stream the decode pipeline expanded ahead of time: it carries
-        // the spec of the stream it was decoded from (this round's fetch),
-        // so the repository fetch is skipped entirely. Accounting matches
-        // the on-demand path: the cache lookup still counts the miss (plus
-        // the warm hit when the pipeline re-staged a demoted entry) and
-        // the worker-measured decode time is folded in.
-        if let Some((task, micros)) = self.staged.remove(name) {
-            let spec = *task.spec();
-            let warm = match self.cache.get(name, &spec) {
-                CacheLookup::Hot(cached) => return Ok((cached, true)),
-                CacheLookup::Warm => true,
-                CacheLookup::Miss => false,
-            };
-            self.counters.add(slot::DECODES, 1);
-            self.counters.add(slot::DECODE_MICROS, micros);
-            self.telemetry.record_micros(Stage::Decode, micros);
-            if warm {
-                self.counters.add(slot::REDECODE_MICROS, micros);
-                self.telemetry.record_micros(Stage::Redecode, micros);
-                self.telemetry
-                    .event(EventKind::WarmHit, self.fabric, 0, job, 0);
-            }
-            self.cache_insert(name, spec, Arc::clone(&task), micros);
-            return Ok((task, false));
-        }
-        let header = match &prefetched {
-            Some(vbs) => vbs.header(),
-            None => self.manager.repository().header(name)?,
-        };
+        let header = self.manager.repository().header(name)?;
         let warm = match self.cache.get(name, &header.spec) {
             CacheLookup::Hot(cached) => return Ok((cached, true)),
             CacheLookup::Warm => true,
             CacheLookup::Miss => false,
         };
-        let vbs: Vbs = match prefetched {
-            Some(vbs) => vbs,
-            None => self.manager.repository().fetch(name)?,
-        };
+        let vbs = self.manager.repository().fetch(name)?;
         let redecode_start = self.telemetry.now();
         let mut staging = self
             .pool
             .checkout(*vbs.spec(), vbs.width().max(1), vbs.height().max(1));
-        let decode = if warm {
-            self.manager.redevirtualize_into(&vbs, &mut staging)
-        } else {
-            self.manager.devirtualize_into(&vbs, &mut staging)
-        };
-        let report = match decode {
+        let report = match self.manager.devirtualize_into(&vbs, &mut staging) {
             Ok(report) => report,
             Err(e) => {
                 self.pool.put(staging);
@@ -1151,14 +1035,7 @@ impl Scheduler {
                 evicted: Vec::new(),
             };
         }
-        let mut prefetched = None;
-        if self.config.streaming {
-            match self.try_load_streaming(job, task, priority) {
-                StreamingAttempt::Done(outcome) => return outcome,
-                StreamingAttempt::Buffered(vbs) => prefetched = vbs,
-            }
-        }
-        let decoded = match self.decoded_with(job, task, prefetched) {
+        let decoded = match self.decoded_with(job, task) {
             Ok(d) => d,
             Err(RuntimeError::UnknownTask { .. }) => {
                 self.counters.add(slot::LOADS_REJECTED, 1);
@@ -1408,128 +1285,6 @@ impl Scheduler {
         self.manager.policy().place(width, height, &masked)
     }
 
-    /// The streaming fast path of a load: when the task needs a fresh
-    /// decode *and* a free region exists without eviction or compaction,
-    /// decode and configuration-memory writes overlap within the load
-    /// ([`TaskManager::load_streaming_at`]) using a pooled staging buffer.
-    ///
-    /// Returns [`StreamingAttempt::Buffered`] when the request must take
-    /// the buffered path instead (staged or cached stream, unknown task, or
-    /// no free region) — exactly the cases whose accounting could diverge;
-    /// a stream already fetched for the probe rides along so the fallback
-    /// never deserializes it twice. Restricting the fast path this way
-    /// keeps every counter, cache stamp and memory bit identical between
-    /// the two paths, which the differential suite pins down.
-    fn try_load_streaming(&mut self, job: u64, name: &str, priority: u8) -> StreamingAttempt {
-        if self.staged.contains_key(name) {
-            return StreamingAttempt::Buffered(None);
-        }
-        // Verified loads take the buffered path, where the readback /
-        // scrub / retry machinery lives.
-        if self.config.verify {
-            return StreamingAttempt::Buffered(None);
-        }
-        // Hot cache (any spec): nothing to stream — and nothing worth
-        // fetching; the buffered path resolves the hit by itself. A *warm*
-        // entry streams like a miss: it needs its decode anyway, so the
-        // overlapped decode→write path is exactly right for it.
-        if self.cache.contains_name(name) {
-            return StreamingAttempt::Buffered(None);
-        }
-        // Errors fall through to the buffered path, which reports them with
-        // its usual accounting.
-        let Ok(vbs) = self.manager.repository().fetch(name) else {
-            return StreamingAttempt::Buffered(None);
-        };
-        let (w, h) = (vbs.width().max(1), vbs.height().max(1));
-        let Some(origin) = self.manager.find_free_region(w, h) else {
-            return StreamingAttempt::Buffered(Some(vbs));
-        };
-        // Committed to streaming. From here the order of cache and counter
-        // updates mirrors the buffered path exactly: one cache miss (a warm
-        // hit for a demoted entry), then decode, then the insert.
-        let lookup = self.cache.get(name, vbs.spec());
-        debug_assert!(
-            !matches!(lookup, CacheLookup::Hot(_)),
-            "contains() checked above"
-        );
-        let warm = matches!(lookup, CacheLookup::Warm);
-        let mut staging = self.pool.checkout(*vbs.spec(), w, h);
-        let write_start = self.telemetry.now();
-        match self
-            .manager
-            .load_streaming_at(name, &vbs, &mut staging, origin)
-        {
-            Ok((handle, report)) => {
-                self.counters.add(slot::DECODES, 1);
-                self.counters.add(slot::DECODE_MICROS, report.micros);
-                // Streaming overlaps decode and frame writes in one pass;
-                // the whole overlapped region is the write span, and the
-                // decode histogram gets the report's decode measurement.
-                self.telemetry.record_micros(Stage::Decode, report.micros);
-                if warm {
-                    self.counters.add(slot::REDECODE_MICROS, report.micros);
-                    self.telemetry.record_micros(Stage::Redecode, report.micros);
-                    self.telemetry.event_span(
-                        EventKind::WarmHit,
-                        self.fabric,
-                        0,
-                        job,
-                        vbs.size_bytes(),
-                        write_start,
-                    );
-                }
-                self.telemetry.record_span(Stage::Write, write_start);
-                self.telemetry.event_span(
-                    EventKind::FrameWrite,
-                    self.fabric,
-                    0,
-                    job,
-                    w as u64 * h as u64,
-                    write_start,
-                );
-                let image = Arc::new(staging);
-                self.cache_insert(name, *vbs.spec(), Arc::clone(&image), report.micros);
-                self.residents.insert(
-                    job,
-                    Resident {
-                        handle,
-                        name: name.to_string(),
-                        priority,
-                        loaded_at: self.clock,
-                        last_used: self.clock,
-                    },
-                );
-                self.counters.add(slot::LOADS_ACCEPTED, 1);
-                StreamingAttempt::Done(Outcome::Loaded {
-                    job,
-                    handle,
-                    origin,
-                    evicted: Vec::new(),
-                    cache_hit: false,
-                })
-            }
-            Err(e) => {
-                self.pool.put(staging);
-                if matches!(e, RuntimeError::WriteFault { .. }) {
-                    // The fabric refused the streamed write before any
-                    // frame landed (the gate runs up front): count the
-                    // fault and fall back to the buffered path, whose
-                    // retry / re-placement machinery can still save the
-                    // load.
-                    self.counters.add(slot::WRITE_FAULTS, 1);
-                    return StreamingAttempt::Buffered(Some(vbs));
-                }
-                self.counters.add(slot::LOADS_REJECTED, 1);
-                StreamingAttempt::Done(Outcome::Rejected {
-                    job,
-                    reason: RejectReason::Runtime(e.to_string()),
-                    evicted: Vec::new(),
-                })
-            }
-        }
-    }
-
     fn sample_fragmentation(&mut self) {
         let view = self.manager.fabric_view();
         let fragmentation = view.fragmentation();
@@ -1552,16 +1307,6 @@ impl Scheduler {
             );
         }
     }
-}
-
-/// How the streaming fast-path probe resolved a load request.
-enum StreamingAttempt {
-    /// The load was fully handled on the streaming path.
-    Done(Outcome),
-    /// The load must take the buffered path; the VBS fetched during the
-    /// probe (if the probe got that far) rides along to avoid a second
-    /// deserialization.
-    Buffered(Option<Vbs>),
 }
 
 /// Unloads before relocates before loads, so departures free space first.

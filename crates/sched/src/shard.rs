@@ -34,7 +34,7 @@ pub struct FabricStatus {
     /// Tasks currently resident on the fabric.
     pub residents: usize,
     /// Whether the fabric already holds decode state for the incoming task
-    /// (decode cache or staged pipeline output).
+    /// (decode cache, hot or warm tier).
     pub holds_decoded: bool,
 }
 

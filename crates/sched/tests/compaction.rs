@@ -25,6 +25,18 @@ use vbs_arch::{Coord, Rect};
 use vbs_runtime::{BestFit, FabricView, FirstFit};
 use vbs_sched::{Outcome, Request, Scheduler, SchedulerConfig};
 
+/// De-virtualizes `vbs` on the scheduler's controller lanes, behind the
+/// decode cache's back — the reference image of the differentials.
+fn fresh_decode(sched: &Scheduler, vbs: &vbs_core::Vbs) -> vbs_bitstream::TaskBitstream {
+    let mut image = vbs_bitstream::TaskBitstream::empty(*vbs.spec(), 0, 0);
+    sched
+        .manager()
+        .controller()
+        .decode_into(vbs, &mut image)
+        .expect("decode");
+    image
+}
+
 fn full_memory_image(sched: &Scheduler) -> vbs_bitstream::TaskBitstream {
     let device = sched.manager().controller().device();
     sched
@@ -126,7 +138,7 @@ fn relocation_is_decode_free_and_bit_identical_to_the_decoded_image() {
 
     // Reference: the decoded image, independent of the scheduler's cache.
     let vbs = sched.manager().repository().fetch("crc4").unwrap();
-    let (decoded, _) = sched.manager().controller().devirtualize(&vbs).unwrap();
+    let decoded = fresh_decode(&sched, &vbs);
 
     let metrics_before = sched.metrics();
     let cache_before = sched.cache_stats();
@@ -422,7 +434,7 @@ fn load_triggered_compaction_preserves_every_resident_image() {
     let mut references = Vec::new();
     for info in sched.residents() {
         let vbs = sched.manager().repository().fetch(&info.name).unwrap();
-        let (decoded, _) = sched.manager().controller().devirtualize(&vbs).unwrap();
+        let decoded = fresh_decode(&sched, &vbs);
         references.push((info.job, decoded));
     }
 

@@ -6,9 +6,11 @@
 
 mod common;
 
-use common::{fleet, scheduler};
+use common::{device, fleet, scheduler};
 use std::sync::Arc;
-use vbs_runtime::FirstFit;
+use vbs_arch::Coord;
+use vbs_bitstream::{BitstreamError, TaskBitstream};
+use vbs_runtime::{FirstFit, ReconfigurationController, RuntimeError};
 use vbs_sched::{
     FaultInjector, FaultPlan, MultiConfig, Outcome, RejectReason, Request, RoundRobin, Scheduler,
     SchedulerConfig,
@@ -54,6 +56,33 @@ fn transient_write_fault_is_retried_and_lands() {
     assert_eq!(m.write_retries, 1);
     assert_eq!(m.loads_accepted, 1);
     assert_eq!(injector.writes(), 2, "fault + successful retry");
+}
+
+/// A write the configuration memory would refuse anyway is never shown to
+/// the fault model, so it cannot use up a slot of the seeded plan: the
+/// injector counts the writes it gates, and `write 1` must still hit the
+/// first write that could have landed.
+#[test]
+fn a_refused_write_does_not_consume_a_fault_plan_slot() {
+    let mut controller = ReconfigurationController::new(device(10, 10));
+    let injector = hook("write 1 transient");
+    controller.set_fault_hook(Some(injector.clone()));
+    let task = TaskBitstream::empty(*controller.device().spec(), 4, 4);
+
+    assert!(matches!(
+        controller.load_decoded(&task, Coord::new(8, 8)),
+        Err(RuntimeError::Memory(BitstreamError::DoesNotFit { .. }))
+    ));
+    assert_eq!(injector.writes(), 0, "the out-of-bounds write was gated");
+    assert!(matches!(
+        controller.load_decoded(&task, Coord::new(0, 0)),
+        Err(RuntimeError::WriteFault {
+            transient: true,
+            ..
+        })
+    ));
+    controller.load_decoded(&task, Coord::new(0, 0)).unwrap();
+    assert_eq!(injector.writes(), 2);
 }
 
 /// A persistent write fault at the chosen origin steers the load to an

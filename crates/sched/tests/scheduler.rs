@@ -4,6 +4,7 @@
 
 use std::sync::OnceLock;
 use vbs_arch::{ArchSpec, Device, Rect};
+use vbs_bitstream::TaskBitstream;
 use vbs_flow::CadFlow;
 use vbs_netlist::generate::SyntheticSpec;
 use vbs_runtime::{
@@ -70,6 +71,18 @@ fn scheduler(
     )
     .with_policy(policy);
     Scheduler::with_config(manager, Box::new(LruEviction), config)
+}
+
+/// De-virtualizes `vbs` on the scheduler's controller lanes, behind the
+/// decode cache's back — the reference image of the differentials.
+fn fresh_decode(sched: &Scheduler, vbs: &vbs_core::Vbs) -> TaskBitstream {
+    let mut image = TaskBitstream::empty(*vbs.spec(), 0, 0);
+    sched
+        .manager()
+        .controller()
+        .decode_into(vbs, &mut image)
+        .expect("decode");
+    image
 }
 
 fn overload_trace() -> Trace {
@@ -194,7 +207,7 @@ fn decode_cache_hits_are_bit_identical() {
 
     // And both match a fresh, cache-free de-virtualization.
     let vbs = sched.manager().repository().fetch("fir4").unwrap();
-    let (fresh, _) = sched.manager().controller().devirtualize(&vbs).unwrap();
+    let fresh = fresh_decode(&sched, &vbs);
     assert_eq!(second_image.diff_count(&fresh).unwrap(), 0);
 }
 
@@ -339,11 +352,7 @@ fn cache_invalidation_after_reregistration() {
         .memory()
         .read_region(Rect::new(origin, 4, 4))
         .unwrap();
-    let (fresh, _) = sched
-        .manager()
-        .controller()
-        .devirtualize(&replacement)
-        .unwrap();
+    let fresh = fresh_decode(&sched, &replacement);
     assert_eq!(image.diff_count(&fresh).unwrap(), 0);
 }
 
@@ -510,4 +519,46 @@ fn explicit_relocation_moves_the_resident() {
     sched.execute(Request::Unload { job });
     assert_eq!(sched.manager().controller().memory().occupied_macros(), 0);
     assert!(sched.residents().is_empty());
+}
+
+/// Cache evictions feed the fleet-wide buffer pool, and subsequent decodes
+/// draw from it instead of allocating.
+#[test]
+fn cache_evictions_recycle_into_the_pool() {
+    // A 1-entry cache forces an eviction on every distinct decode.
+    let config = SchedulerConfig {
+        eviction_limit: 1,
+        compaction: false,
+        cache_capacity: 1,
+        ..SchedulerConfig::default()
+    };
+    let mut sched = scheduler(12, 12, Box::new(FirstFit), config);
+    let mut jobs = Vec::new();
+    for (round, task) in ["fir4", "crc4", "fir4", "crc4"].iter().enumerate() {
+        sched.advance_to(round as u64 * 10);
+        let job = sched.submit(Request::Load {
+            task: (*task).into(),
+            priority: 1,
+            deadline: None,
+        });
+        for (id, outcome) in sched.process_pending_tagged() {
+            if id == job {
+                assert!(matches!(outcome, Outcome::Loaded { .. }), "{outcome:?}");
+            }
+        }
+        jobs.push(job);
+        // Unload immediately so the decoded image's only owner is the cache
+        // and eviction can reclaim the buffer.
+        sched.submit(Request::Unload { job });
+        sched.process_pending();
+    }
+    let stats = sched.bitstream_pool().stats();
+    assert!(
+        stats.recycled >= 2,
+        "each cache eviction recycles a buffer: {stats:?}"
+    );
+    assert!(
+        stats.reused >= 2,
+        "later decodes reuse recycled buffers: {stats:?}"
+    );
 }

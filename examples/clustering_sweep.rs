@@ -4,6 +4,7 @@
 //!
 //! Run with: `cargo run --release --example clustering_sweep [circuit] [scale]`
 
+use vbs_repro::bitstream::TaskBitstream;
 use vbs_repro::runtime::ReconfigurationController;
 use vbs_repro::vbs::VbsStats;
 
@@ -44,7 +45,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let vbs = result.vbs(k)?;
         let stats = VbsStats::of(&vbs);
         let controller = ReconfigurationController::new(result.device().clone());
-        let (_, report) = controller.devirtualize(&vbs)?;
+        let mut decoded = TaskBitstream::empty(*vbs.spec(), 0, 0);
+        let report = controller.decode_into(&vbs, &mut decoded)?;
         println!(
             "{:>7} {:>12} {:>8.1}% {:>8.2}x {:>12} {:>14}",
             k,

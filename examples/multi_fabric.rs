@@ -1,9 +1,10 @@
 //! Multi-fabric scheduling: one overloaded request stream sharded across a
 //! fleet of four devices. The same workload runs three ways — one fabric
 //! alone, four independent fabrics each facing the full stream, and the
-//! four-fabric `MultiFabricScheduler` with cache-affinity sharding, a
-//! decode pipeline that overlaps de-virtualization with config-memory
-//! writes, and cross-fabric migration of capacity-rejected loads.
+//! four-fabric `MultiFabricScheduler` with cache-affinity sharding, one
+//! writer thread per busy fabric (one fabric's config-memory writes overlap
+//! another's decodes), and cross-fabric migration of capacity-rejected
+//! loads.
 //!
 //! Run with: `cargo run --release --example multi_fabric`
 
@@ -105,8 +106,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         100.0 * accepted as f64 / submitted as f64
     );
 
-    // The sharded fleet: cache-affinity routing + decode pipeline +
-    // cross-fabric migration.
+    // The sharded fleet: cache-affinity routing + one writer per busy
+    // fabric + cross-fabric migration.
     let fabrics = (0..4)
         .map(|i| scheduler(&repository, i))
         .collect::<Result<Vec<_>, _>>()?;
@@ -114,10 +115,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         MultiFabricScheduler::new(fabrics, Box::new(CacheAffinity), MultiConfig::default());
     let report = replay_multi(&mut fleet, &trace);
     println!(
-        "sharded fleet of 4       {:>5.1}% acceptance, {} migrations, {} staged decodes\n",
+        "sharded fleet of 4       {:>5.1}% acceptance, {} migrations\n",
         100.0 * report.acceptance_rate(),
-        report.multi.migrations,
-        report.multi.staged_decodes
+        report.multi.migrations
     );
     println!("{report}");
     Ok(())

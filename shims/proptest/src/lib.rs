@@ -115,7 +115,7 @@ pub mod collection {
         len: L,
     }
 
-    /// Length specifications accepted by [`vec`]: a fixed `usize` or any
+    /// Length specifications accepted by [`vec()`]: a fixed `usize` or any
     /// `usize`-valued strategy (ranges in particular) — the stand-in for
     /// proptest's `Into<SizeRange>` bound.
     pub trait IntoLenStrategy {

@@ -137,16 +137,6 @@ impl MacroIo {
             }
         }
     }
-
-    /// Whether this I/O is a boundary track crossing.
-    pub fn is_boundary(&self) -> bool {
-        matches!(self, MacroIo::Boundary { .. })
-    }
-
-    /// Whether this I/O is a logic-block pin.
-    pub fn is_pin(&self) -> bool {
-        matches!(self, MacroIo::Pin(_))
-    }
 }
 
 impl fmt::Display for MacroIo {

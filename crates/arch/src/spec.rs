@@ -185,13 +185,6 @@ impl ArchSpec {
         self.raw_bits_per_macro() / (2 * self.io_index_bits() as usize)
     }
 
-    /// Maximum number of routes representable in a macro record: the route
-    /// count field is `⌈log2(2W)⌉` bits wide (Table I), so at most `2W − 1`
-    /// coded routes per macro.
-    pub const fn max_routes_per_macro(&self) -> usize {
-        2 * self.channel_width as usize - 1
-    }
-
     /// Width in bits of the per-macro route count field, `⌈log2(2W)⌉`.
     pub const fn route_count_bits(&self) -> u32 {
         ceil_log2(2 * self.channel_width as u32)

@@ -538,7 +538,6 @@ fn kernel_paths(options: &Options) -> (&'static str, Vec<KernelOp>) {
         .iter()
         .map(|w| w.rotate_left(29) ^ 0x5555_aaaa_0ff0_f00f)
         .collect();
-    let mut dst = vec![0u64; WORDS];
     let iters = (options.loads.max(1) * 2).clamp(64, 2000);
     let words_swept = (WORDS * iters) as u64;
 
@@ -554,27 +553,6 @@ fn kernel_paths(options: &Options) -> (&'static str, Vec<KernelOp>) {
     };
 
     let mut ops = Vec::new();
-    let mut copy = |k: &'static Kernels| {
-        k.copy(&mut dst, &a);
-        0u64
-    };
-    ops.push(KernelOp {
-        name: "copy",
-        dispatched: timed(&mut copy, active),
-        portable: timed(&mut copy, portable),
-        words_swept,
-    });
-    let mut dst = vec![0u64; WORDS];
-    let mut or_into = |k: &'static Kernels| {
-        k.or_into(&mut dst, &b);
-        0u64
-    };
-    ops.push(KernelOp {
-        name: "or_into",
-        dispatched: timed(&mut or_into, active),
-        portable: timed(&mut or_into, portable),
-        words_swept,
-    });
     let mut xor_popcount = |k: &'static Kernels| k.xor_popcount(&a, &b) as u64;
     ops.push(KernelOp {
         name: "xor_popcount",
@@ -675,37 +653,29 @@ fn scaling_paths(options: &Options, repository: &VbsRepository) -> Vec<ScalingRe
     results
 }
 
-/// One region-op measurement of the `frame_write` arm: the word-level flat
-/// arena path vs the retained scalar (legacy per-bit) fallback.
+/// One region-op measurement of the `frame_write` arm on the word-level
+/// flat arena.
 struct FrameWriteResult {
     name: &'static str,
     word: Duration,
-    scalar: Duration,
     frames: u64,
 }
 
 impl FrameWriteResult {
-    fn mframes_per_sec(&self, elapsed: Duration) -> f64 {
-        self.frames as f64 / elapsed.as_secs_f64() / 1e6
-    }
-
-    fn speedup(&self) -> f64 {
-        self.scalar.as_secs_f64() / self.word.as_secs_f64().max(1e-12)
+    fn mframes_per_sec(&self) -> f64 {
+        self.frames as f64 / self.word.as_secs_f64() / 1e6
     }
 
     fn json(&self) -> String {
         format!(
-            "{{\"word_mframes_per_sec\": {:.1}, \"scalar_mframes_per_sec\": {:.1}, \"speedup_word_vs_scalar\": {:.1}}}",
-            self.mframes_per_sec(self.word),
-            self.mframes_per_sec(self.scalar),
-            self.speedup()
+            "{{\"word_mframes_per_sec\": {:.1}}}",
+            self.mframes_per_sec()
         )
     }
 }
 
 /// Times the raw `ConfigMemory` region operations — task load, region
-/// clear, relocation move — on the flat word arena vs the scalar per-bit
-/// reference twins (the legacy layout's access pattern).
+/// clear, relocation move — on the flat word arena.
 fn frame_write_paths(options: &Options, repository: &VbsRepository) -> Vec<FrameWriteResult> {
     let device = sched_device(options.fabric.0, options.fabric.1);
     // The largest workload task gives the most representative region size.
@@ -746,9 +716,6 @@ fn frame_write_paths(options: &Options, repository: &VbsRepository) -> Vec<Frame
     }
 
     let load_word = timed(iterations, || memory.load_task(&task, a).expect("load"));
-    let load_scalar = timed(iterations, || {
-        memory.load_task_scalar(&task, a).expect("load")
-    });
     // Relocation ping-pongs between two corners so the source always holds
     // the task (flip-flopping keeps every move a full-content move).
     memory.load_task(&task, a).expect("seed");
@@ -758,37 +725,22 @@ fn frame_write_paths(options: &Options, repository: &VbsRepository) -> Vec<Frame
         memory.move_region(rect(at), to).expect("move");
         at = to;
     });
-    memory.clear_region(rect(a)).expect("clear");
-    memory.clear_region(rect(b)).expect("clear");
-    memory.load_task(&task, a).expect("seed");
-    let mut at = a;
-    let reloc_scalar = timed(iterations, || {
-        let to = if at == a { b } else { a };
-        memory.move_region_scalar(rect(at), to).expect("move");
-        at = to;
-    });
     let clear_word = timed(iterations, || memory.clear_region(rect(a)).expect("clear"));
-    let clear_scalar = timed(iterations, || {
-        memory.clear_region_scalar(rect(a)).expect("clear")
-    });
 
     vec![
         FrameWriteResult {
             name: "load",
             word: load_word,
-            scalar: load_scalar,
             frames,
         },
         FrameWriteResult {
             name: "clear",
             word: clear_word,
-            scalar: clear_scalar,
             frames,
         },
         FrameWriteResult {
             name: "relocate",
             word: reloc_word,
-            scalar: reloc_scalar,
             frames,
         },
     ]
@@ -1172,10 +1124,6 @@ fn memory_arm(
             100,
             SchedulerConfig {
                 cache_budget: budget,
-                // Never let the count cap bind: byte budgets are the knob
-                // under test, and the unbounded baseline must actually hold
-                // every instance hot.
-                cache_capacity: instances,
                 ..McncCorpus::replay_config()
             },
         )
@@ -1290,18 +1238,9 @@ fn main() {
     );
 
     let frame_write = frame_write_paths(&options, &repository);
-    println!(
-        "{:<12} {:>16} {:>16} {:>10}",
-        "frame_write", "word Mframes/s", "scalar Mframes/s", "speedup"
-    );
+    println!("{:<12} {:>16}", "frame_write", "word Mframes/s");
     for f in &frame_write {
-        println!(
-            "{:<12} {:>16.1} {:>16.1} {:>9.1}x",
-            f.name,
-            f.mframes_per_sec(f.word),
-            f.mframes_per_sec(f.scalar),
-            f.speedup()
-        );
+        println!("{:<12} {:>16.1}", f.name, f.mframes_per_sec());
     }
 
     let (kernel_backend, kernel_ops) = kernel_paths(&options);

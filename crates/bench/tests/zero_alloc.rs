@@ -35,8 +35,8 @@
 use vbs_bench::{allocations, CountingAllocator};
 use vbs_bitstream::TaskBitstream;
 use vbs_core::{DecodeScratch, Devirtualizer, Vbs};
-use vbs_runtime::{FirstFit, ReconfigurationController};
-use vbs_sched::{BitstreamPool, Outcome, Request, SchedulerConfig};
+use vbs_runtime::{FirstFit, ReconfigurationController, ScratchPool};
+use vbs_sched::{Outcome, Request, SchedulerConfig};
 use vbs_telemetry::{Stage, Telemetry};
 
 #[global_allocator]
@@ -186,7 +186,7 @@ fn decode_hot_path_allocation_budget() {
         .iter()
         .map(|name| repository.fetch(name).expect("workload task"))
         .collect();
-    let pool = BitstreamPool::new(1);
+    let pool = ScratchPool::new(1);
     pool.put(TaskBitstream::empty(spec, 1, 1));
     let cycle = |rounds: usize, scratch: &mut DecodeScratch| {
         for i in 0..rounds * mix.len() {

@@ -7,10 +7,9 @@
 //! throughput now matters: byte folding runs slice-by-8 (eight table
 //! lookups per 64-bit chunk instead of one per byte), and word folding
 //! dispatches through [`crate::Kernels`] — slice-by-8 portably, PCLMULQDQ
-//! folding where the host has carry-less multiply. The original
-//! byte-at-a-time loop is retained as [`crc32_scalar`] /
-//! [`crc32_words_scalar`], the differential oracle every faster path is
-//! pinned against.
+//! folding where the host has carry-less multiply. Every path is pinned,
+//! at every length, against a bitwise CRC-32 that shares no table with this
+//! module (`tests/oracle/mod.rs`, used by `tests/kernels_diff.rs`).
 
 use crate::kernels::Kernels;
 
@@ -138,27 +137,6 @@ pub fn crc32_words(words: &[u64]) -> u32 {
     crc.finish()
 }
 
-/// CRC-32 of a byte slice by the original byte-at-a-time loop — the
-/// differential oracle for the slice-by-8 and SIMD paths.
-pub fn crc32_scalar(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &byte in bytes {
-        crc = fold_byte(crc, byte);
-    }
-    !crc
-}
-
-/// CRC-32 of a word slice by the byte-at-a-time oracle.
-pub fn crc32_words_scalar(words: &[u64]) -> u32 {
-    let mut crc = !0u32;
-    for &word in words {
-        for byte in word.to_le_bytes() {
-            crc = fold_byte(crc, byte);
-        }
-    }
-    !crc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,13 +145,11 @@ mod tests {
     fn matches_the_ieee_check_value() {
         // The canonical CRC-32 check: crc32(b"123456789") == 0xCBF43926.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32_scalar(b"123456789"), 0xCBF4_3926);
     }
 
     #[test]
     fn empty_input_is_zero() {
         assert_eq!(crc32(&[]), 0);
-        assert_eq!(crc32_scalar(&[]), 0);
     }
 
     #[test]
@@ -183,34 +159,6 @@ mod tests {
         streaming.update(&data[..100]);
         streaming.update(&data[100..]);
         assert_eq!(streaming.finish(), crc32(&data));
-    }
-
-    #[test]
-    fn slice8_matches_the_byte_oracle_at_every_length() {
-        let data: Vec<u8> = (0..64u32)
-            .map(|i| (i.wrapping_mul(167).wrapping_add(13) & 0xff) as u8)
-            .collect();
-        for len in 0..data.len() {
-            assert_eq!(
-                crc32(&data[..len]),
-                crc32_scalar(&data[..len]),
-                "slice-by-8 diverged at byte length {len}"
-            );
-        }
-    }
-
-    #[test]
-    fn word_fold_matches_the_byte_oracle_at_every_length() {
-        let words: Vec<u64> = (0..48u64)
-            .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (i << 23))
-            .collect();
-        for len in 0..words.len() {
-            assert_eq!(
-                crc32_words(&words[..len]),
-                crc32_words_scalar(&words[..len]),
-                "word fold diverged at word length {len}"
-            );
-        }
     }
 
     #[test]

@@ -214,7 +214,7 @@ impl<'a> FrameMut<'a> {
 
     /// Zeroes every bit of the frame.
     pub fn clear(&mut self) {
-        crate::Kernels::active().fill_zero(self.words);
+        self.words.fill(0);
     }
 
     /// Copies the contents of `other` into this frame — one word-level
@@ -230,7 +230,7 @@ impl<'a> FrameMut<'a> {
             *other.spec(),
             "copying between frames of different layouts"
         );
-        crate::Kernels::active().copy(self.words, other.words());
+        self.words.copy_from_slice(other.words());
     }
 
     /// Writes the logic-block section: LUT truth table plus flip-flop bypass.

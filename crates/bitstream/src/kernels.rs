@@ -1,12 +1,16 @@
 //! Runtime-dispatched word-sweep kernels.
 //!
-//! Every hot loop of the frame arena funnels through this module: the bulk
-//! copies and clears behind [`crate::FrameStore::copy_run_from`] /
-//! [`crate::FrameStore::clear_run`], the XOR-popcount behind `diff_count`,
-//! the OR sweep behind `merge_disjoint`, plain popcounts, and the CRC-32
-//! word fold used by readback verify and the VBS stream footer. A
-//! [`Kernels`] value is a table of function pointers for those six sweeps;
-//! the table is selected **once** per process:
+//! The three read-only sweeps of the frame arena that a wider instruction
+//! set measurably speeds up funnel through this module: the XOR-popcount
+//! behind `diff_count` (2.5–2.9× over portable in `BENCH_decode.json`), plain
+//! popcounts (the baseline x86-64 target has no `POPCNT`), and the CRC-32
+//! word fold used by readback verify and the VBS stream footer (16.6× with
+//! PCLMULQDQ). Bulk copies, clears and the OR merge are *not* here: they are
+//! `copy_from_slice`, `fill(0)` and a `|=` loop at their call sites, because
+//! an AVX2 copy measured 0.93× of `memcpy` and an indirect call per 5-word
+//! frame costs more than it could win. A [`Kernels`] value is a table of
+//! function pointers for the three sweeps; the table is selected **once**
+//! per process:
 //!
 //! * `VBS_KERNELS=portable` in the environment forces the portable backend
 //!   (CI uses this to keep the fallback covered on AVX2 hosts);
@@ -15,23 +19,22 @@
 //!   SSE4.1 are also present;
 //! * everywhere else the portable chunked-`u64` backend runs.
 //!
-//! The portable backend is not a straw man: it is the same
-//! `copy_from_slice` / `fill` / word-loop code the arena ran before dispatch
-//! existed, and every SIMD path is proptest-pinned bit-identical against it
-//! (`tests/kernels_diff.rs`). The byte-at-a-time CRC oracle stays in
-//! [`crate::crc`] as `crc32_words_scalar`.
+//! The portable backend is not a straw man: it is the word-loop code the
+//! arena ran before dispatch existed, and every SIMD path is
+//! proptest-pinned bit-identical against it and against obvious scalar
+//! loops (`tests/kernels_diff.rs`). The CRC oracle those tests compare with
+//! is a bitwise, table-free CRC-32 in `tests/oracle/mod.rs`.
 //!
 //! # Safety
 //!
 //! This is the one module of the crate that contains `unsafe`: the
-//! `#[target_feature]` intrinsics bodies, and the dereference of the
-//! `AtomicPtr` dispatch slot (which only ever holds `&'static Kernels`).
-//! Each backend's safe wrappers are installed into the table only after the
-//! features they require were detected at runtime.
+//! `#[target_feature]` intrinsics bodies and the three wrappers that call
+//! them. Each backend's safe wrappers are installed into the table only
+//! after the features they require were detected at runtime.
 
 #![allow(unsafe_code)]
 
-use std::sync::atomic::{AtomicPtr, Ordering};
+use std::sync::OnceLock;
 
 /// A resolved backend: one function pointer per hot word sweep.
 ///
@@ -41,41 +44,19 @@ use std::sync::atomic::{AtomicPtr, Ordering};
 /// global slot).
 pub struct Kernels {
     name: &'static str,
-    copy: fn(&mut [u64], &[u64]),
-    fill_zero: fn(&mut [u64]),
-    or_into: fn(&mut [u64], &[u64]),
     xor_popcount: fn(&[u64], &[u64]) -> usize,
     popcount: fn(&[u64]) -> usize,
     crc32_words: fn(u32, &[u64]) -> u32,
 }
 
-/// The process-wide dispatch slot. Null until first use; only ever stores
-/// pointers derived from `&'static Kernels`.
-static ACTIVE: AtomicPtr<Kernels> = AtomicPtr::new(std::ptr::null_mut());
+/// The process-wide dispatch slot, filled on first use.
+static ACTIVE: OnceLock<&'static Kernels> = OnceLock::new();
 
 impl Kernels {
     /// The backend every arena sweep dispatches through, selected on first
     /// call (environment override first, then feature detection).
     pub fn active() -> &'static Kernels {
-        let p = ACTIVE.load(Ordering::Acquire);
-        if p.is_null() {
-            let selected = Self::select();
-            ACTIVE.store(
-                selected as *const Kernels as *mut Kernels,
-                Ordering::Release,
-            );
-            selected
-        } else {
-            // SAFETY: ACTIVE only ever holds pointers cast from
-            // `&'static Kernels` (here and in `force`).
-            unsafe { &*p }
-        }
-    }
-
-    /// Overrides the process-wide selection — a bench/test hook for
-    /// comparing backends without re-execing with `VBS_KERNELS` set.
-    pub fn force(kernels: &'static Kernels) {
-        ACTIVE.store(kernels as *const Kernels as *mut Kernels, Ordering::Release);
+        ACTIVE.get_or_init(Self::select)
     }
 
     fn select() -> &'static Kernels {
@@ -114,23 +95,6 @@ impl Kernels {
         self.name
     }
 
-    /// Copies `src` into `dst` (equal lengths required).
-    pub fn copy(&self, dst: &mut [u64], src: &[u64]) {
-        assert_eq!(dst.len(), src.len(), "kernel copy length mismatch");
-        (self.copy)(dst, src);
-    }
-
-    /// Zeroes every word of `words`.
-    pub fn fill_zero(&self, words: &mut [u64]) {
-        (self.fill_zero)(words);
-    }
-
-    /// ORs `src` into `dst` word-wise (equal lengths required).
-    pub fn or_into(&self, dst: &mut [u64], src: &[u64]) {
-        assert_eq!(dst.len(), src.len(), "kernel or length mismatch");
-        (self.or_into)(dst, src);
-    }
-
     /// Number of bits where `a` and `b` differ (equal lengths required).
     pub fn xor_popcount(&self, a: &[u64], b: &[u64]) -> usize {
         assert_eq!(a.len(), b.len(), "kernel diff length mismatch");
@@ -159,9 +123,6 @@ impl std::fmt::Debug for Kernels {
 
 static PORTABLE: Kernels = Kernels {
     name: "portable",
-    copy: portable::copy,
-    fill_zero: portable::fill_zero,
-    or_into: portable::or_into,
     xor_popcount: portable::xor_popcount,
     popcount: portable::popcount,
     crc32_words: portable::crc32_words,
@@ -169,20 +130,6 @@ static PORTABLE: Kernels = Kernels {
 
 mod portable {
     use crate::crc;
-
-    pub(super) fn copy(dst: &mut [u64], src: &[u64]) {
-        dst.copy_from_slice(src);
-    }
-
-    pub(super) fn fill_zero(words: &mut [u64]) {
-        words.fill(0);
-    }
-
-    pub(super) fn or_into(dst: &mut [u64], src: &[u64]) {
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d |= *s;
-        }
-    }
 
     pub(super) fn xor_popcount(a: &[u64], b: &[u64]) -> usize {
         a.iter()
@@ -208,9 +155,6 @@ mod x86 {
 
     pub(super) static AVX2: Kernels = Kernels {
         name: "avx2",
-        copy,
-        fill_zero,
-        or_into,
         xor_popcount,
         popcount,
         crc32_words: crc_slice8,
@@ -218,9 +162,6 @@ mod x86 {
 
     pub(super) static AVX2_PCLMUL: Kernels = Kernels {
         name: "avx2+pclmul",
-        copy,
-        fill_zero,
-        or_into,
         xor_popcount,
         popcount,
         crc32_words: crc_pclmul,
@@ -230,21 +171,6 @@ mod x86 {
     // that `detected()` returns after the required features tested present,
     // so the `#[target_feature]` bodies cannot execute on a host without
     // them.
-
-    fn copy(dst: &mut [u64], src: &[u64]) {
-        // SAFETY: AVX2 detected before this backend is selected.
-        unsafe { copy_avx2(dst, src) }
-    }
-
-    fn fill_zero(words: &mut [u64]) {
-        // SAFETY: AVX2 detected before this backend is selected.
-        unsafe { fill_zero_avx2(words) }
-    }
-
-    fn or_into(dst: &mut [u64], src: &[u64]) {
-        // SAFETY: AVX2 detected before this backend is selected.
-        unsafe { or_into_avx2(dst, src) }
-    }
 
     fn xor_popcount(a: &[u64], b: &[u64]) -> usize {
         // SAFETY: AVX2 + POPCNT detected before this backend is selected.
@@ -264,73 +190,6 @@ mod x86 {
         // SAFETY: PCLMULQDQ + SSE4.1 detected before this backend is
         // selected.
         unsafe { crc32_words_clmul(state, words) }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn copy_avx2(dst: &mut [u64], src: &[u64]) {
-        let n = dst.len();
-        let d = dst.as_mut_ptr();
-        let s = src.as_ptr();
-        let mut i = 0;
-        while i + 16 <= n {
-            let a = _mm256_loadu_si256(s.add(i) as *const __m256i);
-            let b = _mm256_loadu_si256(s.add(i + 4) as *const __m256i);
-            let c = _mm256_loadu_si256(s.add(i + 8) as *const __m256i);
-            let e = _mm256_loadu_si256(s.add(i + 12) as *const __m256i);
-            _mm256_storeu_si256(d.add(i) as *mut __m256i, a);
-            _mm256_storeu_si256(d.add(i + 4) as *mut __m256i, b);
-            _mm256_storeu_si256(d.add(i + 8) as *mut __m256i, c);
-            _mm256_storeu_si256(d.add(i + 12) as *mut __m256i, e);
-            i += 16;
-        }
-        while i + 4 <= n {
-            let a = _mm256_loadu_si256(s.add(i) as *const __m256i);
-            _mm256_storeu_si256(d.add(i) as *mut __m256i, a);
-            i += 4;
-        }
-        if i < n {
-            dst[i..].copy_from_slice(&src[i..]);
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn fill_zero_avx2(words: &mut [u64]) {
-        let n = words.len();
-        let d = words.as_mut_ptr();
-        let zero = _mm256_setzero_si256();
-        let mut i = 0;
-        while i + 16 <= n {
-            _mm256_storeu_si256(d.add(i) as *mut __m256i, zero);
-            _mm256_storeu_si256(d.add(i + 4) as *mut __m256i, zero);
-            _mm256_storeu_si256(d.add(i + 8) as *mut __m256i, zero);
-            _mm256_storeu_si256(d.add(i + 12) as *mut __m256i, zero);
-            i += 16;
-        }
-        while i + 4 <= n {
-            _mm256_storeu_si256(d.add(i) as *mut __m256i, zero);
-            i += 4;
-        }
-        if i < n {
-            words[i..].fill(0);
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn or_into_avx2(dst: &mut [u64], src: &[u64]) {
-        let n = dst.len();
-        let d = dst.as_mut_ptr();
-        let s = src.as_ptr();
-        let mut i = 0;
-        while i + 4 <= n {
-            let a = _mm256_loadu_si256(d.add(i) as *const __m256i);
-            let b = _mm256_loadu_si256(s.add(i) as *const __m256i);
-            _mm256_storeu_si256(d.add(i) as *mut __m256i, _mm256_or_si256(a, b));
-            i += 4;
-        }
-        while i < n {
-            dst[i] |= src[i];
-            i += 1;
-        }
     }
 
     // The popcounts stay scalar loops *inside* a `#[target_feature]` body:
@@ -439,15 +298,9 @@ mod tests {
         let k = Kernels::portable();
         assert_eq!(k.name(), "portable");
         let src = [1u64, 2, 3];
-        let mut dst = [0u64; 3];
-        k.copy(&mut dst, &src);
-        assert_eq!(dst, src);
-        k.or_into(&mut dst, &[4, 4, 4]);
-        assert_eq!(dst, [5, 6, 7]);
+        let dst = [5u64, 6, 7];
         assert_eq!(k.xor_popcount(&dst, &src), 3);
         assert_eq!(k.popcount(&dst), 2 + 2 + 3);
-        k.fill_zero(&mut dst);
-        assert_eq!(dst, [0; 3]);
     }
 
     #[test]
@@ -461,20 +314,9 @@ mod tests {
             .iter()
             .map(|w| w.rotate_left(13) ^ 0x0f0f_f0f0_00ff_ff00)
             .collect();
-        let mut d1 = vec![0u64; a.len()];
-        let mut d2 = vec![0u64; a.len()];
-        det.copy(&mut d1, &a);
-        port.copy(&mut d2, &a);
-        assert_eq!(d1, d2);
-        det.or_into(&mut d1, &b);
-        port.or_into(&mut d2, &b);
-        assert_eq!(d1, d2);
         assert_eq!(det.xor_popcount(&a, &b), port.xor_popcount(&a, &b));
         assert_eq!(det.popcount(&a), port.popcount(&a));
         assert_eq!(det.crc32_words(!0, &a), port.crc32_words(!0, &a));
-        det.fill_zero(&mut d1);
-        port.fill_zero(&mut d2);
-        assert_eq!(d1, d2);
     }
 
     #[test]

@@ -42,8 +42,8 @@
 
 // `unsafe` is denied crate-wide and allowed back in exactly one place: the
 // `kernels` module, whose `#[target_feature]` SIMD bodies need it (each is
-// guarded by runtime feature detection and pinned bit-identical to a safe
-// scalar twin).
+// guarded by runtime feature detection and pinned bit-identical to the safe
+// portable backend).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -56,7 +56,7 @@ mod memory;
 mod store;
 mod task;
 
-pub use crc::{crc32, crc32_scalar, crc32_words, crc32_words_scalar, Crc32};
+pub use crc::{crc32, crc32_words, Crc32};
 pub use error::BitstreamError;
 pub use frame::{FrameMut, FrameRef};
 pub use generate::{configured_switches, edge_to_switch, generate_bitstream, SwitchSetting};

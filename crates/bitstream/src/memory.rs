@@ -11,9 +11,11 @@
 //! [`ConfigMemory::load_task`] is a `copy_from_slice` per row,
 //! [`ConfigMemory::clear_region`] a `fill(0)` per row, and
 //! [`ConfigMemory::copy_region`] / [`ConfigMemory::move_region`] (run-time
-//! relocation and compaction) are overlap-safe `copy_within` sweeps. Each
-//! word-level operation keeps a scalar per-bit twin (`*_scalar`) as the
-//! reference implementation the differential test suite checks against.
+//! relocation and compaction) are overlap-safe `copy_within` sweeps. The
+//! per-bit reference implementations these are pinned against live with the
+//! differential suite (`tests/oracle/mod.rs`, `tests/word_ops.rs`), built
+//! on nothing but [`ConfigMemory::frame`], [`ConfigMemory::frame_mut`] and
+//! [`ConfigMemory::read_region`].
 
 use crate::error::BitstreamError;
 use crate::frame::{FrameMut, FrameRef};
@@ -93,30 +95,6 @@ impl ConfigMemory {
         Ok(())
     }
 
-    /// Scalar reference twin of [`ConfigMemory::load_task`]: copies the task
-    /// bit by bit through the frame views. Kept (and exercised by the
-    /// differential suite) to pin the word-level fast path to a layout-blind
-    /// implementation.
-    ///
-    /// # Errors
-    ///
-    /// As [`ConfigMemory::load_task`].
-    pub fn load_task_scalar(
-        &mut self,
-        task: &TaskBitstream,
-        origin: Coord,
-    ) -> Result<(), BitstreamError> {
-        self.check_load(task, origin)?;
-        for (local, frame) in task.iter_frames() {
-            let at = Coord::new(origin.x + local.x, origin.y + local.y);
-            let mut slot = self.frame_mut(at);
-            for i in 0..frame.len() {
-                slot.set_bit(i, frame.bit(i));
-            }
-        }
-        Ok(())
-    }
-
     /// Clears every frame of a rectangular region (task removal) — one
     /// `fill(0)` per fabric row.
     ///
@@ -131,23 +109,6 @@ impl ConfigMemory {
         for row in 0..rh {
             let start = (region.origin.y as usize + row) * dev_w + region.origin.x as usize;
             self.store.clear_run(start, rw)?;
-        }
-        Ok(())
-    }
-
-    /// Scalar reference twin of [`ConfigMemory::clear_region`] (per-bit
-    /// clears through the frame views), kept for the differential suite.
-    ///
-    /// # Errors
-    ///
-    /// As [`ConfigMemory::clear_region`].
-    pub fn clear_region_scalar(&mut self, region: Rect) -> Result<(), BitstreamError> {
-        self.check_region(region)?;
-        for at in region.iter() {
-            let mut frame = self.frame_mut(at);
-            for i in 0..frame.len() {
-                frame.set_bit(i, false);
-            }
         }
         Ok(())
     }
@@ -181,17 +142,6 @@ impl ConfigMemory {
             self.store.copy_run_within(src, dst, rw);
         }
         Ok(())
-    }
-
-    /// Scalar reference twin of [`ConfigMemory::copy_region`]: stages the
-    /// region through an allocated buffer and writes it back bit by bit.
-    ///
-    /// # Errors
-    ///
-    /// As [`ConfigMemory::copy_region`].
-    pub fn copy_region_scalar(&mut self, from: Rect, to: Coord) -> Result<(), BitstreamError> {
-        let staged = self.read_region(from)?;
-        self.load_task_scalar(&staged, to)
     }
 
     /// Relocates region `from` to `to`: copies the frames
@@ -244,20 +194,6 @@ impl ConfigMemory {
             }
         }
         Ok(())
-    }
-
-    /// Scalar reference twin of [`ConfigMemory::move_region`]: stages the
-    /// region, clears the source per bit, then writes the staged copy back
-    /// per bit.
-    ///
-    /// # Errors
-    ///
-    /// As [`ConfigMemory::move_region`].
-    pub fn move_region_scalar(&mut self, from: Rect, to: Coord) -> Result<(), BitstreamError> {
-        self.check_region(Rect::new(to, from.width, from.height))?;
-        let staged = self.read_region(from)?;
-        self.clear_region_scalar(from)?;
-        self.load_task_scalar(&staged, to)
     }
 
     /// Extracts the frames of a region as a task bit-stream (read-back) —
@@ -401,31 +337,35 @@ mod tests {
     #[test]
     fn copy_region_handles_overlap_like_a_staged_copy() {
         for (dx, dy) in [(1i32, 0i32), (-1, 0), (0, 1), (0, -1), (2, 1), (1, -1)] {
-            let mut word = memory();
-            word.load_task(&small_task(), Coord::new(3, 3)).unwrap();
-            let mut scalar = word.clone();
+            let mut copied = memory();
+            copied.load_task(&small_task(), Coord::new(3, 3)).unwrap();
+            let mut staged = copied.clone();
             let from = Rect::new(Coord::new(3, 3), 3, 2);
             let to = Coord::new((3 + dx) as u16, (3 + dy) as u16);
-            word.copy_region(from, to).unwrap();
-            scalar.copy_region_scalar(from, to).unwrap();
-            assert_eq!(word, scalar, "copy_region diverged at shift ({dx},{dy})");
+            copied.copy_region(from, to).unwrap();
+            let buffer = staged.read_region(from).unwrap();
+            staged.load_task(&buffer, to).unwrap();
+            assert_eq!(copied, staged, "copy_region diverged at shift ({dx},{dy})");
         }
     }
 
     #[test]
     fn move_region_relocates_and_vacates() {
         for (dx, dy) in [(1i32, 0i32), (-1, 0), (0, 1), (0, -1), (4, 4), (1, 1)] {
-            let mut word = memory();
-            word.load_task(&small_task(), Coord::new(3, 3)).unwrap();
-            let mut scalar = word.clone();
+            let mut mem = memory();
+            mem.load_task(&small_task(), Coord::new(3, 3)).unwrap();
             let from = Rect::new(Coord::new(3, 3), 3, 2);
             let to = Coord::new((3 + dx) as u16, (3 + dy) as u16);
-            word.move_region(from, to).unwrap();
-            scalar.move_region_scalar(from, to).unwrap();
-            assert_eq!(word, scalar, "move_region diverged at shift ({dx},{dy})");
-            // The task content survived verbatim at the destination.
-            let back = word.read_region(Rect::new(to, 3, 2)).unwrap();
+            mem.move_region(from, to).unwrap();
+            // The task content survived verbatim at the destination and
+            // nothing was left behind at the source.
+            let back = mem.read_region(Rect::new(to, 3, 2)).unwrap();
             assert_eq!(back.diff_count(&small_task()).unwrap(), 0);
+            assert_eq!(
+                mem.occupied_macros(),
+                small_task().occupied_macros(),
+                "move_region left frames behind at shift ({dx},{dy})"
+            );
         }
     }
 

@@ -192,17 +192,13 @@ impl FrameStore {
         src.check_run(src_start, count)?;
         let words = count * self.stride;
         let dst = dst_start * self.stride;
-        Kernels::active().copy(
-            &mut self.words[dst..dst + words],
-            &src.words[src_start * self.stride..src_start * self.stride + words],
-        );
+        let src_words = src_start * self.stride;
+        self.words[dst..dst + words].copy_from_slice(&src.words[src_words..src_words + words]);
         Ok(())
     }
 
     /// Copies `count` frames from `src_start` to `dst_start` within this
-    /// store, with `memmove` semantics (overlap-safe). Disjoint runs take
-    /// the dispatched bulk-copy kernel; overlapping runs fall back to
-    /// `copy_within`.
+    /// store, with `memmove` semantics (overlap-safe).
     ///
     /// # Panics
     ///
@@ -212,21 +208,10 @@ impl FrameStore {
         let src = src_start * self.stride;
         let dst = dst_start * self.stride;
         assert!(src + words <= self.words.len() && dst + words <= self.words.len());
-        if src == dst || words == 0 {
-            return;
-        }
-        if src + words <= dst {
-            let (lo, hi) = self.words.split_at_mut(dst);
-            Kernels::active().copy(&mut hi[..words], &lo[src..src + words]);
-        } else if dst + words <= src {
-            let (lo, hi) = self.words.split_at_mut(src);
-            Kernels::active().copy(&mut lo[dst..dst + words], &hi[..words]);
-        } else {
-            self.words.copy_within(src..src + words, dst);
-        }
+        self.words.copy_within(src..src + words, dst);
     }
 
-    /// Zeroes `count` frames starting at `start` — one bulk kernel sweep.
+    /// Zeroes `count` frames starting at `start` — one `fill(0)`.
     ///
     /// # Errors
     ///
@@ -234,7 +219,7 @@ impl FrameStore {
     /// store.
     pub fn clear_run(&mut self, start: usize, count: usize) -> Result<(), BitstreamError> {
         self.check_run(start, count)?;
-        Kernels::active().fill_zero(self.run_mut(start, count));
+        self.run_mut(start, count).fill(0);
         Ok(())
     }
 

@@ -148,7 +148,9 @@ impl TaskBitstream {
         if self.spec() != other.spec() || self.width != other.width || self.height != other.height {
             return Err(BitstreamError::LayoutMismatch);
         }
-        crate::Kernels::active().or_into(self.store.words_mut(), other.store.words());
+        for (word, other) in self.store.words_mut().iter_mut().zip(other.store.words()) {
+            *word |= *other;
+        }
         Ok(())
     }
 

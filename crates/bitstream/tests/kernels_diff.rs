@@ -5,13 +5,16 @@
 //! the obvious scalar loops on *every* input shape: empty slices, sub-16-word
 //! buffers that never reach the unrolled loops, ragged tails past the last
 //! full vector, and misaligned offsets into a larger arena (the frame arena
-//! hands kernels unaligned interior runs, never whole allocations). The CRC
-//! kernel is additionally pinned against the retained byte-at-a-time oracle
-//! [`vbs_bitstream::crc32_words_scalar`], which exercises the PCLMULQDQ
-//! folding schedule on hosts that have it.
+//! hands kernels unaligned interior runs, never whole allocations). Every
+//! CRC path — byte slice-by-8, the word kernels, the PCLMULQDQ folding
+//! schedule on hosts that have it — is pinned against the bitwise,
+//! table-free [`oracle::crc32_scalar`].
 
+mod oracle;
+
+use oracle::{crc32_scalar, crc32_words_scalar};
 use proptest::prelude::*;
-use vbs_bitstream::{crc32_words_scalar, Kernels};
+use vbs_bitstream::{crc32, crc32_words, Kernels};
 
 /// Deterministic splitmix-style word stream.
 fn words(seed: u64, len: usize) -> Vec<u64> {
@@ -36,42 +39,13 @@ proptest! {
     // Lengths deliberately cross every code-path boundary: 0, sub-vector
     // (<4), sub-unroll (<16), and several full 64-byte CRC stripes (>=8).
     #[test]
-    fn copy_and_fill_match_scalar_on_any_window(
-        len in 0usize..200,
-        off in 0usize..7,
-        seed in 0u64..u64::MAX,
-    ) {
-        let src = words(seed, off + len);
-        let backdrop = words(seed ^ !0, off + len + 3);
-        for k in backends() {
-            let mut dst = backdrop.clone();
-            k.copy(&mut dst[off..off + len], &src[off..]);
-            // Scalar reference: an element loop on purpose, so the
-            // expectation is computed by different code than any backend.
-            let mut expect = backdrop.clone();
-            #[allow(clippy::manual_memcpy)]
-            for i in 0..len {
-                expect[off + i] = src[off + i];
-            }
-            prop_assert_eq!(&dst, &expect, "copy diverged on {}", k.name());
-
-            k.fill_zero(&mut dst[off..off + len]);
-            for w in &mut expect[off..off + len] {
-                *w = 0;
-            }
-            prop_assert_eq!(&dst, &expect, "fill_zero diverged on {}", k.name());
-        }
-    }
-
-    #[test]
-    fn or_and_popcounts_match_scalar_on_any_window(
+    fn popcounts_match_scalar_on_any_window(
         len in 0usize..200,
         off in 0usize..7,
         seed in 0u64..u64::MAX,
     ) {
         let a = words(seed, off + len);
         let b = words(seed.rotate_left(21) | 1, off + len);
-        let expect_or: Vec<u64> = a[off..].iter().zip(&b[off..]).map(|(x, y)| x | y).collect();
         let expect_diff: usize = a[off..]
             .iter()
             .zip(&b[off..])
@@ -79,9 +53,6 @@ proptest! {
             .sum();
         let expect_pop: usize = a[off..].iter().map(|w| w.count_ones() as usize).sum();
         for k in backends() {
-            let mut dst = a.clone();
-            k.or_into(&mut dst[off..], &b[off..]);
-            prop_assert_eq!(&dst[off..], &expect_or[..], "or_into diverged on {}", k.name());
             prop_assert_eq!(
                 k.xor_popcount(&a[off..], &b[off..]),
                 expect_diff,
@@ -132,5 +103,35 @@ proptest! {
             let split = k.crc32_words(k.crc32_words(!0, &buf[..cut]), &buf[cut..]);
             prop_assert_eq!(one_shot, split, "split fold diverged on {}", k.name());
         }
+    }
+}
+
+#[test]
+fn slice8_matches_the_byte_oracle_at_every_length() {
+    // The oracle itself is pinned to the canonical CRC-32 check value.
+    assert_eq!(crc32_scalar(b"123456789"), 0xCBF4_3926);
+    let data: Vec<u8> = (0..64u32)
+        .map(|i| (i.wrapping_mul(167).wrapping_add(13) & 0xff) as u8)
+        .collect();
+    for len in 0..data.len() {
+        assert_eq!(
+            crc32(&data[..len]),
+            crc32_scalar(&data[..len]),
+            "slice-by-8 diverged at byte length {len}"
+        );
+    }
+}
+
+#[test]
+fn word_fold_matches_the_byte_oracle_at_every_length() {
+    let words: Vec<u64> = (0..48u64)
+        .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (i << 23))
+        .collect();
+    for len in 0..words.len() {
+        assert_eq!(
+            crc32_words(&words[..len]),
+            crc32_words_scalar(&words[..len]),
+            "word fold diverged at word length {len}"
+        );
     }
 }

@@ -5,7 +5,10 @@
 //! setting the variable *before* the first `Kernels::active()` call (its own
 //! integration-test binary, so the dispatch slot is untouched).
 
-use vbs_bitstream::{crc32_words_scalar, Kernels};
+mod oracle;
+
+use oracle::crc32_words_scalar;
+use vbs_bitstream::Kernels;
 
 #[test]
 fn env_override_pins_the_portable_backend() {

@@ -96,11 +96,6 @@ impl<'a> BitReader<'a> {
         BitReader { bytes, cursor: 0 }
     }
 
-    /// Number of bits consumed so far.
-    pub fn bit_pos(&self) -> usize {
-        self.cursor
-    }
-
     /// Number of bits remaining.
     pub fn remaining(&self) -> usize {
         self.bytes.len() * 8 - self.cursor

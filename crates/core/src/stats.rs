@@ -64,15 +64,6 @@ impl VbsStats {
     pub fn factor(&self) -> f64 {
         self.raw_bits as f64 / self.vbs_bits as f64
     }
-
-    /// Average number of coded connections per coded record.
-    pub fn connections_per_record(&self) -> f64 {
-        if self.coded_records == 0 {
-            0.0
-        } else {
-            self.connections as f64 / self.coded_records as f64
-        }
-    }
 }
 
 impl fmt::Display for VbsStats {

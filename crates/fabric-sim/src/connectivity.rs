@@ -40,21 +40,6 @@ impl Connectivity {
         node
     }
 
-    /// Whether two pins are electrically connected by the configuration.
-    pub fn pins_connected(&self, a: (Coord, u8), b: (Coord, u8)) -> bool {
-        let na = FabricNode::Pin {
-            site: a.0,
-            pin: a.1,
-        };
-        let nb = FabricNode::Pin {
-            site: b.0,
-            pin: b.1,
-        };
-        self.parent.contains_key(&na)
-            && self.parent.contains_key(&nb)
-            && self.find(na) == self.find(nb)
-    }
-
     /// The representative node of the electrical net a pin belongs to, if the
     /// pin is connected to anything.
     pub fn net_of_pin(&self, site: Coord, pin: u8) -> Option<FabricNode> {

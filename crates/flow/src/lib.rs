@@ -98,18 +98,6 @@ impl CadFlow {
         self
     }
 
-    /// Overrides the placer configuration.
-    pub fn with_placer(mut self, placer: PlacerConfig) -> Self {
-        self.placer = placer;
-        self
-    }
-
-    /// Overrides the router configuration.
-    pub fn with_router(mut self, router: RouterConfig) -> Self {
-        self.router = router;
-        self
-    }
-
     /// The architecture this flow targets.
     pub const fn spec(&self) -> &ArchSpec {
         &self.spec

@@ -108,11 +108,6 @@ impl SyntheticSpec {
         self
     }
 
-    /// Number of LUTs that will be generated.
-    pub fn lut_target(&self) -> usize {
-        self.luts
-    }
-
     /// Generates the circuit.
     ///
     /// # Errors

@@ -1,14 +1,13 @@
 //! On-line task management: placing, loading, relocating and evicting
 //! hardware tasks on the fabric at run time.
 
-use crate::controller::{DecodeReport, ReconfigurationController};
+use crate::controller::ReconfigurationController;
 use crate::error::RuntimeError;
 use crate::placement::{FabricId, FabricView, FirstFit, PlacementPolicy};
 use crate::pool::ScratchPool;
 use crate::repository::VbsRepository;
 use vbs_arch::{Coord, Rect};
 use vbs_bitstream::TaskBitstream;
-use vbs_core::Vbs;
 
 /// Identifier of a loaded task instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -147,22 +146,6 @@ impl TaskManager {
         Ok(self.register(name, region))
     }
 
-    /// De-virtualizes `vbs` into `staging` on the controller's decode lanes
-    /// (zero allocations when the pool is warm, at any worker count) — the
-    /// decode handoff for callers that cache decoded images, first decodes
-    /// and warm-tier re-decodes alike.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::Decode`] when the stream cannot be expanded.
-    pub fn devirtualize_into(
-        &mut self,
-        vbs: &Vbs,
-        staging: &mut TaskBitstream,
-    ) -> Result<DecodeReport, RuntimeError> {
-        self.controller.decode_into(vbs, staging)
-    }
-
     /// Loads an already-decoded task bit-stream at an explicit position —
     /// the cache-hit path of the scheduler: a repeated load of the same task
     /// skips the fetch and de-virtualization entirely.
@@ -298,6 +281,7 @@ mod tests {
     use std::sync::atomic::{AtomicU8, Ordering};
     use std::sync::{Arc, OnceLock};
     use vbs_arch::{ArchSpec, Device};
+    use vbs_core::Vbs;
     use vbs_flow::CadFlow;
     use vbs_netlist::generate::SyntheticSpec;
 

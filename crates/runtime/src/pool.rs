@@ -19,7 +19,7 @@
 //!
 //! The pool is `Clone` + thread-safe (a shared handle): one pool typically
 //! serves every fabric of a fleet, its schedulers' decode caches and every
-//! decode worker thread. `vbs-sched` re-exports it as `BitstreamPool`.
+//! decode worker thread.
 
 use std::sync::{Arc, Mutex};
 use vbs_arch::ArchSpec;

@@ -12,10 +12,10 @@
 //! cache holds two tiers under a [`CacheBudget`]:
 //!
 //! - **Hot** entries keep the decoded `FrameStore` arena — a hit is a
-//!   zero-cost `Arc` clone, exactly the classic LRU path.
+//!   zero-cost `Arc` clone.
 //! - **Warm** entries keep only the compressed VBS bytes — a hit re-decodes
 //!   through the pooled decode lanes (allocation-free once the pools are
-//!   warm) and counts as a miss in the classic hit/miss counters.
+//!   warm) and counts as a miss in the hit/miss counters.
 //!
 //! Under byte pressure a hot entry is *demoted* to warm instead of evicted
 //! outright: its decode cost is preserved as metadata and its compressed
@@ -23,9 +23,9 @@
 //! rather than a repository round-trip of unknown cost. A cost model —
 //! measured decode micros × observed hit count per decoded byte — picks
 //! demotion victims, so expensive-to-decode, frequently-hit tasks keep
-//! their hot slots. With both budgets unbounded (the default) the cache
-//! behaves bit-identically to the classic count-capped LRU: nothing is ever
-//! demoted and the warm tier stays empty.
+//! their hot slots. The byte budget is the only way to size the cache: with
+//! both budgets unbounded (the default) every stream decoded once stays
+//! hot, nothing is ever demoted and the warm tier stays empty.
 
 use std::sync::Arc;
 use vbs_arch::ArchSpec;
@@ -33,8 +33,7 @@ use vbs_bitstream::TaskBitstream;
 
 /// Byte budgets of the two cache tiers. `0` means **unbounded** (the same
 /// sentinel convention as `SchedulerConfig::compaction_frame_budget`); the
-/// default is unbounded on both tiers, which reproduces the classic
-/// count-capped LRU exactly.
+/// default is unbounded on both tiers, which keeps every decoded stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheBudget {
     /// Byte budget of the hot tier (decoded arenas + their compressed
@@ -51,8 +50,8 @@ impl CacheBudget {
         warm_bytes: 0,
     };
 
-    /// Whether both tiers are unbounded — the classic-LRU compatibility
-    /// regime where no entry is ever demoted.
+    /// Whether both tiers are unbounded — no entry is ever demoted or
+    /// dropped.
     pub fn is_unbounded(&self) -> bool {
         self.hot_bytes == 0 && self.warm_bytes == 0
     }
@@ -61,11 +60,10 @@ impl CacheBudget {
 /// The outcome of a cache lookup.
 #[derive(Debug, Clone)]
 pub enum CacheLookup {
-    /// The decoded arena is resident: use it directly (classic hit).
+    /// The decoded arena is resident: use it directly.
     Hot(Arc<TaskBitstream>),
     /// The entry is known but holds only compressed bytes: re-decode
-    /// through the pooled lanes. Counted as a miss in the classic counters
-    /// plus a `warm_hits` bump.
+    /// through the pooled lanes. Counted as a miss plus a `warm_hits` bump.
     Warm,
     /// Nothing cached.
     Miss,
@@ -73,8 +71,8 @@ pub enum CacheLookup {
 
 /// What an insert displaced, so callers can recycle buffers and record
 /// telemetry. `displaced` carries every decoded arena the insert released —
-/// replaced images, eviction victims and demoted entries — for recycling
-/// into a [`crate::BitstreamPool`]; it is empty (no allocation) on the
+/// replaced images, surplus decodes and demoted entries — for recycling
+/// into a [`vbs_runtime::ScratchPool`]; it is empty (no allocation) on the
 /// common pressure-free insert.
 #[derive(Debug, Default)]
 pub struct InsertOutcome {
@@ -102,8 +100,6 @@ pub struct CacheStats {
     pub entries: usize,
     /// Warm entries currently cached (compressed bytes only).
     pub warm_entries: usize,
-    /// Maximum number of hot entries.
-    pub capacity: usize,
     /// Bytes held by the hot tier (decoded arenas + compressed copies).
     pub hot_bytes: u64,
     /// Bytes held by the warm tier (compressed bytes).
@@ -119,24 +115,13 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// Hot-hit rate in `[0, 1]`; 0 when nothing was looked up yet. Warm
-    /// hits count as misses here (they pay a decode), matching the classic
-    /// counters exactly.
+    /// hits count as misses here (they pay a decode).
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
             return 0.0;
         }
         self.hits as f64 / total as f64
-    }
-
-    /// Fraction of lookups that avoided a repository-shaped cold miss
-    /// (hot hits + warm re-decodes) in `[0, 1]`.
-    pub fn residency_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            return 0.0;
-        }
-        (self.hits + self.warm_hits) as f64 / total as f64
     }
 
     /// Total bytes resident across both tiers.
@@ -201,11 +186,10 @@ fn poorer(a: &Entry, b: &Entry, at_stake: impl Fn(&Entry) -> u64) -> bool {
 const ADMISSION_MARGIN: u128 = 2;
 
 /// A two-tier (hot decoded / warm compressed) cache of task bit-streams
-/// keyed by `(task, spec)`, count-capped on hot entries and byte-budgeted
-/// on both tiers (see the module docs).
+/// keyed by `(task, spec)`, byte-budgeted on both tiers (see the module
+/// docs).
 #[derive(Debug)]
 pub struct DecodeCache {
-    capacity: usize,
     budget: CacheBudget,
     entries: Vec<Entry>,
     hits: u64,
@@ -218,18 +202,10 @@ pub struct DecodeCache {
 }
 
 impl DecodeCache {
-    /// Creates an unbounded-budget cache holding at most `capacity` decoded
-    /// streams — the classic LRU. `capacity` 0 disables caching (every
-    /// lookup misses).
-    pub fn new(capacity: usize) -> Self {
-        DecodeCache::with_budget(capacity, CacheBudget::UNBOUNDED)
-    }
-
-    /// Creates a cache holding at most `capacity` decoded streams under
-    /// `budget` (0 bytes on a tier = unbounded).
-    pub fn with_budget(capacity: usize, budget: CacheBudget) -> Self {
+    /// Creates an empty cache under `budget` (0 bytes on a tier =
+    /// unbounded).
+    pub fn new(budget: CacheBudget) -> Self {
         DecodeCache {
-            capacity,
             budget,
             entries: Vec::new(),
             hits: 0,
@@ -248,7 +224,7 @@ impl DecodeCache {
     }
 
     /// Looks up `(name, spec)`, refreshing its LRU stamp and counting a
-    /// hot hit, a warm hit (classic miss + `warm_hits`), or a miss.
+    /// hot hit, a warm hit (a miss + `warm_hits`), or a miss.
     pub fn get(&mut self, name: &str, spec: &ArchSpec) -> CacheLookup {
         self.clock += 1;
         let clock = self.clock;
@@ -281,16 +257,13 @@ impl DecodeCache {
 
     /// Inserts (or replaces, or promotes) the decoded stream of
     /// `(name, spec)` together with its compressed bytes and the measured
-    /// decode cost, then enforces the count cap and both byte budgets.
+    /// decode cost, then enforces both byte budgets.
     ///
-    /// Under an unbounded budget this is exactly the classic LRU insert:
-    /// the least-recently-used entry is evicted outright when the count cap
-    /// overflows. Under a finite budget the cost model gates admission —
-    /// a stream whose value density does not clearly beat the poorest hot
-    /// incumbent (by the factor `ADMISSION_MARGIN`, 2) lands in (or stays
-    /// in) the warm tier instead of churning the hot set — the count-cap
-    /// victim is
-    /// *demoted* to warm instead of dropped, and byte pressure demotes
+    /// Under an unbounded budget the stream simply becomes hot. Under a
+    /// finite budget the cost model gates admission — a stream whose value
+    /// density does not clearly beat the poorest hot incumbent (by the
+    /// factor `ADMISSION_MARGIN`, 2) lands in (or stays in) the warm tier
+    /// instead of churning the hot set — and byte pressure demotes
     /// minimum-score hot entries then drops minimum-score warm entries
     /// until both tiers fit.
     pub fn insert(
@@ -302,10 +275,6 @@ impl DecodeCache {
         decode_micros: u64,
     ) -> InsertOutcome {
         let mut outcome = InsertOutcome::default();
-        if self.capacity == 0 {
-            outcome.displaced.push(task);
-            return outcome;
-        }
         self.clock += 1;
         let decoded_bytes = task.size_bytes();
         if let Some(index) = self
@@ -351,9 +320,6 @@ impl DecodeCache {
                 compressed.len() as u64,
                 decode_micros.max(1) as u128,
             );
-            if admit && self.hot_count() >= self.capacity {
-                self.displace_count_victim(&mut outcome);
-            }
             let task = if admit {
                 Some(task)
             } else {
@@ -396,28 +362,6 @@ impl DecodeCache {
         let victim = &self.entries[victim];
         value * u128::from(victim.decoded_bytes.max(1))
             >= ADMISSION_MARGIN * victim.value() * u128::from(decoded_bytes.max(1))
-    }
-
-    /// Evicts (unbounded budget) or demotes (finite budget) the
-    /// least-recently-used **hot** entry to make room for one more.
-    fn displace_count_victim(&mut self, outcome: &mut InsertOutcome) {
-        let victim = self
-            .entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.is_hot())
-            .min_by_key(|(_, e)| e.last_used)
-            .map(|(i, _)| i);
-        let Some(index) = victim else { return };
-        if self.budget.is_unbounded() {
-            // Classic-LRU regime: drop the whole entry, exactly as before.
-            let entry = self.entries.swap_remove(index);
-            if let Some(task) = entry.task {
-                outcome.displaced.push(task);
-            }
-        } else {
-            self.demote(index, outcome);
-        }
     }
 
     /// Drops the decoded arena of entry `index`, keeping its compressed
@@ -511,14 +455,6 @@ impl DecodeCache {
         self.entries.iter().any(|e| e.name == name)
     }
 
-    /// The compressed bytes of a warm entry, if `(name, spec)` is warm.
-    pub fn warm_compressed(&self, name: &str, spec: &ArchSpec) -> Option<&[u8]> {
-        self.entries
-            .iter()
-            .find(|e| e.name == name && e.spec == *spec && !e.is_hot())
-            .map(|e| e.compressed.as_slice())
-    }
-
     /// Drops every entry in both tiers (counters are kept).
     pub fn clear(&mut self) {
         self.entries.clear();
@@ -539,7 +475,6 @@ impl DecodeCache {
             warm_hits: self.warm_hits,
             entries: self.hot_count(),
             warm_entries: self.entries.len() - self.hot_count(),
-            capacity: self.capacity,
             hot_bytes: self.hot_bytes_used(),
             warm_bytes: self.warm_bytes_used(),
             demotions: self.demotions,
@@ -574,7 +509,7 @@ mod tests {
     #[test]
     fn hit_after_insert_and_lru_eviction() {
         let spec = ArchSpec::paper_example();
-        let mut cache = DecodeCache::new(2);
+        let mut cache = DecodeCache::new(CacheBudget::UNBOUNDED);
         assert!(hot(cache.get("a", &spec)).is_none());
         assert!(cache
             .insert("a", spec, task(1), compressed(4), 10)
@@ -584,67 +519,27 @@ mod tests {
             .insert("b", spec, task(2), compressed(4), 10)
             .displaced
             .is_empty());
-        assert!(hot(cache.get("a", &spec)).is_some());
-        // "b" is now least recently used; inserting "c" evicts and returns it.
-        let outcome = cache.insert("c", spec, task(3), compressed(4), 10);
-        let evicted = outcome.displaced.first().expect("lru victim");
-        assert_eq!(evicted.popcount(), 1);
-        assert!(evicted.frame(Coord::new(0, 0)).bit(2));
-        // Unbounded budget = classic LRU: the victim is gone, not demoted.
-        assert!(matches!(cache.get("b", &spec), CacheLookup::Miss));
-        assert!(hot(cache.get("a", &spec)).is_some());
-        assert!(hot(cache.get("c", &spec)).is_some());
+        let a = hot(cache.get("a", &spec)).expect("hot hit");
+        assert!(a.frame(Coord::new(0, 0)).bit(1));
+        assert!(hot(cache.get("b", &spec)).is_some());
+        assert!(matches!(cache.get("c", &spec), CacheLookup::Miss));
         let stats = cache.stats();
-        assert_eq!(stats.hits, 3);
+        assert_eq!(stats.hits, 2);
         assert_eq!(stats.misses, 2);
         assert_eq!(stats.entries, 2);
         assert_eq!(stats.warm_entries, 0);
         assert_eq!(stats.warm_hits, 0);
-        assert!((stats.hit_rate() - 3.0 / 5.0).abs() < 1e-9);
+        assert!((stats.hit_rate() - 2.0 / 4.0).abs() < 1e-9);
     }
 
     #[test]
     fn different_specs_do_not_alias() {
         let a = ArchSpec::paper_example();
         let b = ArchSpec::paper_evaluation();
-        let mut cache = DecodeCache::new(4);
+        let mut cache = DecodeCache::new(CacheBudget::UNBOUNDED);
         cache.insert("t", a, task(1), compressed(4), 10);
         assert!(hot(cache.get("t", &b)).is_none());
         assert!(hot(cache.get("t", &a)).is_some());
-    }
-
-    #[test]
-    fn zero_capacity_disables_caching() {
-        let spec = ArchSpec::paper_example();
-        let mut cache = DecodeCache::new(0);
-        let outcome = cache.insert("a", spec, task(1), compressed(4), 10);
-        assert_eq!(outcome.displaced.len(), 1);
-        assert!(hot(cache.get("a", &spec)).is_none());
-        assert_eq!(cache.stats().entries, 0);
-    }
-
-    #[test]
-    fn count_cap_demotes_instead_of_evicting_under_finite_budget() {
-        let spec = ArchSpec::paper_example();
-        let budget = CacheBudget {
-            hot_bytes: 1 << 30,
-            warm_bytes: 1 << 30,
-        };
-        let mut cache = DecodeCache::with_budget(2, budget);
-        cache.insert("a", spec, task(1), compressed(8), 10);
-        cache.insert("b", spec, task(2), compressed(8), 10);
-        cache.get("a", &spec);
-        let outcome = cache.insert("c", spec, task(3), compressed(8), 10);
-        assert_eq!(outcome.demoted, 1);
-        assert_eq!(outcome.displaced.len(), 1);
-        // "b" fell to warm: lookup reports a warm hit, not a miss.
-        assert!(matches!(cache.get("b", &spec), CacheLookup::Warm));
-        let stats = cache.stats();
-        assert_eq!(stats.entries, 2);
-        assert_eq!(stats.warm_entries, 1);
-        assert_eq!(stats.warm_hits, 1);
-        assert_eq!(stats.demotions, 1);
-        assert_eq!(stats.warm_bytes, 8);
     }
 
     #[test]
@@ -656,7 +551,7 @@ mod tests {
             hot_bytes: 2 * (arena + 8),
             warm_bytes: 0,
         };
-        let mut cache = DecodeCache::with_budget(8, budget);
+        let mut cache = DecodeCache::new(budget);
         cache.insert("cheap", spec, task(1), compressed(8), 1);
         cache.insert("dear", spec, task(2), compressed(8), 1_000);
         // "dear" is worth more per byte; the third insert demotes "cheap"
@@ -680,7 +575,7 @@ mod tests {
             hot_bytes: arena + 16,
             warm_bytes: 20,
         };
-        let mut cache = DecodeCache::with_budget(8, budget);
+        let mut cache = DecodeCache::new(budget);
         for (i, name) in ["a", "b", "c", "d"].iter().enumerate() {
             cache.insert(name, spec, task(i + 1), compressed(16), 10);
             let stats = cache.stats();
@@ -702,7 +597,7 @@ mod tests {
             hot_bytes: arena + 8,
             warm_bytes: 0,
         };
-        let mut cache = DecodeCache::with_budget(8, budget);
+        let mut cache = DecodeCache::new(budget);
         cache.insert("a", spec, task(1), compressed(8), 10);
         // "b" does not clearly beat "a" on value density, so the admission
         // gate holds it warm instead of churning the single hot slot.
@@ -733,7 +628,7 @@ mod tests {
             hot_bytes: arena + 8,
             warm_bytes: 0,
         };
-        let mut cache = DecodeCache::with_budget(8, budget);
+        let mut cache = DecodeCache::new(budget);
         cache.insert("a", spec, task(1), compressed(8), 10);
         // The admission gate lands "b" in the warm tier ("a" holds the slot).
         cache.insert("b", spec, task(2), compressed(8), 10);

@@ -286,13 +286,6 @@ impl McncCorpus {
         self.scheduler_on_with(self.single.0, self.single.1, 0, config)
     }
 
-    /// A replay scheduler over the corpus repository on an arbitrary fabric
-    /// shape — the memory-budget benchmarks replay the corpus traces on
-    /// production-scale (100×100) devices through this.
-    pub fn scheduler_sized(&self, width: u16, height: u16, config: SchedulerConfig) -> Scheduler {
-        self.scheduler_on_with(width, height, 0, config)
-    }
-
     /// A replay scheduler over an explicit repository (e.g. the scaled
     /// instance population of [`McncCorpus::scaled_repository`]) on an
     /// arbitrary fabric shape.

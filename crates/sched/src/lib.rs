@@ -14,11 +14,11 @@
 //! * compaction — [`Scheduler::compact`] relocates resident tasks toward the
 //!   bottom-left corner to fight external fragmentation, exercising the
 //!   paper's fast-relocation use case at scale;
-//! * [`DecodeCache`] — an LRU cache of decoded [`vbs_bitstream::TaskBitstream`]s
-//!   keyed by `(task, spec)`, so repeated loads skip de-virtualization;
-//! * [`BitstreamPool`] — a fleet-wide free-list of decoded-image buffers:
-//!   cache evictions recycle into it, decode lanes check out of it, so
-//!   steady-state decoding allocates nothing;
+//! * [`DecodeCache`] — a byte-budgeted cache of decoded
+//!   [`vbs_bitstream::TaskBitstream`]s keyed by `(task, spec)`, so repeated
+//!   loads skip de-virtualization; arenas it displaces recycle into the
+//!   fleet-wide [`vbs_runtime::ScratchPool`] the decode lanes check out of,
+//!   so steady-state decoding allocates nothing;
 //! * [`Trace`] / [`replay`] — a deterministic trace format, a seeded
 //!   synthetic workload generator and a simulator reporting acceptance
 //!   rate, fragmentation, decode time, cache hit rate and relocations;
@@ -65,7 +65,6 @@ mod corpus;
 mod evict;
 mod fault;
 mod multi;
-mod pool;
 mod scheduler;
 mod shard;
 mod sim;
@@ -76,7 +75,6 @@ pub use corpus::{CorpusError, CorpusTask, McncCorpus};
 pub use evict::{EvictionPolicy, LruEviction, PriorityEviction, ResidentInfo};
 pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultPlanError, Outage};
 pub use multi::{MultiConfig, MultiFabricScheduler, MultiMetrics};
-pub use pool::{BitstreamPool, PoolStats};
 pub use scheduler::{
     EvacuatedJob, Outcome, RejectReason, Request, SchedMetrics, Scheduler, SchedulerConfig,
 };

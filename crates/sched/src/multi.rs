@@ -22,10 +22,10 @@
 //! outcomes are translated back to them, so callers never see per-fabric
 //! ids.
 
-use crate::pool::BitstreamPool;
 use crate::scheduler::{EvacuatedJob, Outcome, RejectReason, Request, SchedMetrics, Scheduler};
 use crate::shard::{FabricStatus, ShardPolicy};
 use std::collections::HashMap;
+use vbs_runtime::ScratchPool;
 use vbs_telemetry::{EventKind, Telemetry, FLEET_FABRIC};
 
 /// Tunables of the multi-fabric dispatcher.
@@ -135,7 +135,7 @@ pub struct MultiFabricScheduler {
     telemetry: Telemetry,
     /// The fleet-wide recycled decode-state pool shared by every fabric's
     /// decode cache and every controller's decode lanes.
-    pool: BitstreamPool,
+    pool: ScratchPool,
 }
 
 impl MultiFabricScheduler {
@@ -155,7 +155,7 @@ impl MultiFabricScheduler {
         assert!(!fabrics.is_empty(), "a fleet needs at least one fabric");
         // One buffer pool for the whole fleet: an image evicted from any
         // fabric's decode cache feeds the next decode anywhere.
-        let pool = BitstreamPool::default();
+        let pool = ScratchPool::default();
         for fabric in &mut fabrics {
             fabric.set_pool(pool.clone());
         }
@@ -196,7 +196,7 @@ impl MultiFabricScheduler {
     }
 
     /// The fleet-wide recycled-buffer pool (a shared handle).
-    pub fn bitstream_pool(&self) -> BitstreamPool {
+    pub fn bitstream_pool(&self) -> ScratchPool {
         self.pool.clone()
     }
 

@@ -11,12 +11,11 @@
 
 use crate::cache::{CacheBudget, CacheLookup, CacheStats, DecodeCache};
 use crate::evict::{EvictionPolicy, LruEviction, ResidentInfo};
-use crate::pool::BitstreamPool;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use vbs_arch::{ArchSpec, Coord, Rect};
 use vbs_bitstream::{BitstreamError, TaskBitstream};
-use vbs_runtime::{RuntimeError, TaskHandle, TaskManager};
+use vbs_runtime::{RuntimeError, ScratchPool, TaskHandle, TaskManager};
 use vbs_telemetry::{CounterBank, EventKind, Stage, Telemetry};
 
 /// [`CounterBank`] slot assignments backing the [`SchedMetrics`] view.
@@ -156,8 +155,6 @@ pub struct SchedulerConfig {
     pub eviction_limit: usize,
     /// Whether to run a defragmentation pass when placement fails.
     pub compaction: bool,
-    /// Decoded streams kept in the cache (0 disables caching).
-    pub cache_capacity: usize,
     /// Maximum retries of a transiently refused configuration write
     /// before the load is re-placed elsewhere (and, failing that,
     /// rejected). The retry budget is the bounded-backoff knob: retries
@@ -180,10 +177,10 @@ pub struct SchedulerConfig {
     /// budget.
     pub compaction_frame_budget: u64,
     /// Byte budgets of the two decode-cache tiers (hot decoded arenas /
-    /// warm compressed bytes). The default — unbounded on both tiers —
-    /// reproduces the classic count-capped LRU bit-identically: nothing is
-    /// ever demoted and every counter matches. A finite budget caps the
-    /// cache's resident bytes: entries over the hot budget fall back to
+    /// warm compressed bytes), the one way to size the cache. The default —
+    /// unbounded on both tiers — keeps every stream decoded once: nothing
+    /// is ever demoted or re-decoded. A finite budget caps the cache's
+    /// resident bytes: entries over the hot budget fall back to
     /// their compressed VBS bytes and re-decode through the pooled lanes
     /// on their next hit (see [`CacheBudget`]).
     pub cache_budget: CacheBudget,
@@ -194,7 +191,6 @@ impl Default for SchedulerConfig {
         SchedulerConfig {
             eviction_limit: 2,
             compaction: true,
-            cache_capacity: 16,
             write_retry_limit: 2,
             verify: false,
             compaction_frame_budget: 0,
@@ -353,7 +349,7 @@ pub struct Scheduler {
     fabric: u16,
     /// Recycled decoded-image buffers: cache evictions return here, decodes
     /// check out of here. Shared fleet-wide in multi-fabric deployments.
-    pool: BitstreamPool,
+    pool: ScratchPool,
     /// A budget-truncated compaction pass left moves unexecuted; the next
     /// idle tick ([`Scheduler::advance_to`] with an empty queue) resumes
     /// the plan instead of burning passes back-to-back.
@@ -376,7 +372,7 @@ impl Scheduler {
         eviction: Box<dyn EvictionPolicy>,
         config: SchedulerConfig,
     ) -> Self {
-        let cache = DecodeCache::with_budget(config.cache_capacity, config.cache_budget);
+        let cache = DecodeCache::new(config.cache_budget);
         // Share the controller's scratch pool: images the cache evicts feed
         // the controller's decode lanes and vice versa.
         let pool = manager.controller().scratch_pool().clone();
@@ -422,7 +418,7 @@ impl Scheduler {
     }
 
     /// The scheduler's recycled-buffer pool (a shared handle).
-    pub fn bitstream_pool(&self) -> BitstreamPool {
+    pub fn bitstream_pool(&self) -> ScratchPool {
         self.pool.clone()
     }
 
@@ -430,7 +426,7 @@ impl Scheduler {
     /// install one shared pool so evictions on any fabric feed decodes
     /// everywhere. The pool is also installed on this fabric's controller,
     /// so its decode lanes draw from the same free-list.
-    pub fn set_pool(&mut self, pool: BitstreamPool) {
+    pub fn set_pool(&mut self, pool: ScratchPool) {
         self.manager.set_scratch_pool(pool.clone());
         self.pool = pool;
     }
@@ -848,10 +844,8 @@ impl Scheduler {
     /// hot hit, the warm hit + pooled re-decode, or the miss + decode).
     /// Returns the stream and whether it was a (hot) cache hit.
     ///
-    /// A warm hit accounts exactly like a miss in the classic counters
-    /// (miss + decode + decode micros) — that invariance is what keeps
-    /// every golden trace bit-identical under any budget — and
-    /// *additionally* bumps the warm-hit counters.
+    /// A warm hit accounts exactly like a miss (miss + decode + decode
+    /// micros) and *additionally* bumps the warm-hit counters.
     ///
     /// The repository stays authoritative on every path: the lookup key is
     /// [`VbsRepository::header`](vbs_runtime::VbsRepository::header), whose
@@ -877,7 +871,7 @@ impl Scheduler {
         let mut staging = self
             .pool
             .checkout(*vbs.spec(), vbs.width().max(1), vbs.height().max(1));
-        let report = match self.manager.devirtualize_into(&vbs, &mut staging) {
+        let report = match self.manager.controller().decode_into(&vbs, &mut staging) {
             Ok(report) => report,
             Err(e) => {
                 self.pool.put(staging);
@@ -908,8 +902,7 @@ impl Scheduler {
     /// metadata its cost model runs on (compressed bytes + measured decode
     /// micros), recycles every displaced arena into the shared pool, and
     /// records tier-transition events. Under an unbounded budget nothing
-    /// is ever demoted, so the compressed copy is skipped entirely and the
-    /// behavior is byte-for-byte the classic LRU insert.
+    /// is ever demoted, so the compressed copy is skipped entirely.
     fn cache_insert(&mut self, name: &str, spec: ArchSpec, task: Arc<TaskBitstream>, micros: u64) {
         let compressed = if self.cache.budget().is_unbounded() {
             Vec::new()

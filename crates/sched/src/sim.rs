@@ -435,7 +435,6 @@ fn cache_delta(after: CacheStats, before: CacheStats) -> CacheStats {
         warm_admissions: after.warm_admissions - before.warm_admissions,
         entries: after.entries,
         warm_entries: after.warm_entries,
-        capacity: after.capacity,
         hot_bytes: after.hot_bytes,
         warm_bytes: after.warm_bytes,
     }

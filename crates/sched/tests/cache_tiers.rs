@@ -2,11 +2,10 @@
 //!
 //! Three properties pin the tiering design:
 //!
-//! * **Legacy parity** — with both byte budgets unbounded, the tiered
-//!   cache is *bit-identical* to the classic count-capped LRU it replaced:
-//!   same hit/miss stream, same eviction victims (dropped outright, never
-//!   demoted), and the warm tier never forms. A Vec-based reference model
-//!   replays every operation alongside the real cache.
+//! * **Unbounded keeps everything** — with both byte budgets unbounded the
+//!   scheduler decodes every stream of the repository exactly once, however
+//!   many there are: nothing is demoted or dropped, and what each load
+//!   wrote is its stream's decode.
 //! * **Budget safety** — under any finite budget, after *every* operation
 //!   each tier's resident bytes stay within its budget.
 //! * **Budget invariance** — replaying a workload through the scheduler
@@ -18,137 +17,121 @@ mod common;
 
 use common::{scheduler, TASKS};
 use proptest::prelude::*;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use vbs_arch::{ArchSpec, Coord, Rect};
 use vbs_bitstream::TaskBitstream;
 use vbs_runtime::BestFit;
 use vbs_sched::{
-    CacheBudget, CacheLookup, DecodeCache, Scheduler, SchedulerConfig, Trace, WorkloadSpec,
+    CacheBudget, DecodeCache, McncCorpus, Outcome, Request, Scheduler, SchedulerConfig, Trace,
+    TraceOp, WorkloadSpec,
 };
 
-/// A decoded stream carrying its name index as a frame bit, so eviction
-/// victims can be identified from the `Arc` the cache hands back.
+/// A decoded stream carrying its name index as a frame bit.
 fn task(idx: usize) -> Arc<TaskBitstream> {
     let mut t = TaskBitstream::empty(ArchSpec::paper_example(), 2, 2);
     t.frame_mut(Coord::new(0, 0)).set_bit(idx, true);
     Arc::new(t)
 }
 
-/// Recovers the name index [`task`] planted.
-fn idx_of(t: &TaskBitstream) -> usize {
-    (0..16)
-        .find(|&i| t.frame(Coord::new(0, 0)).bit(i))
-        .expect("fixture bit present")
-}
-
-/// The pre-tiering cache, as a reference model: a flat list of
-/// `(name index, last-used stamp)` under a count cap.
-struct LruModel {
-    capacity: usize,
-    entries: Vec<(usize, u64)>,
-    clock: u64,
-    hits: u64,
-    misses: u64,
-}
-
-impl LruModel {
-    fn new(capacity: usize) -> Self {
-        LruModel {
-            capacity,
-            entries: Vec::new(),
-            clock: 0,
-            hits: 0,
-            misses: 0,
+/// An unbounded budget keeps every stream it decoded: over seeded random
+/// traces on a 48-instance population (more streams than any count cap the
+/// cache ever had), each distinct task is decoded exactly once, nothing is
+/// demoted, and every load wrote its stream's decode.
+#[test]
+fn unbounded_cache_decodes_every_stream_exactly_once() {
+    let corpus = McncCorpus::load(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/traces/mcnc"
+    ))
+    .expect("corpus loads");
+    let repository = corpus.scaled_repository(48);
+    let config = SchedulerConfig {
+        cache_budget: CacheBudget::UNBOUNDED,
+        ..McncCorpus::replay_config()
+    };
+    // Decoded outside any scheduler, once per stream, shared by all seeds.
+    let mut fresh: HashMap<String, TaskBitstream> = HashMap::new();
+    for seed in 0..8u64 {
+        let trace = Trace::synthetic(&WorkloadSpec {
+            tasks: repository
+                .task_names()
+                .into_iter()
+                .map(String::from)
+                .collect(),
+            loads: 40,
+            seed,
+            ..WorkloadSpec::default()
+        });
+        // Large enough that every load is accepted without an eviction.
+        let mut sched = corpus.scheduler_over(repository.clone(), 64, 64, config);
+        let mut jobs = HashMap::new();
+        let mut names = HashSet::new();
+        let mut loads = 0;
+        for event in &trace.events {
+            sched.advance_to(event.tick);
+            match &event.op {
+                TraceOp::Load {
+                    job,
+                    task,
+                    priority,
+                    deadline,
+                } => {
+                    let outcome = sched.execute(Request::Load {
+                        task: task.clone(),
+                        priority: *priority,
+                        deadline: *deadline,
+                    });
+                    let Outcome::Loaded {
+                        job: id, origin, ..
+                    } = outcome
+                    else {
+                        panic!("seed {seed}: {task} not loaded: {outcome:?}");
+                    };
+                    jobs.insert(*job, id);
+                    names.insert(task.as_str());
+                    loads += 1;
+                    let expected = fresh.entry(task.clone()).or_insert_with(|| {
+                        vbs_core::decode(&repository.fetch(task).expect("stored stream"))
+                            .expect("corpus stream decodes")
+                    });
+                    let region = Rect::new(origin, expected.width(), expected.height());
+                    let written = sched
+                        .manager()
+                        .controller()
+                        .memory()
+                        .read_region(region)
+                        .expect("resident region");
+                    assert_eq!(
+                        written.diff_count(expected),
+                        Ok(0),
+                        "seed {seed}: {task} read back differs from a fresh decode"
+                    );
+                }
+                TraceOp::Unload { job } => {
+                    sched.execute(Request::Unload { job: jobs[job] });
+                }
+                TraceOp::Swap { .. } => unreachable!("synthetic traces never swap"),
+            }
         }
-    }
-
-    /// Returns whether the lookup hits.
-    fn get(&mut self, idx: usize) -> bool {
-        self.clock += 1;
-        let clock = self.clock;
-        if let Some(entry) = self.entries.iter_mut().find(|(i, _)| *i == idx) {
-            entry.1 = clock;
-            self.hits += 1;
-            true
-        } else {
-            self.misses += 1;
-            false
-        }
-    }
-
-    /// Returns the name indices the insert displaces, in displacement order.
-    fn insert(&mut self, idx: usize) -> Vec<usize> {
-        if self.capacity == 0 {
-            return vec![idx];
-        }
-        self.clock += 1;
-        let clock = self.clock;
-        if let Some(entry) = self.entries.iter_mut().find(|(i, _)| *i == idx) {
-            entry.1 = clock;
-            return vec![idx]; // the replaced arena of the same name
-        }
-        let mut displaced = Vec::new();
-        if self.entries.len() >= self.capacity {
-            let victim = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, used))| *used)
-                .map(|(pos, _)| pos)
-                .expect("non-empty at cap");
-            displaced.push(self.entries.swap_remove(victim).0);
-        }
-        self.entries.push((idx, clock));
-        displaced
+        let distinct = names.len();
+        let stats = sched.cache_stats();
+        assert_eq!(
+            stats.misses, distinct as u64,
+            "seed {seed}: a stream was decoded twice"
+        );
+        assert_eq!(stats.hits, loads - distinct as u64, "seed {seed}");
+        assert_eq!(
+            stats.entries, distinct,
+            "seed {seed}: a decoded stream left the cache"
+        );
+        assert_eq!(stats.demotions, 0, "seed {seed}");
+        assert_eq!(stats.warm_entries, 0, "seed {seed}");
+        assert_eq!(sched.metrics().decodes, distinct as u64, "seed {seed}");
     }
 }
 
 proptest! {
-    /// Unbounded budgets = the classic LRU, operation for operation:
-    /// identical hit/miss streams, identical victims, and the warm tier
-    /// never materializes.
-    #[test]
-    fn unbounded_tiered_cache_is_bit_identical_to_classic_lru(
-        capacity in 1usize..5,
-        ops in proptest::collection::vec((0u8..2, 0usize..6), 1..60),
-    ) {
-        let spec = ArchSpec::paper_example();
-        let mut cache = DecodeCache::new(capacity);
-        let mut model = LruModel::new(capacity);
-        prop_assert!(cache.budget().is_unbounded());
-        for &(op, idx) in &ops {
-            if op == 0 {
-                let lookup = cache.get(&format!("t{idx}"), &spec);
-                match (lookup, model.get(idx)) {
-                    (CacheLookup::Hot(t), true) => prop_assert_eq!(idx_of(&t), idx),
-                    (CacheLookup::Miss, false) => {}
-                    (lookup, hit) => prop_assert!(
-                        false,
-                        "divergence on get t{}: tiered {:?}, model hit={}",
-                        idx, lookup, hit
-                    ),
-                }
-            } else {
-                let outcome =
-                    cache.insert(&format!("t{idx}"), spec, task(idx), vec![0xAB; 16], 10);
-                let displaced: Vec<usize> =
-                    outcome.displaced.iter().map(|t| idx_of(t)).collect();
-                prop_assert_eq!(displaced, model.insert(idx), "victims diverge on t{}", idx);
-                prop_assert_eq!(outcome.demoted, 0);
-                prop_assert_eq!(outcome.dropped, 0);
-                prop_assert!(!outcome.promoted);
-            }
-            let stats = cache.stats();
-            prop_assert_eq!(stats.hits, model.hits);
-            prop_assert_eq!(stats.misses, model.misses);
-            prop_assert_eq!(stats.entries, model.entries.len());
-            prop_assert_eq!(stats.warm_entries, 0, "warm tier must never form");
-            prop_assert_eq!(stats.warm_hits, 0);
-            prop_assert_eq!(stats.demotions, 0);
-            prop_assert_eq!(stats.promotions, 0);
-        }
-    }
-
     /// After every operation, every finite tier budget holds: hot bytes
     /// within the hot budget, warm bytes within the warm budget.
     #[test]
@@ -162,7 +145,7 @@ proptest! {
             hot_bytes: hot_budget,
             warm_bytes: warm_budget,
         };
-        let mut cache = DecodeCache::with_budget(3, budget);
+        let mut cache = DecodeCache::new(budget);
         for &(op, idx, len) in &ops {
             if op == 0 {
                 cache.get(&format!("t{idx}"), &spec);

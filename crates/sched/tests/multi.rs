@@ -431,3 +431,54 @@ fn burst_accounting_sums_across_shards() {
         let _ = repository(); // keep the fixture alive across iterations
     }
 }
+
+/// An unload queued in the same batch as its load is processed first (the
+/// shard runs unloads before loads), so it finds nothing to unload and the
+/// load still lands: the job ends up resident exactly once, on the fabric
+/// that accepted it.
+#[test]
+fn unload_submitted_with_its_load_in_one_batch() {
+    let config = SchedulerConfig {
+        eviction_limit: 1,
+        compaction: false,
+        ..SchedulerConfig::default()
+    };
+    let mut multi = fleet(
+        2,
+        10,
+        10,
+        Box::new(RoundRobin::default()),
+        || Box::new(FirstFit),
+        config,
+        MultiConfig::default(),
+    );
+    let job = multi.submit(Request::Load {
+        task: "fir4".into(),
+        priority: 1,
+        deadline: None,
+    });
+    let unload = multi.submit(Request::Unload { job });
+    let outcomes = multi.process_pending_tagged();
+    let outcome_of = |id: u64| {
+        let mut matching = outcomes.iter().filter(|(tag, _)| *tag == id);
+        let (_, outcome) = matching.next().expect("every request resolves");
+        assert!(matching.next().is_none(), "request {id} resolved twice");
+        outcome
+    };
+    assert!(
+        matches!(outcome_of(job), Outcome::Loaded { .. }),
+        "{outcomes:?}"
+    );
+    assert_eq!(outcome_of(unload), &Outcome::NotResident { job });
+    let accepted_on: Vec<usize> = (0..multi.fabric_count())
+        .filter(|&f| multi.fabric(f).metrics().loads_accepted == 1)
+        .collect();
+    let resident_on: Vec<usize> = multi
+        .residents()
+        .into_iter()
+        .filter(|(_, resident, _)| *resident == job)
+        .map(|(fabric, _, _)| fabric)
+        .collect();
+    assert_eq!(accepted_on.len(), 1);
+    assert_eq!(resident_on, accepted_on);
+}

@@ -7,6 +7,7 @@
 //! [`FrameLayout`]. Helpers are provided for the three frame sections
 //! (logic block, switch box, connection boxes).
 
+use std::ops::Range;
 use vbs_arch::{ArchSpec, FrameLayout, SbPair};
 use vbs_netlist::TruthTable;
 
@@ -246,9 +247,41 @@ impl<'a> FrameMut<'a> {
     /// Writes the raw logic-data bits from an iterator (missing bits are left
     /// unchanged).
     pub fn set_logic_bits(&mut self, bits: impl IntoIterator<Item = bool>) {
-        let range = self.layout().lb_config_range();
-        for (i, bit) in range.zip(bits) {
-            self.set_bit(i, bit);
+        self.set_bits(self.layout().lb_config_range(), bits);
+    }
+
+    /// Writes the bits of `range` from an iterator, one masked word store
+    /// per 64-bit stretch instead of a read-modify-write per bit. Bits the
+    /// iterator does not supply are left unchanged; bits it supplies past
+    /// the range are not consumed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` reaches past `len()` — which is also what keeps
+    /// the padding bits of the last word permanently zero.
+    pub fn set_bits(&mut self, range: Range<usize>, bits: impl IntoIterator<Item = bool>) {
+        assert!(range.end <= self.len(), "frame bits {range:?} out of range");
+        let mut bits = bits.into_iter();
+        let mut at = range.start;
+        while at < range.end {
+            // The stretch of the range that lies in the word holding `at`.
+            let shift = at % 64;
+            let span = (64 - shift).min(range.end - at);
+            let (mut value, mut taken) = (0u64, 0);
+            for bit in bits.by_ref().take(span) {
+                value |= u64::from(bit) << taken;
+                taken += 1;
+            }
+            if taken == 0 {
+                return;
+            }
+            let mask = (u64::MAX >> (64 - taken)) << shift;
+            let word = &mut self.words[at / 64];
+            *word = (*word & !mask) | (value << shift);
+            if taken < span {
+                return;
+            }
+            at += span;
         }
     }
 

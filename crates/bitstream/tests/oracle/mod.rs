@@ -10,8 +10,16 @@
 // Each test binary compiles its own copy and uses a different subset.
 #![allow(dead_code)]
 
+use std::ops::Range;
 use vbs_arch::{Coord, Rect};
-use vbs_bitstream::{ConfigMemory, TaskBitstream};
+use vbs_bitstream::{ConfigMemory, FrameMut, TaskBitstream};
+
+/// Per-bit twin of [`FrameMut::set_bits`]: one `set_bit` per supplied bit.
+pub fn set_bits_scalar(frame: &mut FrameMut<'_>, range: Range<usize>, bits: &[bool]) {
+    for (i, &bit) in range.zip(bits) {
+        frame.set_bit(i, bit);
+    }
+}
 
 /// Per-bit twin of [`ConfigMemory::load_task`].
 pub fn load_task_scalar(memory: &mut ConfigMemory, task: &TaskBitstream, origin: Coord) {

@@ -11,7 +11,9 @@
 
 mod oracle;
 
-use oracle::{clear_region_scalar, copy_region_scalar, load_task_scalar, move_region_scalar};
+use oracle::{
+    clear_region_scalar, copy_region_scalar, load_task_scalar, move_region_scalar, set_bits_scalar,
+};
 use proptest::prelude::*;
 use std::sync::Once;
 use vbs_arch::{ArchSpec, Coord, Device, Rect};
@@ -61,6 +63,53 @@ fn soiled_memory(spec: ArchSpec, dev_w: u16, dev_h: u16, seed: u64) -> ConfigMem
         .load_task(&background, Coord::new(0, 0))
         .expect("background load");
     memory
+}
+
+/// `FrameMut::set_bits` packs the iterator into masked word stores; the
+/// per-bit loop is its definition. Exhaustive over every start offset
+/// within a word and every length up to two words and a bit, on an all-ones
+/// and an all-zeros background, with the iterator supplying all of the
+/// range, one bit more (must not be consumed into the frame) and half of it
+/// ("missing bits are left unchanged").
+#[test]
+fn set_bits_matches_the_per_bit_loop_at_every_offset_and_length() {
+    let spec = ArchSpec::paper_example(); // 284 bits: 64 + 130 fits
+    let pattern: Vec<bool> = (0..131u32).map(|i| (i * i + i / 3) % 3 != 1).collect();
+    for start in 0..64usize {
+        for len in 0..130usize {
+            for background in [false, true] {
+                for supplied in [len, len + 1, len / 2] {
+                    let mut word = TaskBitstream::empty(spec, 1, 1);
+                    let mut frame = word.frame_mut(Coord::new(0, 0));
+                    for i in 0..frame.len() {
+                        frame.set_bit(i, background);
+                    }
+                    let mut scalar = word.clone();
+                    let bits = &pattern[..supplied];
+                    word.frame_mut(Coord::new(0, 0))
+                        .set_bits(start..start + len, bits.iter().copied());
+                    set_bits_scalar(
+                        &mut scalar.frame_mut(Coord::new(0, 0)),
+                        start..start + len,
+                        bits,
+                    );
+                    assert_eq!(
+                        word, scalar,
+                        "start {start} len {len} supplied {supplied} on {background}"
+                    );
+                }
+            }
+        }
+    }
+    // `set_logic_bits` is the same store over the logic section.
+    let mut task = TaskBitstream::empty(spec, 1, 1);
+    task.frame_mut(Coord::new(0, 0))
+        .set_logic_bits(pattern[..spec.lb_config_bits()].iter().copied());
+    let frame = task.frame(Coord::new(0, 0));
+    assert!(frame
+        .logic_bits()
+        .eq(pattern[..spec.lb_config_bits()].iter().copied()));
+    assert_eq!(frame.routing_bits().filter(|&b| b).count(), 0);
 }
 
 proptest! {

@@ -17,6 +17,37 @@
 //! Because every record only touches its own cluster, records can be decoded
 //! independently (and, in the run-time crate, in parallel).
 //!
+//! # A record is expanded inside its cluster
+//!
+//! The nodes a record's connections can use — the wires touching its
+//! cluster and the pins of its macros — and the switches between them are
+//! the same for every cluster of the same shape, wherever it sits in
+//! whatever task. The decoder therefore never builds the routing-resource
+//! graph of a task: it keeps one `ClusterPattern` per cluster shape of
+//! the current `(architecture, cluster size)` (the full `k × k` shape plus
+//! at most three shapes cut by the east / north task edge) and works in the
+//! pattern's local ids throughout. A cluster I/O maps to its id by
+//! arithmetic, net ownership and search state are arrays of a few dozen to
+//! a few hundred entries, every edge carries the frame bit it programs, and
+//! task coordinates appear only when a bit is written (cluster origin plus
+//! the switch's offset) and when the claimed wires are reported.
+//!
+//! Expanding one connection:
+//!
+//! * if one switch joins source and target — every route of a `k = 1`
+//!   stream, about a third to a half at `k = 2 / 3` — that switch is the
+//!   route. No search runs: the direct hop costs exactly the target's own
+//!   step, every detour pays that same last step plus at least 0.1 more, so
+//!   it is the unique minimum the search below would return;
+//! * otherwise a Dijkstra over the pattern finds the cheapest path:
+//!   resources of the connection's own net cost 0.1 (fanout shares its
+//!   trunk), free interior wires 1.0, unallocated boundary crossings 6.0,
+//!   wires of other nets are barred, ties go to the smaller node in
+//!   [`vbs_route::RrNode`] order — which local ids preserve.
+//!
+//! [`DecodeScratch::route_counts`] reports how many routes were expanded
+//! and how many of them needed the search, as exact counts.
+//!
 //! # The zero-allocation hot path
 //!
 //! The paper's performance claim is that de-virtualization can run "as fast
@@ -24,12 +55,11 @@
 //! its time in the allocator. Two pieces make that possible:
 //!
 //! * [`DecodeScratch`] — a reusable arena holding every buffer the decode
-//!   needs (the Dijkstra search state, the per-record net bookkeeping and
-//!   the claimed-wire list). A warm scratch makes
+//!   needs (the cluster patterns, the search state, the per-record net
+//!   bookkeeping and the claimed-wire list). A warm scratch makes
 //!   [`Devirtualizer::decode_into`] perform **zero heap allocations** per
-//!   load; a cold scratch performs one allocation per buffer because every
-//!   buffer is pre-reserved from the VBS header before the first record is
-//!   expanded.
+//!   load; a cold scratch derives its patterns and sizes every buffer from
+//!   them before the first record is expanded.
 //! * [`FrameSink`] — a push interface through which
 //!   [`Devirtualizer::decode_streaming`] emits each macro frame as soon as
 //!   its cluster record has been expanded, so a run-time controller can
@@ -39,12 +69,11 @@
 use crate::cluster::{ClusterGrid, ClusterIo};
 use crate::error::VbsError;
 use crate::format::{ClusterRecord, ClusterRoutes, Connection, Vbs};
+use crate::pattern::{self, ClusterPattern};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use vbs_arch::WireRef;
-use vbs_arch::{ArchSpec, Coord, Device};
-use vbs_bitstream::{edge_to_switch, FrameRef, SwitchSetting, TaskBitstream};
-use vbs_route::{RrGraph, RrNode};
+use vbs_arch::{ArchSpec, Coord, Device, Side, WireRef};
+use vbs_bitstream::{FrameRef, TaskBitstream};
 
 /// Decodes a whole Virtual Bit-Stream into the raw bit-stream of the task
 /// (task-relative frames).
@@ -112,13 +141,15 @@ pub trait FrameSink {
 /// * A scratch may be reused across **any** sequence of streams, devices and
 ///   architectures; each decode re-sizes the buffers it needs and clears
 ///   per-record state. Results are bit-identical to a fresh scratch.
-/// * A **warm** scratch (one that has already decoded a stream of at least
-///   the same size) performs zero heap allocations in
-///   [`Devirtualizer::decode_into`] / [`Devirtualizer::decode_streaming`].
-/// * A **cold** scratch performs at most one allocation per internal buffer,
-///   because every buffer is pre-reserved from the VBS header
-///   (record/route counts, cluster size, device geometry) before decoding
-///   starts.
+/// * A **warm** scratch (one that has already decoded a stream of the same
+///   architecture, cluster size and cluster shapes — any task whose edges
+///   leave the same remainders modulo the cluster size — or was prepared
+///   for one through [`DecodeScratch::prepare_for`]) performs zero heap
+///   allocations in [`Devirtualizer::decode_into`] /
+///   [`Devirtualizer::decode_streaming`], whatever the task's geometry.
+/// * A **cold** scratch derives the cluster patterns of the stream (a
+///   handful of small arrays each) and allocates every working buffer at
+///   most once, sized by the largest pattern, before decoding starts.
 /// * A scratch is intentionally cheap to construct ([`DecodeScratch::new`]
 ///   allocates nothing); per-worker long-lived scratches are the intended
 ///   usage (one per decode thread, never shared).
@@ -126,14 +157,18 @@ pub trait FrameSink {
 pub struct DecodeScratch {
     search: SearchScratch,
     nets: NetScratch,
-    adj: AdjCache,
+    patterns: PatternSet,
     claimed: Vec<WireRef>,
     emitted: Vec<bool>,
+    /// Coded connections expanded / of those, the ones that ran the search.
+    routes: u64,
+    searches: u64,
 }
 
 impl DecodeScratch {
     /// Creates an empty scratch. No allocation happens until the first
-    /// decode (which pre-reserves every buffer from the stream's header).
+    /// decode (which derives the stream's cluster patterns and sizes every
+    /// buffer from them).
     pub fn new() -> Self {
         DecodeScratch::default()
     }
@@ -145,90 +180,149 @@ impl DecodeScratch {
         &self.claimed
     }
 
-    /// Pre-reserves every internal buffer for decoding `vbs`, exactly as
-    /// the first decode of that stream would — the **warm-up hook** of
-    /// scratch pools: a pool that parks several scratches can prepare each
-    /// of them up front, so whichever scratch a decode lane later checks
-    /// out is already warm and the decode performs zero heap allocations,
-    /// independent of which lanes happened to run during earlier loads.
+    /// `(routes, searches)` over the life of this scratch: the coded
+    /// connections it expanded, and how many of them were not a single
+    /// switch and ran the cluster search. Exact and repeatable, unlike a
+    /// timing: a decode that got slower at equal counts was slowed, one
+    /// with more searches had more work.
+    pub fn route_counts(&self) -> (u64, u64) {
+        (self.routes, self.searches)
+    }
+
+    /// Derives every cluster pattern `vbs` needs and sizes every internal
+    /// buffer for it, exactly as the first decode of that stream would —
+    /// the **warm-up hook** of scratch pools: a pool that parks several
+    /// scratches can prepare each of them up front, so whichever scratch a
+    /// decode lane later checks out is already warm and the decode performs
+    /// zero heap allocations, independent of which lanes happened to run
+    /// during earlier loads.
     ///
     /// # Errors
     ///
     /// Returns a [`VbsError`] when the stream header describes a degenerate
     /// device geometry.
     pub fn prepare_for(&mut self, vbs: &Vbs) -> Result<(), VbsError> {
-        let geometry = Device::new(*vbs.spec(), vbs.width().max(1), vbs.height().max(1))?;
-        self.reserve_for(vbs, &geometry);
-        Ok(())
+        Devirtualizer::new(vbs)?.reserve(self)
     }
 
     /// Clears the per-load transient state (per-record net bookkeeping,
     /// claimed-wire list, streaming emission map and the search worklists)
-    /// while keeping every buffer's capacity — the **recycling hook** pools
-    /// run before parking a scratch, so a scratch checked out later starts
-    /// from a clean slate without giving back its warmed allocations.
+    /// while keeping every buffer's capacity and the cluster patterns — the
+    /// **recycling hook** pools run before parking a scratch, so a scratch
+    /// checked out later starts from a clean slate without giving back its
+    /// warmed allocations.
     pub fn reset(&mut self) {
         self.nets.clear();
         self.claimed.clear();
         self.emitted.clear();
         self.search.heap.clear();
         self.search.path.clear();
-        self.search.neighbors.clear();
     }
 
-    /// Pre-reserves every buffer for decoding `vbs` on `geometry` so the
-    /// decode itself allocates nothing (warm) or once per buffer (cold).
-    fn reserve_for(&mut self, vbs: &Vbs, geometry: &Device) {
-        let nodes = RrGraph::new(geometry).node_count();
-        self.search.reserve(nodes);
-        let max_routes = vbs.max_routes_per_record();
-        // A route claims at most a cluster-crossing path of wires; boundary
-        // plus interior wires of one cluster bound the working set.
-        let k = vbs.cluster_size().max(1) as usize;
-        let wires_per_cluster = 2 * vbs.spec().channel_width() as usize * k * (k + 1);
-        self.nets.reserve(max_routes, nodes, geometry.wire_count());
-        self.claimed.reserve(wires_per_cluster);
+    /// Index (in `self.patterns.shapes`) of the pattern of a `shape.0 ×
+    /// shape.1` cluster, derived on first use, with every working buffer
+    /// sized for records of that shape holding up to `routes` connections.
+    /// Allocates nothing once pattern and buffers exist.
+    fn pattern_for(
+        &mut self,
+        spec: &ArchSpec,
+        k: u16,
+        shape: (u16, u16),
+        routes: usize,
+    ) -> Result<usize, VbsError> {
+        let index = self.patterns.ensure(spec, k, shape)?;
+        let pattern = &self.patterns.shapes[index];
+        self.search.fit(pattern);
+        self.nets.fit(pattern, routes);
+        reserve_total(&mut self.claimed, pattern.wire_count());
+        Ok(index)
     }
 }
 
-/// Dijkstra search state, dense-indexed by routing-resource node and reset
-/// in O(1) through a generation stamp.
+/// Grows `buffer` to hold `total` elements. `Vec::reserve` counts from the
+/// current *length*, which is stale between records, so the amount is
+/// computed against it.
+fn reserve_total<T>(buffer: &mut Vec<T>, total: usize) {
+    if buffer.capacity() < total {
+        buffer.reserve(total - buffer.len());
+    }
+}
+
+/// The cluster patterns of one `(architecture, cluster size)`: the full
+/// shape and whichever cut shapes the decoded tasks have needed so far.
+/// A stream of another architecture or cluster size starts the set over.
+#[derive(Debug, Default)]
+struct PatternSet {
+    key: Option<(ArchSpec, u16)>,
+    shapes: Vec<ClusterPattern>,
+}
+
+impl PatternSet {
+    /// Index of the pattern of a `shape.0 × shape.1` cluster, derived on
+    /// first use.
+    fn ensure(&mut self, spec: &ArchSpec, k: u16, shape: (u16, u16)) -> Result<usize, VbsError> {
+        if self.key != Some((*spec, k)) {
+            self.shapes.clear();
+            self.key = Some((*spec, k));
+        }
+        if let Some(i) = self.shapes.iter().position(|p| p.shape() == shape) {
+            return Ok(i);
+        }
+        self.shapes
+            .push(ClusterPattern::build(*spec, k, shape.0, shape.1)?);
+        Ok(self.shapes.len() - 1)
+    }
+}
+
+/// Dijkstra search state, indexed by pattern node id and reset in O(1)
+/// through a generation stamp.
 #[derive(Debug, Default)]
 struct SearchScratch {
     cost: Vec<f32>,
+    /// Predecessor node and the edge taken from it.
     parent: Vec<u32>,
+    via: Vec<u32>,
     stamp: Vec<u32>,
     generation: u32,
     heap: BinaryHeap<Entry>,
-    path: Vec<RrNode>,
-    neighbors: Vec<RrNode>,
+    /// The edges of the route found, source to target.
+    path: Vec<u32>,
 }
 
 impl SearchScratch {
-    fn reserve(&mut self, nodes: usize) {
+    fn fit(&mut self, pattern: &ClusterPattern) {
+        let nodes = pattern.node_count();
         if self.cost.len() < nodes {
             self.cost.resize(nodes, 0.0);
             self.parent.resize(nodes, 0);
+            self.via.resize(nodes, 0);
             self.stamp.resize(nodes, 0);
         }
-        // The worklists are bounded by the node count too; reserving them
-        // here keeps a pool-warmed scratch allocation-free on its first
-        // decode (searches are cluster-local, so this is generous).
-        // `reserve(additional)` guarantees `capacity >= len + additional`,
-        // so the additional amount is computed against the current length.
-        if self.heap.capacity() < nodes {
-            self.heap.reserve(nodes - self.heap.len());
+        // A node is expanded once, so at most one entry per edge is pushed.
+        if self.heap.capacity() < pattern.edge_count() {
+            self.heap.reserve(pattern.edge_count() - self.heap.len());
         }
-        if self.path.capacity() < nodes {
-            self.path.reserve(nodes - self.path.len());
-        }
-        if self.neighbors.capacity() < 16 {
-            self.neighbors.reserve(16 - self.neighbors.len());
-        }
+        reserve_total(&mut self.path, nodes);
     }
 
-    /// Starts a fresh search: O(1) via the generation stamp.
-    fn begin(&mut self) {
+    /// Cheapest path from `source` to `target` for net `group`, left in
+    /// `self.path`; `false` when the target cannot be reached.
+    ///
+    /// Boundary-crossing wires are only used when they are an endpoint or
+    /// already belong to the connection's net (or, at a steep price, when
+    /// nothing else reaches); interior wires are exclusive per net. Costs,
+    /// the improvement threshold and the `(cost, node order)` pop order are
+    /// those of every stream ever encoded: the encoder's feedback loop kept
+    /// a record only if *this* search stayed inside the routed wires.
+    fn dijkstra(
+        &mut self,
+        pattern: &ClusterPattern,
+        absent: u8,
+        source: usize,
+        target: usize,
+        group: u32,
+        nets: &NetScratch,
+    ) -> bool {
         if self.generation == u32::MAX {
             self.stamp.fill(0);
             self.generation = 0;
@@ -236,198 +330,153 @@ impl SearchScratch {
         self.generation += 1;
         self.heap.clear();
         self.path.clear();
+        let SearchScratch {
+            cost,
+            parent,
+            via,
+            stamp,
+            generation,
+            heap,
+            path,
+        } = self;
+        let generation = *generation;
+        let wires = pattern.wire_count();
+        let group_root = nets.resolve(group);
+
+        stamp[source] = generation;
+        cost[source] = 0.0;
+        heap.push(Entry {
+            cost: 0.0,
+            id: source as u32,
+        });
+
+        while let Some(Entry {
+            cost: node_cost,
+            id,
+        }) = heap.pop()
+        {
+            let node = id as usize;
+            if node_cost > cost[node] {
+                continue;
+            }
+            if node == target {
+                let mut cursor = target;
+                while cursor != source {
+                    path.push(via[cursor]);
+                    cursor = parent[cursor] as usize;
+                }
+                path.reverse();
+                return true;
+            }
+            // Pins other than the endpoints are never expanded through.
+            if node >= wires && node != source {
+                continue;
+            }
+            for edge in pattern.row(node) {
+                let next = pattern.target(edge);
+                let step = if next >= wires {
+                    // A pin: only the target pin may terminate the path.
+                    if next != target {
+                        continue;
+                    }
+                    1.0
+                } else {
+                    let flags = pattern.flags(next);
+                    if flags & absent != 0 {
+                        continue;
+                    }
+                    match nets.owner(next) {
+                        // A wire already carrying a different net can never
+                        // be reused; resources of the same net are nearly
+                        // free, which makes fanout share its trunk.
+                        Some(owner) if nets.resolve(owner) != group_root => continue,
+                        Some(_) => 0.1,
+                        None if flags & pattern::INTERIOR != 0 => 1.0,
+                        // Unallocated boundary-crossing wire: strongly
+                        // discouraged (it is shared with a neighbouring
+                        // cluster), used only when no interior path exists.
+                        // The encoder's feedback loop verifies such choices
+                        // against the original routing.
+                        None => 6.0,
+                    }
+                };
+                let next_cost = node_cost + step;
+                if stamp[next] != generation || next_cost < cost[next] - f32::EPSILON {
+                    stamp[next] = generation;
+                    cost[next] = next_cost;
+                    parent[next] = id;
+                    via[next] = edge as u32;
+                    heap.push(Entry {
+                        cost: next_cost,
+                        id: next as u32,
+                    });
+                }
+            }
+        }
+        false
     }
 }
 
-/// Cluster-relative facts about one wire node, precomputed so the Dijkstra
-/// relaxation never reconstructs a [`WireRef`] or re-derives cluster
-/// membership. A wire touches at most two clusters; `c0`/`c1` pack their
-/// coordinates (`x << 16 | y`, [`AdjTable::NO_CLUSTER`] when the forward
-/// macro falls outside the task).
-#[derive(Debug, Clone, Copy)]
-struct WireMeta {
-    c0: u32,
-    c1: u32,
-    /// Both touching macros sit in the same cluster — the wire never
-    /// crosses a cluster boundary, so it is free to route through (cost
-    /// 1.0); boundary-crossing wires cost 6.0 unallocated.
-    interior: bool,
+/// A search frontier entry; the heap pops the cheapest, ties to the smaller
+/// id (= the smaller node).
+#[derive(Debug, PartialEq)]
+struct Entry {
+    cost: f32,
+    id: u32,
 }
 
-/// The routing-resource graph of one task geometry, flattened to CSR form.
+impl Eq for Entry {}
+
+impl Ord for Entry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .cost
+            .total_cmp(&self.cost)
+            .then_with(|| other.id.cmp(&self.id))
+    }
+}
+
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Per-record net bookkeeping: which net group each node belongs to — for a
+/// wire the net that claimed it, for a pin the net of the connections naming
+/// it — with union-find over groups (fanout merging).
 ///
-/// [`RrGraph`] computes neighbours arithmetically per call, which is fine
-/// for one search but dominates when a stream expands hundreds of coded
-/// connections: every relaxation rebuilds `WireRef`s, re-validates them
-/// against the device and re-derives cluster membership. This table runs
-/// that arithmetic once per *geometry* — edge lists (`offsets`/`edges`,
-/// dense node indices, neighbour order identical to
-/// [`RrGraph::neighbors_into`]), the index → node table and per-wire
-/// [`WireMeta`] — turning the inner loop into pure array reads. Keyed by
-/// `(spec, width, height, cluster size)`.
-#[derive(Debug, Default)]
-struct AdjTable {
-    key: Option<(ArchSpec, u16, u16, u16)>,
-    offsets: Vec<u32>,
-    edges: Vec<u32>,
-    nodes: Vec<RrNode>,
-    wire_meta: Vec<WireMeta>,
-    wire_nodes: usize,
-}
-
-impl AdjTable {
-    const NO_CLUSTER: u32 = u32::MAX;
-
-    fn pack(cluster_x: u16, cluster_y: u16) -> u32 {
-        (u32::from(cluster_x) << 16) | u32::from(cluster_y)
-    }
-
-    /// Rebuilds the table for `geometry` clustered at `k`, reusing both its
-    /// own buffers and the caller's `neighbors` scratch.
-    fn rebuild(
-        &mut self,
-        geometry: &Device,
-        k: u16,
-        key: (ArchSpec, u16, u16, u16),
-        neighbors: &mut Vec<RrNode>,
-    ) {
-        let graph = RrGraph::new(geometry);
-        let n = graph.node_count();
-        self.nodes.clear();
-        self.nodes.extend((0..n).map(|i| graph.node(i)));
-        // Counting pass first: the CSR then builds with at most one
-        // allocation per buffer, keeping a cold decode inside the
-        // per-buffer allocation budget pinned in `zero_alloc.rs`.
-        let mut total_edges = 0usize;
-        for &node in &self.nodes {
-            graph.neighbors_into(node, neighbors);
-            total_edges += neighbors.len();
-        }
-        self.offsets.clear();
-        self.offsets.reserve(n + 1);
-        self.edges.clear();
-        self.edges.reserve(total_edges);
-        for &node in &self.nodes {
-            self.offsets.push(self.edges.len() as u32);
-            graph.neighbors_into(node, neighbors);
-            self.edges
-                .extend(neighbors.iter().map(|&nb| graph.index(nb) as u32));
-        }
-        self.offsets.push(self.edges.len() as u32);
-        self.wire_nodes = graph.wire_count();
-        self.wire_meta.clear();
-        self.wire_meta.reserve(self.wire_nodes);
-        let k = k.max(1);
-        for &node in &self.nodes[..self.wire_nodes] {
-            let RrNode::Wire(w) = node else {
-                unreachable!("wire indices precede pin indices");
-            };
-            let [owner, fwd] = w.touching_macros();
-            let c0 = Self::pack(owner.x / k, owner.y / k);
-            let c1 = if geometry.contains(fwd) {
-                Self::pack(fwd.x / k, fwd.y / k)
-            } else {
-                Self::NO_CLUSTER
-            };
-            self.wire_meta.push(WireMeta {
-                c0,
-                c1,
-                interior: c1 == c0,
-            });
-        }
-        self.key = Some(key);
-    }
-
-    fn neighbors_of(&self, idx: usize) -> &[u32] {
-        &self.edges[self.offsets[idx] as usize..self.offsets[idx + 1] as usize]
-    }
-}
-
-/// A small set of [`AdjTable`]s cached across decodes, so a scratch (or a
-/// pooled decode lane) serving a *mix* of task shapes — the steady state
-/// of a fleet workload — rebuilds nothing once every shape in rotation has
-/// been seen. Misses past the slot cap replace tables round-robin, reusing
-/// the victim's buffers; a hit is a scan of at most [`AdjCache::SLOTS`]
-/// key comparisons.
-#[derive(Debug, Default)]
-struct AdjCache {
-    tables: Vec<AdjTable>,
-    /// Next round-robin replacement slot once all [`Self::SLOTS`] are full.
-    victim: usize,
-    /// Neighbour scratch shared across rebuilds.
-    neighbors: Vec<RrNode>,
-}
-
-impl AdjCache {
-    const SLOTS: usize = 8;
-
-    /// Returns the table for `geometry` clustered at `k`, rebuilding one
-    /// slot only when the shape has not been seen (or was replaced).
-    fn ensure(&mut self, geometry: &Device, k: u16) -> &AdjTable {
-        let key = (*geometry.spec(), geometry.width(), geometry.height(), k);
-        if let Some(i) = self.tables.iter().position(|t| t.key == Some(key)) {
-            return &self.tables[i];
-        }
-        let slot = if self.tables.len() < Self::SLOTS {
-            self.tables.push(AdjTable::default());
-            self.tables.len() - 1
-        } else {
-            let slot = self.victim;
-            self.victim = (self.victim + 1) % Self::SLOTS;
-            slot
-        };
-        self.tables[slot].rebuild(geometry, k, key, &mut self.neighbors);
-        &self.tables[slot]
-    }
-}
-
-/// Per-record net bookkeeping: which net group owns each wire, with
-/// union-find over groups (fanout merging).
-///
-/// Ownership and endpoint groups live in dense arrays indexed by
-/// [`RrGraph::index`] and reset in O(1) through a generation stamp — the
-/// Dijkstra inner loop consults `owner` once per wire neighbour, and a
-/// hashed lookup there (SipHash over a 6-byte `WireRef`) costs more than
-/// the rest of the relaxation combined.
+/// Dense arrays by pattern node id, reset in O(1) through a generation
+/// stamp: the search consults the owner once per wire neighbour.
 #[derive(Debug, Default)]
 struct NetScratch {
-    /// Wire → owning group, dense by wire index.
-    owner_gen: Vec<u32>,
-    owner_group: Vec<u32>,
+    tagged: Vec<u32>,
+    group: Vec<u32>,
     /// Wires claimed this record, in first-claim order.
-    claimed: Vec<WireRef>,
-    /// Endpoint node → group, dense by node index.
-    ep_gen: Vec<u32>,
-    ep_group: Vec<u32>,
+    claimed: Vec<u32>,
     generation: u32,
     parent: Vec<u32>,
-    next_group: u32,
 }
 
 impl NetScratch {
-    fn reserve(&mut self, routes: usize, nodes: usize, wires: usize) {
-        if self.owner_gen.len() < wires {
-            self.owner_gen.resize(wires, 0);
-            self.owner_group.resize(wires, 0);
+    fn fit(&mut self, pattern: &ClusterPattern, routes: usize) {
+        if self.tagged.len() < pattern.node_count() {
+            self.tagged.resize(pattern.node_count(), 0);
+            self.group.resize(pattern.node_count(), 0);
         }
-        if self.ep_gen.len() < nodes {
-            self.ep_gen.resize(nodes, 0);
-            self.ep_group.resize(nodes, 0);
-        }
-        self.claimed.reserve(wires.min(64));
-        self.parent.reserve(2 * routes);
+        reserve_total(&mut self.claimed, pattern.wire_count());
+        // Every connection opens at most one group.
+        reserve_total(&mut self.parent, routes);
     }
 
     fn clear(&mut self) {
         if self.generation == u32::MAX {
-            self.owner_gen.fill(0);
-            self.ep_gen.fill(0);
+            self.tagged.fill(0);
             self.generation = 0;
         }
         self.generation += 1;
         self.claimed.clear();
         self.parent.clear();
-        self.next_group = 0;
     }
 
     fn find(&mut self, g: u32) -> u32 {
@@ -453,8 +502,7 @@ impl NetScratch {
     }
 
     fn fresh(&mut self) -> u32 {
-        let g = self.next_group;
-        self.next_group += 1;
+        let g = self.parent.len() as u32;
         self.parent.push(g);
         g
     }
@@ -468,56 +516,65 @@ impl NetScratch {
         ra
     }
 
-    /// Resolves the net group of a connection from its two endpoints.
+    /// Resolves the net group of a connection from its two endpoints and
+    /// claims the endpoint wires for it.
     ///
     /// Connections sharing an endpoint (transitively) describe the same
     /// electrical net — an I/O can only carry one signal — so their groups
     /// are merged; a fresh group is created when neither endpoint is known.
-    fn group_of_endpoints(&mut self, graph: &RrGraph<'_>, source: RrNode, target: RrNode) -> u32 {
-        let existing_source = self.endpoint_node_group(graph, source);
-        let existing_target = self.endpoint_node_group(graph, target);
-        let group = match (existing_source, existing_target) {
+    fn group_of_endpoints(&mut self, wires: usize, source: usize, target: usize) -> u32 {
+        let group = match (self.owner(source), self.owner(target)) {
             (None, None) => self.fresh(),
             (Some(g), None) | (None, Some(g)) => self.find(g),
             (Some(a), Some(b)) => self.union(a, b),
         };
         for node in [source, target] {
-            let idx = graph.index(node);
-            self.ep_gen[idx] = self.generation;
-            self.ep_group[idx] = group;
-            if let RrNode::Wire(w) = node {
-                self.claim(graph, w, group);
+            if node < wires {
+                self.claim(node, group);
+            } else {
+                self.tagged[node] = self.generation;
+                self.group[node] = group;
             }
         }
         group
     }
 
-    fn endpoint_node_group(&self, graph: &RrGraph<'_>, node: RrNode) -> Option<u32> {
-        match node {
-            RrNode::Wire(w) => self
-                .owner(graph, w)
-                .or_else(|| self.endpoint_slot(graph.index(node))),
-            RrNode::Pin { .. } => self.endpoint_slot(graph.index(node)),
+    /// The group `node` was last given this record, if any.
+    fn owner(&self, node: usize) -> Option<u32> {
+        (self.tagged[node] == self.generation).then(|| self.group[node])
+    }
+
+    fn claim(&mut self, wire: usize, group: u32) {
+        if self.tagged[wire] != self.generation {
+            self.tagged[wire] = self.generation;
+            self.claimed.push(wire as u32);
         }
+        self.group[wire] = group;
     }
+}
 
-    fn endpoint_slot(&self, idx: usize) -> Option<u32> {
-        (self.ep_gen[idx] == self.generation).then(|| self.ep_group[idx])
-    }
+/// Where one record's cluster sits: its pattern, and what translating the
+/// pattern to this position needs.
+struct ClusterSite<'p> {
+    pattern: &'p ClusterPattern,
+    /// Cluster coordinate (for error reports).
+    cluster: Coord,
+    /// The cluster's lower-left macro, task-relative.
+    origin: Coord,
+    /// [`pattern::WEST`] / [`pattern::SOUTH`] when the cluster sits in
+    /// column / row 0 of the task, where those boundary wires do not exist.
+    absent: u8,
+}
 
-    fn owner(&self, graph: &RrGraph<'_>, wire: WireRef) -> Option<u32> {
-        let idx = graph.index(RrNode::Wire(wire));
-        (self.owner_gen[idx] == self.generation).then(|| self.owner_group[idx])
-    }
-
-    fn claim(&mut self, graph: &RrGraph<'_>, wire: WireRef, group: u32) {
-        let idx = graph.index(RrNode::Wire(wire));
-        if self.owner_gen[idx] != self.generation {
-            self.owner_gen[idx] = self.generation;
-            self.claimed.push(wire);
-        }
-        self.owner_group[idx] = group;
-    }
+/// A resolved connection endpoint.
+enum Endpoint {
+    /// A node of the cluster's pattern.
+    Node(usize),
+    /// A pin whose local index lies past the cluster's `k²` macros but
+    /// still inside the task (only hand-built records can name one): it
+    /// belongs to a cluster further north, and nothing that touches this
+    /// cluster reaches it.
+    Elsewhere,
 }
 
 /// The de-virtualization engine for one Virtual Bit-Stream.
@@ -532,7 +589,6 @@ impl NetScratch {
 pub struct Devirtualizer<'a> {
     vbs: &'a Vbs,
     grid: ClusterGrid,
-    geometry: Device,
 }
 
 impl<'a> Devirtualizer<'a> {
@@ -542,13 +598,30 @@ impl<'a> Devirtualizer<'a> {
     ///
     /// Returns [`VbsError::Arch`] if the task dimensions are degenerate.
     pub fn new(vbs: &'a Vbs) -> Result<Self, VbsError> {
-        let grid = vbs.grid();
-        let geometry = Device::new(*vbs.spec(), vbs.width().max(1), vbs.height().max(1))?;
+        Device::new(*vbs.spec(), vbs.width().max(1), vbs.height().max(1))?;
         Ok(Devirtualizer {
             vbs,
-            grid,
-            geometry,
+            grid: vbs.grid(),
         })
+    }
+
+    /// Derives the pattern of every cluster shape the task's tiling has
+    /// (full, cut by the east edge, by the north edge, by both) and sizes
+    /// `scratch` for the largest, so the records decode without allocating.
+    fn reserve(&self, scratch: &mut DecodeScratch) -> Result<(), VbsError> {
+        let k = self.grid.cluster_size();
+        // Along one axis: the full (or task-capped) extent and the cut
+        // remainder; 0 means no such cluster.
+        let extents = |len: u16| [len.min(k), len % k];
+        for cols in extents(self.grid.width()) {
+            for rows in extents(self.grid.height()) {
+                if cols > 0 && rows > 0 {
+                    let routes = self.vbs.max_routes_per_record();
+                    scratch.pattern_for(self.vbs.spec(), k, (cols, rows), routes)?;
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Decodes every record into `task` (reshaped in place to the stream's
@@ -570,7 +643,7 @@ impl<'a> Devirtualizer<'a> {
             self.vbs.width().max(1),
             self.vbs.height().max(1),
         );
-        scratch.reserve_for(self.vbs, &self.geometry);
+        self.reserve(scratch)?;
         for record in self.vbs.records() {
             self.decode_record_with(record, task, scratch)?;
         }
@@ -598,7 +671,7 @@ impl<'a> Devirtualizer<'a> {
     ) -> Result<(), VbsError> {
         let (w, h) = (self.vbs.width().max(1), self.vbs.height().max(1));
         staging.reset(*self.vbs.spec(), w, h);
-        scratch.reserve_for(self.vbs, &self.geometry);
+        self.reserve(scratch)?;
         scratch.emitted.clear();
         scratch.emitted.resize(w as usize * h as usize, false);
         let k = self.grid.cluster_size();
@@ -635,8 +708,8 @@ impl<'a> Devirtualizer<'a> {
     /// # Errors
     ///
     /// Returns [`VbsError::DecodeConflict`], [`VbsError::DecodeNoPath`],
-    /// [`VbsError::DanglingBoundary`] or [`VbsError::Malformed`] when the
-    /// record cannot be expanded.
+    /// [`VbsError::DanglingBoundary`], [`VbsError::RecordOutOfTask`] or
+    /// [`VbsError::Malformed`] when the record cannot be expanded.
     pub fn decode_record_with(
         &self,
         record: &ClusterRecord,
@@ -658,16 +731,29 @@ impl<'a> Devirtualizer<'a> {
                 ),
             });
         }
+        // The part of the cluster inside the task (edge clusters may be
+        // cut): its lower-left macro and its extent.
+        let x0 = u32::from(cluster.x) * u32::from(k);
+        let y0 = u32::from(cluster.y) * u32::from(k);
+        let (width, height) = (u32::from(self.grid.width()), u32::from(self.grid.height()));
+        if x0 >= width || y0 >= height {
+            return Err(VbsError::RecordOutOfTask { cluster });
+        }
+        let origin = Coord::new(x0 as u16, y0 as u16);
+        let cols = (width - x0).min(u32::from(k)) as u16;
+        let rows = (height - y0).min(u32::from(k)) as u16;
+        // (macro, its index among the record's k² payload slots)
+        let macros = (0..rows).flat_map(|dy| {
+            (0..cols).map(move |dx| {
+                let site = Coord::new(origin.x + dx, origin.y + dy);
+                (site, dy as usize * k as usize + dx as usize)
+            })
+        });
 
         // 1. Logic sections.
-        for local in 0..(k as usize * k as usize) {
-            let Some(site) = self.grid.macro_at(cluster, local as u16) else {
-                continue;
-            };
-            let bits = record.logic[local * lb_bits..(local + 1) * lb_bits]
-                .iter()
-                .copied();
-            task.frame_mut(site).set_logic_bits(bits);
+        for (site, local) in macros.clone() {
+            let bits = &record.logic[local * lb_bits..(local + 1) * lb_bits];
+            task.frame_mut(site).set_logic_bits(bits.iter().copied());
         }
 
         // 2. Routing sections.
@@ -683,37 +769,42 @@ impl<'a> Devirtualizer<'a> {
                     });
                 }
                 let per_macro = spec.raw_bits_per_macro() - lb_bits;
-                for local in 0..(k as usize * k as usize) {
-                    let Some(site) = self.grid.macro_at(cluster, local as u16) else {
-                        continue;
-                    };
-                    let mut frame = task.frame_mut(site);
-                    for (i, &bit) in raw[local * per_macro..(local + 1) * per_macro]
-                        .iter()
-                        .enumerate()
-                    {
-                        frame.set_bit(lb_bits + i, bit);
-                    }
+                for (site, local) in macros {
+                    let bits = &raw[local * per_macro..(local + 1) * per_macro];
+                    task.frame_mut(site)
+                        .set_bits(lb_bits..lb_bits + per_macro, bits.iter().copied());
                 }
             }
             ClusterRoutes::Coded(connections) => {
-                scratch.nets.clear();
-                let adj = scratch.adj.ensure(&self.geometry, k);
-                scratch
-                    .nets
-                    .reserve(connections.len(), adj.nodes.len(), adj.wire_nodes);
+                let index = scratch.pattern_for(spec, k, (cols, rows), connections.len())?;
+                let DecodeScratch {
+                    search,
+                    nets,
+                    patterns,
+                    claimed,
+                    routes,
+                    searches,
+                    ..
+                } = scratch;
+                let site = ClusterSite {
+                    pattern: &patterns.shapes[index],
+                    cluster,
+                    origin,
+                    absent: if x0 == 0 { pattern::WEST } else { 0 }
+                        | if y0 == 0 { pattern::SOUTH } else { 0 },
+                };
+                nets.clear();
                 for connection in connections {
-                    self.route_connection(
-                        cluster,
-                        connection,
-                        adj,
-                        &mut scratch.nets,
-                        &mut scratch.search,
-                        task,
-                    )?;
+                    *routes += 1;
+                    self.route_connection(&site, connection, nets, search, searches, task)?;
                 }
-                scratch.claimed.extend_from_slice(&scratch.nets.claimed);
-                scratch.claimed.sort_unstable();
+                // Ids order as the wires they stand for.
+                nets.claimed.sort_unstable();
+                claimed.extend(
+                    nets.claimed
+                        .iter()
+                        .map(|&wire| site.pattern.wire_at(wire as usize, origin)),
+                );
             }
         }
         Ok(())
@@ -721,237 +812,121 @@ impl<'a> Devirtualizer<'a> {
 
     /// Routes one coded connection inside its cluster and writes the switches
     /// it programs.
-    #[allow(clippy::too_many_arguments)]
     fn route_connection(
         &self,
-        cluster: Coord,
+        site: &ClusterSite<'_>,
         connection: &Connection,
-        adj: &AdjTable,
         nets: &mut NetScratch,
         search: &mut SearchScratch,
+        searches: &mut u64,
         task: &mut TaskBitstream,
     ) -> Result<(), VbsError> {
-        let source = self.io_node(cluster, connection.input)?;
-        let target = self.io_node(cluster, connection.output)?;
-        let graph = RrGraph::new(&self.geometry);
-        let group = nets.group_of_endpoints(&graph, source, target);
-
+        let ClusterSite {
+            pattern,
+            cluster,
+            origin,
+            absent,
+        } = *site;
+        let no_path = || VbsError::DecodeNoPath {
+            cluster,
+            connection: connection.to_string(),
+        };
+        let source = self.endpoint(site, connection.input)?;
+        let target = self.endpoint(site, connection.output)?;
+        let (Endpoint::Node(source), Endpoint::Node(target)) = (source, target) else {
+            return if connection.input == connection.output {
+                Ok(())
+            } else {
+                Err(no_path())
+            };
+        };
+        let wires = pattern.wire_count();
+        let group = nets.group_of_endpoints(wires, source, target);
         if source == target {
             return Ok(());
         }
-        if !self.local_dijkstra(cluster, &graph, adj, source, target, group, search, nets) {
-            return Err(VbsError::DecodeNoPath {
-                cluster,
-                connection: connection.to_string(),
-            });
+
+        if let Some(edge) = pattern.edge_between(source, target) {
+            // One switch joins them: that hop is the unique cheapest path
+            // (see the module docs), no search needed.
+            search.path.clear();
+            search.path.push(edge as u32);
+        } else {
+            *searches += 1;
+            if !search.dijkstra(pattern, absent, source, target, group, nets) {
+                return Err(no_path());
+            }
         }
 
-        // Program the switches along the path and claim its wires.
-        for window in search.path.windows(2) {
-            let (a, b) = (window[0], window[1]);
-            let switch =
-                edge_to_switch(&self.geometry, a, b).map_err(|_| VbsError::DecodeConflict {
-                    cluster,
-                    connection: connection.to_string(),
-                })?;
-            let site = switch.site();
-            if self.grid.cluster_of(site) != cluster {
+        // Program the switches along the path, then claim the wires it
+        // passes (the endpoints already belong to the group).
+        for &edge in &search.path {
+            let Some(switch) = pattern.switch(edge as usize) else {
                 return Err(VbsError::DecodeConflict {
                     cluster,
                     connection: connection.to_string(),
                 });
-            }
-            let mut frame = task.frame_mut(site);
-            match switch {
-                SwitchSetting::Crossing { pin, track, .. } => frame.set_crossing(pin, track, true),
-                SwitchSetting::SwitchBox { track, pair, .. } => frame.set_sb(track, pair, true),
-            }
+            };
+            task.frame_mut(Coord::new(origin.x + switch.dx, origin.y + switch.dy))
+                .set_bit(switch.bit as usize, true);
         }
-        for node in &search.path {
-            if let RrNode::Wire(w) = node {
-                nets.claim(&graph, *w, group);
+        for &edge in &search.path {
+            let node = pattern.target(edge as usize);
+            if node < wires {
+                nets.claim(node, group);
             }
         }
         Ok(())
     }
 
-    /// Maps a cluster I/O to its routing-resource node (task-relative).
-    fn io_node(&self, cluster: Coord, io: ClusterIo) -> Result<RrNode, VbsError> {
+    /// Maps a cluster I/O to its pattern node.
+    fn endpoint(&self, site: &ClusterSite<'_>, io: ClusterIo) -> Result<Endpoint, VbsError> {
+        let cluster = site.cluster;
+        let (cols, rows) = site.pattern.shape();
+        let spec = self.vbs.spec();
         match io {
             ClusterIo::Null => Err(VbsError::Malformed {
                 reason: format!("null i/o used as a connection endpoint in cluster {cluster}"),
             }),
             ClusterIo::Boundary { side, offset } => {
-                let wire = self.grid.boundary_wire(cluster, side, offset)?;
-                Ok(RrNode::Wire(wire))
+                let w = spec.channel_width();
+                let (along, track) = (offset / w, offset % w);
+                let (extent, flag) = match side {
+                    Side::East => (rows, 0),
+                    Side::West => (rows, pattern::WEST),
+                    Side::North => (cols, 0),
+                    Side::South => (cols, pattern::SOUTH),
+                };
+                // Past the cluster's (possibly cut) side, or a west / south
+                // wire of a cluster on the task's west / south edge.
+                if along >= extent || site.absent & flag != 0 {
+                    return Err(VbsError::DanglingBoundary {
+                        cluster,
+                        io: format!("{side}[{offset}]"),
+                    });
+                }
+                Ok(Endpoint::Node(site.pattern.boundary(side, along, track)))
             }
             ClusterIo::Pin { local, pin } => {
-                let site = self
-                    .grid
-                    .macro_at(cluster, local)
-                    .ok_or(VbsError::RecordOutOfTask { cluster })?;
-                if pin >= self.vbs.spec().lb_pins() {
+                let k = self.grid.cluster_size();
+                let (dx, dy) = (local % k, local / k);
+                if dx >= cols
+                    || u32::from(site.origin.y) + u32::from(dy) >= self.grid.height().into()
+                {
+                    return Err(VbsError::RecordOutOfTask { cluster });
+                }
+                if pin >= spec.lb_pins() {
                     return Err(VbsError::InvalidIo {
                         index: pin as u32,
-                        io_count: self.vbs.spec().lb_pins() as u32,
+                        io_count: spec.lb_pins() as u32,
                     });
                 }
-                Ok(RrNode::Pin { site, pin })
+                if dy >= rows {
+                    return Ok(Endpoint::Elsewhere);
+                }
+                Ok(Endpoint::Node(site.pattern.pin(dx, dy, pin)))
             }
         }
-    }
-
-    /// Deterministic Dijkstra constrained to the cluster: boundary-crossing
-    /// wires may only be used when they are an endpoint or already belong to
-    /// the connection's net; interior wires are exclusive per net.
-    ///
-    /// Search state lives in `search` (dense arrays indexed by
-    /// [`RrGraph::index`], reset through a generation stamp); on success the
-    /// path is left in `search.path` and `true` is returned. The relaxation
-    /// rules and tie-breaking are identical to the original map-based
-    /// implementation, so decoded bits never depend on which scratch decoded
-    /// them.
-    #[allow(clippy::too_many_arguments)]
-    fn local_dijkstra(
-        &self,
-        cluster: Coord,
-        graph: &RrGraph<'_>,
-        adj: &AdjTable,
-        source: RrNode,
-        target: RrNode,
-        group: u32,
-        search: &mut SearchScratch,
-        nets: &NetScratch,
-    ) -> bool {
-        search.reserve(graph.node_count());
-        search.begin();
-        let SearchScratch {
-            cost,
-            parent,
-            stamp,
-            generation,
-            heap,
-            path,
-            ..
-        } = search;
-        let generation = *generation;
-        let cluster_key = AdjTable::pack(cluster.x, cluster.y);
-        let group_root = nets.resolve(group);
-
-        let si = graph.index(source);
-        let ti = graph.index(target);
-        stamp[si] = generation;
-        cost[si] = 0.0;
-        parent[si] = si as u32;
-        heap.push(Entry {
-            cost: 0.0,
-            node: source,
-            idx: si as u32,
-        });
-
-        while let Some(Entry {
-            cost: node_cost,
-            idx: ni,
-            ..
-        }) = heap.pop()
-        {
-            let ni = ni as usize;
-            if stamp[ni] == generation && node_cost > cost[ni] {
-                continue;
-            }
-            if ni == ti {
-                // Rebuild the path.
-                path.push(target);
-                let mut cursor = ti;
-                while cursor != si {
-                    cursor = parent[cursor] as usize;
-                    path.push(adj.nodes[cursor]);
-                }
-                path.reverse();
-                return true;
-            }
-            // Pins other than the endpoints are never expanded through
-            // (pin indices follow all wire indices).
-            if ni >= adj.wire_nodes && ni != si {
-                continue;
-            }
-            for &next_u in adj.neighbors_of(ni) {
-                let next = next_u as usize;
-                let step = if next >= adj.wire_nodes {
-                    // A pin: only the target pin may terminate the path.
-                    if next != ti {
-                        continue;
-                    }
-                    1.0
-                } else {
-                    let meta = adj.wire_meta[next];
-                    if meta.c0 != cluster_key && meta.c1 != cluster_key {
-                        continue;
-                    }
-                    if nets.owner_gen[next] == nets.generation {
-                        // A wire already carrying a different net can never
-                        // be reused; resources of the same net are nearly
-                        // free, which makes fanout share its trunk.
-                        if nets.resolve(nets.owner_group[next]) != group_root {
-                            continue;
-                        }
-                        0.1
-                    } else if meta.interior {
-                        1.0
-                    } else {
-                        // Unallocated boundary-crossing wire: strongly
-                        // discouraged (it is shared with a neighbouring
-                        // cluster), used only when no interior path exists.
-                        // The encoder's feedback loop verifies such choices
-                        // against the original routing.
-                        6.0
-                    }
-                };
-                let next_cost = node_cost + step;
-                let better = if stamp[next] == generation {
-                    next_cost < cost[next] - f32::EPSILON
-                } else {
-                    true
-                };
-                if better {
-                    stamp[next] = generation;
-                    cost[next] = next_cost;
-                    parent[next] = ni as u32;
-                    heap.push(Entry {
-                        cost: next_cost,
-                        node: adj.nodes[next],
-                        idx: next_u,
-                    });
-                }
-            }
-        }
-        false
-    }
-}
-
-#[derive(Debug, PartialEq)]
-struct Entry {
-    cost: f32,
-    node: RrNode,
-    /// Dense index of `node` — carried so the pop path never recomputes it.
-    /// Never compared: `node` determines it.
-    idx: u32,
-}
-
-impl Eq for Entry {}
-
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .cost
-            .total_cmp(&self.cost)
-            .then_with(|| other.node.cmp(&self.node))
-    }
-}
-
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
     }
 }
 

@@ -63,6 +63,7 @@ pub mod cluster;
 pub mod decoder;
 pub mod encoder;
 pub mod format;
+mod pattern;
 pub mod stats;
 
 pub use cluster::{ClusterGrid, ClusterIo};

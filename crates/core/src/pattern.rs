@@ -1,0 +1,349 @@
+//! The routing pattern of one cluster shape.
+//!
+//! An island-style routing graph is one tile pattern repeated, so the
+//! decoder never needs the routing-resource graph of a whole task: every
+//! connection of a record is expanded among the nodes that touch the
+//! record's own cluster, and those nodes, their edges and the switch each
+//! edge programs are the same for every cluster of the same shape, wherever
+//! it sits. A [`ClusterPattern`] stores them once, in cluster-local ids,
+//! and the decoder translates to task coordinates only when it writes a
+//! frame bit or reports a claimed wire.
+//!
+//! The pattern is *derived*, not re-implemented: it is read off
+//! [`RrGraph::neighbors_into`], [`edge_to_switch`] and the [`ClusterGrid`]
+//! predicates on a small reference device that holds the cluster at grid
+//! position `(1, 1)`, so it cannot disagree with the CAD side about which
+//! wires exist or which switch joins them. Task-edge effects that depend on
+//! where the cluster sits are kept out of it: a cluster cut by the east or
+//! north task edge is simply a narrower shape (its own pattern), and the
+//! west / south boundary wires a cluster in column / row 0 lacks are
+//! flagged so a record can mask them.
+
+use crate::cluster::{ClusterGrid, ClusterIo};
+use crate::error::VbsError;
+use vbs_arch::{ArchSpec, Coord, Device, FrameLayout, Side, WireRef};
+use vbs_bitstream::{edge_to_switch, SwitchSetting};
+use vbs_route::{RrGraph, RrNode};
+
+/// The wire never leaves the cluster: free to route through (cost 1.0
+/// unallocated, against 6.0 for a boundary crossing).
+pub(crate) const INTERIOR: u8 = 1;
+/// The wire crosses the cluster's west boundary; absent in cluster column 0.
+pub(crate) const WEST: u8 = 2;
+/// The wire crosses the cluster's south boundary; absent in cluster row 0.
+pub(crate) const SOUTH: u8 = 4;
+
+/// The frame bit one pattern edge programs, relative to the cluster origin.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Switch {
+    /// Macro holding the switch, as an offset from the cluster's lower-left
+    /// macro.
+    pub dx: u16,
+    pub dy: u16,
+    /// Bit index within that macro's frame.
+    pub bit: u32,
+}
+
+/// The nodes touching one `cols × rows` cluster and the edges among them.
+///
+/// Local ids sort exactly as [`RrNode`]'s `Ord` sorts the nodes they stand
+/// for (wires before pins, then kind, owner `(x, y)`, track) — an order
+/// translation preserves, so a search over ids breaks ties as a search over
+/// task nodes would. Ids below [`Self::wire_count`] are wires.
+#[derive(Debug)]
+pub(crate) struct ClusterPattern {
+    cols: u16,
+    rows: u16,
+    /// Reference-device coordinate of the cluster's lower-left macro.
+    base: u16,
+    channel_width: u32,
+    pins: u32,
+    /// Id of the first vertical wire.
+    vertical_base: u32,
+    wire_count: u32,
+    /// The nodes in reference coordinates, by id.
+    nodes: Vec<RrNode>,
+    /// CSR rows: the edges of node `i` are `offsets[i]..offsets[i + 1]`, in
+    /// [`RrGraph::neighbors_into`] order.
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+    /// Per edge: the switch it programs, `None` when the architecture has
+    /// none for it or the switch sits outside the cluster.
+    switches: Vec<Option<Switch>>,
+    /// Per wire: [`INTERIOR`] / [`WEST`] / [`SOUTH`].
+    flags: Vec<u8>,
+}
+
+impl ClusterPattern {
+    /// Derives the pattern of a `cols × rows` cluster (`1..=k` each) of a
+    /// cluster-size-`k` tiling.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VbsError::Arch`] when the reference device `k + cols` ×
+    /// `k + rows` exceeds the device size limit.
+    pub(crate) fn build(spec: ArchSpec, k: u16, cols: u16, rows: u16) -> Result<Self, VbsError> {
+        // One full cluster column / row west and south of the cluster gives
+        // it all four boundaries; the device ends where the cluster does,
+        // which is what a cut cluster sees and makes no difference to a
+        // complete one (nothing past its east / north wires touches it).
+        let (width, height) = (k + cols, k + rows);
+        let device = Device::new(spec, width, height)?;
+        let grid = ClusterGrid::new(spec, k, width, height)?;
+        let cluster = Coord::new(1, 1);
+        let graph = RrGraph::new(&device);
+        let layout = FrameLayout::new(spec);
+
+        let mut nodes = Vec::with_capacity(graph.node_count());
+        nodes.extend(
+            (0..graph.node_count())
+                .map(|i| graph.node(i))
+                .filter(|node| match *node {
+                    RrNode::Wire(w) => grid.wire_touches(cluster, w),
+                    RrNode::Pin { site, .. } => grid.cluster_of(site) == cluster,
+                }),
+        );
+        nodes.sort_unstable();
+        let wire_count = nodes.partition_point(RrNode::is_wire);
+        // Reference-graph index → id, for the neighbours met below.
+        const OUTSIDE: u32 = u32::MAX;
+        let mut ids = vec![OUTSIDE; graph.node_count()];
+        for (id, &node) in nodes.iter().enumerate() {
+            ids[graph.index(node)] = id as u32;
+        }
+
+        // Capacities only (so each array allocates once): a pin reaches the
+        // W wires of its channel, a wire at most three others at each end
+        // plus the owner's pins of its parity.
+        let degree = usize::from(spec.channel_width()).max(usize::from(spec.lb_pins()) / 2 + 7);
+        let mut offsets = Vec::with_capacity(nodes.len() + 1);
+        let mut targets = Vec::with_capacity(nodes.len() * degree);
+        let mut switches = Vec::with_capacity(nodes.len() * degree);
+        let mut neighbors = Vec::with_capacity(degree);
+        for &node in &nodes {
+            offsets.push(targets.len() as u32);
+            graph.neighbors_into(node, &mut neighbors);
+            for &next in &neighbors {
+                let id = ids[graph.index(next)];
+                if id == OUTSIDE {
+                    continue;
+                }
+                targets.push(id);
+                switches.push(
+                    edge_to_switch(&device, node, next)
+                        .ok()
+                        .filter(|s| grid.cluster_of(s.site()) == cluster)
+                        .map(|s| Switch {
+                            dx: s.site().x - k,
+                            dy: s.site().y - k,
+                            bit: match s {
+                                SwitchSetting::Crossing { pin, track, .. } => {
+                                    layout.crossing_bit(pin, track)
+                                }
+                                SwitchSetting::SwitchBox { track, pair, .. } => {
+                                    layout.sb_bit(track, pair)
+                                }
+                            } as u32,
+                        }),
+                );
+            }
+        }
+        offsets.push(targets.len() as u32);
+
+        let flags = nodes[..wire_count]
+            .iter()
+            .map(|node| {
+                let RrNode::Wire(w) = *node else {
+                    unreachable!("wires sort before pins");
+                };
+                match grid.wire_io(cluster, w) {
+                    None => INTERIOR,
+                    Some(ClusterIo::Boundary {
+                        side: Side::West, ..
+                    }) => WEST,
+                    Some(ClusterIo::Boundary {
+                        side: Side::South, ..
+                    }) => SOUTH,
+                    Some(_) => 0,
+                }
+            })
+            .collect();
+
+        let w = u32::from(spec.channel_width());
+        Ok(ClusterPattern {
+            cols,
+            rows,
+            base: k,
+            channel_width: w,
+            pins: u32::from(spec.lb_pins()),
+            vertical_base: (u32::from(cols) + 1) * u32::from(rows) * w,
+            wire_count: wire_count as u32,
+            nodes,
+            offsets,
+            targets,
+            switches,
+            flags,
+        })
+    }
+
+    /// Cluster extent in macros, `(cols, rows)`.
+    pub(crate) fn shape(&self) -> (u16, u16) {
+        (self.cols, self.rows)
+    }
+
+    pub(crate) fn node_count(&self) -> usize {
+        self.nodes.len()
+    }
+
+    pub(crate) fn wire_count(&self) -> usize {
+        self.wire_count as usize
+    }
+
+    pub(crate) fn edge_count(&self) -> usize {
+        self.targets.len()
+    }
+
+    /// The edge indices leaving node `id`.
+    pub(crate) fn row(&self, id: usize) -> std::ops::Range<usize> {
+        self.offsets[id] as usize..self.offsets[id + 1] as usize
+    }
+
+    /// The node edge `edge` leads to.
+    pub(crate) fn target(&self, edge: usize) -> usize {
+        self.targets[edge] as usize
+    }
+
+    /// The edge from `from` straight to `to`, if one switch joins them.
+    pub(crate) fn edge_between(&self, from: usize, to: usize) -> Option<usize> {
+        let row = self.row(from);
+        self.targets[row.clone()]
+            .iter()
+            .position(|&t| t as usize == to)
+            .map(|i| row.start + i)
+    }
+
+    pub(crate) fn switch(&self, edge: usize) -> Option<Switch> {
+        self.switches[edge]
+    }
+
+    pub(crate) fn flags(&self, wire: usize) -> u8 {
+        self.flags[wire]
+    }
+
+    /// Id of the wire crossing `side` at macro `along` of that side
+    /// (`along < rows` for east / west, `< cols` for north / south).
+    pub(crate) fn boundary(&self, side: Side, along: u16, track: u16) -> usize {
+        let (cols, rows) = (u32::from(self.cols), u32::from(self.rows));
+        let (along, w) = (u32::from(along), self.channel_width);
+        // Horizontal wires are owned by columns `west neighbour, 0 .. cols`,
+        // vertical ones by rows `south neighbour, 0 .. rows`; owners order
+        // by column first.
+        let slot = match side {
+            Side::West => along,
+            Side::East => cols * rows + along,
+            Side::South => along * (rows + 1),
+            Side::North => along * (rows + 1) + rows,
+        };
+        let base = match side {
+            Side::West | Side::East => 0,
+            Side::South | Side::North => self.vertical_base,
+        };
+        (base + slot * w + u32::from(track)) as usize
+    }
+
+    /// Id of pin `pin` of the macro at offset `(dx, dy)` from the cluster
+    /// origin.
+    pub(crate) fn pin(&self, dx: u16, dy: u16, pin: u8) -> usize {
+        let tile = u32::from(dx) * u32::from(self.rows) + u32::from(dy);
+        (self.wire_count + tile * self.pins + u32::from(pin)) as usize
+    }
+
+    /// The task-relative wire behind id `wire` for a cluster whose
+    /// lower-left macro is `origin`.
+    pub(crate) fn wire_at(&self, wire: usize, origin: Coord) -> WireRef {
+        let RrNode::Wire(w) = self.nodes[wire] else {
+            unreachable!("ids below wire_count are wires");
+        };
+        WireRef {
+            owner: Coord::new(
+                w.owner.x + origin.x - self.base,
+                w.owner.y + origin.y - self.base,
+            ),
+            ..w
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The id arithmetic of `boundary` / `pin` agrees with where the sort
+    /// put the node the grid names, and ids order as nodes do, for complete
+    /// and cut shapes alike.
+    #[test]
+    fn id_arithmetic_matches_the_sorted_reference_nodes() {
+        for spec in [ArchSpec::paper_example(), ArchSpec::new(8, 4).unwrap()] {
+            let w = spec.channel_width();
+            for k in 1u16..=4 {
+                for cols in 1..=k {
+                    for rows in 1..=k {
+                        let p = ClusterPattern::build(spec, k, cols, rows).unwrap();
+                        assert!(p.nodes.windows(2).all(|n| n[0] < n[1]));
+                        let grid = ClusterGrid::new(spec, k, k + cols, k + rows).unwrap();
+                        let cluster = Coord::new(1, 1);
+                        let mut named = 0;
+                        for side in Side::ALL {
+                            let extent = match side {
+                                Side::East | Side::West => rows,
+                                Side::North | Side::South => cols,
+                            };
+                            for offset in 0..extent * w {
+                                let wire = grid.boundary_wire(cluster, side, offset).unwrap();
+                                let id = p.boundary(side, offset / w, offset % w);
+                                assert_eq!(p.nodes[id], RrNode::Wire(wire), "{k} {cols}x{rows}");
+                                assert_eq!(p.wire_at(id, Coord::new(k, k)), wire);
+                                named += 1;
+                            }
+                        }
+                        let interior = (0..p.wire_count())
+                            .filter(|&i| p.flags(i) & INTERIOR != 0)
+                            .count();
+                        assert_eq!(named + interior, p.wire_count());
+                        for local in 0..k * k {
+                            let (dx, dy) = (local % k, local / k);
+                            let Some(site) = grid.macro_at(cluster, local) else {
+                                assert!(dx >= cols || dy >= rows);
+                                continue;
+                            };
+                            for pin in 0..spec.lb_pins() {
+                                assert_eq!(p.nodes[p.pin(dx, dy, pin)], RrNode::Pin { site, pin });
+                            }
+                        }
+                        assert_eq!(
+                            p.node_count(),
+                            p.wire_count()
+                                + cols as usize * rows as usize * spec.lb_pins() as usize
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every edge between two nodes of a cluster programs a switch inside
+    /// that cluster, and the CSR is symmetric.
+    #[test]
+    fn edges_are_symmetric_and_their_switches_sit_inside() {
+        let p = ClusterPattern::build(ArchSpec::paper_example(), 2, 2, 2).unwrap();
+        for from in 0..p.node_count() {
+            for edge in p.row(from) {
+                let to = p.target(edge);
+                let back = p.edge_between(to, from).expect("symmetric");
+                let (a, b) = (p.switch(edge).unwrap(), p.switch(back).unwrap());
+                assert_eq!((a.dx, a.dy, a.bit), (b.dx, b.dy, b.bit));
+                assert!(a.dx < 2 && a.dy < 2);
+            }
+        }
+    }
+}

@@ -1,0 +1,299 @@
+//! Reference de-virtualization of one record: the search the decoder ran
+//! before it had cluster patterns, reduced to its definition.
+//!
+//! Every connection is a Dijkstra over the routing-resource graph of the
+//! *whole task* ([`RrGraph::neighbors_into`] called per expansion, nothing
+//! cached), constrained to the wires touching the record's cluster by
+//! [`ClusterGrid::wire_touches`]; switches come from [`edge_to_switch`] per
+//! path edge, endpoints from [`ClusterGrid::boundary_wire`] /
+//! [`ClusterGrid::macro_at`], state lives in hash maps keyed by task nodes
+//! and frame bits are written one at a time. Costs (0.1 / 1.0 / 6.0), the
+//! `f32::EPSILON` improvement threshold and the `(cost, node)` pop order are
+//! the decoder's contract with every stored stream; `decode_differential`
+//! holds the pattern decoder to them bit for bit.
+
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, HashMap};
+use vbs_arch::{Coord, Device, WireRef};
+use vbs_bitstream::{edge_to_switch, SwitchSetting, TaskBitstream};
+use vbs_core::{ClusterGrid, ClusterIo, ClusterRecord, ClusterRoutes, Connection, Vbs, VbsError};
+use vbs_route::{RrGraph, RrNode};
+
+/// Expands `record` of `vbs` into `task` and returns the wires it claimed,
+/// sorted and deduplicated (empty for raw records).
+pub fn decode_record(
+    vbs: &Vbs,
+    record: &ClusterRecord,
+    task: &mut TaskBitstream,
+) -> Result<Vec<WireRef>, VbsError> {
+    let cluster = record.position;
+    let grid = vbs.grid();
+    let spec = vbs.spec();
+    let k = grid.cluster_size() as usize;
+    let lb_bits = spec.lb_config_bits();
+    if record.logic.len() != vbs.logic_bits_per_record() {
+        return Err(VbsError::Malformed {
+            reason: format!(
+                "record at {cluster} carries {} logic bits, expected {}",
+                record.logic.len(),
+                vbs.logic_bits_per_record()
+            ),
+        });
+    }
+    for local in 0..k * k {
+        let Some(site) = grid.macro_at(cluster, local as u16) else {
+            continue;
+        };
+        let mut frame = task.frame_mut(site);
+        for (i, &bit) in record.logic[local * lb_bits..(local + 1) * lb_bits]
+            .iter()
+            .enumerate()
+        {
+            frame.set_bit(i, bit);
+        }
+    }
+    match &record.routes {
+        ClusterRoutes::Raw(raw) => {
+            if raw.len() != vbs.raw_routing_bits_per_record() {
+                return Err(VbsError::Malformed {
+                    reason: format!(
+                        "raw record at {cluster} carries {} routing bits, expected {}",
+                        raw.len(),
+                        vbs.raw_routing_bits_per_record()
+                    ),
+                });
+            }
+            let per_macro = spec.raw_bits_per_macro() - lb_bits;
+            for local in 0..k * k {
+                let Some(site) = grid.macro_at(cluster, local as u16) else {
+                    continue;
+                };
+                let mut frame = task.frame_mut(site);
+                for (i, &bit) in raw[local * per_macro..(local + 1) * per_macro]
+                    .iter()
+                    .enumerate()
+                {
+                    frame.set_bit(lb_bits + i, bit);
+                }
+            }
+            Ok(Vec::new())
+        }
+        ClusterRoutes::Coded(connections) => {
+            let geometry = Device::new(*spec, vbs.width().max(1), vbs.height().max(1))?;
+            let mut nets = Nets::default();
+            for connection in connections {
+                route(&grid, &geometry, cluster, connection, &mut nets, task)?;
+            }
+            let mut claimed: Vec<WireRef> = nets.owner.keys().copied().collect();
+            claimed.sort_unstable();
+            Ok(claimed)
+        }
+    }
+}
+
+/// Which net group owns each wire / was named at each endpoint, with a
+/// plain union-find over groups.
+#[derive(Default)]
+struct Nets {
+    owner: HashMap<WireRef, u32>,
+    endpoint: HashMap<RrNode, u32>,
+    parent: Vec<u32>,
+}
+
+impl Nets {
+    fn root(&self, mut g: u32) -> u32 {
+        while self.parent[g as usize] != g {
+            g = self.parent[g as usize];
+        }
+        g
+    }
+
+    fn known(&self, node: RrNode) -> Option<u32> {
+        match node {
+            RrNode::Wire(w) => self.owner.get(&w).or_else(|| self.endpoint.get(&node)),
+            RrNode::Pin { .. } => self.endpoint.get(&node),
+        }
+        .copied()
+    }
+
+    fn group_of_endpoints(&mut self, source: RrNode, target: RrNode) -> u32 {
+        let group = match (self.known(source), self.known(target)) {
+            (None, None) => {
+                let g = self.parent.len() as u32;
+                self.parent.push(g);
+                g
+            }
+            (Some(g), None) | (None, Some(g)) => self.root(g),
+            (Some(a), Some(b)) => {
+                let (ra, rb) = (self.root(a), self.root(b));
+                self.parent[rb as usize] = ra;
+                ra
+            }
+        };
+        for node in [source, target] {
+            self.endpoint.insert(node, group);
+            if let RrNode::Wire(w) = node {
+                self.owner.insert(w, group);
+            }
+        }
+        group
+    }
+}
+
+fn io_node(grid: &ClusterGrid, cluster: Coord, io: ClusterIo) -> Result<RrNode, VbsError> {
+    match io {
+        ClusterIo::Null => Err(VbsError::Malformed {
+            reason: format!("null i/o used as a connection endpoint in cluster {cluster}"),
+        }),
+        ClusterIo::Boundary { side, offset } => {
+            Ok(RrNode::Wire(grid.boundary_wire(cluster, side, offset)?))
+        }
+        ClusterIo::Pin { local, pin } => {
+            let site = grid
+                .macro_at(cluster, local)
+                .ok_or(VbsError::RecordOutOfTask { cluster })?;
+            if pin >= grid.spec().lb_pins() {
+                return Err(VbsError::InvalidIo {
+                    index: pin as u32,
+                    io_count: grid.spec().lb_pins() as u32,
+                });
+            }
+            Ok(RrNode::Pin { site, pin })
+        }
+    }
+}
+
+fn route(
+    grid: &ClusterGrid,
+    geometry: &Device,
+    cluster: Coord,
+    connection: &Connection,
+    nets: &mut Nets,
+    task: &mut TaskBitstream,
+) -> Result<(), VbsError> {
+    let source = io_node(grid, cluster, connection.input)?;
+    let target = io_node(grid, cluster, connection.output)?;
+    let group = nets.group_of_endpoints(source, target);
+    if source == target {
+        return Ok(());
+    }
+    let path = search(grid, geometry, cluster, source, target, group, nets).ok_or_else(|| {
+        VbsError::DecodeNoPath {
+            cluster,
+            connection: connection.to_string(),
+        }
+    })?;
+    let conflict = || VbsError::DecodeConflict {
+        cluster,
+        connection: connection.to_string(),
+    };
+    for hop in path.windows(2) {
+        let switch = edge_to_switch(geometry, hop[0], hop[1]).map_err(|_| conflict())?;
+        if grid.cluster_of(switch.site()) != cluster {
+            return Err(conflict());
+        }
+        let mut frame = task.frame_mut(switch.site());
+        match switch {
+            SwitchSetting::Crossing { pin, track, .. } => frame.set_crossing(pin, track, true),
+            SwitchSetting::SwitchBox { track, pair, .. } => frame.set_sb(track, pair, true),
+        }
+    }
+    for node in path {
+        if let RrNode::Wire(w) = node {
+            nets.owner.insert(w, group);
+        }
+    }
+    Ok(())
+}
+
+#[derive(PartialEq)]
+struct Entry {
+    cost: f32,
+    node: RrNode,
+}
+
+impl Eq for Entry {}
+
+impl Ord for Entry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .cost
+            .total_cmp(&self.cost)
+            .then_with(|| other.node.cmp(&self.node))
+    }
+}
+
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+fn search(
+    grid: &ClusterGrid,
+    geometry: &Device,
+    cluster: Coord,
+    source: RrNode,
+    target: RrNode,
+    group: u32,
+    nets: &Nets,
+) -> Option<Vec<RrNode>> {
+    let graph = RrGraph::new(geometry);
+    let group_root = nets.root(group);
+    let mut cost: HashMap<RrNode, f32> = HashMap::from([(source, 0.0)]);
+    let mut parent: HashMap<RrNode, RrNode> = HashMap::new();
+    let mut heap = BinaryHeap::from([Entry {
+        cost: 0.0,
+        node: source,
+    }]);
+    let mut neighbors = Vec::new();
+    while let Some(Entry {
+        cost: node_cost,
+        node,
+    }) = heap.pop()
+    {
+        if node_cost > cost[&node] {
+            continue;
+        }
+        if node == target {
+            let mut path = vec![target];
+            let mut cursor = target;
+            while cursor != source {
+                cursor = parent[&cursor];
+                path.push(cursor);
+            }
+            path.reverse();
+            return Some(path);
+        }
+        if !node.is_wire() && node != source {
+            continue;
+        }
+        graph.neighbors_into(node, &mut neighbors);
+        for &next in &neighbors {
+            let step = match next {
+                RrNode::Pin { .. } if next == target => 1.0,
+                RrNode::Pin { .. } => continue,
+                RrNode::Wire(w) if !grid.wire_touches(cluster, w) => continue,
+                RrNode::Wire(w) => match nets.owner.get(&w) {
+                    Some(&owner) if nets.root(owner) != group_root => continue,
+                    Some(_) => 0.1,
+                    None if grid.wire_io(cluster, w).is_none() => 1.0,
+                    None => 6.0,
+                },
+            };
+            let next_cost = node_cost + step;
+            if cost
+                .get(&next)
+                .is_none_or(|&known| next_cost < known - f32::EPSILON)
+            {
+                cost.insert(next, next_cost);
+                parent.insert(next, node);
+                heap.push(Entry {
+                    cost: next_cost,
+                    node: next,
+                });
+            }
+        }
+    }
+    None
+}

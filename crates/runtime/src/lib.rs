@@ -60,7 +60,7 @@ pub use controller::{DecodeReport, ReconfigurationController};
 pub use error::RuntimeError;
 pub use fault::{FaultAction, FaultHook};
 pub use manager::{LoadedTask, TaskHandle, TaskManager};
-pub use parallel::DecodeWorkerPool;
+pub use parallel::{DecodeWorkerPool, ROUTES_EXPANDED_SLOT, ROUTE_SEARCHES_SLOT};
 pub use placement::{BestFit, BottomLeftSkyline, FabricId, FabricView, FirstFit, PlacementPolicy};
 pub use pool::{ScratchPool, ScratchPoolStats};
 pub use repository::VbsRepository;

@@ -52,6 +52,23 @@ use vbs_telemetry::{EventKind, Stage, Telemetry, FLEET_FABRIC};
 
 use crate::controller::DecodeReport;
 
+/// Counter slot (of the pool's [`Telemetry`] registry) accumulating the
+/// coded routes the lanes expanded — with [`ROUTE_SEARCHES_SLOT`], what
+/// tells a slow decode (same counts, more time) from a long one (more
+/// routes, or more of them searched). `vbs-sched` numbers its own banks
+/// from 0; these sit past them so a merged view cannot collide.
+pub const ROUTES_EXPANDED_SLOT: usize = 20;
+/// Counter slot accumulating the routes that were not a single switch and
+/// ran the cluster search (see [`DecodeScratch::route_counts`]).
+pub const ROUTE_SEARCHES_SLOT: usize = 21;
+
+/// Adds what `scratch` expanded since `before` to the registry's counters.
+fn count_routes(telemetry: &Telemetry, scratch: &DecodeScratch, before: (u64, u64)) {
+    let (routes, searches) = scratch.route_counts();
+    telemetry.counter_add(ROUTES_EXPANDED_SLOT, routes - before.0);
+    telemetry.counter_add(ROUTE_SEARCHES_SLOT, searches - before.1);
+}
+
 /// The job slot published to the workers for one parallel decode. All
 /// references are lifetime-erased; see the module-level safety contract.
 struct Job {
@@ -117,11 +134,14 @@ struct Shared {
 /// Record count below which a load decodes sequentially on a multi-lane
 /// pool (when the host has more than one hardware thread; single-core
 /// hosts always decode sequentially). Fanning a load out costs a condvar
-/// broadcast, per-lane partial checkouts and a merge sweep per lane —
-/// with the indexed-adjacency decoder a coded record costs only a few
-/// microseconds, so streams under a couple hundred records finish faster
-/// on the dispatcher's lane alone (re-measured against the bench's 11x11
-/// corpus after the dense-scratch decoder rework).
+/// broadcast, per-lane partial checkouts and a merge sweep per lane, while
+/// a coded record expands inside its cluster's pattern in about a
+/// microsecond (roughly 80 ns per single-switch route), so a stream of a
+/// couple hundred records finishes sooner on the dispatcher's lane alone.
+/// The cheaper the record, the higher the break-even: 192 was set when a
+/// record cost several microseconds and is conservative now. It also still
+/// exceeds every corpus stream's record count (at most 81, the 9×9
+/// `alu4@l`), so the repository's workloads never fan out on their own.
 pub const DEFAULT_SEQUENTIAL_THRESHOLD: usize = 192;
 
 /// The pool's initial sequential threshold: the default record-count
@@ -282,7 +302,9 @@ impl DecodeWorkerPool {
             // scratch (decode_into reshapes the target itself).
             telemetry.event(EventKind::DecodeStart, fabric, 0, 0, 0);
             let mut scratch = self.shared.pool.checkout_scratch();
+            let before = scratch.route_counts();
             let result = devirtualizer.decode_into(task, &mut scratch);
+            count_routes(&telemetry, &scratch, before);
             self.shared.pool.put_scratch(scratch);
             telemetry.record_span(Stage::LaneBusy, start);
             telemetry.event_span(
@@ -448,6 +470,7 @@ fn run_lane(job: &Job, pool: &ScratchPool, lane_index: u16) {
     let devirt = unsafe { &*job.devirt.cast::<Devirtualizer<'_>>() };
 
     let mut lane: Option<(DecodeScratch, TaskBitstream)> = None;
+    let mut counts_before = (0, 0);
     let mut busy_from = 0u64;
     let mut decoded = 0u64;
     while !job.failed.load(Ordering::Relaxed) {
@@ -468,10 +491,9 @@ fn run_lane(job: &Job, pool: &ScratchPool, lane_index: u16) {
                 lane_index as u64,
                 0,
             );
-            (
-                pool.checkout_scratch(),
-                pool.checkout(job.spec, job.width, job.height),
-            )
+            let scratch = pool.checkout_scratch();
+            counts_before = scratch.route_counts();
+            (scratch, pool.checkout(job.spec, job.width, job.height))
         });
         for record in &records[begin..end] {
             if job.failed.load(Ordering::Relaxed) {
@@ -495,6 +517,7 @@ fn run_lane(job: &Job, pool: &ScratchPool, lane_index: u16) {
                 fail(job, RuntimeError::Memory(e));
             }
         }
+        count_routes(&job.telemetry, &scratch, counts_before);
         pool.put(partial);
         pool.put_scratch(scratch);
         job.telemetry.record_span(Stage::LaneBusy, busy_from);
@@ -595,10 +618,14 @@ mod tests {
         // Record count below the threshold: the load must stay on the
         // dispatcher's lane — no partial images are ever checked out.
         pool.set_sequential_threshold(vbs.records().len() + 1);
+        let telemetry = Telemetry::new();
+        pool.pool().set_telemetry(telemetry.clone());
+        let routes: usize = vbs.records().iter().map(|r| r.routes.route_count()).sum();
         let mut task = TaskBitstream::empty(*vbs.spec(), 1, 1);
         let report = pool.decode_into(&vbs, &mut task).unwrap();
         assert_eq!(report.records, vbs.records().len());
         assert_eq!(task.diff_count(&raw).unwrap(), 0);
+        assert_eq!(telemetry.counter(ROUTES_EXPANDED_SLOT), routes as u64);
         assert_eq!(
             pool.pool().stats().fresh,
             0,
@@ -613,6 +640,10 @@ mod tests {
             pool.pool().stats().fresh > 0,
             "the fan-out path merges through pooled partials"
         );
+        // Either way every route is counted once, and at cluster size 1
+        // none of them needs the search.
+        assert_eq!(telemetry.counter(ROUTES_EXPANDED_SLOT), 2 * routes as u64);
+        assert_eq!(telemetry.counter(ROUTE_SEARCHES_SLOT), 0);
     }
 
     #[test]

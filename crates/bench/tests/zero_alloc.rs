@@ -28,16 +28,25 @@
 //!   allocation count that is the same on an 11×11 and a 100×100 fabric:
 //!   the load path reads the stream's shape from the repository's header
 //!   memo and never re-parses the stored VBS, and the per-request
-//!   fragmentation sample reads the manager's maintained occupancy.
+//!   fragmentation sample reads the manager's maintained occupancy;
+//! * over the checked-in **corpus**, every load decodes the stored bytes
+//!   where they lie: a bare `TaskManager` load + unload pair (`cold_load`'s
+//!   operation) allocates once, for the resident's name (100 times when a
+//!   load parsed the stream into owned records); a scheduler miss or warm
+//!   re-decode allocates the same for every stream, whatever its record
+//!   count; the first `VbsRepository::header` of a stored stream validates
+//!   it without allocating; and a 9-byte stream claiming 2²⁰ − 1 records is
+//!   rejected having requested under 1 KiB (it requested 64 MiB).
 //!
 //! Everything runs inside one `#[test]` because the counters are
 //! process-global and the harness runs tests concurrently.
 
-use vbs_bench::{allocations, CountingAllocator};
+use vbs_bench::{allocated_bytes, allocations, CountingAllocator};
 use vbs_bitstream::TaskBitstream;
-use vbs_core::{DecodeScratch, Devirtualizer, Vbs};
-use vbs_runtime::{FirstFit, ReconfigurationController, ScratchPool};
-use vbs_sched::{Outcome, Request, SchedulerConfig};
+use vbs_core::bitio::BitWriter;
+use vbs_core::{DecodeScratch, Devirtualizer, Vbs, VbsError, VbsView};
+use vbs_runtime::{FirstFit, ReconfigurationController, ScratchPool, TaskManager};
+use vbs_sched::{CacheBudget, McncCorpus, Outcome, Request, SchedulerConfig};
 use vbs_telemetry::{Stage, Telemetry};
 
 #[global_allocator]
@@ -49,6 +58,15 @@ static ALLOC: CountingAllocator = CountingAllocator;
 /// occupancy snapshot, and 109 when every load also re-parsed the stored
 /// stream.
 const HOT_PAIR_ALLOCATION_BUDGET: u64 = 12;
+
+/// Allocations of a corpus `TaskManager::load` + `unload` pair —
+/// `cold_load`'s operation: the resident's name. It was 100 when every
+/// load parsed the stored stream into owned records (two per record).
+const COLD_PAIR_ALLOCATION_BUDGET: u64 = 1;
+
+/// Allocations of a scheduler load + unload pair that decodes (a miss or a
+/// warm re-decode), the same for every corpus stream.
+const DECODING_PAIR_ALLOCATION_BUDGET: u64 = 11;
 
 /// Allocations of a cold `decode_into` of `fft_stage`, as counted: the one
 /// cluster pattern's six arrays and the table it is derived through (each
@@ -281,4 +299,140 @@ fn decode_hot_path_allocation_budget() {
         per_pair,
         "a hot-hit pair allocates more on a 100x100 fabric than on 11x11"
     );
+
+    corpus_load_paths();
+}
+
+/// The run-time load paths over the checked-in corpus, which decode each
+/// stored stream where it lies.
+fn corpus_load_paths() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/traces/mcnc");
+    let corpus = McncCorpus::load(dir).expect("corpus");
+    let names: Vec<&str> = corpus.tasks.iter().map(|t| t.name.as_str()).collect();
+
+    // --- The first `header` of a stored stream validates it in one walk
+    // over its bytes and keeps the verdict inside the repository entry.
+    let repository = corpus.repository.clone();
+    let before = allocations();
+    for name in &names {
+        repository.header(name).expect("corpus stream");
+    }
+    let first = allocations() - before;
+    assert_eq!(
+        first, 0,
+        "validating the stored streams allocated {first} times"
+    );
+
+    // --- Nine bytes whose preamble claims 2^20 - 1 records on a 10x10 task
+    // used to reserve 64 MiB for them before reading the first record.
+    let mut w = BitWriter::new();
+    for (value, width) in [
+        (1, 4),
+        (1, 8),
+        (6, 4),
+        (10, 9),
+        (10, 12),
+        (10, 12),
+        ((1 << 20) - 1, 20),
+    ] {
+        w.write_bits(value, width);
+    }
+    let bomb = w.into_bytes();
+    let before = allocated_bytes();
+    let view = VbsView::parse(&bomb);
+    let owned = Vbs::from_bytes(&bomb);
+    let requested = allocated_bytes() - before;
+    assert!(matches!(view, Err(VbsError::Malformed { .. })), "{view:?}");
+    assert!(
+        matches!(owned, Err(VbsError::Malformed { .. })),
+        "{owned:?}"
+    );
+    assert!(
+        requested < 1024,
+        "rejecting a 9-byte stream requested {requested} bytes"
+    );
+
+    // --- `cold_load`'s operation: a bare manager's load + unload.
+    let (w, h) = corpus.single;
+    let spec = vbs_arch::ArchSpec::new(corpus.channel_width, corpus.lut_size).expect("arch");
+    let device = vbs_arch::Device::new(spec, w, h).expect("device");
+    let mut manager = TaskManager::new(ReconfigurationController::new(device), repository)
+        .with_policy(Box::new(FirstFit));
+    let mut cycle = |rounds: usize| {
+        for _ in 0..rounds {
+            for name in &names {
+                let handle = manager.load(name).expect("load");
+                manager.unload(handle).expect("unload");
+            }
+        }
+    };
+    cycle(2);
+    let before = allocations();
+    cycle(10);
+    let allocated = allocations() - before;
+    let pairs = 10 * names.len() as u64;
+    assert_eq!(allocated % pairs, 0, "every pair allocates alike");
+    assert!(
+        allocated / pairs <= COLD_PAIR_ALLOCATION_BUDGET,
+        "a cold load + unload pair allocated {} times (budget {COLD_PAIR_ALLOCATION_BUDGET}): \
+         is the load path parsing the stored VBS again?",
+        allocated / pairs
+    );
+
+    // --- Scheduler misses (the cache entry dropped before every load) and
+    // warm re-decodes (a one-byte hot tier demotes every image): what a
+    // pair allocates is the same for every stream, whatever its record
+    // count (36 to 73 records over the corpus; 2 per record more when each
+    // decode parsed the stream first).
+    for warm in [false, true] {
+        let config = SchedulerConfig {
+            cache_budget: CacheBudget {
+                hot_bytes: u64::from(warm),
+                warm_bytes: 0,
+            },
+            ..SchedulerConfig::default()
+        };
+        let mut sched = corpus.scheduler_over(corpus.repository.clone(), w, h, config);
+        let mut pair = |name: &str| {
+            if !warm {
+                sched.invalidate_cached(name);
+            }
+            let loaded = sched.execute(Request::Load {
+                task: name.into(),
+                priority: 0,
+                deadline: None,
+            });
+            let Outcome::Loaded { job, cache_hit, .. } = loaded else {
+                panic!("load failed: {loaded:?}");
+            };
+            assert!(!cache_hit, "{name} must decode");
+            sched.execute(Request::Unload { job });
+        };
+        let per_stream: Vec<u64> = names
+            .iter()
+            .map(|name| {
+                for _ in 0..2 {
+                    pair(name);
+                }
+                let before = allocations();
+                for _ in 0..10 {
+                    pair(name);
+                }
+                (allocations() - before) / 10
+            })
+            .collect();
+        let label = if warm { "warm re-decode" } else { "miss" };
+        assert!(
+            per_stream.iter().all(|&n| n == per_stream[0]),
+            "a scheduler {label} allocates per record: {per_stream:?} over {names:?}"
+        );
+        assert!(
+            per_stream[0] <= DECODING_PAIR_ALLOCATION_BUDGET,
+            "a scheduler {label} pair allocated {} times (budget {DECODING_PAIR_ALLOCATION_BUDGET})",
+            per_stream[0]
+        );
+        if warm {
+            assert!(sched.cache_stats().warm_hits >= 10 * names.len() as u64);
+        }
+    }
 }

@@ -7,7 +7,6 @@
 //! [`FrameLayout`]. Helpers are provided for the three frame sections
 //! (logic block, switch box, connection boxes).
 
-use std::ops::Range;
 use vbs_arch::{ArchSpec, FrameLayout, SbPair};
 use vbs_netlist::TruthTable;
 
@@ -244,44 +243,32 @@ impl<'a> FrameMut<'a> {
         self.set_bit(layout.ff_bypass_bit(), registered);
     }
 
-    /// Writes the raw logic-data bits from an iterator (missing bits are left
-    /// unchanged).
-    pub fn set_logic_bits(&mut self, bits: impl IntoIterator<Item = bool>) {
-        self.set_bits(self.layout().lb_config_range(), bits);
-    }
-
-    /// Writes the bits of `range` from an iterator, one masked word store
-    /// per 64-bit stretch instead of a read-modify-write per bit. Bits the
-    /// iterator does not supply are left unchanged; bits it supplies past
-    /// the range are not consumed.
+    /// Writes the `width` low bits of `value` to bits `at .. at + width`:
+    /// at most two masked word stores, whatever the alignment.
     ///
     /// # Panics
     ///
-    /// Panics if `range` reaches past `len()` — which is also what keeps
-    /// the padding bits of the last word permanently zero.
-    pub fn set_bits(&mut self, range: Range<usize>, bits: impl IntoIterator<Item = bool>) {
-        assert!(range.end <= self.len(), "frame bits {range:?} out of range");
-        let mut bits = bits.into_iter();
-        let mut at = range.start;
-        while at < range.end {
-            // The stretch of the range that lies in the word holding `at`.
-            let shift = at % 64;
-            let span = (64 - shift).min(range.end - at);
-            let (mut value, mut taken) = (0u64, 0);
-            for bit in bits.by_ref().take(span) {
-                value |= u64::from(bit) << taken;
-                taken += 1;
-            }
-            if taken == 0 {
-                return;
-            }
-            let mask = (u64::MAX >> (64 - taken)) << shift;
-            let word = &mut self.words[at / 64];
-            *word = (*word & !mask) | (value << shift);
-            if taken < span {
-                return;
-            }
-            at += span;
+    /// Panics if `width > 64` or the field reaches past `len()` — which is
+    /// also what keeps the padding bits of the last word permanently zero.
+    pub fn set_field(&mut self, at: usize, width: u32, value: u64) {
+        assert!(
+            width <= 64 && at + width as usize <= self.len(),
+            "frame bits {at}..{} out of range",
+            at + width as usize
+        );
+        if width == 0 {
+            return;
+        }
+        let mask = u64::MAX >> (64 - width);
+        let value = value & mask;
+        let (index, shift) = (at / 64, (at % 64) as u32);
+        let word = &mut self.words[index];
+        *word = (*word & !(mask << shift)) | (value << shift);
+        if shift + width > 64 {
+            // The high bits that spill into the next word.
+            let written = 64 - shift;
+            let word = &mut self.words[index + 1];
+            *word = (*word & !(mask >> written)) | (value >> written);
         }
     }
 
@@ -354,7 +341,10 @@ mod tests {
         let t = TruthTable::from_fn(6, |i| i & 3 == 1);
         s.frame_mut(0).set_logic(&t, false);
         let bits: Vec<bool> = s.frame(0).logic_bits().collect();
-        s.frame_mut(1).set_logic_bits(bits);
+        let mut copy = s.frame_mut(1);
+        for (i, bit) in bits.into_iter().enumerate() {
+            copy.set_bit(i, bit);
+        }
         assert_eq!(s.frame(0).logic(), s.frame(1).logic());
         assert_eq!(s.frame(0).diff_count(s.frame(1)), 0);
     }

@@ -14,7 +14,7 @@ use std::ops::Range;
 use vbs_arch::{Coord, Rect};
 use vbs_bitstream::{ConfigMemory, FrameMut, TaskBitstream};
 
-/// Per-bit twin of [`FrameMut::set_bits`]: one `set_bit` per supplied bit.
+/// Per-bit twin of [`FrameMut::set_field`]: one `set_bit` per supplied bit.
 pub fn set_bits_scalar(frame: &mut FrameMut<'_>, range: Range<usize>, bits: &[bool]) {
     for (i, &bit) in range.zip(bits) {
         frame.set_bit(i, bit);

@@ -65,51 +65,35 @@ fn soiled_memory(spec: ArchSpec, dev_w: u16, dev_h: u16, seed: u64) -> ConfigMem
     memory
 }
 
-/// `FrameMut::set_bits` packs the iterator into masked word stores; the
-/// per-bit loop is its definition. Exhaustive over every start offset
-/// within a word and every length up to two words and a bit, on an all-ones
-/// and an all-zeros background, with the iterator supplying all of the
-/// range, one bit more (must not be consumed into the frame) and half of it
-/// ("missing bits are left unchanged").
+/// `FrameMut::set_field` is at most two masked word stores; the per-bit
+/// loop is its definition. Exhaustive over every start offset within the
+/// first two words and every width 0..=64, on an all-ones and an all-zeros
+/// background, with value bits above the width that must not be written.
 #[test]
-fn set_bits_matches_the_per_bit_loop_at_every_offset_and_length() {
-    let spec = ArchSpec::paper_example(); // 284 bits: 64 + 130 fits
-    let pattern: Vec<bool> = (0..131u32).map(|i| (i * i + i / 3) % 3 != 1).collect();
-    for start in 0..64usize {
-        for len in 0..130usize {
+fn set_field_matches_the_per_bit_loop_at_every_offset_and_width() {
+    let spec = ArchSpec::paper_example(); // 284 bits: 128 + 64 fits
+    let value = 0xd6e8_feb8_6659_fd93u64;
+    for start in 0..128usize {
+        for width in 0..=64u32 {
             for background in [false, true] {
-                for supplied in [len, len + 1, len / 2] {
-                    let mut word = TaskBitstream::empty(spec, 1, 1);
-                    let mut frame = word.frame_mut(Coord::new(0, 0));
-                    for i in 0..frame.len() {
-                        frame.set_bit(i, background);
-                    }
-                    let mut scalar = word.clone();
-                    let bits = &pattern[..supplied];
-                    word.frame_mut(Coord::new(0, 0))
-                        .set_bits(start..start + len, bits.iter().copied());
-                    set_bits_scalar(
-                        &mut scalar.frame_mut(Coord::new(0, 0)),
-                        start..start + len,
-                        bits,
-                    );
-                    assert_eq!(
-                        word, scalar,
-                        "start {start} len {len} supplied {supplied} on {background}"
-                    );
+                let mut word = TaskBitstream::empty(spec, 1, 1);
+                let mut frame = word.frame_mut(Coord::new(0, 0));
+                for i in 0..frame.len() {
+                    frame.set_bit(i, background);
                 }
+                let mut scalar = word.clone();
+                word.frame_mut(Coord::new(0, 0))
+                    .set_field(start, width, value);
+                let bits: Vec<bool> = (0..width).map(|i| (value >> i) & 1 == 1).collect();
+                set_bits_scalar(
+                    &mut scalar.frame_mut(Coord::new(0, 0)),
+                    start..start + width as usize,
+                    &bits,
+                );
+                assert_eq!(word, scalar, "start {start} width {width} on {background}");
             }
         }
     }
-    // `set_logic_bits` is the same store over the logic section.
-    let mut task = TaskBitstream::empty(spec, 1, 1);
-    task.frame_mut(Coord::new(0, 0))
-        .set_logic_bits(pattern[..spec.lb_config_bits()].iter().copied());
-    let frame = task.frame(Coord::new(0, 0));
-    assert!(frame
-        .logic_bits()
-        .eq(pattern[..spec.lb_config_bits()].iter().copied()));
-    assert_eq!(frame.routing_bits().filter(|&b| b).count(), 0);
 }
 
 proptest! {

@@ -61,19 +61,23 @@ impl ClusterIo {
     ///
     /// Panics if the offset, local index or pin is out of range.
     pub fn index(&self, spec: &ArchSpec, cluster_size: u16) -> u32 {
+        self.checked_index(spec, cluster_size)
+            .unwrap_or_else(|| panic!("{self} out of range for cluster size {cluster_size}"))
+    }
+
+    /// Encodes this I/O as its index, or `None` when the offset, local
+    /// index or pin is out of range (only a hand-built record holds such
+    /// an I/O).
+    pub(crate) fn checked_index(&self, spec: &ArchSpec, cluster_size: u16) -> Option<u32> {
         let k = cluster_size as u32;
         let kw = k * spec.channel_width() as u32;
         match *self {
-            ClusterIo::Null => 0,
+            ClusterIo::Null => Some(0),
             ClusterIo::Boundary { side, offset } => {
-                assert!((offset as u32) < kw, "boundary offset out of range");
-                1 + side.index() as u32 * kw + offset as u32
+                ((offset as u32) < kw).then(|| 1 + side.index() as u32 * kw + offset as u32)
             }
-            ClusterIo::Pin { local, pin } => {
-                assert!((local as u32) < k * k, "local macro index out of range");
-                assert!(pin < spec.lb_pins(), "pin out of range");
-                1 + 4 * kw + local as u32 * spec.lb_pins() as u32 + pin as u32
-            }
+            ClusterIo::Pin { local, pin } => ((local as u32) < k * k && pin < spec.lb_pins())
+                .then(|| 1 + 4 * kw + local as u32 * spec.lb_pins() as u32 + pin as u32),
         }
     }
 

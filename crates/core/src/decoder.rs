@@ -26,8 +26,8 @@
 //! graph of a task: it keeps one `ClusterPattern` per cluster shape of
 //! the current `(architecture, cluster size)` (the full `k × k` shape plus
 //! at most three shapes cut by the east / north task edge) and works in the
-//! pattern's local ids throughout. A cluster I/O maps to its id by
-//! arithmetic, net ownership and search state are arrays of a few dozen to
+//! pattern's local ids throughout. A cluster I/O index maps to its id
+//! through a per-index table of the pattern, net ownership and search state are arrays of a few dozen to
 //! a few hundred entries, every edge carries the frame bit it programs, and
 //! task coordinates appear only when a bit is written (cluster origin plus
 //! the switch's offset) and when the claimed wires are reported.
@@ -48,6 +48,18 @@
 //! [`DecodeScratch::route_counts`] reports how many routes were expanded
 //! and how many of them needed the search, as exact counts.
 //!
+//! # A stream is read where it lies
+//!
+//! [`Devirtualizer`] takes an owned [`Vbs`] or a [`crate::VbsView`] of
+//! serialized bytes, and sees every record as the same
+//! [`crate::RecordRef`], so one routine expands both. Logic and raw routing
+//! payloads are bit ranges, copied into the frame a word at a time. A
+//! connection's two I/O indices — one word read from a packed record,
+//! computed for an owned one — become pattern nodes through that table;
+//! anything it does not resolve to a plain node (a missing west / south
+//! wire, a cut side, an invalid I/O) goes through [`ClusterIo`], which is
+//! where every endpoint error is reported, for both forms alike.
+//!
 //! # The zero-allocation hot path
 //!
 //! The paper's performance claim is that de-virtualization can run "as fast
@@ -66,14 +78,16 @@
 //!   begin configuration-memory writes long before the whole stream is
 //!   decoded.
 
+use crate::bitio::BitRange;
 use crate::cluster::{ClusterGrid, ClusterIo};
 use crate::error::VbsError;
-use crate::format::{ClusterRecord, ClusterRoutes, Connection, Vbs};
+use crate::format::{Connection, RecordRef, RoutesRef, Vbs, VbsHeader};
 use crate::pattern::{self, ClusterPattern};
+use crate::view::{Records, VbsRef};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use vbs_arch::{ArchSpec, Coord, Device, Side, WireRef};
-use vbs_bitstream::{FrameRef, TaskBitstream};
+use vbs_bitstream::{FrameMut, FrameRef, TaskBitstream};
 
 /// Decodes a whole Virtual Bit-Stream into the raw bit-stream of the task
 /// (task-relative frames).
@@ -160,9 +174,9 @@ pub struct DecodeScratch {
     patterns: PatternSet,
     claimed: Vec<WireRef>,
     emitted: Vec<bool>,
-    /// Coded connections expanded / of those, the ones that ran the search.
+    /// Coded connections expanded (how many ran the search is counted by
+    /// the search itself).
     routes: u64,
-    searches: u64,
 }
 
 impl DecodeScratch {
@@ -186,10 +200,10 @@ impl DecodeScratch {
     /// timing: a decode that got slower at equal counts was slowed, one
     /// with more searches had more work.
     pub fn route_counts(&self) -> (u64, u64) {
-        (self.routes, self.searches)
+        (self.routes, self.search.runs)
     }
 
-    /// Derives every cluster pattern `vbs` needs and sizes every internal
+    /// Derives every cluster pattern `stream` needs and sizes every internal
     /// buffer for it, exactly as the first decode of that stream would —
     /// the **warm-up hook** of scratch pools: a pool that parks several
     /// scratches can prepare each of them up front, so whichever scratch a
@@ -201,8 +215,8 @@ impl DecodeScratch {
     ///
     /// Returns a [`VbsError`] when the stream header describes a degenerate
     /// device geometry.
-    pub fn prepare_for(&mut self, vbs: &Vbs) -> Result<(), VbsError> {
-        Devirtualizer::new(vbs)?.reserve(self)
+    pub fn prepare_for<'a>(&mut self, stream: impl Into<VbsRef<'a>>) -> Result<(), VbsError> {
+        Devirtualizer::new(stream)?.reserve(self)
     }
 
     /// Clears the per-load transient state (per-record net bookkeeping,
@@ -287,6 +301,8 @@ struct SearchScratch {
     heap: BinaryHeap<Entry>,
     /// The edges of the route found, source to target.
     path: Vec<u32>,
+    /// Searches run over the life of the scratch.
+    runs: u64,
 }
 
 impl SearchScratch {
@@ -323,6 +339,7 @@ impl SearchScratch {
         group: u32,
         nets: &NetScratch,
     ) -> bool {
+        self.runs += 1;
         if self.generation == u32::MAX {
             self.stamp.fill(0);
             self.generation = 0;
@@ -338,6 +355,7 @@ impl SearchScratch {
             generation,
             heap,
             path,
+            ..
         } = self;
         let generation = *generation;
         let wires = pattern.wire_count();
@@ -553,6 +571,13 @@ impl NetScratch {
     }
 }
 
+/// Copies `bits` into the frame bits from `at` on, a word at a time.
+fn copy_bits(frame: &mut FrameMut<'_>, at: usize, bits: BitRange<'_>) {
+    for (offset, width, value) in bits.words() {
+        frame.set_field(at + offset, width, value);
+    }
+}
+
 /// Where one record's cluster sits: its pattern, and what translating the
 /// pattern to this position needs.
 struct ClusterSite<'p> {
@@ -566,6 +591,89 @@ struct ClusterSite<'p> {
     absent: u8,
 }
 
+impl ClusterSite<'_> {
+    /// The node I/O index `index` names when it is a plain endpoint of this
+    /// cluster: in the shape, and not a west / south wire the cluster lacks.
+    /// Everything else — errors included — is resolved by
+    /// [`Devirtualizer::route_io`].
+    fn node_of(&self, index: u32) -> Option<usize> {
+        let node = self.pattern.io_node(index)?;
+        (node >= self.pattern.wire_count() || self.pattern.flags(node) & self.absent == 0)
+            .then_some(node)
+    }
+
+    /// Routes one connection between two nodes of the pattern and writes
+    /// the switches it programs.
+    fn route(
+        &self,
+        source: usize,
+        target: usize,
+        nets: &mut NetScratch,
+        search: &mut SearchScratch,
+        task: &mut TaskBitstream,
+    ) -> Result<(), RouteFailure> {
+        let pattern = self.pattern;
+        let wires = pattern.wire_count();
+        let group = nets.group_of_endpoints(wires, source, target);
+        if source == target {
+            return Ok(());
+        }
+
+        if let Some(edge) = pattern.edge_between(source, target) {
+            // One switch joins them: that hop is the unique cheapest path
+            // (see the module docs), no search needed.
+            search.path.clear();
+            search.path.push(edge as u32);
+        } else if !search.dijkstra(pattern, self.absent, source, target, group, nets) {
+            return Err(RouteFailure::NoPath);
+        }
+
+        // Program the switches along the path, then claim the wires it
+        // passes (the endpoints already belong to the group).
+        for &edge in &search.path {
+            let switch = pattern
+                .switch(edge as usize)
+                .ok_or(RouteFailure::Conflict)?;
+            task.frame_mut(Coord::new(
+                self.origin.x + switch.dx,
+                self.origin.y + switch.dy,
+            ))
+            .set_bit(switch.bit as usize, true);
+        }
+        for &edge in &search.path {
+            let node = pattern.target(edge as usize);
+            if node < wires {
+                nets.claim(node, group);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Why a connection between two nodes could not be programmed.
+#[derive(Debug, Clone, Copy)]
+enum RouteFailure {
+    NoPath,
+    /// The path takes a switch outside the cluster.
+    Conflict,
+}
+
+impl RouteFailure {
+    fn error(self, cluster: Coord, connection: &Connection) -> VbsError {
+        let connection = connection.to_string();
+        match self {
+            RouteFailure::NoPath => VbsError::DecodeNoPath {
+                cluster,
+                connection,
+            },
+            RouteFailure::Conflict => VbsError::DecodeConflict {
+                cluster,
+                connection,
+            },
+        }
+    }
+}
+
 /// A resolved connection endpoint.
 enum Endpoint {
     /// A node of the cluster's pattern.
@@ -577,7 +685,9 @@ enum Endpoint {
     Elsewhere,
 }
 
-/// The de-virtualization engine for one Virtual Bit-Stream.
+/// The de-virtualization engine for one Virtual Bit-Stream, owned or
+/// viewed in its serialized bytes (anything that converts into a
+/// [`VbsRef`]).
 ///
 /// The engine borrows the stream and expands records on demand; use
 /// [`Devirtualizer::decode_into`] for the whole task (zero allocations on a
@@ -587,22 +697,46 @@ enum Endpoint {
 /// decoding).
 #[derive(Debug)]
 pub struct Devirtualizer<'a> {
-    vbs: &'a Vbs,
+    stream: VbsRef<'a>,
+    header: VbsHeader,
     grid: ClusterGrid,
 }
 
 impl<'a> Devirtualizer<'a> {
-    /// Prepares the decoding of `vbs`.
+    /// Prepares the decoding of `stream`.
     ///
     /// # Errors
     ///
     /// Returns [`VbsError::Arch`] if the task dimensions are degenerate.
-    pub fn new(vbs: &'a Vbs) -> Result<Self, VbsError> {
-        Device::new(*vbs.spec(), vbs.width().max(1), vbs.height().max(1))?;
+    pub fn new(stream: impl Into<VbsRef<'a>>) -> Result<Self, VbsError> {
+        let stream = stream.into();
+        let header = stream.header();
+        Device::new(header.spec, header.width.max(1), header.height.max(1))?;
         Ok(Devirtualizer {
-            vbs,
-            grid: vbs.grid(),
+            stream,
+            header,
+            grid: ClusterGrid::new(
+                header.spec,
+                header.cluster_size,
+                header.width,
+                header.height,
+            )?,
         })
+    }
+
+    /// The stream's records, in stream order.
+    pub fn records(&self) -> Records<'a> {
+        self.stream.records()
+    }
+
+    /// Number of records of the stream.
+    pub fn record_count(&self) -> usize {
+        self.stream.record_count()
+    }
+
+    /// The decoded task's width and height (at least 1 each).
+    fn task_shape(&self) -> (u16, u16) {
+        (self.header.width.max(1), self.header.height.max(1))
     }
 
     /// Derives the pattern of every cluster shape the task's tiling has
@@ -616,8 +750,8 @@ impl<'a> Devirtualizer<'a> {
         for cols in extents(self.grid.width()) {
             for rows in extents(self.grid.height()) {
                 if cols > 0 && rows > 0 {
-                    let routes = self.vbs.max_routes_per_record();
-                    scratch.pattern_for(self.vbs.spec(), k, (cols, rows), routes)?;
+                    let routes = self.header.max_routes_per_record();
+                    scratch.pattern_for(&self.header.spec, k, (cols, rows), routes)?;
                 }
             }
         }
@@ -638,13 +772,10 @@ impl<'a> Devirtualizer<'a> {
         task: &mut TaskBitstream,
         scratch: &mut DecodeScratch,
     ) -> Result<(), VbsError> {
-        task.reset(
-            *self.vbs.spec(),
-            self.vbs.width().max(1),
-            self.vbs.height().max(1),
-        );
+        let (w, h) = self.task_shape();
+        task.reset(self.header.spec, w, h);
         self.reserve(scratch)?;
-        for record in self.vbs.records() {
+        for record in self.records() {
             self.decode_record_with(record, task, scratch)?;
         }
         Ok(())
@@ -669,13 +800,13 @@ impl<'a> Devirtualizer<'a> {
         scratch: &mut DecodeScratch,
         sink: &mut dyn FrameSink,
     ) -> Result<(), VbsError> {
-        let (w, h) = (self.vbs.width().max(1), self.vbs.height().max(1));
-        staging.reset(*self.vbs.spec(), w, h);
+        let (w, h) = self.task_shape();
+        staging.reset(self.header.spec, w, h);
         self.reserve(scratch)?;
         scratch.emitted.clear();
         scratch.emitted.resize(w as usize * h as usize, false);
         let k = self.grid.cluster_size();
-        for record in self.vbs.records() {
+        for record in self.records() {
             self.decode_record_with(record, staging, scratch)?;
             for local in 0..(u32::from(k) * u32::from(k)) {
                 let Some(site) = self.grid.macro_at(record.position, local as u16) else {
@@ -710,24 +841,25 @@ impl<'a> Devirtualizer<'a> {
     /// Returns [`VbsError::DecodeConflict`], [`VbsError::DecodeNoPath`],
     /// [`VbsError::DanglingBoundary`], [`VbsError::RecordOutOfTask`] or
     /// [`VbsError::Malformed`] when the record cannot be expanded.
-    pub fn decode_record_with(
+    pub fn decode_record_with<'r>(
         &self,
-        record: &ClusterRecord,
+        record: impl Into<RecordRef<'r>>,
         task: &mut TaskBitstream,
         scratch: &mut DecodeScratch,
     ) -> Result<(), VbsError> {
+        let record = record.into();
         let cluster = record.position;
         let k = self.grid.cluster_size();
-        let spec = self.vbs.spec();
+        let spec = &self.header.spec;
         let lb_bits = spec.lb_config_bits();
         scratch.claimed.clear();
 
-        if record.logic.len() != self.vbs.logic_bits_per_record() {
+        if record.logic.len() != self.header.logic_bits_per_record() {
             return Err(VbsError::Malformed {
                 reason: format!(
                     "record at {cluster} carries {} logic bits, expected {}",
                     record.logic.len(),
-                    self.vbs.logic_bits_per_record()
+                    self.header.logic_bits_per_record()
                 ),
             });
         }
@@ -752,30 +884,29 @@ impl<'a> Devirtualizer<'a> {
 
         // 1. Logic sections.
         for (site, local) in macros.clone() {
-            let bits = &record.logic[local * lb_bits..(local + 1) * lb_bits];
-            task.frame_mut(site).set_logic_bits(bits.iter().copied());
+            let bits = record.logic.slice(local * lb_bits, lb_bits);
+            copy_bits(&mut task.frame_mut(site), 0, bits);
         }
 
         // 2. Routing sections.
-        match &record.routes {
-            ClusterRoutes::Raw(raw) => {
-                if raw.len() != self.vbs.raw_routing_bits_per_record() {
+        match record.routes {
+            RoutesRef::Raw(raw) => {
+                if raw.len() != self.header.raw_routing_bits_per_record() {
                     return Err(VbsError::Malformed {
                         reason: format!(
                             "raw record at {cluster} carries {} routing bits, expected {}",
                             raw.len(),
-                            self.vbs.raw_routing_bits_per_record()
+                            self.header.raw_routing_bits_per_record()
                         ),
                     });
                 }
                 let per_macro = spec.raw_bits_per_macro() - lb_bits;
                 for (site, local) in macros {
-                    let bits = &raw[local * per_macro..(local + 1) * per_macro];
-                    task.frame_mut(site)
-                        .set_bits(lb_bits..lb_bits + per_macro, bits.iter().copied());
+                    let bits = raw.slice(local * per_macro, per_macro);
+                    copy_bits(&mut task.frame_mut(site), lb_bits, bits);
                 }
             }
-            ClusterRoutes::Coded(connections) => {
+            RoutesRef::Coded(connections) => {
                 let index = scratch.pattern_for(spec, k, (cols, rows), connections.len())?;
                 let DecodeScratch {
                     search,
@@ -783,7 +914,6 @@ impl<'a> Devirtualizer<'a> {
                     patterns,
                     claimed,
                     routes,
-                    searches,
                     ..
                 } = scratch;
                 let site = ClusterSite {
@@ -794,9 +924,23 @@ impl<'a> Devirtualizer<'a> {
                         | if y0 == 0 { pattern::SOUTH } else { 0 },
                 };
                 nets.clear();
-                for connection in connections {
+                let node = |index: Option<u32>| index.and_then(|index| site.node_of(index));
+                for i in 0..connections.len() {
+                    // A plain endpoint pair is two table lookups; anything
+                    // else takes the I/O path, which also reports errors.
+                    let (input, output) = connections.indices(i, spec, k);
+                    let (Some(source), Some(target)) = (node(input), node(output)) else {
+                        let connection = connections.get(i)?;
+                        *routes += 1;
+                        self.route_io(&site, &connection, nets, search, task)?;
+                        continue;
+                    };
                     *routes += 1;
-                    self.route_connection(&site, connection, nets, search, searches, task)?;
+                    site.route(source, target, nets, search, task)
+                        .map_err(|failure| {
+                            let connection = connections.get(i).expect("resolved ids are valid");
+                            failure.error(cluster, &connection)
+                        })?;
                 }
                 // Ids order as the wires they stand for.
                 nets.claimed.sort_unstable();
@@ -810,80 +954,33 @@ impl<'a> Devirtualizer<'a> {
         Ok(())
     }
 
-    /// Routes one coded connection inside its cluster and writes the switches
-    /// it programs.
-    fn route_connection(
+    /// Expands one connection named by its cluster I/Os: every connection
+    /// of an owned record, and those of a packed record whose endpoints are
+    /// not both plain nodes ([`ClusterSite::node_of`]).
+    fn route_io(
         &self,
         site: &ClusterSite<'_>,
         connection: &Connection,
         nets: &mut NetScratch,
         search: &mut SearchScratch,
-        searches: &mut u64,
         task: &mut TaskBitstream,
     ) -> Result<(), VbsError> {
-        let ClusterSite {
-            pattern,
-            cluster,
-            origin,
-            absent,
-        } = *site;
-        let no_path = || VbsError::DecodeNoPath {
-            cluster,
-            connection: connection.to_string(),
-        };
         let source = self.endpoint(site, connection.input)?;
         let target = self.endpoint(site, connection.output)?;
-        let (Endpoint::Node(source), Endpoint::Node(target)) = (source, target) else {
-            return if connection.input == connection.output {
-                Ok(())
-            } else {
-                Err(no_path())
-            };
-        };
-        let wires = pattern.wire_count();
-        let group = nets.group_of_endpoints(wires, source, target);
-        if source == target {
-            return Ok(());
+        match (source, target) {
+            (Endpoint::Node(source), Endpoint::Node(target)) => site
+                .route(source, target, nets, search, task)
+                .map_err(|failure| failure.error(site.cluster, connection)),
+            _ if connection.input == connection.output => Ok(()),
+            _ => Err(RouteFailure::NoPath.error(site.cluster, connection)),
         }
-
-        if let Some(edge) = pattern.edge_between(source, target) {
-            // One switch joins them: that hop is the unique cheapest path
-            // (see the module docs), no search needed.
-            search.path.clear();
-            search.path.push(edge as u32);
-        } else {
-            *searches += 1;
-            if !search.dijkstra(pattern, absent, source, target, group, nets) {
-                return Err(no_path());
-            }
-        }
-
-        // Program the switches along the path, then claim the wires it
-        // passes (the endpoints already belong to the group).
-        for &edge in &search.path {
-            let Some(switch) = pattern.switch(edge as usize) else {
-                return Err(VbsError::DecodeConflict {
-                    cluster,
-                    connection: connection.to_string(),
-                });
-            };
-            task.frame_mut(Coord::new(origin.x + switch.dx, origin.y + switch.dy))
-                .set_bit(switch.bit as usize, true);
-        }
-        for &edge in &search.path {
-            let node = pattern.target(edge as usize);
-            if node < wires {
-                nets.claim(node, group);
-            }
-        }
-        Ok(())
     }
 
     /// Maps a cluster I/O to its pattern node.
     fn endpoint(&self, site: &ClusterSite<'_>, io: ClusterIo) -> Result<Endpoint, VbsError> {
         let cluster = site.cluster;
         let (cols, rows) = site.pattern.shape();
-        let spec = self.vbs.spec();
+        let spec = &self.header.spec;
         match io {
             ClusterIo::Null => Err(VbsError::Malformed {
                 reason: format!("null i/o used as a connection endpoint in cluster {cluster}"),
@@ -933,6 +1030,7 @@ impl<'a> Devirtualizer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitio::PackedBits;
     use crate::format::{ClusterRecord, ClusterRoutes};
     use vbs_arch::{ArchSpec, SbPair, Side};
 
@@ -943,7 +1041,7 @@ mod tests {
     fn record(connections: Vec<Connection>) -> ClusterRecord {
         ClusterRecord {
             position: Coord::new(1, 1),
-            logic: vec![false; spec().lb_config_bits()],
+            logic: PackedBits::zeros(spec().lb_config_bits()),
             routes: ClusterRoutes::Coded(connections),
         }
     }
@@ -1134,7 +1232,7 @@ mod tests {
         // exist there.
         let rec = ClusterRecord {
             position: Coord::new(0, 0),
-            logic: vec![false; spec().lb_config_bits()],
+            logic: PackedBits::zeros(spec().lb_config_bits()),
             routes: ClusterRoutes::Coded(vec![Connection {
                 input: ClusterIo::Boundary {
                     side: Side::West,
@@ -1158,7 +1256,7 @@ mod tests {
         let rec = ClusterRecord {
             position: Coord::new(2, 2),
             logic: (0..s.lb_config_bits()).map(|i| i % 3 == 0).collect(),
-            routes: ClusterRoutes::Raw(pattern.clone()),
+            routes: ClusterRoutes::Raw(pattern.iter().copied().collect()),
         };
         let vbs = Vbs::new(s, 1, 4, 4, vec![rec]).unwrap();
         let task = decode(&vbs).unwrap();

@@ -17,10 +17,11 @@
 //! resort the record falls back to the raw coding of the cluster (which also
 //! happens when the list would be larger than the raw frames).
 
+use crate::bitio::PackedBits;
 use crate::cluster::{ClusterGrid, ClusterIo};
 use crate::decoder::{DecodeScratch, Devirtualizer};
 use crate::error::VbsError;
-use crate::format::{ClusterRecord, ClusterRoutes, Connection, Vbs};
+use crate::format::{ClusterRecord, ClusterRoutes, Connection, RecordRef, RoutesRef, Vbs};
 use std::collections::{HashMap, HashSet};
 use vbs_arch::{ArchSpec, Coord, WireRef};
 use vbs_bitstream::{edge_to_switch, TaskBitstream};
@@ -149,7 +150,7 @@ impl VbsEncoder {
         for cluster in grid.iter_clusters() {
             let nets = per_cluster.remove(&cluster);
             let logic = self.logic_bits(&grid, raw, cluster);
-            let has_logic = logic.iter().any(|&b| b);
+            let has_logic = logic.as_range().words().any(|(_, _, bits)| bits != 0);
             let connections = nets
                 .as_ref()
                 .map(|n| n.connections.clone())
@@ -176,13 +177,13 @@ impl VbsEncoder {
                 let candidates = [connections.clone(), ordered];
                 let mut accepted = None;
                 for candidate in candidates {
-                    let record = ClusterRecord {
+                    let record = RecordRef {
                         position: cluster,
-                        logic: logic.clone(),
-                        routes: ClusterRoutes::Coded(candidate.clone()),
+                        logic: logic.as_range(),
+                        routes: RoutesRef::Coded(candidate.as_slice().into()),
                     };
                     match devirtualizer.decode_record_with(
-                        &record,
+                        record,
                         &mut scratch,
                         &mut decode_scratch,
                     ) {
@@ -228,14 +229,14 @@ impl VbsEncoder {
     }
 
     /// Collects the logic bits of a cluster from the raw frames.
-    fn logic_bits(&self, grid: &ClusterGrid, raw: &TaskBitstream, cluster: Coord) -> Vec<bool> {
+    fn logic_bits(&self, grid: &ClusterGrid, raw: &TaskBitstream, cluster: Coord) -> PackedBits {
         let k = self.cluster_size as usize;
         let lb = self.spec.lb_config_bits();
-        let mut bits = vec![false; k * k * lb];
+        let mut bits = PackedBits::zeros(k * k * lb);
         for local in 0..(k * k) {
             if let Some(site) = grid.macro_at(cluster, local as u16) {
                 for (i, b) in raw.frame(site).logic_bits().enumerate() {
-                    bits[local * lb + i] = b;
+                    bits.set(local * lb + i, b);
                 }
             }
         }
@@ -248,12 +249,12 @@ impl VbsEncoder {
         let k = self.cluster_size as usize;
         let lb = self.spec.lb_config_bits();
         let per_macro = self.spec.raw_bits_per_macro() - lb;
-        let mut bits = vec![false; k * k * per_macro];
+        let mut bits = PackedBits::zeros(k * k * per_macro);
         for local in 0..(k * k) {
             if let Some(site) = grid.macro_at(cluster, local as u16) {
                 let frame = raw.frame(site);
                 for i in 0..per_macro {
-                    bits[local * per_macro + i] = frame.bit(lb + i);
+                    bits.set(local * per_macro + i, frame.bit(lb + i));
                 }
             }
         }

@@ -20,10 +20,18 @@
 //! mode bit for the raw-macro fallback the paper describes in Section III-B;
 //! both are documented in `DESIGN.md` and amount to a handful of bits per
 //! task.
+//!
+//! Two forms of a stream share one record shape. An owned [`Vbs`] is what
+//! the encoder produces and [`Vbs::to_bytes`] serializes; its payloads are
+//! [`PackedBits`] in stream order. A [`crate::VbsView`] reads the same
+//! records where they lie in the serialized bytes. Either way the decoder
+//! sees each record as a [`RecordRef`]: the logic and raw payloads as
+//! [`BitRange`]s, the connection list as [`Connections`].
 
-use crate::bitio::{BitReader, BitWriter};
+use crate::bitio::{BitRange, BitWriter, PackedBits};
 use crate::cluster::{ClusterGrid, ClusterIo};
 use crate::error::VbsError;
+use crate::view::VbsView;
 use serde::{Deserialize, Serialize};
 use vbs_arch::{ArchSpec, Coord};
 
@@ -60,7 +68,7 @@ pub enum ClusterRoutes {
     /// (`k² · (N_raw − N_LB)` bits). Used when the feedback loop cannot find
     /// a decodable connection list or when the list would be larger than the
     /// raw coding.
-    Raw(Vec<bool>),
+    Raw(PackedBits),
 }
 
 impl ClusterRoutes {
@@ -85,9 +93,177 @@ pub struct ClusterRecord {
     pub position: Coord,
     /// Logic data of the `k²` macros (row-major local order), `N_LB` bits
     /// each.
-    pub logic: Vec<bool>,
+    pub logic: PackedBits,
     /// Routing description.
     pub routes: ClusterRoutes,
+}
+
+/// A record as the decoder reads it, borrowed from an owned
+/// [`ClusterRecord`] or from the bytes of a [`crate::VbsView`].
+#[derive(Debug, Clone, Copy)]
+pub struct RecordRef<'a> {
+    /// Cluster position within the task, in cluster units.
+    pub position: Coord,
+    /// Logic data of the `k²` macros (row-major local order), `N_LB` bits
+    /// each.
+    pub logic: BitRange<'a>,
+    /// Routing description.
+    pub routes: RoutesRef<'a>,
+}
+
+/// The routing part of a [`RecordRef`].
+#[derive(Debug, Clone, Copy)]
+pub enum RoutesRef<'a> {
+    /// The connection list.
+    Coded(Connections<'a>),
+    /// The raw routing sections of the cluster's frames.
+    Raw(BitRange<'a>),
+}
+
+/// A borrowed connection list: an owned `[Connection]` or the packed
+/// `2 · M_k`-bit identifier pairs of a serialized record.
+#[derive(Debug, Clone, Copy)]
+pub struct Connections<'a>(ConnectionSource<'a>);
+
+#[derive(Debug, Clone, Copy)]
+enum ConnectionSource<'a> {
+    Owned(&'a [Connection]),
+    Packed(PackedConnections<'a>),
+}
+
+/// `count` identifier pairs of `io_bits` each, at the start of `bits`.
+#[derive(Debug, Clone, Copy)]
+struct PackedConnections<'a> {
+    bits: BitRange<'a>,
+    count: usize,
+    io_bits: u32,
+    spec: ArchSpec,
+    cluster_size: u16,
+}
+
+impl PackedConnections<'_> {
+    /// The raw I/O indices of connection `i`, input first: one word read
+    /// (an identifier is at most 32 bits wide).
+    fn indices(&self, i: usize) -> (u32, u32) {
+        let io = self.io_bits;
+        let pair = self.bits.word(2 * i * io as usize, 2 * io);
+        ((pair & ((1 << io) - 1)) as u32, (pair >> io) as u32)
+    }
+
+    /// Connection `i`, both identifiers checked against the I/O count.
+    fn get(&self, i: usize) -> Result<Connection, VbsError> {
+        let (input, output) = self.indices(i);
+        let io = |index| ClusterIo::from_index(&self.spec, self.cluster_size, index);
+        Ok(Connection {
+            input: io(input)?,
+            output: io(output)?,
+        })
+    }
+}
+
+impl<'a> Connections<'a> {
+    /// `count` packed identifier pairs of `io_bits` each, at the start of
+    /// `bits`.
+    pub(crate) fn packed(bits: BitRange<'a>, count: usize, header: &VbsHeader) -> Self {
+        Connections(ConnectionSource::Packed(PackedConnections {
+            bits,
+            count,
+            io_bits: header.io_bits(),
+            spec: header.spec,
+            cluster_size: header.cluster_size,
+        }))
+    }
+
+    /// Number of connections.
+    pub fn len(&self) -> usize {
+        match self.0 {
+            ConnectionSource::Owned(list) => list.len(),
+            ConnectionSource::Packed(packed) => packed.count,
+        }
+    }
+
+    /// Whether the list is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The connections, in stream order. A packed identifier outside the
+    /// cluster's I/O range — only a view built from another stream's layout
+    /// can hold one — yields [`VbsError::InvalidIo`].
+    pub fn iter(&self) -> impl Iterator<Item = Result<Connection, VbsError>> + 'a {
+        let list = *self;
+        (0..self.len()).map(move |i| list.get(i))
+    }
+
+    /// Connection `i` (see [`Connections::iter`]).
+    pub(crate) fn get(&self, i: usize) -> Result<Connection, VbsError> {
+        match self.0 {
+            ConnectionSource::Owned(list) => Ok(list[i]),
+            ConnectionSource::Packed(packed) => packed.get(i),
+        }
+    }
+
+    /// The I/O indices of connection `i` for a cluster of size `k` of
+    /// `spec`, input first: read straight from a packed list, computed for
+    /// an owned one — where an I/O with a field out of range has none.
+    pub(crate) fn indices(&self, i: usize, spec: &ArchSpec, k: u16) -> (Option<u32>, Option<u32>) {
+        match self.0 {
+            ConnectionSource::Owned(list) => (
+                list[i].input.checked_index(spec, k),
+                list[i].output.checked_index(spec, k),
+            ),
+            ConnectionSource::Packed(packed) => {
+                let (input, output) = packed.indices(i);
+                (Some(input), Some(output))
+            }
+        }
+    }
+}
+
+impl<'a> From<&'a [Connection]> for Connections<'a> {
+    fn from(list: &'a [Connection]) -> Self {
+        Connections(ConnectionSource::Owned(list))
+    }
+}
+
+impl<'a> From<&'a ClusterRecord> for RecordRef<'a> {
+    fn from(record: &'a ClusterRecord) -> Self {
+        RecordRef {
+            position: record.position,
+            logic: record.logic.as_range(),
+            routes: match &record.routes {
+                ClusterRoutes::Coded(list) => RoutesRef::Coded(list.as_slice().into()),
+                ClusterRoutes::Raw(raw) => RoutesRef::Raw(raw.as_range()),
+            },
+        }
+    }
+}
+
+impl RecordRef<'_> {
+    /// Copies the record out: the payloads a word at a time, the
+    /// connection list into exactly the room it needs.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VbsError::InvalidIo`] for a packed identifier outside the
+    /// cluster's I/O range (see [`Connections::iter`]).
+    pub fn to_owned(self) -> Result<ClusterRecord, VbsError> {
+        let routes = match self.routes {
+            RoutesRef::Coded(list) => {
+                let mut connections = Vec::with_capacity(list.len());
+                for connection in list.iter() {
+                    connections.push(connection?);
+                }
+                ClusterRoutes::Coded(connections)
+            }
+            RoutesRef::Raw(raw) => ClusterRoutes::Raw(raw.into()),
+        };
+        Ok(ClusterRecord {
+            position: self.position,
+            logic: self.logic.into(),
+            routes,
+        })
+    }
 }
 
 /// A complete Virtual Bit-Stream: the relocatable, compressed configuration
@@ -102,7 +278,8 @@ pub struct Vbs {
 }
 
 /// The shape of a [`Vbs`] without its records: everything placement and a
-/// decode-cache lookup need, small enough to keep per stored stream.
+/// decode-cache lookup need, small enough to keep per stored stream, and
+/// the widths of every record field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VbsHeader {
     /// The architecture the stream targets.
@@ -113,6 +290,54 @@ pub struct VbsHeader {
     pub width: u16,
     /// Task height in macros.
     pub height: u16,
+}
+
+/// `⌈log2(m)⌉`, at least 1.
+fn bits_for(m: u32) -> u32 {
+    (u32::BITS - m.saturating_sub(1).leading_zeros()).max(1)
+}
+
+impl VbsHeader {
+    /// Number of cluster columns and rows of the task.
+    pub(crate) fn cluster_dims(&self) -> (u16, u16) {
+        let k = self.cluster_size.max(1);
+        (self.width.div_ceil(k), self.height.div_ceil(k))
+    }
+
+    /// Width of the position fields: `⌈log2(max(cols, rows))⌉`, at least 1.
+    pub(crate) fn coord_bits(&self) -> u32 {
+        let (cols, rows) = self.cluster_dims();
+        bits_for(u32::from(cols.max(rows)))
+    }
+
+    /// Width of the route-count field: `⌈log2(2·W·k²)⌉`, the generalization
+    /// of Table I's `⌈log2(2W)⌉` to clusters.
+    pub(crate) fn route_count_bits(&self) -> u32 {
+        let k = u32::from(self.cluster_size);
+        bits_for(2 * u32::from(self.spec.channel_width()) * k * k)
+    }
+
+    /// Maximum number of connections a coded record can hold.
+    pub(crate) fn max_routes_per_record(&self) -> usize {
+        (1usize << self.route_count_bits()) - 1
+    }
+
+    /// Width of one I/O identifier (`M` for `k = 1`).
+    pub(crate) fn io_bits(&self) -> u32 {
+        ClusterIo::io_bits(&self.spec, self.cluster_size)
+    }
+
+    /// Number of logic-data bits per record (`k² · N_LB`).
+    pub(crate) fn logic_bits_per_record(&self) -> usize {
+        let k = self.cluster_size as usize;
+        k * k * self.spec.lb_config_bits()
+    }
+
+    /// Number of raw routing bits per record (`k² · (N_raw − N_LB)`).
+    pub(crate) fn raw_routing_bits_per_record(&self) -> usize {
+        let k = self.cluster_size as usize;
+        k * k * (self.spec.raw_bits_per_macro() - self.spec.lb_config_bits())
+    }
 }
 
 impl Vbs {
@@ -192,39 +417,33 @@ impl Vbs {
 
     /// Width of the position fields: `⌈log2(max(cols, rows))⌉`, at least 1.
     pub fn coord_bits(&self) -> u32 {
-        let grid = self.grid();
-        let m = grid.cluster_cols().max(grid.cluster_rows()) as u32;
-        (u32::BITS - m.saturating_sub(1).leading_zeros()).max(1)
+        self.header().coord_bits()
     }
 
     /// Width of the route-count field: `⌈log2(2·W·k²)⌉`, the generalization
     /// of Table I's `⌈log2(2W)⌉` to clusters.
     pub fn route_count_bits(&self) -> u32 {
-        let k = self.cluster_size as u32;
-        let m = 2 * self.spec.channel_width() as u32 * k * k;
-        (u32::BITS - m.saturating_sub(1).leading_zeros()).max(1)
+        self.header().route_count_bits()
     }
 
     /// Maximum number of connections a coded record can hold.
     pub fn max_routes_per_record(&self) -> usize {
-        (1usize << self.route_count_bits()) - 1
+        self.header().max_routes_per_record()
     }
 
     /// Width of one I/O identifier (`M` for `k = 1`).
     pub fn io_bits(&self) -> u32 {
-        ClusterIo::io_bits(&self.spec, self.cluster_size)
+        self.header().io_bits()
     }
 
     /// Number of logic-data bits per record (`k² · N_LB`).
     pub fn logic_bits_per_record(&self) -> usize {
-        let k = self.cluster_size as usize;
-        k * k * self.spec.lb_config_bits()
+        self.header().logic_bits_per_record()
     }
 
     /// Number of raw routing bits per record (`k² · (N_raw − N_LB)`).
     pub fn raw_routing_bits_per_record(&self) -> usize {
-        let k = self.cluster_size as usize;
-        k * k * (self.spec.raw_bits_per_macro() - self.spec.lb_config_bits())
+        self.header().raw_routing_bits_per_record()
     }
 
     /// Size of the fixed preamble in bits.
@@ -292,9 +511,9 @@ impl Vbs {
         for record in &self.records {
             w.write_bits(record.position.x as u64, coord);
             w.write_bits(record.position.y as u64, coord);
-            w.write_bool(record.routes.is_raw());
+            w.write_bits(u64::from(record.routes.is_raw()), 1);
             debug_assert_eq!(record.logic.len(), self.logic_bits_per_record());
-            w.write_bools(record.logic.iter().copied());
+            w.write_range(record.logic.as_range());
             match &record.routes {
                 ClusterRoutes::Coded(connections) => {
                     w.write_bits(connections.len() as u64, rc);
@@ -305,7 +524,7 @@ impl Vbs {
                 }
                 ClusterRoutes::Raw(raw) => {
                     debug_assert_eq!(raw.len(), self.raw_routing_bits_per_record());
-                    w.write_bools(raw.iter().copied());
+                    w.write_range(raw.as_range());
                 }
             }
         }
@@ -313,94 +532,16 @@ impl Vbs {
     }
 
     /// Parses a stream serialized by [`Vbs::to_bytes`] or
-    /// [`Vbs::to_bytes_checked`] (the version nibble selects the framing;
-    /// checked streams have their CRC-32 footer verified before any field
-    /// is interpreted).
+    /// [`Vbs::to_bytes_checked`] into owned records: the validating walk of
+    /// [`VbsView::parse`], then a copy of what it found.
     ///
     /// # Errors
     ///
     /// Returns [`VbsError::Malformed`] on truncated, corrupted or
-    /// inconsistent input. Never panics, whatever the bytes.
+    /// inconsistent input (see [`VbsView::parse`]). Never panics, whatever
+    /// the bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, VbsError> {
-        let mut r = BitReader::new(bytes);
-        let version = r.read_bits(4)? as u8;
-        match version {
-            FORMAT_VERSION => Self::parse_body(bytes),
-            FORMAT_VERSION_CHECKED => {
-                if bytes.len() < 5 {
-                    return Err(VbsError::Malformed {
-                        reason: "checked stream shorter than its crc footer".to_string(),
-                    });
-                }
-                let (body, footer) = bytes.split_at(bytes.len() - 4);
-                let expected = u32::from_le_bytes([footer[0], footer[1], footer[2], footer[3]]);
-                let actual = vbs_bitstream::crc32(body);
-                if actual != expected {
-                    return Err(VbsError::Malformed {
-                        reason: format!(
-                            "stream checksum mismatch: footer {expected:#010x}, \
-                             contents digest {actual:#010x}"
-                        ),
-                    });
-                }
-                Self::parse_body(body)
-            }
-            _ => Err(VbsError::Malformed {
-                reason: format!("unsupported format version {version}"),
-            }),
-        }
-    }
-
-    /// Parses the bit-packed body shared by both framings (the version
-    /// nibble has already been validated by [`Vbs::from_bytes`]).
-    fn parse_body(bytes: &[u8]) -> Result<Self, VbsError> {
-        let mut r = BitReader::new(bytes);
-        let _version = r.read_bits(4)?;
-        let cluster_size = r.read_bits(8)? as u16;
-        let lut_size = r.read_bits(4)? as u8;
-        let channel_width = r.read_bits(9)? as u16;
-        let width = r.read_bits(12)? as u16;
-        let height = r.read_bits(12)? as u16;
-        let record_count = r.read_bits(20)? as usize;
-        let spec = ArchSpec::new(channel_width, lut_size).map_err(|e| VbsError::Malformed {
-            reason: format!("invalid architecture in preamble: {e}"),
-        })?;
-
-        let template = Vbs::new(spec, cluster_size, width, height, Vec::new())?;
-        let coord = template.coord_bits();
-        let io = template.io_bits();
-        let rc = template.route_count_bits();
-        let logic_bits = template.logic_bits_per_record();
-        let raw_bits = template.raw_routing_bits_per_record();
-
-        let mut records = Vec::with_capacity(record_count);
-        for _ in 0..record_count {
-            let x = r.read_bits(coord)? as u16;
-            let y = r.read_bits(coord)? as u16;
-            let is_raw = r.read_bool()?;
-            let logic = r.read_bools(logic_bits)?;
-            let routes = if is_raw {
-                ClusterRoutes::Raw(r.read_bools(raw_bits)?)
-            } else {
-                let count = r.read_bits(rc)? as usize;
-                let mut connections = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let input =
-                        ClusterIo::from_index(&spec, cluster_size, r.read_bits(io)? as u32)?;
-                    let output =
-                        ClusterIo::from_index(&spec, cluster_size, r.read_bits(io)? as u32)?;
-                    connections.push(Connection { input, output });
-                }
-                ClusterRoutes::Coded(connections)
-            };
-            records.push(ClusterRecord {
-                position: Coord::new(x, y),
-                logic,
-                routes,
-            });
-        }
-
-        Vbs::new(spec, cluster_size, width, height, records)
+        VbsView::parse(bytes)?.to_owned()
     }
 }
 
@@ -419,7 +560,7 @@ mod tests {
         let records = vec![
             ClusterRecord {
                 position: Coord::new(0, 0),
-                logic: vec![false; logic_bits],
+                logic: PackedBits::zeros(logic_bits),
                 routes: ClusterRoutes::Coded(vec![
                     Connection {
                         input: ClusterIo::Pin { local: 0, pin: 6 },
@@ -440,7 +581,9 @@ mod tests {
             ClusterRecord {
                 position: Coord::new(2, 3),
                 logic: (0..logic_bits).map(|i| i % 7 == 0).collect(),
-                routes: ClusterRoutes::Raw(vec![true; s.raw_bits_per_macro() - logic_bits]),
+                routes: ClusterRoutes::Raw(
+                    std::iter::repeat_n(true, s.raw_bits_per_macro() - logic_bits).collect(),
+                ),
             },
         ];
         Vbs::new(s, 1, 4, 4, records).unwrap()
@@ -539,7 +682,7 @@ mod tests {
         let s = spec();
         let record = ClusterRecord {
             position: Coord::new(9, 0),
-            logic: vec![false; s.lb_config_bits()],
+            logic: PackedBits::zeros(s.lb_config_bits()),
             routes: ClusterRoutes::Coded(Vec::new()),
         };
         assert!(matches!(

@@ -16,6 +16,9 @@
 //!
 //! * [`mod@format`] — the binary format (header + records), bit-level
 //!   serialization, and size accounting;
+//! * [`VbsView`] — a validated stream read where it lies in its bytes: one
+//!   allocation-free walk checks it, and its records are handed to the
+//!   decoder as borrowed [`RecordRef`]s;
 //! * [`encoder`] — the `vbsgen` backend: extracts per-macro (or per-cluster)
 //!   connection lists from a placed-and-routed task, with the offline
 //!   **feedback loop** of Section III-B (decode check, connection
@@ -65,10 +68,15 @@ pub mod encoder;
 pub mod format;
 mod pattern;
 pub mod stats;
+mod view;
 
+pub use bitio::{BitRange, PackedBits};
 pub use cluster::{ClusterGrid, ClusterIo};
 pub use decoder::{decode, DecodeScratch, Devirtualizer, FrameSink};
 pub use encoder::VbsEncoder;
 pub use error::VbsError;
-pub use format::{ClusterRecord, ClusterRoutes, Connection, Vbs, VbsHeader};
+pub use format::{
+    ClusterRecord, ClusterRoutes, Connection, Connections, RecordRef, RoutesRef, Vbs, VbsHeader,
+};
 pub use stats::VbsStats;
+pub use view::{Records, VbsLayout, VbsRef, VbsView};

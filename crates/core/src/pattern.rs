@@ -72,7 +72,13 @@ pub(crate) struct ClusterPattern {
     switches: Vec<Option<Switch>>,
     /// Per wire: [`INTERIOR`] / [`WEST`] / [`SOUTH`].
     flags: Vec<u8>,
+    /// Per I/O index of the cluster size: the node it names, or
+    /// [`NO_NODE`] when it names none of this shape.
+    io_nodes: Vec<u32>,
 }
+
+/// An [`ClusterPattern::io_node`] entry naming no node.
+const NO_NODE: u32 = u32::MAX;
 
 impl ClusterPattern {
     /// Derives the pattern of a `cols × rows` cluster (`1..=k` each) of a
@@ -170,7 +176,7 @@ impl ClusterPattern {
             .collect();
 
         let w = u32::from(spec.channel_width());
-        Ok(ClusterPattern {
+        let mut pattern = ClusterPattern {
             cols,
             rows,
             base: k,
@@ -183,7 +189,37 @@ impl ClusterPattern {
             targets,
             switches,
             flags,
-        })
+            io_nodes: Vec::new(),
+        };
+        // The I/O table reuses the id table's room: the reference device
+        // holds every node a cluster I/O names, so it is at least as long.
+        ids.clear();
+        ids.extend((0..ClusterIo::io_count(&spec, k)).map(|index| {
+            let io = ClusterIo::from_index(&spec, k, index).expect("index below io_count");
+            pattern.io_node_of(k, io).map_or(NO_NODE, |id| id as u32)
+        }));
+        pattern.io_nodes = ids;
+        Ok(pattern)
+    }
+
+    /// The node `io` names in this shape, if it is one: a boundary wire
+    /// along the (possibly cut) side, or a pin of a macro inside the shape.
+    fn io_node_of(&self, k: u16, io: ClusterIo) -> Option<usize> {
+        let w = self.channel_width as u16;
+        match io {
+            ClusterIo::Null => None,
+            ClusterIo::Boundary { side, offset } => {
+                let extent = match side {
+                    Side::East | Side::West => self.rows,
+                    Side::North | Side::South => self.cols,
+                };
+                (offset / w < extent).then(|| self.boundary(side, offset / w, offset % w))
+            }
+            ClusterIo::Pin { local, pin } => {
+                let (dx, dy) = (local % k, local / k);
+                (dx < self.cols && dy < self.rows).then(|| self.pin(dx, dy, pin))
+            }
+        }
     }
 
     /// Cluster extent in macros, `(cols, rows)`.
@@ -251,6 +287,16 @@ impl ClusterPattern {
         (base + slot * w + u32::from(track)) as usize
     }
 
+    /// The node I/O index `index` names in this shape: a lookup, no
+    /// division. `None` for an index past the I/O count, the null I/O, a
+    /// boundary past a cut side and a pin of a macro outside the shape.
+    pub(crate) fn io_node(&self, index: u32) -> Option<usize> {
+        match self.io_nodes.get(index as usize) {
+            Some(&id) if id != NO_NODE => Some(id as usize),
+            _ => None,
+        }
+    }
+
     /// Id of pin `pin` of the macro at offset `(dx, dy)` from the cluster
     /// origin.
     pub(crate) fn pin(&self, dx: u16, dy: u16, pin: u8) -> usize {
@@ -303,7 +349,14 @@ mod tests {
                                 let id = p.boundary(side, offset / w, offset % w);
                                 assert_eq!(p.nodes[id], RrNode::Wire(wire), "{k} {cols}x{rows}");
                                 assert_eq!(p.wire_at(id, Coord::new(k, k)), wire);
+                                let io = ClusterIo::Boundary { side, offset };
+                                assert_eq!(p.io_node(io.index(&spec, k)), Some(id));
                                 named += 1;
+                            }
+                            // Past a cut side.
+                            for offset in extent * w..k * w {
+                                let io = ClusterIo::Boundary { side, offset };
+                                assert_eq!(p.io_node(io.index(&spec, k)), None);
                             }
                         }
                         let interior = (0..p.wire_count())
@@ -314,12 +367,19 @@ mod tests {
                             let (dx, dy) = (local % k, local / k);
                             let Some(site) = grid.macro_at(cluster, local) else {
                                 assert!(dx >= cols || dy >= rows);
+                                let io = ClusterIo::Pin { local, pin: 0 };
+                                assert_eq!(p.io_node(io.index(&spec, k)), None);
                                 continue;
                             };
                             for pin in 0..spec.lb_pins() {
-                                assert_eq!(p.nodes[p.pin(dx, dy, pin)], RrNode::Pin { site, pin });
+                                let id = p.pin(dx, dy, pin);
+                                assert_eq!(p.nodes[id], RrNode::Pin { site, pin });
+                                let io = ClusterIo::Pin { local, pin };
+                                assert_eq!(p.io_node(io.index(&spec, k)), Some(id));
                             }
                         }
+                        let io_count = ClusterIo::io_count(&spec, k);
+                        assert_eq!((p.io_node(0), p.io_node(io_count)), (None, None));
                         assert_eq!(
                             p.node_count(),
                             p.wire_count()

@@ -86,6 +86,7 @@ impl fmt::Display for VbsStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitio::PackedBits;
     use crate::cluster::ClusterIo;
     use crate::format::{ClusterRecord, Connection};
     use vbs_arch::{ArchSpec, Coord, Side};
@@ -96,7 +97,7 @@ mod tests {
         let records = vec![
             ClusterRecord {
                 position: Coord::new(0, 0),
-                logic: vec![false; spec.lb_config_bits()],
+                logic: PackedBits::zeros(spec.lb_config_bits()),
                 routes: ClusterRoutes::Coded(vec![Connection {
                     input: ClusterIo::Boundary {
                         side: Side::West,
@@ -110,11 +111,10 @@ mod tests {
             },
             ClusterRecord {
                 position: Coord::new(1, 0),
-                logic: vec![false; spec.lb_config_bits()],
-                routes: ClusterRoutes::Raw(vec![
-                    false;
-                    spec.raw_bits_per_macro() - spec.lb_config_bits()
-                ]),
+                logic: PackedBits::zeros(spec.lb_config_bits()),
+                routes: ClusterRoutes::Raw(PackedBits::zeros(
+                    spec.raw_bits_per_macro() - spec.lb_config_bits(),
+                )),
             },
         ];
         let vbs = Vbs::new(spec, 1, 3, 3, records).unwrap();

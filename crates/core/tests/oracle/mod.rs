@@ -1,5 +1,14 @@
-//! Reference de-virtualization of one record: the search the decoder ran
-//! before it had cluster patterns, reduced to its definition.
+//! Reference implementations the differential suites compare against,
+//! each the product's earlier code reduced to its definition:
+//!
+//! * [`decode_record`] — the search the decoder ran before it had cluster
+//!   patterns;
+//! * [`bitio`] — the per-bit field reader and writer the word-wise ones
+//!   replaced;
+//! * [`parse`] — the owned parse `VbsView::parse` replaced, which read every
+//!   field through that per-bit reader.
+//!
+//! # `decode_record`
 //!
 //! Every connection is a Dijkstra over the routing-resource graph of the
 //! *whole task* ([`RrGraph::neighbors_into`] called per expansion, nothing
@@ -11,6 +20,12 @@
 //! `f32::EPSILON` improvement threshold and the `(cost, node)` pop order are
 //! the decoder's contract with every stored stream; `decode_differential`
 //! holds the pattern decoder to them bit for bit.
+
+// Each test binary compiles its own copy and uses a different subset.
+#![allow(dead_code)]
+
+pub mod bitio;
+pub mod parse;
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
@@ -45,11 +60,8 @@ pub fn decode_record(
             continue;
         };
         let mut frame = task.frame_mut(site);
-        for (i, &bit) in record.logic[local * lb_bits..(local + 1) * lb_bits]
-            .iter()
-            .enumerate()
-        {
-            frame.set_bit(i, bit);
+        for i in 0..lb_bits {
+            frame.set_bit(i, record.logic.get(local * lb_bits + i));
         }
     }
     match &record.routes {
@@ -69,11 +81,8 @@ pub fn decode_record(
                     continue;
                 };
                 let mut frame = task.frame_mut(site);
-                for (i, &bit) in raw[local * per_macro..(local + 1) * per_macro]
-                    .iter()
-                    .enumerate()
-                {
-                    frame.set_bit(lb_bits + i, bit);
+                for i in 0..per_macro {
+                    frame.set_bit(lb_bits + i, raw.get(local * per_macro + i));
                 }
             }
             Ok(Vec::new())

@@ -94,8 +94,8 @@ fn single_frame_task_is_bit_exact() {
     let routing: Vec<bool> = (0..routing_bits).map(|i| i % 5 == 2).collect();
     let record = ClusterRecord {
         position: Coord::new(0, 0),
-        logic: logic.clone(),
-        routes: ClusterRoutes::Raw(routing.clone()),
+        logic: logic.iter().copied().collect(),
+        routes: ClusterRoutes::Raw(routing.iter().copied().collect()),
     };
     let vbs = Vbs::new(spec, 1, 1, 1, vec![record]).unwrap();
     let back = Vbs::from_bytes(&vbs.to_bytes()).unwrap();
@@ -137,8 +137,8 @@ fn max_wordline_offset_frames_roundtrip() {
     let corner = Coord::new(w - 1, h - 1);
     let record = ClusterRecord {
         position: corner,
-        logic: logic.clone(),
-        routes: ClusterRoutes::Raw(routing.clone()),
+        logic: logic.iter().copied().collect(),
+        routes: ClusterRoutes::Raw(routing.iter().copied().collect()),
     };
     let vbs = Vbs::new(spec, 1, w, h, vec![record]).unwrap();
     let back = Vbs::from_bytes(&vbs.to_bytes()).unwrap();

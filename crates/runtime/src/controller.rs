@@ -7,7 +7,7 @@ use crate::pool::ScratchPool;
 use std::sync::Arc;
 use vbs_arch::{Coord, Device, Rect};
 use vbs_bitstream::{BitstreamError, ConfigMemory, TaskBitstream};
-use vbs_core::Vbs;
+use vbs_core::VbsRef;
 use vbs_telemetry::Telemetry;
 
 /// Timing and composition report of one de-virtualization.
@@ -198,14 +198,14 @@ impl ReconfigurationController {
     }
 
     /// Pre-warms one scratch and one staging buffer per decode lane for
-    /// `vbs` (see [`DecodeWorkerPool::warm`]).
+    /// `stream` (see [`DecodeWorkerPool::warm`]).
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::Decode`] when the stream header is
     /// degenerate.
-    pub fn warm(&self, vbs: &Vbs) -> Result<(), RuntimeError> {
-        self.decoder.warm(vbs)
+    pub fn warm<'s>(&self, stream: impl Into<VbsRef<'s>>) -> Result<(), RuntimeError> {
+        self.decoder.warm(stream)
     }
 
     /// The device this controller manages.
@@ -333,41 +333,48 @@ impl ReconfigurationController {
         target.set_bit(offset, !old);
     }
 
-    /// De-virtualizes `vbs` into a caller-provided bit-stream (reshaped in
-    /// place) on the controller's decode lanes, without writing it to the
-    /// fabric — the one decode of the run-time stack, zero-allocation once
-    /// the pools are warm. Callers that keep or cache decoded images (first
-    /// decodes and warm-tier re-decodes alike) hand the result to
-    /// [`ReconfigurationController::load_decoded`]. Sequential and parallel
-    /// lane counts produce bit-identical results.
+    /// De-virtualizes `stream` — an owned [`vbs_core::Vbs`] or a
+    /// [`vbs_core::VbsView`] of stored bytes — into a caller-provided
+    /// bit-stream (reshaped in place) on the controller's decode lanes,
+    /// without writing it to the fabric: the one decode of the run-time
+    /// stack, zero-allocation once the pools are warm. Callers that keep or
+    /// cache decoded images (first decodes and warm-tier re-decodes alike)
+    /// hand the result to [`ReconfigurationController::load_decoded`].
+    /// Sequential and parallel lane counts produce bit-identical results.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::Decode`] when the stream cannot be expanded.
-    pub fn decode_into(
+    pub fn decode_into<'s>(
         &self,
-        vbs: &Vbs,
+        stream: impl Into<VbsRef<'s>>,
         task: &mut TaskBitstream,
     ) -> Result<DecodeReport, RuntimeError> {
-        self.decoder.decode_into(vbs, task)
+        self.decoder.decode_into(stream, task)
     }
 
-    /// De-virtualizes `vbs` and writes it into the configuration memory with
-    /// its lower-left corner at `origin` — the full run-time load path. The
-    /// staging image and every decode buffer come from the scratch pool, so
-    /// a warm controller loads without a single heap allocation, at any
-    /// worker count.
+    /// De-virtualizes `stream` and writes it into the configuration memory
+    /// with its lower-left corner at `origin` — the full run-time load path.
+    /// The staging image and every decode buffer come from the scratch
+    /// pool, so a warm controller loads without a single heap allocation,
+    /// at any worker count.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::Decode`] or [`RuntimeError::Memory`] on
     /// failure; the configuration memory is left untouched in that case.
-    pub fn load(&mut self, vbs: &Vbs, origin: Coord) -> Result<DecodeReport, RuntimeError> {
+    pub fn load<'s>(
+        &mut self,
+        stream: impl Into<VbsRef<'s>>,
+        origin: Coord,
+    ) -> Result<DecodeReport, RuntimeError> {
+        let stream = stream.into();
+        let header = stream.header();
         let mut staging =
             self.decoder
                 .pool()
-                .checkout(*vbs.spec(), vbs.width().max(1), vbs.height().max(1));
-        let outcome = match self.decoder.decode_into(vbs, &mut staging) {
+                .checkout(header.spec, header.width.max(1), header.height.max(1));
+        let outcome = match self.decoder.decode_into(stream, &mut staging) {
             Ok(report) => self.write_decoded(&staging, origin).map(|()| report),
             Err(e) => Err(e),
         };
@@ -478,6 +485,7 @@ impl ReconfigurationController {
 mod tests {
     use super::*;
     use vbs_arch::ArchSpec;
+    use vbs_core::Vbs;
     use vbs_flow::CadFlow;
     use vbs_netlist::generate::SyntheticSpec;
 

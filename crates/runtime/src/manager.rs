@@ -139,10 +139,11 @@ impl TaskManager {
     /// Returns [`RuntimeError::RegionBusy`] when the target rectangle
     /// overlaps a loaded task, plus any fetch/decode/memory error.
     pub fn load_at(&mut self, name: &str, origin: Coord) -> Result<TaskHandle, RuntimeError> {
-        let vbs = self.repository.fetch(name)?;
-        let region = Rect::new(origin, vbs.width(), vbs.height());
+        let view = self.repository.view(name)?;
+        let header = view.header();
+        let region = Rect::new(origin, header.width, header.height);
         self.ensure_region_free(&region, None)?;
-        self.controller.load(&vbs, origin)?;
+        self.controller.load(view, origin)?;
         Ok(self.register(name, region))
     }
 

@@ -25,8 +25,9 @@
 //!
 //! This is the one module of the workspace that uses `unsafe`: the
 //! dispatcher lends the workers references to its stack-held job state
-//! (devirtualizer, record slice, target image) through lifetime-erased
-//! pointers, because persistent threads cannot carry a caller's borrow in
+//! (devirtualizer, through which lanes read the records, and target image)
+//! through lifetime-erased pointers, because persistent threads cannot
+//! carry a caller's borrow in
 //! the type system. The invariant making this sound is the same one scoped
 //! threads enforce structurally: [`DecodeWorkerPool::decode_into`] does not
 //! return until every worker has signalled completion of the job, so the
@@ -47,7 +48,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use vbs_arch::ArchSpec;
 use vbs_bitstream::TaskBitstream;
-use vbs_core::{ClusterRecord, DecodeScratch, Devirtualizer, Vbs};
+use vbs_core::{DecodeScratch, Devirtualizer, VbsRef};
 use vbs_telemetry::{EventKind, Stage, Telemetry, FLEET_FABRIC};
 
 use crate::controller::DecodeReport;
@@ -72,10 +73,10 @@ fn count_routes(telemetry: &Telemetry, scratch: &DecodeScratch, before: (u64, u6
 /// The job slot published to the workers for one parallel decode. All
 /// references are lifetime-erased; see the module-level safety contract.
 struct Job {
-    /// `&Devirtualizer<'_>` of the stream being decoded.
+    /// `&Devirtualizer<'_>` of the stream being decoded; lanes read the
+    /// records through it.
     devirt: *const (),
-    /// The stream's record slice.
-    records: *const ClusterRecord,
+    /// The stream's record count.
     records_len: usize,
     /// Shape of the decoded task (partials are checked out at this shape).
     spec: ArchSpec,
@@ -101,8 +102,8 @@ struct Job {
 // between the epoch publication and the completion signal, while the
 // dispatcher provably keeps the referents alive (it blocks until the
 // completion count reaches zero). Concurrent access is disciplined: the
-// devirtualizer and records are only read, and the target is only touched
-// under the `merge` mutex.
+// devirtualizer (and the stream it borrows) is only read, and the target is
+// only touched under the `merge` mutex.
 unsafe impl Send for Job {}
 unsafe impl Sync for Job {}
 
@@ -259,45 +260,47 @@ impl DecodeWorkerPool {
         self.shared.fabric.load(Ordering::Relaxed)
     }
 
-    /// Pre-warms one scratch and one partial buffer per lane for `vbs`, so
-    /// subsequent decodes allocate nothing no matter how the lanes
+    /// Pre-warms one scratch and one partial buffer per lane for `stream`,
+    /// so subsequent decodes allocate nothing no matter how the lanes
     /// interleave (see [`ScratchPool::warm_scratches`]).
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::Decode`] when the stream header is
     /// degenerate.
-    pub fn warm(&self, vbs: &Vbs) -> Result<(), RuntimeError> {
+    pub fn warm<'s>(&self, stream: impl Into<VbsRef<'s>>) -> Result<(), RuntimeError> {
         self.shared
             .pool
-            .warm_scratches(vbs, self.workers)
+            .warm_scratches(stream, self.workers)
             .map_err(RuntimeError::Decode)
     }
 
-    /// De-virtualizes `vbs` into `task` (reshaped in place), fanning the
-    /// record list out over every lane. With a warm pool this performs zero
-    /// heap allocations. Results are bit-identical to
-    /// [`Devirtualizer::decode_into`].
+    /// De-virtualizes `stream` (an owned stream or a view of stored bytes)
+    /// into `task` (reshaped in place), fanning the record list out over
+    /// every lane. With a warm pool this performs zero heap allocations.
+    /// Results are bit-identical to [`Devirtualizer::decode_into`].
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::Decode`] when any record fails to expand;
     /// `task` then holds a partially merged image and should be discarded
     /// (or recycled — pooled checkouts reset it anyway).
-    pub fn decode_into(
+    pub fn decode_into<'s>(
         &self,
-        vbs: &Vbs,
+        stream: impl Into<VbsRef<'s>>,
         task: &mut TaskBitstream,
     ) -> Result<DecodeReport, RuntimeError> {
         let telemetry = self.shared.pool.telemetry();
         let fabric = self.fabric();
         let start = telemetry.now();
-        let devirtualizer = Devirtualizer::new(vbs).map_err(RuntimeError::Decode)?;
-        let records = vbs.records();
-        let (width, height) = (vbs.width().max(1), vbs.height().max(1));
+        let stream = stream.into();
+        let devirtualizer = Devirtualizer::new(stream).map_err(RuntimeError::Decode)?;
+        let records = devirtualizer.record_count();
+        let header = stream.header();
+        let (width, height) = (header.width.max(1), header.height.max(1));
 
         let threshold = self.sequential_threshold.load(Ordering::Relaxed);
-        if self.threads.is_empty() || records.len() < threshold {
+        if self.threads.is_empty() || records < threshold {
             // Sequential: decode straight into the target on one pooled
             // scratch (decode_into reshapes the target itself).
             telemetry.event(EventKind::DecodeStart, fabric, 0, 0, 0);
@@ -307,37 +310,26 @@ impl DecodeWorkerPool {
             count_routes(&telemetry, &scratch, before);
             self.shared.pool.put_scratch(scratch);
             telemetry.record_span(Stage::LaneBusy, start);
-            telemetry.event_span(
-                EventKind::DecodeEnd,
-                fabric,
-                0,
-                records.len() as u64,
-                0,
-                start,
-            );
+            telemetry.event_span(EventKind::DecodeEnd, fabric, 0, records as u64, 0, start);
             result.map_err(RuntimeError::Decode)?;
         } else {
             // One dispatcher at a time: the job slot and completion counter
             // belong to exactly one in-flight job (see the safety contract).
             let _dispatch = lock_unpoisoned(&self.dispatch);
-            task.reset(*vbs.spec(), width, height);
+            task.reset(header.spec, width, height);
             // Size chunks so every participating lane gets a worthwhile
             // share (half the sequential threshold): a load just past the
             // cutoff fans out to two lanes, not to every lane with a
             // two-record crumb each.
             let min_share = (threshold / 2).max(1);
-            let lanes = self
-                .workers
-                .min(records.len() / min_share)
-                .clamp(2, self.workers);
+            let lanes = self.workers.min(records / min_share).clamp(2, self.workers);
             let job = Job {
                 devirt: (&devirtualizer as *const Devirtualizer<'_>).cast(),
-                records: records.as_ptr(),
-                records_len: records.len(),
-                spec: *vbs.spec(),
+                records_len: records,
+                spec: header.spec,
                 width,
                 height,
-                chunk_len: records.len().div_ceil(lanes),
+                chunk_len: records.div_ceil(lanes),
                 next: AtomicUsize::new(0),
                 target: task as *mut TaskBitstream,
                 merge: Mutex::new(()),
@@ -379,7 +371,7 @@ impl DecodeWorkerPool {
         }
 
         Ok(DecodeReport {
-            records: records.len(),
+            records,
             workers: self.workers,
             micros: telemetry.now().saturating_sub(start),
             raw_bits: task.size_bits(),
@@ -461,13 +453,20 @@ fn worker_loop(shared: &Shared, lane: u16) {
 /// One lane's share of a job: claim record chunks, decode them into a
 /// pooled partial image on a pooled scratch, then word-OR the partial into
 /// the target under the merge lock.
+///
+/// Records are read in stream order through the lane's own cursor, which
+/// steps over the chunks other lanes claimed: a record of a serialized
+/// stream has no address until the ones before it are walked, and the
+/// chunks a lane claims only ever grow, so its cursor only moves forward.
 fn run_lane(job: &Job, pool: &ScratchPool, lane_index: u16) {
     #[cfg(test)]
     tests::maybe_inject_panic();
-    // SAFETY: see the Job contract — the record slice outlives the job.
-    let records = unsafe { std::slice::from_raw_parts(job.records, job.records_len) };
-    // SAFETY: ditto; the cast reverses the lifetime erasure of dispatch.
+    // SAFETY: see the Job contract — the devirtualizer (and the stream it
+    // borrows) outlives the job; the cast reverses the lifetime erasure of
+    // dispatch.
     let devirt = unsafe { &*job.devirt.cast::<Devirtualizer<'_>>() };
+    let mut records = devirt.records();
+    let mut cursor = 0;
 
     let mut lane: Option<(DecodeScratch, TaskBitstream)> = None;
     let mut counts_before = (0, 0);
@@ -476,10 +475,10 @@ fn run_lane(job: &Job, pool: &ScratchPool, lane_index: u16) {
     while !job.failed.load(Ordering::Relaxed) {
         let chunk = job.next.fetch_add(1, Ordering::Relaxed);
         let begin = chunk * job.chunk_len;
-        if begin >= records.len() {
+        if begin >= job.records_len {
             break;
         }
-        let end = (begin + job.chunk_len).min(records.len());
+        let end = (begin + job.chunk_len).min(job.records_len);
         let (scratch, partial) = lane.get_or_insert_with(|| {
             // First claimed chunk: the lane goes busy (lanes that never
             // claim work stay silent on the timeline).
@@ -495,7 +494,11 @@ fn run_lane(job: &Job, pool: &ScratchPool, lane_index: u16) {
             counts_before = scratch.route_counts();
             (scratch, pool.checkout(job.spec, job.width, job.height))
         });
-        for record in &records[begin..end] {
+        if begin > cursor {
+            records.nth(begin - cursor - 1);
+        }
+        cursor = end;
+        for record in records.by_ref().take(end - begin) {
             if job.failed.load(Ordering::Relaxed) {
                 break;
             }
@@ -544,6 +547,7 @@ fn fail(job: &Job, error: RuntimeError) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vbs_core::Vbs;
     use vbs_flow::CadFlow;
     use vbs_netlist::generate::SyntheticSpec;
 
@@ -587,6 +591,13 @@ mod tests {
             // A second decode on the warm pool is still identical.
             pool.decode_into(&vbs, &mut task).unwrap();
             assert_eq!(task.diff_count(&raw).unwrap(), 0);
+            // So is one of the serialized stream, read where it lies: each
+            // lane walks the records to the chunks it claims.
+            let bytes = vbs.to_bytes();
+            let view = vbs_core::VbsView::parse(&bytes).unwrap();
+            let report = pool.decode_into(view, &mut task).unwrap();
+            assert_eq!(report.records, vbs.records().len());
+            assert_eq!(task.diff_count(&raw).unwrap(), 0, "view, workers={workers}");
         }
     }
 

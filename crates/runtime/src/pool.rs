@@ -24,7 +24,7 @@
 use std::sync::{Arc, Mutex};
 use vbs_arch::ArchSpec;
 use vbs_bitstream::TaskBitstream;
-use vbs_core::{DecodeScratch, Vbs};
+use vbs_core::{DecodeScratch, VbsRef};
 use vbs_telemetry::{EventKind, Telemetry, FLEET_FABRIC};
 
 /// Checkout payload tag: a decoded-image buffer.
@@ -235,7 +235,7 @@ impl ScratchPool {
         }
     }
 
-    /// Pre-warms the pool for `lanes` concurrent decode lanes of `vbs`:
+    /// Pre-warms the pool for `lanes` concurrent decode lanes of `stream`:
     /// parks `lanes` scratches with every internal buffer pre-reserved for
     /// that stream, plus `lanes + 1` staging buffers of the stream's shape
     /// (one partial per lane and the merge target). A warmed pool
@@ -247,15 +247,22 @@ impl ScratchPool {
     /// # Errors
     ///
     /// Returns the stream-header error of [`DecodeScratch::prepare_for`].
-    pub fn warm_scratches(&self, vbs: &Vbs, lanes: usize) -> Result<(), vbs_core::VbsError> {
+    pub fn warm_scratches<'s>(
+        &self,
+        stream: impl Into<VbsRef<'s>>,
+        lanes: usize,
+    ) -> Result<(), vbs_core::VbsError> {
+        let stream = stream.into();
+        let header = stream.header();
+        let (width, height) = (header.width.max(1), header.height.max(1));
         let mut scratches = Vec::with_capacity(lanes);
         let mut buffers = Vec::with_capacity(lanes + 1);
-        buffers.push(self.checkout(*vbs.spec(), vbs.width().max(1), vbs.height().max(1)));
+        buffers.push(self.checkout(header.spec, width, height));
         for _ in 0..lanes {
             let mut scratch = self.checkout_scratch();
-            scratch.prepare_for(vbs)?;
+            scratch.prepare_for(stream)?;
             scratches.push(scratch);
-            buffers.push(self.checkout(*vbs.spec(), vbs.width().max(1), vbs.height().max(1)));
+            buffers.push(self.checkout(header.spec, width, height));
         }
         for scratch in scratches {
             self.put_scratch(scratch);

@@ -4,27 +4,39 @@
 use crate::error::RuntimeError;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
-use vbs_core::{Vbs, VbsError, VbsHeader};
+use vbs_core::{Vbs, VbsError, VbsHeader, VbsLayout, VbsView};
 
 /// One stored stream: its serialized bytes and what validating them found.
 #[derive(Debug, Clone)]
 struct Stored {
     bytes: Vec<u8>,
-    /// Verdict of the one full parse of `bytes` (CRC footer, every record),
-    /// taken on the first [`VbsRepository::header`] call. `bytes` never
-    /// change while this entry lives — a re-store replaces the whole entry
-    /// — so the verdict cannot go stale.
-    header: OnceLock<Result<VbsHeader, VbsError>>,
+    /// Verdict of the one validating walk over `bytes` ([`VbsView::parse`]:
+    /// CRC footer, every record), taken on first use. `bytes` never change
+    /// while this entry lives — a re-store replaces the whole entry — so
+    /// the verdict cannot go stale.
+    layout: OnceLock<Result<VbsLayout, VbsError>>,
+}
+
+impl Stored {
+    /// The remembered verdict, taken now if this is the first use.
+    fn layout(&self) -> Result<&VbsLayout, RuntimeError> {
+        self.layout
+            .get_or_init(|| VbsView::parse(&self.bytes).map(|view| view.layout()))
+            .as_ref()
+            .map_err(|e| RuntimeError::Decode(e.clone()))
+    }
 }
 
 /// A named store of serialized Virtual Bit-Streams.
 ///
 /// Streams are kept in their serialized byte form — exactly what would sit in
-/// an external flash or DDR memory — so the repository also exercises the
-/// binary format end to end. The records are parsed anew by every
-/// [`VbsRepository::fetch`] and never retained; the shape of a stream
-/// ([`VbsRepository::header`]) is learned by one full validating parse per
-/// store and remembered.
+/// an external flash or DDR memory — and are decoded where they lie. The
+/// first [`VbsRepository::view`] or [`VbsRepository::header`] after a store
+/// validates the bytes in one allocation-free walk and remembers what it
+/// found (a [`VbsLayout`], a few words); every later call hands out a view
+/// of the same bytes in O(1) without walking them again, so no load parses
+/// or copies a stream. Only [`VbsRepository::fetch`] copies the records
+/// out, for callers that want an owned [`Vbs`].
 #[derive(Debug, Clone, Default)]
 pub struct VbsRepository {
     streams: BTreeMap<String, Stored>,
@@ -50,7 +62,7 @@ impl VbsRepository {
     pub fn store_bytes(&mut self, name: impl Into<String>, bytes: Vec<u8>) {
         let stored = Stored {
             bytes,
-            header: OnceLock::new(),
+            layout: OnceLock::new(),
         };
         self.streams.insert(name.into(), stored);
     }
@@ -63,33 +75,39 @@ impl VbsRepository {
             })
     }
 
-    /// Fetches and parses the VBS of a task — the only way to get its
-    /// records, for a caller that is about to decode them.
+    /// The validated view of a stored task — what a load decodes. The
+    /// first call after a store (or [`VbsRepository::header`]) walks the
+    /// bytes once; later calls rebuild the view from the remembered layout
+    /// in O(1), and a stream that failed validation fails here on every
+    /// call.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::UnknownTask`] for unknown names and
     /// [`RuntimeError::Decode`] if the stored bytes are corrupted.
-    pub fn fetch(&self, name: &str) -> Result<Vbs, RuntimeError> {
-        Vbs::from_bytes(&self.stored(name)?.bytes).map_err(RuntimeError::from)
+    pub fn view(&self, name: &str) -> Result<VbsView<'_>, RuntimeError> {
+        let stored = self.stored(name)?;
+        Ok(stored.layout()?.view(&stored.bytes))
     }
 
     /// The shape and architecture of a stored task, without its records —
-    /// what placement and a decode-cache lookup need. The first call after
-    /// a store validates the whole stream exactly as
-    /// [`VbsRepository::fetch`] does; later calls return the remembered
-    /// verdict, so a stream that fails to parse fails here on every call.
+    /// what placement and a decode-cache lookup need — from the same
+    /// remembered verdict as [`VbsRepository::view`].
     ///
     /// # Errors
     ///
-    /// As [`VbsRepository::fetch`].
+    /// As [`VbsRepository::view`].
     pub fn header(&self, name: &str) -> Result<VbsHeader, RuntimeError> {
-        let stored = self.stored(name)?;
-        stored
-            .header
-            .get_or_init(|| Vbs::from_bytes(&stored.bytes).map(|vbs| vbs.header()))
-            .clone()
-            .map_err(RuntimeError::from)
+        Ok(self.stored(name)?.layout()?.header())
+    }
+
+    /// The stored stream of a task, copied out into owned records.
+    ///
+    /// # Errors
+    ///
+    /// As [`VbsRepository::view`].
+    pub fn fetch(&self, name: &str) -> Result<Vbs, RuntimeError> {
+        self.view(name)?.to_owned().map_err(RuntimeError::from)
     }
 
     /// Raw serialized size of a stored task, in bytes.
@@ -192,6 +210,33 @@ mod tests {
 
         repo.store("t", &shaped(3, 3));
         assert_eq!(repo.header("t").unwrap().width, 3);
+    }
+
+    /// A view is rebuilt from the remembered verdict: the stream it reads
+    /// is the stored one, and a corrupted re-store fails with the same
+    /// error on every call, through every accessor.
+    #[test]
+    fn views_follow_the_remembered_verdict() {
+        let mut repo = VbsRepository::new();
+        repo.store("t", &shaped(4, 2));
+        for _ in 0..2 {
+            let view = repo.view("t").unwrap();
+            assert_eq!(view.to_owned().unwrap(), shaped(4, 2));
+        }
+
+        repo.store_bytes("t", corrupted(&shaped(2, 6)));
+        let Err(RuntimeError::Decode(first)) = repo.view("t") else {
+            panic!("a corrupted re-store must fail validation");
+        };
+        for _ in 0..3 {
+            for result in [
+                repo.view("t").map(|view| view.header()),
+                repo.header("t"),
+                repo.fetch("t").map(|vbs| vbs.header()),
+            ] {
+                assert!(matches!(result, Err(RuntimeError::Decode(ref e)) if *e == first));
+            }
+        }
     }
 
     #[test]

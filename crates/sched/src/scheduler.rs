@@ -848,30 +848,30 @@ impl Scheduler {
     /// micros) and *additionally* bumps the warm-hit counters.
     ///
     /// The repository stays authoritative on every path: the lookup key is
-    /// [`VbsRepository::header`](vbs_runtime::VbsRepository::header), whose
-    /// verdict comes from a full parse of the stored bytes taken once per
-    /// store, not per load. A stream corrupted there (re-stored, with or
-    /// without [`Scheduler::invalidate_cached`]) therefore surfaces as the
-    /// decode error a cold miss would report, on a hot hit too, instead of
-    /// being masked by stale cache state; the records themselves are
-    /// fetched only when this load decodes them.
+    /// the header of [`VbsRepository::view`](vbs_runtime::VbsRepository::view),
+    /// whose verdict comes from one validating walk over the stored bytes
+    /// taken once per store, not per load. A stream corrupted there
+    /// (re-stored, with or without [`Scheduler::invalidate_cached`])
+    /// therefore surfaces as the decode error a cold miss would report, on
+    /// a hot hit too, instead of being masked by stale cache state; a miss
+    /// or warm hit decodes the records where they lie in that view.
     fn decoded_with(
         &mut self,
         job: u64,
         name: &str,
     ) -> Result<(Arc<TaskBitstream>, bool), RuntimeError> {
-        let header = self.manager.repository().header(name)?;
+        let view = self.manager.repository().view(name)?;
+        let header = view.header();
         let warm = match self.cache.get(name, &header.spec) {
             CacheLookup::Hot(cached) => return Ok((cached, true)),
             CacheLookup::Warm => true,
             CacheLookup::Miss => false,
         };
-        let vbs = self.manager.repository().fetch(name)?;
         let redecode_start = self.telemetry.now();
-        let mut staging = self
-            .pool
-            .checkout(*vbs.spec(), vbs.width().max(1), vbs.height().max(1));
-        let report = match self.manager.controller().decode_into(&vbs, &mut staging) {
+        let mut staging =
+            self.pool
+                .checkout(header.spec, header.width.max(1), header.height.max(1));
+        let report = match self.manager.controller().decode_into(view, &mut staging) {
             Ok(report) => report,
             Err(e) => {
                 self.pool.put(staging);
@@ -889,12 +889,12 @@ impl Scheduler {
                 self.fabric,
                 0,
                 job,
-                vbs.size_bytes(),
+                view.size_bytes(),
                 redecode_start,
             );
         }
         let task = Arc::new(staging);
-        self.cache_insert(name, *vbs.spec(), Arc::clone(&task), report.micros);
+        self.cache_insert(name, header.spec, Arc::clone(&task), report.micros);
         Ok((task, false))
     }
 

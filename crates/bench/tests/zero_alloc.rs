@@ -36,7 +36,11 @@
 //!   re-decode allocates the same for every stream, whatever its record
 //!   count; the first `VbsRepository::header` of a stored stream validates
 //!   it without allocating; and a 9-byte stream claiming 2²⁰ − 1 records is
-//!   rejected having requested under 1 KiB (it requested 64 MiB).
+//!   rejected having requested under 1 KiB (it requested 64 MiB);
+//! * the **fleet** runs each round on the caller's thread: a K = 2 corpus
+//!   fleet cache-hit pair allocates the pinned count for every stream, a
+//!   disabled telemetry handle requests under 1 KiB (it built every stage
+//!   histogram), and building the fleet requests under 64 KiB.
 //!
 //! Everything runs inside one `#[test]` because the counters are
 //! process-global and the harness runs tests concurrently.
@@ -75,6 +79,16 @@ const DECODING_PAIR_ALLOCATION_BUDGET: u64 = 11;
 /// more on the second decode, when the adjacency of the whole task was
 /// built per geometry.
 const COLD_DECODE_ALLOCATION_BUDGET: u64 = 19;
+
+/// Allocations of a corpus fleet cache-hit pair (submit load, process,
+/// submit unload, process) on the K = 2 least-loaded fleet, as counted. It
+/// was 41 when every round spawned a scoped thread per busy fabric.
+const FLEET_HIT_PAIR_ALLOCATIONS: u64 = 19;
+
+/// Bytes building the K = 2 corpus fleet may request. It requested
+/// 1 507 940 when each of its four disabled telemetry handles held a full
+/// set of stage histograms.
+const FLEET_BUILD_BYTE_BUDGET: u64 = 64 * 1024;
 
 /// `Devirtualizer::decode_into` on a caller-held scratch and image — the
 /// decode the pooled lanes run, without the pool.
@@ -435,4 +449,78 @@ fn corpus_load_paths() {
             assert!(sched.cache_stats().warm_hits >= 10 * names.len() as u64);
         }
     }
+
+    fleet_paths(&corpus, &names);
+}
+
+/// The fleet's fixed costs over the corpus: what a disabled telemetry
+/// handle, a fleet build and a fleet cache-hit pair request.
+fn fleet_paths(corpus: &McncCorpus, names: &[&str]) {
+    // --- A disabled handle holds no histograms; every scheduler, fleet,
+    // manager and fault injector starts with one.
+    let before = allocated_bytes();
+    let disabled = Telemetry::disabled();
+    let requested = allocated_bytes() - before;
+    assert!(!disabled.enabled());
+    assert!(
+        requested < 1024,
+        "Telemetry::disabled() requested {requested} bytes"
+    );
+
+    // --- Building the corpus fleet: two fabrics, their schedulers and
+    // managers, the dispatcher and the shared pool, four disabled handles.
+    let before = allocated_bytes();
+    let mut fleet = corpus
+        .fleet_scheduler("least-loaded")
+        .expect("known shard policy");
+    let requested = allocated_bytes() - before;
+    assert!(
+        requested < FLEET_BUILD_BYTE_BUDGET,
+        "building the K = {} corpus fleet requested {requested} bytes \
+         (budget {FLEET_BUILD_BYTE_BUDGET})",
+        fleet.fabric_count()
+    );
+
+    // --- A fleet cache-hit pair: a round runs its fabrics on this thread,
+    // so the pair costs the dispatcher's and the shard's bookkeeping and
+    // nothing per round.
+    let mut pair = |name: &str| {
+        let job = fleet.submit(Request::Load {
+            task: name.into(),
+            priority: 0,
+            deadline: None,
+        });
+        let loaded = fleet.process_pending();
+        let [Outcome::Loaded { cache_hit, .. }] = loaded.as_slice() else {
+            panic!("load of {name} failed: {loaded:?}");
+        };
+        fleet.submit(Request::Unload { job });
+        fleet.process_pending();
+        *cache_hit
+    };
+    let per_stream: Vec<u64> = names
+        .iter()
+        .map(|name| {
+            pair(name);
+            for _ in 0..2 {
+                assert!(pair(name), "{name} is decoded once, then hit");
+            }
+            let before = allocations();
+            for _ in 0..10 {
+                assert!(pair(name), "{name} is decoded once, then hit");
+            }
+            let allocated = allocations() - before;
+            assert_eq!(allocated % 10, 0, "every {name} pair allocates alike");
+            allocated / 10
+        })
+        .collect();
+    assert!(
+        per_stream.iter().all(|&n| n == per_stream[0]),
+        "a fleet cache-hit pair allocates per stream: {per_stream:?} over {names:?}"
+    );
+    assert_eq!(
+        per_stream[0], FLEET_HIT_PAIR_ALLOCATIONS,
+        "a fleet cache-hit load + unload pair allocated {} times",
+        per_stream[0]
+    );
 }

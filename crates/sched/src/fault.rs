@@ -3,9 +3,10 @@
 //! [`FaultInjector`] implements the runtime's [`FaultHook`] seam from a
 //! parsed [`FaultPlan`]: per-write faults keyed by this fabric's
 //! configuration-write count (each fabric's writes are sequential, so the
-//! count is a deterministic clock even under a threaded dispatcher) and
-//! whole-fabric outage windows keyed by the replay's logical tick (pushed
-//! in by the driver between rounds via [`FaultInjector::set_tick`]).
+//! count is a deterministic clock whatever order a fleet runs its fabrics
+//! in) and whole-fabric outage windows keyed by the replay's logical tick
+//! (pushed in by the driver between rounds via
+//! [`FaultInjector::set_tick`]).
 //! Corrupt-write bit positions are derived from the plan's seed and the
 //! write count alone, so two replays of the same plan inject bit-identical
 //! faults — the chaos goldens replay twice and diff on exactly that.

@@ -25,9 +25,8 @@
 //! * [`MultiFabricScheduler`] — one request stream sharded over K fabrics
 //!   through a pluggable [`ShardPolicy`] ([`RoundRobin`], [`LeastLoaded`],
 //!   [`CacheAffinity`]), with cross-fabric migration of capacity-rejected
-//!   loads and one writer thread per busy fabric, so one fabric's
-//!   config-memory writes overlap another's decodes; [`replay_multi`]
-//!   replays traces against a fleet.
+//!   loads; a round runs each busy fabric's queue in turn on the caller's
+//!   thread; [`replay_multi`] replays traces against a fleet.
 //!
 //! # One load path
 //!

@@ -4,15 +4,17 @@
 //! into one dispatcher. Each submitted load is routed to a fabric by a
 //! pluggable [`ShardPolicy`] (round-robin, least-loaded, cache-affinity) and
 //! joins that fabric's work queue; unloads and relocations follow the job to
-//! wherever it was routed. Two mechanisms keep the fleet busy:
+//! wherever it was routed. Two mechanisms make up the fleet:
 //!
-//! * **One writer per busy fabric** — a processing round runs every fabric
-//!   with queued work on its own [`std::thread::scope`] thread, each through
-//!   the ordinary [`Scheduler::process_pending_tagged`]: a fabric decodes on
-//!   demand on its own controller's lanes, so one fabric's
-//!   configuration-memory writes overlap another's decodes. A K=1 fleet is
-//!   therefore a plain [`Scheduler`] behind an id translation — the
-//!   differential tests pin it bit-identical.
+//! * **Inline rounds** — a processing round runs every fabric with queued
+//!   work through the ordinary [`Scheduler::process_pending_tagged`], one
+//!   after another on the caller's thread, in fabric order, the way the
+//!   paper's run-time manager drives each device through one sequential
+//!   reconfiguration controller. A K=1 fleet is therefore a plain
+//!   [`Scheduler`] behind an id translation — the differential tests pin it
+//!   bit-identical. No thread is spawned: decodes are ≈ 1 % of a fleet
+//!   replay, so there is no work worth overlapping, and a scoped thread
+//!   per busy fabric cost the fleet 10× the host time of one fabric.
 //! * **Cross-fabric migration** — a load rejected for capacity on its
 //!   assigned fabric is re-dispatched to a fabric it has not tried yet
 //!   (chosen by the same shard policy), so one saturated device sheds work
@@ -644,29 +646,20 @@ impl MultiFabricScheduler {
     }
 
     /// One processing round: every fabric with queued work runs its queue
-    /// on its own writer thread. Returns `(fabric, local request id,
-    /// outcome)` triples in fabric order.
+    /// on the caller's thread, in fabric order. Returns `(fabric, local
+    /// request id, outcome)` triples in that order.
     fn process_round(&mut self) -> Vec<(usize, u64, Outcome)> {
-        let per_fabric: Vec<(usize, Vec<(u64, Outcome)>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .fabrics
-                .iter_mut()
-                .enumerate()
-                .filter(|(_, sched)| sched.queued_len() > 0)
-                .map(|(i, sched)| scope.spawn(move || (i, sched.process_pending_tagged())))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("fabric writers never panic"))
-                .collect()
-        });
-        per_fabric
-            .into_iter()
-            .flat_map(|(fabric, outcomes)| {
-                outcomes
-                    .into_iter()
-                    .map(move |(local_req, outcome)| (fabric, local_req, outcome))
-            })
-            .collect()
+        let mut round = Vec::new();
+        for (fabric, sched) in self.fabrics.iter_mut().enumerate() {
+            if sched.queued_len() > 0 {
+                round.extend(
+                    sched
+                        .process_pending_tagged()
+                        .into_iter()
+                        .map(|(local_req, outcome)| (fabric, local_req, outcome)),
+                );
+            }
+        }
+        round
     }
 }

@@ -51,7 +51,7 @@ fn full_memory_image(sched: &Scheduler) -> vbs_bitstream::TaskBitstream {
 /// plain single-fabric scheduler — same counters (modulo wall-clock decode
 /// time), same cache behavior, and the same final configuration memory,
 /// for every shard policy. This pins down that the dispatcher adds an id
-/// translation and a writer thread around the fabric, and nothing else.
+/// translation around the fabric, and nothing else.
 #[test]
 fn k1_fleet_is_bit_identical_to_single_scheduler() {
     let trace = overload_trace(80, 2015);

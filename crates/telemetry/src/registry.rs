@@ -7,7 +7,7 @@ use crate::event::{Event, EventKind, Stage};
 use crate::hist::LatencyHistogram;
 use crate::ring::{EventRing, RingStats};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Number of generic counter slots a bank carries. Embedding crates define
 /// their own slot constants over these indices (e.g. `vbs-sched` maps its
@@ -66,13 +66,21 @@ impl CounterBank {
 #[derive(Debug)]
 struct Inner {
     clock: Arc<dyn Clock>,
-    histograms: [LatencyHistogram; Stage::COUNT],
+    /// One histogram per stage, or `None` for a disabled registry: then
+    /// span/histogram/event recording is skipped entirely (counters stay
+    /// live — they are the metrics source of truth), and the registry holds
+    /// no bucket storage at all.
+    histograms: Option<[LatencyHistogram; Stage::COUNT]>,
     ring: EventRing,
     /// The registry's own counter bank (see [`CounterBank`]).
     counters: CounterBank,
-    /// When false, span/histogram/event recording is skipped entirely
-    /// (counters stay live — they are the metrics source of truth).
-    enabled: bool,
+}
+
+/// The histogram every disabled registry hands out: allocated once per
+/// process, on first read, and never recorded into.
+fn empty_histogram() -> &'static LatencyHistogram {
+    static EMPTY: OnceLock<LatencyHistogram> = OnceLock::new();
+    EMPTY.get_or_init(LatencyHistogram::new)
 }
 
 /// The shared telemetry handle (see the module docs). Cloning shares the
@@ -105,32 +113,31 @@ impl Telemetry {
         Telemetry {
             inner: Arc::new(Inner {
                 clock,
-                histograms: std::array::from_fn(|_| LatencyHistogram::new()),
+                histograms: Some(std::array::from_fn(|_| LatencyHistogram::new())),
                 ring: EventRing::new(ring_capacity),
                 counters: CounterBank::new(),
-                enabled: true,
             }),
         }
     }
 
     /// A registry whose span and event recording is a no-op (counters stay
     /// live). Components hold this by default until a real registry is
-    /// installed, so uninstrumented deployments pay one branch per record.
+    /// installed, so uninstrumented deployments pay one branch per record
+    /// and hold no histogram storage.
     pub fn disabled() -> Self {
         Telemetry {
             inner: Arc::new(Inner {
                 clock: Arc::new(MonotonicClock::new()),
-                histograms: std::array::from_fn(|_| LatencyHistogram::new()),
+                histograms: None,
                 ring: EventRing::new(0),
                 counters: CounterBank::new(),
-                enabled: false,
             }),
         }
     }
 
     /// Whether span/event recording is live.
     pub fn enabled(&self) -> bool {
-        self.inner.enabled
+        self.inner.histograms.is_some()
     }
 
     /// Whether two handles share one registry.
@@ -172,21 +179,25 @@ impl Telemetry {
 
     /// Records a measured duration into the stage histogram.
     pub fn record_micros(&self, stage: Stage, micros: u64) {
-        if self.inner.enabled {
-            self.inner.histograms[stage.index()].record(micros);
+        if let Some(histograms) = &self.inner.histograms {
+            histograms[stage.index()].record(micros);
         }
     }
 
-    /// The stage's histogram (always present; empty when disabled).
+    /// The stage's histogram. A disabled registry returns one shared empty
+    /// histogram for every stage; read it, never record into it.
     pub fn histogram(&self, stage: Stage) -> &LatencyHistogram {
-        &self.inner.histograms[stage.index()]
+        match &self.inner.histograms {
+            Some(histograms) => &histograms[stage.index()],
+            None => empty_histogram(),
+        }
     }
 
     // --- Events ------------------------------------------------------------
 
     /// Records an instant event stamped "now".
     pub fn event(&self, kind: EventKind, fabric: u16, lane: u16, a: u64, b: u64) {
-        if !self.inner.enabled {
+        if !self.enabled() {
             return;
         }
         self.inner.ring.record(Event {
@@ -212,7 +223,7 @@ impl Telemetry {
         b: u64,
         start_micros: u64,
     ) {
-        if !self.inner.enabled {
+        if !self.enabled() {
             return;
         }
         self.inner.ring.record(Event {

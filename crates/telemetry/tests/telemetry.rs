@@ -229,12 +229,24 @@ fn manual_span_twin_matches_guard_spans() {
 #[test]
 fn disabled_telemetry_records_nothing_but_counts() {
     let telemetry = Telemetry::disabled();
-    telemetry.record_micros(Stage::Load, 99);
+    let assert_every_histogram_empty = |when: &str| {
+        for stage in Stage::ALL {
+            let hist = telemetry.histogram(stage);
+            assert_eq!(hist.count(), 0, "{stage:?} {when}");
+            assert_eq!(hist.sum(), 0, "{stage:?} {when}");
+            assert_eq!(hist.max(), 0, "{stage:?} {when}");
+        }
+    };
+    assert_every_histogram_empty("before recording");
+    for stage in Stage::ALL {
+        telemetry.record_micros(stage, 99);
+        let start = telemetry.now();
+        telemetry.record_span(stage, start);
+        telemetry.span(stage).finish();
+        drop(telemetry.span(stage));
+    }
     telemetry.event(EventKind::Enqueue, 0, 0, 1, 0);
-    let _span = telemetry.span(Stage::Decode);
-    drop(_span);
-    assert_eq!(telemetry.histogram(Stage::Load).count(), 0);
-    assert_eq!(telemetry.histogram(Stage::Decode).count(), 0);
+    assert_every_histogram_empty("after spans and record_micros");
     assert_eq!(telemetry.ring_stats().recorded, 0);
     // Counter slots stay live: they back SchedMetrics views.
     telemetry.counter_add(3, 2);

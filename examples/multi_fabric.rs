@@ -1,10 +1,9 @@
 //! Multi-fabric scheduling: one overloaded request stream sharded across a
 //! fleet of four devices. The same workload runs three ways — one fabric
 //! alone, four independent fabrics each facing the full stream, and the
-//! four-fabric `MultiFabricScheduler` with cache-affinity sharding, one
-//! writer thread per busy fabric (one fabric's config-memory writes overlap
-//! another's decodes), and cross-fabric migration of capacity-rejected
-//! loads.
+//! four-fabric `MultiFabricScheduler` with cache-affinity sharding
+//! (each round runs the busy fabrics in turn on this thread) and
+//! cross-fabric migration of capacity-rejected loads.
 //!
 //! Run with: `cargo run --release --example multi_fabric`
 

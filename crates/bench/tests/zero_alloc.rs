@@ -40,7 +40,12 @@
 //! * the **fleet** runs each round on the caller's thread: a K = 2 corpus
 //!   fleet cache-hit pair allocates the pinned count for every stream, a
 //!   disabled telemetry handle requests under 1 KiB (it built every stage
-//!   histogram), and building the fleet requests under 64 KiB.
+//!   histogram), and building the fleet requests under 64 KiB;
+//! * the **encoder** reads each route tree by its indices: `FlowResult::vbs`
+//!   at k = 1, 2 and 3 over the nine corpus circuits (placed and routed
+//!   outside the counted region) stays under the pinned counts, about 1 %
+//!   of the 129 326 / 103 379 / 102 562 the hash-map encoder made, which
+//!   fails them.
 //!
 //! Everything runs inside one `#[test]` because the counters are
 //! process-global and the harness runs tests concurrently.
@@ -49,6 +54,8 @@ use vbs_bench::{allocated_bytes, allocations, CountingAllocator};
 use vbs_bitstream::TaskBitstream;
 use vbs_core::bitio::BitWriter;
 use vbs_core::{DecodeScratch, Devirtualizer, Vbs, VbsError, VbsView};
+use vbs_flow::CadFlow;
+use vbs_netlist::{blif, mcnc};
 use vbs_runtime::{FirstFit, ReconfigurationController, ScratchPool, TaskManager};
 use vbs_sched::{CacheBudget, McncCorpus, Outcome, Request, SchedulerConfig};
 use vbs_telemetry::{Stage, Telemetry};
@@ -89,6 +96,13 @@ const FLEET_HIT_PAIR_ALLOCATIONS: u64 = 19;
 /// 1 507 940 when each of its four disabled telemetry handles held a full
 /// set of stage histograms.
 const FLEET_BUILD_BYTE_BUDGET: u64 = 64 * 1024;
+
+/// Allocations `FlowResult::vbs(k)` may make over the nine corpus circuits
+/// at k = 1, 2 and 3: 1 448 / 1 104 / 992 measured, mostly the records'
+/// own buffers and the cluster patterns of the feedback decode. They were
+/// 129 326 / 103 379 / 102 562 when the encoder rebuilt every route tree as
+/// hash maps and formatted two `String`s per connection comparison.
+const ENCODE_ALLOCATION_BUDGETS: [u64; 3] = [1_500, 1_150, 1_050];
 
 /// `Devirtualizer::decode_into` on a caller-held scratch and image — the
 /// decode the pooled lanes run, without the pool.
@@ -451,6 +465,44 @@ fn corpus_load_paths() {
     }
 
     fleet_paths(&corpus, &names);
+    encode_paths(&corpus);
+}
+
+/// The offline half over the corpus circuits: what `FlowResult::vbs`
+/// requests at cluster sizes 1, 2 and 3, with placement and routing done
+/// outside the counted region.
+fn encode_paths(corpus: &McncCorpus) {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/traces/mcnc");
+    let results: Vec<_> = corpus
+        .tasks
+        .iter()
+        .map(|task| {
+            let text =
+                std::fs::read_to_string(format!("{dir}/{}.blif", task.name)).expect("corpus blif");
+            let netlist = blif::parse(&text, corpus.lut_size).expect("corpus blif parses");
+            let base = task.name.split('@').next().expect("task name");
+            CadFlow::new(corpus.channel_width, corpus.lut_size)
+                .expect("flow")
+                .with_grid(task.width, task.height)
+                .with_seed(mcnc::by_name(base).expect("table ii circuit").seed())
+                .fast()
+                .run(&netlist)
+                .expect("corpus circuits route")
+        })
+        .collect();
+    assert_eq!(results.len(), 9);
+    for (k, budget) in [1, 2, 3].into_iter().zip(ENCODE_ALLOCATION_BUDGETS) {
+        let before = allocations();
+        for result in &results {
+            result.vbs(k).expect("encode");
+        }
+        let allocated = allocations() - before;
+        assert!(
+            allocated <= budget,
+            "encoding the nine corpus circuits at k = {k} allocated {allocated} times \
+             (budget {budget}): is the encoder building per-net maps again?"
+        );
+    }
 }
 
 /// The fleet's fixed costs over the corpus: what a disabled telemetry

@@ -9,23 +9,36 @@
 //! Wires that stay strictly inside a cluster never appear in the list — that
 //! is the clustering gain of Section IV-B.
 //!
+//! A tree is read by its own indices. Each edge `(parent, child)` is tagged
+//! once with the id of the cluster owning its switch, and the edges are
+//! grouped by sorting `(cluster id, child index)`. Within one cluster's
+//! group a piece's entry is the node whose own parent edge lies elsewhere
+//! (or the net source), and a node's nearest I/O ancestor is carried down
+//! from its parent, which the index order visits first. Pieces are emitted
+//! in order of their smallest node, each piece's connections in the
+//! canonical order: boundary-to-boundary first, then boundary destinations,
+//! then boundary sources, then the rest, and within a rank by the byte
+//! order of the connection's `Display` text (`east[12]` before `east[1]`).
+//! That order is part of the stream; the checked-in corpus holds it.
+//!
 //! Following Section III-B, every coded record goes through the offline
 //! **feedback loop**: it is decoded with the same de-virtualization algorithm
 //! the run-time controller uses, and is only kept if the expansion succeeds
 //! and stays within the wires the original routing allocated to the cluster.
-//! Otherwise the connection list is re-ordered and re-tried, and as a last
-//! resort the record falls back to the raw coding of the cluster (which also
-//! happens when the list would be larger than the raw frames).
+//! Only when the record's own order fails is the list re-sorted into the
+//! canonical order and tried once more; as a last resort the record falls
+//! back to the raw coding of the cluster (which also happens when the list
+//! would be larger than the raw frames).
 
 use crate::bitio::PackedBits;
 use crate::cluster::{ClusterGrid, ClusterIo};
 use crate::decoder::{DecodeScratch, Devirtualizer};
 use crate::error::VbsError;
 use crate::format::{ClusterRecord, ClusterRoutes, Connection, RecordRef, RoutesRef, Vbs};
-use std::collections::{HashMap, HashSet};
-use vbs_arch::{ArchSpec, Coord, WireRef};
+use std::io::Write as _;
+use vbs_arch::{ArchSpec, Coord, Device, WireRef};
 use vbs_bitstream::{edge_to_switch, TaskBitstream};
-use vbs_route::{Routing, RrNode};
+use vbs_route::{RouteTree, Routing, RrNode};
 
 /// The Virtual Bit-Stream encoder (the paper's `vbsgen`).
 #[derive(Debug, Clone)]
@@ -99,124 +112,78 @@ impl VbsEncoder {
 
         // 1. Group the programmed switches and the wires they touch by
         //    cluster, net by net.
-        let geometry = vbs_arch::Device::new(self.spec, width.max(1), height.max(1))?;
-        let mut per_cluster: HashMap<Coord, ClusterNets> = HashMap::new();
-        for (net_id, tree) in routing.iter_trees() {
-            // Parent relation in task-relative coordinates.
-            let edges: Vec<(RrNode, RrNode)> = tree
-                .iter_edges()
-                .map(|(p, c)| (rel_node(p, origin), rel_node(c, origin)))
-                .collect();
-            if edges.is_empty() {
-                continue;
-            }
-            let mut parent: HashMap<RrNode, RrNode> = HashMap::new();
-            for (p, c) in &edges {
-                parent.insert(*c, *p);
-            }
-            // Assign each edge to the cluster owning its switch.
-            let mut cluster_edges: HashMap<Coord, Vec<(RrNode, RrNode)>> = HashMap::new();
-            for (p, c) in &edges {
-                let switch = edge_to_switch(&geometry, *p, *c).map_err(VbsError::Bitstream)?;
-                let cluster = grid.cluster_of(switch.site());
-                cluster_edges.entry(cluster).or_default().push((*p, *c));
-            }
-            for (cluster, edges) in cluster_edges {
-                let entry = per_cluster.entry(cluster).or_default();
-                entry.add_component_connections(&grid, cluster, &edges, &parent, net_id.index());
-                for (p, c) in &edges {
-                    for node in [p, c] {
-                        if let RrNode::Wire(w) = node {
-                            if grid.wire_touches(cluster, *w) {
-                                entry.used_wires.insert(*w);
-                            }
-                        }
-                    }
-                }
+        let geometry = Device::new(self.spec, width.max(1), height.max(1))?;
+        let mut lists = ClusterLists::default();
+        let mut trees = TreeScratch::default();
+        for (_, tree) in routing.iter_trees() {
+            if !tree.is_empty() {
+                trees.add_tree(&grid, &geometry, tree, origin, &mut lists)?;
             }
         }
+        // Cluster by cluster, nets in order (the sort is stable).
+        lists.connections.sort_by_key(|&(id, _)| id);
+        lists.wires.sort_unstable();
+        lists.wires.dedup();
 
         // 2. Build one record per occupied cluster, applying the size bound
         //    and the decode feedback loop.
         let template = Vbs::new(self.spec, self.cluster_size, width, height, Vec::new())?;
-        let devirt_scratch = Vbs::new(self.spec, self.cluster_size, width, height, Vec::new())?;
-        let devirtualizer = Devirtualizer::new(&devirt_scratch)?;
-        let mut scratch = TaskBitstream::empty(self.spec, width.max(1), height.max(1));
+        let devirtualizer = Devirtualizer::new(&template)?;
+        let mut image = TaskBitstream::empty(self.spec, width.max(1), height.max(1));
         // One decode arena shared by every feedback-loop check of this
         // encode, so candidate verification stays allocation-free.
         let mut decode_scratch = DecodeScratch::new();
+        let raw_bits = template.raw_routing_bits_per_record();
 
         let mut records: Vec<ClusterRecord> = Vec::new();
-        for cluster in grid.iter_clusters() {
-            let nets = per_cluster.remove(&cluster);
+        let mut rest = lists.connections.as_slice();
+        for (id, cluster) in grid.iter_clusters().enumerate() {
+            let id = id as u32;
+            let count = rest.iter().take_while(|&&(c, _)| c == id).count();
+            let (run, tail) = rest.split_at(count);
+            rest = tail;
             let logic = self.logic_bits(&grid, raw, cluster);
-            let has_logic = logic.as_range().words().any(|(_, _, bits)| bits != 0);
-            let connections = nets
-                .as_ref()
-                .map(|n| n.connections.clone())
-                .unwrap_or_default();
-            if connections.is_empty() && !has_logic {
+            if run.is_empty() && logic.as_range().words().all(|(_, _, bits)| bits == 0) {
                 // Empty cluster: no record at all (this is where sparse
                 // regions gain the most).
                 continue;
             }
 
-            let coded_bits = template.route_count_bits() as usize
-                + 2 * template.io_bits() as usize * connections.len();
-            let raw_bits = template.raw_routing_bits_per_record();
-            let mut routes = if connections.is_empty() {
+            let coded_bits =
+                template.route_count_bits() as usize + 2 * template.io_bits() as usize * run.len();
+            let routes = if run.is_empty() {
                 ClusterRoutes::Coded(Vec::new())
-            } else if connections.len() > template.max_routes_per_record() || coded_bits >= raw_bits
-            {
+            } else if run.len() > template.max_routes_per_record() || coded_bits >= raw_bits {
                 self.raw_routes(&grid, raw, cluster)
             } else {
                 // Feedback loop: decode the candidate record and verify it
                 // stays within the wires the original routing used here.
-                let allowed = nets.as_ref().map(|n| &n.used_wires);
-                let ordered = order_connections(connections.clone());
-                let candidates = [connections.clone(), ordered];
-                let mut accepted = None;
-                for candidate in candidates {
+                let mut connections: Vec<Connection> = run.iter().map(|&(_, c)| c).collect();
+                let mut decodes_safely = |connections: &[Connection]| {
                     let record = RecordRef {
                         position: cluster,
                         logic: logic.as_range(),
-                        routes: RoutesRef::Coded(candidate.as_slice().into()),
+                        routes: RoutesRef::Coded(connections.into()),
                     };
-                    match devirtualizer.decode_record_with(
-                        record,
-                        &mut scratch,
-                        &mut decode_scratch,
-                    ) {
-                        Ok(()) => {
-                            let claimed = decode_scratch.claimed_wires();
-                            let safe = match allowed {
-                                Some(allowed) => claimed.iter().all(|w| {
-                                    grid.wire_io(cluster, *w).is_none() || allowed.contains(w)
-                                }),
-                                None => claimed.is_empty(),
-                            };
-                            if safe {
-                                accepted = Some(candidate);
-                                break;
-                            }
-                        }
-                        Err(_) => continue,
-                    }
+                    devirtualizer
+                        .decode_record_with(record, &mut image, &mut decode_scratch)
+                        .is_ok()
+                        && decode_scratch.claimed_wires().iter().all(|&w| {
+                            grid.wire_io(cluster, w).is_none()
+                                || lists.wires.binary_search(&(id, w)).is_ok()
+                        })
+                };
+                let mut accepted = decodes_safely(&connections);
+                if !accepted {
+                    order_connections(&mut connections);
+                    accepted = decodes_safely(&connections);
                 }
-                match accepted {
-                    Some(connections) => ClusterRoutes::Coded(connections),
-                    None => self.raw_routes(&grid, raw, cluster),
+                if accepted {
+                    ClusterRoutes::Coded(connections)
+                } else {
+                    self.raw_routes(&grid, raw, cluster)
                 }
             };
-
-            // Final guard: never let a coded record be larger than raw.
-            if let ClusterRoutes::Coded(c) = &routes {
-                let bits = template.route_count_bits() as usize
-                    + 2 * template.io_bits() as usize * c.len();
-                if bits >= raw_bits && !c.is_empty() {
-                    routes = self.raw_routes(&grid, raw, cluster);
-                }
-            }
 
             records.push(ClusterRecord {
                 position: cluster,
@@ -262,102 +229,141 @@ impl VbsEncoder {
     }
 }
 
-/// Accumulated routing information of one cluster during encoding.
+/// What step 1 found, tagged with the id of the cluster it belongs to
+/// (row-major, the order of [`ClusterGrid::iter_clusters`]).
 #[derive(Debug, Default)]
-struct ClusterNets {
-    connections: Vec<Connection>,
-    used_wires: HashSet<WireRef>,
+struct ClusterLists {
+    /// Connections in net order and, within a net, in piece order.
+    connections: Vec<(u32, Connection)>,
+    /// Wires each cluster's share of the routing touches.
+    wires: Vec<(u32, WireRef)>,
 }
 
-impl ClusterNets {
-    /// Adds the connections of one net's presence inside `cluster`:
-    /// one connection from each connected component's entry I/O to every
-    /// other black-box I/O the component touches.
-    fn add_component_connections(
+/// Step 1's working buffers, reused from tree to tree. The per-node arrays
+/// are indexed by tree index.
+#[derive(Debug, Default)]
+struct TreeScratch {
+    /// The tree's nodes in task-relative coordinates.
+    nodes: Vec<RrNode>,
+    /// `(cluster id, child, parent)` of every edge, sorted.
+    edges: Vec<(u32, u32, u32)>,
+    /// One more than the cluster id of the edge entering the node, once
+    /// the node has been visited; 0 otherwise.
+    visited: Vec<u32>,
+    /// The entry of the node's piece.
+    entry: Vec<u32>,
+    /// The nearest I/O at or above the node within its piece.
+    reach: Vec<Option<ClusterIo>>,
+    /// For an entry: the smallest node of its piece.
+    smallest: Vec<RrNode>,
+    /// One group's connections: `(entry, order key, connection)`.
+    pending: Vec<(u32, OrderKey, Connection)>,
+}
+
+impl TreeScratch {
+    /// Adds the connections and wires of one route tree to `lists`.
+    fn add_tree(
+        &mut self,
+        grid: &ClusterGrid,
+        geometry: &Device,
+        tree: &RouteTree,
+        origin: Coord,
+        lists: &mut ClusterLists,
+    ) -> Result<(), VbsError> {
+        self.nodes.clear();
+        self.nodes
+            .extend(tree.nodes().iter().map(|&node| rel_node(node, origin)));
+        let (cols, rows) = (grid.cluster_cols(), grid.cluster_rows());
+        let mut edges = std::mem::take(&mut self.edges);
+        edges.clear();
+        for child in 0..tree.len() {
+            let Some(parent) = tree.parent(child) else {
+                continue;
+            };
+            let switch = edge_to_switch(geometry, self.nodes[parent], self.nodes[child])
+                .map_err(VbsError::Bitstream)?;
+            let cluster = grid.cluster_of(switch.site());
+            // A switch outside the tiling belongs to no record.
+            if cluster.x < cols && cluster.y < rows {
+                let id = u32::from(cluster.y) * u32::from(cols) + u32::from(cluster.x);
+                edges.push((id, child as u32, parent as u32));
+            }
+        }
+        edges.sort_unstable();
+
+        let len = self.nodes.len();
+        self.visited.clear();
+        self.visited.resize(len, 0);
+        self.entry.resize(len, 0);
+        self.reach.resize(len, None);
+        self.smallest.clone_from(&self.nodes);
+        for group in edges.chunk_by(|a, b| a.0 == b.0) {
+            let id = group[0].0;
+            let cluster = Coord::new((id % u32::from(cols)) as u16, (id / u32::from(cols)) as u16);
+            self.add_group(grid, cluster, id, group, lists);
+        }
+        self.edges = edges;
+        Ok(())
+    }
+
+    /// Adds the connections and wires of the tree edges `group` (sorted by
+    /// child index), whose switches all lie in `cluster`.
+    fn add_group(
         &mut self,
         grid: &ClusterGrid,
         cluster: Coord,
-        edges: &[(RrNode, RrNode)],
-        parent: &HashMap<RrNode, RrNode>,
-        _net: usize,
+        id: u32,
+        group: &[(u32, u32, u32)],
+        lists: &mut ClusterLists,
     ) {
-        // Adjacency restricted to this cluster's edges.
-        let mut adjacency: HashMap<RrNode, Vec<RrNode>> = HashMap::new();
-        for (p, c) in edges {
-            adjacency.entry(*p).or_default().push(*c);
-            adjacency.entry(*c).or_default().push(*p);
-        }
-        let mut nodes: Vec<RrNode> = adjacency.keys().copied().collect();
-        nodes.sort_unstable();
-
-        let edge_set: HashSet<(RrNode, RrNode)> = edges.iter().copied().collect();
-        let mut visited: HashSet<RrNode> = HashSet::new();
-        for &start in &nodes {
-            if visited.contains(&start) {
-                continue;
-            }
-            // Flood the component.
-            let mut component = vec![start];
-            visited.insert(start);
-            let mut stack = vec![start];
-            while let Some(n) = stack.pop() {
-                for &next in adjacency.get(&n).into_iter().flatten() {
-                    if visited.insert(next) {
-                        component.push(next);
-                        stack.push(next);
-                    }
+        let mut touch = |node: RrNode| {
+            if let RrNode::Wire(w) = node {
+                if grid.wire_touches(cluster, w) {
+                    lists.wires.push((id, w));
                 }
             }
-            component.sort_unstable();
-
-            // The entry of the component: the node whose tree parent is not
-            // reached through an edge of this cluster (or the net source).
-            let root = component
-                .iter()
-                .copied()
-                .find(|n| match parent.get(n) {
-                    Some(p) => !edge_set.contains(&(*p, *n)) && !edge_set.contains(&(*n, *p)),
-                    None => true,
-                })
-                .unwrap_or(component[0]);
-
-            // Every component node that is a black-box I/O gets one
-            // connection from its nearest I/O ancestor within the component
-            // (often the entry itself). Interior wires never appear, which is
-            // the clustering gain; preserving the ancestor relation keeps the
-            // branching structure of the original tree, so the
-            // de-virtualization reproduces it faithfully.
-            let in_component: HashSet<RrNode> = component.iter().copied().collect();
-            let nearest_io_ancestor = |mut node: RrNode| -> Option<ClusterIo> {
-                loop {
-                    let p = *parent.get(&node)?;
-                    if !in_component.contains(&p) {
-                        return None;
-                    }
-                    if let Some(io) = node_io(grid, cluster, p) {
-                        return Some(io);
-                    }
-                    node = p;
-                }
+        };
+        for &(_, child, parent) in group {
+            let (child, parent) = (child as usize, parent as usize);
+            // A parent visited in this group is inside the piece; any other
+            // parent is the piece's entry.
+            let (entry, input) = if self.visited[parent] == id + 1 {
+                (self.entry[parent], self.reach[parent])
+            } else {
+                self.smallest[parent] = self.nodes[parent];
+                touch(self.nodes[parent]);
+                (parent as u32, node_io(grid, cluster, self.nodes[parent]))
             };
-            let root_io = node_io(grid, cluster, root);
-            let mut outputs: Vec<Connection> = Vec::new();
-            for &node in &component {
-                if node == root {
-                    continue;
-                }
-                let Some(io) = node_io(grid, cluster, node) else {
-                    continue;
-                };
-                let input = nearest_io_ancestor(node).or(root_io);
-                if let Some(input) = input {
-                    outputs.push(Connection { input, output: io });
-                }
+            // Every I/O of the piece gets one connection from its nearest
+            // I/O ancestor in the piece (often the entry). Interior wires
+            // never appear, which is the clustering gain; keeping the
+            // ancestor relation keeps the tree's branching, so the
+            // de-virtualization reproduces it.
+            let io = node_io(grid, cluster, self.nodes[child]);
+            if let (Some(input), Some(output)) = (input, io) {
+                let connection = Connection { input, output };
+                self.pending
+                    .push((entry, order_key(&connection), connection));
             }
-            // Boundary outputs first so the decoder allocates the shared
-            // wires before hooking pins through them.
-            self.connections.extend(order_connections(outputs));
+            self.visited[child] = id + 1;
+            self.entry[child] = entry;
+            self.reach[child] = io.or(input);
+            touch(self.nodes[child]);
         }
+        for &(_, child, _) in group {
+            let entry = self.entry[child as usize] as usize;
+            self.smallest[entry] = self.smallest[entry].min(self.nodes[child as usize]);
+        }
+        // Pieces in order of their smallest node; boundary outputs first
+        // within a piece, so the decoder allocates the shared wires before
+        // hooking pins through them.
+        let smallest = &self.smallest;
+        self.pending.sort_unstable_by(|a, b| {
+            (smallest[a.0 as usize], &a.1).cmp(&(smallest[b.0 as usize], &b.1))
+        });
+        lists
+            .connections
+            .extend(self.pending.drain(..).map(|(_, _, c)| (id, c)));
     }
 }
 
@@ -372,24 +378,31 @@ fn node_io(grid: &ClusterGrid, cluster: Coord, node: RrNode) -> Option<ClusterIo
     }
 }
 
+/// A connection's place in the canonical order: its rank, then the bytes of
+/// its `Display` text, zero-padded (the longest text,
+/// `m65535.pin255 -> m65535.pin255`, is 30 bytes).
+type OrderKey = (u8, [u8; 40]);
+
+fn order_key(connection: &Connection) -> OrderKey {
+    let rank = match (&connection.input, &connection.output) {
+        (ClusterIo::Boundary { .. }, ClusterIo::Boundary { .. }) => 0,
+        (_, ClusterIo::Boundary { .. }) => 1,
+        (ClusterIo::Boundary { .. }, _) => 2,
+        _ => 3,
+    };
+    let mut text = [0; 40];
+    write!(&mut text[..], "{connection}").expect("a connection's text fits its key");
+    (rank, text)
+}
+
 /// Canonical connection order: boundary-to-boundary first, then boundary
-/// destinations, then pins; ties broken by index so the order (and hence the
-/// stream) is deterministic.
-fn order_connections(mut connections: Vec<Connection>) -> Vec<Connection> {
-    fn rank(c: &Connection) -> u8 {
-        match (&c.input, &c.output) {
-            (ClusterIo::Boundary { .. }, ClusterIo::Boundary { .. }) => 0,
-            (_, ClusterIo::Boundary { .. }) => 1,
-            (ClusterIo::Boundary { .. }, _) => 2,
-            _ => 3,
-        }
-    }
-    connections.sort_by(|a, b| {
-        rank(a)
-            .cmp(&rank(b))
-            .then_with(|| format!("{a}").cmp(&format!("{b}")))
-    });
-    connections
+/// destinations, then boundary sources, then the rest; within a rank, the
+/// byte order of the connections' `Display` text, so `east[12]` sorts before
+/// `east[1]` and `m10.pin3` before `m2.pin3`. This order is part of the
+/// stream: every piece's connections are emitted in it, and the checked-in
+/// corpus bytes hold it.
+fn order_connections(connections: &mut [Connection]) {
+    connections.sort_by_cached_key(order_key);
 }
 
 /// Translates a device-absolute routing node into task-relative coordinates.
@@ -411,7 +424,7 @@ fn rel_node(node: RrNode, origin: Coord) -> RrNode {
 mod tests {
     use super::*;
     use crate::decoder::decode;
-    use vbs_arch::{ArchSpec, Device};
+    use vbs_arch::{ArchSpec, Device, Side};
     use vbs_netlist::generate::SyntheticSpec;
     use vbs_place::{place, PlacerConfig};
     use vbs_route::{route, RouterConfig};
@@ -507,29 +520,50 @@ mod tests {
         assert!(!vbs.records().is_empty());
     }
 
+    /// The canonical order, pinned literally: boundary destinations first,
+    /// then by text, not by number.
     #[test]
     fn order_connections_prefers_boundary_destinations() {
-        use vbs_arch::Side;
-        let pin = ClusterIo::Pin { local: 0, pin: 0 };
-        let east = ClusterIo::Boundary {
-            side: Side::East,
-            offset: 0,
-        };
-        let west = ClusterIo::Boundary {
-            side: Side::West,
-            offset: 0,
-        };
-        let ordered = order_connections(vec![
-            Connection {
-                input: west,
-                output: pin,
-            },
-            Connection {
-                input: west,
-                output: east,
-            },
-        ]);
-        assert_eq!(ordered[0].output, east);
-        assert_eq!(ordered[1].output, pin);
+        let boundary = |side, offset| ClusterIo::Boundary { side, offset };
+        let pin = |local, pin| ClusterIo::Pin { local, pin };
+        let (east1, east12) = (boundary(Side::East, 1), boundary(Side::East, 12));
+        let (north3, west0) = (boundary(Side::North, 3), boundary(Side::West, 0));
+        let (m2, m10) = (pin(2, 3), pin(10, 3));
+        let connection = |input, output| Connection { input, output };
+        let mut connections = vec![
+            connection(m2, m10),
+            connection(ClusterIo::Null, m2),
+            connection(west0, m2),
+            connection(west0, m10),
+            connection(m2, east1),
+            connection(m10, east12),
+            connection(west0, east1),
+            connection(west0, east12),
+            connection(north3, west0),
+            connection(m10, m2),
+            connection(ClusterIo::Null, east1),
+        ];
+        order_connections(&mut connections);
+        let text: Vec<String> = connections.iter().map(ToString::to_string).collect();
+        assert_eq!(
+            text,
+            [
+                // Boundary to boundary.
+                "north[3] -> west[0]",
+                "west[0] -> east[12]",
+                "west[0] -> east[1]",
+                // Into a boundary from anything else.
+                "m10.pin3 -> east[12]",
+                "m2.pin3 -> east[1]",
+                "null -> east[1]",
+                // From a boundary into a pin.
+                "west[0] -> m10.pin3",
+                "west[0] -> m2.pin3",
+                // Everything else.
+                "m10.pin3 -> m2.pin3",
+                "m2.pin3 -> m10.pin3",
+                "null -> m2.pin3",
+            ]
+        );
     }
 }

@@ -1,0 +1,367 @@
+//! The `vbsgen` backend as it was before it encoded a route tree by its
+//! indices: per net a `HashMap` parent relation and a `HashMap` of edges per
+//! cluster, per (net, cluster) an adjacency map flooded into components with
+//! three `HashSet`s, connection order by comparing formatted `String`s, and
+//! both feedback-loop candidates built for every coded record.
+//!
+//! It is the product encoder's code verbatim apart from its name, shorter
+//! doc comments and one line: the empty-logic test reads the bits one at a
+//! time (`BitRange::iter`), since the word walk it used is crate-private. `encode_differential`
+//! holds the product to it value for value and byte for byte.
+
+use std::collections::{HashMap, HashSet};
+use vbs_arch::{ArchSpec, Coord, WireRef};
+use vbs_bitstream::{edge_to_switch, TaskBitstream};
+use vbs_core::{
+    ClusterGrid, ClusterIo, ClusterRecord, ClusterRoutes, Connection, DecodeScratch, Devirtualizer,
+    PackedBits, RecordRef, RoutesRef, Vbs, VbsError,
+};
+use vbs_route::{Routing, RrNode};
+
+/// The reference encoder.
+#[derive(Debug, Clone)]
+pub struct OracleEncoder {
+    spec: ArchSpec,
+    cluster_size: u16,
+}
+
+impl OracleEncoder {
+    /// Creates an encoder for the given architecture and cluster size.
+    pub fn new(spec: ArchSpec, cluster_size: u16) -> Result<Self, VbsError> {
+        if cluster_size == 0 {
+            return Err(VbsError::InvalidClusterSize { cluster_size });
+        }
+        Ok(OracleEncoder { spec, cluster_size })
+    }
+
+    /// Encodes a task whose routing was computed at device-absolute
+    /// coordinates, `origin` being the task's lower-left corner.
+    pub fn encode_with_origin(
+        &self,
+        raw: &TaskBitstream,
+        routing: &Routing,
+        origin: Coord,
+    ) -> Result<Vbs, VbsError> {
+        if raw.spec() != &self.spec {
+            return Err(VbsError::EncoderInputMismatch {
+                reason: "raw bit-stream architecture differs from the encoder's".into(),
+            });
+        }
+        if routing.spec() != &self.spec {
+            return Err(VbsError::EncoderInputMismatch {
+                reason: "routing channel width differs from the encoder's architecture".into(),
+            });
+        }
+        let width = raw.width();
+        let height = raw.height();
+        let grid = ClusterGrid::new(self.spec, self.cluster_size, width, height)?;
+
+        // 1. Group the programmed switches and the wires they touch by
+        //    cluster, net by net.
+        let geometry = vbs_arch::Device::new(self.spec, width.max(1), height.max(1))?;
+        let mut per_cluster: HashMap<Coord, ClusterNets> = HashMap::new();
+        for (net_id, tree) in routing.iter_trees() {
+            // Parent relation in task-relative coordinates.
+            let edges: Vec<(RrNode, RrNode)> = tree
+                .iter_edges()
+                .map(|(p, c)| (rel_node(p, origin), rel_node(c, origin)))
+                .collect();
+            if edges.is_empty() {
+                continue;
+            }
+            let mut parent: HashMap<RrNode, RrNode> = HashMap::new();
+            for (p, c) in &edges {
+                parent.insert(*c, *p);
+            }
+            // Assign each edge to the cluster owning its switch.
+            let mut cluster_edges: HashMap<Coord, Vec<(RrNode, RrNode)>> = HashMap::new();
+            for (p, c) in &edges {
+                let switch = edge_to_switch(&geometry, *p, *c).map_err(VbsError::Bitstream)?;
+                let cluster = grid.cluster_of(switch.site());
+                cluster_edges.entry(cluster).or_default().push((*p, *c));
+            }
+            for (cluster, edges) in cluster_edges {
+                let entry = per_cluster.entry(cluster).or_default();
+                entry.add_component_connections(&grid, cluster, &edges, &parent, net_id.index());
+                for (p, c) in &edges {
+                    for node in [p, c] {
+                        if let RrNode::Wire(w) = node {
+                            if grid.wire_touches(cluster, *w) {
+                                entry.used_wires.insert(*w);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        // 2. Build one record per occupied cluster, applying the size bound
+        //    and the decode feedback loop.
+        let template = Vbs::new(self.spec, self.cluster_size, width, height, Vec::new())?;
+        let devirt_scratch = Vbs::new(self.spec, self.cluster_size, width, height, Vec::new())?;
+        let devirtualizer = Devirtualizer::new(&devirt_scratch)?;
+        let mut scratch = TaskBitstream::empty(self.spec, width.max(1), height.max(1));
+        // One decode arena shared by every feedback-loop check of this
+        // encode, so candidate verification stays allocation-free.
+        let mut decode_scratch = DecodeScratch::new();
+
+        let mut records: Vec<ClusterRecord> = Vec::new();
+        for cluster in grid.iter_clusters() {
+            let nets = per_cluster.remove(&cluster);
+            let logic = self.logic_bits(&grid, raw, cluster);
+            let has_logic = logic.as_range().iter().any(|bit| bit);
+            let connections = nets
+                .as_ref()
+                .map(|n| n.connections.clone())
+                .unwrap_or_default();
+            if connections.is_empty() && !has_logic {
+                // Empty cluster: no record at all (this is where sparse
+                // regions gain the most).
+                continue;
+            }
+
+            let coded_bits = template.route_count_bits() as usize
+                + 2 * template.io_bits() as usize * connections.len();
+            let raw_bits = template.raw_routing_bits_per_record();
+            let mut routes = if connections.is_empty() {
+                ClusterRoutes::Coded(Vec::new())
+            } else if connections.len() > template.max_routes_per_record() || coded_bits >= raw_bits
+            {
+                self.raw_routes(&grid, raw, cluster)
+            } else {
+                // Feedback loop: decode the candidate record and verify it
+                // stays within the wires the original routing used here.
+                let allowed = nets.as_ref().map(|n| &n.used_wires);
+                let ordered = order_connections(connections.clone());
+                let candidates = [connections.clone(), ordered];
+                let mut accepted = None;
+                for candidate in candidates {
+                    let record = RecordRef {
+                        position: cluster,
+                        logic: logic.as_range(),
+                        routes: RoutesRef::Coded(candidate.as_slice().into()),
+                    };
+                    match devirtualizer.decode_record_with(
+                        record,
+                        &mut scratch,
+                        &mut decode_scratch,
+                    ) {
+                        Ok(()) => {
+                            let claimed = decode_scratch.claimed_wires();
+                            let safe = match allowed {
+                                Some(allowed) => claimed.iter().all(|w| {
+                                    grid.wire_io(cluster, *w).is_none() || allowed.contains(w)
+                                }),
+                                None => claimed.is_empty(),
+                            };
+                            if safe {
+                                accepted = Some(candidate);
+                                break;
+                            }
+                        }
+                        Err(_) => continue,
+                    }
+                }
+                match accepted {
+                    Some(connections) => ClusterRoutes::Coded(connections),
+                    None => self.raw_routes(&grid, raw, cluster),
+                }
+            };
+
+            // Final guard: never let a coded record be larger than raw.
+            if let ClusterRoutes::Coded(c) = &routes {
+                let bits = template.route_count_bits() as usize
+                    + 2 * template.io_bits() as usize * c.len();
+                if bits >= raw_bits && !c.is_empty() {
+                    routes = self.raw_routes(&grid, raw, cluster);
+                }
+            }
+
+            records.push(ClusterRecord {
+                position: cluster,
+                logic,
+                routes,
+            });
+        }
+
+        Vbs::new(self.spec, self.cluster_size, width, height, records)
+    }
+
+    /// Collects the logic bits of a cluster from the raw frames.
+    fn logic_bits(&self, grid: &ClusterGrid, raw: &TaskBitstream, cluster: Coord) -> PackedBits {
+        let k = self.cluster_size as usize;
+        let lb = self.spec.lb_config_bits();
+        let mut bits = PackedBits::zeros(k * k * lb);
+        for local in 0..(k * k) {
+            if let Some(site) = grid.macro_at(cluster, local as u16) {
+                for (i, b) in raw.frame(site).logic_bits().enumerate() {
+                    bits.set(local * lb + i, b);
+                }
+            }
+        }
+        bits
+    }
+
+    /// The raw fallback payload of a cluster: the routing sections of its
+    /// frames, verbatim.
+    fn raw_routes(&self, grid: &ClusterGrid, raw: &TaskBitstream, cluster: Coord) -> ClusterRoutes {
+        let k = self.cluster_size as usize;
+        let lb = self.spec.lb_config_bits();
+        let per_macro = self.spec.raw_bits_per_macro() - lb;
+        let mut bits = PackedBits::zeros(k * k * per_macro);
+        for local in 0..(k * k) {
+            if let Some(site) = grid.macro_at(cluster, local as u16) {
+                let frame = raw.frame(site);
+                for i in 0..per_macro {
+                    bits.set(local * per_macro + i, frame.bit(lb + i));
+                }
+            }
+        }
+        ClusterRoutes::Raw(bits)
+    }
+}
+
+/// Accumulated routing information of one cluster during encoding.
+#[derive(Debug, Default)]
+struct ClusterNets {
+    connections: Vec<Connection>,
+    used_wires: HashSet<WireRef>,
+}
+
+impl ClusterNets {
+    /// Adds the connections of one net's presence inside `cluster`:
+    /// one connection from each connected component's entry I/O to every
+    /// other black-box I/O the component touches.
+    fn add_component_connections(
+        &mut self,
+        grid: &ClusterGrid,
+        cluster: Coord,
+        edges: &[(RrNode, RrNode)],
+        parent: &HashMap<RrNode, RrNode>,
+        _net: usize,
+    ) {
+        // Adjacency restricted to this cluster's edges.
+        let mut adjacency: HashMap<RrNode, Vec<RrNode>> = HashMap::new();
+        for (p, c) in edges {
+            adjacency.entry(*p).or_default().push(*c);
+            adjacency.entry(*c).or_default().push(*p);
+        }
+        let mut nodes: Vec<RrNode> = adjacency.keys().copied().collect();
+        nodes.sort_unstable();
+
+        let edge_set: HashSet<(RrNode, RrNode)> = edges.iter().copied().collect();
+        let mut visited: HashSet<RrNode> = HashSet::new();
+        for &start in &nodes {
+            if visited.contains(&start) {
+                continue;
+            }
+            // Flood the component.
+            let mut component = vec![start];
+            visited.insert(start);
+            let mut stack = vec![start];
+            while let Some(n) = stack.pop() {
+                for &next in adjacency.get(&n).into_iter().flatten() {
+                    if visited.insert(next) {
+                        component.push(next);
+                        stack.push(next);
+                    }
+                }
+            }
+            component.sort_unstable();
+
+            // The entry of the component: the node whose tree parent is not
+            // reached through an edge of this cluster (or the net source).
+            let root = component
+                .iter()
+                .copied()
+                .find(|n| match parent.get(n) {
+                    Some(p) => !edge_set.contains(&(*p, *n)) && !edge_set.contains(&(*n, *p)),
+                    None => true,
+                })
+                .unwrap_or(component[0]);
+
+            // Every component node that is a black-box I/O gets one
+            // connection from its nearest I/O ancestor within the component
+            // (often the entry itself). Interior wires never appear, which is
+            // the clustering gain; preserving the ancestor relation keeps the
+            // branching structure of the original tree, so the
+            // de-virtualization reproduces it faithfully.
+            let in_component: HashSet<RrNode> = component.iter().copied().collect();
+            let nearest_io_ancestor = |mut node: RrNode| -> Option<ClusterIo> {
+                loop {
+                    let p = *parent.get(&node)?;
+                    if !in_component.contains(&p) {
+                        return None;
+                    }
+                    if let Some(io) = node_io(grid, cluster, p) {
+                        return Some(io);
+                    }
+                    node = p;
+                }
+            };
+            let root_io = node_io(grid, cluster, root);
+            let mut outputs: Vec<Connection> = Vec::new();
+            for &node in &component {
+                if node == root {
+                    continue;
+                }
+                let Some(io) = node_io(grid, cluster, node) else {
+                    continue;
+                };
+                let input = nearest_io_ancestor(node).or(root_io);
+                if let Some(input) = input {
+                    outputs.push(Connection { input, output: io });
+                }
+            }
+            // Boundary outputs first so the decoder allocates the shared
+            // wires before hooking pins through them.
+            self.connections.extend(order_connections(outputs));
+        }
+    }
+}
+
+/// Maps a task-relative routing node to the black-box I/O of `cluster` it
+/// represents, or `None` for wires interior to the cluster.
+fn node_io(grid: &ClusterGrid, cluster: Coord, node: RrNode) -> Option<ClusterIo> {
+    match node {
+        RrNode::Pin { site, pin } => {
+            (grid.cluster_of(site) == cluster).then(|| grid.pin_io(site, pin))
+        }
+        RrNode::Wire(w) => grid.wire_io(cluster, w),
+    }
+}
+
+/// Canonical connection order: boundary-to-boundary first, then boundary
+/// destinations, then pins; ties broken by index so the order (and hence the
+/// stream) is deterministic.
+fn order_connections(mut connections: Vec<Connection>) -> Vec<Connection> {
+    fn rank(c: &Connection) -> u8 {
+        match (&c.input, &c.output) {
+            (ClusterIo::Boundary { .. }, ClusterIo::Boundary { .. }) => 0,
+            (_, ClusterIo::Boundary { .. }) => 1,
+            (ClusterIo::Boundary { .. }, _) => 2,
+            _ => 3,
+        }
+    }
+    connections.sort_by(|a, b| {
+        rank(a)
+            .cmp(&rank(b))
+            .then_with(|| format!("{a}").cmp(&format!("{b}")))
+    });
+    connections
+}
+
+/// Translates a device-absolute routing node into task-relative coordinates.
+fn rel_node(node: RrNode, origin: Coord) -> RrNode {
+    match node {
+        RrNode::Pin { site, pin } => RrNode::Pin {
+            site: Coord::new(site.x - origin.x, site.y - origin.y),
+            pin,
+        },
+        RrNode::Wire(w) => RrNode::Wire(WireRef {
+            kind: w.kind,
+            owner: Coord::new(w.owner.x - origin.x, w.owner.y - origin.y),
+            track: w.track,
+        }),
+    }
+}

@@ -6,7 +6,9 @@
 //! * [`bitio`] — the per-bit field reader and writer the word-wise ones
 //!   replaced;
 //! * [`parse`] — the owned parse `VbsView::parse` replaced, which read every
-//!   field through that per-bit reader.
+//!   field through that per-bit reader;
+//! * [`encode`] — the encoder that rebuilt every route tree as hash maps
+//!   and ordered connections by formatted `String`s.
 //!
 //! # `decode_record`
 //!
@@ -25,6 +27,7 @@
 #![allow(dead_code)]
 
 pub mod bitio;
+pub mod encode;
 pub mod parse;
 
 use std::cmp::Ordering;

@@ -49,6 +49,18 @@ impl RouteTree {
         self.nodes.contains(&node)
     }
 
+    /// The index of node `index`'s parent, or `None` for the source. A
+    /// tree grown by [`RouteTree::push`] has its parents before their
+    /// children, so a parent index is always smaller than its child's; the
+    /// edge `(parent, index)` is the switch that drives node `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= len()`.
+    pub fn parent(&self, index: usize) -> Option<usize> {
+        self.parents[index]
+    }
+
     /// Index of `node` within the tree, if present.
     pub fn position(&self, node: RrNode) -> Option<usize> {
         self.nodes.iter().position(|&n| n == node)
@@ -201,6 +213,10 @@ mod tests {
         tree.push(pin(1, 0, 0), idx);
         let edges: Vec<_> = tree.iter_edges().collect();
         assert_eq!(edges.len(), 2);
+        assert_eq!(
+            (tree.parent(0), tree.parent(1), tree.parent(2)),
+            (None, Some(0), Some(idx))
+        );
         assert_eq!(edges[0], (pin(0, 0, 6), w));
         assert_eq!(edges[1], (w, pin(1, 0, 0)));
         assert_eq!(tree.iter_wires().count(), 1);

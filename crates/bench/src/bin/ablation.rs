@@ -3,15 +3,12 @@
 //! * coding width: the paper's `M = ⌈log2(4W + L + 1)⌉` I/O identifiers vs a
 //!   naive fixed 16-bit pair coding;
 //! * raw fallback: with and without the "use the raw coding when the list is
-//!   bigger" rule of Section IV-A;
-//! * decode parallelism: de-virtualization wall-clock vs worker count.
+//!   bigger" rule of Section IV-A.
 //!
 //! Usage: `cargo run --release -p vbs-bench --bin ablation [--scale X] [--limit N]`
 
-use vbs_arch::Device;
 use vbs_bench::{run_circuit, HarnessOptions};
 use vbs_core::ClusterRoutes;
-use vbs_runtime::ReconfigurationController;
 
 fn main() {
     let mut options = HarnessOptions::from_args(std::env::args().skip(1));
@@ -90,56 +87,4 @@ fn main() {
         }
     }
     println!("raw fallback used by {total_raw} of {total_records} records");
-
-    println!("\n## De-virtualization parallelism (largest selected circuit)\n");
-    println!("Pooled lanes: every decode draws its scratch and partial images");
-    println!("from one shared ScratchPool, so the sweep measures decode work,");
-    println!("not allocator churn. reused/fresh are the pool's counters.\n");
-    if let Some(run) = runs.last() {
-        if let Ok(vbs) = run.result.vbs(1) {
-            let device = run.result.device().clone();
-            let pool = vbs_runtime::ScratchPool::default();
-            for workers in [1usize, 2, 4, 8] {
-                let mut controller = ReconfigurationController::new(
-                    Device::new(*device.spec(), device.width(), device.height())
-                        .expect("same dims"),
-                )
-                .with_workers(workers);
-                controller.set_scratch_pool(pool.clone());
-                if let Err(e) = controller.warm(&vbs) {
-                    eprintln!("warm failed: {e}");
-                    continue;
-                }
-                // One warm-up decode, then the measured one: steady state.
-                let mut best = u64::MAX;
-                for _ in 0..3 {
-                    let mut task = pool.checkout(*vbs.spec(), vbs.width(), vbs.height());
-                    let decoded = controller.decode_into(&vbs, &mut task);
-                    pool.put(task);
-                    match decoded {
-                        Ok(report) => best = best.min(report.micros),
-                        Err(e) => {
-                            eprintln!("decode failed: {e}");
-                            best = u64::MAX;
-                            break;
-                        }
-                    }
-                }
-                if best == u64::MAX {
-                    continue;
-                }
-                let stats = pool.stats();
-                println!(
-                    "{:<10} workers={:<2} records={:<6} decode={best} us  \
-                     pool reused={} fresh={} scratch_fresh={}",
-                    run.circuit.name,
-                    workers,
-                    vbs.records().len(),
-                    stats.reused,
-                    stats.fresh,
-                    stats.scratch_fresh
-                );
-            }
-        }
-    }
 }

@@ -1,7 +1,7 @@
-//! Decode→resident throughput baseline: the scratch-reuse and
-//! pooled-parallel load paths, plus the batch-vs-greedy compaction pause
-//! study and the 4-fabric fleet replay, emitted as machine-readable
-//! `BENCH_decode.json` so perf numbers accumulate per PR.
+//! Decode→resident throughput baseline: the scratch-reuse and pooled load
+//! paths, plus the batch-vs-greedy compaction pause study and the 4-fabric
+//! fleet replay, emitted as machine-readable `BENCH_decode.json` so perf
+//! numbers accumulate per PR.
 //!
 //! Per-load paths timed over the scheduler workload task mix on one
 //! `--fabric`-sized device (a load = de-virtualize one VBS and make it
@@ -11,11 +11,9 @@
 //!   live in a persistent [`vbs_core::DecodeScratch`] and a reused
 //!   [`TaskBitstream`] (`Devirtualizer::decode_into` + `load_decoded`),
 //!   zero allocations steady-state;
-//! * **pooled_w1/2/4** — the full `ReconfigurationController::load` path
-//!   at 1/2/4 decode lanes: the persistent
-//!   [`vbs_runtime::DecodeWorkerPool`] lanes draw every scratch and partial
-//!   image from a warm [`vbs_runtime::ScratchPool`] — zero allocations per
-//!   load.
+//! * **pooled** — the full `ReconfigurationController::load` path: the
+//!   scratch and the staging image come from the controller's warm
+//!   [`vbs_runtime::ScratchPool`] — zero allocations per load.
 //!
 //! The **compaction** arm fragments two identical schedulers and defrags
 //! one with the batch-planned `Scheduler::compact` (each task moved at most
@@ -218,7 +216,7 @@ fn run_path(
 }
 
 /// The scratch arm: a persistent arena and staging image on one thread,
-/// outside any pool — the floor the pooled lanes are compared against.
+/// outside any pool — the floor the pooled path is compared against.
 fn scratch_path(options: &Options, repository: &VbsRepository) -> PathResult {
     let device = sched_device(options.fabric.0, options.fabric.1);
     let streams = streams(repository);
@@ -234,52 +232,21 @@ fn scratch_path(options: &Options, repository: &VbsRepository) -> PathResult {
     })
 }
 
-/// The parallel arm: the full `load` path at 1/2/4 decode lanes on the
-/// persistent `DecodeWorkerPool` + warm `ScratchPool`, one result per lane
-/// count.
-fn parallel_paths(options: &Options, repository: &VbsRepository) -> Vec<PathResult> {
+/// The pooled arm: the full `load` path on a controller whose scratch pool
+/// was warmed for the largest stream, so no load allocates.
+fn pooled_path(options: &Options, repository: &VbsRepository) -> PathResult {
     let streams = streams(repository);
     let origin = Coord::new(0, 0);
     let largest = streams
         .iter()
         .max_by_key(|v| v.width() as u64 * v.height() as u64)
         .expect("workload streams");
-    let lanes = [1usize, 2, 4];
-    let device = sched_device(options.fabric.0, options.fabric.1);
-    // Deterministic warm-up: one warm scratch and staging buffer per
-    // lane, pre-reserved for the largest stream, so no lane allocates
-    // mid-measurement no matter how the lanes interleave.
-    let mut controllers: Vec<ReconfigurationController> = lanes
-        .iter()
-        .map(|&workers| {
-            let controller = ReconfigurationController::new(device.clone()).with_workers(workers);
-            controller.warm(largest).expect("warm");
-            controller
-        })
-        .collect();
-    // Interleave the reps round-robin across lane counts, keeping each
-    // lane's best run: the 1-vs-4-lane regression gate compares what is
-    // (below the pool's sequential threshold) the same code path, so a
-    // slow-machine phase must not land on one lane count only.
-    let mut pooled: Vec<Option<PathResult>> = vec![None, None, None];
-    for _ in 0..3 {
-        for (i, &workers) in lanes.iter().enumerate() {
-            let controller = &mut controllers[i];
-            let run = run_path(format!("pooled_w{workers}"), options, &streams, |vbs| {
-                controller.load(vbs, origin).expect("load");
-            });
-            if pooled[i]
-                .as_ref()
-                .is_none_or(|best| run.elapsed < best.elapsed)
-            {
-                pooled[i] = Some(run);
-            }
-        }
-    }
-    pooled
-        .into_iter()
-        .map(|run| run.expect("pooled lane measured"))
-        .collect()
+    let mut controller =
+        ReconfigurationController::new(sched_device(options.fabric.0, options.fabric.1));
+    controller.warm(largest).expect("warm");
+    run_path("pooled", options, &streams, |vbs| {
+        controller.load(vbs, origin).expect("load");
+    })
 }
 
 /// One compaction strategy's cost on a deterministically fragmented fabric.
@@ -639,7 +606,7 @@ fn scaling_paths(options: &Options, repository: &VbsRepository) -> Vec<ScalingRe
             seed: options.seed,
             out: String::new(),
         };
-        let mut controller = ReconfigurationController::new(device).with_workers(4);
+        let mut controller = ReconfigurationController::new(device);
         controller.warm(largest).expect("warm");
         let pooled = run_path(format!("pooled_{w}x{h}"), &sized, &streams_v, |vbs| {
             controller.load(vbs, origin).expect("load");
@@ -842,7 +809,7 @@ fn mcnc_arm(options: &Options) -> (McncCorpus, Vec<PathResult>, Vec<McncReplay>)
 
     let spec = ArchSpec::new(corpus.channel_width, corpus.lut_size).expect("corpus arch");
     let device = Device::new(spec, corpus.single.0, corpus.single.1).expect("corpus device");
-    let mut controller = ReconfigurationController::new(device).with_workers(2);
+    let mut controller = ReconfigurationController::new(device);
     let origin = Coord::new(0, 0);
     let streams: Vec<(String, Vbs)> = corpus
         .tasks
@@ -1082,9 +1049,9 @@ fn memory_sweep(trace: &Trace, make: &dyn Fn(CacheBudget) -> Scheduler) -> Vec<M
 
 /// The memory arm: cache-budget sweeps over the synthetic workload on the
 /// `--fabric` device and over the MCNC steady trace on a 100×100
-/// production-scale device, plus the warm re-decode allocation gate (the
-/// pooled lanes re-decoding a held stream into a reused arena must
-/// allocate nothing).
+/// production-scale device, plus the warm re-decode allocation gate (a
+/// controller re-decoding a held stream into a reused arena must allocate
+/// nothing).
 fn memory_arm(
     options: &Options,
     repository: &VbsRepository,
@@ -1129,8 +1096,8 @@ fn memory_arm(
         )
     });
 
-    // Warm re-decode gate: the exact inner work of a warm hit — the pooled
-    // lanes re-decoding an already-parsed stream into a reused arena.
+    // Warm re-decode gate: the exact inner work of a warm hit — the
+    // controller re-decoding an already-parsed stream into a reused arena.
     let spec = ArchSpec::new(corpus.channel_width, corpus.lut_size).expect("corpus arch");
     let largest = corpus
         .tasks
@@ -1139,7 +1106,7 @@ fn memory_arm(
         .expect("corpus tasks");
     let vbs = corpus.repository.fetch(&largest.name).expect("stream");
     let device = Device::new(spec, vbs.width(), vbs.height()).expect("device");
-    let controller = ReconfigurationController::new(device).with_workers(2);
+    let controller = ReconfigurationController::new(device);
     controller.warm(&vbs).expect("warm");
     let mut staging = TaskBitstream::empty(*vbs.spec(), vbs.width(), vbs.height());
     let redecode = run_path(
@@ -1163,8 +1130,8 @@ fn main() {
     );
 
     let scratch = scratch_path(&options, &repository);
-    let parallel = parallel_paths(&options, &repository);
-    let paths: Vec<&PathResult> = std::iter::once(&scratch).chain(&parallel).collect();
+    let pooled = pooled_path(&options, &repository);
+    let paths = [&scratch, &pooled];
     println!(
         "{:<12} {:>12} {:>12} {:>12} {:>12}",
         "path", "ns/frame", "ns/load", "loads/s", "allocs/load"
@@ -1194,20 +1161,6 @@ fn main() {
             s.max as f64 / 1e3
         );
     }
-    let (pooled1, pooled4) = (&parallel[0], &parallel[2]);
-    let speedup_pooled4_vs_scratch = pooled4.loads_per_sec() / scratch.loads_per_sec();
-    println!("pooled 4-lane load path: {speedup_pooled4_vs_scratch:.2}x vs 1-thread scratch");
-    // The adaptive-lane regression gate: configuring more lanes than the
-    // load can use must never cost throughput (the pool falls back to a
-    // sequential decode below its record threshold). 0.95 absorbs run
-    // noise, not a real regression.
-    assert!(
-        pooled4.loads_per_sec() >= pooled1.loads_per_sec() * 0.95,
-        "pooled 4-lane path regressed below 1-lane: {:.1} vs {:.1} loads/s",
-        pooled4.loads_per_sec(),
-        pooled1.loads_per_sec()
-    );
-
     let compaction = compaction_paths(&options, &repository);
     println!(
         "{:<12} {:>8} {:>16} {:>14} {:>9} {:>14}",
@@ -1382,16 +1335,11 @@ fn main() {
     );
     assert!(
         warm_redecode.allocs_per_load() == 0.0,
-        "warm re-decode through the pooled lanes must be allocation-free, \
+        "warm re-decode through the controller must be allocation-free, \
          got {:.1} allocs/load",
         warm_redecode.allocs_per_load()
     );
 
-    let parallel_json = parallel
-        .iter()
-        .map(|pooled| format!("    \"{}\": {}", pooled.name, pooled.json()))
-        .collect::<Vec<_>>()
-        .join(",\n");
     let latency_json = paths
         .iter()
         .map(|p| format!("    \"{}\": {}", p.name, p.latency_json()))
@@ -1448,16 +1396,15 @@ fn main() {
         warm_redecode.allocs_per_load(),
     );
     let json = format!(
-        "{{\n  \"bench\": \"decode_perf\",\n  \"loads\": {},\n  \"fabric\": \"{}x{}\",\n  \"fabrics\": {},\n  \"seed\": {},\n  \"paths\": {{\n    \"scratch\": {}\n  }},\n  \"latency\": {{\n{}\n  }},\n  \"parallel\": {{\n{},\n    \"speedup_pooled4_vs_scratch\": {:.3}\n  }},\n  \"compaction\": {{\n    \"batch\": {},\n    \"greedy\": {},\n    \"budgeted\": {}\n  }},\n  \"frame_write\": {{\n    \"load\": {},\n    \"clear\": {},\n    \"relocate\": {},\n    \"kernels\": {{\n      \"backend\": \"{}\",\n{}\n    }}\n  }},\n  \"scaling\": {{\n{}\n  }},\n  \"fleet\": {},\n  \"mcnc\": {{\n    \"single\": \"{}x{}\",\n    \"fleet\": \"{}x{}x{}\",\n    \"tasks\": {{\n{}\n    }},\n    \"replays\": {{\n{}\n    }}\n  }},\n  \"fault\": {{\n{},\n    \"verify_overhead\": {:.3}\n  }},\n  \"memory\": {}\n}}\n",
+        "{{\n  \"bench\": \"decode_perf\",\n  \"loads\": {},\n  \"fabric\": \"{}x{}\",\n  \"fabrics\": {},\n  \"seed\": {},\n  \"paths\": {{\n    \"scratch\": {},\n    \"pooled\": {}\n  }},\n  \"latency\": {{\n{}\n  }},\n  \"compaction\": {{\n    \"batch\": {},\n    \"greedy\": {},\n    \"budgeted\": {}\n  }},\n  \"frame_write\": {{\n    \"load\": {},\n    \"clear\": {},\n    \"relocate\": {},\n    \"kernels\": {{\n      \"backend\": \"{}\",\n{}\n    }}\n  }},\n  \"scaling\": {{\n{}\n  }},\n  \"fleet\": {},\n  \"mcnc\": {{\n    \"single\": \"{}x{}\",\n    \"fleet\": \"{}x{}x{}\",\n    \"tasks\": {{\n{}\n    }},\n    \"replays\": {{\n{}\n    }}\n  }},\n  \"fault\": {{\n{},\n    \"verify_overhead\": {:.3}\n  }},\n  \"memory\": {}\n}}\n",
         options.loads,
         options.fabric.0,
         options.fabric.1,
         options.fabrics,
         options.seed,
         scratch.json(),
+        pooled.json(),
         latency_json,
-        parallel_json,
-        speedup_pooled4_vs_scratch,
         compaction[0].json(),
         compaction[1].json(),
         budgeted.json(),

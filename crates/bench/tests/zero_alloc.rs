@@ -6,13 +6,12 @@
 //! * `decode_into` performs **zero** heap allocations per load from the
 //!   second decode on a scratch, and from the *first* on a scratch that
 //!   went through `DecodeScratch::prepare_for`;
-//! * **parallel** loads through the persistent multi-lane
-//!   [`vbs_runtime::DecodeWorkerPool`] (4 decode lanes, every scratch and
-//!   partial image drawn from a [`vbs_runtime::ScratchPool`]) perform zero
-//!   allocations per load from the first load after `warm`, and the pool
-//!   reports exactly one fresh scratch per lane;
-//! * steady-state parallel loads with a **live telemetry registry**
-//!   installed (per-lane spans, latency histograms and timeline events
+//! * **pooled** `ReconfigurationController::load`s (the scratch and the
+//!   staging image drawn from the controller's [`vbs_runtime::ScratchPool`])
+//!   perform zero allocations per load from the first load after `warm`,
+//!   and the pool reports exactly one fresh scratch and one fresh buffer;
+//! * steady-state pooled loads with a **live telemetry registry**
+//!   installed (decode spans, latency histograms and timeline events
 //!   recorded on every load) stay at zero allocations — recording is
 //!   relaxed atomics and preallocated ring slots;
 //! * a **cold** decode derives its cluster pattern and sizes every buffer
@@ -105,7 +104,7 @@ const FLEET_BUILD_BYTE_BUDGET: u64 = 64 * 1024;
 const ENCODE_ALLOCATION_BUDGETS: [u64; 3] = [1_500, 1_150, 1_050];
 
 /// `Devirtualizer::decode_into` on a caller-held scratch and image — the
-/// decode the pooled lanes run, without the pool.
+/// decode a controller runs, without the pool.
 fn decode_into(vbs: &Vbs, staging: &mut TaskBitstream, scratch: &mut DecodeScratch) {
     Devirtualizer::new(vbs)
         .and_then(|d| d.decode_into(staging, scratch))
@@ -156,52 +155,46 @@ fn decode_hot_path_allocation_budget() {
         "first decode after prepare_for allocated {first} times"
     );
 
-    // --- Parallel loads: the persistent 4-lane worker pool runs the full
-    // decode→resident `load` path on pooled scratches and partial images.
-    // `warm` prepares one scratch and one partial per lane, so there is no
-    // settling phase: zero allocations from the first load on — dispatch is
-    // a condvar epoch bump, every buffer recycles.
-    let workers = 4usize;
+    // --- Pooled loads: the full decode→resident `load` path on the
+    // controller's pooled scratch and staging image. `warm` prepares one of
+    // each, so there is no settling phase: zero allocations from the first
+    // load on.
     let origin = vbs_arch::Coord::new(2, 3);
-    let mut parallel = ReconfigurationController::new(device).with_workers(workers);
-    parallel.warm(&vbs).expect("warm");
+    let mut pooled = ReconfigurationController::new(device);
+    pooled.warm(&vbs).expect("warm");
     let before = allocations();
     for _ in 0..50 {
-        parallel.load(&vbs, origin).expect("load");
+        pooled.load(&vbs, origin).expect("load");
     }
     let steady = allocations() - before;
     assert_eq!(
         steady, 0,
-        "a warmed pooled parallel load must not allocate (got {steady} over 50 loads)"
+        "a warmed pooled load must not allocate (got {steady} over 50 loads)"
     );
-    let stats = parallel.scratch_pool().stats();
+    let stats = pooled.scratch_pool().stats();
     assert_eq!(
-        stats.scratch_fresh, workers as u64,
-        "after warm-up the pool holds exactly one scratch per lane: {stats:?}"
+        (stats.scratch_fresh, stats.fresh),
+        (1, 1),
+        "after warm-up the pool holds one scratch and one staging buffer: {stats:?}"
     );
-    assert_eq!(
-        stats.fresh,
-        workers as u64 + 1,
-        "one partial per lane plus the staging target: {stats:?}"
-    );
-    assert!(parallel.memory().occupied_macros() > 0);
+    assert!(pooled.memory().occupied_macros() > 0);
 
     // --- Telemetry recording on the hot path: install a *live* registry
-    // and repeat the pooled parallel loads. Histogram recording is a few
-    // relaxed atomic bumps, event recording writes into the ring's
-    // preallocated slots, spans clone an Arc — so the load path stays at
-    // zero steady-state allocations while every load leaves per-lane
-    // decode spans and events on the timeline.
+    // and repeat the pooled loads. Histogram recording is a few relaxed
+    // atomic bumps, event recording writes into the ring's preallocated
+    // slots, spans clone an Arc — so the load path stays at zero
+    // steady-state allocations while every load leaves its decode span and
+    // events on the timeline.
     let telemetry = Telemetry::new();
-    parallel.set_telemetry(telemetry.clone(), 0);
+    pooled.set_telemetry(telemetry.clone(), 0);
     for _ in 0..2 {
-        parallel.load(&vbs, origin).expect("load");
+        pooled.load(&vbs, origin).expect("load");
     }
     let recorded_before = telemetry.ring_stats().recorded;
     let lane_busy_before = telemetry.histogram(Stage::LaneBusy).count();
     let before = allocations();
     for _ in 0..50 {
-        parallel.load(&vbs, origin).expect("load");
+        pooled.load(&vbs, origin).expect("load");
     }
     let steady = allocations() - before;
     assert_eq!(
@@ -216,7 +209,7 @@ fn decode_hot_path_allocation_budget() {
     );
     assert!(
         telemetry.histogram(Stage::LaneBusy).count() > lane_busy_before,
-        "instrumented loads record lane-busy spans"
+        "instrumented loads record decode spans"
     );
 
     // --- Shape-cycling reshapes: alternating tall/wide/larger rectangles

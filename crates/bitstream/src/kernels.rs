@@ -5,8 +5,8 @@
 //! behind `diff_count` (2.5–2.9× over portable in `BENCH_decode.json`), plain
 //! popcounts (the baseline x86-64 target has no `POPCNT`), and the CRC-32
 //! word fold used by readback verify and the VBS stream footer (16.6× with
-//! PCLMULQDQ). Bulk copies, clears and the OR merge are *not* here: they are
-//! `copy_from_slice`, `fill(0)` and a `|=` loop at their call sites, because
+//! PCLMULQDQ). Bulk copies and clears are *not* here: they are
+//! `copy_from_slice` and `fill(0)` at their call sites, because
 //! an AVX2 copy measured 0.93× of `memcpy` and an indirect call per 5-word
 //! frame costs more than it could win. A [`Kernels`] value is a table of
 //! function pointers for the three sweeps; the table is selected **once**

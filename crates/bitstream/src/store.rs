@@ -126,14 +126,6 @@ impl FrameStore {
         &self.words
     }
 
-    /// Mutable access to the whole arena.
-    ///
-    /// Callers must uphold the padding invariant (bits past `N_raw` of each
-    /// frame stay zero); the word-level region operations of this crate do.
-    pub fn words_mut(&mut self) -> &mut [u64] {
-        &mut self.words
-    }
-
     /// The contiguous word run of `count` frames starting at `start`.
     ///
     /// # Panics

@@ -135,25 +135,6 @@ impl TaskBitstream {
         })
     }
 
-    /// Merges another bit-stream of the same shape into this one by OR-ing
-    /// the two word arenas — the conflict-free combine step of the parallel
-    /// de-virtualizer, where each partial image holds disjoint non-empty
-    /// frames. One pass over contiguous words, no per-frame dispatch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BitstreamError::LayoutMismatch`] when the shapes or
-    /// architectures differ.
-    pub fn merge_disjoint(&mut self, other: &TaskBitstream) -> Result<(), BitstreamError> {
-        if self.spec() != other.spec() || self.width != other.width || self.height != other.height {
-            return Err(BitstreamError::LayoutMismatch);
-        }
-        for (word, other) in self.store.words_mut().iter_mut().zip(other.store.words()) {
-            *word |= *other;
-        }
-        Ok(())
-    }
-
     /// Number of macros whose frame is not entirely zero.
     pub fn occupied_macros(&self) -> usize {
         self.store.iter().filter(|f| !f.is_empty()).count()
@@ -339,22 +320,5 @@ mod tests {
         assert_eq!(coords[1], Coord::new(1, 0));
         assert_eq!(coords[3], Coord::new(0, 1));
         assert_eq!(coords.len(), 6);
-    }
-
-    #[test]
-    fn merge_disjoint_ors_the_arenas() {
-        let mut a = TaskBitstream::empty(spec(), 3, 2);
-        let mut b = TaskBitstream::empty(spec(), 3, 2);
-        a.frame_mut(Coord::new(0, 0)).set_bit(5, true);
-        b.frame_mut(Coord::new(2, 1)).set_bit(283, true);
-        a.merge_disjoint(&b).unwrap();
-        assert!(a.frame(Coord::new(0, 0)).bit(5));
-        assert!(a.frame(Coord::new(2, 1)).bit(283));
-        assert_eq!(a.popcount(), 2);
-        let c = TaskBitstream::empty(spec(), 2, 2);
-        assert!(matches!(
-            a.merge_disjoint(&c),
-            Err(BitstreamError::LayoutMismatch)
-        ));
     }
 }

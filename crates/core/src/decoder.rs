@@ -15,7 +15,7 @@
 //!   and may reuse each other's resources (fanout).
 //!
 //! Because every record only touches its own cluster, records can be decoded
-//! independently (and, in the run-time crate, in parallel).
+//! independently, in any order (`tests/decode_differential.rs` pins this).
 //!
 //! # A record is expanded inside its cluster
 //!
@@ -205,11 +205,9 @@ impl DecodeScratch {
 
     /// Derives every cluster pattern `stream` needs and sizes every internal
     /// buffer for it, exactly as the first decode of that stream would —
-    /// the **warm-up hook** of scratch pools: a pool that parks several
-    /// scratches can prepare each of them up front, so whichever scratch a
-    /// decode lane later checks out is already warm and the decode performs
-    /// zero heap allocations, independent of which lanes happened to run
-    /// during earlier loads.
+    /// the **warm-up hook** of scratch pools: a pool can prepare its
+    /// scratch up front, so the first decode that checks it out is already
+    /// warm and performs zero heap allocations.
     ///
     /// # Errors
     ///
@@ -693,8 +691,7 @@ enum Endpoint {
 /// [`Devirtualizer::decode_into`] for the whole task (zero allocations on a
 /// warm scratch), [`Devirtualizer::decode_streaming`] to emit frames as they
 /// complete, or [`Devirtualizer::decode_record_with`] to expand a single
-/// record (the run-time decode lanes use the latter to parallelize
-/// decoding).
+/// record (the encoder's feedback loop checks each record that way).
 #[derive(Debug)]
 pub struct Devirtualizer<'a> {
     stream: VbsRef<'a>,

@@ -18,6 +18,10 @@
 //!   corner and cut positions, where nets collide, fanout merges, boundary
 //!   detours are taken and paths run out.
 //!
+//! One more pass over the corpus streams and recompiles decodes each
+//! stream's records in seeded random orders and requires the in-order
+//! image: records are independent (Section II-C of the paper).
+//!
 //! The proptest shim does not shrink, so a failing case prints its seed and
 //! record.
 
@@ -31,7 +35,7 @@ use vbs_core::{
     ClusterIo, ClusterRecord, ClusterRoutes, Connection, DecodeScratch, Devirtualizer, Vbs,
     VbsError,
 };
-use vbs_flow::CadFlow;
+use vbs_flow::{CadFlow, FlowResult};
 use vbs_netlist::{blif, mcnc};
 
 /// What a differential pass saw, for the coverage assertions.
@@ -48,7 +52,7 @@ struct Seen {
 
 /// Decodes every record of `vbs` both ways into two images and compares
 /// after each one. `scratch` is the caller's so that it carries patterns
-/// (and route counts) from stream to stream like a pooled lane's does.
+/// (and route counts) from stream to stream like a pooled scratch does.
 fn compare(vbs: &Vbs, scratch: &mut DecodeScratch, label: &str, seen: &mut Seen) {
     let devirt = Devirtualizer::new(vbs).expect("task geometry");
     let (w, h) = (vbs.width().max(1), vbs.height().max(1));
@@ -130,21 +134,27 @@ fn corpus_streams_decode_identically_and_never_search() {
     assert_eq!(scratch.route_counts(), (5660, 0));
 }
 
+/// Places and routes a corpus circuit from its checked-in `.blif` exactly as
+/// the corpus was built, so `vbs(1)` reproduces the checked-in stream.
+fn recompile(name: &str, width: u16, height: u16) -> FlowResult {
+    let text = std::fs::read_to_string(corpus_dir().join(format!("{name}.blif"))).unwrap();
+    let netlist = blif::parse(&text, 6).expect("corpus blif parses");
+    let base = name.split('@').next().unwrap();
+    CadFlow::new(10, 6)
+        .expect("flow")
+        .with_grid(width, height)
+        .with_seed(mcnc::by_name(base).expect("table ii circuit").seed())
+        .fast()
+        .run(&netlist)
+        .expect("corpus circuits route")
+}
+
 #[test]
 fn recompiled_corpus_circuits_decode_identically_at_every_cluster_size() {
     let mut seen = Seen::default();
     let mut alu4_k2 = (0, 0);
     for (name, width, height) in corpus_tasks() {
-        let text = std::fs::read_to_string(corpus_dir().join(format!("{name}.blif"))).unwrap();
-        let netlist = blif::parse(&text, 6).expect("corpus blif parses");
-        let base = name.split('@').next().unwrap();
-        let result = CadFlow::new(10, 6)
-            .expect("flow")
-            .with_grid(width, height)
-            .with_seed(mcnc::by_name(base).expect("table ii circuit").seed())
-            .fast()
-            .run(&netlist)
-            .expect("corpus circuits route");
+        let result = recompile(&name, width, height);
         for k in 1..=4 {
             let vbs = result.vbs(k).expect("encode");
             let mut scratch = DecodeScratch::new();
@@ -162,6 +172,62 @@ fn recompiled_corpus_circuits_decode_identically_at_every_cluster_size() {
     // stays, it just stops being the common case.
     let (routes, searches) = alu4_k2;
     assert!(0 < searches && searches < routes, "alu4 k=2: {alu4_k2:?}");
+}
+
+/// Seeded shuffles per stream in [`records_decode_identically_in_any_order`].
+const SHUFFLES: u64 = 4;
+
+/// The paper's Section II-C observation as a property: a record writes only
+/// its own cluster's frames, so the records of a stream decode to the same
+/// image in any order. Over the corpus streams and the k = 1..=4
+/// recompiles, each stream's records are expanded in seeded random orders
+/// into one image on one scratch and compared with the in-order decode,
+/// word for word. At k = 1 that image is also the router's raw bitstream,
+/// bit for bit. A larger cluster's record names only its connections and
+/// the decoder picks the paths inside the cluster, so there the image may
+/// program other (equivalent) switches than the router did.
+#[test]
+fn records_decode_identically_in_any_order() {
+    let mut scratch = DecodeScratch::new();
+    let mut shuffled = TaskBitstream::empty(ArchSpec::paper_example(), 1, 1);
+    let mut in_order = TaskBitstream::empty(ArchSpec::paper_example(), 1, 1);
+    let mut seed = 0;
+    for (name, width, height) in corpus_tasks() {
+        let result = recompile(&name, width, height);
+        let stored = Vbs::from_bytes(&corpus_stream(&name)).expect("corpus streams parse");
+        let recompiled = (1..=4).map(|k| (format!("{name} k={k}"), result.vbs(k).expect("encode")));
+        for (label, vbs) in std::iter::once((format!("{name} stored"), stored)).chain(recompiled) {
+            let devirt = Devirtualizer::new(&vbs).expect("task geometry");
+            devirt
+                .decode_into(&mut in_order, &mut scratch)
+                .expect("in-order decode");
+            if vbs.cluster_size() == 1 {
+                let diff = in_order.diff_count(result.raw_bitstream());
+                assert_eq!(diff, Ok(0), "{label}: the decode is not the raw bitstream");
+            }
+            let records = vbs.records();
+            let mut order: Vec<usize> = (0..records.len()).collect();
+            for _ in 0..SHUFFLES {
+                seed += 1;
+                let mut rng = Rng(seed);
+                for i in (1..order.len()).rev() {
+                    order.swap(i, rng.below(i as u32 + 1) as usize);
+                }
+                shuffled.reset(*vbs.spec(), in_order.width(), in_order.height());
+                for &index in &order {
+                    devirt
+                        .decode_record_with(&records[index], &mut shuffled, &mut scratch)
+                        .unwrap_or_else(|e| panic!("{label}, seed {seed}: record {index}: {e}"));
+                }
+                assert!(
+                    shuffled.store().words() == in_order.store().words(),
+                    "{label}, seed {seed}: a shuffled decode differs from the in-order one \
+                     in {} bits",
+                    shuffled.diff_count(&in_order).expect("same shape")
+                );
+            }
+        }
+    }
 }
 
 /// A seeded splitmix64 stream for the random connection lists.

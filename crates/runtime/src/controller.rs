@@ -1,25 +1,33 @@
 //! The reconfiguration controller: fetch, de-virtualize, write.
+//!
+//! Every load decodes on the caller's thread, on a scratch arena and a
+//! staging image checked out of the controller's [`ScratchPool`], so a warm
+//! controller loads without a heap allocation.
 
 use crate::error::RuntimeError;
 use crate::fault::{FaultAction, FaultHook};
-use crate::parallel::DecodeWorkerPool;
 use crate::pool::ScratchPool;
 use std::sync::Arc;
 use vbs_arch::{Coord, Device, Rect};
 use vbs_bitstream::{BitstreamError, ConfigMemory, TaskBitstream};
-use vbs_core::VbsRef;
-use vbs_telemetry::Telemetry;
+use vbs_core::{Devirtualizer, VbsRef};
+use vbs_telemetry::{EventKind, Stage, Telemetry, FLEET_FABRIC};
+
+/// Counter slot (of the scratch pool's [`Telemetry`] registry) accumulating
+/// the coded routes the decodes expanded — with [`ROUTE_SEARCHES_SLOT`],
+/// what tells a slow decode (same counts, more time) from a long one (more
+/// routes, or more of them searched). `vbs-sched` numbers its own banks
+/// from 0; these sit past them so a merged view cannot collide.
+pub const ROUTES_EXPANDED_SLOT: usize = 20;
+/// Counter slot accumulating the routes that were not a single switch and
+/// ran the cluster search (see [`vbs_core::DecodeScratch::route_counts`]).
+pub const ROUTE_SEARCHES_SLOT: usize = 21;
 
 /// Timing and composition report of one de-virtualization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DecodeReport {
     /// Number of records expanded.
     pub records: usize,
-    /// Number of decode lanes configured on the pool that ran this load
-    /// (1 = sequential pool). An adaptive multi-lane pool may still have
-    /// decoded sequentially when the record count fell below its
-    /// threshold — see `DecodeWorkerPool::set_sequential_threshold`.
-    pub workers: usize,
     /// Wall-clock decode time in microseconds (saturating; a u64 of
     /// microseconds spans ~585k years, so saturation is theoretical).
     pub micros: u64,
@@ -30,17 +38,18 @@ pub struct DecodeReport {
 /// The run-time reconfiguration controller of Figure 2.
 ///
 /// It owns the device's [`ConfigMemory`] and de-virtualizes Virtual
-/// Bit-Streams into it at load time. Decoding can use a pool of persistent
-/// worker threads ([`DecodeWorkerPool`]) because every record only touches
-/// its own cluster's frames — the parallelism the paper highlights in
-/// Section II-C. Every decode, sequential or parallel, runs on recycled
-/// state from the controller's [`ScratchPool`], so steady-state loads
-/// perform zero heap allocations.
+/// Bit-Streams into it at load time. Every decode runs on recycled state
+/// from the controller's [`ScratchPool`], so steady-state loads perform
+/// zero heap allocations.
 #[derive(Debug)]
 pub struct ReconfigurationController {
     device: Device,
     memory: ConfigMemory,
-    decoder: DecodeWorkerPool,
+    /// Scratch arenas and staging images every decode checks out.
+    pool: ScratchPool,
+    /// Fabric tag stamped on decode events (the fleet tag until
+    /// [`ReconfigurationController::set_telemetry`] assigns one).
+    fabric: u16,
     /// Injected fault model; `None` means a fault-free fabric.
     fault: Option<Arc<dyn FaultHook>>,
     /// Per-frame CRC sidecar for readback verification; `None` until
@@ -135,77 +144,54 @@ impl IntegrityMap {
 }
 
 impl ReconfigurationController {
-    /// Creates a controller for `device` with a blank configuration memory,
-    /// decoding sequentially on a private scratch pool.
+    /// Creates a controller for `device` with a blank configuration memory
+    /// and a private scratch pool.
     pub fn new(device: Device) -> Self {
         let memory = ConfigMemory::new(&device);
         ReconfigurationController {
             device,
             memory,
-            decoder: DecodeWorkerPool::new(1),
+            pool: ScratchPool::default(),
+            fabric: FLEET_FABRIC,
             fault: None,
             integrity: None,
         }
     }
 
-    /// Sets the number of de-virtualization decode lanes (at least 1). The
-    /// existing scratch pool is kept, so buffers warmed before the switch
-    /// stay warm.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        let pool = self.decoder.pool().clone();
-        let fabric = self.decoder.fabric();
-        let threshold = self.decoder.sequential_threshold();
-        self.decoder = DecodeWorkerPool::with_pool(workers, pool);
-        self.decoder.set_fabric(fabric);
-        self.decoder.set_sequential_threshold(threshold);
-        self
-    }
-
     /// Replaces the controller's scratch pool — multi-fabric deployments
     /// install one shared pool so recycled decode state on any fabric feeds
-    /// decodes everywhere. The decode lanes are rebuilt onto the new pool.
+    /// decodes everywhere.
     pub fn set_scratch_pool(&mut self, pool: ScratchPool) {
-        let fabric = self.decoder.fabric();
-        let threshold = self.decoder.sequential_threshold();
-        self.decoder = DecodeWorkerPool::with_pool(self.decoder.workers(), pool);
-        self.decoder.set_fabric(fabric);
-        self.decoder.set_sequential_threshold(threshold);
-    }
-
-    /// Sets the decode pool's sequential-fallback threshold (see
-    /// [`DecodeWorkerPool::set_sequential_threshold`]).
-    pub fn set_decode_threshold(&self, records: usize) {
-        self.decoder.set_sequential_threshold(records);
-    }
-
-    /// The number of de-virtualization decode lanes.
-    pub fn workers(&self) -> usize {
-        self.decoder.workers()
+        self.pool = pool;
     }
 
     /// The controller's scratch pool (a shared handle).
     pub fn scratch_pool(&self) -> &ScratchPool {
-        self.decoder.pool()
+        &self.pool
     }
 
-    /// Installs the observability registry (onto the scratch pool, reaching
-    /// every decode lane) and tags this controller's lane events with
-    /// `fabric`. Timing in [`DecodeReport`]s then runs on the registry's
-    /// clock, so tests driving a deterministic clock see exact durations.
-    pub fn set_telemetry(&self, telemetry: Telemetry, fabric: u16) {
-        self.decoder.pool().set_telemetry(telemetry);
-        self.decoder.set_fabric(fabric);
+    /// Installs the observability registry (onto the scratch pool, which
+    /// every decode records through) and tags this controller's decode
+    /// events with `fabric`. Timing in [`DecodeReport`]s then runs on the
+    /// registry's clock, so tests driving a deterministic clock see exact
+    /// durations.
+    pub fn set_telemetry(&mut self, telemetry: Telemetry, fabric: u16) {
+        self.pool.set_telemetry(telemetry);
+        self.fabric = fabric;
     }
 
-    /// Pre-warms one scratch and one staging buffer per decode lane for
-    /// `stream` (see [`DecodeWorkerPool::warm`]).
+    /// Pre-warms one scratch and one staging buffer for `stream` (see
+    /// [`ScratchPool::warm_scratches`]), so the first load after it
+    /// allocates nothing.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::Decode`] when the stream header is
     /// degenerate.
     pub fn warm<'s>(&self, stream: impl Into<VbsRef<'s>>) -> Result<(), RuntimeError> {
-        self.decoder.warm(stream)
+        self.pool
+            .warm_scratches(stream)
+            .map_err(RuntimeError::Decode)
     }
 
     /// The device this controller manages.
@@ -335,29 +321,60 @@ impl ReconfigurationController {
 
     /// De-virtualizes `stream` — an owned [`vbs_core::Vbs`] or a
     /// [`vbs_core::VbsView`] of stored bytes — into a caller-provided
-    /// bit-stream (reshaped in place) on the controller's decode lanes,
-    /// without writing it to the fabric: the one decode of the run-time
-    /// stack, zero-allocation once the pools are warm. Callers that keep or
-    /// cache decoded images (first decodes and warm-tier re-decodes alike)
-    /// hand the result to [`ReconfigurationController::load_decoded`].
-    /// Sequential and parallel lane counts produce bit-identical results.
+    /// bit-stream (reshaped in place) on a pooled scratch, without writing
+    /// it to the fabric: the one decode of the run-time stack,
+    /// zero-allocation once the pool is warm. Callers that keep or cache
+    /// decoded images (first decodes and warm-tier re-decodes alike) hand
+    /// the result to [`ReconfigurationController::load_decoded`].
+    ///
+    /// The decode records a `DecodeStart` / `DecodeEnd` event pair and a
+    /// [`Stage::LaneBusy`] span, and adds its route counts to
+    /// [`ROUTES_EXPANDED_SLOT`] / [`ROUTE_SEARCHES_SLOT`], success or not.
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::Decode`] when the stream cannot be expanded.
+    /// Returns [`RuntimeError::Decode`] when the stream cannot be expanded;
+    /// `task` then holds a partially decoded image. The scratch goes back
+    /// to the pool either way.
     pub fn decode_into<'s>(
         &self,
         stream: impl Into<VbsRef<'s>>,
         task: &mut TaskBitstream,
     ) -> Result<DecodeReport, RuntimeError> {
-        self.decoder.decode_into(stream, task)
+        let telemetry = self.pool.telemetry();
+        let start = telemetry.now();
+        let devirtualizer = Devirtualizer::new(stream).map_err(RuntimeError::Decode)?;
+        let records = devirtualizer.record_count();
+        telemetry.event(EventKind::DecodeStart, self.fabric, 0, 0, 0);
+        let mut scratch = self.pool.checkout_scratch();
+        let before = scratch.route_counts();
+        let result = devirtualizer.decode_into(task, &mut scratch);
+        let (routes, searches) = scratch.route_counts();
+        telemetry.counter_add(ROUTES_EXPANDED_SLOT, routes - before.0);
+        telemetry.counter_add(ROUTE_SEARCHES_SLOT, searches - before.1);
+        self.pool.put_scratch(scratch);
+        telemetry.record_span(Stage::LaneBusy, start);
+        telemetry.event_span(
+            EventKind::DecodeEnd,
+            self.fabric,
+            0,
+            records as u64,
+            0,
+            start,
+        );
+        result.map_err(RuntimeError::Decode)?;
+        Ok(DecodeReport {
+            records,
+            micros: telemetry.now().saturating_sub(start),
+            raw_bits: task.size_bits(),
+        })
     }
 
     /// De-virtualizes `stream` and writes it into the configuration memory
     /// with its lower-left corner at `origin` — the full run-time load path.
-    /// The staging image and every decode buffer come from the scratch
-    /// pool, so a warm controller loads without a single heap allocation,
-    /// at any worker count.
+    /// The staging image and the decode scratch come from the scratch pool
+    /// and go back to it whether the load succeeds or not, so a warm
+    /// controller loads without a single heap allocation.
     ///
     /// # Errors
     ///
@@ -371,14 +388,13 @@ impl ReconfigurationController {
         let stream = stream.into();
         let header = stream.header();
         let mut staging =
-            self.decoder
-                .pool()
+            self.pool
                 .checkout(header.spec, header.width.max(1), header.height.max(1));
-        let outcome = match self.decoder.decode_into(stream, &mut staging) {
+        let outcome = match self.decode_into(stream, &mut staging) {
             Ok(report) => self.write_decoded(&staging, origin).map(|()| report),
             Err(e) => Err(e),
         };
-        self.decoder.pool().put(staging);
+        self.pool.put(staging);
         outcome
     }
 
@@ -506,20 +522,83 @@ mod tests {
     }
 
     #[test]
-    fn sequential_and_parallel_decode_agree() {
+    fn decode_counts_routes_and_records_its_events() {
         let (device, vbs, raw) = task_vbs();
-        let sequential = ReconfigurationController::new(device.clone());
-        let parallel = ReconfigurationController::new(device).with_workers(4);
-        // Force real fan-out so this differential compares the two paths.
-        parallel.set_decode_threshold(2);
-        let mut a = TaskBitstream::empty(*vbs.spec(), 0, 0);
-        let mut b = TaskBitstream::empty(*vbs.spec(), 0, 0);
-        let ra = sequential.decode_into(&vbs, &mut a).unwrap();
-        let rb = parallel.decode_into(&vbs, &mut b).unwrap();
-        assert_eq!(a.diff_count(&b).unwrap(), 0);
-        assert_eq!(a.diff_count(&raw).unwrap(), 0);
-        assert_eq!(ra.records, rb.records);
-        assert_eq!(rb.workers, 4);
+        let mut controller = ReconfigurationController::new(device);
+        let telemetry = Telemetry::new();
+        controller.set_telemetry(telemetry.clone(), 3);
+        let routes: usize = vbs.records().iter().map(|r| r.routes.route_count()).sum();
+        let mut task = TaskBitstream::empty(*vbs.spec(), 0, 0);
+        for round in 1..=2u64 {
+            let report = controller.decode_into(&vbs, &mut task).unwrap();
+            assert_eq!(report.records, vbs.records().len());
+            assert_eq!(report.raw_bits, raw.size_bits());
+            assert_eq!(task.diff_count(&raw).unwrap(), 0);
+            // Every route is counted once per decode, and at cluster size
+            // 1 none of them needs the search.
+            assert_eq!(
+                telemetry.counter(ROUTES_EXPANDED_SLOT),
+                round * routes as u64
+            );
+            assert_eq!(telemetry.counter(ROUTE_SEARCHES_SLOT), 0);
+        }
+        let decode_events: Vec<_> = telemetry
+            .events()
+            .into_iter()
+            .filter(|e| matches!(e.kind, EventKind::DecodeStart | EventKind::DecodeEnd))
+            .collect();
+        assert_eq!(decode_events.len(), 4);
+        assert!(decode_events.iter().all(|e| e.fabric == 3 && e.lane == 0));
+        assert_eq!(decode_events[1].a, vbs.records().len() as u64);
+        assert_eq!(telemetry.histogram(Stage::LaneBusy).count(), 2);
+    }
+
+    #[test]
+    fn a_corrupt_stream_fails_a_load_cleanly() {
+        let (device, vbs, raw) = task_vbs();
+        // Rebuild the stream with one record pointing at an out-of-range
+        // boundary wire so decoding fails deterministically.
+        let mut records = vbs.records().to_vec();
+        let corrupted = records
+            .iter_mut()
+            .find_map(|r| match &mut r.routes {
+                vbs_core::ClusterRoutes::Coded(routes) => routes.first_mut(),
+                vbs_core::ClusterRoutes::Raw(_) => None,
+            })
+            .expect("the fixture stream has a coded record");
+        corrupted.output = vbs_core::ClusterIo::Boundary {
+            side: vbs_arch::Side::West,
+            offset: u16::MAX,
+        };
+        let bad = Vbs::new(
+            *vbs.spec(),
+            vbs.cluster_size(),
+            vbs.width(),
+            vbs.height(),
+            records,
+        )
+        .expect("positions are untouched, so construction succeeds");
+        let mut controller = ReconfigurationController::new(device);
+        let origin = Coord::new(2, 1);
+        assert!(matches!(
+            controller.load(&bad, origin),
+            Err(RuntimeError::Decode(_))
+        ));
+        assert_eq!(controller.memory().occupied_macros(), 0);
+        // The failed load returned its scratch and staging buffer: the good
+        // load after it reuses both instead of allocating.
+        let failed = controller.scratch_pool().stats();
+        assert_eq!((failed.fresh, failed.scratch_fresh), (1, 1));
+        assert_eq!((failed.parked, failed.scratch_parked), (1, 1));
+        controller.load(&vbs, origin).unwrap();
+        let after = controller.scratch_pool().stats();
+        assert_eq!(
+            (after.fresh, after.scratch_fresh),
+            (failed.fresh, failed.scratch_fresh)
+        );
+        let region = Rect::new(origin, vbs.width(), vbs.height());
+        let readback = controller.memory().read_region(region).unwrap();
+        assert_eq!(readback.diff_count(&raw).unwrap(), 0);
     }
 
     #[test]

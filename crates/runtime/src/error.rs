@@ -43,15 +43,6 @@ pub enum RuntimeError {
     /// The whole fabric is offline: every configuration-memory operation
     /// fails until it recovers.
     FabricOffline,
-    /// A decode lane panicked mid-load. The worker pool contains the panic
-    /// and keeps serving later loads; the interrupted load fails with this
-    /// error.
-    LanePanic {
-        /// Index of the lane that panicked.
-        lane: usize,
-        /// The panic payload, when it was a string.
-        message: String,
-    },
 }
 
 impl fmt::Display for RuntimeError {
@@ -77,9 +68,6 @@ impl fmt::Display for RuntimeError {
                 }
             ),
             RuntimeError::FabricOffline => write!(f, "fabric is offline"),
-            RuntimeError::LanePanic { lane, message } => {
-                write!(f, "decode lane {lane} panicked: {message}")
-            }
         }
     }
 }

@@ -2,24 +2,22 @@
 //! decode scratch arenas.
 //!
 //! De-virtualizing a stream needs one decoded-image buffer per load plus one
-//! [`DecodeScratch`] per decode lane; at fleet scale those are the two
+//! [`DecodeScratch`] per decode in flight; at fleet scale those are the two
 //! biggest allocations of the hot path (`width · height` frames in one word
-//! arena, and the Dijkstra search state sized by the device's routing
-//! graph). The pool closes both loops:
+//! arena, and the cluster patterns and search state the scratch derives).
+//! The pool closes both loops:
 //!
-//! * **Buffers** — staging images checked out by decode lanes come back when
-//!   a decode cache evicts them or a lane abandons a failed decode, and
+//! * **Buffers** — staging images checked out by a load come back when the
+//!   load ends, or when a decode cache evicts them, and
 //!   [`TaskBitstream::reset`] reshapes a recycled buffer in place, so
 //!   steady-state decoding recycles memory instead of allocating it.
-//! * **Scratches** — every decode lane (the sequential load path and each
-//!   worker of a [`crate::DecodeWorkerPool`]) checks a [`DecodeScratch`]
-//!   out per decode and parks it back afterwards. After warm-up the pool
-//!   holds one warm scratch per concurrent lane (`scratch_fresh == lanes`)
-//!   and no lane ever allocates again.
+//! * **Scratches** — every decode checks a [`DecodeScratch`] out and parks
+//!   it back afterwards, failed or not. A controller's loads run one at a
+//!   time, so after warm-up the pool holds one warm scratch
+//!   (`scratch_fresh == 1`) and no load allocates again.
 //!
 //! The pool is `Clone` + thread-safe (a shared handle): one pool typically
-//! serves every fabric of a fleet, its schedulers' decode caches and every
-//! decode worker thread.
+//! serves every fabric of a fleet and its schedulers' decode caches.
 
 use std::sync::{Arc, Mutex};
 use vbs_arch::ArchSpec;
@@ -224,7 +222,7 @@ impl ScratchPool {
         }
     }
 
-    /// Parks a decode scratch for reuse by the next lane (dropped silently
+    /// Parks a decode scratch for reuse by the next decode (dropped silently
     /// when the scratch side of the pool is full). Transient per-load state
     /// is cleared; warmed capacity is kept.
     pub fn put_scratch(&self, mut scratch: DecodeScratch) {
@@ -235,14 +233,10 @@ impl ScratchPool {
         }
     }
 
-    /// Pre-warms the pool for `lanes` concurrent decode lanes of `stream`:
-    /// parks `lanes` scratches with every internal buffer pre-reserved for
-    /// that stream, plus `lanes + 1` staging buffers of the stream's shape
-    /// (one partial per lane and the merge target). A warmed pool
-    /// guarantees zero-allocation decodes regardless of which lanes happen
-    /// to run concurrently — without it, warm-up depends on scheduling luck
-    /// (a lane that never ran in the warm-up phase would allocate its
-    /// scratch mid-measurement).
+    /// Pre-warms the pool for `stream`: parks one scratch with every
+    /// internal buffer pre-reserved for that stream, plus one staging
+    /// buffer of the stream's shape, so the first decode after it allocates
+    /// nothing.
     ///
     /// # Errors
     ///
@@ -250,27 +244,15 @@ impl ScratchPool {
     pub fn warm_scratches<'s>(
         &self,
         stream: impl Into<VbsRef<'s>>,
-        lanes: usize,
     ) -> Result<(), vbs_core::VbsError> {
         let stream = stream.into();
         let header = stream.header();
-        let (width, height) = (header.width.max(1), header.height.max(1));
-        let mut scratches = Vec::with_capacity(lanes);
-        let mut buffers = Vec::with_capacity(lanes + 1);
-        buffers.push(self.checkout(header.spec, width, height));
-        for _ in 0..lanes {
-            let mut scratch = self.checkout_scratch();
-            scratch.prepare_for(stream)?;
-            scratches.push(scratch);
-            buffers.push(self.checkout(header.spec, width, height));
-        }
-        for scratch in scratches {
-            self.put_scratch(scratch);
-        }
-        for buffer in buffers {
-            self.put(buffer);
-        }
-        Ok(())
+        let buffer = self.checkout(header.spec, header.width.max(1), header.height.max(1));
+        let mut scratch = self.checkout_scratch();
+        let prepared = scratch.prepare_for(stream);
+        self.put_scratch(scratch);
+        self.put(buffer);
+        prepared
     }
 
     /// Current counters.

@@ -14,8 +14,8 @@
 //! - **Hot** entries keep the decoded `FrameStore` arena — a hit is a
 //!   zero-cost `Arc` clone.
 //! - **Warm** entries keep only the compressed VBS bytes — a hit re-decodes
-//!   through the pooled decode lanes (allocation-free once the pools are
-//!   warm) and counts as a miss in the hit/miss counters.
+//!   on the fabric controller's pooled scratch (allocation-free once the
+//!   pool is warm) and counts as a miss in the hit/miss counters.
 //!
 //! Under byte pressure a hot entry is *demoted* to warm instead of evicted
 //! outright: its decode cost is preserved as metadata and its compressed
@@ -63,7 +63,7 @@ pub enum CacheLookup {
     /// The decoded arena is resident: use it directly.
     Hot(Arc<TaskBitstream>),
     /// The entry is known but holds only compressed bytes: re-decode
-    /// through the pooled lanes. Counted as a miss plus a `warm_hits` bump.
+    /// on a pooled scratch. Counted as a miss plus a `warm_hits` bump.
     Warm,
     /// Nothing cached.
     Miss,
@@ -94,7 +94,7 @@ pub struct CacheStats {
     /// Loads that had to decode (true misses **and** warm hits).
     pub misses: u64,
     /// The subset of `misses` that found compressed bytes resident and
-    /// re-decoded through the pooled lanes.
+    /// re-decoded on a pooled scratch.
     pub warm_hits: u64,
     /// Hot entries currently cached (decoded arenas).
     pub entries: usize,

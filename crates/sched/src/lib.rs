@@ -17,7 +17,7 @@
 //! * [`DecodeCache`] — a byte-budgeted cache of decoded
 //!   [`vbs_bitstream::TaskBitstream`]s keyed by `(task, spec)`, so repeated
 //!   loads skip de-virtualization; arenas it displaces recycle into the
-//!   fleet-wide [`vbs_runtime::ScratchPool`] the decode lanes check out of,
+//!   fleet-wide [`vbs_runtime::ScratchPool`] every decode checks out of,
 //!   so steady-state decoding allocates nothing;
 //! * [`Trace`] / [`replay`] — a deterministic trace format, a seeded
 //!   synthetic workload generator and a simulator reporting acceptance
@@ -32,7 +32,7 @@
 //!
 //! A load is always the same three steps: look the task up in the decode
 //! cache (on a miss or a warm hit, de-virtualize it on the fabric
-//! controller's decode lanes), pick a region (compacting and evicting if
+//! controller), pick a region (compacting and evicting if
 //! the placement policy finds none), and write the decoded image through
 //! the controller's fault-gated `load_decoded`. The fleet adds routing and
 //! migration around that, nothing inside it. Two alternatives used to sit

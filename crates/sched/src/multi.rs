@@ -136,7 +136,7 @@ pub struct MultiFabricScheduler {
     /// by [`Self::set_telemetry`]; a no-op registry until then.
     telemetry: Telemetry,
     /// The fleet-wide recycled decode-state pool shared by every fabric's
-    /// decode cache and every controller's decode lanes.
+    /// decode cache and every controller's decodes.
     pool: ScratchPool,
 }
 
@@ -182,7 +182,7 @@ impl MultiFabricScheduler {
     /// Installs one shared telemetry registry across the whole fleet: the
     /// dispatcher records fleet-scope events (shard decisions, migrations)
     /// under the [`FLEET_FABRIC`] tag, each per-fabric scheduler and its
-    /// decode lanes record under the fabric's index, and the shared buffer
+    /// controller's decodes record under the fabric's index, and the shared buffer
     /// pool reports its checkout hits/misses to the same timeline.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         for (i, fabric) in self.fabrics.iter_mut().enumerate() {

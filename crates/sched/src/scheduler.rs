@@ -181,7 +181,7 @@ pub struct SchedulerConfig {
     /// unbounded on both tiers — keeps every stream decoded once: nothing
     /// is ever demoted or re-decoded. A finite budget caps the cache's
     /// resident bytes: entries over the hot budget fall back to
-    /// their compressed VBS bytes and re-decode through the pooled lanes
+    /// their compressed VBS bytes and re-decode on a pooled scratch
     /// on their next hit (see [`CacheBudget`]).
     pub cache_budget: CacheBudget,
 }
@@ -248,7 +248,7 @@ pub struct SchedMetrics {
     /// move plan deferred to a later pass).
     pub compaction_truncated: u64,
     /// Cache lookups served by the warm tier: the compressed bytes were
-    /// resident and the stream re-decoded through the pooled lanes. A
+    /// resident and the stream re-decoded on a pooled scratch. A
     /// subset of the decode-cache misses (warm hits still decode).
     pub warm_hits: u64,
     /// Time spent re-decoding warm cache entries, in microseconds (a
@@ -374,7 +374,7 @@ impl Scheduler {
     ) -> Self {
         let cache = DecodeCache::new(config.cache_budget);
         // Share the controller's scratch pool: images the cache evicts feed
-        // the controller's decode lanes and vice versa.
+        // the controller's decodes and vice versa.
         let pool = manager.controller().scratch_pool().clone();
         let mut scheduler = Scheduler {
             manager,
@@ -398,14 +398,14 @@ impl Scheduler {
 
     /// Installs the observability registry stage latencies and pipeline
     /// events are recorded into, tagging this scheduler's events with
-    /// `fabric`. The registry reaches the decode lanes too (through the
-    /// controller's scratch pool), so lane busy spans, checkout hit/miss
+    /// `fabric`. The registry reaches the controller's decodes too (through
+    /// its scratch pool), so decode spans and events, checkout hit/miss
     /// events and [`SchedMetrics`] timing all run on one shared clock.
     /// Counters keep accumulating in the scheduler's private bank either
     /// way — installing telemetry never changes golden-trace counters.
     pub fn set_telemetry(&mut self, telemetry: Telemetry, fabric: u16) {
         self.manager
-            .controller()
+            .controller_mut()
             .set_telemetry(telemetry.clone(), fabric);
         self.telemetry = telemetry;
         self.fabric = fabric;
@@ -425,7 +425,7 @@ impl Scheduler {
     /// Replaces the recycled decode-state pool — multi-fabric dispatchers
     /// install one shared pool so evictions on any fabric feed decodes
     /// everywhere. The pool is also installed on this fabric's controller,
-    /// so its decode lanes draw from the same free-list.
+    /// so its decodes draw from the same free-list.
     pub fn set_pool(&mut self, pool: ScratchPool) {
         self.manager.set_scratch_pool(pool.clone());
         self.pool = pool;

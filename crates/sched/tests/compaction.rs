@@ -25,7 +25,7 @@ use vbs_arch::{Coord, Rect};
 use vbs_runtime::{BestFit, FabricView, FirstFit};
 use vbs_sched::{Outcome, Request, Scheduler, SchedulerConfig};
 
-/// De-virtualizes `vbs` on the scheduler's controller lanes, behind the
+/// De-virtualizes `vbs` on the scheduler's controller, behind the
 /// decode cache's back — the reference image of the differentials.
 fn fresh_decode(sched: &Scheduler, vbs: &vbs_core::Vbs) -> vbs_bitstream::TaskBitstream {
     let mut image = vbs_bitstream::TaskBitstream::empty(*vbs.spec(), 0, 0);

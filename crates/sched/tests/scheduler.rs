@@ -73,7 +73,7 @@ fn scheduler(
     Scheduler::with_config(manager, Box::new(LruEviction), config)
 }
 
-/// De-virtualizes `vbs` on the scheduler's controller lanes, behind the
+/// De-virtualizes `vbs` on the scheduler's controller, behind the
 /// decode cache's back — the reference image of the differentials.
 fn fresh_decode(sched: &Scheduler, vbs: &vbs_core::Vbs) -> TaskBitstream {
     let mut image = TaskBitstream::empty(*vbs.spec(), 0, 0);

@@ -4,7 +4,7 @@ use std::fmt;
 
 /// A pipeline stage whose latency is tracked in its own
 /// [`crate::LatencyHistogram`]. The scheduler records the request stages,
-/// the decode worker pool the lane stages.
+/// the reconfiguration controller the decode's busy span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Stage {
@@ -20,10 +20,11 @@ pub enum Stage {
     CompactionPause,
     /// End-to-end processing of one load request.
     Load,
-    /// One decode lane's busy time within a parallel decode.
+    /// One de-virtualization's busy time on its controller (named for the
+    /// decode lane it runs on; there is one per controller).
     LaneBusy,
-    /// Re-expanding a warm (compressed-only) cache entry through the pooled
-    /// decode lanes. Also recorded under [`Stage::Decode`] so aggregate
+    /// Re-expanding a warm (compressed-only) cache entry on a pooled
+    /// scratch. Also recorded under [`Stage::Decode`] so aggregate
     /// decode latency keeps covering every de-virtualization.
     Redecode,
 }
@@ -87,7 +88,7 @@ pub enum EventKind {
     Unload,
     /// A resident was relocated (`a` = job, `b` = packed destination).
     Relocate,
-    /// A decode lane started its share of a de-virtualization (`a` = lane).
+    /// A decode lane started a de-virtualization (`a` = lane).
     DecodeStart,
     /// A decode lane finished (`a` = records decoded, duration attached).
     DecodeEnd,

@@ -6,7 +6,7 @@
 //! and pause behavior; flat counters and means cannot answer *where* a slow
 //! load spent its time (queue wait vs decode vs configuration write vs
 //! compaction pause) or what its tail looks like. This crate provides the
-//! three primitives the scheduler, the decode worker pool and the
+//! three primitives the scheduler, the reconfiguration controller and the
 //! multi-fabric dispatcher record into, plus the exporters that turn a
 //! replay into numbers and pictures:
 //!

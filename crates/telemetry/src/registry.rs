@@ -85,7 +85,7 @@ fn empty_histogram() -> &'static LatencyHistogram {
 
 /// The shared telemetry handle (see the module docs). Cloning shares the
 /// registry; all recording is `&self` and thread-safe, so one handle can be
-/// held by a scheduler, its decode lanes and a fleet dispatcher at once.
+/// held by a scheduler, its controller and a fleet dispatcher at once.
 #[derive(Debug, Clone)]
 pub struct Telemetry {
     inner: Arc<Inner>,

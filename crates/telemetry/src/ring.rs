@@ -5,7 +5,7 @@
 //! slot array is preallocated and events are `Copy`). Sequence numbers are
 //! assigned under the same short lock that publishes the slot, making the
 //! total event count exact and snapshots globally ordered even with many
-//! concurrent writers (the scheduler thread and its decode lanes).
+//! concurrent writers (any threads sharing one registry).
 
 use crate::event::Event;
 use std::sync::Mutex;

@@ -37,10 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let device = Device::new(ArchSpec::new(12, 6)?, 24, 16)?;
     let mut repository = VbsRepository::new();
     repository.store("relocatable", &vbs);
-    let mut manager = TaskManager::new(
-        ReconfigurationController::new(device).with_workers(4),
-        repository,
-    );
+    let mut manager = TaskManager::new(ReconfigurationController::new(device), repository);
 
     // Load the same stream at three different positions.
     for origin in [Coord::new(0, 0), Coord::new(9, 3), Coord::new(16, 8)] {
@@ -62,8 +59,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         manager.loaded_tasks().len()
     );
 
-    // The three loads decoded on 4 pooled lanes sharing one ScratchPool;
-    // after the first load, buffers and scratches recycle.
+    // The three loads decoded on the controller's ScratchPool; after the
+    // first load, the staging buffer and the scratch recycle.
     let pool = manager.controller().scratch_pool().stats();
     println!(
         "decode pool: {} buffer reuses, {} fresh buffers, {} fresh scratches",

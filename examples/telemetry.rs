@@ -7,7 +7,7 @@
 //! Run with: `cargo run --release --example telemetry [-- OUT_DIR]`
 //!
 //! Open `telemetry_trace.json` at <https://ui.perfetto.dev> (or
-//! `chrome://tracing`) to see queue waits, per-lane decode spans, frame
+//! `chrome://tracing`) to see queue waits, decode spans, frame
 //! writes, compaction pauses and cross-fabric migrations on one timeline.
 
 use vbs_repro::arch::{ArchSpec, Device};
@@ -69,8 +69,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // One shared registry for the whole fleet: the dispatcher tags its
-    // events with the fleet fabric, each scheduler and its decode lanes
-    // with the fabric's index.
+    // events with the fleet fabric, each scheduler and its controller's
+    // decodes with the fabric's index.
     let telemetry = Telemetry::new();
     fleet.set_telemetry(telemetry.clone());
 

@@ -134,8 +134,7 @@ fn serialized_vbs_survives_storage_and_relocation() {
     let device = Device::new(ArchSpec::new(10, 6).unwrap(), 20, 18).unwrap();
     let mut repo = VbsRepository::new();
     repo.store("task", &vbs);
-    let mut manager =
-        TaskManager::new(ReconfigurationController::new(device).with_workers(2), repo);
+    let mut manager = TaskManager::new(ReconfigurationController::new(device), repo);
     let handle = manager.load_at("task", Coord::new(2, 3)).unwrap();
     let first = manager
         .controller()

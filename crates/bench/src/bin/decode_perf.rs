@@ -49,8 +49,8 @@ use vbs_bitstream::{Kernels, TaskBitstream};
 use vbs_core::{decode, DecodeScratch, Devirtualizer, Vbs};
 use vbs_runtime::{BestFit, FabricView, ReconfigurationController, VbsRepository};
 use vbs_sched::{
-    replay, replay_multi, CacheBudget, CacheStats, LeastLoaded, McncCorpus, MultiConfig, Outcome,
-    Request, Scheduler, SchedulerConfig, Trace,
+    replay, replay_multi, CacheBudget, CacheStats, LeastLoaded, McncCorpus, Outcome, Request,
+    Scheduler, SchedulerConfig, Trace,
 };
 use vbs_telemetry::{HistogramSummary, LatencyHistogram, Stage, Telemetry};
 
@@ -749,7 +749,6 @@ fn run_fleet(options: &Options, repository: &VbsRepository) -> FleetResult {
         Box::new(LeastLoaded),
         &|| Box::new(BestFit),
         config,
-        MultiConfig::default(),
     );
     let trace = sched_trace(options.loads, options.seed);
     let start = Instant::now();

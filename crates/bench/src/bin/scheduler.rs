@@ -18,8 +18,7 @@ use std::time::Instant;
 use vbs_bench::sched_workload::{sched_fleet, sched_repository, sched_scheduler, sched_trace};
 use vbs_runtime::{BestFit, BottomLeftSkyline, FirstFit, PlacementPolicy, VbsRepository};
 use vbs_sched::{
-    replay, replay_multi, shard_policy_by_name, MultiConfig, SchedulerConfig, Trace,
-    SHARD_POLICY_NAMES,
+    replay, replay_multi, shard_policy_by_name, SchedulerConfig, Trace, SHARD_POLICY_NAMES,
 };
 
 struct Options {
@@ -182,7 +181,6 @@ fn multi_fabric_comparison(options: &Options, repository: &VbsRepository, trace:
             shard,
             &|| Box::new(BestFit),
             config,
-            MultiConfig::default(),
         );
         let start = Instant::now();
         let report = replay_multi(&mut multi, trace);

@@ -8,8 +8,7 @@ use vbs_runtime::{
     FabricId, PlacementPolicy, ReconfigurationController, TaskManager, VbsRepository,
 };
 use vbs_sched::{
-    LruEviction, MultiConfig, MultiFabricScheduler, Scheduler, SchedulerConfig, ShardPolicy, Trace,
-    WorkloadSpec,
+    LruEviction, MultiFabricScheduler, Scheduler, SchedulerConfig, ShardPolicy, Trace, WorkloadSpec,
 };
 
 /// Channel width of the scheduler workload fabric.
@@ -92,7 +91,6 @@ pub fn sched_fleet(
     shard: Box<dyn ShardPolicy>,
     make_policy: &dyn Fn() -> Box<dyn PlacementPolicy>,
     config: SchedulerConfig,
-    multi_config: MultiConfig,
 ) -> MultiFabricScheduler {
     let fabrics = (0..k)
         .map(|i| {
@@ -106,7 +104,7 @@ pub fn sched_fleet(
             )
         })
         .collect();
-    MultiFabricScheduler::new(fabrics, shard, multi_config)
+    MultiFabricScheduler::new(fabrics, shard)
 }
 
 /// A seeded synthetic trace over the workload task mix.

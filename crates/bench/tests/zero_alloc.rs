@@ -88,8 +88,10 @@ const COLD_DECODE_ALLOCATION_BUDGET: u64 = 19;
 
 /// Allocations of a corpus fleet cache-hit pair (submit load, process,
 /// submit unload, process) on the K = 2 least-loaded fleet, as counted. It
-/// was 41 when every round spawned a scoped thread per busy fabric.
-const FLEET_HIT_PAIR_ALLOCATIONS: u64 = 19;
+/// was 19 when shards queued requests under ids of their own and the
+/// dispatcher kept two id maps to translate them back, and 41 when every
+/// round also spawned a scoped thread per busy fabric.
+const FLEET_HIT_PAIR_ALLOCATIONS: u64 = 16;
 
 /// Bytes building the K = 2 corpus fleet may request. It requested
 /// 1 507 940 when each of its four disabled telemetry handles held a full

@@ -14,8 +14,10 @@
 //! - **Hot** entries keep the decoded `FrameStore` arena — a hit is a
 //!   zero-cost `Arc` clone.
 //! - **Warm** entries keep only the compressed VBS bytes — a hit re-decodes
-//!   on the fabric controller's pooled scratch (allocation-free once the
-//!   pool is warm) and counts as a miss in the hit/miss counters.
+//!   them where the repository stores them, on the fabric controller's
+//!   pooled scratch (allocation-free once the pool is warm), and counts as
+//!   a miss in the hit/miss counters. The cache books their size; it holds
+//!   no copy.
 //!
 //! Under byte pressure a hot entry is *demoted* to warm instead of evicted
 //! outright: its decode cost is preserved as metadata and its compressed
@@ -100,7 +102,7 @@ pub struct CacheStats {
     pub entries: usize,
     /// Warm entries currently cached (compressed bytes only).
     pub warm_entries: usize,
-    /// Bytes held by the hot tier (decoded arenas + compressed copies).
+    /// Bytes held by the hot tier (decoded arenas + compressed bytes).
     pub hot_bytes: u64,
     /// Bytes held by the warm tier (compressed bytes).
     pub warm_bytes: u64,
@@ -136,9 +138,9 @@ struct Entry {
     spec: ArchSpec,
     /// The decoded arena; `None` = warm (compressed bytes only).
     task: Option<Arc<TaskBitstream>>,
-    /// The compressed VBS bytes, kept in both tiers (hot entries need them
-    /// at demotion time; warm entries are nothing but them).
-    compressed: Vec<u8>,
+    /// Size of the compressed VBS bytes, booked in both tiers (hot entries
+    /// keep them for demotion; warm entries are nothing but them).
+    compressed_bytes: u64,
     /// Size of the decoded arena, remembered across demotion for the cost
     /// model and promotion accounting.
     decoded_bytes: u64,
@@ -156,8 +158,8 @@ impl Entry {
 
     fn bytes(&self) -> u64 {
         match &self.task {
-            Some(_) => self.decoded_bytes + self.compressed.len() as u64,
-            None => self.compressed.len() as u64,
+            Some(_) => self.decoded_bytes + self.compressed_bytes,
+            None => self.compressed_bytes,
         }
     }
 
@@ -256,8 +258,9 @@ impl DecodeCache {
     }
 
     /// Inserts (or replaces, or promotes) the decoded stream of
-    /// `(name, spec)` together with its compressed bytes and the measured
-    /// decode cost, then enforces both byte budgets.
+    /// `(name, spec)` together with the size of its compressed bytes and
+    /// the measured decode cost, then enforces both byte budgets.
+    /// A `compressed_bytes` of 0 keeps the size already booked.
     ///
     /// Under an unbounded budget the stream simply becomes hot. Under a
     /// finite budget the cost model gates admission — a stream whose value
@@ -271,7 +274,7 @@ impl DecodeCache {
         name: &str,
         spec: ArchSpec,
         task: Arc<TaskBitstream>,
-        compressed: Vec<u8>,
+        compressed_bytes: u64,
         decode_micros: u64,
     ) -> InsertOutcome {
         let mut outcome = InsertOutcome::default();
@@ -287,7 +290,7 @@ impl DecodeCache {
                 (
                     entry.is_hot(),
                     decode_micros.max(1) as u128 * (entry.hits + 1) as u128,
-                    entry.compressed.len() as u64,
+                    entry.compressed_bytes,
                 )
             };
             let promote =
@@ -308,8 +311,8 @@ impl DecodeCache {
                 outcome.displaced.push(task);
             }
             let entry = &mut self.entries[index];
-            if !compressed.is_empty() {
-                entry.compressed = compressed;
+            if compressed_bytes != 0 {
+                entry.compressed_bytes = compressed_bytes;
             }
             entry.decoded_bytes = decoded_bytes;
             entry.decode_micros = decode_micros;
@@ -317,7 +320,7 @@ impl DecodeCache {
         } else {
             let admit = self.deserves_hot(
                 decoded_bytes,
-                compressed.len() as u64,
+                compressed_bytes,
                 decode_micros.max(1) as u128,
             );
             let task = if admit {
@@ -331,7 +334,7 @@ impl DecodeCache {
                 name: name.to_string(),
                 spec,
                 task,
-                compressed,
+                compressed_bytes,
                 decoded_bytes,
                 decode_micros,
                 hits: 0,
@@ -388,7 +391,7 @@ impl DecodeCache {
         }
         if self.budget.warm_bytes > 0 {
             while self.warm_bytes_used() > self.budget.warm_bytes {
-                let victim = self.min_score_index(|e| !e.is_hot(), |e| e.compressed.len() as u64);
+                let victim = self.min_score_index(|e| !e.is_hot(), |e| e.compressed_bytes);
                 let Some(index) = victim else { break };
                 self.entries.swap_remove(index);
                 outcome.dropped += 1;
@@ -502,23 +505,13 @@ mod tests {
         }
     }
 
-    fn compressed(len: usize) -> Vec<u8> {
-        vec![0xAB; len]
-    }
-
     #[test]
     fn hit_after_insert_and_lru_eviction() {
         let spec = ArchSpec::paper_example();
         let mut cache = DecodeCache::new(CacheBudget::UNBOUNDED);
         assert!(hot(cache.get("a", &spec)).is_none());
-        assert!(cache
-            .insert("a", spec, task(1), compressed(4), 10)
-            .displaced
-            .is_empty());
-        assert!(cache
-            .insert("b", spec, task(2), compressed(4), 10)
-            .displaced
-            .is_empty());
+        assert!(cache.insert("a", spec, task(1), 4, 10).displaced.is_empty());
+        assert!(cache.insert("b", spec, task(2), 4, 10).displaced.is_empty());
         let a = hot(cache.get("a", &spec)).expect("hot hit");
         assert!(a.frame(Coord::new(0, 0)).bit(1));
         assert!(hot(cache.get("b", &spec)).is_some());
@@ -537,7 +530,7 @@ mod tests {
         let a = ArchSpec::paper_example();
         let b = ArchSpec::paper_evaluation();
         let mut cache = DecodeCache::new(CacheBudget::UNBOUNDED);
-        cache.insert("t", a, task(1), compressed(4), 10);
+        cache.insert("t", a, task(1), 4, 10);
         assert!(hot(cache.get("t", &b)).is_none());
         assert!(hot(cache.get("t", &a)).is_some());
     }
@@ -552,12 +545,12 @@ mod tests {
             warm_bytes: 0,
         };
         let mut cache = DecodeCache::new(budget);
-        cache.insert("cheap", spec, task(1), compressed(8), 1);
-        cache.insert("dear", spec, task(2), compressed(8), 1_000);
+        cache.insert("cheap", spec, task(1), 8, 1);
+        cache.insert("dear", spec, task(2), 8, 1_000);
         // "dear" is worth more per byte; the third insert demotes "cheap"
         // even though "dear" is older in LRU order.
         cache.get("cheap", &spec);
-        let outcome = cache.insert("c", spec, task(3), compressed(8), 1_000);
+        let outcome = cache.insert("c", spec, task(3), 8, 1_000);
         assert_eq!(outcome.demoted, 1);
         assert!(matches!(cache.get("cheap", &spec), CacheLookup::Warm));
         assert!(hot(cache.get("dear", &spec)).is_some());
@@ -577,7 +570,7 @@ mod tests {
         };
         let mut cache = DecodeCache::new(budget);
         for (i, name) in ["a", "b", "c", "d"].iter().enumerate() {
-            cache.insert(name, spec, task(i + 1), compressed(16), 10);
+            cache.insert(name, spec, task(i + 1), 16, 10);
             let stats = cache.stats();
             assert!(stats.hot_bytes <= budget.hot_bytes, "hot over budget");
             assert!(stats.warm_bytes <= budget.warm_bytes, "warm over budget");
@@ -598,10 +591,10 @@ mod tests {
             warm_bytes: 0,
         };
         let mut cache = DecodeCache::new(budget);
-        cache.insert("a", spec, task(1), compressed(8), 10);
+        cache.insert("a", spec, task(1), 8, 10);
         // "b" does not clearly beat "a" on value density, so the admission
         // gate holds it warm instead of churning the single hot slot.
-        let outcome = cache.insert("b", spec, task(2), compressed(8), 10);
+        let outcome = cache.insert("b", spec, task(2), 8, 10);
         assert!(!outcome.promoted);
         assert_eq!(outcome.demoted, 0);
         assert_eq!(outcome.displaced.len(), 1, "surplus arena handed back");
@@ -610,7 +603,7 @@ mod tests {
         // A warm hit accrues value; the re-decode's insert now clears the
         // admission margin over the hitless incumbent and earns the slot.
         assert!(matches!(cache.get("b", &spec), CacheLookup::Warm));
-        let outcome = cache.insert("b", spec, task(2), compressed(8), 10);
+        let outcome = cache.insert("b", spec, task(2), 8, 10);
         assert!(outcome.promoted);
         assert_eq!(outcome.demoted, 1, "\"a\" fell back to warm");
         assert!(hot(cache.get("b", &spec)).is_some());
@@ -629,9 +622,9 @@ mod tests {
             warm_bytes: 0,
         };
         let mut cache = DecodeCache::new(budget);
-        cache.insert("a", spec, task(1), compressed(8), 10);
+        cache.insert("a", spec, task(1), 8, 10);
         // The admission gate lands "b" in the warm tier ("a" holds the slot).
-        cache.insert("b", spec, task(2), compressed(8), 10);
+        cache.insert("b", spec, task(2), 8, 10);
         assert!(cache.retains_name("b"));
         assert!(!cache.contains_name("b"), "warm entry is not decoded");
         cache.invalidate("b");

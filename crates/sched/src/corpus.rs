@@ -25,7 +25,7 @@
 
 use crate::evict::LruEviction;
 use crate::fault::{FaultInjector, FaultPlan};
-use crate::multi::{MultiConfig, MultiFabricScheduler};
+use crate::multi::MultiFabricScheduler;
 use crate::scheduler::{Scheduler, SchedulerConfig};
 use crate::shard::{shard_policy_by_name, SHARD_POLICY_NAMES};
 use crate::sim::{replay, replay_multi};
@@ -424,11 +424,7 @@ impl McncCorpus {
         let fabrics = (0..k)
             .map(|i| self.scheduler_on_with(width, height, i as u32, config))
             .collect();
-        Some(MultiFabricScheduler::new(
-            fabrics,
-            shard,
-            MultiConfig::default(),
-        ))
+        Some(MultiFabricScheduler::new(fabrics, shard))
     }
 
     /// Deterministically replays every corpus trace through the single

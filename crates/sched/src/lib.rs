@@ -26,7 +26,10 @@
 //!   through a pluggable [`ShardPolicy`] ([`RoundRobin`], [`LeastLoaded`],
 //!   [`CacheAffinity`]), with cross-fabric migration of capacity-rejected
 //!   loads; a round runs each busy fabric's queue in turn on the caller's
-//!   thread; [`replay_multi`] replays traces against a fleet.
+//!   thread. Shards queue every request under the fleet-global id
+//!   [`MultiFabricScheduler::submit`] returned, so their residents,
+//!   outcomes and events name the job as the fleet does — there is no id
+//!   translation; [`replay_multi`] replays traces against a fleet.
 //!
 //! # One load path
 //!
@@ -73,7 +76,7 @@ pub use cache::{CacheBudget, CacheLookup, CacheStats, DecodeCache, InsertOutcome
 pub use corpus::{CorpusError, CorpusTask, McncCorpus};
 pub use evict::{EvictionPolicy, LruEviction, PriorityEviction, ResidentInfo};
 pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultPlanError, Outage};
-pub use multi::{MultiConfig, MultiFabricScheduler, MultiMetrics};
+pub use multi::{MultiFabricScheduler, MultiMetrics};
 pub use scheduler::{
     EvacuatedJob, Outcome, RejectReason, Request, SchedMetrics, Scheduler, SchedulerConfig,
 };

@@ -11,7 +11,7 @@
 //!   after another on the caller's thread, in fabric order, the way the
 //!   paper's run-time manager drives each device through one sequential
 //!   reconfiguration controller. A K=1 fleet is therefore a plain
-//!   [`Scheduler`] behind an id translation — the differential tests pin it
+//!   [`Scheduler`] behind a router — the differential tests pin it
 //!   bit-identical. No thread is spawned: decodes are ≈ 1 % of a fleet
 //!   replay, so there is no work worth overlapping, and a scoped thread
 //!   per busy fabric cost the fleet 10× the host time of one fabric.
@@ -20,28 +20,18 @@
 //!   (chosen by the same shard policy), so one saturated device sheds work
 //!   to the rest of the fleet instead of dropping it.
 //!
-//! Job ids returned by [`MultiFabricScheduler::submit`] are fleet-global;
-//! outcomes are translated back to them, so callers never see per-fabric
-//! ids.
+//! Job ids returned by [`MultiFabricScheduler::submit`] are fleet-global,
+//! and the dispatcher queues every request on its shard under that id (a
+//! migrated or re-queued load keeps it on its new fabric). A shard's
+//! residents, its outcomes — `evicted` lists included — and its telemetry
+//! events therefore name a job exactly as the fleet does: there is no
+//! per-fabric id and nothing to translate.
 
 use crate::scheduler::{EvacuatedJob, Outcome, RejectReason, Request, SchedMetrics, Scheduler};
 use crate::shard::{FabricStatus, ShardPolicy};
 use std::collections::HashMap;
 use vbs_runtime::ScratchPool;
 use vbs_telemetry::{EventKind, Telemetry, FLEET_FABRIC};
-
-/// Tunables of the multi-fabric dispatcher.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MultiConfig {
-    /// Whether capacity-rejected loads migrate to an untried fabric.
-    pub migration: bool,
-}
-
-impl Default for MultiConfig {
-    fn default() -> Self {
-        MultiConfig { migration: true }
-    }
-}
 
 /// Fleet-level counters (per-fabric counters live in each shard's
 /// [`SchedMetrics`]). A migrated load counts once here — submitted once,
@@ -86,22 +76,15 @@ impl MultiMetrics {
 /// A load waiting for its final outcome (used to drive migration).
 #[derive(Debug)]
 struct PendingLoad {
+    /// The load request (re-queued as is when the load migrates).
     request: Request,
-    task: String,
-    /// `(fabric, local job)` dispatches, in order. The fabric list doubles
-    /// as the set a migrating load must not retry; the local ids let a
-    /// final rejection prune every id mapping the load created.
-    dispatched: Vec<(usize, u64)>,
+    /// Fabrics the load was queued on, in order — the set a migrating
+    /// load must not retry.
+    tried: Vec<usize>,
     /// Whether this is a re-placement of a resident evacuated from a
     /// quarantined fabric (books as a degraded-mode acceptance, not a
     /// fresh fleet load).
     replacement: bool,
-}
-
-impl PendingLoad {
-    fn tried(&self, fabric: usize) -> bool {
-        self.dispatched.iter().any(|&(f, _)| f == fabric)
-    }
 }
 
 /// One request stream sharded across K fabrics (see the module docs).
@@ -109,20 +92,15 @@ impl PendingLoad {
 pub struct MultiFabricScheduler {
     fabrics: Vec<Scheduler>,
     policy: Box<dyn ShardPolicy>,
-    config: MultiConfig,
-    /// `(fabric, local job)` → fleet-global id for load jobs. Entries live
-    /// as long as a shard can still name the job in an outcome: pruned when
-    /// the job is unloaded, reported gone, or finally rejected. An
-    /// *evicted* job keeps its entry until its owner unloads it (eviction
-    /// is not terminal for the owner — the unload must still resolve on the
-    /// right fabric, and the K=1 differential requires the shard to process
-    /// it), so clients should unload jobs they saw evicted.
-    local_to_global: HashMap<(usize, u64), u64>,
-    /// `(fabric, local request id)` → fleet-global id for in-flight unload
-    /// and relocate requests; each entry is consumed by its own outcome.
-    request_tags: HashMap<(usize, u64), u64>,
-    /// Global load job → its current `(fabric, local job)` home.
-    route: HashMap<u64, (usize, u64)>,
+    /// Load job → the fabric it was last queued on, where its unloads and
+    /// relocations go. Dropped when the job is unloaded, reported gone, or
+    /// finally rejected. An *evicted* job keeps its route until its owner
+    /// unloads it (eviction is not terminal for the owner — the unload
+    /// must still resolve on the right fabric, and the K=1 differential
+    /// requires the shard to process it), so clients should unload jobs
+    /// they saw evicted.
+    route: HashMap<u64, usize>,
+    /// Loads still waiting for their final outcome.
     pending_loads: HashMap<u64, PendingLoad>,
     /// Per-fabric quarantine flags: a fabric found offline after a round is
     /// quarantined (no new routing, residents re-queued elsewhere) until its
@@ -149,11 +127,7 @@ impl MultiFabricScheduler {
     /// # Panics
     ///
     /// Panics if `fabrics` is empty.
-    pub fn new(
-        mut fabrics: Vec<Scheduler>,
-        policy: Box<dyn ShardPolicy>,
-        config: MultiConfig,
-    ) -> Self {
+    pub fn new(mut fabrics: Vec<Scheduler>, policy: Box<dyn ShardPolicy>) -> Self {
         assert!(!fabrics.is_empty(), "a fleet needs at least one fabric");
         // One buffer pool for the whole fleet: an image evicted from any
         // fabric's decode cache feeds the next decode anywhere.
@@ -165,9 +139,6 @@ impl MultiFabricScheduler {
         MultiFabricScheduler {
             fabrics,
             policy,
-            config,
-            local_to_global: HashMap::new(),
-            request_tags: HashMap::new(),
             route: HashMap::new(),
             pending_loads: HashMap::new(),
             quarantined,
@@ -213,7 +184,9 @@ impl MultiFabricScheduler {
     }
 
     /// Mutable access to one shard's scheduler — the seam chaos drivers use
-    /// to install per-fabric fault hooks and verification.
+    /// to install per-fabric fault hooks and verification. Requests belong
+    /// on [`Self::submit`]: one submitted to a shard directly takes an id
+    /// of the shard's own, which a fleet id may already name.
     pub fn fabric_mut(&mut self, index: usize) -> &mut Scheduler {
         &mut self.fabrics[index]
     }
@@ -251,35 +224,23 @@ impl MultiFabricScheduler {
         }
     }
 
-    /// Everything resident across the fleet as `(fabric index, global job,
-    /// shard-local resident info)` triples.
+    /// Everything resident across the fleet as `(fabric index, job, resident
+    /// info)` triples; shards hold fleet-global ids, so `job` equals
+    /// `info.job`.
     pub fn residents(&self) -> Vec<(usize, u64, crate::ResidentInfo)> {
-        let mut out = Vec::new();
-        for (f, fabric) in self.fabrics.iter().enumerate() {
-            for info in fabric.residents() {
-                let global = self
-                    .local_to_global
-                    .get(&(f, info.job))
-                    .copied()
-                    .expect("every shard job was routed by this dispatcher");
-                out.push((f, global, info));
-            }
-        }
-        out
+        self.fabrics
+            .iter()
+            .enumerate()
+            .flat_map(|(f, fabric)| fabric.residents().into_iter().map(move |r| (f, r.job, r)))
+            .collect()
     }
 
     fn statuses(&self, task: &str) -> Vec<FabricStatus> {
-        let status_of = |(i, s): (usize, &Scheduler)| {
-            let view = s.manager().fabric_view();
-            FabricStatus {
-                fabric: i,
-                id: view.id(),
-                free_area: view.free_area(),
-                total_area: view.total_area(),
-                queued_loads: s.queued_loads(),
-                residents: s.manager().loaded_tasks().len(),
-                holds_decoded: s.holds_decoded(task),
-            }
+        let status_of = |(i, s): (usize, &Scheduler)| FabricStatus {
+            fabric: i,
+            free_area: s.manager().fabric_view().free_area(),
+            queued_loads: s.queued_loads(),
+            holds_decoded: s.holds_decoded(task),
         };
         // Quarantined fabrics take no new work. If the whole fleet is down
         // the unfiltered list keeps the policy fed (the load then fails on
@@ -300,59 +261,46 @@ impl MultiFabricScheduler {
     /// Enqueues a request, routing loads through the shard policy, and
     /// returns its fleet-global id (semantics as [`Scheduler::submit`]).
     pub fn submit(&mut self, request: Request) -> u64 {
-        let global = self.next_job;
+        let job = self.next_job;
         self.next_job += 1;
         match &request {
             Request::Load { task, .. } => {
                 self.metrics.loads_submitted += 1;
                 let statuses = self.statuses(task);
-                let pick = self.policy.choose(task, &statuses);
-                let fabric = statuses[pick].fabric;
+                let fabric = statuses[self.policy.choose(task, &statuses)].fabric;
                 self.telemetry.event(
                     EventKind::ShardDecision,
                     FLEET_FABRIC,
                     0,
-                    global,
+                    job,
                     fabric as u64,
                 );
-                let local = self.fabrics[fabric].submit(request.clone());
-                self.local_to_global.insert((fabric, local), global);
-                self.route.insert(global, (fabric, local));
-                self.pending_loads.insert(
-                    global,
-                    PendingLoad {
-                        task: task.clone(),
-                        request,
-                        dispatched: vec![(fabric, local)],
-                        replacement: false,
-                    },
-                );
+                self.dispatch(job, fabric, request, false);
             }
-            Request::Unload { job } => match self.route.get(job).copied() {
-                Some((fabric, local)) => {
-                    let local_req = self.fabrics[fabric].submit(Request::Unload { job: local });
-                    self.request_tags.insert((fabric, local_req), global);
+            Request::Unload { job: target } | Request::Relocate { job: target, .. } => {
+                match self.route.get(target).copied() {
+                    Some(fabric) => self.fabrics[fabric].enqueue(job, request),
+                    None => self
+                        .synthesized
+                        .push((job, Outcome::NotResident { job: *target })),
                 }
-                None => {
-                    self.synthesized
-                        .push((global, Outcome::NotResident { job: *job }));
-                }
-            },
-            Request::Relocate { job, to } => match self.route.get(job).copied() {
-                Some((fabric, local)) => {
-                    let local_req = self.fabrics[fabric].submit(Request::Relocate {
-                        job: local,
-                        to: *to,
-                    });
-                    self.request_tags.insert((fabric, local_req), global);
-                }
-                None => {
-                    self.synthesized
-                        .push((global, Outcome::NotResident { job: *job }));
-                }
-            },
+            }
         }
-        global
+        job
+    }
+
+    /// Queues load `job` on `fabric` and opens its pending entry.
+    fn dispatch(&mut self, job: u64, fabric: usize, request: Request, replacement: bool) {
+        self.fabrics[fabric].enqueue(job, request.clone());
+        self.route.insert(job, fabric);
+        self.pending_loads.insert(
+            job,
+            PendingLoad {
+                request,
+                tried: vec![fabric],
+                replacement,
+            },
+        );
     }
 
     /// Processes every queued request, migrating capacity-rejected loads
@@ -372,35 +320,18 @@ impl MultiFabricScheduler {
         loop {
             self.metrics.process_rounds += 1;
             let round = self.process_round();
-            // Translate the whole round before settling anything: settling
-            // prunes id mappings, and a later outcome of the same round may
-            // still name the pruned job (e.g. an unload and a relocate of
-            // one job in the same batch).
-            let translated: Vec<(u64, Outcome)> = round
-                .into_iter()
-                .map(|(fabric, local_req, outcome)| {
-                    // A request is tagged either by its own unload/relocate
-                    // tag (consumed here) or, for loads, by the job id.
-                    let global = self
-                        .request_tags
-                        .remove(&(fabric, local_req))
-                        .or_else(|| self.local_to_global.get(&(fabric, local_req)).copied())
-                        .expect("every shard request was routed by this dispatcher");
-                    (global, self.translate_outcome(fabric, outcome))
-                })
-                .collect();
             // Probe fabric health before settling: a fabric that went
             // offline during the round is quarantined *now*, so this very
             // round's runtime rejections from it migrate to survivors
             // instead of dropping, and its evacuated residents re-queue.
             let mut more_work = self.check_fabric_health();
-            for (global, outcome) in translated {
-                if self.try_migrate(global, &outcome) {
+            for (job, outcome) in round {
+                if self.try_migrate(job, &outcome) {
                     more_work = true;
                     continue; // final outcome pending on another fabric
                 }
-                self.settle(global, &outcome);
-                results.push((global, outcome));
+                self.settle(job, &outcome);
+                results.push((job, outcome));
             }
             if !more_work {
                 break;
@@ -412,7 +343,7 @@ impl MultiFabricScheduler {
     /// Probes every fabric's reachability after a round. A newly offline
     /// fabric is quarantined: its residents are evacuated (bookkeeping
     /// only — the device is unreachable) and re-queued on the survivors
-    /// under their original fleet-global ids. A quarantined fabric whose
+    /// under their fleet-global ids. A quarantined fabric whose
     /// hook reports it reachable again is wiped ([`Scheduler`]
     /// `reset_after_recovery`) and rejoins the routing set. Returns whether
     /// any resident was re-queued (another round must run to place it).
@@ -432,7 +363,7 @@ impl MultiFabricScheduler {
                     evacuated.len() as u64,
                 );
                 for job in evacuated {
-                    requeued |= self.requeue_resident(i, job);
+                    requeued |= self.requeue_resident(job);
                 }
             } else if !offline && self.quarantined[i] {
                 // Nothing written during the outage can be trusted, so the
@@ -449,72 +380,47 @@ impl MultiFabricScheduler {
         requeued
     }
 
-    /// Re-queues one evacuated resident of quarantined fabric `from` as a
-    /// replacement load on a surviving fabric, re-using its fleet-global
-    /// id. Returns whether a new dispatch was created.
-    fn requeue_resident(&mut self, from: usize, job: EvacuatedJob) -> bool {
-        let Some(global) = self.local_to_global.remove(&(from, job.job)) else {
-            // Not routed by this dispatcher (shard driven directly).
-            return false;
-        };
-        self.route.remove(&global);
+    /// Re-queues one evacuated resident of a quarantined fabric as a
+    /// replacement load on a surviving fabric, under its fleet-global id.
+    /// Returns whether a new dispatch was created.
+    fn requeue_resident(&mut self, evacuated: EvacuatedJob) -> bool {
+        let job = evacuated.job;
+        self.route.remove(&job);
         self.metrics.residents_requeued += 1;
-        let statuses = self.statuses(&job.task);
+        let statuses = self.statuses(&evacuated.task);
         if statuses.iter().all(|s| self.quarantined[s.fabric]) {
             // Whole fleet down: the resident is lost until re-submitted.
             return false;
         }
-        let request = Request::Load {
-            task: job.task.clone(),
-            priority: job.priority,
-            deadline: None,
-        };
-        let pick = self.policy.choose(&job.task, &statuses);
-        let target = statuses[pick].fabric;
+        let target = statuses[self.policy.choose(&evacuated.task, &statuses)].fabric;
         self.telemetry.event(
             EventKind::ShardDecision,
             FLEET_FABRIC,
             0,
-            global,
+            job,
             target as u64,
         );
-        let local = self.fabrics[target].submit(request.clone());
-        self.local_to_global.insert((target, local), global);
-        self.route.insert(global, (target, local));
-        self.pending_loads.insert(
-            global,
-            PendingLoad {
-                task: job.task,
-                request,
-                dispatched: vec![(target, local)],
-                replacement: true,
-            },
-        );
+        let request = Request::Load {
+            task: evacuated.task,
+            priority: evacuated.priority,
+            deadline: None,
+        };
+        self.dispatch(job, target, request, true);
         true
     }
 
     /// Books the final outcome of a request in the fleet counters and
-    /// prunes the id maps of jobs no shard can name again.
-    fn settle(&mut self, global: u64, outcome: &Outcome) {
-        if let Some(pending) = self.pending_loads.remove(&global) {
+    /// drops the route of a job no fabric can name again.
+    fn settle(&mut self, job: u64, outcome: &Outcome) {
+        if let Some(pending) = self.pending_loads.remove(&job) {
             match outcome {
+                Outcome::Loaded { .. } if pending.replacement => {
+                    self.metrics.degraded_accepts += 1;
+                }
                 Outcome::Loaded { .. } => {
-                    if pending.replacement {
-                        self.metrics.degraded_accepts += 1;
-                    } else {
-                        self.metrics.loads_accepted += 1;
-                        if pending.dispatched.len() > 1 {
-                            self.metrics.migrated_accepts += 1;
-                        }
-                    }
-                    // Mappings of the fabrics that rejected the load are no
-                    // longer reachable; only the accepting one stays.
-                    if let Some(&home) = self.route.get(&global) {
-                        for dispatch in pending.dispatched {
-                            if dispatch != home {
-                                self.local_to_global.remove(&dispatch);
-                            }
-                        }
+                    self.metrics.loads_accepted += 1;
+                    if pending.tried.len() > 1 {
+                        self.metrics.migrated_accepts += 1;
                     }
                 }
                 Outcome::Rejected { .. } => {
@@ -525,35 +431,27 @@ impl MultiFabricScheduler {
                     if !pending.replacement {
                         self.metrics.loads_rejected += 1;
                     }
-                    self.route.remove(&global);
-                    for dispatch in pending.dispatched {
-                        self.local_to_global.remove(&dispatch);
-                    }
+                    self.route.remove(&job);
                 }
                 _ => {}
             }
         }
-        // An unloaded or reported-gone job can never appear in a shard
-        // outcome again: drop its route and id mapping — unless the job's
-        // *load* is still pending in this very batch (an unload submitted
-        // before its target was processed resolves NotResident first, while
-        // the load still lands afterwards and must stay addressable).
+        // An unloaded or reported-gone job has no home any more — unless
+        // its *load* is still pending in this very batch (an unload
+        // submitted before its target was processed resolves NotResident
+        // first, while the load still lands afterwards and must stay
+        // addressable).
         if let Outcome::Unloaded { job } | Outcome::NotResident { job } = outcome {
             if !self.pending_loads.contains_key(job) {
-                if let Some(home) = self.route.remove(job) {
-                    self.local_to_global.remove(&home);
-                }
+                self.route.remove(job);
             }
         }
     }
 
     /// Re-dispatches a capacity-rejected load to an untried fabric. Returns
     /// whether the load migrated (its outcome is then deferred).
-    fn try_migrate(&mut self, global: u64, outcome: &Outcome) -> bool {
-        if !self.config.migration {
-            return false;
-        }
-        let Some(pending) = self.pending_loads.get(&global) else {
+    fn try_migrate(&mut self, job: u64, outcome: &Outcome) -> bool {
+        let Some(pending) = self.pending_loads.get(&job) else {
             return false;
         };
         let migratable = match outcome {
@@ -567,97 +465,43 @@ impl MultiFabricScheduler {
             Outcome::Rejected {
                 reason: RejectReason::Runtime(_),
                 ..
-            } => pending
-                .dispatched
-                .last()
-                .is_some_and(|&(f, _)| self.quarantined[f]),
+            } => pending.tried.last().is_some_and(|&f| self.quarantined[f]),
             _ => false,
         };
-        if !migratable {
+        // A pending entry always holds its load request.
+        let (true, Request::Load { task, .. }) = (migratable, &pending.request) else {
             return false;
-        }
-        let task = pending.task.clone();
-        let request = pending.request.clone();
-        let untried: Vec<FabricStatus> = {
-            let pending = &self.pending_loads[&global];
-            self.statuses(&task)
-                .into_iter()
-                .filter(|s| !pending.tried(s.fabric))
-                .collect()
         };
+        let untried: Vec<FabricStatus> = self
+            .statuses(task)
+            .into_iter()
+            .filter(|s| !pending.tried.contains(&s.fabric))
+            .collect();
         if untried.is_empty() {
             return false;
         }
-        let pick = self.policy.choose(&task, &untried);
-        let target = untried[pick].fabric;
+        let target = untried[self.policy.choose(task, &untried)].fabric;
         self.telemetry
-            .event(EventKind::Migrate, FLEET_FABRIC, 0, global, target as u64);
-        let local = self.fabrics[target].submit(request);
-        self.local_to_global.insert((target, local), global);
-        self.route.insert(global, (target, local));
+            .event(EventKind::Migrate, FLEET_FABRIC, 0, job, target as u64);
+        self.fabrics[target].enqueue(job, pending.request.clone());
+        self.route.insert(job, target);
         self.pending_loads
-            .get_mut(&global)
+            .get_mut(&job)
             .expect("checked above")
-            .dispatched
-            .push((target, local));
+            .tried
+            .push(target);
         self.metrics.migrations += 1;
         true
     }
 
-    /// Maps every shard-local id inside an outcome back to its fleet-global
-    /// id.
-    fn translate_outcome(&self, fabric: usize, outcome: Outcome) -> Outcome {
-        let map = |id: u64| -> u64 {
-            self.local_to_global
-                .get(&(fabric, id))
-                .copied()
-                .expect("every shard job was routed by this dispatcher")
-        };
-        match outcome {
-            Outcome::Loaded {
-                job,
-                handle,
-                origin,
-                evicted,
-                cache_hit,
-            } => Outcome::Loaded {
-                job: map(job),
-                handle,
-                origin,
-                evicted: evicted.into_iter().map(map).collect(),
-                cache_hit,
-            },
-            Outcome::Rejected {
-                job,
-                reason,
-                evicted,
-            } => Outcome::Rejected {
-                job: map(job),
-                reason,
-                evicted: evicted.into_iter().map(map).collect(),
-            },
-            Outcome::Unloaded { job } => Outcome::Unloaded { job: map(job) },
-            Outcome::NotResident { job } => Outcome::NotResident { job: map(job) },
-            Outcome::Relocated { job, origin } => Outcome::Relocated {
-                job: map(job),
-                origin,
-            },
-        }
-    }
-
     /// One processing round: every fabric with queued work runs its queue
-    /// on the caller's thread, in fabric order. Returns `(fabric, local
-    /// request id, outcome)` triples in that order.
-    fn process_round(&mut self) -> Vec<(usize, u64, Outcome)> {
+    /// on the caller's thread, in fabric order. Returns the `(job,
+    /// outcome)` pairs in that order.
+    fn process_round(&mut self) -> Vec<(u64, Outcome)> {
         let mut round = Vec::new();
-        for (fabric, sched) in self.fabrics.iter_mut().enumerate() {
+        for sched in &mut self.fabrics {
             if sched.queued_len() > 0 {
-                round.extend(
-                    sched
-                        .process_pending_tagged()
-                        .into_iter()
-                        .map(|(local_req, outcome)| (fabric, local_req, outcome)),
-                );
+                round.extend(sched.process_pending_tagged());
             }
         }
         round

@@ -636,6 +636,15 @@ impl Scheduler {
     pub fn submit(&mut self, request: Request) -> u64 {
         let job = self.next_job;
         self.next_job += 1;
+        self.enqueue(job, request);
+        job
+    }
+
+    /// Enqueues a request under a caller-chosen id, which its outcome tag,
+    /// resident entry and events then carry. A fleet queues every request
+    /// on its shards this way, under the fleet-global id its own `submit`
+    /// returned, so fleet and shard name a job alike.
+    pub(crate) fn enqueue(&mut self, job: u64, request: Request) {
         if matches!(request, Request::Load { .. }) {
             self.counters.add(slot::LOADS_SUBMITTED, 1);
         }
@@ -650,7 +659,6 @@ impl Scheduler {
             request,
             enqueued_at,
         });
-        job
     }
 
     /// Processes every queued request in priority order (unloads first so
@@ -899,21 +907,22 @@ impl Scheduler {
     }
 
     /// Inserts a freshly decoded stream into the tiered cache with the
-    /// metadata its cost model runs on (compressed bytes + measured decode
+    /// metadata its cost model runs on (compressed size + measured decode
     /// micros), recycles every displaced arena into the shared pool, and
     /// records tier-transition events. Under an unbounded budget nothing
-    /// is ever demoted, so the compressed copy is skipped entirely.
+    /// is ever demoted, so the compressed size is booked as 0.
     fn cache_insert(&mut self, name: &str, spec: ArchSpec, task: Arc<TaskBitstream>, micros: u64) {
-        let compressed = if self.cache.budget().is_unbounded() {
-            Vec::new()
+        let compressed_bytes = if self.cache.budget().is_unbounded() {
+            0
         } else {
             self.manager
                 .repository()
                 .bytes(name)
-                .map(<[u8]>::to_vec)
-                .unwrap_or_default()
+                .map_or(0, |bytes| bytes.len() as u64)
         };
-        let outcome = self.cache.insert(name, spec, task, compressed, micros);
+        let outcome = self
+            .cache
+            .insert(name, spec, task, compressed_bytes, micros);
         for displaced in outcome.displaced {
             self.pool.recycle(displaced);
         }

@@ -15,7 +15,6 @@
 
 use std::cmp::Reverse;
 use std::fmt;
-use vbs_runtime::FabricId;
 
 /// What a shard policy sees of one fabric when routing a load.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,16 +22,10 @@ pub struct FabricStatus {
     /// Index of the fabric within the fleet (the routing result refers to
     /// positions in the status slice; this is the fleet-wide identity).
     pub fabric: usize,
-    /// The fabric id its task manager was tagged with.
-    pub id: FabricId,
     /// Free macros on the device right now.
     pub free_area: u32,
-    /// Total macros on the device.
-    pub total_area: u32,
     /// Load requests already queued on this fabric for the current round.
     pub queued_loads: usize,
-    /// Tasks currently resident on the fabric.
-    pub residents: usize,
     /// Whether the fabric already holds decode state for the incoming task
     /// (decode cache, hot or warm tier).
     pub holds_decoded: bool,
@@ -144,11 +137,8 @@ mod tests {
     fn status(fabric: usize, free: u32, queued: usize, warm: bool) -> FabricStatus {
         FabricStatus {
             fabric,
-            id: FabricId(fabric as u32),
             free_area: free,
-            total_area: 64,
             queued_loads: queued,
-            residents: 0,
             holds_decoded: warm,
         }
     }

@@ -150,7 +150,7 @@ proptest! {
             if op == 0 {
                 cache.get(&format!("t{idx}"), &spec);
             } else {
-                cache.insert(&format!("t{idx}"), spec, task(idx), vec![0xCD; len], 10 + len as u64);
+                cache.insert(&format!("t{idx}"), spec, task(idx), len as u64, 10 + len as u64);
             }
             let stats = cache.stats();
             prop_assert!(

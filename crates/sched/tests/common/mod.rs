@@ -12,9 +12,7 @@ use vbs_netlist::generate::SyntheticSpec;
 use vbs_runtime::{
     FabricId, PlacementPolicy, ReconfigurationController, TaskManager, VbsRepository,
 };
-use vbs_sched::{
-    LruEviction, MultiConfig, MultiFabricScheduler, Scheduler, SchedulerConfig, ShardPolicy,
-};
+use vbs_sched::{LruEviction, MultiFabricScheduler, Scheduler, SchedulerConfig, ShardPolicy};
 
 /// Task set: (name, LUTs, grid edge, seed). Grid edge = footprint in macros.
 pub const TASKS: &[(&str, usize, u16, u64)] = &[
@@ -85,12 +83,11 @@ pub fn fleet(
     shard: Box<dyn ShardPolicy>,
     make_placement: fn() -> Box<dyn PlacementPolicy>,
     config: SchedulerConfig,
-    multi_config: MultiConfig,
 ) -> MultiFabricScheduler {
     let fabrics = (0..k)
         .map(|i| scheduler(width, height, i as u32, make_placement(), config))
         .collect();
-    MultiFabricScheduler::new(fabrics, shard, multi_config)
+    MultiFabricScheduler::new(fabrics, shard)
 }
 
 /// Asserts one fabric's physical invariants: resident regions pairwise

@@ -12,7 +12,7 @@ use vbs_arch::Coord;
 use vbs_bitstream::{BitstreamError, TaskBitstream};
 use vbs_runtime::{FirstFit, ReconfigurationController, RuntimeError};
 use vbs_sched::{
-    FaultInjector, FaultPlan, MultiConfig, Outcome, RejectReason, Request, RoundRobin, Scheduler,
+    FaultInjector, FaultPlan, Outcome, RejectReason, Request, RoundRobin, Scheduler,
     SchedulerConfig,
 };
 use vbs_telemetry::{EventKind, Telemetry};
@@ -188,7 +188,6 @@ fn quarantine_replacement_recovery_ordering() {
         Box::new(RoundRobin::default()),
         || Box::new(FirstFit),
         base_config(),
-        MultiConfig::default(),
     );
     let telemetry = Telemetry::new();
     multi.set_telemetry(telemetry.clone());

@@ -20,9 +20,8 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use vbs_runtime::FirstFit;
 use vbs_sched::{
-    shard_policy_by_name, FaultInjector, FaultPlan, MultiConfig, MultiFabricScheduler,
-    MultiMetrics, Outcome, Request, SchedMetrics, SchedulerConfig, Trace, TraceOp, WorkloadSpec,
-    SHARD_POLICY_NAMES,
+    shard_policy_by_name, FaultInjector, FaultPlan, MultiFabricScheduler, MultiMetrics, Outcome,
+    Request, SchedMetrics, SchedulerConfig, Trace, TraceOp, WorkloadSpec, SHARD_POLICY_NAMES,
 };
 use vbs_telemetry::{EventKind, Telemetry};
 
@@ -121,7 +120,6 @@ fn run(seed: u64) -> Run {
         shard_policy_by_name(policy).expect("known shard policy"),
         || Box::new(FirstFit),
         config,
-        MultiConfig::default(),
     );
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xf1ee_7500_57e5_5000);
     let plans: Vec<FaultPlan> = (0..k)

@@ -18,9 +18,7 @@ mod common;
 
 use common::fleet;
 use vbs_runtime::FirstFit;
-use vbs_sched::{
-    replay_multi, shard_policy_by_name, MultiConfig, SchedulerConfig, Trace, SHARD_POLICY_NAMES,
-};
+use vbs_sched::{replay_multi, shard_policy_by_name, SchedulerConfig, Trace, SHARD_POLICY_NAMES};
 
 /// Exact counters of one (trace, policy) replay.
 #[derive(Debug, PartialEq, Eq)]
@@ -57,7 +55,6 @@ fn replay_golden(trace: &Trace, policy: &str) -> Golden {
         shard_policy_by_name(policy).unwrap(),
         || Box::new(FirstFit),
         config,
-        MultiConfig::default(),
     );
     let report = replay_multi(&mut multi, trace);
     Golden {

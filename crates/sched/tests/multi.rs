@@ -1,19 +1,23 @@
 //! Multi-fabric scheduler tests: the K=1 differential against the
 //! single-fabric [`Scheduler`], property-based invariants over K ∈ {1,2,4}
-//! fleets, migration behavior and the sharded-vs-independent acceptance
-//! claim of the acceptance criteria.
+//! fleets, migration behavior, the one job id fleet and shards share, and
+//! the sharded-vs-independent acceptance claim of the acceptance criteria.
 
 mod common;
 
-use common::{assert_fabric_invariants, fleet, repository, scheduler, TASKS};
+use common::{assert_fabric_invariants, device, fleet, repository, scheduler, TASKS};
 use proptest::prelude::*;
+use std::collections::HashMap;
 use vbs_arch::Rect;
-use vbs_runtime::{BestFit, FirstFit, PlacementPolicy};
-use vbs_sched::{
-    replay, replay_multi, shard_policy_by_name, CacheAffinity, LeastLoaded, MultiConfig, Outcome,
-    Request, RoundRobin, SchedMetrics, Scheduler, SchedulerConfig, Trace, WorkloadSpec,
-    SHARD_POLICY_NAMES,
+use vbs_runtime::{
+    BestFit, FabricId, FirstFit, PlacementPolicy, ReconfigurationController, TaskManager,
 };
+use vbs_sched::{
+    replay, replay_multi, shard_policy_by_name, CacheAffinity, LeastLoaded, MultiFabricScheduler,
+    Outcome, PriorityEviction, Request, RoundRobin, SchedMetrics, Scheduler, SchedulerConfig,
+    Trace, WorkloadSpec, SHARD_POLICY_NAMES,
+};
+use vbs_telemetry::{EventKind, Telemetry, FLEET_FABRIC};
 
 fn overload_trace(loads: usize, seed: u64) -> Trace {
     Trace::synthetic(&WorkloadSpec {
@@ -50,8 +54,9 @@ fn full_memory_image(sched: &Scheduler) -> vbs_bitstream::TaskBitstream {
 /// Differential: a K=1 fleet must replay a trace bit-identically to the
 /// plain single-fabric scheduler — same counters (modulo wall-clock decode
 /// time), same cache behavior, and the same final configuration memory,
-/// for every shard policy. This pins down that the dispatcher adds an id
-/// translation around the fabric, and nothing else.
+/// for every shard policy. This pins down that the dispatcher adds routing
+/// around the fabric, and nothing else: the shard queues each request
+/// under the id the fleet returned for it.
 #[test]
 fn k1_fleet_is_bit_identical_to_single_scheduler() {
     let trace = overload_trace(80, 2015);
@@ -72,7 +77,6 @@ fn k1_fleet_is_bit_identical_to_single_scheduler() {
             shard_policy_by_name(policy).unwrap(),
             || Box::new(BestFit),
             config,
-            MultiConfig::default(),
         );
         let multi_report = replay_multi(&mut multi, &trace);
 
@@ -147,7 +151,6 @@ fn sharded_fleet_beats_independent_fabrics_on_overload() {
         Box::new(LeastLoaded),
         || Box::new(BestFit),
         config,
-        MultiConfig::default(),
     );
     let report = replay_multi(&mut multi, &trace);
     assert!(
@@ -177,7 +180,6 @@ fn saturated_fabric_sheds_load_to_the_fleet() {
         Box::new(RoundRobin::default()),
         || Box::new(FirstFit),
         config,
-        MultiConfig::default(),
     );
     // fft6 (6x6) to fabric 0, fir4 (4x4) to fabric 1, then another fft6:
     // round-robin points back at fabric 0, where 6x6 no longer fits.
@@ -235,7 +237,6 @@ fn cache_affinity_decodes_each_task_once() {
         Box::new(CacheAffinity),
         || Box::new(FirstFit),
         config,
-        MultiConfig::default(),
     );
     let mut jobs = Vec::new();
     for round in 0..3 {
@@ -286,7 +287,6 @@ proptest! {
             k, 9, 7, shard,
             || Box::new(FirstFit) as Box<dyn PlacementPolicy>,
             config,
-            MultiConfig::default(),
         );
 
         let mut jobs: Vec<u64> = Vec::new();
@@ -405,7 +405,6 @@ fn burst_accounting_sums_across_shards() {
             Box::new(LeastLoaded),
             || Box::new(FirstFit),
             config,
-            MultiConfig::default(),
         );
         let n = 6u64;
         for task in ["fft6", "aes5", "fir4", "crc4", "fir4", "aes5"] {
@@ -450,7 +449,6 @@ fn unload_submitted_with_its_load_in_one_batch() {
         Box::new(RoundRobin::default()),
         || Box::new(FirstFit),
         config,
-        MultiConfig::default(),
     );
     let job = multi.submit(Request::Load {
         task: "fir4".into(),
@@ -481,4 +479,142 @@ fn unload_submitted_with_its_load_in_one_batch() {
         .collect();
     assert_eq!(accepted_on.len(), 1);
     assert_eq!(resident_on, accepted_on);
+}
+
+/// What the one-id tests inspect after their shared run.
+struct OneIdRun {
+    multi: MultiFabricScheduler,
+    telemetry: Telemetry,
+    outcomes: Vec<(u64, Outcome)>,
+    /// Load id → task, for every load `submit` accepted.
+    loads: HashMap<u64, &'static str>,
+    /// The fft6 that aes5 evicts from fabric 0.
+    first: u64,
+    /// The fft6 that migrates from fabric 0 to fabric 1.
+    migrated: u64,
+}
+
+/// A K = 2 run in which shard-local ids would drift from the fleet's: an
+/// unload of an unknown job consumes a fleet id no shard ever sees, then
+/// one load migrates and one evicts.
+fn one_id_run() -> OneIdRun {
+    let config = SchedulerConfig {
+        eviction_limit: 1,
+        compaction: false,
+        ..SchedulerConfig::default()
+    };
+    // Priority eviction: equal-priority residents are protected, so a
+    // priority-1 load that does not fit migrates instead of evicting.
+    let fabrics = (0..2)
+        .map(|i| {
+            let manager = TaskManager::new(
+                ReconfigurationController::new(device(10, 10)),
+                repository().clone(),
+            )
+            .with_policy(Box::new(FirstFit))
+            .with_fabric_id(FabricId(i));
+            Scheduler::with_config(manager, Box::new(PriorityEviction), config)
+        })
+        .collect();
+    let mut multi = MultiFabricScheduler::new(fabrics, Box::new(RoundRobin::default()));
+    let telemetry = Telemetry::new();
+    multi.set_telemetry(telemetry.clone());
+
+    let unknown = multi.submit(Request::Unload { job: 999 });
+    let mut loads = HashMap::new();
+    let mut load = |multi: &mut MultiFabricScheduler, task: &'static str, priority: u8| {
+        let job = multi.submit(Request::Load {
+            task: task.into(),
+            priority,
+            deadline: None,
+        });
+        loads.insert(job, task);
+        job
+    };
+    // Round-robin: fft6 to fabric 0, fir4 to fabric 1, the second fft6
+    // back to fabric 0, where it cannot fit and migrates to fabric 1.
+    let first = load(&mut multi, "fft6", 1);
+    load(&mut multi, "fir4", 1);
+    let migrated = load(&mut multi, "fft6", 1);
+    let mut outcomes = multi.process_pending_tagged();
+    assert_eq!(multi.metrics().migrations, 1, "{outcomes:?}");
+    // aes5 at priority 5 lands on fabric 0 by evicting the first fft6.
+    load(&mut multi, "aes5", 5);
+    outcomes.extend(multi.process_pending_tagged());
+    assert_eq!(
+        outcomes[0],
+        (unknown, Outcome::NotResident { job: 999 }),
+        "the unknown unload is answered without a shard"
+    );
+    OneIdRun {
+        multi,
+        telemetry,
+        outcomes,
+        loads,
+        first,
+        migrated,
+    }
+}
+
+/// Every shard resident and every evicted id is the id `submit` returned
+/// for that load: shards hold fleet ids.
+#[test]
+fn shards_hold_the_ids_submit_returned() {
+    let run = one_id_run();
+    let mut evicted_ids = Vec::new();
+    for (tag, outcome) in &run.outcomes[1..] {
+        let Outcome::Loaded { job, evicted, .. } = outcome else {
+            panic!("load {tag} failed: {outcome:?}");
+        };
+        assert_eq!(job, tag);
+        assert!(
+            run.loads.contains_key(job),
+            "outcome names unknown job {job}"
+        );
+        evicted_ids.extend(evicted.iter().copied());
+    }
+    assert_eq!(evicted_ids, vec![run.first]);
+    for f in 0..run.multi.fabric_count() {
+        for resident in run.multi.fabric(f).residents() {
+            assert_eq!(
+                run.loads.get(&resident.job).copied(),
+                Some(resident.name.as_str()),
+                "fabric {f} holds job {} under an id submit did not return for it",
+                resident.job
+            );
+        }
+    }
+}
+
+/// A load's fleet dispatch and its shard's queue, admission and
+/// frame-write events name one job id — the migrated load's first try on
+/// the fabric that refused it included.
+#[test]
+fn fleet_and_shard_events_name_one_job_id() {
+    let run = one_id_run();
+    let events = run.telemetry.events();
+    let on = |kind: EventKind, fabric: u16, job: u64| {
+        events
+            .iter()
+            .filter(|e| e.kind == kind && e.fabric == fabric && e.a == job)
+            .count()
+    };
+    let residents = run.multi.residents();
+    assert_eq!(residents.len(), 3);
+    for (fabric, job, _) in residents {
+        let shard = fabric as u16;
+        assert_eq!(
+            on(EventKind::ShardDecision, FLEET_FABRIC, job),
+            1,
+            "job {job}"
+        );
+        assert_eq!(on(EventKind::Enqueue, shard, job), 1, "job {job}");
+        assert_eq!(on(EventKind::Admit, shard, job), 1, "job {job}");
+        assert_eq!(on(EventKind::FrameWrite, shard, job), 1, "job {job}");
+    }
+    let migrated = run.migrated;
+    assert_eq!(on(EventKind::Migrate, FLEET_FABRIC, migrated), 1);
+    assert_eq!(on(EventKind::Enqueue, 0, migrated), 1, "first try");
+    assert_eq!(on(EventKind::Reject, 0, migrated), 1, "first try");
+    assert_eq!(on(EventKind::Evict, 0, run.first), 1);
 }

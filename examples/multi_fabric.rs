@@ -14,7 +14,7 @@ use vbs_repro::runtime::{
     BestFit, FabricId, ReconfigurationController, TaskManager, VbsRepository,
 };
 use vbs_repro::sched::{
-    replay, replay_multi, CacheAffinity, LruEviction, MultiConfig, MultiFabricScheduler, Scheduler,
+    replay, replay_multi, CacheAffinity, LruEviction, MultiFabricScheduler, Scheduler,
     SchedulerConfig, Trace, WorkloadSpec,
 };
 
@@ -110,8 +110,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fabrics = (0..4)
         .map(|i| scheduler(&repository, i))
         .collect::<Result<Vec<_>, _>>()?;
-    let mut fleet =
-        MultiFabricScheduler::new(fabrics, Box::new(CacheAffinity), MultiConfig::default());
+    let mut fleet = MultiFabricScheduler::new(fabrics, Box::new(CacheAffinity));
     let report = replay_multi(&mut fleet, &trace);
     println!(
         "sharded fleet of 4       {:>5.1}% acceptance, {} migrations\n",

@@ -15,8 +15,8 @@ use vbs_repro::flow::CadFlow;
 use vbs_repro::netlist::generate::SyntheticSpec;
 use vbs_repro::runtime::{BestFit, ReconfigurationController, TaskManager, VbsRepository};
 use vbs_repro::sched::{
-    replay_multi, LeastLoaded, LruEviction, MultiConfig, MultiFabricScheduler, Scheduler,
-    SchedulerConfig, Trace, WorkloadSpec,
+    replay_multi, LeastLoaded, LruEviction, MultiFabricScheduler, Scheduler, SchedulerConfig,
+    Trace, WorkloadSpec,
 };
 use vbs_repro::telemetry::export::{chrome_trace, metrics_json, summary_table};
 use vbs_repro::telemetry::Telemetry;
@@ -62,11 +62,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             },
         ))
     };
-    let mut fleet = MultiFabricScheduler::new(
-        vec![fabric(11, 11)?, fabric(9, 9)?],
-        Box::new(LeastLoaded),
-        MultiConfig::default(),
-    );
+    let mut fleet =
+        MultiFabricScheduler::new(vec![fabric(11, 11)?, fabric(9, 9)?], Box::new(LeastLoaded));
 
     // One shared registry for the whole fleet: the dispatcher tags its
     // events with the fleet fabric, each scheduler and its controller's

@@ -269,13 +269,11 @@ impl CompactionResult {
 }
 
 /// Builds a fragmented scheduler: fill the fabric with the task mix, then
-/// unload every other job, leaving a checkerboard of holes. `budget` is the
-/// per-pass compaction frame budget (0 = unbounded).
-fn fragmented_scheduler(options: &Options, repository: &VbsRepository, budget: u64) -> Scheduler {
+/// unload every other job, leaving a checkerboard of holes.
+fn fragmented_scheduler(options: &Options, repository: &VbsRepository) -> Scheduler {
     let config = SchedulerConfig {
         eviction_limit: 0,
         compaction: false,
-        compaction_frame_budget: budget,
         ..SchedulerConfig::default()
     };
     let mut sched = vbs_bench::sched_workload::sched_scheduler(
@@ -314,7 +312,7 @@ fn fragmented_scheduler(options: &Options, repository: &VbsRepository, budget: u
 /// on identically fragmented fabrics.
 fn compaction_paths(options: &Options, repository: &VbsRepository) -> Vec<CompactionResult> {
     // Batch: the shipped planner; pause metrics come from SchedMetrics.
-    let mut batch = fragmented_scheduler(options, repository, 0);
+    let mut batch = fragmented_scheduler(options, repository);
     let before_metrics = batch.metrics();
     let before_cache = batch.cache_stats();
     let moves = batch.compact();
@@ -331,7 +329,7 @@ fn compaction_paths(options: &Options, repository: &VbsRepository) -> Vec<Compac
 
     // Greedy: up to four live bottom-left sweeps, every improvement
     // executed immediately as its own relocation (the pre-batch behavior).
-    let mut greedy = fragmented_scheduler(options, repository, 0);
+    let mut greedy = fragmented_scheduler(options, repository);
     let before_metrics = greedy.metrics();
     let before_cache = greedy.cache_stats();
     let mut moves = 0usize;
@@ -389,78 +387,6 @@ fn compaction_paths(options: &Options, repository: &VbsRepository) -> Vec<Compac
     };
 
     vec![batch_result, greedy_result]
-}
-
-/// The budgeted compaction study: the same fragmented fabric defragged with
-/// `compaction_frame_budget` set to the largest workload task's area, so a
-/// pass never rewrites more than one big task's worth of frames. Repeated
-/// passes converge to the unbounded fixpoint; the per-pass pause histogram
-/// (the `Stage::CompactionPause` spans the scheduler records) is the payoff
-/// being measured.
-struct BudgetedCompaction {
-    budget: u64,
-    passes: usize,
-    moves: usize,
-    frames_rewritten: u64,
-    max_frames_per_pass: u64,
-    truncated_passes: u64,
-    /// `Stage::CompactionPause` summary, microseconds.
-    pause: HistogramSummary,
-}
-
-impl BudgetedCompaction {
-    fn json(&self) -> String {
-        format!(
-            "{{\"budget\": {}, \"passes\": {}, \"moves\": {}, \"frames_rewritten\": {}, \"max_frames_per_pass\": {}, \"truncated_passes\": {}, \"pause_p50_us\": {}, \"pause_p99_us\": {}, \"pause_max_us\": {}}}",
-            self.budget,
-            self.passes,
-            self.moves,
-            self.frames_rewritten,
-            self.max_frames_per_pass,
-            self.truncated_passes,
-            self.pause.p50,
-            self.pause.p99,
-            self.pause.max
-        )
-    }
-}
-
-fn budgeted_compaction(options: &Options, repository: &VbsRepository) -> BudgetedCompaction {
-    // The largest task area is the smallest budget that keeps every
-    // individual move inside the bound (the planner always grants a pass
-    // its first move, so a smaller budget could still exceed itself).
-    let budget = streams(repository)
-        .iter()
-        .map(|v| v.width() as u64 * v.height() as u64)
-        .max()
-        .expect("workload streams");
-    let mut sched = fragmented_scheduler(options, repository, budget);
-    let telemetry = Telemetry::new();
-    sched.set_telemetry(telemetry.clone(), 0);
-    let mut passes = 0usize;
-    let mut moves = 0usize;
-    let mut max_frames_per_pass = 0u64;
-    for _ in 0..20 {
-        let before = sched.metrics().compaction_frames_moved;
-        let pass_moves = sched.compact();
-        if pass_moves == 0 {
-            break;
-        }
-        passes += 1;
-        moves += pass_moves;
-        max_frames_per_pass =
-            max_frames_per_pass.max(sched.metrics().compaction_frames_moved - before);
-    }
-    let metrics = sched.metrics();
-    BudgetedCompaction {
-        budget,
-        passes,
-        moves,
-        frames_rewritten: metrics.compaction_frames_moved,
-        max_frames_per_pass,
-        truncated_passes: metrics.compaction_truncated,
-        pause: telemetry.histogram(Stage::CompactionPause).summary(),
-    }
 }
 
 /// One dispatched-vs-portable measurement of a single word kernel.
@@ -1171,23 +1097,6 @@ fn main() {
             c.name, c.moves, c.frames_rewritten, c.pause_micros, c.decodes, c.cache_fetches
         );
     }
-    let budgeted = budgeted_compaction(&options, &repository);
-    println!(
-        "compaction budgeted: {} frames/pass budget, {} passes ({} truncated), \
-         {} moves, max {} frames/pass, pause p99 {} µs",
-        budgeted.budget,
-        budgeted.passes,
-        budgeted.truncated_passes,
-        budgeted.moves,
-        budgeted.max_frames_per_pass,
-        budgeted.pause.p99
-    );
-    assert!(
-        budgeted.max_frames_per_pass <= budgeted.budget,
-        "a budgeted pass rewrote {} frames against a budget of {}",
-        budgeted.max_frames_per_pass,
-        budgeted.budget
-    );
 
     let frame_write = frame_write_paths(&options, &repository);
     println!("{:<12} {:>16}", "frame_write", "word Mframes/s");
@@ -1395,7 +1304,7 @@ fn main() {
         warm_redecode.allocs_per_load(),
     );
     let json = format!(
-        "{{\n  \"bench\": \"decode_perf\",\n  \"loads\": {},\n  \"fabric\": \"{}x{}\",\n  \"fabrics\": {},\n  \"seed\": {},\n  \"paths\": {{\n    \"scratch\": {},\n    \"pooled\": {}\n  }},\n  \"latency\": {{\n{}\n  }},\n  \"compaction\": {{\n    \"batch\": {},\n    \"greedy\": {},\n    \"budgeted\": {}\n  }},\n  \"frame_write\": {{\n    \"load\": {},\n    \"clear\": {},\n    \"relocate\": {},\n    \"kernels\": {{\n      \"backend\": \"{}\",\n{}\n    }}\n  }},\n  \"scaling\": {{\n{}\n  }},\n  \"fleet\": {},\n  \"mcnc\": {{\n    \"single\": \"{}x{}\",\n    \"fleet\": \"{}x{}x{}\",\n    \"tasks\": {{\n{}\n    }},\n    \"replays\": {{\n{}\n    }}\n  }},\n  \"fault\": {{\n{},\n    \"verify_overhead\": {:.3}\n  }},\n  \"memory\": {}\n}}\n",
+        "{{\n  \"bench\": \"decode_perf\",\n  \"loads\": {},\n  \"fabric\": \"{}x{}\",\n  \"fabrics\": {},\n  \"seed\": {},\n  \"paths\": {{\n    \"scratch\": {},\n    \"pooled\": {}\n  }},\n  \"latency\": {{\n{}\n  }},\n  \"compaction\": {{\n    \"batch\": {},\n    \"greedy\": {}\n  }},\n  \"frame_write\": {{\n    \"load\": {},\n    \"clear\": {},\n    \"relocate\": {},\n    \"kernels\": {{\n      \"backend\": \"{}\",\n{}\n    }}\n  }},\n  \"scaling\": {{\n{}\n  }},\n  \"fleet\": {},\n  \"mcnc\": {{\n    \"single\": \"{}x{}\",\n    \"fleet\": \"{}x{}x{}\",\n    \"tasks\": {{\n{}\n    }},\n    \"replays\": {{\n{}\n    }}\n  }},\n  \"fault\": {{\n{},\n    \"verify_overhead\": {:.3}\n  }},\n  \"memory\": {}\n}}\n",
         options.loads,
         options.fabric.0,
         options.fabric.1,
@@ -1406,7 +1315,6 @@ fn main() {
         latency_json,
         compaction[0].json(),
         compaction[1].json(),
-        budgeted.json(),
         frame_write[0].json(),
         frame_write[1].json(),
         frame_write[2].json(),

@@ -16,8 +16,7 @@ use vbs_telemetry::{EventKind, Stage, Telemetry, FLEET_FABRIC};
 /// Counter slot (of the scratch pool's [`Telemetry`] registry) accumulating
 /// the coded routes the decodes expanded — with [`ROUTE_SEARCHES_SLOT`],
 /// what tells a slow decode (same counts, more time) from a long one (more
-/// routes, or more of them searched). `vbs-sched` numbers its own banks
-/// from 0; these sit past them so a merged view cannot collide.
+/// routes, or more of them searched).
 pub const ROUTES_EXPANDED_SLOT: usize = 20;
 /// Counter slot accumulating the routes that were not a single switch and
 /// ran the cluster search (see [`vbs_core::DecodeScratch::route_counts`]).

@@ -33,8 +33,7 @@ use std::sync::Arc;
 use vbs_arch::ArchSpec;
 use vbs_bitstream::TaskBitstream;
 
-/// Byte budgets of the two cache tiers. `0` means **unbounded** (the same
-/// sentinel convention as `SchedulerConfig::compaction_frame_budget`); the
+/// Byte budgets of the two cache tiers. `0` means **unbounded**; the
 /// default is unbounded on both tiers, which keeps every decoded stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheBudget {
@@ -82,8 +81,6 @@ pub struct InsertOutcome {
     pub displaced: Vec<Arc<TaskBitstream>>,
     /// Hot entries that fell back to their compressed bytes.
     pub demoted: u64,
-    /// Warm entries dropped entirely under warm-tier pressure.
-    pub dropped: u64,
     /// Whether this insert gave a previously-warm entry its arena back.
     pub promoted: bool,
 }
@@ -394,7 +391,6 @@ impl DecodeCache {
                 let victim = self.min_score_index(|e| !e.is_hot(), |e| e.compressed_bytes);
                 let Some(index) = victim else { break };
                 self.entries.swap_remove(index);
-                outcome.dropped += 1;
             }
         }
     }
@@ -443,24 +439,12 @@ impl DecodeCache {
             .sum()
     }
 
-    /// Whether a **decoded** stream of task `name` is resident under any
-    /// spec, without touching the hit/miss counters or the LRU stamps. Warm
-    /// entries do not count: they still need a decode.
-    pub fn contains_name(&self, name: &str) -> bool {
-        self.entries.iter().any(|e| e.name == name && e.is_hot())
-    }
-
     /// Whether the cache retains *any* state for task `name` — a decoded
     /// arena or warm compressed bytes. Shard policies use this for cache
     /// affinity: a warm entry still makes the fabric the cheap place to
     /// route the task (pooled re-decode beats a cold repository miss).
     pub fn retains_name(&self, name: &str) -> bool {
         self.entries.iter().any(|e| e.name == name)
-    }
-
-    /// Drops every entry in both tiers (counters are kept).
-    pub fn clear(&mut self) {
-        self.entries.clear();
     }
 
     /// Drops every entry of task `name` (all specs, both tiers). Required
@@ -626,11 +610,11 @@ mod tests {
         // The admission gate lands "b" in the warm tier ("a" holds the slot).
         cache.insert("b", spec, task(2), 8, 10);
         assert!(cache.retains_name("b"));
-        assert!(!cache.contains_name("b"), "warm entry is not decoded");
+        assert_eq!(cache.stats().warm_entries, 1, "\"b\" is held warm");
         cache.invalidate("b");
         assert!(!cache.retains_name("b"));
         assert!(matches!(cache.get("b", &spec), CacheLookup::Miss));
-        assert!(cache.contains_name("a"), "hot entry untouched so far");
+        assert_eq!(cache.stats().entries, 1, "hot \"a\" untouched so far");
         cache.invalidate("a");
         assert!(matches!(cache.get("a", &spec), CacheLookup::Miss));
     }

@@ -16,35 +16,7 @@ use std::sync::Arc;
 use vbs_arch::{ArchSpec, Coord, Rect};
 use vbs_bitstream::{BitstreamError, TaskBitstream};
 use vbs_runtime::{RuntimeError, ScratchPool, TaskHandle, TaskManager};
-use vbs_telemetry::{CounterBank, EventKind, Stage, Telemetry};
-
-/// [`CounterBank`] slot assignments backing the [`SchedMetrics`] view.
-/// Counters are bumped exactly where (and in the order) the former struct
-/// fields were, so golden-trace counter values are bit-identical.
-mod slot {
-    pub const LOADS_SUBMITTED: usize = 0;
-    pub const LOADS_ACCEPTED: usize = 1;
-    pub const LOADS_REJECTED: usize = 2;
-    pub const DEADLINE_MISSED: usize = 3;
-    pub const EVICTIONS: usize = 4;
-    pub const RELOCATIONS: usize = 5;
-    pub const COMPACTION_PASSES: usize = 6;
-    pub const COMPACTION_FRAMES_MOVED: usize = 7;
-    pub const COMPACTION_MICROS: usize = 8;
-    pub const DECODE_MICROS: usize = 9;
-    pub const DECODES: usize = 10;
-    pub const FRAGMENTATION_SAMPLES: usize = 11;
-    /// f64 slot (see [`vbs_telemetry::CounterBank::float_add`]).
-    pub const FRAGMENTATION_SUM: usize = 12;
-    /// f64 slot.
-    pub const UTILIZATION_SUM: usize = 13;
-    pub const WRITE_RETRIES: usize = 14;
-    pub const WRITE_FAULTS: usize = 15;
-    pub const CRC_MISMATCHES: usize = 16;
-    pub const VERIFY_SCRUBS: usize = 17;
-    pub const COMPACTION_TRUNCATED: usize = 18;
-    pub const REDECODE_MICROS: usize = 19;
-}
+use vbs_telemetry::{EventKind, Stage, Telemetry};
 
 /// Packs an origin into one event payload word (`x` high, `y` low).
 const fn pack_origin(origin: Coord) -> u64 {
@@ -166,16 +138,6 @@ pub struct SchedulerConfig {
     /// (rewritten from the decoded image) before the load counts as
     /// placed. Off by default: fault-free goldens stay bit-identical.
     pub verify: bool,
-    /// Maximum configuration frames a single [`Scheduler::compact`] pass
-    /// may rewrite (`0` = unbounded). A pass that hits the budget stops
-    /// executing its move plan and reports truncation in
-    /// [`SchedMetrics::compaction_truncated`]; the next pass re-plans from
-    /// the current layout and continues toward the same fixpoint, so a
-    /// bounded budget spreads one long defragmentation pause over several
-    /// short ones. The first move of a pass is always allowed, so
-    /// compaction makes progress even when one task alone exceeds the
-    /// budget.
-    pub compaction_frame_budget: u64,
     /// Byte budgets of the two decode-cache tiers (hot decoded arenas /
     /// warm compressed bytes), the one way to size the cache. The default —
     /// unbounded on both tiers — keeps every stream decoded once: nothing
@@ -193,15 +155,15 @@ impl Default for SchedulerConfig {
             compaction: true,
             write_retry_limit: 2,
             verify: false,
-            compaction_frame_budget: 0,
             cache_budget: CacheBudget::UNBOUNDED,
         }
     }
 }
 
-/// Aggregate counters of one scheduler's lifetime — a point-in-time view
-/// over the scheduler's telemetry counter bank (see [`Scheduler::metrics`]).
-/// All timing fields are `u64` microseconds with saturating accumulation.
+/// Aggregate counters of one scheduler's lifetime (see
+/// [`Scheduler::metrics`]). The scheduler keeps one of these and bumps it
+/// in place; decode-cache counters live in [`CacheStats`] instead. All
+/// timing fields are `u64` microseconds.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SchedMetrics {
     /// Load requests submitted.
@@ -243,26 +205,9 @@ pub struct SchedMetrics {
     pub crc_mismatches: u64,
     /// Scrub rewrites performed after a verify mismatch.
     pub verify_scrubs: u64,
-    /// Compaction passes cut short by
-    /// [`SchedulerConfig::compaction_frame_budget`] (the remainder of the
-    /// move plan deferred to a later pass).
-    pub compaction_truncated: u64,
-    /// Cache lookups served by the warm tier: the compressed bytes were
-    /// resident and the stream re-decoded on a pooled scratch. A
-    /// subset of the decode-cache misses (warm hits still decode).
-    pub warm_hits: u64,
     /// Time spent re-decoding warm cache entries, in microseconds (a
     /// subset of `decode_micros`).
     pub redecode_micros: u64,
-    /// Hot→warm decode-cache demotions (decoded arena released under byte
-    /// pressure, compressed bytes kept).
-    pub cache_demotions: u64,
-    /// Warm→hot decode-cache promotions (a re-decoded entry earned its
-    /// arena back).
-    pub cache_promotions: u64,
-    /// Bytes currently resident in the decode cache, both tiers
-    /// (point-in-time, not cumulative).
-    pub cache_resident_bytes: u64,
 }
 
 impl SchedMetrics {
@@ -338,10 +283,9 @@ pub struct Scheduler {
     clock: u64,
     next_job: u64,
     next_seq: u64,
-    /// This scheduler's private counter slots — the data behind the
-    /// [`SchedMetrics`] view. Separate from the (possibly fleet-shared)
-    /// telemetry registry so per-fabric counters never merge.
-    counters: CounterBank,
+    /// This scheduler's own counters. Separate from the (possibly
+    /// fleet-shared) telemetry registry so per-fabric counters never merge.
+    metrics: SchedMetrics,
     /// Span/event registry: stage latencies and the pipeline timeline.
     /// Disabled (recording no-ops) until one is installed.
     telemetry: Telemetry,
@@ -350,10 +294,6 @@ pub struct Scheduler {
     /// Recycled decoded-image buffers: cache evictions return here, decodes
     /// check out of here. Shared fleet-wide in multi-fabric deployments.
     pool: ScratchPool,
-    /// A budget-truncated compaction pass left moves unexecuted; the next
-    /// idle tick ([`Scheduler::advance_to`] with an empty queue) resumes
-    /// the plan instead of burning passes back-to-back.
-    deferred_compaction: bool,
 }
 
 impl Scheduler {
@@ -386,11 +326,10 @@ impl Scheduler {
             clock: 0,
             next_job: 1,
             next_seq: 0,
-            counters: CounterBank::new(),
+            metrics: SchedMetrics::default(),
             telemetry: Telemetry::disabled(),
             fabric: 0,
             pool,
-            deferred_compaction: false,
         };
         scheduler.set_verify(config.verify);
         scheduler
@@ -401,8 +340,8 @@ impl Scheduler {
     /// `fabric`. The registry reaches the controller's decodes too (through
     /// its scratch pool), so decode spans and events, checkout hit/miss
     /// events and [`SchedMetrics`] timing all run on one shared clock.
-    /// Counters keep accumulating in the scheduler's private bank either
-    /// way — installing telemetry never changes golden-trace counters.
+    /// [`SchedMetrics`] counts the same either way — installing telemetry
+    /// never changes golden-trace counters.
     pub fn set_telemetry(&mut self, telemetry: Telemetry, fabric: u16) {
         self.manager
             .controller_mut()
@@ -549,39 +488,13 @@ impl Scheduler {
         self.clock
     }
 
-    /// Aggregate counters so far — a snapshot view over the scheduler's
-    /// telemetry counter bank.
+    /// Aggregate counters so far (a copy).
     pub fn metrics(&self) -> SchedMetrics {
-        let cache = self.cache.stats();
-        SchedMetrics {
-            loads_submitted: self.counters.get(slot::LOADS_SUBMITTED),
-            loads_accepted: self.counters.get(slot::LOADS_ACCEPTED),
-            loads_rejected: self.counters.get(slot::LOADS_REJECTED),
-            deadline_missed: self.counters.get(slot::DEADLINE_MISSED),
-            evictions: self.counters.get(slot::EVICTIONS),
-            relocations: self.counters.get(slot::RELOCATIONS),
-            compaction_passes: self.counters.get(slot::COMPACTION_PASSES),
-            compaction_frames_moved: self.counters.get(slot::COMPACTION_FRAMES_MOVED),
-            compaction_micros: self.counters.get(slot::COMPACTION_MICROS),
-            decode_micros: self.counters.get(slot::DECODE_MICROS),
-            decodes: self.counters.get(slot::DECODES),
-            fragmentation_samples: self.counters.get(slot::FRAGMENTATION_SAMPLES),
-            fragmentation_sum: self.counters.float_total(slot::FRAGMENTATION_SUM),
-            utilization_sum: self.counters.float_total(slot::UTILIZATION_SUM),
-            write_retries: self.counters.get(slot::WRITE_RETRIES),
-            write_faults: self.counters.get(slot::WRITE_FAULTS),
-            crc_mismatches: self.counters.get(slot::CRC_MISMATCHES),
-            verify_scrubs: self.counters.get(slot::VERIFY_SCRUBS),
-            compaction_truncated: self.counters.get(slot::COMPACTION_TRUNCATED),
-            warm_hits: cache.warm_hits,
-            redecode_micros: self.counters.get(slot::REDECODE_MICROS),
-            cache_demotions: cache.demotions,
-            cache_promotions: cache.promotions,
-            cache_resident_bytes: cache.resident_bytes(),
-        }
+        self.metrics
     }
 
-    /// Decode-cache counters so far.
+    /// Decode-cache counters so far — the one source of warm hits,
+    /// demotions, promotions and resident bytes.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }
@@ -608,26 +521,11 @@ impl Scheduler {
     }
 
     /// Advances the logical clock (monotonic; earlier ticks are ignored).
-    ///
-    /// An idle tick — the clock actually advances and no requests are
-    /// queued — resumes a budget-truncated compaction plan with one more
-    /// bounded pass, so a long defragmentation spreads over the gaps
-    /// between request bursts instead of burning its passes back-to-back
-    /// inside one placement. With an unbounded
-    /// [`SchedulerConfig::compaction_frame_budget`] passes never truncate
-    /// and idle ticks never compact, so default-config behavior (and every
-    /// golden trace) is unchanged.
+    /// Time-keyed fault models (outage windows) follow the same clock; an
+    /// idle tick does no other work.
     pub fn advance_to(&mut self, tick: u64) {
-        let advanced = tick > self.clock;
         self.clock = self.clock.max(tick);
-        // Time-keyed fault models (outage windows) follow the same clock.
         self.manager.controller().advance_clock(self.clock);
-        if advanced && self.deferred_compaction && self.queue.is_empty() {
-            // One bounded pass per idle tick; compact() re-arms the flag
-            // if the budget truncates the plan again.
-            self.deferred_compaction = false;
-            self.compact();
-        }
     }
 
     /// Enqueues a request and returns its job id (for loads, the id the
@@ -646,7 +544,7 @@ impl Scheduler {
     /// returned, so fleet and shard name a job alike.
     pub(crate) fn enqueue(&mut self, job: u64, request: Request) {
         if matches!(request, Request::Load { .. }) {
-            self.counters.add(slot::LOADS_SUBMITTED, 1);
+            self.metrics.loads_submitted += 1;
         }
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -716,18 +614,11 @@ impl Scheduler {
     /// shuttled through intermediate positions) while converging to the
     /// same packed layout. Every move is a decode-free bulk word-arena
     /// relocation; the pass records its pause cost (frames moved + wall
-    /// microseconds) in [`SchedMetrics`]. Returns the number of
-    /// relocations.
-    ///
-    /// With a nonzero [`SchedulerConfig::compaction_frame_budget`] the pass
-    /// stops executing its plan once the budget is spent (after at least
-    /// one move); the deferred moves are re-planned by the next pass from
-    /// wherever the layout stands, so repeated bounded passes converge to
-    /// the same fixpoint as one unbounded pass, in several short pauses
-    /// instead of one long one.
+    /// microseconds) in [`SchedMetrics`]. Every pass runs its whole plan.
+    /// Returns the number of relocations.
     pub fn compact(&mut self) -> usize {
         let pause_start = self.telemetry.now();
-        self.counters.add(slot::COMPACTION_PASSES, 1);
+        self.metrics.compaction_passes += 1;
         let view = self.manager.fabric_view();
 
         // Phase 1 — plan: replay the greedy sweeps on rectangles only.
@@ -777,48 +668,31 @@ impl Scheduler {
             .filter(|(job, region)| original.get(job) != Some(region))
             .collect();
         plan.sort_by_key(|(_, region)| (region.origin.y, region.origin.x));
-        let budget = self.config.compaction_frame_budget;
         let mut moves = 0usize;
         let mut frames = 0u64;
-        let mut truncated = false;
         while !plan.is_empty() {
             let before = moves;
-            plan.retain(|&(job, region)| {
-                // Over-budget moves stay planned but unexecuted: the next
-                // pass re-plans them from the layout this one leaves
-                // behind. The first move always runs, so a task bigger
-                // than the whole budget cannot wedge compaction.
-                if budget != 0 && moves > 0 && frames + region.area() as u64 > budget {
-                    truncated = true;
-                    return true;
-                }
-                match self.relocate_resident(job, region.origin) {
+            plan.retain(
+                |&(job, region)| match self.relocate_resident(job, region.origin) {
                     Ok(()) => {
                         moves += 1;
                         frames += region.area() as u64;
                         false
                     }
                     Err(_blocked) => true,
-                }
-            });
+                },
+            );
             if moves == before {
                 break;
             }
         }
-        self.counters.add(slot::RELOCATIONS, moves as u64);
-        self.counters.add(slot::COMPACTION_FRAMES_MOVED, frames);
-        if truncated {
-            self.counters.add(slot::COMPACTION_TRUNCATED, 1);
-        }
-        // A truncated plan waits for the next idle tick (see advance_to);
-        // a completed pass disarms any pending resumption.
-        self.deferred_compaction = truncated;
+        self.metrics.relocations += moves as u64;
+        self.metrics.compaction_frames_moved += frames;
         // The pause span doubles as the counter source, so the histogram
         // and the golden-counter total always agree.
-        let pause = self
+        self.metrics.compaction_micros += self
             .telemetry
             .record_span(Stage::CompactionPause, pause_start);
-        self.counters.add(slot::COMPACTION_MICROS, pause);
         self.telemetry.event_span(
             EventKind::CompactPass,
             self.fabric,
@@ -886,11 +760,11 @@ impl Scheduler {
                 return Err(e);
             }
         };
-        self.counters.add(slot::DECODES, 1);
-        self.counters.add(slot::DECODE_MICROS, report.micros);
+        self.metrics.decodes += 1;
+        self.metrics.decode_micros += report.micros;
         self.telemetry.record_micros(Stage::Decode, report.micros);
         if warm {
-            self.counters.add(slot::REDECODE_MICROS, report.micros);
+            self.metrics.redecode_micros += report.micros;
             self.telemetry.record_micros(Stage::Redecode, report.micros);
             self.telemetry.event_span(
                 EventKind::WarmHit,
@@ -971,7 +845,7 @@ impl Scheduler {
             },
             Request::Relocate { job: target, to } => match self.relocate_resident(target, to) {
                 Ok(()) => {
-                    self.counters.add(slot::RELOCATIONS, 1);
+                    self.metrics.relocations += 1;
                     // An explicit relocation is a use of the task.
                     self.touch(target);
                     Outcome::Relocated {
@@ -1029,8 +903,8 @@ impl Scheduler {
         deadline: Option<u64>,
     ) -> Outcome {
         if deadline.is_some_and(|d| self.clock > d) {
-            self.counters.add(slot::LOADS_REJECTED, 1);
-            self.counters.add(slot::DEADLINE_MISSED, 1);
+            self.metrics.loads_rejected += 1;
+            self.metrics.deadline_missed += 1;
             return Outcome::Rejected {
                 job,
                 reason: RejectReason::DeadlineMissed,
@@ -1040,7 +914,7 @@ impl Scheduler {
         let decoded = match self.decoded_with(job, task) {
             Ok(d) => d,
             Err(RuntimeError::UnknownTask { .. }) => {
-                self.counters.add(slot::LOADS_REJECTED, 1);
+                self.metrics.loads_rejected += 1;
                 return Outcome::Rejected {
                     job,
                     reason: RejectReason::UnknownTask,
@@ -1048,7 +922,7 @@ impl Scheduler {
                 };
             }
             Err(e) => {
-                self.counters.add(slot::LOADS_REJECTED, 1);
+                self.metrics.loads_rejected += 1;
                 return Outcome::Rejected {
                     job,
                     reason: RejectReason::Runtime(e.to_string()),
@@ -1063,7 +937,7 @@ impl Scheduler {
         // evicting anyone on its behalf.
         let device = self.manager.controller().device();
         if w > device.width() || h > device.height() {
-            self.counters.add(slot::LOADS_REJECTED, 1);
+            self.metrics.loads_rejected += 1;
             return Outcome::Rejected {
                 job,
                 reason: RejectReason::NoCapacity,
@@ -1075,19 +949,12 @@ impl Scheduler {
         // free region. Compaction-pause spans nest inside it.
         let placement_start = self.telemetry.now();
         let mut evicted = Vec::new();
-        // Once a budgeted pass truncates, this request stops re-compacting:
-        // the rest of the plan belongs to idle ticks (see advance_to), not
-        // to back-to-back passes inside one placement. Unbudgeted passes
-        // never truncate, so the classic retry-after-eviction loop is
-        // unchanged.
-        let mut compaction_exhausted = false;
         let origin = loop {
             if let Some(origin) = self.manager.find_free_region(w, h) {
                 break Some(origin);
             }
-            if self.config.compaction && !compaction_exhausted {
+            if self.config.compaction {
                 let moved = self.compact();
-                compaction_exhausted = self.deferred_compaction;
                 if moved > 0 {
                     if let Some(origin) = self.manager.find_free_region(w, h) {
                         break Some(origin);
@@ -1108,7 +975,7 @@ impl Scheduler {
             // As with explicit unloads: the bookkeeping entry is gone even
             // when the fabric refuses the clear, so the eviction stands.
             let _ = self.manager.unload(resident.handle);
-            self.counters.add(slot::EVICTIONS, 1);
+            self.metrics.evictions += 1;
             self.telemetry
                 .event(EventKind::Evict, self.fabric, 0, victim, job);
             evicted.push(victim);
@@ -1117,7 +984,7 @@ impl Scheduler {
             .record_span(Stage::Placement, placement_start);
 
         let Some(origin) = origin else {
-            self.counters.add(slot::LOADS_REJECTED, 1);
+            self.metrics.loads_rejected += 1;
             return Outcome::Rejected {
                 job,
                 reason: RejectReason::NoCapacity,
@@ -1168,7 +1035,7 @@ impl Scheduler {
                         last_used: self.clock,
                     },
                 );
-                self.counters.add(slot::LOADS_ACCEPTED, 1);
+                self.metrics.loads_accepted += 1;
                 Outcome::Loaded {
                     job,
                     handle,
@@ -1178,7 +1045,7 @@ impl Scheduler {
                 }
             }
             Err(e) => {
-                self.counters.add(slot::LOADS_REJECTED, 1);
+                self.metrics.loads_rejected += 1;
                 Outcome::Rejected {
                     job,
                     reason: RejectReason::Runtime(e.to_string()),
@@ -1223,7 +1090,7 @@ impl Scheduler {
                     }
                 }
                 Err(e @ RuntimeError::WriteFault { .. }) => {
-                    self.counters.add(slot::WRITE_FAULTS, 1);
+                    self.metrics.write_faults += 1;
                     if !matches!(
                         e,
                         RuntimeError::WriteFault {
@@ -1241,7 +1108,7 @@ impl Scheduler {
                 return Err(error);
             }
             attempts += 1;
-            self.counters.add(slot::WRITE_RETRIES, 1);
+            self.metrics.write_retries += 1;
             self.telemetry
                 .event(EventKind::WriteRetry, self.fabric, 0, job, attempts as u64);
         }
@@ -1260,10 +1127,10 @@ impl Scheduler {
         match self.manager.controller().verify_region(region) {
             Ok(()) => Ok(()),
             Err(RuntimeError::Memory(BitstreamError::CrcMismatch { at })) => {
-                self.counters.add(slot::CRC_MISMATCHES, 1);
+                self.metrics.crc_mismatches += 1;
                 self.telemetry
                     .event(EventKind::CrcMismatch, self.fabric, 0, job, pack_origin(at));
-                self.counters.add(slot::VERIFY_SCRUBS, 1);
+                self.metrics.verify_scrubs += 1;
                 self.manager.controller_mut().load_decoded(stream, origin)?;
                 self.manager.controller().verify_region(region)
             }
@@ -1290,13 +1157,12 @@ impl Scheduler {
     fn sample_fragmentation(&mut self) {
         let view = self.manager.fabric_view();
         let fragmentation = view.fragmentation();
-        self.counters.add(slot::FRAGMENTATION_SAMPLES, 1);
-        self.counters
-            .float_add(slot::FRAGMENTATION_SUM, fragmentation);
+        self.metrics.fragmentation_samples += 1;
+        self.metrics.fragmentation_sum += fragmentation;
         let total = view.total_area();
         if total > 0 {
             let utilization = 1.0 - view.free_area() as f64 / total as f64;
-            self.counters.float_add(slot::UTILIZATION_SUM, utilization);
+            self.metrics.utilization_sum += utilization;
             // One utilization sample per processed request: the per-fabric
             // occupancy timeline (per-mille payloads keep the event fixed
             // width).

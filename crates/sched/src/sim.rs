@@ -302,12 +302,7 @@ impl MultiSimReport {
             total.write_faults += m.write_faults;
             total.crc_mismatches += m.crc_mismatches;
             total.verify_scrubs += m.verify_scrubs;
-            total.compaction_truncated += m.compaction_truncated;
-            total.warm_hits += m.warm_hits;
             total.redecode_micros += m.redecode_micros;
-            total.cache_demotions += m.cache_demotions;
-            total.cache_promotions += m.cache_promotions;
-            total.cache_resident_bytes += m.cache_resident_bytes;
         }
         total
     }
@@ -413,13 +408,7 @@ fn metrics_delta(after: SchedMetrics, before: &SchedMetrics) -> SchedMetrics {
         write_faults: after.write_faults - before.write_faults,
         crc_mismatches: after.crc_mismatches - before.crc_mismatches,
         verify_scrubs: after.verify_scrubs - before.verify_scrubs,
-        compaction_truncated: after.compaction_truncated - before.compaction_truncated,
-        warm_hits: after.warm_hits - before.warm_hits,
         redecode_micros: after.redecode_micros - before.redecode_micros,
-        cache_demotions: after.cache_demotions - before.cache_demotions,
-        cache_promotions: after.cache_promotions - before.cache_promotions,
-        // Point-in-time residency, not a counter: report the final value.
-        cache_resident_bytes: after.cache_resident_bytes,
     }
 }
 

@@ -266,158 +266,6 @@ fn batch_compaction_matches_the_greedy_sweeps_bit_for_bit() {
     assert_fabric_invariants(&greedy);
 }
 
-/// A frame budget bounds every individual pass (the pause) without changing
-/// where compaction ends up: repeated budgeted passes converge to the same
-/// layout and the same memory bits as one unbounded pass, and the truncated
-/// passes are counted.
-#[test]
-fn budgeted_passes_converge_to_the_unbounded_layout() {
-    let base = SchedulerConfig {
-        eviction_limit: 0,
-        compaction: false,
-        ..SchedulerConfig::default()
-    };
-    let budget = 20u64; // below one 5x5 task, well below a full plan
-    let bounded_cfg = SchedulerConfig {
-        compaction_frame_budget: budget,
-        ..base
-    };
-    let mut unbounded = scheduler(11, 11, 0, Box::new(BestFit), base);
-    let mut bounded = scheduler(11, 11, 0, Box::new(BestFit), bounded_cfg);
-    assert_eq!(fragment(&mut unbounded), fragment(&mut bounded));
-
-    let unbounded_moves = unbounded.compact();
-    assert!(unbounded_moves > 1, "fixture must need several moves");
-    let unbounded_frames = unbounded.metrics().compaction_frames_moved;
-
-    // Drive the bounded scheduler to its fixpoint, checking the per-pass
-    // bound on the way: a pass may only exceed the budget through its
-    // guaranteed first move.
-    let mut total_moves = 0usize;
-    for pass in 0..50 {
-        let before = bounded.metrics();
-        let moves = bounded.compact();
-        let pass_frames =
-            bounded.metrics().compaction_frames_moved - before.compaction_frames_moved;
-        assert!(
-            pass_frames <= budget || moves == 1,
-            "pass {pass} rewrote {pass_frames} frames in {moves} moves \
-             against a budget of {budget}"
-        );
-        total_moves += moves;
-        if moves == 0 {
-            break;
-        }
-    }
-    let bounded_metrics = bounded.metrics();
-    assert!(
-        bounded_metrics.compaction_truncated >= 1,
-        "a {budget}-frame budget must truncate at least one pass: {bounded_metrics:?}"
-    );
-    assert_eq!(
-        bounded_metrics.compaction_frames_moved, unbounded_frames,
-        "budgeting must split the rewrites, not add any"
-    );
-    assert!(total_moves >= unbounded_moves);
-
-    // Same fixpoint: layout and memory bits match the unbounded pass.
-    let layout = |sched: &Scheduler| {
-        let mut r: Vec<(u64, Rect)> = sched
-            .residents()
-            .iter()
-            .map(|i| (i.job, i.region))
-            .collect();
-        r.sort_by_key(|&(job, _)| job);
-        r
-    };
-    assert_eq!(layout(&bounded), layout(&unbounded));
-    assert_eq!(
-        full_memory_image(&bounded)
-            .diff_count(&full_memory_image(&unbounded))
-            .unwrap(),
-        0
-    );
-    assert_fabric_invariants(&bounded);
-    assert_fabric_invariants(&unbounded);
-}
-
-/// A truncated pass re-arms itself: after one explicit `compact()` call is
-/// cut short by the frame budget, every idle tick (the clock advances with
-/// no pending work) resumes exactly one more budgeted pass, until the
-/// schedule converges to the unbounded fixpoint with no further explicit
-/// calls. Once converged, idle ticks relocate nothing.
-#[test]
-fn idle_ticks_resume_truncated_compaction_to_the_fixpoint() {
-    let base = SchedulerConfig {
-        eviction_limit: 0,
-        compaction: false,
-        ..SchedulerConfig::default()
-    };
-    let bounded_cfg = SchedulerConfig {
-        compaction_frame_budget: 20,
-        ..base
-    };
-    let mut unbounded = scheduler(11, 11, 0, Box::new(BestFit), base);
-    let mut bounded = scheduler(11, 11, 0, Box::new(BestFit), bounded_cfg);
-    assert_eq!(fragment(&mut unbounded), fragment(&mut bounded));
-
-    assert!(unbounded.compact() > 1, "fixture must need several moves");
-    let unbounded_frames = unbounded.metrics().compaction_frames_moved;
-
-    // One explicit pass, cut short by the budget; everything after rides
-    // on idle ticks alone.
-    assert!(bounded.compact() > 0);
-    assert!(
-        bounded.metrics().compaction_truncated >= 1,
-        "the 20-frame budget must truncate the first pass"
-    );
-
-    let mut resumed = 0usize;
-    for t in 0..50u64 {
-        let passes_before = bounded.metrics().compaction_passes;
-        bounded.advance_to(1_000 + t);
-        if bounded.metrics().compaction_passes == passes_before {
-            break; // the deferral cleared: nothing left to resume
-        }
-        resumed += 1;
-    }
-    assert!(resumed >= 1, "idle ticks must resume the truncated pass");
-    assert_eq!(
-        bounded.metrics().compaction_frames_moved,
-        unbounded_frames,
-        "idle-tick resumption must split the rewrites, not add any"
-    );
-
-    // Same fixpoint as the single unbounded pass: layout and memory bits.
-    let layout = |sched: &Scheduler| {
-        let mut r: Vec<(u64, Rect)> = sched
-            .residents()
-            .iter()
-            .map(|i| (i.job, i.region))
-            .collect();
-        r.sort_by_key(|&(job, _)| job);
-        r
-    };
-    assert_eq!(layout(&bounded), layout(&unbounded));
-    assert_eq!(
-        full_memory_image(&bounded)
-            .diff_count(&full_memory_image(&unbounded))
-            .unwrap(),
-        0
-    );
-
-    // At the fixpoint further idle ticks are inert.
-    let relocations = bounded.metrics().relocations;
-    bounded.advance_to(10_000);
-    assert_eq!(
-        bounded.metrics().relocations,
-        relocations,
-        "a converged scheduler must not relocate on idle ticks"
-    );
-    assert_fabric_invariants(&bounded);
-    assert_fabric_invariants(&unbounded);
-}
-
 /// Compaction triggered from the load path (placement failure) stays
 /// decode-free too, and every resident's frames survive the moves intact.
 #[test]
@@ -460,6 +308,26 @@ fn load_triggered_compaction_preserves_every_resident_image() {
          (got {} decodes)",
         sched.metrics().decodes - decodes_before
     );
+
+    // An idle tick after the load relocates nothing: compaction runs only
+    // when a placement fails or a caller asks for it.
+    let layout = |sched: &Scheduler| {
+        let mut r: Vec<(u64, Rect)> = sched
+            .residents()
+            .iter()
+            .map(|i| (i.job, i.region))
+            .collect();
+        r.sort_by_key(|&(job, _)| job);
+        r
+    };
+    let (relocations, regions) = (sched.metrics().relocations, layout(&sched));
+    sched.advance_to(sched.now() + 1_000);
+    assert_eq!(
+        sched.metrics().relocations,
+        relocations,
+        "an idle tick must not relocate"
+    );
+    assert_eq!(layout(&sched), regions, "an idle tick must not move a task");
 
     for (job, reference) in references {
         let info = sched

@@ -16,7 +16,11 @@
 
 use std::collections::{HashMap, HashSet};
 use vbs_arch::Rect;
-use vbs_sched::{CacheBudget, McncCorpus, Outcome, Request, SchedulerConfig, TraceOp};
+use vbs_sched::{
+    CacheBudget, CacheStats, McncCorpus, Outcome, Request, SchedMetrics, Scheduler,
+    SchedulerConfig, TraceOp,
+};
+use vbs_telemetry::Telemetry;
 
 fn corpus() -> McncCorpus {
     McncCorpus::load(concat!(
@@ -116,6 +120,56 @@ fn replay_counters_match_golden_under_finite_cache_budget() {
         "the 24 KiB hot budget must force hot-tier pressure (demotions or \
          gated admissions) and warm re-decodes on the steady trace: {stats:?}"
     );
+}
+
+/// One fabric's counters with the wall-clock fields zeroed, plus the bits
+/// of its two `f64` sums (`==` on `f64` takes `-0.0` for `0.0`; the bits
+/// do not).
+fn clock_free_counters(scheduler: &Scheduler) -> (SchedMetrics, [u64; 2], CacheStats) {
+    let metrics = SchedMetrics {
+        decode_micros: 0,
+        compaction_micros: 0,
+        redecode_micros: 0,
+        ..scheduler.metrics()
+    };
+    let sums = [
+        metrics.fragmentation_sum.to_bits(),
+        metrics.utilization_sum.to_bits(),
+    ];
+    (metrics, sums, scheduler.cache_stats())
+}
+
+/// Installing a live telemetry registry adds spans, histograms and events,
+/// never a counter bump: the steady trace replays to the same counters
+/// with a disabled registry and with a live one, on the corpus single
+/// fabric and on the least-loaded fleet.
+#[test]
+fn installing_telemetry_changes_no_counter() {
+    let corpus = corpus();
+    let trace = corpus.trace("steady").expect("steady trace present");
+
+    let single = |telemetry: Telemetry| {
+        let mut scheduler = corpus.single_scheduler();
+        scheduler.set_telemetry(telemetry, 0);
+        vbs_sched::replay(&mut scheduler, trace);
+        clock_free_counters(&scheduler)
+    };
+    let live = Telemetry::new();
+    assert_eq!(single(Telemetry::disabled()), single(live.clone()));
+    assert!(live.ring_stats().recorded > 0, "the live registry recorded");
+
+    let fleet = |telemetry: Telemetry| {
+        let mut fleet = corpus
+            .fleet_scheduler("least-loaded")
+            .expect("least-loaded is a shard policy");
+        fleet.set_telemetry(telemetry);
+        vbs_sched::replay_multi(&mut fleet, trace);
+        let fabrics: Vec<_> = fleet.fabrics().iter().map(clock_free_counters).collect();
+        (*fleet.metrics(), fabrics)
+    };
+    let live = Telemetry::new();
+    assert_eq!(fleet(Telemetry::disabled()), fleet(live.clone()));
+    assert!(live.ring_stats().recorded > 0, "the live registry recorded");
 }
 
 #[test]

@@ -21,14 +21,12 @@
 //!   passes, migrations) with global sequence numbers and timestamps;
 //! * [`Telemetry`] — the shared registry handle tying the three together:
 //!   one histogram per pipeline [`Stage`], one event ring, one clock, and a
-//!   bank of saturating counter slots that [`SchedMetrics`]-style views are
-//!   built over;
+//!   few saturating counter slots (the controller's route counts);
 //! * exporters — [`metrics_json`] (machine-readable snapshot),
 //!   [`summary_table`] (human-readable), and [`chrome_trace`]
 //!   (`chrome://tracing` / Perfetto trace-event JSON with one track per
 //!   decode lane and one process per fabric).
 //!
-//! [`SchedMetrics`]: https://docs.rs/vbs-sched
 //! [`metrics_json`]: export::metrics_json
 //! [`summary_table`]: export::summary_table
 //! [`chrome_trace`]: export::chrome_trace
@@ -46,5 +44,5 @@ mod ring;
 pub use clock::{Clock, MonotonicClock, TestClock};
 pub use event::{Event, EventKind, Stage, FLEET_FABRIC};
 pub use hist::{HistogramSummary, LatencyHistogram};
-pub use registry::{CounterBank, Span, Telemetry, COUNTER_SLOTS};
+pub use registry::{Span, Telemetry};
 pub use ring::{EventRing, RingStats};

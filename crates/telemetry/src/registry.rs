@@ -1,5 +1,5 @@
 //! The telemetry registry: one clock, one histogram per stage, one event
-//! ring, and a bank of saturating counter slots, behind one cloneable
+//! ring, and a few saturating counter slots, behind one cloneable
 //! thread-safe handle.
 
 use crate::clock::{Clock, MonotonicClock};
@@ -9,71 +9,21 @@ use crate::ring::{EventRing, RingStats};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Number of generic counter slots a bank carries. Embedding crates define
-/// their own slot constants over these indices (e.g. `vbs-sched` maps its
-/// `SchedMetrics` fields here), so counter bumps share the bank's
-/// thread-safety without a per-crate registry type.
-pub const COUNTER_SLOTS: usize = 32;
-
-/// A standalone bank of [`COUNTER_SLOTS`] lock-free counter slots.
-///
-/// Integer slots accumulate with saturating adds; a slot may instead hold
-/// an `f64` accumulator via [`CounterBank::float_add`] (the embedder
-/// decides which slot is which — the two interpretations never mix on one
-/// slot). Metrics views like `vbs-sched`'s `SchedMetrics` are snapshots of
-/// a bank. Components that must keep *separate* totals (one per fabric)
-/// while sharing one span/event registry hold their own bank next to the
-/// shared [`Telemetry`] handle.
-#[derive(Debug, Default)]
-pub struct CounterBank {
-    slots: [AtomicU64; COUNTER_SLOTS],
-}
-
-impl CounterBank {
-    /// A bank with every slot at zero.
-    pub fn new() -> Self {
-        CounterBank::default()
-    }
-
-    /// Adds to a counter slot, saturating at `u64::MAX`.
-    pub fn add(&self, slot: usize, delta: u64) {
-        let _ = self.slots[slot].fetch_update(Ordering::Relaxed, Ordering::Relaxed, |c| {
-            Some(c.saturating_add(delta))
-        });
-    }
-
-    /// Reads a counter slot.
-    pub fn get(&self, slot: usize) -> u64 {
-        self.slots[slot].load(Ordering::Relaxed)
-    }
-
-    /// Accumulates into an `f64` slot (the slot must only ever be used
-    /// through the float API). Lock-free CAS on the bit pattern; additions
-    /// from one thread fold in submission order, so single-threaded
-    /// accumulation is bit-identical to `+=`.
-    pub fn float_add(&self, slot: usize, delta: f64) {
-        let _ = self.slots[slot].fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
-            Some((f64::from_bits(bits) + delta).to_bits())
-        });
-    }
-
-    /// Reads an `f64` slot.
-    pub fn float_total(&self, slot: usize) -> f64 {
-        f64::from_bits(self.slots[slot].load(Ordering::Relaxed))
-    }
-}
+/// Number of generic counter slots a registry carries. Embedding crates
+/// define their own slot constants over these indices (the runtime's
+/// route counts, for one).
+const COUNTER_SLOTS: usize = 32;
 
 #[derive(Debug)]
 struct Inner {
     clock: Arc<dyn Clock>,
     /// One histogram per stage, or `None` for a disabled registry: then
     /// span/histogram/event recording is skipped entirely (counters stay
-    /// live — they are the metrics source of truth), and the registry holds
-    /// no bucket storage at all.
+    /// live), and the registry holds no bucket storage at all.
     histograms: Option<[LatencyHistogram; Stage::COUNT]>,
     ring: EventRing,
-    /// The registry's own counter bank (see [`CounterBank`]).
-    counters: CounterBank,
+    /// Lock-free counter slots (see [`Telemetry::counter_add`]).
+    counters: [AtomicU64; COUNTER_SLOTS],
 }
 
 /// The histogram every disabled registry hands out: allocated once per
@@ -115,7 +65,7 @@ impl Telemetry {
                 clock,
                 histograms: Some(std::array::from_fn(|_| LatencyHistogram::new())),
                 ring: EventRing::new(ring_capacity),
-                counters: CounterBank::new(),
+                counters: Default::default(),
             }),
         }
     }
@@ -130,7 +80,7 @@ impl Telemetry {
                 clock: Arc::new(MonotonicClock::new()),
                 histograms: None,
                 ring: EventRing::new(0),
-                counters: CounterBank::new(),
+                counters: Default::default(),
             }),
         }
     }
@@ -250,30 +200,17 @@ impl Telemetry {
 
     // --- Counters ----------------------------------------------------------
 
-    /// The registry's counter bank.
-    pub fn counters(&self) -> &CounterBank {
-        &self.inner.counters
-    }
-
-    /// Adds to a registry counter slot, saturating at `u64::MAX`.
+    /// Adds to a registry counter slot (one of 32), saturating at
+    /// `u64::MAX`.
     pub fn counter_add(&self, slot: usize, delta: u64) {
-        self.inner.counters.add(slot, delta);
+        let _ = self.inner.counters[slot].fetch_update(Ordering::Relaxed, Ordering::Relaxed, |c| {
+            Some(c.saturating_add(delta))
+        });
     }
 
     /// Reads a registry counter slot.
     pub fn counter(&self, slot: usize) -> u64 {
-        self.inner.counters.get(slot)
-    }
-
-    /// Accumulates into an `f64` registry slot (see
-    /// [`CounterBank::float_add`]).
-    pub fn float_add(&self, slot: usize, delta: f64) {
-        self.inner.counters.float_add(slot, delta);
-    }
-
-    /// Reads an `f64` registry slot.
-    pub fn float_total(&self, slot: usize) -> f64 {
-        self.inner.counters.float_total(slot)
+        self.inner.counters[slot].load(Ordering::Relaxed)
     }
 }
 

@@ -248,13 +248,10 @@ fn disabled_telemetry_records_nothing_but_counts() {
     telemetry.event(EventKind::Enqueue, 0, 0, 1, 0);
     assert_every_histogram_empty("after spans and record_micros");
     assert_eq!(telemetry.ring_stats().recorded, 0);
-    // Counter slots stay live: they back SchedMetrics views.
+    // Counter slots stay live: they carry the controller's route counts.
     telemetry.counter_add(3, 2);
     telemetry.counter_add(3, u64::MAX);
     assert_eq!(telemetry.counter(3), u64::MAX, "counter adds saturate");
-    telemetry.float_add(7, 0.5);
-    telemetry.float_add(7, 0.25);
-    assert!((telemetry.float_total(7) - 0.75).abs() < 1e-12);
 }
 
 #[test]

@@ -165,8 +165,8 @@ pub trait FrameSink {
 ///   handful of small arrays each) and allocates every working buffer at
 ///   most once, sized by the largest pattern, before decoding starts.
 /// * A scratch is intentionally cheap to construct ([`DecodeScratch::new`]
-///   allocates nothing); per-worker long-lived scratches are the intended
-///   usage (one per decode thread, never shared).
+///   allocates nothing); one long-lived scratch reused by every decode is
+///   the intended usage (held by one decode at a time, never shared).
 #[derive(Debug, Default)]
 pub struct DecodeScratch {
     search: SearchScratch,

@@ -17,10 +17,10 @@ use vbs_telemetry::{EventKind, Stage, Telemetry, FLEET_FABRIC};
 /// the coded routes the decodes expanded — with [`ROUTE_SEARCHES_SLOT`],
 /// what tells a slow decode (same counts, more time) from a long one (more
 /// routes, or more of them searched).
-pub const ROUTES_EXPANDED_SLOT: usize = 20;
+pub const ROUTES_EXPANDED_SLOT: usize = 0;
 /// Counter slot accumulating the routes that were not a single switch and
 /// ran the cluster search (see [`vbs_core::DecodeScratch::route_counts`]).
-pub const ROUTE_SEARCHES_SLOT: usize = 21;
+pub const ROUTE_SEARCHES_SLOT: usize = 1;
 
 /// Timing and composition report of one de-virtualization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -326,9 +326,10 @@ impl ReconfigurationController {
     /// decoded images (first decodes and warm-tier re-decodes alike) hand
     /// the result to [`ReconfigurationController::load_decoded`].
     ///
-    /// The decode records a `DecodeStart` / `DecodeEnd` event pair and a
-    /// [`Stage::LaneBusy`] span, and adds its route counts to
+    /// The decode records one [`Stage::Decode`] sample and one
+    /// [`EventKind::Decode`] span, and adds its route counts to
     /// [`ROUTES_EXPANDED_SLOT`] / [`ROUTE_SEARCHES_SLOT`], success or not.
+    /// [`DecodeReport::micros`] is that same sample.
     ///
     /// # Errors
     ///
@@ -344,7 +345,6 @@ impl ReconfigurationController {
         let start = telemetry.now();
         let devirtualizer = Devirtualizer::new(stream).map_err(RuntimeError::Decode)?;
         let records = devirtualizer.record_count();
-        telemetry.event(EventKind::DecodeStart, self.fabric, 0, 0, 0);
         let mut scratch = self.pool.checkout_scratch();
         let before = scratch.route_counts();
         let result = devirtualizer.decode_into(task, &mut scratch);
@@ -352,19 +352,12 @@ impl ReconfigurationController {
         telemetry.counter_add(ROUTES_EXPANDED_SLOT, routes - before.0);
         telemetry.counter_add(ROUTE_SEARCHES_SLOT, searches - before.1);
         self.pool.put_scratch(scratch);
-        telemetry.record_span(Stage::LaneBusy, start);
-        telemetry.event_span(
-            EventKind::DecodeEnd,
-            self.fabric,
-            0,
-            records as u64,
-            0,
-            start,
-        );
+        let micros = telemetry.record_span(Stage::Decode, start);
+        telemetry.event_span(EventKind::Decode, self.fabric, records as u64, 0, start);
         result.map_err(RuntimeError::Decode)?;
         Ok(DecodeReport {
             records,
-            micros: telemetry.now().saturating_sub(start),
+            micros,
             raw_bits: task.size_bits(),
         })
     }
@@ -544,12 +537,14 @@ mod tests {
         let decode_events: Vec<_> = telemetry
             .events()
             .into_iter()
-            .filter(|e| matches!(e.kind, EventKind::DecodeStart | EventKind::DecodeEnd))
+            .filter(|e| e.kind == EventKind::Decode)
             .collect();
-        assert_eq!(decode_events.len(), 4);
-        assert!(decode_events.iter().all(|e| e.fabric == 3 && e.lane == 0));
-        assert_eq!(decode_events[1].a, vbs.records().len() as u64);
-        assert_eq!(telemetry.histogram(Stage::LaneBusy).count(), 2);
+        assert_eq!(decode_events.len(), 2);
+        assert!(decode_events.iter().all(|e| e.fabric == 3));
+        assert!(decode_events
+            .iter()
+            .all(|e| e.a == vbs.records().len() as u64));
+        assert_eq!(telemetry.histogram(Stage::Decode).count(), 2);
     }
 
     #[test]

@@ -1,20 +1,21 @@
 //! A shared pool of recycled decode state: decoded-image buffers **and**
-//! decode scratch arenas.
+//! one decode scratch arena.
 //!
 //! De-virtualizing a stream needs one decoded-image buffer per load plus one
-//! [`DecodeScratch`] per decode in flight; at fleet scale those are the two
-//! biggest allocations of the hot path (`width · height` frames in one word
-//! arena, and the cluster patterns and search state the scratch derives).
+//! [`DecodeScratch`]; at fleet scale those are the two biggest allocations
+//! of the hot path (`width · height` frames in one word arena, and the
+//! cluster patterns and search state the scratch derives).
 //! The pool closes both loops:
 //!
 //! * **Buffers** — staging images checked out by a load come back when the
 //!   load ends, or when a decode cache evicts them, and
 //!   [`TaskBitstream::reset`] reshapes a recycled buffer in place, so
 //!   steady-state decoding recycles memory instead of allocating it.
-//! * **Scratches** — every decode checks a [`DecodeScratch`] out and parks
-//!   it back afterwards, failed or not. A controller's loads run one at a
-//!   time, so after warm-up the pool holds one warm scratch
-//!   (`scratch_fresh == 1`) and no load allocates again.
+//! * **Scratch** — every decode checks the [`DecodeScratch`] out and parks
+//!   it back afterwards, failed or not. Decodes run one at a time on the
+//!   caller's thread, so the pool parks one scratch: after warm-up it is
+//!   the one warm scratch (`scratch_fresh == 1`) and no load allocates
+//!   again.
 //!
 //! The pool is `Clone` + thread-safe (a shared handle): one pool typically
 //! serves every fabric of a fleet and its schedulers' decode caches.
@@ -50,14 +51,15 @@ pub struct ScratchPoolStats {
     /// allocation-free; the scratch allocates lazily on its first decode
     /// unless it was warmed through [`ScratchPool::warm_scratches`]).
     pub scratch_fresh: u64,
-    /// Scratches currently parked in the pool.
+    /// Scratches currently parked in the pool (0 or 1).
     pub scratch_parked: usize,
 }
 
 #[derive(Debug)]
 struct PoolInner {
     buffers: Vec<TaskBitstream>,
-    scratches: Vec<DecodeScratch>,
+    /// The one parked decode scratch.
+    scratch: Option<DecodeScratch>,
     reused: u64,
     fresh: u64,
     recycled: u64,
@@ -73,7 +75,7 @@ impl Default for PoolInner {
     fn default() -> Self {
         PoolInner {
             buffers: Vec::new(),
-            scratches: Vec::new(),
+            scratch: None,
             reused: 0,
             fresh: 0,
             recycled: 0,
@@ -85,14 +87,13 @@ impl Default for PoolInner {
     }
 }
 
-/// A bounded, thread-safe free-list of decoded-image buffers and decode
-/// scratch arenas (see the module docs). Cloning the pool clones the
-/// *handle*; all clones share one free-list.
+/// A bounded, thread-safe free-list of decoded-image buffers plus one
+/// parked decode scratch arena (see the module docs). Cloning the pool
+/// clones the *handle*; all clones share one free-list.
 #[derive(Debug, Clone)]
 pub struct ScratchPool {
     inner: Arc<Mutex<PoolInner>>,
     capacity: usize,
-    scratch_capacity: usize,
 }
 
 impl Default for ScratchPool {
@@ -103,13 +104,12 @@ impl Default for ScratchPool {
 
 impl ScratchPool {
     /// Creates a pool parking at most `capacity` buffers (0 disables buffer
-    /// recycling: every checkout allocates, every return drops) and up to 16
-    /// scratch arenas.
+    /// recycling: every checkout allocates, every return drops) and one
+    /// scratch arena.
     pub fn new(capacity: usize) -> Self {
         ScratchPool {
             inner: Arc::new(Mutex::new(PoolInner::default())),
             capacity,
-            scratch_capacity: 16,
         }
     }
 
@@ -156,7 +156,7 @@ impl ScratchPool {
                 inner.reused += 1;
                 let telemetry = inner.telemetry.clone();
                 drop(inner);
-                telemetry.event(EventKind::CheckoutHit, FLEET_FABRIC, 0, CHECKOUT_BUFFER, 0);
+                telemetry.event(EventKind::CheckoutHit, FLEET_FABRIC, CHECKOUT_BUFFER, 0);
                 buffer.reset(spec, width, height);
                 buffer
             }
@@ -164,7 +164,7 @@ impl ScratchPool {
                 inner.fresh += 1;
                 let telemetry = inner.telemetry.clone();
                 drop(inner);
-                telemetry.event(EventKind::CheckoutMiss, FLEET_FABRIC, 0, CHECKOUT_BUFFER, 0);
+                telemetry.event(EventKind::CheckoutMiss, FLEET_FABRIC, CHECKOUT_BUFFER, 0);
                 TaskBitstream::empty(spec, width, height)
             }
         }
@@ -194,42 +194,36 @@ impl ScratchPool {
         }
     }
 
-    /// Checks a decode scratch out of the pool, creating a fresh (empty,
+    /// Checks the decode scratch out of the pool, creating a fresh (empty,
     /// allocation-free) one when none is parked.
     pub fn checkout_scratch(&self) -> DecodeScratch {
         let mut inner = self.inner.lock().expect("pool lock never poisoned");
-        match inner.scratches.pop() {
+        match inner.scratch.take() {
             Some(scratch) => {
                 inner.scratch_reused += 1;
                 let telemetry = inner.telemetry.clone();
                 drop(inner);
-                telemetry.event(EventKind::CheckoutHit, FLEET_FABRIC, 0, CHECKOUT_SCRATCH, 0);
+                telemetry.event(EventKind::CheckoutHit, FLEET_FABRIC, CHECKOUT_SCRATCH, 0);
                 scratch
             }
             None => {
                 inner.scratch_fresh += 1;
                 let telemetry = inner.telemetry.clone();
                 drop(inner);
-                telemetry.event(
-                    EventKind::CheckoutMiss,
-                    FLEET_FABRIC,
-                    0,
-                    CHECKOUT_SCRATCH,
-                    0,
-                );
+                telemetry.event(EventKind::CheckoutMiss, FLEET_FABRIC, CHECKOUT_SCRATCH, 0);
                 DecodeScratch::new()
             }
         }
     }
 
     /// Parks a decode scratch for reuse by the next decode (dropped silently
-    /// when the scratch side of the pool is full). Transient per-load state
-    /// is cleared; warmed capacity is kept.
+    /// when a scratch is already parked). Transient per-load state is
+    /// cleared; warmed capacity is kept.
     pub fn put_scratch(&self, mut scratch: DecodeScratch) {
         scratch.reset();
         let mut inner = self.inner.lock().expect("pool lock never poisoned");
-        if inner.scratches.len() < self.scratch_capacity {
-            inner.scratches.push(scratch);
+        if inner.scratch.is_none() {
+            inner.scratch = Some(scratch);
         }
     }
 
@@ -266,7 +260,7 @@ impl ScratchPool {
             parked: inner.buffers.len(),
             scratch_reused: inner.scratch_reused,
             scratch_fresh: inner.scratch_fresh,
-            scratch_parked: inner.scratches.len(),
+            scratch_parked: usize::from(inner.scratch.is_some()),
         }
     }
 }
@@ -351,12 +345,15 @@ mod tests {
         let b = pool.checkout_scratch();
         assert_eq!(pool.stats().scratch_fresh, 2);
         pool.put_scratch(a);
+        // One scratch is parked; a second one is dropped.
         pool.put_scratch(b);
-        assert_eq!(pool.stats().scratch_parked, 2);
+        assert_eq!(pool.stats().scratch_parked, 1);
         let _c = pool.checkout_scratch();
         let stats = pool.stats();
         assert_eq!(stats.scratch_reused, 1);
         assert_eq!(stats.scratch_fresh, 2);
-        assert_eq!(stats.scratch_parked, 1);
+        assert_eq!(stats.scratch_parked, 0);
+        let _d = pool.checkout_scratch();
+        assert_eq!(pool.stats().scratch_fresh, 3);
     }
 }

@@ -243,7 +243,7 @@ impl FaultHook for FaultInjector {
             return FaultAction::Pass;
         };
         self.telemetry
-            .event(EventKind::FaultInjected, self.fabric, 0, kind.code(), count);
+            .event(EventKind::FaultInjected, self.fabric, kind.code(), count);
         match kind {
             FaultKind::Transient => FaultAction::FailTransient,
             FaultKind::Persistent => FaultAction::FailPersistent,

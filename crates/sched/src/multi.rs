@@ -224,14 +224,14 @@ impl MultiFabricScheduler {
         }
     }
 
-    /// Everything resident across the fleet as `(fabric index, job, resident
-    /// info)` triples; shards hold fleet-global ids, so `job` equals
-    /// `info.job`.
-    pub fn residents(&self) -> Vec<(usize, u64, crate::ResidentInfo)> {
+    /// Everything resident across the fleet as `(fabric index, resident
+    /// info)` pairs; shards hold fleet-global ids, so `info.job` is the id
+    /// [`MultiFabricScheduler::submit`] returned.
+    pub fn residents(&self) -> Vec<(usize, crate::ResidentInfo)> {
         self.fabrics
             .iter()
             .enumerate()
-            .flat_map(|(f, fabric)| fabric.residents().into_iter().map(move |r| (f, r.job, r)))
+            .flat_map(|(f, fabric)| fabric.residents().into_iter().map(move |r| (f, r)))
             .collect()
     }
 
@@ -268,13 +268,8 @@ impl MultiFabricScheduler {
                 self.metrics.loads_submitted += 1;
                 let statuses = self.statuses(task);
                 let fabric = statuses[self.policy.choose(task, &statuses)].fabric;
-                self.telemetry.event(
-                    EventKind::ShardDecision,
-                    FLEET_FABRIC,
-                    0,
-                    job,
-                    fabric as u64,
-                );
+                self.telemetry
+                    .event(EventKind::ShardDecision, FLEET_FABRIC, job, fabric as u64);
                 self.dispatch(job, fabric, request, false);
             }
             Request::Unload { job: target } | Request::Relocate { job: target, .. } => {
@@ -358,7 +353,6 @@ impl MultiFabricScheduler {
                 self.telemetry.event(
                     EventKind::Quarantine,
                     FLEET_FABRIC,
-                    0,
                     i as u64,
                     evacuated.len() as u64,
                 );
@@ -373,7 +367,7 @@ impl MultiFabricScheduler {
                     self.quarantined[i] = false;
                     self.metrics.recoveries += 1;
                     self.telemetry
-                        .event(EventKind::Recover, FLEET_FABRIC, 0, i as u64, 0);
+                        .event(EventKind::Recover, FLEET_FABRIC, i as u64, 0);
                 }
             }
         }
@@ -393,13 +387,8 @@ impl MultiFabricScheduler {
             return false;
         }
         let target = statuses[self.policy.choose(&evacuated.task, &statuses)].fabric;
-        self.telemetry.event(
-            EventKind::ShardDecision,
-            FLEET_FABRIC,
-            0,
-            job,
-            target as u64,
-        );
+        self.telemetry
+            .event(EventKind::ShardDecision, FLEET_FABRIC, job, target as u64);
         let request = Request::Load {
             task: evacuated.task,
             priority: evacuated.priority,
@@ -482,7 +471,7 @@ impl MultiFabricScheduler {
         }
         let target = untried[self.policy.choose(task, &untried)].fabric;
         self.telemetry
-            .event(EventKind::Migrate, FLEET_FABRIC, 0, job, target as u64);
+            .event(EventKind::Migrate, FLEET_FABRIC, job, target as u64);
         self.fabrics[target].enqueue(job, pending.request.clone());
         self.route.insert(job, target);
         self.pending_loads

@@ -186,7 +186,8 @@ pub struct SchedMetrics {
     /// Wall-clock time spent inside [`Scheduler::compact`] (planning +
     /// executing moves), in microseconds — the pause-time metric.
     pub compaction_micros: u64,
-    /// Total de-virtualization time spent, in microseconds.
+    /// Total de-virtualization time spent, in microseconds: the sum of the
+    /// controller's `decode` stage samples for this scheduler's decodes.
     pub decode_micros: u64,
     /// Number of de-virtualizations performed (cache misses).
     pub decodes: u64,
@@ -550,7 +551,7 @@ impl Scheduler {
         self.next_seq += 1;
         let enqueued_at = self.telemetry.now();
         self.telemetry
-            .event(EventKind::Enqueue, self.fabric, 0, job, 0);
+            .event(EventKind::Enqueue, self.fabric, job, 0);
         self.queue.push(Pending {
             job,
             seq,
@@ -696,7 +697,6 @@ impl Scheduler {
         self.telemetry.event_span(
             EventKind::CompactPass,
             self.fabric,
-            0,
             moves as u64,
             frames,
             pause_start,
@@ -718,7 +718,7 @@ impl Scheduler {
             .handle;
         self.manager.relocate(handle, to)?;
         self.telemetry
-            .event(EventKind::Relocate, self.fabric, 0, job, pack_origin(to));
+            .event(EventKind::Relocate, self.fabric, job, pack_origin(to));
         Ok(())
     }
 
@@ -762,14 +762,12 @@ impl Scheduler {
         };
         self.metrics.decodes += 1;
         self.metrics.decode_micros += report.micros;
-        self.telemetry.record_micros(Stage::Decode, report.micros);
         if warm {
             self.metrics.redecode_micros += report.micros;
             self.telemetry.record_micros(Stage::Redecode, report.micros);
             self.telemetry.event_span(
                 EventKind::WarmHit,
                 self.fabric,
-                0,
                 job,
                 view.size_bytes(),
                 redecode_start,
@@ -805,7 +803,6 @@ impl Scheduler {
             self.telemetry.event(
                 EventKind::Demote,
                 self.fabric,
-                0,
                 outcome.demoted,
                 stats.hot_bytes,
             );
@@ -813,7 +810,7 @@ impl Scheduler {
         if outcome.promoted {
             let stats = self.cache.stats();
             self.telemetry
-                .event(EventKind::Promote, self.fabric, 0, 1, stats.hot_bytes);
+                .event(EventKind::Promote, self.fabric, 1, stats.hot_bytes);
         }
     }
 
@@ -838,7 +835,7 @@ impl Scheduler {
                         );
                     }
                     self.telemetry
-                        .event(EventKind::Unload, self.fabric, 0, target, 0);
+                        .event(EventKind::Unload, self.fabric, target, 0);
                     Outcome::Unloaded { job: target }
                 }
                 None => Outcome::NotResident { job: target },
@@ -881,14 +878,13 @@ impl Scheduler {
             Outcome::Loaded { origin, .. } => self.telemetry.event_span(
                 EventKind::Admit,
                 self.fabric,
-                0,
                 job,
                 pack_origin(*origin),
                 start,
             ),
             Outcome::Rejected { .. } => {
                 self.telemetry
-                    .event_span(EventKind::Reject, self.fabric, 0, job, 0, start)
+                    .event_span(EventKind::Reject, self.fabric, job, 0, start)
             }
             _ => {}
         }
@@ -977,7 +973,7 @@ impl Scheduler {
             let _ = self.manager.unload(resident.handle);
             self.metrics.evictions += 1;
             self.telemetry
-                .event(EventKind::Evict, self.fabric, 0, victim, job);
+                .event(EventKind::Evict, self.fabric, victim, job);
             evicted.push(victim);
         };
         self.telemetry
@@ -1020,7 +1016,6 @@ impl Scheduler {
                 self.telemetry.event_span(
                     EventKind::FrameWrite,
                     self.fabric,
-                    0,
                     job,
                     w as u64 * h as u64,
                     write_start,
@@ -1110,7 +1105,7 @@ impl Scheduler {
             attempts += 1;
             self.metrics.write_retries += 1;
             self.telemetry
-                .event(EventKind::WriteRetry, self.fabric, 0, job, attempts as u64);
+                .event(EventKind::WriteRetry, self.fabric, job, attempts as u64);
         }
     }
 
@@ -1129,7 +1124,7 @@ impl Scheduler {
             Err(RuntimeError::Memory(BitstreamError::CrcMismatch { at })) => {
                 self.metrics.crc_mismatches += 1;
                 self.telemetry
-                    .event(EventKind::CrcMismatch, self.fabric, 0, job, pack_origin(at));
+                    .event(EventKind::CrcMismatch, self.fabric, job, pack_origin(at));
                 self.metrics.verify_scrubs += 1;
                 self.manager.controller_mut().load_decoded(stream, origin)?;
                 self.manager.controller().verify_region(region)
@@ -1169,7 +1164,6 @@ impl Scheduler {
             self.telemetry.event(
                 EventKind::Utilization,
                 self.fabric,
-                0,
                 (utilization * 1000.0) as u64,
                 (fragmentation * 1000.0) as u64,
             );

@@ -248,11 +248,15 @@ fn quarantine_replacement_recovery_ordering() {
     // Everything lives on fabric 1 now, original ids intact.
     let residents = multi.residents();
     assert_eq!(residents.len(), 3);
-    for &(fabric, global, _) in &residents {
-        assert_eq!(fabric, 1, "job {global} still routed to the dead fabric");
+    for (fabric, info) in &residents {
+        assert_eq!(
+            *fabric, 1,
+            "job {} still routed to the dead fabric",
+            info.job
+        );
     }
-    assert!(residents.iter().any(|&(_, g, _)| g == on_dead));
-    assert!(residents.iter().any(|&(_, g, _)| g == on_survivor));
+    assert!(residents.iter().any(|(_, info)| info.job == on_dead));
+    assert!(residents.iter().any(|(_, info)| info.job == on_survivor));
     assert!(multi.fabric(0).manager().loaded_tasks().is_empty());
 
     // While quarantined, new loads route around fabric 0.

@@ -66,10 +66,11 @@ struct Run {
 /// counters summing to the fleet's.
 fn assert_fleet_invariants(multi: &MultiFabricScheduler, loads: u64) {
     let mut resident = HashSet::new();
-    for (fabric, job, _) in multi.residents() {
+    for (fabric, info) in multi.residents() {
         assert!(
-            resident.insert(job),
-            "job {job} resident twice (again on fabric {fabric})"
+            resident.insert(info.job),
+            "job {} resident twice (again on fabric {fabric})",
+            info.job
         );
     }
     for (i, fabric) in multi.fabrics().iter().enumerate() {
@@ -184,8 +185,8 @@ fn run(seed: u64) -> Run {
     // unreachable, so its memory is never read back).
     multi.advance_to(DRAIN_TICK);
     outcomes.extend(multi.process_pending_tagged());
-    for (_, job, _) in multi.residents() {
-        multi.submit(Request::Unload { job });
+    for (_, info) in multi.residents() {
+        multi.submit(Request::Unload { job: info.job });
     }
     outcomes.extend(multi.process_pending_tagged());
     assert_fleet_invariants(&multi, loads);

@@ -15,12 +15,13 @@
 //! See `crates/sched/README.md` for the full workflow.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use vbs_arch::Rect;
 use vbs_sched::{
     CacheBudget, CacheStats, McncCorpus, Outcome, Request, SchedMetrics, Scheduler,
     SchedulerConfig, TraceOp,
 };
-use vbs_telemetry::Telemetry;
+use vbs_telemetry::{EventKind, MonotonicClock, Stage, Telemetry};
 
 fn corpus() -> McncCorpus {
     McncCorpus::load(concat!(
@@ -139,10 +140,32 @@ fn clock_free_counters(scheduler: &Scheduler) -> (SchedMetrics, [u64; 2], CacheS
     (metrics, sums, scheduler.cache_stats())
 }
 
+/// A live registry retaining every event of a corpus replay.
+fn retaining_registry() -> Telemetry {
+    Telemetry::with(Arc::new(MonotonicClock::new()), 1 << 16)
+}
+
+/// Every decode is recorded exactly once: one `Stage::Decode` sample and
+/// one `EventKind::Decode` event per counted decode, none dropped by the
+/// ring.
+fn assert_decodes_recorded_once(live: &Telemetry, decodes: u64) {
+    let stats = live.ring_stats();
+    assert!(stats.recorded > 0, "the live registry recorded");
+    assert!(stats.recorded <= stats.capacity as u64, "{stats:?}");
+    let events = live
+        .events()
+        .iter()
+        .filter(|e| e.kind == EventKind::Decode)
+        .count() as u64;
+    assert_eq!(live.histogram(Stage::Decode).count(), decodes);
+    assert_eq!(events, decodes);
+}
+
 /// Installing a live telemetry registry adds spans, histograms and events,
 /// never a counter bump: the steady trace replays to the same counters
 /// with a disabled registry and with a live one, on the corpus single
-/// fabric and on the least-loaded fleet.
+/// fabric and on the least-loaded fleet. The live registry holds one
+/// decode sample and one decode event per counted decode.
 #[test]
 fn installing_telemetry_changes_no_counter() {
     let corpus = corpus();
@@ -154,9 +177,10 @@ fn installing_telemetry_changes_no_counter() {
         vbs_sched::replay(&mut scheduler, trace);
         clock_free_counters(&scheduler)
     };
-    let live = Telemetry::new();
-    assert_eq!(single(Telemetry::disabled()), single(live.clone()));
-    assert!(live.ring_stats().recorded > 0, "the live registry recorded");
+    let live = retaining_registry();
+    let counters = single(live.clone());
+    assert_eq!(single(Telemetry::disabled()), counters);
+    assert_decodes_recorded_once(&live, counters.0.decodes);
 
     let fleet = |telemetry: Telemetry| {
         let mut fleet = corpus
@@ -167,9 +191,11 @@ fn installing_telemetry_changes_no_counter() {
         let fabrics: Vec<_> = fleet.fabrics().iter().map(clock_free_counters).collect();
         (*fleet.metrics(), fabrics)
     };
-    let live = Telemetry::new();
-    assert_eq!(fleet(Telemetry::disabled()), fleet(live.clone()));
-    assert!(live.ring_stats().recorded > 0, "the live registry recorded");
+    let live = retaining_registry();
+    let counters = fleet(live.clone());
+    assert_eq!(fleet(Telemetry::disabled()), counters);
+    let decodes = counters.1.iter().map(|(m, _, _)| m.decodes).sum();
+    assert_decodes_recorded_once(&live, decodes);
 }
 
 #[test]

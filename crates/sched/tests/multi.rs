@@ -213,8 +213,8 @@ fn saturated_fabric_sheds_load_to_the_fleet() {
     let fabric_of = |job: u64| {
         residents
             .iter()
-            .find(|(_, global, _)| *global == job)
-            .map(|(f, _, _)| *f)
+            .find(|(_, info)| info.job == job)
+            .map(|(f, _)| *f)
             .expect("job resident")
     };
     assert_ne!(fabric_of(a), fabric_of(c));
@@ -348,9 +348,9 @@ proptest! {
 
             // Invariant: a job is resident on at most one fabric.
             let residents = multi.residents();
-            for (i, (_, job_a, _)) in residents.iter().enumerate() {
-                for (_, job_b, _) in residents.iter().skip(i + 1) {
-                    prop_assert_ne!(*job_a, *job_b, "job resident on two fabrics");
+            for (i, (_, a)) in residents.iter().enumerate() {
+                for (_, b) in residents.iter().skip(i + 1) {
+                    prop_assert_ne!(a.job, b.job, "job resident on two fabrics");
                 }
             }
             // Invariant: per-fabric capacity and memory hygiene.
@@ -374,8 +374,8 @@ proptest! {
         }
 
         // Drain: unloading everything leaves every fabric blank.
-        for (_, job, _) in multi.residents() {
-            multi.submit(Request::Unload { job });
+        for (_, info) in multi.residents() {
+            multi.submit(Request::Unload { job: info.job });
         }
         multi.process_pending();
         for fabric in multi.fabrics() {
@@ -474,8 +474,8 @@ fn unload_submitted_with_its_load_in_one_batch() {
     let resident_on: Vec<usize> = multi
         .residents()
         .into_iter()
-        .filter(|(_, resident, _)| *resident == job)
-        .map(|(fabric, _, _)| fabric)
+        .filter(|(_, info)| info.job == job)
+        .map(|(fabric, _)| fabric)
         .collect();
     assert_eq!(accepted_on.len(), 1);
     assert_eq!(resident_on, accepted_on);
@@ -601,8 +601,8 @@ fn fleet_and_shard_events_name_one_job_id() {
     };
     let residents = run.multi.residents();
     assert_eq!(residents.len(), 3);
-    for (fabric, job, _) in residents {
-        let shard = fabric as u16;
+    for (fabric, info) in residents {
+        let (shard, job) = (fabric as u16, info.job);
         assert_eq!(
             on(EventKind::ShardDecision, FLEET_FABRIC, job),
             1,

@@ -4,7 +4,7 @@ use std::fmt;
 
 /// A pipeline stage whose latency is tracked in its own
 /// [`crate::LatencyHistogram`]. The scheduler records the request stages,
-/// the reconfiguration controller the decode's busy span.
+/// the reconfiguration controller every decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Stage {
@@ -12,7 +12,8 @@ pub enum Stage {
     QueueWait,
     /// Finding (or making, via eviction/compaction) a free region.
     Placement,
-    /// De-virtualizing a stream (cache misses only).
+    /// De-virtualizing a stream: every decode, recorded once by the
+    /// reconfiguration controller that ran it.
     Decode,
     /// Writing decoded frames into configuration memory.
     Write,
@@ -20,18 +21,15 @@ pub enum Stage {
     CompactionPause,
     /// End-to-end processing of one load request.
     Load,
-    /// One de-virtualization's busy time on its controller (named for the
-    /// decode lane it runs on; there is one per controller).
-    LaneBusy,
     /// Re-expanding a warm (compressed-only) cache entry on a pooled
-    /// scratch. Also recorded under [`Stage::Decode`] so aggregate
-    /// decode latency keeps covering every de-virtualization.
+    /// scratch. The decode itself is also recorded under [`Stage::Decode`],
+    /// so aggregate decode latency covers every de-virtualization.
     Redecode,
 }
 
 impl Stage {
     /// Number of stages (the registry preallocates one histogram each).
-    pub const COUNT: usize = 8;
+    pub const COUNT: usize = 7;
 
     /// All stages, in display order.
     pub const ALL: [Stage; Stage::COUNT] = [
@@ -41,7 +39,6 @@ impl Stage {
         Stage::Write,
         Stage::CompactionPause,
         Stage::Load,
-        Stage::LaneBusy,
         Stage::Redecode,
     ];
 
@@ -59,7 +56,6 @@ impl Stage {
             Stage::Write => "write",
             Stage::CompactionPause => "compaction_pause",
             Stage::Load => "load",
-            Stage::LaneBusy => "lane_busy",
             Stage::Redecode => "redecode",
         }
     }
@@ -71,16 +67,19 @@ impl fmt::Display for Stage {
     }
 }
 
-/// What happened at one point of the pipeline. Kinds carrying a duration
-/// (`duration_micros > 0` spans like [`EventKind::DecodeEnd`]) export as
-/// complete slices on the Perfetto timeline; the rest are instants.
+/// What happened at one point of the pipeline. The span kinds (those
+/// recorded through [`crate::Telemetry::event_span`], see
+/// [`EventKind::is_span`]) export as complete slices on the Perfetto
+/// timeline, even when they lasted under a microsecond; the rest are
+/// instants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventKind {
     /// A request entered a scheduler queue (`a` = job id).
     Enqueue,
-    /// A load was admitted and configured (`a` = job, `b` = packed origin).
+    /// A load was admitted and configured (`a` = job, `b` = packed origin,
+    /// duration attached).
     Admit,
-    /// A load was rejected (`a` = job).
+    /// A load was rejected (`a` = job, duration attached).
     Reject,
     /// A resident was evicted on behalf of a load (`a` = victim job).
     Evict,
@@ -88,10 +87,8 @@ pub enum EventKind {
     Unload,
     /// A resident was relocated (`a` = job, `b` = packed destination).
     Relocate,
-    /// A decode lane started a de-virtualization (`a` = lane).
-    DecodeStart,
-    /// A decode lane finished (`a` = records decoded, duration attached).
-    DecodeEnd,
+    /// A de-virtualization ran (`a` = records decoded, duration attached).
+    Decode,
     /// Decoded frames were written into configuration memory
     /// (`a` = job, `b` = frames, duration attached).
     FrameWrite,
@@ -149,8 +146,7 @@ impl EventKind {
             EventKind::Evict => "evict",
             EventKind::Unload => "unload",
             EventKind::Relocate => "relocate",
-            EventKind::DecodeStart => "decode_start",
-            EventKind::DecodeEnd => "decode",
+            EventKind::Decode => "decode",
             EventKind::FrameWrite => "frame_write",
             EventKind::CompactPass => "compact_pass",
             EventKind::Migrate => "migrate",
@@ -167,6 +163,20 @@ impl EventKind {
             EventKind::Demote => "demote",
             EventKind::Promote => "promote",
         }
+    }
+
+    /// Whether the kind is a span with a duration attached (recorded
+    /// through [`crate::Telemetry::event_span`]) rather than an instant.
+    pub const fn is_span(self) -> bool {
+        matches!(
+            self,
+            EventKind::Admit
+                | EventKind::Reject
+                | EventKind::Decode
+                | EventKind::FrameWrite
+                | EventKind::CompactPass
+                | EventKind::WarmHit
+        )
     }
 }
 
@@ -191,8 +201,6 @@ pub struct Event {
     /// The fabric the event belongs to (dispatcher events use the fleet
     /// tag `u16::MAX`).
     pub fabric: u16,
-    /// The decode lane (0 = the scheduler/writer thread itself).
-    pub lane: u16,
     /// Kind-specific payload (see [`EventKind`]).
     pub a: u64,
     /// Kind-specific payload (see [`EventKind`]).

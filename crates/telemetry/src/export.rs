@@ -4,7 +4,7 @@
 //! All JSON is hand-rolled — the workspace builds offline without serde.
 //! Exports allocate freely; they run at report time, never on the hot path.
 
-use crate::event::{Event, EventKind, FLEET_FABRIC};
+use crate::event::{Event, FLEET_FABRIC};
 use crate::registry::Telemetry;
 use crate::Stage;
 use std::fmt::Write as _;
@@ -81,23 +81,14 @@ fn process_label(fabric: u16) -> String {
     }
 }
 
-fn thread_label(lane: u16) -> String {
-    if lane == 0 {
-        "scheduler".to_string()
-    } else {
-        format!("decode lane {lane}")
-    }
-}
-
 fn push_trace_event(out: &mut String, event: &Event) {
     let name = event.kind.name();
     let pid = event.fabric;
-    let tid = event.lane;
-    if event.duration_micros > 0 || matches!(event.kind, EventKind::DecodeEnd) {
+    if event.kind.is_span() {
         let _ = write!(
             out,
             "{{\"name\": \"{name}\", \"ph\": \"X\", \"ts\": {}, \"dur\": {}, \
-             \"pid\": {pid}, \"tid\": {tid}, \
+             \"pid\": {pid}, \"tid\": 0, \
              \"args\": {{\"seq\": {}, \"a\": {}, \"b\": {}}}}}",
             event.at_micros, event.duration_micros, event.seq, event.a, event.b
         );
@@ -105,7 +96,7 @@ fn push_trace_event(out: &mut String, event: &Event) {
         let _ = write!(
             out,
             "{{\"name\": \"{name}\", \"ph\": \"i\", \"ts\": {}, \"s\": \"t\", \
-             \"pid\": {pid}, \"tid\": {tid}, \
+             \"pid\": {pid}, \"tid\": 0, \
              \"args\": {{\"seq\": {}, \"a\": {}, \"b\": {}}}}}",
             event.at_micros, event.seq, event.a, event.b
         );
@@ -115,24 +106,18 @@ fn push_trace_event(out: &mut String, event: &Event) {
 /// The retained event timeline in Chrome trace-event JSON (the
 /// `{"traceEvents": [...]}` object form). Open the file in
 /// `chrome://tracing` or <https://ui.perfetto.dev>: each fabric renders as
-/// a process track (the fleet dispatcher as its own), each decode lane as
-/// a thread track, duration-carrying events as slices and the rest as
-/// instants.
+/// one process track (the fleet dispatcher as its own), span kinds as
+/// slices and the rest as instants.
 pub fn chrome_trace(telemetry: &Telemetry) -> String {
     let events = telemetry.events();
     let mut out = String::from("{\"traceEvents\": [\n");
     let mut first = true;
 
-    // Metadata first: name the process/thread tracks that appear.
+    // Metadata first: name the process tracks that appear.
     let mut seen_fabrics: Vec<u16> = Vec::new();
-    let mut seen_lanes: Vec<(u16, u16)> = Vec::new();
     for event in &events {
         if !seen_fabrics.contains(&event.fabric) {
             seen_fabrics.push(event.fabric);
-        }
-        let key = (event.fabric, event.lane);
-        if !seen_lanes.contains(&key) {
-            seen_lanes.push(key);
         }
     }
     for fabric in &seen_fabrics {
@@ -147,19 +132,6 @@ pub fn chrome_trace(telemetry: &Telemetry) -> String {
             process_label(*fabric)
         );
     }
-    for (fabric, lane) in &seen_lanes {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": {fabric}, \"tid\": {lane}, \
-             \"args\": {{\"name\": \"{}\"}}}}",
-            thread_label(*lane)
-        );
-    }
-
     for event in &events {
         if !first {
             out.push_str(",\n");
@@ -183,10 +155,10 @@ mod tests {
         telemetry.record_micros(Stage::Decode, 120);
         telemetry.record_micros(Stage::Decode, 480);
         clock.set(10);
-        telemetry.event(EventKind::Enqueue, 0, 0, 7, 0);
+        telemetry.event(EventKind::Enqueue, 0, 7, 0);
         let start = telemetry.now();
         clock.advance(40);
-        telemetry.event_span(EventKind::DecodeEnd, 0, 2, 31, 0, start);
+        telemetry.event_span(EventKind::Decode, 0, 31, 0, start);
         telemetry
     }
 
@@ -204,10 +176,23 @@ mod tests {
         assert!(trace.contains("\"traceEvents\""));
         assert!(trace.contains("process_name"));
         assert!(trace.contains("\"fabric 0\""));
-        assert!(trace.contains("\"decode lane 2\""));
+        assert!(!trace.contains("thread_name"));
         assert!(trace.contains("\"ph\": \"X\""));
         assert!(trace.contains("\"dur\": 40"));
         assert!(trace.contains("\"ph\": \"i\""));
+    }
+
+    #[test]
+    fn zero_micro_spans_export_as_slices() {
+        let telemetry = Telemetry::with(Arc::new(TestClock::new()), 8);
+        let start = telemetry.now();
+        telemetry.event_span(EventKind::FrameWrite, 1, 5, 12, start);
+        let trace = chrome_trace(&telemetry);
+        assert!(
+            trace.contains("{\"name\": \"frame_write\", \"ph\": \"X\", \"ts\": 0, \"dur\": 0"),
+            "{trace}"
+        );
+        assert!(!trace.contains("\"ph\": \"i\""), "{trace}");
     }
 
     #[test]

@@ -164,39 +164,6 @@ impl LatencyHistogram {
         self.max()
     }
 
-    /// Folds another histogram into this one (bucket-wise addition;
-    /// min/max/sum follow).
-    pub fn merge(&self, other: &LatencyHistogram) {
-        for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n > 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        let _ = self
-            .sum
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
-                Some(s.saturating_add(other.sum.load(Ordering::Relaxed)))
-            });
-        self.min
-            .fetch_min(other.min.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max
-            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
-    /// Resets every statistic to empty.
-    pub fn clear(&self) {
-        for bucket in self.buckets.iter() {
-            bucket.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.min.store(u64::MAX, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
-    }
-
     /// A point-in-time summary of the distribution.
     pub fn summary(&self) -> HistogramSummary {
         HistogramSummary {

@@ -1,6 +1,6 @@
-//! Observability substrate for the VBS runtime stack: tracing spans,
-//! latency histograms and a structured event timeline, all recordable from
-//! the decode hot path without a single heap allocation.
+//! Observability substrate for the VBS runtime stack: per-stage latency
+//! histograms and a structured event timeline, all recordable from the
+//! decode hot path without a single heap allocation.
 //!
 //! The run-time manager of the paper is judged on reconfiguration latency
 //! and pause behavior; flat counters and means cannot answer *where* a slow
@@ -17,15 +17,15 @@
 //!   and allocation-free, percentiles (p50/p95/p99/max) come out at read
 //!   time;
 //! * [`EventRing`] — a bounded ring of structured [`Event`]s (enqueue,
-//!   admit, evict, decode start/end per lane, frame writes, compaction
-//!   passes, migrations) with global sequence numbers and timestamps;
+//!   admit, evict, decodes, frame writes, compaction passes, migrations)
+//!   with global sequence numbers and timestamps;
 //! * [`Telemetry`] — the shared registry handle tying the three together:
-//!   one histogram per pipeline [`Stage`], one event ring, one clock, and a
-//!   few saturating counter slots (the controller's route counts);
+//!   one histogram per pipeline [`Stage`], one event ring, one clock, and
+//!   two saturating counter slots (the controller's route counts);
 //! * exporters — [`metrics_json`] (machine-readable snapshot),
 //!   [`summary_table`] (human-readable), and [`chrome_trace`]
-//!   (`chrome://tracing` / Perfetto trace-event JSON with one track per
-//!   decode lane and one process per fabric).
+//!   (`chrome://tracing` / Perfetto trace-event JSON with one process
+//!   track per fabric).
 //!
 //! [`metrics_json`]: export::metrics_json
 //! [`summary_table`]: export::summary_table
@@ -44,5 +44,5 @@ mod ring;
 pub use clock::{Clock, MonotonicClock, TestClock};
 pub use event::{Event, EventKind, Stage, FLEET_FABRIC};
 pub use hist::{HistogramSummary, LatencyHistogram};
-pub use registry::{Span, Telemetry};
+pub use registry::Telemetry;
 pub use ring::{EventRing, RingStats};

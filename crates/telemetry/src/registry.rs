@@ -10,9 +10,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Number of generic counter slots a registry carries. Embedding crates
-/// define their own slot constants over these indices (the runtime's
-/// route counts, for one).
-const COUNTER_SLOTS: usize = 32;
+/// define their own slot constants over these indices: the runtime's two
+/// route counts.
+const COUNTER_SLOTS: usize = 2;
 
 #[derive(Debug)]
 struct Inner {
@@ -100,27 +100,11 @@ impl Telemetry {
         self.inner.clock.now_micros()
     }
 
-    /// The registry clock (shared handle).
-    pub fn clock(&self) -> &Arc<dyn Clock> {
-        &self.inner.clock
-    }
-
     // --- Spans & histograms ------------------------------------------------
 
-    /// Starts a span over `stage`; the span records its elapsed time into
-    /// the stage histogram when finished (or dropped).
-    pub fn span(&self, stage: Stage) -> Span {
-        Span {
-            telemetry: self.clone(),
-            stage,
-            start: self.now(),
-            done: false,
-        }
-    }
-
     /// Records `now - start_micros` into the stage histogram and returns
-    /// the elapsed microseconds — the manual twin of [`Telemetry::span`]
-    /// for callers that cannot hold a guard across a `&mut self` region.
+    /// the elapsed microseconds (measured even when the registry is
+    /// disabled, so callers can keep their own counters from it).
     pub fn record_span(&self, stage: Stage, start_micros: u64) -> u64 {
         let elapsed = self.now().saturating_sub(start_micros);
         self.record_micros(stage, elapsed);
@@ -146,7 +130,7 @@ impl Telemetry {
     // --- Events ------------------------------------------------------------
 
     /// Records an instant event stamped "now".
-    pub fn event(&self, kind: EventKind, fabric: u16, lane: u16, a: u64, b: u64) {
+    pub fn event(&self, kind: EventKind, fabric: u16, a: u64, b: u64) {
         if !self.enabled() {
             return;
         }
@@ -155,7 +139,6 @@ impl Telemetry {
             at_micros: self.now(),
             kind,
             fabric,
-            lane,
             a,
             b,
             duration_micros: 0,
@@ -164,15 +147,7 @@ impl Telemetry {
 
     /// Records a span event: timestamped at `start_micros`, lasting until
     /// "now".
-    pub fn event_span(
-        &self,
-        kind: EventKind,
-        fabric: u16,
-        lane: u16,
-        a: u64,
-        b: u64,
-        start_micros: u64,
-    ) {
+    pub fn event_span(&self, kind: EventKind, fabric: u16, a: u64, b: u64, start_micros: u64) {
         if !self.enabled() {
             return;
         }
@@ -181,7 +156,6 @@ impl Telemetry {
             at_micros: start_micros,
             kind,
             fabric,
-            lane,
             a,
             b,
             duration_micros: self.now().saturating_sub(start_micros),
@@ -200,7 +174,7 @@ impl Telemetry {
 
     // --- Counters ----------------------------------------------------------
 
-    /// Adds to a registry counter slot (one of 32), saturating at
+    /// Adds to a registry counter slot (one of two), saturating at
     /// `u64::MAX`.
     pub fn counter_add(&self, slot: usize, delta: u64) {
         let _ = self.inner.counters[slot].fetch_update(Ordering::Relaxed, Ordering::Relaxed, |c| {
@@ -211,36 +185,5 @@ impl Telemetry {
     /// Reads a registry counter slot.
     pub fn counter(&self, slot: usize) -> u64 {
         self.inner.counters[slot].load(Ordering::Relaxed)
-    }
-}
-
-/// A live span over one [`Stage`]; records its elapsed time into the stage
-/// histogram when [`Span::finish`]ed or dropped.
-#[derive(Debug)]
-pub struct Span {
-    telemetry: Telemetry,
-    stage: Stage,
-    start: u64,
-    done: bool,
-}
-
-impl Span {
-    /// The span's start timestamp (clock microseconds).
-    pub fn start_micros(&self) -> u64 {
-        self.start
-    }
-
-    /// Ends the span, records it, and returns the elapsed microseconds.
-    pub fn finish(mut self) -> u64 {
-        self.done = true;
-        self.telemetry.record_span(self.stage, self.start)
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        if !self.done {
-            self.telemetry.record_span(self.stage, self.start);
-        }
     }
 }

@@ -91,12 +91,4 @@ impl EventRing {
             capacity: self.capacity,
         }
     }
-
-    /// Drops every retained event and resets the sequence counter.
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("event ring never poisoned");
-        inner.slots.clear();
-        inner.head = 0;
-        inner.seq = 0;
-    }
 }

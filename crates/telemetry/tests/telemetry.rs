@@ -1,6 +1,6 @@
-//! Integration tests for the telemetry substrate: histogram bucket math
-//! and merging, event-ring wraparound under concurrent writers, and span
-//! arithmetic on a deterministic clock.
+//! Integration tests for the telemetry substrate: histogram bucket math,
+//! event-ring wraparound under concurrent writers, and span arithmetic on
+//! a deterministic clock.
 
 use std::sync::Arc;
 use std::thread;
@@ -57,44 +57,6 @@ fn histogram_extreme_values_do_not_wrap() {
 }
 
 #[test]
-fn histogram_merge_matches_recording_into_one() {
-    let left = LatencyHistogram::new();
-    let right = LatencyHistogram::new();
-    let combined = LatencyHistogram::new();
-    for v in [3u64, 17, 900, 4096, 70_000] {
-        left.record(v);
-        combined.record(v);
-    }
-    for v in [1u64, 250, 1_000_000] {
-        right.record(v);
-        combined.record(v);
-    }
-    left.merge(&right);
-    assert_eq!(left.count(), combined.count());
-    assert_eq!(left.sum(), combined.sum());
-    assert_eq!(left.min(), combined.min());
-    assert_eq!(left.max(), combined.max());
-    for q in [0.0, 0.25, 0.5, 0.75, 0.95, 0.99, 1.0] {
-        assert_eq!(
-            left.value_at_quantile(q),
-            combined.value_at_quantile(q),
-            "quantile {q} diverged after merge"
-        );
-    }
-}
-
-#[test]
-fn histogram_clear_resets_everything() {
-    let hist = LatencyHistogram::new();
-    hist.record(42);
-    hist.clear();
-    assert_eq!(hist.count(), 0);
-    assert_eq!(hist.min(), 0);
-    assert_eq!(hist.max(), 0);
-    assert_eq!(hist.value_at_quantile(0.99), 0);
-}
-
-#[test]
 fn histogram_concurrent_recording_loses_nothing() {
     let hist = Arc::new(LatencyHistogram::new());
     let threads = 8;
@@ -122,7 +84,6 @@ fn instant(kind: EventKind, a: u64) -> Event {
         at_micros: 0,
         kind,
         fabric: 0,
-        lane: 0,
         a,
         b: 0,
         duration_micros: 0,
@@ -188,34 +149,7 @@ fn zero_capacity_ring_counts_without_retaining() {
 // --- Spans on a deterministic clock --------------------------------------
 
 #[test]
-fn nested_spans_record_exact_deterministic_durations() {
-    let clock = TestClock::new();
-    let telemetry = Telemetry::with(Arc::new(clock.clone()), 16);
-
-    // Outer span covers a whole load; inner spans cover its stages.
-    let load = telemetry.span(Stage::Load);
-    clock.advance(5); // queueing before placement
-    {
-        let placement = telemetry.span(Stage::Placement);
-        clock.advance(30);
-        assert_eq!(placement.finish(), 30);
-    }
-    {
-        let decode = telemetry.span(Stage::Decode);
-        clock.advance(200);
-        drop(decode); // implicit finish via Drop
-    }
-    clock.advance(15); // write tail outside any inner span
-    assert_eq!(load.finish(), 250);
-
-    assert_eq!(telemetry.histogram(Stage::Placement).max(), 30);
-    assert_eq!(telemetry.histogram(Stage::Decode).max(), 200);
-    assert_eq!(telemetry.histogram(Stage::Load).max(), 250);
-    assert_eq!(telemetry.histogram(Stage::QueueWait).count(), 0);
-}
-
-#[test]
-fn manual_span_twin_matches_guard_spans() {
+fn record_span_records_and_returns_the_elapsed_time() {
     let clock = TestClock::new();
     let telemetry = Telemetry::with(Arc::new(clock.clone()), 16);
     let start = telemetry.now();
@@ -242,16 +176,14 @@ fn disabled_telemetry_records_nothing_but_counts() {
         telemetry.record_micros(stage, 99);
         let start = telemetry.now();
         telemetry.record_span(stage, start);
-        telemetry.span(stage).finish();
-        drop(telemetry.span(stage));
     }
-    telemetry.event(EventKind::Enqueue, 0, 0, 1, 0);
+    telemetry.event(EventKind::Enqueue, 0, 1, 0);
     assert_every_histogram_empty("after spans and record_micros");
     assert_eq!(telemetry.ring_stats().recorded, 0);
     // Counter slots stay live: they carry the controller's route counts.
-    telemetry.counter_add(3, 2);
-    telemetry.counter_add(3, u64::MAX);
-    assert_eq!(telemetry.counter(3), u64::MAX, "counter adds saturate");
+    telemetry.counter_add(1, 2);
+    telemetry.counter_add(1, u64::MAX);
+    assert_eq!(telemetry.counter(1), u64::MAX, "counter adds saturate");
 }
 
 #[test]
@@ -261,14 +193,13 @@ fn event_span_stamps_start_and_duration() {
     clock.set(1_000);
     let start = telemetry.now();
     clock.advance(250);
-    telemetry.event_span(EventKind::DecodeEnd, 2, 3, 64, 0, start);
+    telemetry.event_span(EventKind::Decode, 2, 64, 0, start);
     let events = telemetry.events();
     assert_eq!(events.len(), 1);
     let event = events[0];
     assert_eq!(event.at_micros, 1_000);
     assert_eq!(event.duration_micros, 250);
     assert_eq!(event.fabric, 2);
-    assert_eq!(event.lane, 3);
     assert_eq!(event.a, 64);
 }
 

@@ -2,7 +2,8 @@
 //! fleet with a shared telemetry registry installed, then export what the
 //! pipeline did — a human-readable latency summary per stage on stdout, a
 //! machine-readable metrics snapshot, and a `chrome://tracing` / Perfetto
-//! trace with one track per decode lane and one process per fabric.
+//! trace with one process track per fabric (and one for the fleet
+//! dispatcher).
 //!
 //! Run with: `cargo run --release --example telemetry [-- OUT_DIR]`
 //!

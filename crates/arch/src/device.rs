@@ -96,7 +96,8 @@ impl Device {
     /// # Errors
     ///
     /// Returns [`ArchError::CoordOutOfBounds`] when it does not.
-    pub fn check_coord(&self, c: Coord) -> Result<(), ArchError> {
+    #[cfg(test)]
+    fn check_coord(&self, c: Coord) -> Result<(), ArchError> {
         if self.contains(c) {
             Ok(())
         } else {
@@ -111,7 +112,8 @@ impl Device {
 
     /// Size of the raw configuration bit-stream of the full device, in bits
     /// (`width · height · N_raw`).
-    pub fn raw_bitstream_bits(&self) -> u64 {
+    #[cfg(test)]
+    fn raw_bitstream_bits(&self) -> u64 {
         self.macro_count() as u64 * self.spec.raw_bits_per_macro() as u64
     }
 
@@ -119,8 +121,8 @@ impl Device {
     ///
     /// # Panics
     ///
-    /// Panics if `c` is outside the device; call [`Device::check_coord`] first
-    /// for untrusted input.
+    /// Panics if `c` is outside the device; check untrusted input with
+    /// [`Device::contains`] first.
     pub fn macro_index(&self, c: Coord) -> usize {
         assert!(self.contains(c), "coordinate {c} outside device");
         c.y as usize * self.width as usize + c.x as usize
@@ -140,7 +142,8 @@ impl Device {
     }
 
     /// Iterates over every macro coordinate of the device, row-major.
-    pub fn iter_coords(&self) -> impl Iterator<Item = Coord> + '_ {
+    #[cfg(test)]
+    fn iter_coords(&self) -> impl Iterator<Item = Coord> + '_ {
         let w = self.width;
         (0..self.height).flat_map(move |y| (0..w).map(move |x| Coord::new(x, y)))
     }

@@ -56,7 +56,8 @@ impl Coord {
 
     /// Offsets this coordinate by `origin`, i.e. translates a task-relative
     /// coordinate to a device-absolute one.
-    pub fn offset_by(self, origin: Coord) -> Coord {
+    #[cfg(test)]
+    fn offset_by(self, origin: Coord) -> Coord {
         Coord::new(self.x + origin.x, self.y + origin.y)
     }
 }

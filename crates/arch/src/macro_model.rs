@@ -259,7 +259,7 @@ impl fmt::Display for SbPair {
 /// ```
 /// use vbs_arch::{ArchSpec, FrameLayout};
 /// let layout = FrameLayout::new(ArchSpec::paper_example());
-/// assert_eq!(layout.total_bits(), 284);
+/// assert_eq!(layout.spec().raw_bits_per_macro(), 284);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FrameLayout {
@@ -278,7 +278,8 @@ impl FrameLayout {
     }
 
     /// Total number of bits in the frame (`N_raw`, Equation (1)).
-    pub const fn total_bits(&self) -> usize {
+    #[cfg(test)]
+    const fn total_bits(&self) -> usize {
         self.spec.raw_bits_per_macro()
     }
 
@@ -325,7 +326,7 @@ impl FrameLayout {
     /// # Panics
     ///
     /// Panics if `pin >= L` or `track >= W`.
-    pub fn crossing_group(&self, pin: u8, track: u16) -> (usize, usize) {
+    fn crossing_group(&self, pin: u8, track: u16) -> (usize, usize) {
         let w = self.spec.channel_width() as usize;
         let l = self.spec.lb_pins();
         assert!(pin < l, "pin {pin} out of range");

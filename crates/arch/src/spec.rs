@@ -91,7 +91,8 @@ impl ArchSpec {
     ///
     /// Returns [`ArchError::InvalidChannelWidth`] if `channel_width` is out of
     /// range.
-    pub fn with_channel_width(self, channel_width: u16) -> Result<Self, ArchError> {
+    #[cfg(test)]
+    fn with_channel_width(self, channel_width: u16) -> Result<Self, ArchError> {
         ArchSpec::new(channel_width, self.lut_size)
     }
 
@@ -123,19 +124,19 @@ impl ArchSpec {
 
     /// Number of configurable switch points in the switch box, `N_S = W`
     /// (one 4-way point per track in the subset/disjoint topology).
-    pub const fn sb_points(&self) -> usize {
+    const fn sb_points(&self) -> usize {
         self.channel_width as usize
     }
 
     /// Number of 4-way (cross-shaped) connection-box switches per macro,
     /// `N_C+ = L · (W − 1)`.
-    pub const fn cb_cross_switches(&self) -> usize {
+    const fn cb_cross_switches(&self) -> usize {
         self.lb_pins() as usize * (self.channel_width as usize - 1)
     }
 
     /// Number of 3-way (T-shaped) connection-box switches per macro,
     /// `N_CT = L`.
-    pub const fn cb_tee_switches(&self) -> usize {
+    const fn cb_tee_switches(&self) -> usize {
         self.lb_pins() as usize
     }
 

@@ -73,9 +73,8 @@ impl WireRef {
     /// The wire crossing boundary `side` of macro `at` on `track`, if that
     /// wire exists (wires beyond the device's south/west edge do not).
     ///
-    /// This is the inverse of [`WireRef::boundary_of`]: it answers "which
-    /// global wire does macro I/O `Boundary { side, track }` of the macro at
-    /// `at` refer to?".
+    /// It answers "which global wire does macro I/O `Boundary { side, track }`
+    /// of the macro at `at` refer to?".
     pub fn from_boundary(at: Coord, side: Side, track: u16) -> Option<WireRef> {
         match side {
             Side::East => Some(WireRef::horizontal(at.x, at.y, track)),
@@ -97,7 +96,8 @@ impl WireRef {
     /// Every wire touches exactly two macros (or one, at the device edge):
     /// its owner (as the east/north stub) and the owner's east/north
     /// neighbour (as the west/south stub).
-    pub fn boundary_of(&self, at: Coord) -> Option<Side> {
+    #[cfg(test)]
+    fn boundary_of(&self, at: Coord) -> Option<Side> {
         match self.kind {
             WireKind::Horizontal => {
                 if self.owner == at {

@@ -63,7 +63,8 @@ use vbs_telemetry::{Stage, Telemetry};
 static ALLOC: CountingAllocator = CountingAllocator;
 
 /// Allocations a hot-hit `execute(Load)` + `execute(Unload)` pair may make:
-/// 7 measured on the 6×6 `fft_stage`, against 40 when each of the pair's two
+/// 6 measured on the 6×6 `fft_stage`, against 7 when the scheduler kept a
+/// copy of every resident's task name, 40 when each of the pair's two
 /// fragmentation samples swept the fabric macro by macro from a fresh
 /// occupancy snapshot, and 109 when every load also re-parsed the stored
 /// stream.
@@ -88,10 +89,12 @@ const COLD_DECODE_ALLOCATION_BUDGET: u64 = 19;
 
 /// Allocations of a corpus fleet cache-hit pair (submit load, process,
 /// submit unload, process) on the K = 2 least-loaded fleet, as counted. It
-/// was 19 when shards queued requests under ids of their own and the
-/// dispatcher kept two id maps to translate them back, and 41 when every
-/// round also spawned a scoped thread per busy fabric.
-const FLEET_HIT_PAIR_ALLOCATIONS: u64 = 16;
+/// was 16 when every resident kept a copy of its task name and every
+/// pending load a list of the fabrics it was queued on, 19 when shards
+/// queued requests under ids of their own and the dispatcher kept two id
+/// maps to translate them back, and 41 when every round also spawned a
+/// scoped thread per busy fabric.
+const FLEET_HIT_PAIR_ALLOCATIONS: u64 = 14;
 
 /// Bytes building the K = 2 corpus fleet may request. It requested
 /// 1 507 940 when each of its four disabled telemetry handles held a full

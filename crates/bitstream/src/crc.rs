@@ -113,7 +113,7 @@ impl Crc32 {
 
     /// Folds a word slice in (little-endian byte order, so the digest is
     /// platform independent).
-    pub fn update_words(&mut self, words: &[u64]) {
+    fn update_words(&mut self, words: &[u64]) {
         self.state = Kernels::active().crc32_words(self.state, words);
     }
 

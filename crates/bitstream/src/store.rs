@@ -140,7 +140,7 @@ impl FrameStore {
     /// # Panics
     ///
     /// Panics if `start + count > len()`.
-    pub fn run_mut(&mut self, start: usize, count: usize) -> &mut [u64] {
+    fn run_mut(&mut self, start: usize, count: usize) -> &mut [u64] {
         &mut self.words[start * self.stride..(start + count) * self.stride]
     }
 

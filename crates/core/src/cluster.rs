@@ -198,7 +198,7 @@ impl ClusterGrid {
     }
 
     /// The local macro index (row-major within the cluster) of `at`.
-    pub fn local_index(&self, at: Coord) -> u16 {
+    fn local_index(&self, at: Coord) -> u16 {
         let lx = at.x % self.cluster_size;
         let ly = at.y % self.cluster_size;
         ly * self.cluster_size + lx

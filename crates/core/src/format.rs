@@ -474,7 +474,8 @@ impl Vbs {
 
     /// Compression ratio against a raw bit-stream of `raw_bits` bits
     /// (`VBS size / raw size`, the percentage plotted in Figures 4 and 5).
-    pub fn compression_ratio(&self, raw_bits: u64) -> f64 {
+    #[cfg(test)]
+    fn compression_ratio(&self, raw_bits: u64) -> f64 {
         self.size_bits() as f64 / raw_bits as f64
     }
 

@@ -288,7 +288,8 @@ pub fn by_name(name: &str) -> Option<&'static McncCircuit> {
 
 /// The subset of Table II circuits with more than one thousand logic blocks
 /// (the paper notes that 13 of the 20 qualify).
-pub fn over_thousand_lbs() -> impl Iterator<Item = &'static McncCircuit> {
+#[cfg(test)]
+fn over_thousand_lbs() -> impl Iterator<Item = &'static McncCircuit> {
     TABLE2.iter().filter(|c| c.logic_blocks > 1000)
 }
 

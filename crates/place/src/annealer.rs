@@ -35,7 +35,7 @@ pub fn place(
 /// Returns [`PlaceError::RegionOutsideDevice`] if the region does not fit the
 /// device and [`PlaceError::DeviceTooSmall`] if it has fewer sites than the
 /// netlist has blocks.
-pub fn place_in_region(
+fn place_in_region(
     netlist: &Netlist,
     device: &Device,
     region: Rect,

@@ -20,7 +20,7 @@ pub struct BoundingBox {
 
 impl BoundingBox {
     /// Half-perimeter of the box.
-    pub fn half_perimeter(&self) -> u32 {
+    fn half_perimeter(&self) -> u32 {
         (self.max_x - self.min_x) as u32 + (self.max_y - self.min_y) as u32
     }
 }

@@ -87,7 +87,8 @@ impl Placement {
 
     /// The tight bounding rectangle of the placed blocks (may be smaller than
     /// the placement region).
-    pub fn used_bounds(&self) -> Rect {
+    #[cfg(test)]
+    fn used_bounds(&self) -> Rect {
         if self.site_of.is_empty() {
             return Rect::new(self.region.origin, 0, 0);
         }

@@ -236,7 +236,8 @@ impl ReconfigurationController {
     }
 
     /// Whether the checksum sidecar is live.
-    pub fn integrity_enabled(&self) -> bool {
+    #[cfg(test)]
+    fn integrity_enabled(&self) -> bool {
         self.integrity.is_some()
     }
 

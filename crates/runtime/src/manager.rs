@@ -237,10 +237,42 @@ impl TaskManager {
         Ok(())
     }
 
+    /// Runs the active policy's [`FabricView::compaction_plan`], each move a
+    /// [`TaskManager::relocate`]. A move onto a task not yet moved is retried
+    /// after the others; a round without progress abandons the rest, leaving
+    /// the fabric consistent. Returns the moves made, in order.
+    pub fn compact(&mut self) -> Vec<(TaskHandle, Rect)> {
+        let mut plan = self.view.compaction_plan(self.policy.as_ref());
+        let mut moves = Vec::with_capacity(plan.len());
+        while !plan.is_empty() {
+            let before = moves.len();
+            plan.retain(|&(index, region)| {
+                let blocked = self.relocate_resident_at(index, region.origin).is_err();
+                if !blocked {
+                    moves.push((self.loaded[index].handle, region));
+                }
+                blocked
+            });
+            if moves.len() == before {
+                break;
+            }
+        }
+        moves
+    }
+
     /// Searches a free `width` × `height` rectangle with the active
     /// placement policy.
     pub fn find_free_region(&self, width: u16, height: u16) -> Option<Coord> {
         self.policy.place(width, height, &self.view)
+    }
+
+    /// As [`TaskManager::find_free_region`], with `avoid` counted busy too:
+    /// the re-placement of a load whose target region refused or corrupted
+    /// its writes, so an answer is always a different spot.
+    pub fn find_free_region_avoiding(&self, width: u16, height: u16, avoid: Rect) -> Option<Coord> {
+        let mut masked = self.view.clone();
+        masked.push(avoid);
+        self.policy.place(width, height, &masked)
     }
 
     fn ensure_region_free(
@@ -277,6 +309,7 @@ impl TaskManager {
 mod tests {
     use super::*;
     use crate::fault::{FaultAction, FaultHook};
+    use crate::placement::{BestFit, BottomLeftSkyline};
     use proptest::prelude::*;
     use proptest::test_runner::TestRng;
     use std::sync::atomic::{AtomicU8, Ordering};
@@ -442,7 +475,8 @@ mod tests {
     proptest! {
         /// 64 calls a case (4096 at the default case count), refused ones
         /// included: whatever a call did to `loaded`, the maintained view
-        /// answers like a view built from scratch.
+        /// answers like a view built from scratch, and a masked
+        /// re-placement like a view built with the masked rectangle busy.
         #[test]
         fn maintained_view_tracks_the_loaded_tasks(
             ops in proptest::collection::vec((0u8..16, 0u16..18, 0u16..10, 0usize..64), 64),
@@ -456,10 +490,14 @@ mod tests {
                 (m, task)
             });
             let device = template.controller().device().clone();
+            let policies: [Box<dyn PlacementPolicy>; 3] =
+                [Box::new(FirstFit), Box::new(BestFit), Box::new(BottomLeftSkyline)];
+            let policy = policies.into_iter().nth(usize::from(ops[0].0 % 3)).unwrap();
             let mut m = TaskManager::new(
                 ReconfigurationController::new(device),
                 template.repository().clone(),
             )
+            .with_policy(policy)
             .with_fabric_id(FabricId(3));
             let hook = Arc::new(ModeHook::default());
             m.controller_mut().set_fault_hook(Some(hook.clone()));
@@ -492,6 +530,18 @@ mod tests {
                 prop_assert_eq!(
                     view.fragmentation().to_bits(),
                     rebuilt.fragmentation().to_bits(),
+                    "step {} of {:?}", step, ops
+                );
+
+                // Avoided rectangles reach past the fabric and onto residents.
+                let avoid = Rect::new(origin, 1 + u16::from(op) % 6, 1 + y % 5);
+                let (w, h) = (1 + (pick % 8) as u16, 1 + (pick / 8) as u16);
+                let found = m.find_free_region_avoiding(w, h, avoid);
+                let busy = rebuilt.occupied().iter().copied().chain([avoid]).collect();
+                let masked = FabricView::new(16, 8, busy);
+                prop_assert_eq!(found, m.policy().place(w, h, &masked), "step {} of {:?}", step, ops);
+                prop_assert!(
+                    found.is_none_or(|at| !Rect::new(at, w, h).intersects(&avoid)),
                     "step {} of {:?}", step, ops
                 );
             }

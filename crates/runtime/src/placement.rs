@@ -37,8 +37,8 @@ impl fmt::Display for FabricId {
 /// The occupancy of one fabric: device dimensions plus the region of every
 /// loaded task. All placement policies and the fragmentation metrics operate
 /// on this view. A [`TaskManager`](crate::TaskManager) keeps one up to date
-/// as tasks come and go; [`FabricView::new`] builds a one-off (a what-if
-/// layout for a compaction plan, a test fixture).
+/// as tasks come and go; [`FabricView::new`] builds a one-off (a test
+/// fixture), and [`FabricView::compaction_plan`] works on a clone.
 ///
 /// Rectangles are **clipped to the fabric** on the way in, so whatever
 /// [`FabricView::occupied`] returns satisfies `origin + size <= fabric size`
@@ -305,6 +305,44 @@ impl FabricView {
         // `min`: overlapping regions make `free` a lower bound.
         1.0 - self.largest_free_rect_area().min(free) as f64 / free as f64
     }
+
+    /// Plans a defragmentation pass: at most four greedy sweeps, each
+    /// offering every region, lowest first, the origin `policy` picks with
+    /// the others where the sweeps have put them, if strictly lower-left.
+    /// Returns `(index, final region)` of every region that moved, sorted
+    /// bottom-left by final region, the order in which each moves once.
+    pub fn compaction_plan(&self, policy: &dyn PlacementPolicy) -> Vec<(usize, Rect)> {
+        let mut layout = self.clone();
+        let mut order: Vec<usize> = (0..self.occupied.len()).collect();
+        for _ in 0..4 {
+            let mut moved = false;
+            order.sort_by_key(|&i| (layout.occupied[i].origin.y, layout.occupied[i].origin.x));
+            for &i in &order {
+                let region = layout.occupied[i];
+                // Masked (clipped away): no obstacle to its own move.
+                layout.replace(i, Rect::new(region.origin, 0, 0));
+                let target = match policy.place(region.width, region.height, &layout) {
+                    Some(to) if (to.y, to.x) < (region.origin.y, region.origin.x) => {
+                        moved = true;
+                        Rect::new(to, region.width, region.height)
+                    }
+                    _ => region,
+                };
+                layout.replace(i, target);
+            }
+            if !moved {
+                break;
+            }
+        }
+        let mut plan: Vec<(usize, Rect)> = layout
+            .occupied
+            .into_iter()
+            .enumerate()
+            .filter(|&(i, region)| region != self.occupied[i])
+            .collect();
+        plan.sort_by_key(|(_, region)| (region.origin.y, region.origin.x));
+        plan
+    }
 }
 
 /// A strategy choosing where on the fabric a `width` × `height` task goes.
@@ -501,7 +539,64 @@ mod tests {
         (width, height, occupied)
     }
 
+    /// The planner the scheduler ran before [`FabricView::compaction_plan`]:
+    /// the same sweeps over an `(index, region)` snapshot, building a fresh
+    /// view of every other region for each offer.
+    fn compaction_plan_by_snapshot(
+        view: &FabricView,
+        policy: &dyn PlacementPolicy,
+    ) -> Vec<(usize, Rect)> {
+        let mut sim: Vec<(usize, Rect)> = view.occupied().iter().copied().enumerate().collect();
+        for _ in 0..4 {
+            let mut moved = false;
+            sim.sort_by_key(|(_, region)| (region.origin.y, region.origin.x));
+            for i in 0..sim.len() {
+                let (width, height) = (sim[i].1.width, sim[i].1.height);
+                let others: Vec<Rect> = sim
+                    .iter()
+                    .enumerate()
+                    .filter(|&(j, _)| j != i)
+                    .map(|(_, &(_, region))| region)
+                    .collect();
+                let masked = FabricView::new(view.width(), view.height(), others);
+                if let Some(candidate) = policy.place(width, height, &masked) {
+                    let current = sim[i].1.origin;
+                    if (candidate.y, candidate.x) < (current.y, current.x) {
+                        sim[i].1 = Rect::new(candidate, width, height);
+                        moved = true;
+                    }
+                }
+            }
+            if !moved {
+                break;
+            }
+        }
+        let mut plan: Vec<(usize, Rect)> = sim
+            .into_iter()
+            .filter(|&(i, region)| view.occupied()[i] != region)
+            .collect();
+        plan.sort_by_key(|(_, region)| (region.origin.y, region.origin.x));
+        plan
+    }
+
     proptest! {
+        /// 32 occupancies a case, each planned under all three policies.
+        #[test]
+        fn compaction_plan_matches_the_snapshot_planner(seed in 0u64..u64::MAX) {
+            let mut rng = TestRng::from_name(&format!("plan {seed}"));
+            for round in 0..32 {
+                let (width, height, occupied) = random_occupancy(&mut rng);
+                let view = FabricView::new(width, height, occupied);
+                for policy in [&FirstFit as &dyn PlacementPolicy, &BestFit, &BottomLeftSkyline] {
+                    prop_assert_eq!(
+                        view.compaction_plan(policy),
+                        compaction_plan_by_snapshot(&view, policy),
+                        "seed {} round {} {}: {:?}", seed, round, policy.name(), view
+                    );
+                }
+            }
+        }
+
         /// 32 occupancies a case, so the default 64 cases compare 2048.
         #[test]
         fn compressed_sweep_matches_the_per_cell_oracle(seed in 0u64..u64::MAX) {

@@ -127,10 +127,15 @@ struct Manifest {
     traces: Vec<(String, String)>,
 }
 
+/// Parses the manifest and checks the geometry it declares: the `arch`
+/// line must name a valid [`ArchSpec`], `single` and `fleet` valid
+/// [`Device`] shapes on it, and the fleet at least one fabric — so every
+/// corpus that loads can build its schedulers.
 fn parse_manifest(text: &str) -> Result<Manifest, CorpusError> {
-    let mut arch: Option<(u16, u8)> = None;
-    let mut single: Option<(u16, u16)> = None;
-    let mut fleet: Option<(usize, u16, u16)> = None;
+    // Each shape line with its 1-based line number, for the geometry errors.
+    let mut arch: Option<(usize, u16, u8)> = None;
+    let mut single: Option<(usize, u16, u16)> = None;
+    let mut fleet: Option<(usize, usize, u16, u16)> = None;
     let mut tasks = Vec::new();
     let mut traces = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
@@ -138,37 +143,33 @@ fn parse_manifest(text: &str) -> Result<Manifest, CorpusError> {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let err = |reason: String| CorpusError::Manifest {
-            line: idx + 1,
-            reason,
-        };
+        let n = idx + 1;
+        let err = |reason: String| CorpusError::Manifest { line: n, reason };
         let fields: Vec<&str> = line.split_whitespace().collect();
-        let num = |field: &str, what: &str| -> Result<u64, CorpusError> {
-            field
-                .parse()
-                .map_err(|_| err(format!("invalid {what} `{field}`")))
-        };
+        // Each number parses into its field's own type, so an out-of-range
+        // value is an error instead of a silent truncation.
+        let bad = |field: &str, what: &str| err(format!("invalid {what} `{field}`"));
         match fields.as_slice() {
             ["arch", w, k] => {
-                arch = Some((num(w, "channel width")? as u16, num(k, "lut size")? as u8));
+                let w = w.parse().map_err(|_| bad(w, "channel width"))?;
+                arch = Some((n, w, k.parse().map_err(|_| bad(k, "lut size"))?));
             }
             ["single", w, h] => {
-                single = Some((num(w, "width")? as u16, num(h, "height")? as u16));
+                let w = w.parse().map_err(|_| bad(w, "width"))?;
+                single = Some((n, w, h.parse().map_err(|_| bad(h, "height"))?));
             }
             ["fleet", k, w, h] => {
-                fleet = Some((
-                    num(k, "fleet size")? as usize,
-                    num(w, "width")? as u16,
-                    num(h, "height")? as u16,
-                ));
+                let k = k.parse().map_err(|_| bad(k, "fleet size"))?;
+                let w = w.parse().map_err(|_| bad(w, "width"))?;
+                fleet = Some((n, k, w, h.parse().map_err(|_| bad(h, "height"))?));
             }
             ["task", name, file, w, h, luts] => {
                 tasks.push(CorpusTask {
                     name: (*name).to_string(),
                     file: (*file).to_string(),
-                    width: num(w, "width")? as u16,
-                    height: num(h, "height")? as u16,
-                    luts: num(luts, "lut count")? as usize,
+                    width: w.parse().map_err(|_| bad(w, "width"))?,
+                    height: h.parse().map_err(|_| bad(h, "height"))?,
+                    luts: luts.parse().map_err(|_| bad(luts, "lut count"))?,
                 });
             }
             ["trace", name, file] => {
@@ -181,12 +182,25 @@ fn parse_manifest(text: &str) -> Result<Manifest, CorpusError> {
         line: 0,
         reason: format!("missing `{what}` line"),
     };
-    let (channel_width, lut_size) = arch.ok_or_else(|| missing("arch"))?;
+    let invalid = |line: usize, reason: &dyn fmt::Display| CorpusError::Manifest {
+        line,
+        reason: reason.to_string(),
+    };
+    let (line, channel_width, lut_size) = arch.ok_or_else(|| missing("arch"))?;
+    let spec = ArchSpec::new(channel_width, lut_size).map_err(|e| invalid(line, &e))?;
+    let (line, width, height) = single.ok_or_else(|| missing("single"))?;
+    Device::new(spec, width, height).map_err(|e| invalid(line, &e))?;
+    let single = (width, height);
+    let (line, k, width, height) = fleet.ok_or_else(|| missing("fleet"))?;
+    if k == 0 {
+        return Err(invalid(line, &"a fleet needs at least one fabric"));
+    }
+    Device::new(spec, width, height).map_err(|e| invalid(line, &e))?;
     Ok(Manifest {
         channel_width,
         lut_size,
-        single: single.ok_or_else(|| missing("single"))?,
-        fleet: fleet.ok_or_else(|| missing("fleet"))?,
+        single,
+        fleet: (k, width, height),
         tasks,
         traces,
     })
@@ -197,7 +211,8 @@ impl McncCorpus {
     ///
     /// # Errors
     ///
-    /// Returns a [`CorpusError`] when a file is unreadable or the manifest
+    /// Returns a [`CorpusError`] when a file is unreadable, the manifest
+    /// does not parse or declares an invalid architecture or fabric shape,
     /// or a trace does not parse.
     pub fn load(dir: impl AsRef<Path>) -> Result<McncCorpus, CorpusError> {
         let dir = dir.as_ref();
@@ -414,7 +429,7 @@ impl McncCorpus {
 
     /// The fleet replay scheduler under an explicit per-fabric scheduler
     /// configuration.
-    pub fn fleet_scheduler_with(
+    fn fleet_scheduler_with(
         &self,
         policy: &str,
         config: SchedulerConfig,
@@ -514,7 +529,7 @@ impl McncCorpus {
     /// [`Self::chaos_fleet_scheduler`] under an explicit per-fabric
     /// configuration — the finite-cache-budget chaos re-verification
     /// replays the chaos goldens through this.
-    pub fn chaos_fleet_scheduler_with(&self, config: SchedulerConfig) -> MultiFabricScheduler {
+    fn chaos_fleet_scheduler_with(&self, config: SchedulerConfig) -> MultiFabricScheduler {
         let mut fleet = self
             .fleet_scheduler_with("round-robin", config)
             .expect("round-robin resolves");
@@ -619,5 +634,34 @@ trace steady steady.trace
         assert!(err.to_string().contains("channel width"), "{err}");
         let err = parse_manifest("single 14 14\n").unwrap_err();
         assert!(err.to_string().contains("arch"), "{err}");
+    }
+
+    /// Values the builders would refuse (or that used to wrap on a cast)
+    /// are refused at load, on their own line, so `single_scheduler` and
+    /// `fleet_scheduler` cannot panic on a corpus that loaded.
+    #[test]
+    fn manifest_rejects_invalid_geometry() {
+        for (line, bad, what) in [
+            (2, "arch 10 262", "lut size"),
+            (2, "arch 10 9", "LUT size"),
+            (2, "arch 1 6", "channel width"),
+            (3, "single 0 14", "device size"),
+            (3, "single 70000 14", "width"),
+            (4, "fleet 0 12 12", "at least one fabric"),
+            (4, "fleet 2 12 0", "device size"),
+        ] {
+            let keyword = bad.split(' ').next().unwrap();
+            let text: String = MANIFEST
+                .lines()
+                .map(|l| if l.starts_with(keyword) { bad } else { l })
+                .map(|l| format!("{l}\n"))
+                .collect();
+            let err = parse_manifest(&text).unwrap_err();
+            assert!(
+                matches!(err, CorpusError::Manifest { line: l, .. } if l == line),
+                "`{bad}`: {err:?}"
+            );
+            assert!(err.to_string().contains(what), "`{bad}`: {err}");
+        }
     }
 }

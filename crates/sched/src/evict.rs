@@ -13,8 +13,6 @@ use vbs_arch::Rect;
 pub struct ResidentInfo {
     /// Scheduler job id of the resident.
     pub job: u64,
-    /// Task name in the repository.
-    pub name: String,
     /// Fabric region the task occupies.
     pub region: Rect,
     /// Request priority the task was loaded with (higher = more important).
@@ -25,14 +23,14 @@ pub struct ResidentInfo {
     pub last_used: u64,
 }
 
-/// A strategy ordering eviction victims when a load finds no free region.
+/// A strategy choosing the eviction victim when a load finds no free region.
 pub trait EvictionPolicy: fmt::Debug + Send + Sync {
     /// Short policy name for logs and reports.
     fn name(&self) -> &'static str;
 
-    /// Returns job ids in eviction order (most evictable first). Jobs not
-    /// listed are protected from eviction for this request.
-    fn victims(&self, residents: &[ResidentInfo], incoming_priority: u8) -> Vec<u64>;
+    /// Returns the job id of the most evictable resident, or `None` when
+    /// every resident is protected from eviction for this request.
+    fn victim(&self, residents: &[ResidentInfo], incoming_priority: u8) -> Option<u64>;
 }
 
 /// Evict the least recently used resident first, regardless of priority.
@@ -44,10 +42,11 @@ impl EvictionPolicy for LruEviction {
         "lru"
     }
 
-    fn victims(&self, residents: &[ResidentInfo], _incoming_priority: u8) -> Vec<u64> {
-        let mut order: Vec<&ResidentInfo> = residents.iter().collect();
-        order.sort_by_key(|r| (r.last_used, r.loaded_at, r.job));
-        order.into_iter().map(|r| r.job).collect()
+    fn victim(&self, residents: &[ResidentInfo], _incoming_priority: u8) -> Option<u64> {
+        residents
+            .iter()
+            .min_by_key(|r| (r.last_used, r.loaded_at, r.job))
+            .map(|r| r.job)
     }
 }
 
@@ -61,25 +60,25 @@ impl EvictionPolicy for PriorityEviction {
         "priority"
     }
 
-    fn victims(&self, residents: &[ResidentInfo], incoming_priority: u8) -> Vec<u64> {
-        let mut order: Vec<&ResidentInfo> = residents
+    fn victim(&self, residents: &[ResidentInfo], incoming_priority: u8) -> Option<u64> {
+        residents
             .iter()
             .filter(|r| r.priority < incoming_priority)
-            .collect();
-        order.sort_by_key(|r| (r.priority, r.last_used, r.job));
-        order.into_iter().map(|r| r.job).collect()
+            .min_by_key(|r| (r.priority, r.last_used, r.job))
+            .map(|r| r.job)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
     use vbs_arch::{Coord, Rect};
 
     fn resident(job: u64, priority: u8, last_used: u64) -> ResidentInfo {
         ResidentInfo {
             job,
-            name: format!("t{job}"),
             region: Rect::new(Coord::new(0, 0), 1, 1),
             priority,
             loaded_at: 0,
@@ -90,14 +89,50 @@ mod tests {
     #[test]
     fn lru_orders_by_recency() {
         let residents = vec![resident(1, 9, 30), resident(2, 0, 10), resident(3, 5, 20)];
-        assert_eq!(LruEviction.victims(&residents, 0), vec![2, 3, 1]);
+        assert_eq!(LruEviction.victim(&residents, 0), Some(2));
+        assert_eq!(LruEviction.victim(&[], 0), None);
     }
 
     #[test]
     fn priority_protects_equal_or_higher() {
         let residents = vec![resident(1, 3, 30), resident(2, 7, 10), resident(3, 3, 20)];
-        assert_eq!(PriorityEviction.victims(&residents, 5), vec![3, 1]);
-        assert_eq!(PriorityEviction.victims(&residents, 8), vec![3, 1, 2]);
-        assert!(PriorityEviction.victims(&residents, 3).is_empty());
+        assert_eq!(PriorityEviction.victim(&residents, 5), Some(3));
+        assert_eq!(PriorityEviction.victim(&residents, 8), Some(3));
+        assert_eq!(PriorityEviction.victim(&residents, 3), None);
+    }
+
+    proptest! {
+        /// 16 resident sets a case, drawn from small ranges so ties are
+        /// common: `victim` is the head of the full order the policies
+        /// returned before, sorted here as the oracle.
+        #[test]
+        fn victim_is_the_head_of_the_old_order(seed in 0u64..u64::MAX) {
+            let mut rng = TestRng::from_name(&seed.to_string());
+            let mut below = |n: u64| rng.next_u64() % n;
+            for _ in 0..16 {
+                // Distinct job ids in random order.
+                let residents: Vec<ResidentInfo> = (0..below(9))
+                    .map(|i| ResidentInfo {
+                        loaded_at: below(3),
+                        ..resident(below(16) * 16 + i, below(4) as u8, below(3))
+                    })
+                    .collect();
+                let incoming = below(5) as u8;
+                let mut lru: Vec<&ResidentInfo> = residents.iter().collect();
+                lru.sort_by_key(|r| (r.last_used, r.loaded_at, r.job));
+                let mut by_priority: Vec<&ResidentInfo> =
+                    residents.iter().filter(|r| r.priority < incoming).collect();
+                by_priority.sort_by_key(|r| (r.priority, r.last_used, r.job));
+                let context = format!("{residents:?} incoming {incoming}");
+                prop_assert_eq!(
+                    LruEviction.victim(&residents, incoming),
+                    lru.first().map(|r| r.job), "{}", context
+                );
+                prop_assert_eq!(
+                    PriorityEviction.victim(&residents, incoming),
+                    by_priority.first().map(|r| r.job), "{}", context
+                );
+            }
+        }
     }
 }

@@ -73,13 +73,23 @@ impl MultiMetrics {
     }
 }
 
+/// A routed job: where its unloads and relocations go, and, while its
+/// load waits for a final outcome, what drives migration.
+#[derive(Debug)]
+struct Job {
+    /// The fabric the job was last queued on.
+    fabric: usize,
+    /// The load still waiting for its final outcome, if any.
+    pending: Option<PendingLoad>,
+}
+
 /// A load waiting for its final outcome (used to drive migration).
 #[derive(Debug)]
 struct PendingLoad {
     /// The load request (re-queued as is when the load migrates).
     request: Request,
-    /// Fabrics the load was queued on, in order — the set a migrating
-    /// load must not retry.
+    /// Fabrics the load was queued on before its current one, in order —
+    /// with the current one, the set a migrating load must not retry.
     tried: Vec<usize>,
     /// Whether this is a re-placement of a resident evacuated from a
     /// quarantined fabric (books as a degraded-mode acceptance, not a
@@ -92,16 +102,13 @@ struct PendingLoad {
 pub struct MultiFabricScheduler {
     fabrics: Vec<Scheduler>,
     policy: Box<dyn ShardPolicy>,
-    /// Load job → the fabric it was last queued on, where its unloads and
-    /// relocations go. Dropped when the job is unloaded, reported gone, or
-    /// finally rejected. An *evicted* job keeps its route until its owner
-    /// unloads it (eviction is not terminal for the owner — the unload
-    /// must still resolve on the right fabric, and the K=1 differential
-    /// requires the shard to process it), so clients should unload jobs
-    /// they saw evicted.
-    route: HashMap<u64, usize>,
-    /// Loads still waiting for their final outcome.
-    pending_loads: HashMap<u64, PendingLoad>,
+    /// Every routed load job. Dropped when the job is unloaded, reported
+    /// gone, or finally rejected. An *evicted* job keeps its entry until
+    /// its owner unloads it (eviction is not terminal for the owner — the
+    /// unload must still resolve on the right fabric, and the K=1
+    /// differential requires the shard to process it), so clients should
+    /// unload jobs they saw evicted.
+    jobs: HashMap<u64, Job>,
     /// Per-fabric quarantine flags: a fabric found offline after a round is
     /// quarantined (no new routing, residents re-queued elsewhere) until its
     /// fault hook reports it reachable again.
@@ -139,8 +146,7 @@ impl MultiFabricScheduler {
         MultiFabricScheduler {
             fabrics,
             policy,
-            route: HashMap::new(),
-            pending_loads: HashMap::new(),
+            jobs: HashMap::new(),
             quarantined,
             synthesized: Vec::new(),
             next_job: 1,
@@ -273,7 +279,7 @@ impl MultiFabricScheduler {
                 self.dispatch(job, fabric, request, false);
             }
             Request::Unload { job: target } | Request::Relocate { job: target, .. } => {
-                match self.route.get(target).copied() {
+                match self.jobs.get(target).map(|j| j.fabric) {
                     Some(fabric) => self.fabrics[fabric].enqueue(job, request),
                     None => self
                         .synthesized
@@ -287,15 +293,12 @@ impl MultiFabricScheduler {
     /// Queues load `job` on `fabric` and opens its pending entry.
     fn dispatch(&mut self, job: u64, fabric: usize, request: Request, replacement: bool) {
         self.fabrics[fabric].enqueue(job, request.clone());
-        self.route.insert(job, fabric);
-        self.pending_loads.insert(
-            job,
-            PendingLoad {
-                request,
-                tried: vec![fabric],
-                replacement,
-            },
-        );
+        let pending = Some(PendingLoad {
+            request,
+            tried: Vec::new(),
+            replacement,
+        });
+        self.jobs.insert(job, Job { fabric, pending });
     }
 
     /// Processes every queued request, migrating capacity-rejected loads
@@ -379,7 +382,7 @@ impl MultiFabricScheduler {
     /// Returns whether a new dispatch was created.
     fn requeue_resident(&mut self, evacuated: EvacuatedJob) -> bool {
         let job = evacuated.job;
-        self.route.remove(&job);
+        self.jobs.remove(&job);
         self.metrics.residents_requeued += 1;
         let statuses = self.statuses(&evacuated.task);
         if statuses.iter().all(|s| self.quarantined[s.fabric]) {
@@ -399,16 +402,16 @@ impl MultiFabricScheduler {
     }
 
     /// Books the final outcome of a request in the fleet counters and
-    /// drops the route of a job no fabric can name again.
+    /// drops the entry of a job no fabric can name again.
     fn settle(&mut self, job: u64, outcome: &Outcome) {
-        if let Some(pending) = self.pending_loads.remove(&job) {
+        if let Some(pending) = self.jobs.get_mut(&job).and_then(|j| j.pending.take()) {
             match outcome {
                 Outcome::Loaded { .. } if pending.replacement => {
                     self.metrics.degraded_accepts += 1;
                 }
                 Outcome::Loaded { .. } => {
                     self.metrics.loads_accepted += 1;
-                    if pending.tried.len() > 1 {
+                    if !pending.tried.is_empty() {
                         self.metrics.migrated_accepts += 1;
                     }
                 }
@@ -420,7 +423,7 @@ impl MultiFabricScheduler {
                     if !pending.replacement {
                         self.metrics.loads_rejected += 1;
                     }
-                    self.route.remove(&job);
+                    self.jobs.remove(&job);
                 }
                 _ => {}
             }
@@ -431,8 +434,8 @@ impl MultiFabricScheduler {
         // first, while the load still lands afterwards and must stay
         // addressable).
         if let Outcome::Unloaded { job } | Outcome::NotResident { job } = outcome {
-            if !self.pending_loads.contains_key(job) {
-                self.route.remove(job);
+            if self.jobs.get(job).is_some_and(|j| j.pending.is_none()) {
+                self.jobs.remove(job);
             }
         }
     }
@@ -440,7 +443,11 @@ impl MultiFabricScheduler {
     /// Re-dispatches a capacity-rejected load to an untried fabric. Returns
     /// whether the load migrated (its outcome is then deferred).
     fn try_migrate(&mut self, job: u64, outcome: &Outcome) -> bool {
-        let Some(pending) = self.pending_loads.get(&job) else {
+        let Some(Job {
+            fabric: current,
+            pending: Some(pending),
+        }) = self.jobs.get(&job)
+        else {
             return false;
         };
         let migratable = match outcome {
@@ -454,7 +461,7 @@ impl MultiFabricScheduler {
             Outcome::Rejected {
                 reason: RejectReason::Runtime(_),
                 ..
-            } => pending.tried.last().is_some_and(|&f| self.quarantined[f]),
+            } => self.quarantined[*current],
             _ => false,
         };
         // A pending entry always holds its load request.
@@ -464,7 +471,7 @@ impl MultiFabricScheduler {
         let untried: Vec<FabricStatus> = self
             .statuses(task)
             .into_iter()
-            .filter(|s| !pending.tried.contains(&s.fabric))
+            .filter(|s| s.fabric != *current && !pending.tried.contains(&s.fabric))
             .collect();
         if untried.is_empty() {
             return false;
@@ -473,12 +480,13 @@ impl MultiFabricScheduler {
         self.telemetry
             .event(EventKind::Migrate, FLEET_FABRIC, job, target as u64);
         self.fabrics[target].enqueue(job, pending.request.clone());
-        self.route.insert(job, target);
-        self.pending_loads
-            .get_mut(&job)
-            .expect("checked above")
-            .tried
-            .push(target);
+        if let Some(Job {
+            fabric,
+            pending: Some(pending),
+        }) = self.jobs.get_mut(&job)
+        {
+            pending.tried.push(std::mem::replace(fabric, target));
+        }
         self.metrics.migrations += 1;
         true
     }

@@ -11,7 +11,7 @@
 
 use crate::cache::{CacheBudget, CacheLookup, CacheStats, DecodeCache};
 use crate::evict::{EvictionPolicy, LruEviction, ResidentInfo};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use vbs_arch::{ArchSpec, Coord, Rect};
 use vbs_bitstream::{BitstreamError, TaskBitstream};
@@ -257,7 +257,6 @@ impl SchedMetrics {
 #[derive(Debug)]
 struct Resident {
     handle: TaskHandle,
-    name: String,
     priority: u8,
     loaded_at: u64,
     last_used: u64,
@@ -398,23 +397,27 @@ impl Scheduler {
     /// bookkeeping is emptied and the abandoned jobs returned, oldest
     /// first, for re-placement on surviving fabrics.
     pub fn evacuate(&mut self) -> Vec<EvacuatedJob> {
-        let abandoned = self.manager.evacuate();
-        abandoned
-            .iter()
+        self.manager
+            .evacuate()
+            .into_iter()
             .filter_map(|t| {
-                let job = self
-                    .residents
-                    .iter()
-                    .find(|(_, r)| r.handle == t.handle)
-                    .map(|(&job, _)| job)?;
+                let job = self.job_of(t.handle)?;
                 let resident = self.residents.remove(&job)?;
                 Some(EvacuatedJob {
                     job,
-                    task: resident.name,
+                    task: t.name,
                     priority: resident.priority,
                 })
             })
             .collect()
+    }
+
+    /// The job resident under `handle`.
+    fn job_of(&self, handle: TaskHandle) -> Option<u64> {
+        self.residents
+            .iter()
+            .find(|(_, r)| r.handle == handle)
+            .map(|(&job, _)| job)
     }
 
     /// Brings a recovered fabric back to a trusted blank state: drops any
@@ -511,7 +514,6 @@ impl Scheduler {
                     .find(|t| t.handle == r.handle)
                     .map(|t| ResidentInfo {
                         job,
-                        name: r.name.clone(),
                         region: t.region,
                         priority: r.priority,
                         loaded_at: r.loaded_at,
@@ -606,88 +608,30 @@ impl Scheduler {
             .expect("the submitted request is always processed")
     }
 
-    /// Runs a defragmentation pass as one **batch-planned** move schedule:
-    /// the greedy bottom-left sweeps are *simulated* on the occupancy
-    /// rectangles until they reach a fixpoint, then every resident whose
-    /// final position improved is moved **once**, directly from its current
-    /// region to its final one. Compared to executing the sweeps directly,
-    /// this rewrites the minimum number of configuration frames (no task is
-    /// shuttled through intermediate positions) while converging to the
-    /// same packed layout. Every move is a decode-free bulk word-arena
-    /// relocation; the pass records its pause cost (frames moved + wall
-    /// microseconds) in [`SchedMetrics`]. Every pass runs its whole plan.
-    /// Returns the number of relocations.
+    /// Runs a defragmentation pass ([`TaskManager::compact`]): the greedy
+    /// bottom-left sweeps are planned on the occupancy rectangles, then
+    /// every resident whose final position improved is moved **once**,
+    /// directly to its final region, by a decode-free bulk word-arena
+    /// relocation. The pass records its pause cost (frames moved + wall
+    /// microseconds) in [`SchedMetrics`] and one `Relocate` event per
+    /// move, in move order. Returns the number of relocations.
     pub fn compact(&mut self) -> usize {
         let pause_start = self.telemetry.now();
         self.metrics.compaction_passes += 1;
-        let view = self.manager.fabric_view();
-
-        // Phase 1 — plan: replay the greedy sweeps on rectangles only.
-        // `sim` holds (job, current simulated region); each sweep offers
-        // every task the best strictly-better origin with all other tasks
-        // at their *simulated* positions, exactly as live sweeps would see
-        // them, until no task improves (bounded like the old executor).
-        let mut sim: Vec<(u64, Rect)> = {
-            let mut residents = self.residents();
-            residents.sort_by_key(|r| (r.region.origin.y, r.region.origin.x));
-            residents.into_iter().map(|r| (r.job, r.region)).collect()
-        };
-        let original: HashMap<u64, Rect> = sim.iter().copied().collect();
-        for _ in 0..4 {
-            let mut moved = false;
-            sim.sort_by_key(|(_, region)| (region.origin.y, region.origin.x));
-            for i in 0..sim.len() {
-                let (width, height) = (sim[i].1.width, sim[i].1.height);
-                let others: Vec<Rect> = sim
-                    .iter()
-                    .enumerate()
-                    .filter(|&(j, _)| j != i)
-                    .map(|(_, &(_, region))| region)
-                    .collect();
-                let masked = vbs_runtime::FabricView::new(view.width(), view.height(), others);
-                if let Some(candidate) = self.manager.policy().place(width, height, &masked) {
-                    let current = sim[i].1.origin;
-                    if (candidate.y, candidate.x) < (current.y, current.x) {
-                        sim[i].1 = Rect::new(candidate, width, height);
-                        moved = true;
-                    }
-                }
-            }
-            if !moved {
-                break;
-            }
-        }
-
-        // Phase 2 — execute: one net move per improved task, in bottom-left
-        // order of the *target*; a move whose destination is still occupied
-        // by a not-yet-moved task is retried after the blocker vacates. A
-        // round without progress (a blocking cycle — impossible for pure
-        // swaps under the strict bottom-left ordering, pathological
-        // otherwise) abandons the remainder; the fabric stays consistent.
-        let mut plan: Vec<(u64, Rect)> = sim
-            .into_iter()
-            .filter(|(job, region)| original.get(job) != Some(region))
-            .collect();
-        plan.sort_by_key(|(_, region)| (region.origin.y, region.origin.x));
-        let mut moves = 0usize;
+        let moves = self.manager.compact();
         let mut frames = 0u64;
-        while !plan.is_empty() {
-            let before = moves;
-            plan.retain(
-                |&(job, region)| match self.relocate_resident(job, region.origin) {
-                    Ok(()) => {
-                        moves += 1;
-                        frames += region.area() as u64;
-                        false
-                    }
-                    Err(_blocked) => true,
-                },
-            );
-            if moves == before {
-                break;
+        for &(handle, region) in &moves {
+            frames += u64::from(region.area());
+            if let Some(job) = self.job_of(handle) {
+                self.telemetry.event(
+                    EventKind::Relocate,
+                    self.fabric,
+                    job,
+                    pack_origin(region.origin),
+                );
             }
         }
-        self.metrics.relocations += moves as u64;
+        self.metrics.relocations += moves.len() as u64;
         self.metrics.compaction_frames_moved += frames;
         // The pause span doubles as the counter source, so the histogram
         // and the golden-counter total always agree.
@@ -697,29 +641,11 @@ impl Scheduler {
         self.telemetry.event_span(
             EventKind::CompactPass,
             self.fabric,
-            moves as u64,
+            moves.len() as u64,
             frames,
             pause_start,
         );
-        moves
-    }
-
-    /// Relocates a resident **decode-free**: the task's frames already sit
-    /// decoded in the configuration memory, so the move is one bulk
-    /// word-arena copy ([`TaskManager::relocate`]) — no repository fetch,
-    /// no cache lookup, no de-virtualization. This is the paper's model of
-    /// relocation as a pure copy; the decode counters and cache statistics
-    /// are untouched, which the relocation differential suite pins down.
-    fn relocate_resident(&mut self, job: u64, to: Coord) -> Result<(), RuntimeError> {
-        let handle = self
-            .residents
-            .get(&job)
-            .ok_or(RuntimeError::UnknownHandle { id: job })?
-            .handle;
-        self.manager.relocate(handle, to)?;
-        self.telemetry
-            .event(EventKind::Relocate, self.fabric, job, pack_origin(to));
-        Ok(())
+        moves.len()
     }
 
     /// Fetches the decoded stream of `name` through the cache (counting the
@@ -840,8 +766,20 @@ impl Scheduler {
                 }
                 None => Outcome::NotResident { job: target },
             },
-            Request::Relocate { job: target, to } => match self.relocate_resident(target, to) {
-                Ok(()) => {
+            // Decode-free: the frames already sit decoded in the
+            // configuration memory, so the move is one bulk word-arena copy
+            // that touches neither the decode counters nor the cache.
+            Request::Relocate { job: target, to } => match self
+                .residents
+                .get(&target)
+                .map(|r| self.manager.relocate(r.handle, to))
+            {
+                None | Some(Err(RuntimeError::UnknownHandle { .. })) => {
+                    Outcome::NotResident { job: target }
+                }
+                Some(Ok(())) => {
+                    self.telemetry
+                        .event(EventKind::Relocate, self.fabric, target, pack_origin(to));
                     self.metrics.relocations += 1;
                     // An explicit relocation is a use of the task.
                     self.touch(target);
@@ -850,8 +788,7 @@ impl Scheduler {
                         origin: to,
                     }
                 }
-                Err(RuntimeError::UnknownHandle { .. }) => Outcome::NotResident { job: target },
-                Err(e) => Outcome::Rejected {
+                Some(Err(e)) => Outcome::Rejected {
                     job: target,
                     reason: RejectReason::Runtime(e.to_string()),
                     evicted: Vec::new(),
@@ -960,8 +897,7 @@ impl Scheduler {
             if evicted.len() >= self.config.eviction_limit {
                 break None;
             }
-            let candidates = self.eviction.victims(&self.residents(), priority);
-            let Some(&victim) = candidates.first() else {
+            let Some(victim) = self.eviction.victim(&self.residents(), priority) else {
                 break None;
             };
             let resident = self
@@ -1001,7 +937,10 @@ impl Scheduler {
                 // column, transients that never dissolve, unverifiable
                 // frames), so offer the load one alternative region with
                 // the failed rectangle masked busy.
-                match self.replacement_origin(w, h, origin) {
+                match self
+                    .manager
+                    .find_free_region_avoiding(w, h, Rect::new(origin, w, h))
+                {
                     Some(alt) => self
                         .write_with_retry(job, task, &stream, alt)
                         .map(|handle| (handle, alt)),
@@ -1024,7 +963,6 @@ impl Scheduler {
                     job,
                     Resident {
                         handle,
-                        name: task.to_string(),
                         priority,
                         loaded_at: self.clock,
                         last_used: self.clock,
@@ -1131,22 +1069,6 @@ impl Scheduler {
             }
             Err(e) => Err(e),
         }
-    }
-
-    /// One alternative origin for a load whose target region refused or
-    /// corrupted its writes: the placement policy runs again with the
-    /// failed rectangle masked busy, so an answer is always a different
-    /// spot.
-    fn replacement_origin(&self, width: u16, height: u16, failed: Coord) -> Option<Coord> {
-        let view = self.manager.fabric_view();
-        let busy = view
-            .occupied()
-            .iter()
-            .copied()
-            .chain([Rect::new(failed, width, height)])
-            .collect();
-        let masked = vbs_runtime::FabricView::new(view.width(), view.height(), busy);
-        self.manager.policy().place(width, height, &masked)
     }
 
     fn sample_fragmentation(&mut self) {

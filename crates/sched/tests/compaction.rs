@@ -281,7 +281,13 @@ fn load_triggered_compaction_preserves_every_resident_image() {
     // Reference images of every survivor, via an independent decode.
     let mut references = Vec::new();
     for info in sched.residents() {
-        let vbs = sched.manager().repository().fetch(&info.name).unwrap();
+        let task = sched
+            .manager()
+            .loaded_tasks()
+            .iter()
+            .find(|t| t.region == info.region)
+            .unwrap();
+        let vbs = sched.manager().repository().fetch(&task.name).unwrap();
         let decoded = fresh_decode(&sched, &vbs);
         references.push((info.job, decoded));
     }

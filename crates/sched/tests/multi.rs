@@ -575,10 +575,17 @@ fn shards_hold_the_ids_submit_returned() {
     }
     assert_eq!(evicted_ids, vec![run.first]);
     for f in 0..run.multi.fabric_count() {
-        for resident in run.multi.fabric(f).residents() {
+        let shard = run.multi.fabric(f);
+        for resident in shard.residents() {
+            let name = shard
+                .manager()
+                .loaded_tasks()
+                .iter()
+                .find(|t| t.region == resident.region)
+                .map(|t| t.name.as_str());
             assert_eq!(
                 run.loads.get(&resident.job).copied(),
-                Some(resident.name.as_str()),
+                name,
                 "fabric {f} holds job {} under an id submit did not return for it",
                 resident.job
             );

@@ -17,14 +17,14 @@ pub const SCHED_CHANNEL_WIDTH: u16 = 9;
 pub const SCHED_LUT_SIZE: u8 = 6;
 
 /// The task mix: (name, LUTs, grid edge, seed).
-pub const SCHED_TASKS: &[(&str, usize, u16, u64)] = &[
+const SCHED_TASKS: &[(&str, usize, u16, u64)] = &[
     ("fir_filter", 9, 4, 21),
     ("crc_engine", 8, 4, 22),
     ("aes_round", 16, 5, 23),
     ("fft_stage", 24, 6, 24),
 ];
 
-/// Builds the repository of [`SCHED_TASKS`] through the full CAD flow.
+/// Builds the repository of `SCHED_TASKS` through the full CAD flow.
 ///
 /// # Panics
 ///

@@ -4,12 +4,11 @@
 //! Pinned guarantees:
 //!
 //! * `decode_into` performs **zero** heap allocations per load from the
-//!   second decode on a scratch, and from the *first* on a scratch that
-//!   went through `DecodeScratch::prepare_for`;
+//!   second decode on a scratch;
 //! * **pooled** `ReconfigurationController::load`s (the scratch and the
 //!   staging image drawn from the controller's [`vbs_runtime::ScratchPool`])
-//!   perform zero allocations per load from the first load after `warm`,
-//!   and the pool reports exactly one fresh scratch and one fresh buffer;
+//!   perform zero allocations per load after one warm-up load, and the pool
+//!   reports exactly one fresh scratch and one fresh buffer;
 //! * steady-state pooled loads with a **live telemetry registry**
 //!   installed (decode spans, latency histograms and timeline events
 //!   recorded on every load) stay at zero allocations — recording is
@@ -31,7 +30,8 @@
 //! * over the checked-in **corpus**, every load decodes the stored bytes
 //!   where they lie: a bare `TaskManager` load + unload pair (`cold_load`'s
 //!   operation) allocates once, for the resident's name (100 times when a
-//!   load parsed the stream into owned records); a scheduler miss or warm
+//!   load parsed the stream into owned records); a warm controller loads
+//!   and re-decodes every stream without allocating; a scheduler miss or warm
 //!   re-decode allocates the same for every stream, whatever its record
 //!   count; the first `VbsRepository::header` of a stored stream validates
 //!   it without allocating; and a 9-byte stream claiming 2²⁰ − 1 records is
@@ -147,26 +147,12 @@ fn decode_hot_path_allocation_budget() {
         "steady-state decode_into must not allocate (got {steady} over 50 loads)"
     );
 
-    // --- A prepared scratch is a warm scratch: `prepare_for` derives the
-    // patterns and sizes the buffers, so the *first* decode allocates
-    // nothing (it used to allocate 8 times, then 3, before settling).
-    let mut prepared = DecodeScratch::new();
-    prepared.prepare_for(&vbs).expect("prepare");
-    let before = allocations();
-    decode_into(&vbs, &mut staging, &mut prepared);
-    let first = allocations() - before;
-    assert_eq!(
-        first, 0,
-        "first decode after prepare_for allocated {first} times"
-    );
-
     // --- Pooled loads: the full decode→resident `load` path on the
-    // controller's pooled scratch and staging image. `warm` prepares one of
-    // each, so there is no settling phase: zero allocations from the first
-    // load on.
+    // controller's pooled scratch and staging image. One untimed warm-up
+    // load sizes one of each, so every load after it allocates nothing.
     let origin = vbs_arch::Coord::new(2, 3);
     let mut pooled = ReconfigurationController::new(device);
-    pooled.warm(&vbs).expect("warm");
+    pooled.load(&vbs, origin).expect("warm-up load");
     let before = allocations();
     for _ in 0..50 {
         pooled.load(&vbs, origin).expect("load");
@@ -174,7 +160,7 @@ fn decode_hot_path_allocation_budget() {
     let steady = allocations() - before;
     assert_eq!(
         steady, 0,
-        "a warmed pooled load must not allocate (got {steady} over 50 loads)"
+        "a pooled load after warm-up must not allocate (got {steady} over 50 loads)"
     );
     let stats = pooled.scratch_pool().stats();
     assert_eq!(
@@ -384,7 +370,7 @@ fn corpus_load_paths() {
     let (w, h) = corpus.single;
     let spec = vbs_arch::ArchSpec::new(corpus.channel_width, corpus.lut_size).expect("arch");
     let device = vbs_arch::Device::new(spec, w, h).expect("device");
-    let mut manager = TaskManager::new(ReconfigurationController::new(device), repository)
+    let mut manager = TaskManager::new(ReconfigurationController::new(device.clone()), repository)
         .with_policy(Box::new(FirstFit));
     let mut cycle = |rounds: usize| {
         for _ in 0..rounds {
@@ -405,6 +391,31 @@ fn corpus_load_paths() {
         "a cold load + unload pair allocated {} times (budget {COLD_PAIR_ALLOCATION_BUDGET}): \
          is the load path parsing the stored VBS again?",
         allocated / pairs
+    );
+
+    // --- A pooled controller load of every stored stream, and a warm
+    // re-decode of it into a reused image: after one warm-up pass over the
+    // corpus neither allocates, whatever the stream.
+    let mut controller = ReconfigurationController::new(device);
+    let mut staging = TaskBitstream::empty(spec, 1, 1);
+    let mut pass = || {
+        for name in &names {
+            let stream = corpus.repository.view(name).expect("corpus stream");
+            controller
+                .load(stream, vbs_arch::Coord::new(0, 0))
+                .expect("load");
+            controller
+                .decode_into(stream, &mut staging)
+                .expect("re-decode");
+        }
+    };
+    pass();
+    let before = allocations();
+    pass();
+    let allocated = allocations() - before;
+    assert_eq!(
+        allocated, 0,
+        "pooled loads and warm re-decodes of the corpus allocated {allocated} times"
     );
 
     // --- Scheduler misses (the cache entry dropped before every load) and

@@ -2,15 +2,16 @@
 //!
 //! The three read-only sweeps of the frame arena that a wider instruction
 //! set measurably speeds up funnel through this module: the XOR-popcount
-//! behind `diff_count` (2.5–2.9× over portable in `BENCH_decode.json`), plain
+//! behind `diff_count` (2.3–2.9× over portable on an AVX2 host), plain
 //! popcounts (the baseline x86-64 target has no `POPCNT`), and the CRC-32
-//! word fold used by readback verify and the VBS stream footer (16.6× with
-//! PCLMULQDQ). Bulk copies and clears are *not* here: they are
-//! `copy_from_slice` and `fill(0)` at their call sites, because
-//! an AVX2 copy measured 0.93× of `memcpy` and an indirect call per 5-word
-//! frame costs more than it could win. A [`Kernels`] value is a table of
-//! function pointers for the three sweeps; the table is selected **once**
-//! per process:
+//! word fold used by readback verify and the VBS stream footer (16–16.6×
+//! with PCLMULQDQ); `VBS_KERNELS=portable bash benchmark/run.sh` against a
+//! default run compares the backends end to end. Bulk copies and clears
+//! are *not* here: they are `copy_from_slice` and `fill(0)` at their call
+//! sites, because an AVX2 copy measured 0.93× of `memcpy` and an indirect
+//! call per 5-word frame costs more than it could win. A [`Kernels`] value
+//! is a table of function pointers for the three sweeps; the table is
+//! selected **once** per process:
 //!
 //! * `VBS_KERNELS=portable` in the environment forces the portable backend
 //!   (CI uses this to keep the fallback covered on AVX2 hosts);

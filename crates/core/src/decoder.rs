@@ -157,9 +157,8 @@ pub trait FrameSink {
 ///   per-record state. Results are bit-identical to a fresh scratch.
 /// * A **warm** scratch (one that has already decoded a stream of the same
 ///   architecture, cluster size and cluster shapes — any task whose edges
-///   leave the same remainders modulo the cluster size — or was prepared
-///   for one through [`DecodeScratch::prepare_for`]) performs zero heap
-///   allocations in [`Devirtualizer::decode_into`] /
+///   leave the same remainders modulo the cluster size) performs zero
+///   heap allocations in [`Devirtualizer::decode_into`] /
 ///   [`Devirtualizer::decode_streaming`], whatever the task's geometry.
 /// * A **cold** scratch derives the cluster patterns of the stream (a
 ///   handful of small arrays each) and allocates every working buffer at
@@ -201,20 +200,6 @@ impl DecodeScratch {
     /// with more searches had more work.
     pub fn route_counts(&self) -> (u64, u64) {
         (self.routes, self.search.runs)
-    }
-
-    /// Derives every cluster pattern `stream` needs and sizes every internal
-    /// buffer for it, exactly as the first decode of that stream would —
-    /// the **warm-up hook** of scratch pools: a pool can prepare its
-    /// scratch up front, so the first decode that checks it out is already
-    /// warm and performs zero heap allocations.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`VbsError`] when the stream header describes a degenerate
-    /// device geometry.
-    pub fn prepare_for<'a>(&mut self, stream: impl Into<VbsRef<'a>>) -> Result<(), VbsError> {
-        Devirtualizer::new(stream)?.reserve(self)
     }
 
     /// Clears the per-load transient state (per-record net bookkeeping,

@@ -179,20 +179,6 @@ impl ReconfigurationController {
         self.fabric = fabric;
     }
 
-    /// Pre-warms one scratch and one staging buffer for `stream` (see
-    /// [`ScratchPool::warm_scratches`]), so the first load after it
-    /// allocates nothing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::Decode`] when the stream header is
-    /// degenerate.
-    pub fn warm<'s>(&self, stream: impl Into<VbsRef<'s>>) -> Result<(), RuntimeError> {
-        self.pool
-            .warm_scratches(stream)
-            .map_err(RuntimeError::Decode)
-    }
-
     /// The device this controller manages.
     pub fn device(&self) -> &Device {
         &self.device

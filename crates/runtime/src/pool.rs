@@ -23,7 +23,7 @@
 use std::sync::{Arc, Mutex};
 use vbs_arch::ArchSpec;
 use vbs_bitstream::TaskBitstream;
-use vbs_core::{DecodeScratch, VbsRef};
+use vbs_core::DecodeScratch;
 use vbs_telemetry::{EventKind, Telemetry, FLEET_FABRIC};
 
 /// Checkout payload tag: a decoded-image buffer.
@@ -48,8 +48,7 @@ pub struct ScratchPoolStats {
     /// Scratch checkouts served by a parked scratch.
     pub scratch_reused: u64,
     /// Scratch checkouts that had to create a fresh scratch (creation is
-    /// allocation-free; the scratch allocates lazily on its first decode
-    /// unless it was warmed through [`ScratchPool::warm_scratches`]).
+    /// allocation-free; the scratch allocates lazily on its first decode).
     pub scratch_fresh: u64,
     /// Scratches currently parked in the pool (0 or 1).
     pub scratch_parked: usize,
@@ -225,28 +224,6 @@ impl ScratchPool {
         if inner.scratch.is_none() {
             inner.scratch = Some(scratch);
         }
-    }
-
-    /// Pre-warms the pool for `stream`: parks one scratch with every
-    /// internal buffer pre-reserved for that stream, plus one staging
-    /// buffer of the stream's shape, so the first decode after it allocates
-    /// nothing.
-    ///
-    /// # Errors
-    ///
-    /// Returns the stream-header error of [`DecodeScratch::prepare_for`].
-    pub fn warm_scratches<'s>(
-        &self,
-        stream: impl Into<VbsRef<'s>>,
-    ) -> Result<(), vbs_core::VbsError> {
-        let stream = stream.into();
-        let header = stream.header();
-        let buffer = self.checkout(header.spec, header.width.max(1), header.height.max(1));
-        let mut scratch = self.checkout_scratch();
-        let prepared = scratch.prepare_for(stream);
-        self.put_scratch(scratch);
-        self.put(buffer);
-        prepared
     }
 
     /// Current counters.

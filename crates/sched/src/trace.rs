@@ -386,8 +386,9 @@ impl Trace {
                     let job = parse_u64(fields.next(), "job").map_err(|e| malformed(&e))?;
                     let task = fields
                         .next()
-                        .ok_or_else(|| malformed("missing task name"))?
-                        .to_string();
+                        .ok_or_else(|| malformed("missing task name"))?;
+                    check_task_name(task).map_err(|e| malformed(&e.to_string()))?;
+                    let task = task.to_string();
                     let priority = parse_u64(fields.next(), "priority")
                         .map_err(|e| malformed(&e))?
                         .try_into()
@@ -618,6 +619,11 @@ mod tests {
         assert!(matches!(
             Trace::from_text("unload 1 2 3"),
             Err(TraceError::Malformed { .. })
+        ));
+        // A name `to_text` could not write back is refused on the way in.
+        assert!(matches!(
+            Trace::from_text("load 0 1 fir 0\nload 1 2 #x 0"),
+            Err(TraceError::Malformed { line: 2, .. })
         ));
         let ok = Trace::from_text("\n# comment\nload 3 1 fir 2 9\nunload 5 1\n").unwrap();
         assert_eq!(ok.len(), 2);

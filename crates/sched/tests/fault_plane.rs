@@ -2,7 +2,8 @@
 //! [`vbs_sched::FaultInjector`], self-healing single-fabric retries and
 //! re-placement, CRC readback verification with scrubbing, and the
 //! quarantine → re-placement → recovery lifecycle of a fleet losing a
-//! fabric.
+//! fabric, and a fault-free corpus replay that verifies every write and
+//! scrubs nothing.
 
 mod common;
 
@@ -12,8 +13,8 @@ use vbs_arch::Coord;
 use vbs_bitstream::{BitstreamError, TaskBitstream};
 use vbs_runtime::{FirstFit, ReconfigurationController, RuntimeError};
 use vbs_sched::{
-    FaultInjector, FaultPlan, Outcome, RejectReason, Request, RoundRobin, Scheduler,
-    SchedulerConfig,
+    replay, FaultInjector, FaultPlan, McncCorpus, Outcome, RejectReason, Request, RoundRobin,
+    Scheduler, SchedulerConfig,
 };
 use vbs_telemetry::{EventKind, Telemetry};
 
@@ -172,6 +173,50 @@ fn assert_corrupt_write_is_scrubbed(mut sched: Scheduler) {
         .controller()
         .verify_region(vbs_arch::Rect::at_origin(10, 10))
         .expect("post-scrub verify");
+}
+
+/// Readback verification on a fault-free fabric finds nothing to heal: the
+/// corpus `steady` and `variant` replays with `verify` on mismatch no CRC,
+/// scrub nothing, and admit, evict, relocate and decode exactly as with it
+/// off.
+#[test]
+fn fault_free_verified_replay_scrubs_nothing() {
+    let corpus = McncCorpus::load(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/traces/mcnc"
+    ))
+    .expect("checked-in corpus loads");
+    let verified = SchedulerConfig {
+        verify: true,
+        ..McncCorpus::replay_config()
+    };
+    for name in ["steady", "variant"] {
+        let trace = corpus.trace(name).expect("corpus trace");
+        let off = replay(&mut corpus.single_scheduler(), trace).sched;
+        let on = replay(&mut corpus.single_scheduler_with(verified), trace).sched;
+        for m in [&off, &on] {
+            assert_eq!(
+                (m.crc_mismatches, m.verify_scrubs, m.write_faults),
+                (0, 0, 0),
+                "{name}: a fault-free replay healed something: {m:?}"
+            );
+        }
+        let counters = |m: &vbs_sched::SchedMetrics| {
+            (
+                m.loads_accepted,
+                m.loads_rejected,
+                m.evictions,
+                m.relocations,
+                m.compaction_passes,
+                m.decodes,
+            )
+        };
+        assert_eq!(
+            counters(&on),
+            counters(&off),
+            "{name}: verify changed the replay"
+        );
+    }
 }
 
 /// The full fleet lifecycle: an outage quarantines the fabric, its resident

@@ -101,7 +101,6 @@ fn single_fabric_matrix(options: &Options, repository: &VbsRepository, trace: &T
                 repository,
                 options.fabric.0,
                 options.fabric.1,
-                0,
                 make_policy(),
                 SchedulerConfig {
                     eviction_limit: 1,
@@ -145,12 +144,11 @@ fn multi_fabric_comparison(options: &Options, repository: &VbsRepository, trace:
     let mut independent_accepted = 0u64;
     let mut independent_submitted = 0u64;
     let baseline_start = Instant::now();
-    for i in 0..k {
+    for _ in 0..k {
         let mut single = sched_scheduler(
             repository,
             options.fabric.0,
             options.fabric.1,
-            i as u32,
             Box::new(BestFit),
             config,
         );

@@ -4,9 +4,7 @@
 use vbs_arch::{ArchSpec, Device};
 use vbs_flow::CadFlow;
 use vbs_netlist::generate::SyntheticSpec;
-use vbs_runtime::{
-    FabricId, PlacementPolicy, ReconfigurationController, TaskManager, VbsRepository,
-};
+use vbs_runtime::{PlacementPolicy, ReconfigurationController, TaskManager, VbsRepository};
 use vbs_sched::{
     LruEviction, MultiFabricScheduler, Scheduler, SchedulerConfig, ShardPolicy, Trace, WorkloadSpec,
 };
@@ -64,12 +62,11 @@ pub fn sched_device(width: u16, height: u16) -> Device {
 }
 
 /// One single-fabric scheduler over the workload repository, with LRU
-/// eviction, tagged as fabric `fabric` of a fleet.
+/// eviction.
 pub fn sched_scheduler(
     repository: &VbsRepository,
     width: u16,
     height: u16,
-    fabric: u32,
     policy: Box<dyn PlacementPolicy>,
     config: SchedulerConfig,
 ) -> Scheduler {
@@ -77,8 +74,7 @@ pub fn sched_scheduler(
         ReconfigurationController::new(sched_device(width, height)),
         repository.clone(),
     )
-    .with_policy(policy)
-    .with_fabric_id(FabricId(fabric));
+    .with_policy(policy);
     Scheduler::with_config(manager, Box::new(LruEviction), config)
 }
 
@@ -93,16 +89,7 @@ pub fn sched_fleet(
     config: SchedulerConfig,
 ) -> MultiFabricScheduler {
     let fabrics = (0..k)
-        .map(|i| {
-            sched_scheduler(
-                repository,
-                fabric.0,
-                fabric.1,
-                i as u32,
-                make_policy(),
-                config,
-            )
-        })
+        .map(|_| sched_scheduler(repository, fabric.0, fabric.1, make_policy(), config))
         .collect();
     MultiFabricScheduler::new(fabrics, shard)
 }

@@ -5,10 +5,10 @@
 //!
 //! * `decode_into` performs **zero** heap allocations per load from the
 //!   second decode on a scratch;
-//! * **pooled** `ReconfigurationController::load`s (the scratch and the
-//!   staging image drawn from the controller's [`vbs_runtime::ScratchPool`])
+//! * **pooled** `ReconfigurationController::load`s (on the controller's
+//!   own scratch and a staging image from its [`vbs_runtime::ScratchPool`])
 //!   perform zero allocations per load after one warm-up load, and the pool
-//!   reports exactly one fresh scratch and one fresh buffer;
+//!   reports exactly one fresh buffer;
 //! * steady-state pooled loads with a **live telemetry registry**
 //!   installed (decode spans, latency histograms and timeline events
 //!   recorded on every load) stay at zero allocations — recording is
@@ -18,7 +18,7 @@
 //!   allocations instead of growing buffers incrementally;
 //! * a **shape-cycling** task mix (alternating tall/wide/larger rectangles)
 //!   also stays at zero steady-state allocations, through both direct
-//!   [`TaskBitstream::reset`] reshapes and pool recycling — the flat
+//!   [`TaskBitstream::reset`] reshapes and pooled controller loads — the flat
 //!   [`vbs_bitstream::FrameStore`] arena reshapes in place once its word
 //!   capacity covers the largest shape seen, where the legacy per-frame
 //!   layout allocated one `Vec` per frame whenever the mix grew;
@@ -55,7 +55,7 @@ use vbs_core::bitio::BitWriter;
 use vbs_core::{DecodeScratch, Devirtualizer, Vbs, VbsError, VbsView};
 use vbs_flow::CadFlow;
 use vbs_netlist::{blif, mcnc};
-use vbs_runtime::{FirstFit, ReconfigurationController, ScratchPool, TaskManager};
+use vbs_runtime::{FirstFit, ReconfigurationController, TaskManager};
 use vbs_sched::{CacheBudget, McncCorpus, Outcome, Request, SchedulerConfig};
 use vbs_telemetry::{Stage, Telemetry};
 
@@ -148,8 +148,8 @@ fn decode_hot_path_allocation_budget() {
     );
 
     // --- Pooled loads: the full decode→resident `load` path on the
-    // controller's pooled scratch and staging image. One untimed warm-up
-    // load sizes one of each, so every load after it allocates nothing.
+    // controller's scratch and pooled staging image. One untimed warm-up
+    // load sizes both, so every load after it allocates nothing.
     let origin = vbs_arch::Coord::new(2, 3);
     let mut pooled = ReconfigurationController::new(device);
     pooled.load(&vbs, origin).expect("warm-up load");
@@ -164,9 +164,8 @@ fn decode_hot_path_allocation_budget() {
     );
     let stats = pooled.scratch_pool().stats();
     assert_eq!(
-        (stats.scratch_fresh, stats.fresh),
-        (1, 1),
-        "after warm-up the pool holds one scratch and one staging buffer: {stats:?}"
+        stats.fresh, 1,
+        "after warm-up the pool holds one staging buffer: {stats:?}"
     );
     assert!(pooled.memory().occupied_macros() > 0);
 
@@ -192,12 +191,11 @@ fn decode_hot_path_allocation_budget() {
         "telemetry recording must keep the load path allocation-free \
          (got {steady} over 50 instrumented loads)"
     );
-    // Three events per load: the buffer and the scratch checkout hits, and
-    // the decode.
+    // Two events per load: the staging-buffer checkout hit and the decode.
     let recorded = telemetry.ring_stats().recorded - recorded_before;
     assert_eq!(
-        recorded, 150,
-        "each instrumented load leaves exactly three events"
+        recorded, 100,
+        "each instrumented load leaves exactly two events"
     );
     assert_eq!(
         telemetry.histogram(Stage::Decode).count() - decodes_before,
@@ -226,36 +224,33 @@ fn decode_hot_path_allocation_budget() {
         "shape-cycling TaskBitstream::reset must not allocate (got {steady})"
     );
 
-    // --- Shape-cycling decode through pool recycling: every staging buffer
-    // is checked out of a one-buffer pool, decoded into (different task
-    // shape every load) and recycled. Pool hit = zero allocations per load
-    // regardless of frame count.
+    // --- Shape-cycling pooled loads: every load checks the controller's
+    // one staging buffer out, decodes into it (different task shape every
+    // load) and returns it. Pool hit = zero allocations per load regardless
+    // of frame count.
     let mix: Vec<_> = ["fir_filter", "aes_round", "fft_stage"]
         .iter()
         .map(|name| repository.fetch(name).expect("workload task"))
         .collect();
-    let pool = ScratchPool::new(1);
-    pool.put(TaskBitstream::empty(spec, 1, 1));
-    let cycle = |rounds: usize, scratch: &mut DecodeScratch| {
+    let mut cycling =
+        ReconfigurationController::new(vbs_bench::sched_workload::sched_device(11, 11));
+    let mut cycle = |rounds: usize| {
         for i in 0..rounds * mix.len() {
-            let vbs = &mix[i % mix.len()];
-            let mut staging = pool.checkout(*vbs.spec(), vbs.width(), vbs.height());
-            decode_into(vbs, &mut staging, scratch);
-            pool.put(staging);
+            cycling.load(&mix[i % mix.len()], origin).expect("load");
         }
     };
-    cycle(2, &mut scratch);
+    cycle(2);
     let before = allocations();
-    cycle(10, &mut scratch);
+    cycle(10);
     let steady = allocations() - before;
     assert_eq!(
         steady, 0,
-        "shape-cycling pooled decode must not allocate (got {steady} over 30 loads)"
+        "shape-cycling pooled loads must not allocate (got {steady} over 30 loads)"
     );
-    let stats = pool.stats();
     assert_eq!(
-        stats.fresh, 0,
-        "every checkout must hit the recycled buffer"
+        cycling.scratch_pool().stats().fresh,
+        1,
+        "every checkout after the first must hit the recycled buffer"
     );
 
     // --- Hot-hit scheduler load: the decoded image is served from the
@@ -283,7 +278,6 @@ fn decode_hot_path_allocation_budget() {
             &repository,
             edge,
             edge,
-            0,
             Box::new(FirstFit),
             SchedulerConfig::default(),
         );
@@ -530,8 +524,8 @@ fn fleet_paths(corpus: &McncCorpus, names: &[&str]) {
         "Telemetry::disabled() requested {requested} bytes"
     );
 
-    // --- Building the corpus fleet: two fabrics, their schedulers and
-    // managers, the dispatcher and the shared pool, four disabled handles.
+    // --- Building the corpus fleet: two fabrics, their schedulers,
+    // managers and controllers, and the dispatcher: five disabled handles.
     let before = allocated_bytes();
     let mut fleet = corpus
         .fleet_scheduler("least-loaded")

@@ -202,20 +202,6 @@ impl DecodeScratch {
         (self.routes, self.search.runs)
     }
 
-    /// Clears the per-load transient state (per-record net bookkeeping,
-    /// claimed-wire list, streaming emission map and the search worklists)
-    /// while keeping every buffer's capacity and the cluster patterns — the
-    /// **recycling hook** pools run before parking a scratch, so a scratch
-    /// checked out later starts from a clean slate without giving back its
-    /// warmed allocations.
-    pub fn reset(&mut self) {
-        self.nets.clear();
-        self.claimed.clear();
-        self.emitted.clear();
-        self.search.heap.clear();
-        self.search.path.clear();
-    }
-
     /// Index (in `self.patterns.shapes`) of the pattern of a `shape.0 ×
     /// shape.1` cluster, derived on first use, with every working buffer
     /// sized for records of that shape holding up to `routes` connections.

@@ -1,7 +1,7 @@
 //! The reconfiguration controller: fetch, de-virtualize, write.
 //!
-//! Every load decodes on the caller's thread, on a scratch arena and a
-//! staging image checked out of the controller's [`ScratchPool`], so a warm
+//! Every load decodes on the caller's thread, on the controller's own
+//! scratch arena and a staging image from its [`ScratchPool`], so a warm
 //! controller loads without a heap allocation.
 
 use crate::error::RuntimeError;
@@ -13,7 +13,7 @@ use vbs_bitstream::{BitstreamError, ConfigMemory, TaskBitstream};
 use vbs_core::{Devirtualizer, VbsRef};
 use vbs_telemetry::{EventKind, Stage, Telemetry, FLEET_FABRIC};
 
-/// Counter slot (of the scratch pool's [`Telemetry`] registry) accumulating
+/// Counter slot (of the controller's [`Telemetry`] registry) accumulating
 /// the coded routes the decodes expanded — with [`ROUTE_SEARCHES_SLOT`],
 /// what tells a slow decode (same counts, more time) from a long one (more
 /// routes, or more of them searched).
@@ -38,15 +38,18 @@ pub struct DecodeReport {
 ///
 /// It owns the device's [`ConfigMemory`] and de-virtualizes Virtual
 /// Bit-Streams into it at load time. Every decode runs on recycled state
-/// from the controller's [`ScratchPool`], so steady-state loads perform
+/// from the controller's own [`ScratchPool`], so steady-state loads perform
 /// zero heap allocations.
 #[derive(Debug)]
 pub struct ReconfigurationController {
     device: Device,
     memory: ConfigMemory,
-    /// Scratch arenas and staging images every decode checks out.
+    /// The decode scratch and the staging images every decode uses.
     pool: ScratchPool,
-    /// Fabric tag stamped on decode events (the fleet tag until
+    /// Registry decode spans, events and route counts are recorded into;
+    /// disabled (recording no-ops) until one is installed.
+    telemetry: Telemetry,
+    /// Fabric tag stamped on decode and checkout events (the fleet tag until
     /// [`ReconfigurationController::set_telemetry`] assigns one).
     fabric: u16,
     /// Injected fault model; `None` means a fault-free fabric.
@@ -144,38 +147,38 @@ impl IntegrityMap {
 
 impl ReconfigurationController {
     /// Creates a controller for `device` with a blank configuration memory
-    /// and a private scratch pool.
+    /// and an empty scratch pool.
     pub fn new(device: Device) -> Self {
         let memory = ConfigMemory::new(&device);
         ReconfigurationController {
             device,
             memory,
             pool: ScratchPool::default(),
+            telemetry: Telemetry::disabled(),
             fabric: FLEET_FABRIC,
             fault: None,
             integrity: None,
         }
     }
 
-    /// Replaces the controller's scratch pool — multi-fabric deployments
-    /// install one shared pool so recycled decode state on any fabric feeds
-    /// decodes everywhere.
-    pub fn set_scratch_pool(&mut self, pool: ScratchPool) {
-        self.pool = pool;
-    }
-
-    /// The controller's scratch pool (a shared handle).
+    /// The controller's recycled decode state.
     pub fn scratch_pool(&self) -> &ScratchPool {
         &self.pool
     }
 
-    /// Installs the observability registry (onto the scratch pool, which
-    /// every decode records through) and tags this controller's decode
-    /// events with `fabric`. Timing in [`DecodeReport`]s then runs on the
-    /// registry's clock, so tests driving a deterministic clock see exact
-    /// durations.
+    /// Hands a decoded image back to the scratch pool once no one else
+    /// holds it — the decode-cache eviction path; a still-shared image is
+    /// dropped.
+    pub fn recycle(&mut self, image: Arc<TaskBitstream>) {
+        self.pool.recycle(image);
+    }
+
+    /// Installs the observability registry and tags this controller's
+    /// decode and checkout events with `fabric`. Timing in
+    /// [`DecodeReport`]s then runs on the registry's clock, so tests
+    /// driving a deterministic clock see exact durations.
     pub fn set_telemetry(&mut self, telemetry: Telemetry, fabric: u16) {
-        self.pool.set_telemetry(telemetry);
+        self.telemetry = telemetry;
         self.fabric = fabric;
     }
 
@@ -307,9 +310,9 @@ impl ReconfigurationController {
 
     /// De-virtualizes `stream` — an owned [`vbs_core::Vbs`] or a
     /// [`vbs_core::VbsView`] of stored bytes — into a caller-provided
-    /// bit-stream (reshaped in place) on a pooled scratch, without writing
-    /// it to the fabric: the one decode of the run-time stack,
-    /// zero-allocation once the pool is warm. Callers that keep or cache
+    /// bit-stream (reshaped in place) on the controller's scratch, without
+    /// writing it to the fabric: the one decode of the run-time stack,
+    /// zero-allocation once the scratch is warm. Callers that keep or cache
     /// decoded images (first decodes and warm-tier re-decodes alike) hand
     /// the result to [`ReconfigurationController::load_decoded`].
     ///
@@ -321,24 +324,22 @@ impl ReconfigurationController {
     /// # Errors
     ///
     /// Returns [`RuntimeError::Decode`] when the stream cannot be expanded;
-    /// `task` then holds a partially decoded image. The scratch goes back
-    /// to the pool either way.
+    /// `task` then holds a partially decoded image.
     pub fn decode_into<'s>(
-        &self,
+        &mut self,
         stream: impl Into<VbsRef<'s>>,
         task: &mut TaskBitstream,
     ) -> Result<DecodeReport, RuntimeError> {
-        let telemetry = self.pool.telemetry();
+        let telemetry = &self.telemetry;
         let start = telemetry.now();
         let devirtualizer = Devirtualizer::new(stream).map_err(RuntimeError::Decode)?;
         let records = devirtualizer.record_count();
-        let mut scratch = self.pool.checkout_scratch();
+        let scratch = &mut self.pool.scratch;
         let before = scratch.route_counts();
-        let result = devirtualizer.decode_into(task, &mut scratch);
+        let result = devirtualizer.decode_into(task, scratch);
         let (routes, searches) = scratch.route_counts();
         telemetry.counter_add(ROUTES_EXPANDED_SLOT, routes - before.0);
         telemetry.counter_add(ROUTE_SEARCHES_SLOT, searches - before.1);
-        self.pool.put_scratch(scratch);
         let micros = telemetry.record_span(Stage::Decode, start);
         telemetry.event_span(EventKind::Decode, self.fabric, records as u64, 0, start);
         result.map_err(RuntimeError::Decode)?;
@@ -349,11 +350,33 @@ impl ReconfigurationController {
         })
     }
 
+    /// [`ReconfigurationController::decode_into`] onto a staging image
+    /// checked out of the scratch pool, which the caller then owns; a
+    /// failed decode puts the image back.
+    pub(crate) fn decode_staged<'s>(
+        &mut self,
+        stream: impl Into<VbsRef<'s>>,
+    ) -> Result<(TaskBitstream, DecodeReport), RuntimeError> {
+        let stream = stream.into();
+        let header = stream.header();
+        let (width, height) = (header.width.max(1), header.height.max(1));
+        let mut staging =
+            self.pool
+                .checkout(header.spec, width, height, &self.telemetry, self.fabric);
+        match self.decode_into(stream, &mut staging) {
+            Ok(report) => Ok((staging, report)),
+            Err(e) => {
+                self.pool.put(staging);
+                Err(e)
+            }
+        }
+    }
+
     /// De-virtualizes `stream` and writes it into the configuration memory
     /// with its lower-left corner at `origin` — the full run-time load path.
-    /// The staging image and the decode scratch come from the scratch pool
-    /// and go back to it whether the load succeeds or not, so a warm
-    /// controller loads without a single heap allocation.
+    /// The staging image comes from the scratch pool and goes back to it
+    /// whether the load succeeds or not, so a warm controller loads without
+    /// a single heap allocation.
     ///
     /// # Errors
     ///
@@ -364,17 +387,10 @@ impl ReconfigurationController {
         stream: impl Into<VbsRef<'s>>,
         origin: Coord,
     ) -> Result<DecodeReport, RuntimeError> {
-        let stream = stream.into();
-        let header = stream.header();
-        let mut staging =
-            self.pool
-                .checkout(header.spec, header.width.max(1), header.height.max(1));
-        let outcome = match self.decode_into(stream, &mut staging) {
-            Ok(report) => self.write_decoded(&staging, origin).map(|()| report),
-            Err(e) => Err(e),
-        };
+        let (staging, report) = self.decode_staged(stream)?;
+        let written = self.write_decoded(&staging, origin);
         self.pool.put(staging);
-        outcome
+        written.map(|()| report)
     }
 
     /// The gated write path every load funnels through: validate, consult
@@ -566,17 +582,12 @@ mod tests {
             Err(RuntimeError::Decode(_))
         ));
         assert_eq!(controller.memory().occupied_macros(), 0);
-        // The failed load returned its scratch and staging buffer: the good
-        // load after it reuses both instead of allocating.
+        // The failed load returned its staging buffer: the good load after
+        // it reuses it instead of allocating.
         let failed = controller.scratch_pool().stats();
-        assert_eq!((failed.fresh, failed.scratch_fresh), (1, 1));
-        assert_eq!((failed.parked, failed.scratch_parked), (1, 1));
+        assert_eq!((failed.fresh, failed.parked), (1, 1));
         controller.load(&vbs, origin).unwrap();
-        let after = controller.scratch_pool().stats();
-        assert_eq!(
-            (after.fresh, after.scratch_fresh),
-            (failed.fresh, failed.scratch_fresh)
-        );
+        assert_eq!(controller.scratch_pool().stats().fresh, 1);
         let region = Rect::new(origin, vbs.width(), vbs.height());
         let readback = controller.memory().read_region(region).unwrap();
         assert_eq!(readback.diff_count(&raw).unwrap(), 0);
@@ -621,8 +632,7 @@ mod tests {
         }
         let stats = controller.scratch_pool().stats();
         assert_eq!(stats.fresh, 1, "one staging buffer serves every load");
-        assert_eq!(stats.scratch_fresh, 1, "one scratch serves every load");
-        assert!(stats.reused >= 2, "later loads recycle: {stats:?}");
+        assert_eq!(stats.reused, 2, "later loads recycle: {stats:?}");
     }
 
     #[derive(Debug, Default)]

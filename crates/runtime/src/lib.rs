@@ -14,12 +14,12 @@
 //!   every task;
 //! * [`ReconfigurationController`] — three verbs over one decode and one
 //!   gated write: `decode_into` (de-virtualize on the caller's thread with
-//!   a pooled scratch), `load_decoded` (validate, consult the fault model,
-//!   write, keep the checksum sidecar current) and `load` (the two in a row
-//!   on a pooled staging image). A load that fails at any step leaves the
-//!   configuration memory untouched;
-//! * [`ScratchPool`] — recycled decode state (scratch arenas + staging
-//!   images) shared by every decode, so steady-state loads perform zero
+//!   the controller's scratch), `load_decoded` (validate, consult the fault
+//!   model, write, keep the checksum sidecar current) and `load` (the two
+//!   in a row on a pooled staging image). A load that fails at any step
+//!   leaves the configuration memory untouched;
+//! * [`ScratchPool`] — a controller's own recycled decode state (its one
+//!   decode scratch + staging images), so steady-state loads perform zero
 //!   heap allocations;
 //! * [`TaskManager`] — on-line placement of tasks on the fabric: finds a free
 //!   rectangle, loads, unloads and relocates running tasks;
@@ -63,6 +63,6 @@ pub use controller::{
 pub use error::RuntimeError;
 pub use fault::{FaultAction, FaultHook};
 pub use manager::{LoadedTask, TaskHandle, TaskManager};
-pub use placement::{BestFit, BottomLeftSkyline, FabricId, FabricView, FirstFit, PlacementPolicy};
+pub use placement::{BestFit, BottomLeftSkyline, FabricView, FirstFit, PlacementPolicy};
 pub use pool::{ScratchPool, ScratchPoolStats};
 pub use repository::VbsRepository;

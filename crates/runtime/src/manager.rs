@@ -1,10 +1,9 @@
 //! On-line task management: placing, loading, relocating and evicting
 //! hardware tasks on the fabric at run time.
 
-use crate::controller::ReconfigurationController;
+use crate::controller::{DecodeReport, ReconfigurationController};
 use crate::error::RuntimeError;
-use crate::placement::{FabricId, FabricView, FirstFit, PlacementPolicy};
-use crate::pool::ScratchPool;
+use crate::placement::{FabricView, FirstFit, PlacementPolicy};
 use crate::repository::VbsRepository;
 use vbs_arch::{Coord, Rect};
 use vbs_bitstream::TaskBitstream;
@@ -45,7 +44,7 @@ pub struct TaskManager {
 
 impl TaskManager {
     /// Creates a manager over a controller and a task repository, placing
-    /// with [`FirstFit`] and describing fabric 0.
+    /// with [`FirstFit`].
     pub fn new(controller: ReconfigurationController, repository: VbsRepository) -> Self {
         let device = controller.device();
         let view = FabricView::new(device.width(), device.height(), Vec::new());
@@ -63,18 +62,6 @@ impl TaskManager {
     pub fn with_policy(mut self, policy: Box<dyn PlacementPolicy>) -> Self {
         self.policy = policy;
         self
-    }
-
-    /// Tags this manager's device as one fabric of a multi-fabric fleet;
-    /// [`TaskManager::fabric_view`] carries the id.
-    pub fn with_fabric_id(mut self, id: FabricId) -> Self {
-        self.view = self.view.with_id(id);
-        self
-    }
-
-    /// The fabric this manager drives.
-    pub const fn fabric_id(&self) -> FabricId {
-        self.view.id()
     }
 
     /// The active placement policy.
@@ -126,10 +113,17 @@ impl TaskManager {
         std::mem::take(&mut self.loaded)
     }
 
-    /// Installs a (typically fleet-shared) scratch pool on the controller,
-    /// so every decode this manager performs recycles through it.
-    pub fn set_scratch_pool(&mut self, pool: ScratchPool) {
-        self.controller.set_scratch_pool(pool);
+    /// De-virtualizes the stored stream of `name` onto a staging image
+    /// from the controller's scratch pool, without writing it — the decode
+    /// behind a scheduler's cache miss. The image is the caller's to keep;
+    /// [`ReconfigurationController::recycle`] takes it back.
+    ///
+    /// # Errors
+    ///
+    /// Returns the fetch or decode error.
+    pub fn decode(&mut self, name: &str) -> Result<(TaskBitstream, DecodeReport), RuntimeError> {
+        let view = self.repository.view(name)?;
+        self.controller.decode_staged(view)
     }
 
     /// Loads a task at an explicit position.
@@ -483,10 +477,8 @@ mod tests {
         ) {
             static FIXTURE: OnceLock<(TaskManager, TaskBitstream)> = OnceLock::new();
             let (template, task) = FIXTURE.get_or_init(|| {
-                let m = manager();
-                let vbs = m.repository().fetch("task_a").unwrap();
-                let mut task = TaskBitstream::empty(*vbs.spec(), 0, 0);
-                m.controller().decode_into(&vbs, &mut task).unwrap();
+                let mut m = manager();
+                let (task, _) = m.decode("task_a").unwrap();
                 (m, task)
             });
             let device = template.controller().device().clone();
@@ -497,8 +489,7 @@ mod tests {
                 ReconfigurationController::new(device),
                 template.repository().clone(),
             )
-            .with_policy(policy)
-            .with_fabric_id(FabricId(3));
+            .with_policy(policy);
             let hook = Arc::new(ModeHook::default());
             m.controller_mut().set_fault_hook(Some(hook.clone()));
 
@@ -523,7 +514,7 @@ mod tests {
                 refused += usize::from(result.is_err());
 
                 let regions: Vec<Rect> = m.loaded_tasks().iter().map(|t| t.region).collect();
-                let rebuilt = FabricView::new(16, 8, regions).with_id(FabricId(3));
+                let rebuilt = FabricView::new(16, 8, regions);
                 let view = m.fabric_view();
                 prop_assert_eq!(view, &rebuilt, "step {} of {:?}", step, ops);
                 prop_assert_eq!(view.free_area(), rebuilt.free_area(), "step {} of {:?}", step, ops);

@@ -19,21 +19,6 @@ use std::cell::RefCell;
 use std::fmt;
 use vbs_arch::{Coord, Rect};
 
-/// Identifier of one fabric (device) in a multi-fabric deployment.
-///
-/// A single-device setup never needs to mention it — everything defaults to
-/// fabric 0 — but once one request stream is sharded over several devices,
-/// occupancy views and per-shard statistics carry the id of the fabric they
-/// describe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-pub struct FabricId(pub u32);
-
-impl fmt::Display for FabricId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "fabric{}", self.0)
-    }
-}
-
 /// The occupancy of one fabric: device dimensions plus the region of every
 /// loaded task. All placement policies and the fragmentation metrics operate
 /// on this view. A [`TaskManager`](crate::TaskManager) keeps one up to date
@@ -50,7 +35,6 @@ impl fmt::Display for FabricId {
 /// lower bound that saturates at 0. A task manager never produces overlap.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FabricView {
-    id: FabricId,
     width: u16,
     height: u16,
     occupied: Vec<Rect>,
@@ -82,11 +66,9 @@ thread_local! {
 impl FabricView {
     /// Creates a view of a `width` × `height` fabric with the given loaded
     /// regions, clipped to the fabric (see the type documentation for
-    /// overlapping input). The view describes fabric 0; use
-    /// [`FabricView::with_id`] in multi-fabric setups.
+    /// overlapping input).
     pub fn new(width: u16, height: u16, mut occupied: Vec<Rect>) -> Self {
         let mut view = FabricView {
-            id: FabricId::default(),
             width,
             height,
             occupied: Vec::new(),
@@ -96,17 +78,6 @@ impl FabricView {
         view.occupied_area = occupied.iter().map(|r| u64::from(r.area())).sum();
         view.occupied = occupied;
         view
-    }
-
-    /// Tags the view with the fabric it describes.
-    pub fn with_id(mut self, id: FabricId) -> Self {
-        self.id = id;
-        self
-    }
-
-    /// The fabric this view describes.
-    pub const fn id(&self) -> FabricId {
-        self.id
     }
 
     /// Device width in macros.

@@ -15,7 +15,7 @@
 //!   zero-cost `Arc` clone.
 //! - **Warm** entries keep only the compressed VBS bytes — a hit re-decodes
 //!   them where the repository stores them, on the fabric controller's
-//!   pooled scratch (allocation-free once the pool is warm), and counts as
+//!   scratch (allocation-free once it is warm), and counts as
 //!   a miss in the hit/miss counters. The cache books their size; it holds
 //!   no copy.
 //!
@@ -72,9 +72,10 @@ pub enum CacheLookup {
 
 /// What an insert displaced, so callers can recycle buffers and record
 /// telemetry. `displaced` carries every decoded arena the insert released —
-/// replaced images, surplus decodes and demoted entries — for recycling
-/// into a [`vbs_runtime::ScratchPool`]; it is empty (no allocation) on the
-/// common pressure-free insert.
+/// replaced images, surplus decodes and demoted entries — for
+/// [`vbs_runtime::ReconfigurationController::recycle`] to hand back to the
+/// controller's scratch pool; it is empty (no allocation) on the common
+/// pressure-free insert.
 #[derive(Debug, Default)]
 pub struct InsertOutcome {
     /// Decoded arenas released by this insert (recycle these).

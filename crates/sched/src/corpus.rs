@@ -36,7 +36,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use vbs_arch::{ArchSpec, Device};
-use vbs_runtime::{FabricId, FirstFit, ReconfigurationController, TaskManager, VbsRepository};
+use vbs_runtime::{FirstFit, ReconfigurationController, TaskManager, VbsRepository};
 
 /// Errors raised while loading a corpus directory.
 #[derive(Debug)]
@@ -270,35 +270,16 @@ impl McncCorpus {
         Device::new(spec, width, height).expect("corpus device")
     }
 
-    fn scheduler_on(&self, width: u16, height: u16, fabric: u32) -> Scheduler {
-        self.scheduler_on_with(width, height, fabric, Self::replay_config())
-    }
-
-    fn scheduler_on_with(
-        &self,
-        width: u16,
-        height: u16,
-        fabric: u32,
-        config: SchedulerConfig,
-    ) -> Scheduler {
-        let manager = TaskManager::new(
-            ReconfigurationController::new(self.device(width, height)),
-            self.repository.clone(),
-        )
-        .with_policy(Box::new(FirstFit))
-        .with_fabric_id(FabricId(fabric));
-        Scheduler::with_config(manager, Box::new(LruEviction), config)
-    }
-
     /// The single-fabric replay scheduler over the corpus repository.
     pub fn single_scheduler(&self) -> Scheduler {
-        self.scheduler_on(self.single.0, self.single.1, 0)
+        self.single_scheduler_with(Self::replay_config())
     }
 
     /// The single-fabric replay scheduler under an explicit configuration —
     /// the finite-cache-budget replays verify their goldens through this.
     pub fn single_scheduler_with(&self, config: SchedulerConfig) -> Scheduler {
-        self.scheduler_on_with(self.single.0, self.single.1, 0, config)
+        let (width, height) = self.single;
+        self.scheduler_over(self.repository.clone(), width, height, config)
     }
 
     /// A replay scheduler over an explicit repository (e.g. the scaled
@@ -315,8 +296,7 @@ impl McncCorpus {
             ReconfigurationController::new(self.device(width, height)),
             repository,
         )
-        .with_policy(Box::new(FirstFit))
-        .with_fabric_id(FabricId(0));
+        .with_policy(Box::new(FirstFit));
         Scheduler::with_config(manager, Box::new(LruEviction), config)
     }
 
@@ -437,7 +417,7 @@ impl McncCorpus {
         let shard = shard_policy_by_name(policy)?;
         let (k, width, height) = self.fleet;
         let fabrics = (0..k)
-            .map(|i| self.scheduler_on_with(width, height, i as u32, config))
+            .map(|_| self.scheduler_over(self.repository.clone(), width, height, config))
             .collect();
         Some(MultiFabricScheduler::new(fabrics, shard))
     }

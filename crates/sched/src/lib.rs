@@ -17,8 +17,9 @@
 //! * [`DecodeCache`] — a byte-budgeted cache of decoded
 //!   [`vbs_bitstream::TaskBitstream`]s keyed by `(task, spec)`, so repeated
 //!   loads skip de-virtualization; arenas it displaces recycle into the
-//!   fleet-wide [`vbs_runtime::ScratchPool`] every decode checks out of,
-//!   so steady-state decoding allocates nothing;
+//!   [`vbs_runtime::ScratchPool`] of the fabric's own controller, which
+//!   every decode there checks out of, so steady-state decoding allocates
+//!   nothing;
 //! * [`Trace`] / [`replay`] — a deterministic trace format, a seeded
 //!   synthetic workload generator and a simulator reporting acceptance
 //!   rate, fragmentation, decode time, cache hit rate and relocations;

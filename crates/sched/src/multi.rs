@@ -30,7 +30,6 @@
 use crate::scheduler::{EvacuatedJob, Outcome, RejectReason, Request, SchedMetrics, Scheduler};
 use crate::shard::{FabricStatus, ShardPolicy};
 use std::collections::HashMap;
-use vbs_runtime::ScratchPool;
 use vbs_telemetry::{EventKind, Telemetry, FLEET_FABRIC};
 
 /// Fleet-level counters (per-fabric counters live in each shard's
@@ -120,9 +119,6 @@ pub struct MultiFabricScheduler {
     /// Fleet-scope telemetry (dispatcher decisions, migrations). Installed
     /// by [`Self::set_telemetry`]; a no-op registry until then.
     telemetry: Telemetry,
-    /// The fleet-wide recycled decode-state pool shared by every fabric's
-    /// decode cache and every controller's decodes.
-    pool: ScratchPool,
 }
 
 impl MultiFabricScheduler {
@@ -134,14 +130,8 @@ impl MultiFabricScheduler {
     /// # Panics
     ///
     /// Panics if `fabrics` is empty.
-    pub fn new(mut fabrics: Vec<Scheduler>, policy: Box<dyn ShardPolicy>) -> Self {
+    pub fn new(fabrics: Vec<Scheduler>, policy: Box<dyn ShardPolicy>) -> Self {
         assert!(!fabrics.is_empty(), "a fleet needs at least one fabric");
-        // One buffer pool for the whole fleet: an image evicted from any
-        // fabric's decode cache feeds the next decode anywhere.
-        let pool = ScratchPool::default();
-        for fabric in &mut fabrics {
-            fabric.set_pool(pool.clone());
-        }
         let quarantined = vec![false; fabrics.len()];
         MultiFabricScheduler {
             fabrics,
@@ -152,31 +142,23 @@ impl MultiFabricScheduler {
             next_job: 1,
             metrics: MultiMetrics::default(),
             telemetry: Telemetry::disabled(),
-            pool,
         }
     }
 
     /// Installs one shared telemetry registry across the whole fleet: the
     /// dispatcher records fleet-scope events (shard decisions, migrations)
-    /// under the [`FLEET_FABRIC`] tag, each per-fabric scheduler and its
-    /// controller's decodes record under the fabric's index, and the shared buffer
-    /// pool reports its checkout hits/misses to the same timeline.
+    /// under the [`FLEET_FABRIC`] tag, and each per-fabric scheduler and its
+    /// controller's decodes and checkouts record under the fabric's index.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         for (i, fabric) in self.fabrics.iter_mut().enumerate() {
             fabric.set_telemetry(telemetry.clone(), i as u16);
         }
-        self.pool.set_telemetry(telemetry.clone());
         self.telemetry = telemetry;
     }
 
     /// The dispatcher's telemetry handle (a shared clone).
     pub fn telemetry(&self) -> Telemetry {
         self.telemetry.clone()
-    }
-
-    /// The fleet-wide recycled-buffer pool (a shared handle).
-    pub fn bitstream_pool(&self) -> ScratchPool {
-        self.pool.clone()
     }
 
     /// Number of fabrics in the fleet.

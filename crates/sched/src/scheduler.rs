@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use vbs_arch::{ArchSpec, Coord, Rect};
 use vbs_bitstream::{BitstreamError, TaskBitstream};
-use vbs_runtime::{RuntimeError, ScratchPool, TaskHandle, TaskManager};
+use vbs_runtime::{RuntimeError, TaskHandle, TaskManager};
 use vbs_telemetry::{EventKind, Stage, Telemetry};
 
 /// Packs an origin into one event payload word (`x` high, `y` low).
@@ -291,9 +291,6 @@ pub struct Scheduler {
     telemetry: Telemetry,
     /// Fabric tag stamped on this scheduler's events.
     fabric: u16,
-    /// Recycled decoded-image buffers: cache evictions return here, decodes
-    /// check out of here. Shared fleet-wide in multi-fabric deployments.
-    pool: ScratchPool,
 }
 
 impl Scheduler {
@@ -313,9 +310,6 @@ impl Scheduler {
         config: SchedulerConfig,
     ) -> Self {
         let cache = DecodeCache::new(config.cache_budget);
-        // Share the controller's scratch pool: images the cache evicts feed
-        // the controller's decodes and vice versa.
-        let pool = manager.controller().scratch_pool().clone();
         let mut scheduler = Scheduler {
             manager,
             eviction,
@@ -329,7 +323,6 @@ impl Scheduler {
             metrics: SchedMetrics::default(),
             telemetry: Telemetry::disabled(),
             fabric: 0,
-            pool,
         };
         scheduler.set_verify(config.verify);
         scheduler
@@ -337,9 +330,9 @@ impl Scheduler {
 
     /// Installs the observability registry stage latencies and pipeline
     /// events are recorded into, tagging this scheduler's events with
-    /// `fabric`. The registry reaches the controller's decodes too (through
-    /// its scratch pool), so decode spans and events, checkout hit/miss
-    /// events and [`SchedMetrics`] timing all run on one shared clock.
+    /// `fabric`. The registry reaches the controller's decodes too, so
+    /// decode spans and events, checkout hit/miss events and
+    /// [`SchedMetrics`] timing all run on one shared clock.
     /// [`SchedMetrics`] counts the same either way — installing telemetry
     /// never changes golden-trace counters.
     pub fn set_telemetry(&mut self, telemetry: Telemetry, fabric: u16) {
@@ -354,20 +347,6 @@ impl Scheduler {
     /// [`Scheduler::set_telemetry`] installs one).
     pub fn telemetry(&self) -> Telemetry {
         self.telemetry.clone()
-    }
-
-    /// The scheduler's recycled-buffer pool (a shared handle).
-    pub fn bitstream_pool(&self) -> ScratchPool {
-        self.pool.clone()
-    }
-
-    /// Replaces the recycled decode-state pool — multi-fabric dispatchers
-    /// install one shared pool so evictions on any fabric feed decodes
-    /// everywhere. The pool is also installed on this fabric's controller,
-    /// so its decodes draw from the same free-list.
-    pub fn set_pool(&mut self, pool: ScratchPool) {
-        self.manager.set_scratch_pool(pool.clone());
-        self.pool = pool;
     }
 
     /// Installs a fault model on this fabric's controller (see
@@ -650,7 +629,9 @@ impl Scheduler {
 
     /// Fetches the decoded stream of `name` through the cache (counting the
     /// hot hit, the warm hit + pooled re-decode, or the miss + decode).
-    /// Returns the stream and whether it was a (hot) cache hit.
+    /// Returns the stream and whether it was a (hot) cache hit, or why the
+    /// load is refused. A task larger than the device is refused before
+    /// the lookup: it is never decoded, cached or evicted for.
     ///
     /// A warm hit accounts exactly like a miss (miss + decode + decode
     /// micros) and *additionally* bumps the warm-hit counters.
@@ -667,25 +648,24 @@ impl Scheduler {
         &mut self,
         job: u64,
         name: &str,
-    ) -> Result<(Arc<TaskBitstream>, bool), RuntimeError> {
-        let view = self.manager.repository().view(name)?;
-        let header = view.header();
+    ) -> Result<(Arc<TaskBitstream>, bool), RejectReason> {
+        let view = self
+            .manager
+            .repository()
+            .view(name)
+            .map_err(reject_reason)?;
+        let (header, size_bytes) = (view.header(), view.size_bytes());
+        let device = self.manager.controller().device();
+        if header.width > device.width() || header.height > device.height() {
+            return Err(RejectReason::NoCapacity);
+        }
         let warm = match self.cache.get(name, &header.spec) {
             CacheLookup::Hot(cached) => return Ok((cached, true)),
             CacheLookup::Warm => true,
             CacheLookup::Miss => false,
         };
         let redecode_start = self.telemetry.now();
-        let mut staging =
-            self.pool
-                .checkout(header.spec, header.width.max(1), header.height.max(1));
-        let report = match self.manager.controller().decode_into(view, &mut staging) {
-            Ok(report) => report,
-            Err(e) => {
-                self.pool.put(staging);
-                return Err(e);
-            }
-        };
+        let (staging, report) = self.manager.decode(name).map_err(reject_reason)?;
         self.metrics.decodes += 1;
         self.metrics.decode_micros += report.micros;
         if warm {
@@ -695,7 +675,7 @@ impl Scheduler {
                 EventKind::WarmHit,
                 self.fabric,
                 job,
-                view.size_bytes(),
+                size_bytes,
                 redecode_start,
             );
         }
@@ -706,9 +686,10 @@ impl Scheduler {
 
     /// Inserts a freshly decoded stream into the tiered cache with the
     /// metadata its cost model runs on (compressed size + measured decode
-    /// micros), recycles every displaced arena into the shared pool, and
-    /// records tier-transition events. Under an unbounded budget nothing
-    /// is ever demoted, so the compressed size is booked as 0.
+    /// micros), recycles every displaced arena into the controller's
+    /// scratch pool, and records tier-transition events. Under an unbounded
+    /// budget nothing is ever demoted, so the compressed size is booked
+    /// as 0.
     fn cache_insert(&mut self, name: &str, spec: ArchSpec, task: Arc<TaskBitstream>, micros: u64) {
         let compressed_bytes = if self.cache.budget().is_unbounded() {
             0
@@ -722,7 +703,7 @@ impl Scheduler {
             .cache
             .insert(name, spec, task, compressed_bytes, micros);
         for displaced in outcome.displaced {
-            self.pool.recycle(displaced);
+            self.manager.controller_mut().recycle(displaced);
         }
         if outcome.demoted > 0 {
             let stats = self.cache.stats();
@@ -844,39 +825,18 @@ impl Scheduler {
                 evicted: Vec::new(),
             };
         }
-        let decoded = match self.decoded_with(job, task) {
-            Ok(d) => d,
-            Err(RuntimeError::UnknownTask { .. }) => {
+        let (stream, cache_hit) = match self.decoded_with(job, task) {
+            Ok(decoded) => decoded,
+            Err(reason) => {
                 self.metrics.loads_rejected += 1;
                 return Outcome::Rejected {
                     job,
-                    reason: RejectReason::UnknownTask,
-                    evicted: Vec::new(),
-                };
-            }
-            Err(e) => {
-                self.metrics.loads_rejected += 1;
-                return Outcome::Rejected {
-                    job,
-                    reason: RejectReason::Runtime(e.to_string()),
+                    reason,
                     evicted: Vec::new(),
                 };
             }
         };
-        let (stream, cache_hit) = decoded;
         let (w, h) = (stream.width(), stream.height());
-
-        // A task larger than the device can never fit — reject before
-        // evicting anyone on its behalf.
-        let device = self.manager.controller().device();
-        if w > device.width() || h > device.height() {
-            self.metrics.loads_rejected += 1;
-            return Outcome::Rejected {
-                job,
-                reason: RejectReason::NoCapacity,
-                evicted: Vec::new(),
-            };
-        }
 
         // Placement span: finding (or making, via compaction/eviction) a
         // free region. Compaction-pause spans nest inside it.
@@ -1090,6 +1050,14 @@ impl Scheduler {
                 (fragmentation * 1000.0) as u64,
             );
         }
+    }
+}
+
+/// The rejection a fetch or decode error stands for.
+fn reject_reason(error: RuntimeError) -> RejectReason {
+    match error {
+        RuntimeError::UnknownTask { .. } => RejectReason::UnknownTask,
+        e => RejectReason::Runtime(e.to_string()),
     }
 }
 

@@ -14,7 +14,6 @@ use crate::scheduler::{Outcome, Request, SchedMetrics, Scheduler};
 use crate::trace::{Trace, TraceOp};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use vbs_runtime::FabricId;
 
 /// Metrics of one trace replay.
 #[derive(Debug, Clone, PartialEq)]
@@ -247,8 +246,6 @@ fn drive<T: ReplayTarget>(scheduler: &mut T, trace: &Trace) -> u64 {
 /// Per-shard slice of a [`MultiSimReport`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FabricReport {
-    /// The fabric id its task manager was tagged with.
-    pub id: FabricId,
     /// This shard's scheduler counters over the replay.
     pub sched: SchedMetrics,
     /// This shard's decode-cache counters over the replay.
@@ -328,7 +325,7 @@ impl fmt::Display for MultiSimReport {
             writeln!(
                 f,
                 "{:<10} accept {:>4}/{:<4} evict {:>4} reloc {:>4} hit {:>5.1}% util {:>5.1}% frag {:.3}",
-                format!("{} [{}]", fabric.id, i),
+                format!("fabric{i}"),
                 fabric.sched.loads_accepted,
                 fabric.sched.loads_submitted,
                 fabric.sched.evictions,
@@ -357,7 +354,6 @@ pub fn replay_multi(multi: &mut MultiFabricScheduler, trace: &Trace) -> MultiSim
         .iter()
         .enumerate()
         .map(|(i, fabric)| FabricReport {
-            id: fabric.manager().fabric_id(),
             sched: metrics_delta(fabric.metrics(), &sched_before[i]),
             cache: cache_delta(fabric.cache_stats(), cache_before[i]),
             final_fragmentation: fabric.manager().fabric_view().fragmentation(),

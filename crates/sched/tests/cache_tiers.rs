@@ -200,8 +200,8 @@ proptest! {
             cache_budget: budget,
             ..base
         };
-        let mut unbounded = scheduler(11, 11, 0, Box::new(BestFit), base);
-        let mut budgeted = scheduler(11, 11, 0, Box::new(BestFit), budgeted_cfg);
+        let mut unbounded = scheduler(11, 11, Box::new(BestFit), base);
+        let mut budgeted = scheduler(11, 11, Box::new(BestFit), budgeted_cfg);
         let u = vbs_sched::replay(&mut unbounded, &trace);
         let b = vbs_sched::replay(&mut budgeted, &trace);
 

@@ -9,9 +9,7 @@ use std::sync::OnceLock;
 use vbs_arch::{ArchSpec, Coord, Device};
 use vbs_flow::CadFlow;
 use vbs_netlist::generate::SyntheticSpec;
-use vbs_runtime::{
-    FabricId, PlacementPolicy, ReconfigurationController, TaskManager, VbsRepository,
-};
+use vbs_runtime::{PlacementPolicy, ReconfigurationController, TaskManager, VbsRepository};
 use vbs_sched::{LruEviction, MultiFabricScheduler, Scheduler, SchedulerConfig, ShardPolicy};
 
 /// Task set: (name, LUTs, grid edge, seed). Grid edge = footprint in macros.
@@ -62,7 +60,6 @@ pub fn device(width: u16, height: u16) -> Device {
 pub fn scheduler(
     width: u16,
     height: u16,
-    fabric: u32,
     policy: Box<dyn PlacementPolicy>,
     config: SchedulerConfig,
 ) -> Scheduler {
@@ -70,8 +67,7 @@ pub fn scheduler(
         ReconfigurationController::new(device(width, height)),
         repository().clone(),
     )
-    .with_policy(policy)
-    .with_fabric_id(FabricId(fabric));
+    .with_policy(policy);
     Scheduler::with_config(manager, Box::new(LruEviction), config)
 }
 
@@ -85,7 +81,7 @@ pub fn fleet(
     config: SchedulerConfig,
 ) -> MultiFabricScheduler {
     let fabrics = (0..k)
-        .map(|i| scheduler(width, height, i as u32, make_placement(), config))
+        .map(|_| scheduler(width, height, make_placement(), config))
         .collect();
     MultiFabricScheduler::new(fabrics, shard)
 }

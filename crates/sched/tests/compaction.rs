@@ -22,16 +22,16 @@ mod common;
 
 use common::{assert_fabric_invariants, scheduler, TASKS};
 use vbs_arch::{Coord, Rect};
-use vbs_runtime::{BestFit, FabricView, FirstFit};
+use vbs_runtime::{BestFit, FabricView, FirstFit, ReconfigurationController};
 use vbs_sched::{Outcome, Request, Scheduler, SchedulerConfig};
 
-/// De-virtualizes `vbs` on the scheduler's controller, behind the
-/// decode cache's back — the reference image of the differentials.
+/// De-virtualizes `vbs` on a spare controller of the scheduler's device,
+/// behind the decode cache's back — the reference image of the
+/// differentials.
 fn fresh_decode(sched: &Scheduler, vbs: &vbs_core::Vbs) -> vbs_bitstream::TaskBitstream {
+    let device = sched.manager().controller().device().clone();
     let mut image = vbs_bitstream::TaskBitstream::empty(*vbs.spec(), 0, 0);
-    sched
-        .manager()
-        .controller()
+    ReconfigurationController::new(device)
         .decode_into(vbs, &mut image)
         .expect("decode");
     image
@@ -126,7 +126,7 @@ fn greedy_compact(sched: &mut Scheduler) -> (usize, u64) {
 /// the destination (what the pre-PR cache-fetch relocate path produced).
 #[test]
 fn relocation_is_decode_free_and_bit_identical_to_the_decoded_image() {
-    let mut sched = scheduler(12, 8, 0, Box::new(FirstFit), SchedulerConfig::default());
+    let mut sched = scheduler(12, 8, Box::new(FirstFit), SchedulerConfig::default());
     let Outcome::Loaded { job, origin, .. } = sched.execute(Request::Load {
         task: "crc4".into(),
         priority: 0,
@@ -190,8 +190,8 @@ fn batch_compaction_matches_the_greedy_sweeps_bit_for_bit() {
         compaction: false,
         ..SchedulerConfig::default()
     };
-    let mut batch = scheduler(11, 11, 0, Box::new(BestFit), config);
-    let mut greedy = scheduler(11, 11, 0, Box::new(BestFit), config);
+    let mut batch = scheduler(11, 11, Box::new(BestFit), config);
+    let mut greedy = scheduler(11, 11, Box::new(BestFit), config);
     let batch_jobs = fragment(&mut batch);
     let greedy_jobs = fragment(&mut greedy);
     assert_eq!(batch_jobs, greedy_jobs, "identical fixtures");
@@ -275,7 +275,7 @@ fn load_triggered_compaction_preserves_every_resident_image() {
         compaction: true,
         ..SchedulerConfig::default()
     };
-    let mut sched = scheduler(11, 11, 0, Box::new(BestFit), config);
+    let mut sched = scheduler(11, 11, Box::new(BestFit), config);
     let survivors = fragment(&mut sched);
 
     // Reference images of every survivor, via an independent decode.

@@ -46,7 +46,7 @@ fn load(sched: &mut Scheduler, task: &str) -> Outcome {
 /// A transient write fault is retried in place and the load still lands.
 #[test]
 fn transient_write_fault_is_retried_and_lands() {
-    let mut sched = scheduler(10, 10, 0, Box::new(FirstFit), base_config());
+    let mut sched = scheduler(10, 10, Box::new(FirstFit), base_config());
     let injector = hook("write 1 transient");
     sched.set_fault_hook(Some(injector.clone()));
 
@@ -90,7 +90,7 @@ fn a_refused_write_does_not_consume_a_fault_plan_slot() {
 /// alternative placement instead of dropping it.
 #[test]
 fn persistent_write_fault_replaces_the_load_elsewhere() {
-    let mut sched = scheduler(10, 10, 0, Box::new(FirstFit), base_config());
+    let mut sched = scheduler(10, 10, Box::new(FirstFit), base_config());
     sched.set_fault_hook(Some(hook("write 1 persistent")));
 
     match load(&mut sched, "fir4") {
@@ -118,7 +118,7 @@ fn exhausted_retries_reject_gracefully() {
         write_retry_limit: 1,
         ..base_config()
     };
-    let mut sched = scheduler(10, 10, 0, Box::new(FirstFit), config);
+    let mut sched = scheduler(10, 10, Box::new(FirstFit), config);
     // Every early write fails: the original placement (1 + 1 retry), then
     // the re-placement attempt (1 + 1 retry) — all four bounce.
     sched.set_fault_hook(Some(hook(
@@ -141,7 +141,7 @@ fn exhausted_retries_reject_gracefully() {
 /// a rewrite; the load completes with the corruption healed.
 #[test]
 fn corrupt_write_is_caught_and_scrubbed() {
-    let mut sched = scheduler(10, 10, 0, Box::new(FirstFit), base_config());
+    let mut sched = scheduler(10, 10, Box::new(FirstFit), base_config());
     sched.set_verify(true);
     assert_corrupt_write_is_scrubbed(sched);
 }
@@ -155,7 +155,7 @@ fn verify_in_the_config_catches_a_corrupt_write() {
         verify: true,
         ..base_config()
     };
-    assert_corrupt_write_is_scrubbed(scheduler(10, 10, 0, Box::new(FirstFit), config));
+    assert_corrupt_write_is_scrubbed(scheduler(10, 10, Box::new(FirstFit), config));
 }
 
 fn assert_corrupt_write_is_scrubbed(mut sched: Scheduler) {

@@ -8,16 +8,15 @@ mod common;
 use common::{assert_fabric_invariants, device, fleet, repository, scheduler, TASKS};
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::sync::Arc;
 use vbs_arch::Rect;
-use vbs_runtime::{
-    BestFit, FabricId, FirstFit, PlacementPolicy, ReconfigurationController, TaskManager,
-};
+use vbs_runtime::{BestFit, FirstFit, PlacementPolicy, ReconfigurationController, TaskManager};
 use vbs_sched::{
-    replay, replay_multi, shard_policy_by_name, CacheAffinity, LeastLoaded, MultiFabricScheduler,
-    Outcome, PriorityEviction, Request, RoundRobin, SchedMetrics, Scheduler, SchedulerConfig,
-    Trace, WorkloadSpec, SHARD_POLICY_NAMES,
+    replay, replay_multi, shard_policy_by_name, CacheAffinity, LeastLoaded, McncCorpus,
+    MultiFabricScheduler, Outcome, PriorityEviction, Request, RoundRobin, SchedMetrics, Scheduler,
+    SchedulerConfig, Trace, WorkloadSpec, SHARD_POLICY_NAMES,
 };
-use vbs_telemetry::{EventKind, Telemetry, FLEET_FABRIC};
+use vbs_telemetry::{EventKind, MonotonicClock, Telemetry, FLEET_FABRIC};
 
 fn overload_trace(loads: usize, seed: u64) -> Trace {
     Trace::synthetic(&WorkloadSpec {
@@ -66,7 +65,7 @@ fn k1_fleet_is_bit_identical_to_single_scheduler() {
         ..SchedulerConfig::default()
     };
 
-    let mut single = scheduler(11, 11, 0, Box::new(BestFit), config);
+    let mut single = scheduler(11, 11, Box::new(BestFit), config);
     let single_report = replay(&mut single, &trace);
 
     for &policy in SHARD_POLICY_NAMES {
@@ -136,8 +135,8 @@ fn sharded_fleet_beats_independent_fabrics_on_overload() {
     // acceptance = total accepted / total submitted.
     let mut independent_accepted = 0u64;
     let mut independent_submitted = 0u64;
-    for i in 0..4 {
-        let mut single = scheduler(11, 11, i, Box::new(BestFit), config);
+    for _ in 0..4 {
+        let mut single = scheduler(11, 11, Box::new(BestFit), config);
         let report = replay(&mut single, &trace);
         independent_accepted += report.sched.loads_accepted;
         independent_submitted += report.sched.loads_submitted;
@@ -506,13 +505,12 @@ fn one_id_run() -> OneIdRun {
     // Priority eviction: equal-priority residents are protected, so a
     // priority-1 load that does not fit migrates instead of evicting.
     let fabrics = (0..2)
-        .map(|i| {
+        .map(|_| {
             let manager = TaskManager::new(
                 ReconfigurationController::new(device(10, 10)),
                 repository().clone(),
             )
-            .with_policy(Box::new(FirstFit))
-            .with_fabric_id(FabricId(i));
+            .with_policy(Box::new(FirstFit));
             Scheduler::with_config(manager, Box::new(PriorityEviction), config)
         })
         .collect();
@@ -624,4 +622,44 @@ fn fleet_and_shard_events_name_one_job_id() {
     assert_eq!(on(EventKind::Enqueue, 0, migrated), 1, "first try");
     assert_eq!(on(EventKind::Reject, 0, migrated), 1, "first try");
     assert_eq!(on(EventKind::Evict, 0, run.first), 1);
+}
+
+/// Each fabric decodes on its own controller: a fault-free corpus replay
+/// on the least-loaded fleet tags every staging-buffer checkout with the
+/// fabric that decoded, one checkout per decode that fabric counted.
+#[test]
+fn each_fabric_decodes_on_its_own_controller() {
+    let corpus = McncCorpus::load(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/traces/mcnc"
+    ))
+    .expect("checked-in corpus loads");
+    let trace = corpus.trace("steady").expect("steady trace present");
+    let mut fleet = corpus
+        .fleet_scheduler("least-loaded")
+        .expect("least-loaded is a shard policy");
+    let telemetry = Telemetry::with(Arc::new(MonotonicClock::new()), 1 << 16);
+    fleet.set_telemetry(telemetry.clone());
+    replay_multi(&mut fleet, trace);
+
+    let stats = telemetry.ring_stats();
+    assert!(stats.recorded <= stats.capacity as u64, "{stats:?}");
+    let mut checkouts = vec![0u64; fleet.fabric_count()];
+    for event in telemetry.events() {
+        if matches!(event.kind, EventKind::CheckoutHit | EventKind::CheckoutMiss) {
+            let fabric = usize::from(event.fabric);
+            assert!(fabric < fleet.fabric_count(), "{event:?}");
+            checkouts[fabric] += 1;
+        }
+    }
+    let decodes: Vec<u64> = fleet
+        .fabrics()
+        .iter()
+        .map(|f| f.metrics().decodes)
+        .collect();
+    assert!(
+        decodes.iter().all(|&d| d > 0),
+        "every fabric decoded: {decodes:?}"
+    );
+    assert_eq!(checkouts, decodes);
 }

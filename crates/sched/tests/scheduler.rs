@@ -11,8 +11,8 @@ use vbs_runtime::{
     BestFit, FirstFit, PlacementPolicy, ReconfigurationController, TaskManager, VbsRepository,
 };
 use vbs_sched::{
-    replay, CacheBudget, LruEviction, Outcome, PriorityEviction, RejectReason, Request, Scheduler,
-    SchedulerConfig, Trace, WorkloadSpec,
+    replay, CacheBudget, CacheStats, LruEviction, Outcome, PriorityEviction, RejectReason, Request,
+    Scheduler, SchedulerConfig, Trace, WorkloadSpec,
 };
 
 /// Task set shared by every test in this file: (name, LUTs, grid edge, seed).
@@ -73,13 +73,13 @@ fn scheduler(
     Scheduler::with_config(manager, Box::new(LruEviction), config)
 }
 
-/// De-virtualizes `vbs` on the scheduler's controller, behind the
-/// decode cache's back — the reference image of the differentials.
+/// De-virtualizes `vbs` on a spare controller of the scheduler's device,
+/// behind the decode cache's back — the reference image of the
+/// differentials.
 fn fresh_decode(sched: &Scheduler, vbs: &vbs_core::Vbs) -> TaskBitstream {
+    let device = sched.manager().controller().device().clone();
     let mut image = TaskBitstream::empty(*vbs.spec(), 0, 0);
-    sched
-        .manager()
-        .controller()
+    ReconfigurationController::new(device)
         .decode_into(vbs, &mut image)
         .expect("decode");
     image
@@ -521,7 +521,7 @@ fn explicit_relocation_moves_the_resident() {
     assert!(sched.residents().is_empty());
 }
 
-/// Arenas the cache displaces feed the fleet-wide buffer pool, and
+/// Arenas the cache displaces feed the controller's buffer pool, and
 /// subsequent decodes draw from it instead of allocating.
 #[test]
 fn cache_evictions_recycle_into_the_pool() {
@@ -563,16 +563,41 @@ fn cache_evictions_recycle_into_the_pool() {
         load_and_unload(&mut sched, "crc4");
         rounds += 1;
     }
-    let stats = sched.bitstream_pool().stats();
+    let stats = sched.manager().controller().scratch_pool().stats();
     assert!(
         stats.recycled >= 1,
         "the demoted arena went back to the pool: {stats:?}"
     );
     // "fir4" is warm now: its re-decode draws the recycled buffer.
     load_and_unload(&mut sched, "fir4");
-    let stats = sched.bitstream_pool().stats();
+    let stats = sched.manager().controller().scratch_pool().stats();
     assert!(
         stats.reused >= 1,
         "later decodes reuse recycled buffers: {stats:?}"
     );
+}
+
+/// A task larger than the fabric is refused before it is decoded, looked
+/// up or cached: under a finite budget such an insert could demote a
+/// useful entry.
+#[test]
+fn an_oversized_task_is_refused_before_it_is_decoded() {
+    let mut sched = scheduler(3, 3, Box::new(FirstFit), SchedulerConfig::default());
+    let outcome = sched.execute(Request::Load {
+        task: "fir4".into(),
+        priority: 1,
+        deadline: None,
+    });
+    assert!(
+        matches!(
+            outcome,
+            Outcome::Rejected {
+                reason: RejectReason::NoCapacity,
+                ..
+            }
+        ),
+        "{outcome:?}"
+    );
+    assert_eq!(sched.metrics().decodes, 0);
+    assert_eq!(sched.cache_stats(), CacheStats::default());
 }

@@ -100,11 +100,11 @@ pub enum EventKind {
     Migrate,
     /// The shard policy routed a load (`a` = global job, `b` = fabric).
     ShardDecision,
-    /// A pool checkout was served by recycled state (`a` = 0 buffer,
-    /// 1 scratch).
+    /// A controller's staging-image checkout was served by a recycled
+    /// buffer (no payload).
     CheckoutHit,
-    /// A pool checkout had to create fresh state (`a` = 0 buffer,
-    /// 1 scratch).
+    /// A controller's staging-image checkout had to allocate a fresh
+    /// buffer (no payload).
     CheckoutMiss,
     /// A fabric utilization sample (`a` = occupied per-mille, `b` =
     /// fragmentation per-mille).
@@ -209,7 +209,8 @@ pub struct Event {
     pub duration_micros: u64,
 }
 
-/// The fabric tag of fleet-scope events (dispatcher decisions, shared-pool
-/// checkouts): they belong to no single fabric and render as their own
-/// process track in trace exports.
+/// The fabric tag of fleet-scope events (dispatcher decisions,
+/// migrations, recoveries) and of a controller no fleet has tagged: they
+/// belong to no single fabric and render as their own process track in
+/// trace exports.
 pub const FLEET_FABRIC: u16 = u16::MAX;

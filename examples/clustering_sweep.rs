@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         let vbs = result.vbs(k)?;
         let stats = VbsStats::of(&vbs);
-        let controller = ReconfigurationController::new(result.device().clone());
+        let mut controller = ReconfigurationController::new(result.device().clone());
         let mut decoded = TaskBitstream::empty(*vbs.spec(), 0, 0);
         let report = controller.decode_into(&vbs, &mut decoded)?;
         println!(

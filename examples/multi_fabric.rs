@@ -10,9 +10,7 @@
 use vbs_repro::arch::{ArchSpec, Device};
 use vbs_repro::flow::CadFlow;
 use vbs_repro::netlist::generate::SyntheticSpec;
-use vbs_repro::runtime::{
-    BestFit, FabricId, ReconfigurationController, TaskManager, VbsRepository,
-};
+use vbs_repro::runtime::{BestFit, ReconfigurationController, TaskManager, VbsRepository};
 use vbs_repro::sched::{
     replay, replay_multi, CacheAffinity, LruEviction, MultiFabricScheduler, Scheduler,
     SchedulerConfig, Trace, WorkloadSpec,
@@ -22,14 +20,10 @@ const CHANNEL_WIDTH: u16 = 9;
 const LUT_SIZE: u8 = 6;
 const FABRIC: (u16, u16) = (11, 11);
 
-fn scheduler(
-    repository: &VbsRepository,
-    fabric: u32,
-) -> Result<Scheduler, Box<dyn std::error::Error>> {
+fn scheduler(repository: &VbsRepository) -> Result<Scheduler, Box<dyn std::error::Error>> {
     let device = Device::new(ArchSpec::new(CHANNEL_WIDTH, LUT_SIZE)?, FABRIC.0, FABRIC.1)?;
     let manager = TaskManager::new(ReconfigurationController::new(device), repository.clone())
-        .with_policy(Box::new(BestFit))
-        .with_fabric_id(FabricId(fabric));
+        .with_policy(Box::new(BestFit));
     Ok(Scheduler::with_config(
         manager,
         Box::new(LruEviction),
@@ -84,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // One fabric alone.
-    let mut single = scheduler(&repository, 0)?;
+    let mut single = scheduler(&repository)?;
     let single_report = replay(&mut single, &trace);
     println!(
         "one fabric               {:>5.1}% acceptance",
@@ -94,8 +88,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Four independent fabrics, each replaying the full stream.
     let mut accepted = 0;
     let mut submitted = 0;
-    for i in 0..4 {
-        let mut solo = scheduler(&repository, i)?;
+    for _ in 0..4 {
+        let mut solo = scheduler(&repository)?;
         let report = replay(&mut solo, &trace);
         accepted += report.sched.loads_accepted;
         submitted += report.sched.loads_submitted;
@@ -108,7 +102,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The sharded fleet: cache-affinity routing + one writer per busy
     // fabric + cross-fabric migration.
     let fabrics = (0..4)
-        .map(|i| scheduler(&repository, i))
+        .map(|_| scheduler(&repository))
         .collect::<Result<Vec<_>, _>>()?;
     let mut fleet = MultiFabricScheduler::new(fabrics, Box::new(CacheAffinity));
     let report = replay_multi(&mut fleet, &trace);

@@ -71,12 +71,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let _ = (fir, huff, crc2);
     println!("{} tasks resident at the end", manager.loaded_tasks().len());
 
-    // Every decode above ran on the controller's ScratchPool: the scratch
-    // and the staging buffers recycle instead of being allocated per load.
+    // Every decode above ran on the controller's own scratch and
+    // ScratchPool: the staging buffers recycle instead of being allocated
+    // per load.
     let pool = manager.controller().scratch_pool().stats();
     println!(
-        "decode pool: {} buffer reuses, {} fresh buffers, {} fresh scratches",
-        pool.reused, pool.fresh, pool.scratch_fresh
+        "decode pool: {} buffer reuses, {} fresh buffers",
+        pool.reused, pool.fresh
     );
     Ok(())
 }

@@ -59,12 +59,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         manager.loaded_tasks().len()
     );
 
-    // The three loads decoded on the controller's ScratchPool; after the
-    // first load, the staging buffer and the scratch recycle.
+    // The three loads decoded on the controller's own scratch and
+    // ScratchPool; after the first load, the staging buffer recycles.
     let pool = manager.controller().scratch_pool().stats();
     println!(
-        "decode pool: {} buffer reuses, {} fresh buffers, {} fresh scratches",
-        pool.reused, pool.fresh, pool.scratch_fresh
+        "decode pool: {} buffer reuses, {} fresh buffers",
+        pool.reused, pool.fresh
     );
     Ok(())
 }

@@ -89,12 +89,15 @@ const COLD_DECODE_ALLOCATION_BUDGET: u64 = 19;
 
 /// Allocations of a corpus fleet cache-hit pair (submit load, process,
 /// submit unload, process) on the K = 2 least-loaded fleet, as counted. It
+/// was 14 when every queued request carried a sequence number: a queue
+/// entry was then 72 bytes against the 64 of a tagged outcome, so each
+/// round's outcome list could not reuse the taken queue's buffer. It
 /// was 16 when every resident kept a copy of its task name and every
 /// pending load a list of the fabrics it was queued on, 19 when shards
 /// queued requests under ids of their own and the dispatcher kept two id
 /// maps to translate them back, and 41 when every round also spawned a
 /// scoped thread per busy fabric.
-const FLEET_HIT_PAIR_ALLOCATIONS: u64 = 14;
+const FLEET_HIT_PAIR_ALLOCATIONS: u64 = 12;
 
 /// Bytes building the K = 2 corpus fleet may request. It requested
 /// 1 507 940 when each of its four disabled telemetry handles held a full
@@ -119,7 +122,11 @@ fn decode_into(vbs: &Vbs, staging: &mut TaskBitstream, scratch: &mut DecodeScrat
 #[test]
 fn decode_hot_path_allocation_budget() {
     let repository = vbs_bench::sched_workload::sched_repository();
-    let vbs = repository.fetch("fft_stage").expect("workload task");
+    let vbs = repository
+        .view("fft_stage")
+        .expect("workload task")
+        .to_owned()
+        .expect("workload task");
     let device = vbs_bench::sched_workload::sched_device(11, 11);
 
     // --- Cold decode: the stream's one cluster pattern is derived and
@@ -230,7 +237,13 @@ fn decode_hot_path_allocation_budget() {
     // of frame count.
     let mix: Vec<_> = ["fir_filter", "aes_round", "fft_stage"]
         .iter()
-        .map(|name| repository.fetch(name).expect("workload task"))
+        .map(|name| {
+            repository
+                .view(name)
+                .expect("workload task")
+                .to_owned()
+                .expect("workload task")
+        })
         .collect();
     let mut cycling =
         ReconfigurationController::new(vbs_bench::sched_workload::sched_device(11, 11));

@@ -10,7 +10,7 @@
 use crate::error::VbsError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use vbs_arch::{ArchSpec, Coord, Side, WireKind, WireRef};
+use vbs_arch::{ArchError, ArchSpec, Coord, Side, WireKind, WireRef};
 
 /// A black-box I/O of a `k × k` cluster of macros.
 ///
@@ -143,15 +143,22 @@ impl ClusterGrid {
     ///
     /// # Errors
     ///
-    /// Returns [`VbsError::InvalidClusterSize`] if `cluster_size` is zero or
-    /// larger than the task's largest dimension.
+    /// Returns [`VbsError::Arch`] ([`vbs_arch::ArchError::InvalidDeviceSize`])
+    /// if the task has zero area, and [`VbsError::InvalidClusterSize`] if
+    /// `cluster_size` is zero or larger than the task's largest dimension.
     pub fn new(
         spec: ArchSpec,
         cluster_size: u16,
         width: u16,
         height: u16,
     ) -> Result<Self, VbsError> {
-        if cluster_size == 0 || cluster_size > width.max(height).max(1) {
+        if width == 0 || height == 0 {
+            return Err(VbsError::Arch(ArchError::InvalidDeviceSize {
+                width,
+                height,
+            }));
+        }
+        if cluster_size == 0 || cluster_size > width.max(height) {
             return Err(VbsError::InvalidClusterSize { cluster_size });
         }
         Ok(ClusterGrid {

@@ -679,7 +679,7 @@ impl<'a> Devirtualizer<'a> {
     pub fn new(stream: impl Into<VbsRef<'a>>) -> Result<Self, VbsError> {
         let stream = stream.into();
         let header = stream.header();
-        Device::new(header.spec, header.width.max(1), header.height.max(1))?;
+        Device::new(header.spec, header.width, header.height)?;
         Ok(Devirtualizer {
             stream,
             header,
@@ -702,9 +702,9 @@ impl<'a> Devirtualizer<'a> {
         self.stream.record_count()
     }
 
-    /// The decoded task's width and height (at least 1 each).
+    /// The decoded task's width and height.
     fn task_shape(&self) -> (u16, u16) {
-        (self.header.width.max(1), self.header.height.max(1))
+        (self.header.width, self.header.height)
     }
 
     /// Derives the pattern of every cluster shape the task's tiling has

@@ -112,7 +112,7 @@ impl VbsEncoder {
 
         // 1. Group the programmed switches and the wires they touch by
         //    cluster, net by net.
-        let geometry = Device::new(self.spec, width.max(1), height.max(1))?;
+        let geometry = Device::new(self.spec, width, height)?;
         let mut lists = ClusterLists::default();
         let mut trees = TreeScratch::default();
         for (_, tree) in routing.iter_trees() {
@@ -129,7 +129,7 @@ impl VbsEncoder {
         //    and the decode feedback loop.
         let template = Vbs::new(self.spec, self.cluster_size, width, height, Vec::new())?;
         let devirtualizer = Devirtualizer::new(&template)?;
-        let mut image = TaskBitstream::empty(self.spec, width.max(1), height.max(1));
+        let mut image = TaskBitstream::empty(self.spec, width, height);
         // One decode arena shared by every feedback-loop check of this
         // encode, so candidate verification stays allocation-free.
         let mut decode_scratch = DecodeScratch::new();

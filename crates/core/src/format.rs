@@ -357,8 +357,9 @@ impl Vbs {
     ///
     /// # Errors
     ///
-    /// Returns [`VbsError::InvalidClusterSize`] or
-    /// [`VbsError::RecordOutOfTask`] when the parts are inconsistent.
+    /// Returns [`VbsError::Arch`] for a zero-area task, and
+    /// [`VbsError::InvalidClusterSize`] or [`VbsError::RecordOutOfTask`]
+    /// when the parts are inconsistent.
     pub fn new(
         spec: ArchSpec,
         cluster_size: u16,

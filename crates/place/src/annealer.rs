@@ -14,6 +14,10 @@ use rand::{Rng, SeedableRng};
 use vbs_arch::{Coord, Device, Rect};
 use vbs_netlist::{BlockId, NetId, Netlist};
 
+/// The anneal stops once the temperature falls below
+/// `EXIT_RATIO * cost / nets`.
+const EXIT_RATIO: f64 = 0.005;
+
 /// Places `netlist` on `device`, using the whole device as the task region.
 ///
 /// # Errors
@@ -133,7 +137,7 @@ fn place_in_region(
         rlim =
             (rlim * (1.0 - 0.44 + acceptance)).clamp(1.0, region.width.max(region.height) as f64);
 
-        if temperature < config.exit_ratio * cost / nets as f64 {
+        if temperature < EXIT_RATIO * cost / nets as f64 {
             break;
         }
     }

@@ -13,11 +13,6 @@ pub struct PlacerConfig {
     /// Multiplier of the number of moves evaluated per temperature step
     /// (`inner_num` in VPR terms). 1.0 is the standard effort.
     pub effort: f64,
-    /// Initial acceptance-probability target used to derive the starting
-    /// temperature from the initial cost distribution.
-    pub initial_acceptance: f64,
-    /// Stop when the temperature falls below `exit_ratio * cost / nets`.
-    pub exit_ratio: f64,
     /// Upper bound on the number of temperature steps (safety valve).
     pub max_steps: usize,
 }
@@ -28,8 +23,6 @@ impl PlacerConfig {
         PlacerConfig {
             seed,
             effort: 1.0,
-            initial_acceptance: 0.8,
-            exit_ratio: 0.005,
             max_steps: 512,
         }
     }

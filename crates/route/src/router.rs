@@ -21,20 +21,21 @@ use vbs_place::Placement;
 pub struct RouterConfig {
     /// Maximum number of PathFinder iterations before giving up.
     pub max_iterations: usize,
-    /// Present-congestion factor of the first iteration.
-    pub initial_present_factor: f64,
-    /// Multiplier applied to the present-congestion factor each iteration.
-    pub present_factor_growth: f64,
-    /// Weight of the historical congestion added after each iteration.
-    pub history_factor: f64,
     /// Weight of the A* distance estimate (1.0 = admissible, larger trades
     /// quality for speed).
     pub astar_weight: f64,
-    /// Extra margin (in macros) added around each net's bounding box when
-    /// constraining its search region; the margin also grows with the
-    /// iteration count so hard nets eventually see the whole device.
-    pub bounding_box_margin: u16,
 }
+
+/// Present-congestion factor of the first iteration.
+const INITIAL_PRESENT_FACTOR: f64 = 0.6;
+/// Multiplier applied to the present-congestion factor each iteration.
+const PRESENT_FACTOR_GROWTH: f64 = 1.8;
+/// Weight of the historical congestion added after each iteration.
+const HISTORY_FACTOR: f32 = 1.0;
+/// Extra margin (in macros) added around each net's bounding box when
+/// constraining its search region; the margin also grows with the iteration
+/// count so hard nets eventually see the whole device.
+const BOUNDING_BOX_MARGIN: u16 = 3;
 
 impl RouterConfig {
     /// Configuration favouring speed, used by tests and quick sweeps.
@@ -42,7 +43,6 @@ impl RouterConfig {
         RouterConfig {
             max_iterations: 30,
             astar_weight: 1.3,
-            ..RouterConfig::default()
         }
     }
 }
@@ -51,11 +51,7 @@ impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
             max_iterations: 50,
-            initial_present_factor: 0.6,
-            present_factor_growth: 1.8,
-            history_factor: 1.0,
             astar_weight: 1.15,
-            bounding_box_margin: 3,
         }
     }
 }
@@ -120,7 +116,7 @@ pub fn route(
         .collect();
 
     let mut search = SearchState::new(node_count);
-    let mut present_factor = config.initial_present_factor;
+    let mut present_factor = INITIAL_PRESENT_FACTOR;
 
     for iteration in 0..config.max_iterations {
         for (net_index, (source, sinks)) in terminals.iter().enumerate() {
@@ -159,13 +155,13 @@ pub fn route(
         for idx in 0..wire_count {
             if occupancy[idx] > 1 {
                 overused += 1;
-                history[idx] += config.history_factor as f32 * (occupancy[idx] - 1) as f32;
+                history[idx] += HISTORY_FACTOR * (occupancy[idx] - 1) as f32;
             }
         }
         if overused == 0 {
             return Ok(Routing::new(*device.spec(), trees, iteration + 1));
         }
-        present_factor *= config.present_factor_growth;
+        present_factor *= PRESENT_FACTOR_GROWTH;
     }
 
     let overused = occupancy.iter().filter(|&&o| o > 1).count();
@@ -263,7 +259,7 @@ fn route_net(
     let mut tree = RouteTree::new(source);
 
     // Search region: net bounding box plus a growing margin.
-    let margin = config.bounding_box_margin + 2 * iteration as u16;
+    let margin = BOUNDING_BOX_MARGIN + 2 * iteration as u16;
     let (lo, hi) = net_region(source, sinks, graph.device(), margin);
 
     // Closest sinks first: the tree grows outwards and later sinks can reuse

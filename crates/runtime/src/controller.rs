@@ -359,10 +359,13 @@ impl ReconfigurationController {
     ) -> Result<(TaskBitstream, DecodeReport), RuntimeError> {
         let stream = stream.into();
         let header = stream.header();
-        let (width, height) = (header.width.max(1), header.height.max(1));
-        let mut staging =
-            self.pool
-                .checkout(header.spec, width, height, &self.telemetry, self.fabric);
+        let mut staging = self.pool.checkout(
+            header.spec,
+            header.width,
+            header.height,
+            &self.telemetry,
+            self.fabric,
+        );
         match self.decode_into(stream, &mut staging) {
             Ok(report) => Ok((staging, report)),
             Err(e) => {

@@ -35,8 +35,7 @@ impl Stored {
 /// validates the bytes in one allocation-free walk and remembers what it
 /// found (a [`VbsLayout`], a few words); every later call hands out a view
 /// of the same bytes in O(1) without walking them again, so no load parses
-/// or copies a stream. Only [`VbsRepository::fetch`] copies the records
-/// out, for callers that want an owned [`Vbs`].
+/// or copies a stream.
 #[derive(Debug, Clone, Default)]
 pub struct VbsRepository {
     streams: BTreeMap<String, Stored>,
@@ -101,15 +100,6 @@ impl VbsRepository {
         Ok(self.stored(name)?.layout()?.header())
     }
 
-    /// The stored stream of a task, copied out into owned records.
-    ///
-    /// # Errors
-    ///
-    /// As [`VbsRepository::view`].
-    pub fn fetch(&self, name: &str) -> Result<Vbs, RuntimeError> {
-        self.view(name)?.to_owned().map_err(RuntimeError::from)
-    }
-
     /// Raw serialized size of a stored task, in bytes.
     pub fn stored_size(&self, name: &str) -> Option<usize> {
         self.bytes(name).map(<[u8]>::len)
@@ -142,6 +132,11 @@ mod tests {
     use super::*;
     use vbs_arch::ArchSpec;
 
+    /// The stored stream of a task, copied out into owned records.
+    fn fetch(repo: &VbsRepository, name: &str) -> Result<Vbs, RuntimeError> {
+        repo.view(name)?.to_owned().map_err(RuntimeError::from)
+    }
+
     #[test]
     fn store_fetch_roundtrip() {
         let vbs = Vbs::new(ArchSpec::paper_example(), 1, 3, 3, Vec::new()).unwrap();
@@ -150,9 +145,9 @@ mod tests {
         assert!(size > 0);
         assert_eq!(repo.len(), 1);
         assert_eq!(repo.stored_size("empty"), Some(size));
-        assert_eq!(repo.fetch("empty").unwrap(), vbs);
+        assert_eq!(fetch(&repo, "empty").unwrap(), vbs);
         assert!(matches!(
-            repo.fetch("missing"),
+            fetch(&repo, "missing"),
             Err(RuntimeError::UnknownTask { .. })
         ));
     }
@@ -161,7 +156,7 @@ mod tests {
     fn corrupted_streams_surface_as_decode_errors() {
         let mut repo = VbsRepository::new();
         repo.store_bytes("bad", vec![0xff; 3]);
-        assert!(matches!(repo.fetch("bad"), Err(RuntimeError::Decode(_))));
+        assert!(matches!(fetch(&repo, "bad"), Err(RuntimeError::Decode(_))));
         assert_eq!(repo.task_names(), vec!["bad"]);
     }
 
@@ -181,7 +176,7 @@ mod tests {
         let mut repo = VbsRepository::new();
         repo.store("t", &shaped(3, 5));
         let header = repo.header("t").unwrap();
-        assert_eq!(header, repo.fetch("t").unwrap().header());
+        assert_eq!(header, fetch(&repo, "t").unwrap().header());
         assert_eq!((header.width, header.height), (3, 5));
         assert_eq!(header, repo.header("t").unwrap());
         assert!(matches!(
@@ -205,7 +200,7 @@ mod tests {
         repo.store_bytes("t", corrupted(&shaped(2, 6)));
         for _ in 0..3 {
             assert!(matches!(repo.header("t"), Err(RuntimeError::Decode(_))));
-            assert!(matches!(repo.fetch("t"), Err(RuntimeError::Decode(_))));
+            assert!(matches!(fetch(&repo, "t"), Err(RuntimeError::Decode(_))));
         }
 
         repo.store("t", &shaped(3, 3));
@@ -232,7 +227,7 @@ mod tests {
             for result in [
                 repo.view("t").map(|view| view.header()),
                 repo.header("t"),
-                repo.fetch("t").map(|vbs| vbs.header()),
+                fetch(&repo, "t").map(|vbs| vbs.header()),
             ] {
                 assert!(matches!(result, Err(RuntimeError::Decode(ref e)) if *e == first));
             }
@@ -250,7 +245,7 @@ mod tests {
         let after = repo.clone();
 
         assert_eq!(before.header("t").unwrap().width, 3);
-        assert_eq!(before.fetch("t").unwrap(), shaped(3, 3));
+        assert_eq!(fetch(&before, "t").unwrap(), shaped(3, 3));
         assert!(matches!(after.header("t"), Err(RuntimeError::Decode(_))));
         assert!(matches!(repo.header("t"), Err(RuntimeError::Decode(_))));
     }

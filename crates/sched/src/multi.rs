@@ -255,7 +255,7 @@ impl MultiFabricScheduler {
             Request::Load { task, .. } => {
                 self.metrics.loads_submitted += 1;
                 let statuses = self.statuses(task);
-                let fabric = statuses[self.policy.choose(task, &statuses)].fabric;
+                let fabric = statuses[self.policy.choose(&statuses)].fabric;
                 self.telemetry
                     .event(EventKind::ShardDecision, FLEET_FABRIC, job, fabric as u64);
                 self.dispatch(job, fabric, request, false);
@@ -371,7 +371,7 @@ impl MultiFabricScheduler {
             // Whole fleet down: the resident is lost until re-submitted.
             return false;
         }
-        let target = statuses[self.policy.choose(&evacuated.task, &statuses)].fabric;
+        let target = statuses[self.policy.choose(&statuses)].fabric;
         self.telemetry
             .event(EventKind::ShardDecision, FLEET_FABRIC, job, target as u64);
         let request = Request::Load {
@@ -458,7 +458,7 @@ impl MultiFabricScheduler {
         if untried.is_empty() {
             return false;
         }
-        let target = untried[self.policy.choose(task, &untried)].fabric;
+        let target = untried[self.policy.choose(&untried)].fabric;
         self.telemetry
             .event(EventKind::Migrate, FLEET_FABRIC, job, target as u64);
         self.fabrics[target].enqueue(job, pending.request.clone());

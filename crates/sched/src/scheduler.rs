@@ -120,6 +120,13 @@ pub struct EvacuatedJob {
     pub priority: u8,
 }
 
+/// Maximum retries of a transiently refused configuration write before
+/// the load is re-placed elsewhere (and, failing that, rejected). The retry
+/// budget is the bounded backoff: retries are immediate in the simulation
+/// (the logical clock never advances mid-request), so bounding their count
+/// is what bounds the backoff.
+const WRITE_RETRY_LIMIT: u32 = 2;
+
 /// Tunables of the scheduler.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedulerConfig {
@@ -127,12 +134,6 @@ pub struct SchedulerConfig {
     pub eviction_limit: usize,
     /// Whether to run a defragmentation pass when placement fails.
     pub compaction: bool,
-    /// Maximum retries of a transiently refused configuration write
-    /// before the load is re-placed elsewhere (and, failing that,
-    /// rejected). The retry budget is the bounded-backoff knob: retries
-    /// are immediate in the simulation (the logical clock never advances
-    /// mid-request), so bounding their count is what bounds the backoff.
-    pub write_retry_limit: u32,
     /// Whether every accepted load is readback-verified against the
     /// per-frame checksum sidecar, with a corrupted frame scrubbed once
     /// (rewritten from the decoded image) before the load counts as
@@ -153,7 +154,6 @@ impl Default for SchedulerConfig {
         SchedulerConfig {
             eviction_limit: 2,
             compaction: true,
-            write_retry_limit: 2,
             verify: false,
             cache_budget: CacheBudget::UNBOUNDED,
         }
@@ -265,7 +265,6 @@ struct Resident {
 #[derive(Debug)]
 struct Pending {
     job: u64,
-    seq: u64,
     request: Request,
     /// Telemetry-clock timestamp of submission (queue-wait span start).
     enqueued_at: u64,
@@ -282,7 +281,6 @@ pub struct Scheduler {
     residents: BTreeMap<u64, Resident>,
     clock: u64,
     next_job: u64,
-    next_seq: u64,
     /// This scheduler's own counters. Separate from the (possibly
     /// fleet-shared) telemetry registry so per-fabric counters never merge.
     metrics: SchedMetrics,
@@ -319,7 +317,6 @@ impl Scheduler {
             residents: BTreeMap::new(),
             clock: 0,
             next_job: 1,
-            next_seq: 0,
             metrics: SchedMetrics::default(),
             telemetry: Telemetry::disabled(),
             fabric: 0,
@@ -528,14 +525,11 @@ impl Scheduler {
         if matches!(request, Request::Load { .. }) {
             self.metrics.loads_submitted += 1;
         }
-        let seq = self.next_seq;
-        self.next_seq += 1;
         let enqueued_at = self.telemetry.now();
         self.telemetry
             .event(EventKind::Enqueue, self.fabric, job, 0);
         self.queue.push(Pending {
             job,
-            seq,
             request,
             enqueued_at,
         });
@@ -557,11 +551,12 @@ impl Scheduler {
     /// the request's own id).
     pub fn process_pending_tagged(&mut self) -> Vec<(u64, Outcome)> {
         let mut pending = std::mem::take(&mut self.queue);
+        // The queue holds requests in submission order and the sort is
+        // stable, so requests of one class and priority stay FIFO.
         pending.sort_by_key(|p| {
             (
                 class_rank(&p.request),
                 std::cmp::Reverse(priority_of(&p.request)),
-                p.seq,
             )
         });
         pending
@@ -950,7 +945,7 @@ impl Scheduler {
 
     /// One load's gated write with the self-healing retry loop: a
     /// transiently refused write is retried up to
-    /// [`SchedulerConfig::write_retry_limit`] times, and (with verify on)
+    /// [`WRITE_RETRY_LIMIT`] times, and (with verify on)
     /// an accepted write must pass readback verification — a mismatching
     /// frame is scrubbed and re-verified by
     /// [`Scheduler::verify_and_scrub`]; an unverifiable write is torn
@@ -997,7 +992,7 @@ impl Scheduler {
                 }
                 Err(e) => return Err(e),
             };
-            if attempts >= self.config.write_retry_limit {
+            if attempts >= WRITE_RETRY_LIMIT {
                 return Err(error);
             }
             attempts += 1;

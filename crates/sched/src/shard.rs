@@ -40,8 +40,8 @@ pub trait ShardPolicy: fmt::Debug + Send {
     /// Short policy name for logs and reports.
     fn name(&self) -> &'static str;
 
-    /// Picks the fabric serving `task` from the (non-empty) status slice.
-    fn choose(&mut self, task: &str, statuses: &[FabricStatus]) -> usize;
+    /// Picks the fabric serving a load from the (non-empty) status slice.
+    fn choose(&mut self, statuses: &[FabricStatus]) -> usize;
 }
 
 /// Cycle through the fabrics regardless of their state.
@@ -55,7 +55,7 @@ impl ShardPolicy for RoundRobin {
         "round-robin"
     }
 
-    fn choose(&mut self, _task: &str, statuses: &[FabricStatus]) -> usize {
+    fn choose(&mut self, statuses: &[FabricStatus]) -> usize {
         let pick = self.next % statuses.len();
         self.next = self.next.wrapping_add(1);
         pick
@@ -66,13 +66,19 @@ impl ShardPolicy for RoundRobin {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LeastLoaded;
 
-/// The least-loaded choice over a status slice (shared by [`LeastLoaded`]
-/// and the [`CacheAffinity`] fallback).
-fn least_loaded_index(statuses: &[FabricStatus]) -> usize {
+/// The least-loaded order (shared by [`LeastLoaded`] and
+/// [`CacheAffinity`]): the greatest key wins. It ends in the fabric id, so
+/// no two fabrics tie.
+fn least_loaded_key(s: &FabricStatus) -> (u32, Reverse<usize>, Reverse<usize>) {
+    (s.free_area, Reverse(s.queued_loads), Reverse(s.fabric))
+}
+
+/// The index of the status with the greatest `key`.
+fn index_of_max<K: Ord>(statuses: &[FabricStatus], key: impl Fn(&FabricStatus) -> K) -> usize {
     statuses
         .iter()
         .enumerate()
-        .max_by_key(|(_, s)| (s.free_area, Reverse(s.queued_loads), Reverse(s.fabric)))
+        .max_by_key(|(_, s)| key(s))
         .map(|(i, _)| i)
         .expect("choose is called with a non-empty status slice")
 }
@@ -82,8 +88,8 @@ impl ShardPolicy for LeastLoaded {
         "least-loaded"
     }
 
-    fn choose(&mut self, _task: &str, statuses: &[FabricStatus]) -> usize {
-        least_loaded_index(statuses)
+    fn choose(&mut self, statuses: &[FabricStatus]) -> usize {
+        index_of_max(statuses, least_loaded_key)
     }
 }
 
@@ -97,22 +103,9 @@ impl ShardPolicy for CacheAffinity {
         "cache-affinity"
     }
 
-    fn choose(&mut self, _task: &str, statuses: &[FabricStatus]) -> usize {
-        let warm: Vec<usize> = statuses
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.holds_decoded)
-            .map(|(i, _)| i)
-            .collect();
-        match warm.len() {
-            0 => least_loaded_index(statuses),
-            1 => warm[0],
-            // Several warm fabrics: least-loaded among them.
-            _ => {
-                let subset: Vec<FabricStatus> = warm.iter().map(|&i| statuses[i].clone()).collect();
-                warm[least_loaded_index(&subset)]
-            }
-        }
+    fn choose(&mut self, statuses: &[FabricStatus]) -> usize {
+        // Any warm fabric beats every cold one; least-loaded breaks ties.
+        index_of_max(statuses, |s| (s.holds_decoded, least_loaded_key(s)))
     }
 }
 
@@ -133,6 +126,8 @@ pub const SHARD_POLICY_NAMES: &[&str] = &["round-robin", "least-loaded", "cache-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
 
     fn status(fabric: usize, free: u32, queued: usize, warm: bool) -> FabricStatus {
         FabricStatus {
@@ -147,9 +142,9 @@ mod tests {
     fn round_robin_cycles() {
         let mut rr = RoundRobin::default();
         let statuses = vec![status(0, 1, 0, false), status(1, 1, 0, false)];
-        assert_eq!(rr.choose("t", &statuses), 0);
-        assert_eq!(rr.choose("t", &statuses), 1);
-        assert_eq!(rr.choose("t", &statuses), 0);
+        assert_eq!(rr.choose(&statuses), 0);
+        assert_eq!(rr.choose(&statuses), 1);
+        assert_eq!(rr.choose(&statuses), 0);
     }
 
     #[test]
@@ -160,7 +155,7 @@ mod tests {
             status(1, 30, 5, false),
             status(2, 30, 2, false),
         ];
-        assert_eq!(policy.choose("t", &statuses), 2);
+        assert_eq!(policy.choose(&statuses), 2);
     }
 
     #[test]
@@ -172,7 +167,7 @@ mod tests {
             status(2, 9, 1, true),
         ];
         // Warm beats free area; among warm fabrics, most free area wins.
-        assert_eq!(policy.choose("t", &statuses), 2);
+        assert_eq!(policy.choose(&statuses), 2);
         // Cold task: least-loaded fallback.
         let cold: Vec<FabricStatus> = statuses
             .iter()
@@ -182,7 +177,54 @@ mod tests {
                 s
             })
             .collect();
-        assert_eq!(policy.choose("t", &cold), 0);
+        assert_eq!(policy.choose(&cold), 0);
+    }
+
+    /// The two-pass `CacheAffinity::choose` this crate shipped before: the
+    /// warm indices, then least-loaded among them (or among all fabrics
+    /// when none is warm).
+    fn cache_affinity_oracle(statuses: &[FabricStatus]) -> usize {
+        let warm: Vec<usize> = statuses
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.holds_decoded)
+            .map(|(i, _)| i)
+            .collect();
+        match warm.len() {
+            0 => LeastLoaded.choose(statuses),
+            1 => warm[0],
+            _ => {
+                let subset: Vec<FabricStatus> = warm.iter().map(|&i| statuses[i].clone()).collect();
+                warm[LeastLoaded.choose(&subset)]
+            }
+        }
+    }
+
+    proptest! {
+        /// 16 slices a case of 1–6 statuses with distinct fabric ids in
+        /// random order, drawn from small ranges so equal free areas and
+        /// queue lengths are common: the one-pass pick equals the oracle's.
+        #[test]
+        fn cache_affinity_matches_the_two_pass_pick(seed in 0u64..u64::MAX) {
+            let mut rng = TestRng::from_name(&seed.to_string());
+            let mut below = |n: u64| rng.next_u64() % n;
+            for _ in 0..16 {
+                let len = 1 + below(6) as usize;
+                let mut ids: Vec<usize> = (0..8).collect();
+                for i in (1..ids.len()).rev() {
+                    ids.swap(i, below(i as u64 + 1) as usize);
+                }
+                let statuses: Vec<FabricStatus> = ids[..len]
+                    .iter()
+                    .map(|&id| status(id, below(4) as u32, below(3) as usize, below(2) == 1))
+                    .collect();
+                prop_assert_eq!(
+                    CacheAffinity.choose(&statuses),
+                    cache_affinity_oracle(&statuses),
+                    "{:?}", statuses
+                );
+            }
+        }
     }
 
     #[test]

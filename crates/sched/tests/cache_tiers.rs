@@ -92,8 +92,14 @@ fn unbounded_cache_decodes_every_stream_exactly_once() {
                     names.insert(task.as_str());
                     loads += 1;
                     let expected = fresh.entry(task.clone()).or_insert_with(|| {
-                        vbs_core::decode(&repository.fetch(task).expect("stored stream"))
-                            .expect("corpus stream decodes")
+                        vbs_core::decode(
+                            &repository
+                                .view(task)
+                                .expect("stored stream")
+                                .to_owned()
+                                .expect("stored stream"),
+                        )
+                        .expect("corpus stream decodes")
                     });
                     let region = Rect::new(origin, expected.width(), expected.height());
                     let written = sched

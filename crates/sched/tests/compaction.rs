@@ -137,7 +137,13 @@ fn relocation_is_decode_free_and_bit_identical_to_the_decoded_image() {
     assert_eq!(origin, Coord::new(0, 0));
 
     // Reference: the decoded image, independent of the scheduler's cache.
-    let vbs = sched.manager().repository().fetch("crc4").unwrap();
+    let vbs = sched
+        .manager()
+        .repository()
+        .view("crc4")
+        .unwrap()
+        .to_owned()
+        .unwrap();
     let decoded = fresh_decode(&sched, &vbs);
 
     let metrics_before = sched.metrics();
@@ -287,7 +293,13 @@ fn load_triggered_compaction_preserves_every_resident_image() {
             .iter()
             .find(|t| t.region == info.region)
             .unwrap();
-        let vbs = sched.manager().repository().fetch(&task.name).unwrap();
+        let vbs = sched
+            .manager()
+            .repository()
+            .view(&task.name)
+            .unwrap()
+            .to_owned()
+            .unwrap();
         let decoded = fresh_decode(&sched, &vbs);
         references.push((info.job, decoded));
     }

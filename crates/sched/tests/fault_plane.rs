@@ -110,20 +110,16 @@ fn persistent_write_fault_replaces_the_load_elsewhere() {
     assert_eq!(m.loads_accepted, 1);
 }
 
-/// Exhausting the retry budget on back-to-back transient faults rejects
-/// the load with a runtime reason (after one re-placement attempt).
+/// Exhausting the retry budget (two retries per placement) on back-to-back
+/// transient faults rejects the load with a runtime reason (after one
+/// re-placement attempt).
 #[test]
 fn exhausted_retries_reject_gracefully() {
-    let config = SchedulerConfig {
-        write_retry_limit: 1,
-        ..base_config()
-    };
-    let mut sched = scheduler(10, 10, Box::new(FirstFit), config);
-    // Every early write fails: the original placement (1 + 1 retry), then
-    // the re-placement attempt (1 + 1 retry) — all four bounce.
-    sched.set_fault_hook(Some(hook(
-        "write 1 transient\nwrite 2 transient\nwrite 3 transient\nwrite 4 transient",
-    )));
+    let mut sched = scheduler(10, 10, Box::new(FirstFit), base_config());
+    // Every early write fails: the original placement (1 + 2 retries), then
+    // the re-placement attempt (1 + 2 retries) — all six bounce.
+    let plan: Vec<String> = (1..=6).map(|n| format!("write {n} transient")).collect();
+    sched.set_fault_hook(Some(hook(&plan.join("\n"))));
 
     match load(&mut sched, "fir4") {
         Outcome::Rejected { reason, .. } => {
@@ -133,8 +129,8 @@ fn exhausted_retries_reject_gracefully() {
     }
     let m = sched.metrics();
     assert_eq!(m.loads_rejected, 1);
-    assert_eq!(m.write_faults, 4);
-    assert_eq!(m.write_retries, 2, "one retry per placement attempt");
+    assert_eq!(m.write_faults, 6);
+    assert_eq!(m.write_retries, 4, "two retries per placement attempt");
 }
 
 /// An injected bit flip is caught by readback verification and scrubbed by

@@ -3,12 +3,14 @@
 //! workload), decode-cache bit-identity, eviction and deadline behavior.
 
 use std::sync::OnceLock;
-use vbs_arch::{ArchSpec, Device, Rect};
+use vbs_arch::{ArchError, ArchSpec, Coord, Device, Rect};
 use vbs_bitstream::TaskBitstream;
+use vbs_core::VbsError;
 use vbs_flow::CadFlow;
 use vbs_netlist::generate::SyntheticSpec;
 use vbs_runtime::{
-    BestFit, FirstFit, PlacementPolicy, ReconfigurationController, TaskManager, VbsRepository,
+    BestFit, FirstFit, PlacementPolicy, ReconfigurationController, RuntimeError, TaskHandle,
+    TaskManager, VbsRepository,
 };
 use vbs_sched::{
     replay, CacheBudget, CacheStats, LruEviction, Outcome, PriorityEviction, RejectReason, Request,
@@ -206,7 +208,13 @@ fn decode_cache_hits_are_bit_identical() {
     );
 
     // And both match a fresh, cache-free de-virtualization.
-    let vbs = sched.manager().repository().fetch("fir4").unwrap();
+    let vbs = sched
+        .manager()
+        .repository()
+        .view("fir4")
+        .unwrap()
+        .to_owned()
+        .unwrap();
     let fresh = fresh_decode(&sched, &vbs);
     assert_eq!(second_image.diff_count(&fresh).unwrap(), 0);
 }
@@ -330,7 +338,13 @@ fn cache_invalidation_after_reregistration() {
     sched.execute(Request::Unload { job });
 
     // Replace "fir4" with the stream of crc4 (same spec, different bits).
-    let replacement = sched.manager().repository().fetch("crc4").unwrap();
+    let replacement = sched
+        .manager()
+        .repository()
+        .view("crc4")
+        .unwrap()
+        .to_owned()
+        .unwrap();
     sched.repository_mut().store("fir4", &replacement);
     sched.invalidate_cached("fir4");
 
@@ -385,7 +399,9 @@ fn corrupted_restore_is_rejected_despite_a_hot_cache_entry() {
     let mut bytes = sched
         .manager()
         .repository()
-        .fetch("fir4")
+        .view("fir4")
+        .unwrap()
+        .to_owned()
         .unwrap()
         .to_bytes_checked();
     let middle = bytes.len() / 2;
@@ -600,4 +616,105 @@ fn an_oversized_task_is_refused_before_it_is_decoded() {
     );
     assert_eq!(sched.metrics().decodes, 0);
     assert_eq!(sched.cache_stats(), CacheStats::default());
+}
+
+/// A zero-area stream — the 9 bytes of `W = 9, K = 6, k = 1`, 0 × 0 macros,
+/// no records — is refused on every load path and writes nothing: not over
+/// any frame of a resident, not as a phantom 1 × 1 resident.
+#[test]
+fn a_zero_area_stream_is_refused_on_every_path() {
+    let zero_area = vec![17, 96, 9, 0, 0, 0, 0, 0, 0];
+    let refused = |result: Result<TaskHandle, RuntimeError>| {
+        matches!(
+            result,
+            Err(RuntimeError::Decode(VbsError::Arch(
+                ArchError::InvalidDeviceSize {
+                    width: 0,
+                    height: 0
+                }
+            )))
+        )
+    };
+
+    let mut manager = TaskManager::new(
+        ReconfigurationController::new(device(8, 8)),
+        repository().clone(),
+    );
+    manager
+        .repository_mut()
+        .store_bytes("empty", zero_area.clone());
+    manager.load_at("fir4", Coord::new(0, 0)).unwrap();
+    let region = Rect::new(Coord::new(0, 0), 4, 4);
+    let resident = manager.controller().memory().read_region(region).unwrap();
+    for y in 0..4 {
+        for x in 0..4 {
+            let result = manager.load_at("empty", Coord::new(x, y));
+            assert!(refused(result), "load_at ({x}, {y})");
+        }
+    }
+    let after = manager.controller().memory().read_region(region).unwrap();
+    assert_eq!(after.diff_count(&resident).unwrap(), 0);
+    assert!(refused(manager.load("empty")));
+    assert_eq!(manager.loaded_tasks().len(), 1);
+
+    let mut sched = scheduler(8, 8, Box::new(FirstFit), SchedulerConfig::default());
+    sched.repository_mut().store_bytes("empty", zero_area);
+    let outcome = sched.execute(Request::Load {
+        task: "empty".into(),
+        priority: 1,
+        deadline: None,
+    });
+    match outcome {
+        Outcome::Rejected {
+            reason: RejectReason::Runtime(_),
+            evicted,
+            ..
+        } => assert!(evicted.is_empty()),
+        other => panic!("expected a runtime rejection, got {other:?}"),
+    }
+    assert_eq!(sched.metrics().decodes, 0);
+    assert!(sched.residents().is_empty());
+}
+
+/// Requests of one class and priority are processed in submission order:
+/// a same-priority batch with interleaved unloads runs its unloads first,
+/// then its loads as they were submitted.
+#[test]
+fn a_same_priority_batch_runs_unloads_first_then_loads_in_order() {
+    let mut sched = scheduler(16, 16, Box::new(FirstFit), SchedulerConfig::default());
+    let load = |task: &str| Request::Load {
+        task: task.into(),
+        priority: 1,
+        deadline: None,
+    };
+    let first = sched.submit(load("fir4"));
+    let second = sched.submit(load("crc4"));
+    sched.process_pending();
+    let batch = [
+        sched.submit(load("aes5")),
+        sched.submit(Request::Unload { job: first }),
+        sched.submit(load("fft6")),
+        sched.submit(load("fir4")),
+        sched.submit(Request::Unload { job: second }),
+        sched.submit(load("crc4")),
+    ];
+    let processed = sched.process_pending_tagged();
+    let order: Vec<u64> = processed.iter().map(|(id, _)| *id).collect();
+    assert_eq!(
+        order,
+        [batch[1], batch[4], batch[0], batch[2], batch[3], batch[5]]
+    );
+    for (id, outcome) in &processed {
+        let expected_unload = *id == batch[1] || *id == batch[4];
+        assert_eq!(
+            matches!(outcome, Outcome::Unloaded { .. }),
+            expected_unload,
+            "{outcome:?}"
+        );
+        assert_eq!(
+            matches!(outcome, Outcome::Loaded { .. }),
+            !expected_unload,
+            "{outcome:?}"
+        );
+    }
 }

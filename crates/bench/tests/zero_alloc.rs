@@ -89,15 +89,16 @@ const COLD_DECODE_ALLOCATION_BUDGET: u64 = 19;
 
 /// Allocations of a corpus fleet cache-hit pair (submit load, process,
 /// submit unload, process) on the K = 2 least-loaded fleet, as counted. It
-/// was 14 when every queued request carried a sequence number: a queue
-/// entry was then 72 bytes against the 64 of a tagged outcome, so each
-/// round's outcome list could not reuse the taken queue's buffer. It
-/// was 16 when every resident kept a copy of its task name and every
+/// was 12 when every load submit collected a fresh list of fabric statuses
+/// for the shard policy, and 14 when every queued request carried a
+/// sequence number: a queue entry was then 72 bytes against the 64 of a
+/// tagged outcome, so each round's outcome list could not reuse the taken
+/// queue's buffer. It was 16 when every resident kept a copy of its task name and every
 /// pending load a list of the fabrics it was queued on, 19 when shards
 /// queued requests under ids of their own and the dispatcher kept two id
 /// maps to translate them back, and 41 when every round also spawned a
 /// scoped thread per busy fabric.
-const FLEET_HIT_PAIR_ALLOCATIONS: u64 = 12;
+const FLEET_HIT_PAIR_ALLOCATIONS: u64 = 11;
 
 /// Bytes building the K = 2 corpus fleet may request. It requested
 /// 1 507 940 when each of its four disabled telemetry handles held a full

@@ -1,9 +1,10 @@
 //! Independent legality checking of a routing.
 //!
 //! The checker re-derives everything from the architecture rules instead of
-//! trusting the router's bookkeeping, so it doubles as the verification step
-//! of the offline VBS feedback loop (Section III-B of the paper): a decoded
-//! configuration that passes these checks is guaranteed to be loadable.
+//! trusting the router's bookkeeping. Tests call it on every routing they
+//! build, and `generate_bitstream` asserts it in debug builds. It is not
+//! the offline VBS feedback loop (Section III-B of the paper): that loop
+//! decodes each candidate record inside the encoder.
 
 use crate::error::RouteError;
 use crate::graph::{RrGraph, RrNode};

@@ -10,6 +10,12 @@
 //! * a **switch box** (subset topology) links, at each track index `t`, the
 //!   four wires meeting at that switch box: its west/east horizontal wires
 //!   and its south/north vertical wires.
+//!
+//! [`RrGraph::neighbors_into`] is the one definition of these edges. The
+//! decoder's cluster patterns read it, and so does [`crate::route`]: once
+//! per call it copies the whole graph into a CSR adjacency over the dense
+//! indices of [`RrGraph::index`] (wire neighbours only, plus one position
+//! per node) and searches that copy, so no node is rebuilt per expansion.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

@@ -7,10 +7,11 @@
 //!   model: one node per routing wire and per logic-block pin, with edges
 //!   generated on the fly from the switch-box and connection-box topology;
 //! * [`route`] — a negotiated-congestion (PathFinder) router with A*-directed
-//!   search, producing one [`RouteTree`] per net;
+//!   search over a per-call CSR copy of that graph, producing one
+//!   [`RouteTree`] per net;
 //! * [`check`] — an independent legality checker (no overused wire, every
-//!   sink reached, every edge realizable by the architecture), used both by
-//!   tests and by the offline VBS feedback loop;
+//!   sink reached, every edge realizable by the architecture), used by
+//!   tests and by a debug assertion in bitstream generation;
 //! * [`minimum_channel_width`] — the binary search used to regenerate the
 //!   MCW column of Table II.
 //!

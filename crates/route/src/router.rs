@@ -5,6 +5,13 @@
 //! progressively more expensive (present congestion) and keep a memory of
 //! past congestion (historical cost), so the nets negotiate until every wire
 //! carries at most one net — the classic PathFinder/VPR scheme.
+//!
+//! Each [`route`] call first flattens the graph into a CSR adjacency over
+//! dense `u32` node ids plus one grid position per node, read once from
+//! [`RrGraph::neighbors_into`]. Every sink search then runs on ids alone:
+//! a packed `(estimate, node)` heap key, one `(stamp, cost)` slot per node,
+//! and heap, path and sink-order buffers kept across sinks and nets. No
+//! [`RrNode`] is built until a found path joins its net's [`RouteTree`].
 
 use crate::error::RouteError;
 use crate::graph::{RrGraph, RrNode};
@@ -77,12 +84,13 @@ pub fn route(
         return Err(RouteError::PlacementIncomplete);
     }
     let graph = RrGraph::new(device);
-    let node_count = graph.node_count();
+    let ids = IdGraph::new(&graph);
     let wire_count = graph.wire_count();
 
-    // Net terminals in graph terms.
+    // Net terminals as node ids: the source, then the sinks.
     let output_pin = device.spec().output_pin();
-    let mut terminals: Vec<(RrNode, Vec<RrNode>)> = Vec::with_capacity(netlist.net_count());
+    let mut terminals: Vec<(u32, Vec<u32>)> = Vec::with_capacity(netlist.net_count());
+    let mut trees: Vec<RouteTree> = Vec::with_capacity(netlist.net_count());
     for (_, net) in netlist.iter_nets() {
         let driver_block = netlist.block(net.driver);
         let driver_site = placement.site(net.driver);
@@ -97,28 +105,27 @@ pub fn route(
                 pin: 0,
             },
         };
-        let sinks: Vec<RrNode> = net
+        let sinks: Vec<u32> = net
             .sinks
             .iter()
-            .map(|s| RrNode::Pin {
-                site: placement.site(s.block),
-                pin: s.slot,
+            .map(|s| {
+                IdGraph::id(graph.index(RrNode::Pin {
+                    site: placement.site(s.block),
+                    pin: s.slot,
+                }))
             })
             .collect();
-        terminals.push((source, sinks));
+        terminals.push((IdGraph::id(graph.index(source)), sinks));
+        trees.push(RouteTree::new(source));
     }
 
     let mut occupancy: Vec<u16> = vec![0; wire_count];
     let mut history: Vec<f32> = vec![0.0; wire_count];
-    let mut trees: Vec<RouteTree> = terminals
-        .iter()
-        .map(|(source, _)| RouteTree::new(*source))
-        .collect();
-
-    let mut search = SearchState::new(node_count);
+    let mut search = Search::new(graph.node_count());
     let mut present_factor = INITIAL_PRESENT_FACTOR;
 
     for iteration in 0..config.max_iterations {
+        let margin = search_margin(iteration);
         for (net_index, (source, sinks)) in terminals.iter().enumerate() {
             if sinks.is_empty() {
                 continue;
@@ -128,26 +135,30 @@ pub fn route(
                 let idx = graph.index(RrNode::Wire(wire));
                 occupancy[idx] = occupancy[idx].saturating_sub(1);
             }
-            let tree = route_net(
+            let costs = WireCosts {
+                occupancy: &occupancy,
+                history: &history,
+                present_factor: present_factor as f32,
+            };
+            trees[net_index] = route_net(
                 &graph,
+                &ids,
                 *source,
                 sinks,
-                &occupancy,
-                &history,
-                present_factor,
-                config,
-                iteration,
+                &costs,
+                config.astar_weight as f32,
+                margin,
                 &mut search,
             )
             .map_err(|sink| RouteError::NoPath {
                 net: NetId(net_index as u32),
-                sink,
+                sink: graph.node(sink as usize).to_string(),
             })?;
-            for wire in tree.iter_wires() {
-                let idx = graph.index(RrNode::Wire(wire));
-                occupancy[idx] += 1;
+            for &id in &search.tree {
+                if (id as usize) < wire_count {
+                    occupancy[id as usize] += 1;
+                }
             }
-            trees[net_index] = tree;
         }
 
         // Congestion accounting.
@@ -171,55 +182,193 @@ pub fn route(
     })
 }
 
-/// Scratch buffers reused across net routings to avoid re-allocation.
-struct SearchState {
-    stamp: u32,
-    visited_stamp: Vec<u32>,
-    best_cost: Vec<f32>,
-    came_from: Vec<u32>,
-    neighbors: Vec<RrNode>,
+/// The routing-resource graph of one [`route`] call over dense `u32` node
+/// ids ([`RrGraph::index`]): a CSR adjacency read once from
+/// [`RrGraph::neighbors_into`], plus every node's grid position.
+///
+/// A row keeps only the *wire* neighbours of its node. The search never
+/// enters a pin other than its sink, and it reaches the sink through
+/// [`Search::sink_mark`] instead: since the graph is symmetric, the wires
+/// that reach a pin are exactly that pin's own row.
+struct IdGraph {
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+    positions: Vec<Coord>,
 }
 
-impl SearchState {
-    fn new(node_count: usize) -> Self {
-        SearchState {
-            stamp: 0,
-            visited_stamp: vec![0; node_count],
-            best_cost: vec![f32::INFINITY; node_count],
-            came_from: vec![u32::MAX; node_count],
-            neighbors: Vec::with_capacity(16),
+impl IdGraph {
+    fn new(graph: &RrGraph<'_>) -> Self {
+        let node_count = graph.node_count();
+        let mut offsets = Vec::with_capacity(node_count + 1);
+        let mut targets = Vec::new();
+        let mut positions = Vec::with_capacity(node_count);
+        let mut neighbors = Vec::with_capacity(16);
+        offsets.push(0);
+        for index in 0..node_count {
+            let node = graph.node(index);
+            positions.push(node.position());
+            graph.neighbors_into(node, &mut neighbors);
+            targets.extend(
+                neighbors
+                    .iter()
+                    .filter(|n| n.is_wire())
+                    .map(|&n| Self::id(graph.index(n))),
+            );
+            offsets.push(Self::id(targets.len()));
+        }
+        IdGraph {
+            offsets,
+            targets,
+            positions,
         }
     }
 
-    fn begin(&mut self) {
+    /// A dense index as a node id.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a device with more than `u32::MAX` graph nodes or edges.
+    fn id(index: usize) -> u32 {
+        u32::try_from(index).expect("routing-resource graph exceeds u32 ids")
+    }
+
+    /// The wire neighbours of `node`.
+    fn row(&self, node: u32) -> &[u32] {
+        let node = node as usize;
+        &self.targets[self.offsets[node] as usize..self.offsets[node + 1] as usize]
+    }
+
+    fn position(&self, node: u32) -> Coord {
+        self.positions[node as usize]
+    }
+}
+
+/// What entering a wire costs during one net's search.
+struct WireCosts<'a> {
+    occupancy: &'a [u16],
+    history: &'a [f32],
+    present_factor: f32,
+}
+
+impl WireCosts<'_> {
+    /// Congestion-aware cost of entering wire `wire`: one net per wire, so
+    /// this net would overuse it by its current occupancy.
+    fn of(&self, wire: u32) -> f32 {
+        let over = self.occupancy[wire as usize] as f32;
+        (1.0 + self.history[wire as usize]) * (1.0 + self.present_factor * over)
+    }
+}
+
+/// Cost of entering the sink pin.
+const PIN_COST: f32 = 1.0;
+
+/// Search state reused across every sink and net of one [`route`] call.
+struct Search {
+    stamp: u32,
+    /// Per node: the stamp of the search that last reached it and its best
+    /// cost in that search (unreached nodes cost infinity).
+    best: Vec<(u32, f32)>,
+    came_from: Vec<u32>,
+    /// Per node: the stamp of the search whose sink pin it reaches.
+    sink_mark: Vec<u32>,
+    heap: BinaryHeap<HeapEntry>,
+    /// The ids of the net's tree, in [`RouteTree`] order.
+    tree: Vec<u32>,
+    /// The net's sinks, closest first.
+    order: Vec<u32>,
+    path: Vec<u32>,
+}
+
+impl Search {
+    fn new(node_count: usize) -> Self {
+        Search {
+            stamp: 0,
+            best: vec![(0, f32::INFINITY); node_count],
+            came_from: vec![u32::MAX; node_count],
+            sink_mark: vec![0; node_count],
+            heap: BinaryHeap::new(),
+            tree: Vec::new(),
+            order: Vec::new(),
+            path: Vec::new(),
+        }
+    }
+
+    /// Starts the search for `sink`: forgets every cost and marks the wires
+    /// that reach `sink`.
+    fn begin(&mut self, ids: &IdGraph, sink: u32) {
         self.stamp = self.stamp.wrapping_add(1);
         if self.stamp == 0 {
             // Stamp wrapped: clear everything once.
-            self.visited_stamp.iter_mut().for_each(|s| *s = 0);
+            self.best.iter_mut().for_each(|b| b.0 = 0);
+            self.sink_mark.iter_mut().for_each(|s| *s = 0);
             self.stamp = 1;
         }
+        for &wire in ids.row(sink) {
+            self.sink_mark[wire as usize] = self.stamp;
+        }
+        self.heap.clear();
     }
 
-    fn cost(&self, node: usize) -> f32 {
-        if self.visited_stamp[node] == self.stamp {
-            self.best_cost[node]
-        } else {
-            f32::INFINITY
+    fn cost(&self, node: u32) -> f32 {
+        match self.best[node as usize] {
+            (stamp, cost) if stamp == self.stamp => cost,
+            _ => f32::INFINITY,
         }
     }
 
-    fn record(&mut self, node: usize, cost: f32, from: u32) {
-        self.visited_stamp[node] = self.stamp;
-        self.best_cost[node] = cost;
-        self.came_from[node] = from;
+    fn record(&mut self, node: u32, cost: f32, from: u32) {
+        self.best[node as usize] = (self.stamp, cost);
+        self.came_from[node as usize] = from;
+    }
+
+    /// Records and queues `node` at `cost` if that improves on its best,
+    /// `distance` macros from the sink.
+    fn relax(&mut self, node: u32, cost: f32, from: u32, astar_weight: f32, distance: u32) {
+        if cost < self.cost(node) {
+            self.record(node, cost, from);
+            let estimate = cost + astar_weight * distance as f32;
+            self.heap.push(HeapEntry::new(estimate, node, cost));
+        }
     }
 }
 
-#[derive(PartialEq)]
+/// A queued node: the A* estimate and the node id packed into one key,
+/// popped smallest first, plus the cost it was queued at. Two entries with
+/// equal keys hold the same node and differ at most in cost; the stale
+/// check on pop skips all but the cheapest, so their order is irrelevant.
 struct HeapEntry {
-    estimate: f32,
+    key: u64,
     cost: f32,
-    node: usize,
+}
+
+impl HeapEntry {
+    fn new(estimate: f32, node: u32, cost: f32) -> Self {
+        HeapEntry {
+            key: u64::from(total_order_bits(estimate)) << 32 | u64::from(node),
+            cost,
+        }
+    }
+
+    fn node(&self) -> u32 {
+        self.key as u32
+    }
+}
+
+/// `x`'s bits, mapped so that unsigned order is [`f32::total_cmp`] order
+/// (estimates can be negative or NaN: `astar_weight` is any `f64`).
+fn total_order_bits(x: f32) -> u32 {
+    let bits = x.to_bits();
+    if bits >> 31 == 1 {
+        !bits
+    } else {
+        bits | 1 << 31
+    }
+}
+
+impl PartialEq for HeapEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
 }
 
 impl Eq for HeapEntry {}
@@ -227,11 +376,8 @@ impl Eq for HeapEntry {}
 impl Ord for HeapEntry {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse order: BinaryHeap is a max-heap, we want the smallest
-        // estimate on top.
-        other
-            .estimate
-            .total_cmp(&self.estimate)
-            .then_with(|| other.node.cmp(&self.node))
+        // key on top.
+        other.key.cmp(&self.key)
     }
 }
 
@@ -241,158 +387,126 @@ impl PartialOrd for HeapEntry {
     }
 }
 
-/// Routes one net: expands the tree sink by sink (closest sink first).
+/// Routes one net: expands the tree sink by sink (closest sink first),
+/// leaving its node ids in `search.tree`.
 ///
-/// Returns `Err(description)` naming the first unreachable sink.
+/// Returns `Err(sink)` naming the first unreachable sink.
 #[allow(clippy::too_many_arguments)]
 fn route_net(
     graph: &RrGraph<'_>,
-    source: RrNode,
-    sinks: &[RrNode],
-    occupancy: &[u16],
-    history: &[f32],
-    present_factor: f64,
-    config: &RouterConfig,
-    iteration: usize,
-    search: &mut SearchState,
-) -> Result<RouteTree, String> {
-    let mut tree = RouteTree::new(source);
+    ids: &IdGraph,
+    source: u32,
+    sinks: &[u32],
+    costs: &WireCosts<'_>,
+    astar_weight: f32,
+    margin: u16,
+    search: &mut Search,
+) -> Result<RouteTree, u32> {
+    let mut tree = RouteTree::new(graph.node(source as usize));
+    search.tree.clear();
+    search.tree.push(source);
 
     // Search region: net bounding box plus a growing margin.
-    let margin = BOUNDING_BOX_MARGIN + 2 * iteration as u16;
-    let (lo, hi) = net_region(source, sinks, graph.device(), margin);
+    let source_pos = ids.position(source);
+    let sink_positions = sinks.iter().map(|&s| ids.position(s));
+    let (lo, hi) = net_region(source_pos, sink_positions, graph.device(), margin);
 
     // Closest sinks first: the tree grows outwards and later sinks can reuse
     // earlier branches.
-    let mut ordered: Vec<RrNode> = sinks.to_vec();
-    ordered.sort_by_key(|s| source.position().manhattan(s.position()));
+    search.order.clear();
+    search.order.extend_from_slice(sinks);
+    search
+        .order
+        .sort_by_key(|&s| source_pos.manhattan(ids.position(s)));
 
-    for sink in ordered {
-        if tree.contains(sink) {
+    for next_sink in 0..search.order.len() {
+        let sink = search.order[next_sink];
+        if search.tree.contains(&sink) {
             continue;
         }
-        search.begin();
-        let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
-        let sink_pos = sink.position();
-        let sink_idx = graph.index(sink);
+        search.begin(ids, sink);
+        let sink_pos = ids.position(sink);
 
         // Seed the frontier with the whole current tree at cost zero.
-        for (tree_idx, &node) in tree.nodes().iter().enumerate() {
-            let idx = graph.index(node);
+        for tree_idx in 0..search.tree.len() {
+            let node = search.tree[tree_idx];
             // came_from encodes "already in tree" as u32::MAX - 1 - tree index.
-            search.record(idx, 0.0, u32::MAX - 1 - tree_idx as u32);
-            heap.push(HeapEntry {
-                estimate: config.astar_weight as f32 * node.position().manhattan(sink_pos) as f32,
-                cost: 0.0,
-                node: idx,
-            });
+            search.record(node, 0.0, u32::MAX - 1 - tree_idx as u32);
+            let estimate = astar_weight * ids.position(node).manhattan(sink_pos) as f32;
+            search.heap.push(HeapEntry::new(estimate, node, 0.0));
         }
 
+        // Only tree pins (cost zero) are expanded: every other pin but the
+        // sink is never queued, and popping the sink ends the search.
         let mut found = false;
-        while let Some(entry) = heap.pop() {
-            if entry.cost > search.cost(entry.node) {
+        while let Some(entry) = search.heap.pop() {
+            let node = entry.node();
+            if entry.cost > search.cost(node) {
                 continue;
             }
-            if entry.node == sink_idx {
+            if node == sink {
                 found = true;
                 break;
             }
-            let node = graph.node(entry.node);
-            // Pins are never route-throughs: only the target sink pin may be
-            // entered, and only source/tree pins may be expanded from.
-            if let RrNode::Pin { .. } = node {
-                if entry.cost > 0.0 {
+            if search.sink_mark[node as usize] == search.stamp {
+                search.relax(sink, entry.cost + PIN_COST, node, astar_weight, 0);
+            }
+            for &next in ids.row(node) {
+                let p = ids.position(next);
+                if p.x < lo.x || p.y < lo.y || p.x > hi.x || p.y > hi.y {
                     continue;
                 }
+                let cost = entry.cost + costs.of(next);
+                search.relax(next, cost, node, astar_weight, p.manhattan(sink_pos));
             }
-            graph.neighbors_into(node, &mut search.neighbors);
-            let neighbors = std::mem::take(&mut search.neighbors);
-            for &next in &neighbors {
-                let next_idx = graph.index(next);
-                match next {
-                    RrNode::Pin { .. } => {
-                        if next_idx != sink_idx {
-                            continue;
-                        }
-                    }
-                    RrNode::Wire(w) => {
-                        let p = w.owner;
-                        if p.x < lo.x || p.y < lo.y || p.x > hi.x || p.y > hi.y {
-                            continue;
-                        }
-                    }
-                }
-                let step = node_cost(next, next_idx, occupancy, history, present_factor);
-                let new_cost = entry.cost + step;
-                if new_cost < search.cost(next_idx) {
-                    search.record(next_idx, new_cost, entry.node as u32);
-                    heap.push(HeapEntry {
-                        estimate: new_cost
-                            + config.astar_weight as f32
-                                * next.position().manhattan(sink_pos) as f32,
-                        cost: new_cost,
-                        node: next_idx,
-                    });
-                }
-            }
-            search.neighbors = neighbors;
         }
 
         if !found {
-            return Err(format!("{sink}"));
+            return Err(sink);
         }
 
         // Trace the path back into the tree.
-        let mut path: Vec<usize> = Vec::new();
-        let mut cursor = sink_idx;
+        search.path.clear();
+        let mut cursor = sink;
         let parent_tree_index: usize;
         loop {
-            let from = search.came_from[cursor];
+            let from = search.came_from[cursor as usize];
             if from >= u32::MAX - 1 - (tree.len() as u32) {
                 // Reached a node that was already in the tree.
                 parent_tree_index = (u32::MAX - 1 - from) as usize;
                 break;
             }
-            path.push(cursor);
-            cursor = from as usize;
+            search.path.push(cursor);
+            cursor = from;
         }
         let mut parent = parent_tree_index;
-        for &node_idx in path.iter().rev() {
-            parent = tree.push(graph.node(node_idx), parent);
+        for &node in search.path.iter().rev() {
+            parent = tree.push(graph.node(node as usize), parent);
+            search.tree.push(node);
         }
     }
 
     Ok(tree)
 }
 
-/// Congestion-aware cost of entering a node.
-fn node_cost(
-    node: RrNode,
-    node_idx: usize,
-    occupancy: &[u16],
-    history: &[f32],
-    present_factor: f64,
-) -> f32 {
-    match node {
-        RrNode::Pin { .. } => 1.0,
-        RrNode::Wire(_) => {
-            let occ = occupancy[node_idx] as f32;
-            let hist = history[node_idx];
-            // Capacity is one net per wire.
-            let over = (occ + 1.0 - 1.0).max(0.0);
-            (1.0 + hist) * (1.0 + present_factor as f32 * over)
-        }
-    }
+/// The margin around a net's bounding box at PathFinder iteration
+/// `iteration`: [`BOUNDING_BOX_MARGIN`] plus two macros per iteration,
+/// saturating at `u16::MAX` (more than any device edge).
+fn search_margin(iteration: usize) -> u16 {
+    let growth = u16::try_from(iteration).map_or(u16::MAX, |i| i.saturating_mul(2));
+    BOUNDING_BOX_MARGIN.saturating_add(growth)
 }
 
-/// Bounding region of a net (clamped to the device), expanded by `margin`.
-fn net_region(source: RrNode, sinks: &[RrNode], device: &Device, margin: u16) -> (Coord, Coord) {
-    let mut min_x = source.position().x;
-    let mut min_y = source.position().y;
-    let mut max_x = min_x;
-    let mut max_y = min_y;
-    for s in sinks {
-        let p = s.position();
+/// Bounding region of a net's terminal positions (clamped to the device),
+/// expanded by `margin`.
+fn net_region(
+    source: Coord,
+    sinks: impl Iterator<Item = Coord>,
+    device: &Device,
+    margin: u16,
+) -> (Coord, Coord) {
+    let (mut min_x, mut min_y, mut max_x, mut max_y) = (source.x, source.y, source.x, source.y);
+    for p in sinks {
         min_x = min_x.min(p.x);
         min_y = min_y.min(p.y);
         max_x = max_x.max(p.x);
@@ -400,8 +514,8 @@ fn net_region(source: RrNode, sinks: &[RrNode], device: &Device, margin: u16) ->
     }
     let lo = Coord::new(min_x.saturating_sub(margin), min_y.saturating_sub(margin));
     let hi = Coord::new(
-        (max_x + margin).min(device.width() - 1),
-        (max_y + margin).min(device.height() - 1),
+        max_x.saturating_add(margin).min(device.width() - 1),
+        max_y.saturating_add(margin).min(device.height() - 1),
     );
     (lo, hi)
 }
@@ -489,6 +603,53 @@ mod tests {
             route(&netlist, &device, &placement, &RouterConfig::fast()),
             Err(RouteError::PlacementIncomplete)
         ));
+    }
+
+    #[test]
+    fn search_margin_saturates() {
+        assert_eq!(search_margin(0), BOUNDING_BOX_MARGIN);
+        assert_eq!(search_margin(5), BOUNDING_BOX_MARGIN + 10);
+        assert_eq!(search_margin(32_767), u16::MAX);
+        assert_eq!(search_margin(usize::MAX), u16::MAX);
+    }
+
+    #[test]
+    fn net_region_clamps_a_saturated_margin() {
+        let edge = Device::MAX_EDGE;
+        let device = Device::new(ArchSpec::new(2, 6).unwrap(), edge, edge).unwrap();
+        let corner = Coord::new(edge - 1, edge - 1);
+        let (lo, hi) = net_region(corner, [Coord::new(3, 9)].into_iter(), &device, u16::MAX);
+        assert_eq!((lo, hi), (Coord::new(0, 0), corner));
+        let (lo, hi) = net_region(Coord::new(4, 5), std::iter::empty(), &device, 2);
+        assert_eq!((lo, hi), (Coord::new(2, 3), Coord::new(6, 7)));
+    }
+
+    #[test]
+    fn heap_keys_follow_total_cmp() {
+        let values = [
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            1.5,
+            -1.5,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::MIN,
+            3.25e-41,
+        ];
+        for a in values {
+            for b in values {
+                assert_eq!(
+                    total_order_bits(a).cmp(&total_order_bits(b)),
+                    a.total_cmp(&b),
+                    "{a} vs {b}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -112,6 +112,9 @@ pub struct MultiFabricScheduler {
     /// quarantined (no new routing, residents re-queued elsewhere) until its
     /// fault hook reports it reachable again.
     quarantined: Vec<bool>,
+    /// The shard policy's view of the fleet for the load being routed,
+    /// refilled per decision so that routing allocates nothing.
+    statuses: Vec<FabricStatus>,
     /// Outcomes answered without touching any fabric (unroutable targets).
     synthesized: Vec<(u64, Outcome)>,
     next_job: u64,
@@ -133,11 +136,13 @@ impl MultiFabricScheduler {
     pub fn new(fabrics: Vec<Scheduler>, policy: Box<dyn ShardPolicy>) -> Self {
         assert!(!fabrics.is_empty(), "a fleet needs at least one fabric");
         let quarantined = vec![false; fabrics.len()];
+        let statuses = Vec::with_capacity(fabrics.len());
         MultiFabricScheduler {
             fabrics,
             policy,
             jobs: HashMap::new(),
             quarantined,
+            statuses,
             synthesized: Vec::new(),
             next_job: 1,
             metrics: MultiMetrics::default(),
@@ -223,7 +228,15 @@ impl MultiFabricScheduler {
             .collect()
     }
 
-    fn statuses(&self, task: &str) -> Vec<FabricStatus> {
+    /// Fills `statuses` with what the shard policy sees of each fabric for
+    /// a load of `task`. Takes the fleet's fields apart so that `task` may
+    /// borrow from a job entry.
+    fn fill_statuses(
+        statuses: &mut Vec<FabricStatus>,
+        fabrics: &[Scheduler],
+        quarantined: &[bool],
+        task: &str,
+    ) {
         let status_of = |(i, s): (usize, &Scheduler)| FabricStatus {
             fabric: i,
             free_area: s.manager().fabric_view().free_area(),
@@ -233,17 +246,17 @@ impl MultiFabricScheduler {
         // Quarantined fabrics take no new work. If the whole fleet is down
         // the unfiltered list keeps the policy fed (the load then fails on
         // the offline fabric and is reported, not silently dropped here).
-        let healthy: Vec<FabricStatus> = self
-            .fabrics
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| !self.quarantined[i])
-            .map(status_of)
-            .collect();
-        if !healthy.is_empty() {
-            return healthy;
+        statuses.clear();
+        statuses.extend(
+            fabrics
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| !quarantined[i])
+                .map(status_of),
+        );
+        if statuses.is_empty() {
+            statuses.extend(fabrics.iter().enumerate().map(status_of));
         }
-        self.fabrics.iter().enumerate().map(status_of).collect()
     }
 
     /// Enqueues a request, routing loads through the shard policy, and
@@ -254,8 +267,8 @@ impl MultiFabricScheduler {
         match &request {
             Request::Load { task, .. } => {
                 self.metrics.loads_submitted += 1;
-                let statuses = self.statuses(task);
-                let fabric = statuses[self.policy.choose(&statuses)].fabric;
+                Self::fill_statuses(&mut self.statuses, &self.fabrics, &self.quarantined, task);
+                let fabric = self.statuses[self.policy.choose(&self.statuses)].fabric;
                 self.telemetry
                     .event(EventKind::ShardDecision, FLEET_FABRIC, job, fabric as u64);
                 self.dispatch(job, fabric, request, false);
@@ -366,12 +379,17 @@ impl MultiFabricScheduler {
         let job = evacuated.job;
         self.jobs.remove(&job);
         self.metrics.residents_requeued += 1;
-        let statuses = self.statuses(&evacuated.task);
-        if statuses.iter().all(|s| self.quarantined[s.fabric]) {
+        Self::fill_statuses(
+            &mut self.statuses,
+            &self.fabrics,
+            &self.quarantined,
+            &evacuated.task,
+        );
+        if self.statuses.iter().all(|s| self.quarantined[s.fabric]) {
             // Whole fleet down: the resident is lost until re-submitted.
             return false;
         }
-        let target = statuses[self.policy.choose(&statuses)].fabric;
+        let target = self.statuses[self.policy.choose(&self.statuses)].fabric;
         self.telemetry
             .event(EventKind::ShardDecision, FLEET_FABRIC, job, target as u64);
         let request = Request::Load {
@@ -450,15 +468,13 @@ impl MultiFabricScheduler {
         let (true, Request::Load { task, .. }) = (migratable, &pending.request) else {
             return false;
         };
-        let untried: Vec<FabricStatus> = self
-            .statuses(task)
-            .into_iter()
-            .filter(|s| s.fabric != *current && !pending.tried.contains(&s.fabric))
-            .collect();
-        if untried.is_empty() {
+        Self::fill_statuses(&mut self.statuses, &self.fabrics, &self.quarantined, task);
+        self.statuses
+            .retain(|s| s.fabric != *current && !pending.tried.contains(&s.fabric));
+        if self.statuses.is_empty() {
             return false;
         }
-        let target = untried[self.policy.choose(&untried)].fabric;
+        let target = self.statuses[self.policy.choose(&self.statuses)].fabric;
         self.telemetry
             .event(EventKind::Migrate, FLEET_FABRIC, job, target as u64);
         self.fabrics[target].enqueue(job, pending.request.clone());

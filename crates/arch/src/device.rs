@@ -4,7 +4,7 @@
 use crate::error::ArchError;
 use crate::geometry::{Coord, Rect, Side};
 use crate::spec::ArchSpec;
-use crate::wires::WireRef;
+use crate::wires::{WireKind, WireRef};
 use serde::{Deserialize, Serialize};
 
 /// A reconfigurable device: a rectangular grid of identical macros.
@@ -163,6 +163,37 @@ impl Device {
         WireRef::from_boundary(at, side, track).filter(|w| self.wire_exists(*w))
     }
 
+    /// The switch box shared by two wires of equal track, if any, together
+    /// with the sides the two wires occupy there.
+    ///
+    /// The switch box of macro `(x, y)` sits at the macro's south-west
+    /// corner, so a wire's candidate switch boxes are its owner's and, inside
+    /// the device, the one past its far (east or north) end.
+    pub fn shared_switch_box(&self, a: WireRef, b: WireRef) -> Option<(Coord, Side, Side)> {
+        if a.track != b.track {
+            return None;
+        }
+        let ends = |w: WireRef| -> [Option<Coord>; 2] {
+            let far = match w.kind {
+                WireKind::Horizontal => w.owner.neighbor(Side::East),
+                WireKind::Vertical => w.owner.neighbor(Side::North),
+            };
+            [Some(w.owner), far.filter(|c| self.contains(*c))]
+        };
+        for ea in ends(a).into_iter().flatten() {
+            for eb in ends(b).into_iter().flatten() {
+                if ea == eb {
+                    let side_a = a.boundary_of(ea)?;
+                    let side_b = b.boundary_of(ea)?;
+                    if side_a != side_b {
+                        return Some((ea, side_a, side_b));
+                    }
+                }
+            }
+        }
+        None
+    }
+
     /// Total number of wires in the device.
     pub fn wire_count(&self) -> usize {
         WireRef::count_in_device(&self.spec, self.width, self.height)
@@ -182,7 +213,6 @@ impl Device {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wires::WireKind;
 
     fn device() -> Device {
         Device::new(ArchSpec::paper_example(), 4, 3).unwrap()
@@ -232,6 +262,22 @@ mod tests {
         for side in Side::ALL {
             assert!(d.boundary_wire(Coord::new(2, 1), side, 0).is_some());
         }
+    }
+
+    #[test]
+    fn shared_switch_box_finds_the_common_corner() {
+        let d = Device::new(ArchSpec::new(4, 6).unwrap(), 5, 4).unwrap();
+        let a = WireRef::horizontal(2, 2, 1); // east wire of (2,2)
+        let b = WireRef::vertical(3, 2, 1); // north wire of (3,2)
+        let (sb, sa, sb_side) = d
+            .shared_switch_box(a, b)
+            .expect("adjacent wires share a SB");
+        assert_eq!(sb, Coord::new(3, 2));
+        assert_eq!(sa, Side::West);
+        assert_eq!(sb_side, Side::North);
+        // Different tracks never share.
+        let c = WireRef::vertical(3, 2, 2);
+        assert!(d.shared_switch_box(a, c).is_none());
     }
 
     #[test]

@@ -32,27 +32,6 @@ pub enum ArchError {
         /// Device height.
         height: u16,
     },
-    /// A macro I/O index does not name a valid I/O for this architecture.
-    InvalidMacroIoIndex {
-        /// The rejected index.
-        index: u32,
-        /// Number of valid indices (`4W + L + 1`).
-        io_count: u32,
-    },
-    /// A pin number is not a valid logic-block pin.
-    InvalidPin {
-        /// The rejected pin number.
-        pin: u8,
-        /// Number of logic block pins (`L`).
-        pin_count: u8,
-    },
-    /// A track index is not a valid channel track.
-    InvalidTrack {
-        /// The rejected track index.
-        track: u16,
-        /// Channel width (`W`).
-        channel_width: u16,
-    },
 }
 
 impl fmt::Display for ArchError {
@@ -76,16 +55,6 @@ impl fmt::Display for ArchError {
                 f,
                 "coordinate ({x}, {y}) outside device grid {width}x{height}"
             ),
-            ArchError::InvalidMacroIoIndex { index, io_count } => {
-                write!(f, "macro I/O index {index} out of range (0..{io_count})")
-            }
-            ArchError::InvalidPin { pin, pin_count } => {
-                write!(f, "pin {pin} out of range (0..{pin_count})")
-            }
-            ArchError::InvalidTrack {
-                track,
-                channel_width,
-            } => write!(f, "track {track} out of range (0..{channel_width})"),
         }
     }
 }

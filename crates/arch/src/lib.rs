@@ -20,9 +20,10 @@
 //!   `K`) and all derived quantities, including Equation (1) of the paper
 //!   (`N_raw`, the number of raw configuration bits per macro).
 //! * [`geometry`] — coordinates, rectangles, sides and tracks.
-//! * [`macro_model`] — the black-box I/O numbering of a macro
-//!   ([`MacroIo`]) and the bit-exact raw frame layout
-//!   ([`FrameLayout`]).
+//! * [`macro_model`] — the bit-exact raw frame layout of a macro
+//!   ([`FrameLayout`]). The black-box I/O numbering that VBS connection
+//!   lists use is `vbs-core`'s `ClusterIo` (the macro is its `k = 1`
+//!   cluster).
 //! * [`wires`] — global wire naming shared by the router, the bit-stream
 //!   generator and the VBS encoder/decoder.
 //! * [`device`] — a sized device (grid of macros).
@@ -59,6 +60,6 @@ pub mod wires;
 pub use device::Device;
 pub use error::ArchError;
 pub use geometry::{Coord, Rect, Side, TrackId};
-pub use macro_model::{FrameLayout, MacroIo, SbPair};
-pub use spec::ArchSpec;
+pub use macro_model::{FrameLayout, SbPair};
+pub use spec::{ceil_log2, ArchSpec};
 pub use wires::{WireKind, WireRef};

@@ -2,167 +2,21 @@
 //! box — the elementary building block of the fabric and the unit of Virtual
 //! Bit-Stream coding (Figure 1 of the paper).
 //!
-//! Two views of the macro are defined here:
+//! This module holds the macro's **raw frame view**, the one the
+//! conventional bit-stream uses: the [`FrameLayout`] maps every programmable
+//! switch of the macro (Equation (1)) to a bit position inside an
+//! `N_raw`-bit frame, and [`SbPair`] names the six pass switches of a
+//! switch point.
 //!
-//! * the **black-box view** used by the VBS connection lists: every signal
-//!   entering or leaving the macro is named by a [`MacroIo`] identifier coded
-//!   on `M = ⌈log2(4W + L + 1)⌉` bits;
-//! * the **raw frame view** used by the conventional bit-stream: the
-//!   [`FrameLayout`] maps every programmable switch of the macro (Equation
-//!   (1)) to a bit position inside an `N_raw`-bit frame.
+//! The macro's **black-box view**, the `M = ⌈log2(4W + L + 1)⌉`-bit I/O
+//! identifiers of a VBS connection list (Table I), is the cluster I/O
+//! numbering of `vbs-core` (`ClusterIo`) at cluster size `k = 1`.
 
-use crate::error::ArchError;
 use crate::geometry::Side;
 use crate::spec::ArchSpec;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Range;
-
-/// A black-box I/O of a macro, as coded in a VBS connection list.
-///
-/// The numbering is position-independent: it only refers to sides, tracks and
-/// logic-block pins of *one* macro, never to absolute device coordinates.
-/// This is what makes the Virtual Bit-Stream relocatable.
-///
-/// Index layout (for channel width `W` and `L` logic-block pins):
-///
-/// | index            | meaning                        |
-/// |------------------|--------------------------------|
-/// | `0`              | unconnected / null             |
-/// | `1 ..= W`        | north boundary, track `i - 1`  |
-/// | `W+1 ..= 2W`     | east boundary, track `i-W-1`   |
-/// | `2W+1 ..= 3W`    | south boundary, track `i-2W-1` |
-/// | `3W+1 ..= 4W`    | west boundary, track `i-3W-1`  |
-/// | `4W+1 .. 4W+L+1` | logic-block pin `i - 4W - 1`   |
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub enum MacroIo {
-    /// The reserved "unconnected" identifier (index 0).
-    Null,
-    /// A routing track crossing the given boundary of the macro.
-    Boundary {
-        /// Which boundary is crossed.
-        side: Side,
-        /// Track index within the channel (`0 .. W`).
-        track: u16,
-    },
-    /// A logic-block pin (`0 .. L`); pin `K` is the LUT/FF output.
-    Pin(u8),
-}
-
-impl MacroIo {
-    /// Encodes this I/O as its index in `0 .. 4W + L + 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the track or pin number is out of range for `spec`; use
-    /// [`MacroIo::validate`] first when handling untrusted data.
-    pub fn index(&self, spec: &ArchSpec) -> u32 {
-        let w = spec.channel_width() as u32;
-        match *self {
-            MacroIo::Null => 0,
-            MacroIo::Boundary { side, track } => {
-                assert!((track as u32) < w, "track {track} out of range for W={w}");
-                1 + side.index() as u32 * w + track as u32
-            }
-            MacroIo::Pin(p) => {
-                assert!(
-                    p < spec.lb_pins(),
-                    "pin {p} out of range for L={}",
-                    spec.lb_pins()
-                );
-                1 + 4 * w + p as u32
-            }
-        }
-    }
-
-    /// Decodes an index back into a [`MacroIo`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArchError::InvalidMacroIoIndex`] if `index` is not a valid
-    /// identifier for `spec`.
-    pub fn from_index(spec: &ArchSpec, index: u32) -> Result<Self, ArchError> {
-        let w = spec.channel_width() as u32;
-        let l = spec.lb_pins() as u32;
-        let count = spec.macro_io_count();
-        if index >= count {
-            return Err(ArchError::InvalidMacroIoIndex {
-                index,
-                io_count: count,
-            });
-        }
-        if index == 0 {
-            return Ok(MacroIo::Null);
-        }
-        let i = index - 1;
-        if i < 4 * w {
-            let side = Side::ALL[(i / w) as usize];
-            let track = (i % w) as u16;
-            Ok(MacroIo::Boundary { side, track })
-        } else {
-            let pin = (i - 4 * w) as u8;
-            debug_assert!((pin as u32) < l);
-            Ok(MacroIo::Pin(pin))
-        }
-    }
-
-    /// Checks that this I/O is representable in `spec`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArchError::InvalidTrack`] or [`ArchError::InvalidPin`] when
-    /// out of range.
-    pub fn validate(&self, spec: &ArchSpec) -> Result<(), ArchError> {
-        match *self {
-            MacroIo::Null => Ok(()),
-            MacroIo::Boundary { track, .. } => {
-                if track < spec.channel_width() {
-                    Ok(())
-                } else {
-                    Err(ArchError::InvalidTrack {
-                        track,
-                        channel_width: spec.channel_width(),
-                    })
-                }
-            }
-            MacroIo::Pin(pin) => {
-                if pin < spec.lb_pins() {
-                    Ok(())
-                } else {
-                    Err(ArchError::InvalidPin {
-                        pin,
-                        pin_count: spec.lb_pins(),
-                    })
-                }
-            }
-        }
-    }
-}
-
-impl fmt::Display for MacroIo {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MacroIo::Null => write!(f, "null"),
-            MacroIo::Boundary { side, track } => write!(f, "{side}[{track}]"),
-            MacroIo::Pin(p) => write!(f, "pin{p}"),
-        }
-    }
-}
-
-/// Which channel a logic-block pin connects to through its connection box.
-///
-/// In this architecture, even-numbered pins cross the horizontal channel owned
-/// by the macro (its east wire stubs), odd-numbered pins cross the vertical
-/// channel (its north wire stubs). The LUT output (pin `K = 6`, even) therefore
-/// drives horizontal wires, which matches the classic VPR convention of output
-/// pins facing `ChanX`.
-pub fn pin_channel_side(pin: u8) -> Side {
-    if pin.is_multiple_of(2) {
-        Side::East
-    } else {
-        Side::North
-    }
-}
 
 /// One of the six programmable pass switches of a 4-way (cross-shaped) switch
 /// point, identified by the unordered pair of sides it connects.
@@ -360,75 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn io_index_roundtrip_all_values() {
-        let spec = example();
-        for idx in 0..spec.macro_io_count() {
-            let io = MacroIo::from_index(&spec, idx).expect("valid index");
-            assert_eq!(io.index(&spec), idx);
-        }
-    }
-
-    #[test]
-    fn io_index_rejects_out_of_range() {
-        let spec = example();
-        let count = spec.macro_io_count();
-        assert!(matches!(
-            MacroIo::from_index(&spec, count),
-            Err(ArchError::InvalidMacroIoIndex { .. })
-        ));
-    }
-
-    #[test]
-    fn io_numbering_layout_matches_documentation() {
-        let spec = example();
-        let w = spec.channel_width();
-        assert_eq!(MacroIo::Null.index(&spec), 0);
-        assert_eq!(
-            MacroIo::Boundary {
-                side: Side::North,
-                track: 0
-            }
-            .index(&spec),
-            1
-        );
-        assert_eq!(
-            MacroIo::Boundary {
-                side: Side::East,
-                track: 0
-            }
-            .index(&spec),
-            1 + w as u32
-        );
-        assert_eq!(
-            MacroIo::Boundary {
-                side: Side::West,
-                track: (w - 1)
-            }
-            .index(&spec),
-            4 * w as u32
-        );
-        assert_eq!(MacroIo::Pin(0).index(&spec), 4 * w as u32 + 1);
-        assert_eq!(
-            MacroIo::Pin(spec.lb_pins() - 1).index(&spec),
-            spec.macro_io_count() - 1
-        );
-    }
-
-    #[test]
-    fn validate_rejects_bad_tracks_and_pins() {
-        let spec = example();
-        assert!(MacroIo::Pin(spec.lb_pins()).validate(&spec).is_err());
-        assert!(MacroIo::Boundary {
-            side: Side::North,
-            track: spec.channel_width()
-        }
-        .validate(&spec)
-        .is_err());
-        assert!(MacroIo::Pin(0).validate(&spec).is_ok());
-        assert!(MacroIo::Null.validate(&spec).is_ok());
-    }
-
-    #[test]
     fn sb_pair_between_covers_all_combinations() {
         for a in Side::ALL {
             for b in Side::ALL {
@@ -503,24 +288,7 @@ mod tests {
     }
 
     #[test]
-    fn pin_channel_sides_alternate() {
-        assert_eq!(pin_channel_side(0), Side::East);
-        assert_eq!(pin_channel_side(1), Side::North);
-        assert_eq!(pin_channel_side(6), Side::East);
-    }
-
-    #[test]
     fn display_formats() {
-        assert_eq!(MacroIo::Null.to_string(), "null");
-        assert_eq!(
-            MacroIo::Boundary {
-                side: Side::West,
-                track: 3
-            }
-            .to_string(),
-            "west[3]"
-        );
-        assert_eq!(MacroIo::Pin(6).to_string(), "pin6");
         assert_eq!(SbPair::EastWest.to_string(), "east-west");
     }
 }

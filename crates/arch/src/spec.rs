@@ -15,8 +15,10 @@ use serde::{Deserialize, Serialize};
 ///
 /// * `L = K + 1` logic-block pins (`K` LUT inputs plus one output),
 /// * `N_LB = 2^K + 1` logic configuration bits (LUT truth table + FF bypass),
-/// * `N_raw` raw configuration bits per macro (Equation (1)),
-/// * `M = ⌈log2(4W + L + 1)⌉` bits per macro I/O identifier.
+/// * `N_raw` raw configuration bits per macro (Equation (1)).
+///
+/// The field widths of the stream itself (Table I's `M` and route count)
+/// are computed where the stream is defined, by `vbs-core`'s `VbsHeader`.
 ///
 /// ```
 /// use vbs_arch::ArchSpec;
@@ -25,7 +27,6 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(spec.lb_pins(), 7);
 /// assert_eq!(spec.lb_config_bits(), 65);
 /// assert_eq!(spec.raw_bits_per_macro(), 284);
-/// assert_eq!(spec.io_index_bits(), 5);
 /// # Ok(())
 /// # }
 /// ```
@@ -154,42 +155,6 @@ impl ArchSpec {
             + 6 * (self.sb_points() + self.cb_cross_switches())
             + 3 * self.cb_tee_switches()
     }
-
-    /// Number of distinct macro I/O identifiers: `4W + L + 1`
-    /// (four sides of `W` boundary tracks, `L` logic-block pins, and the
-    /// reserved "unconnected" identifier).
-    pub const fn macro_io_count(&self) -> u32 {
-        4 * self.channel_width as u32 + self.lb_pins() as u32 + 1
-    }
-
-    /// Width in bits of one macro I/O identifier in the VBS connection list,
-    /// `M = ⌈log2(4W + L + 1)⌉`.
-    ///
-    /// ```
-    /// use vbs_arch::ArchSpec;
-    /// assert_eq!(ArchSpec::paper_example().io_index_bits(), 5);
-    /// assert_eq!(ArchSpec::paper_evaluation().io_index_bits(), 7);
-    /// ```
-    pub const fn io_index_bits(&self) -> u32 {
-        ceil_log2(self.macro_io_count())
-    }
-
-    /// Break-even number of connections: as noted in Section II-B, a macro can
-    /// hold up to `⌊N_raw / 2M⌋` coded connections before the connection-list
-    /// coding stops being smaller than the raw frame.
-    ///
-    /// ```
-    /// use vbs_arch::ArchSpec;
-    /// assert_eq!(ArchSpec::paper_example().break_even_connections(), 28);
-    /// ```
-    pub const fn break_even_connections(&self) -> usize {
-        self.raw_bits_per_macro() / (2 * self.io_index_bits() as usize)
-    }
-
-    /// Width in bits of the per-macro route count field, `⌈log2(2W)⌉`.
-    pub const fn route_count_bits(&self) -> u32 {
-        ceil_log2(2 * self.channel_width as u32)
-    }
 }
 
 impl Default for ArchSpec {
@@ -199,8 +164,8 @@ impl Default for ArchSpec {
 }
 
 /// Ceiling of the base-2 logarithm, with `ceil_log2(0) == 0` and
-/// `ceil_log2(1) == 0`.
-pub(crate) const fn ceil_log2(n: u32) -> u32 {
+/// `ceil_log2(1) == 0`: the width of every `⌈log2(·)⌉` field of the stream.
+pub const fn ceil_log2(n: u32) -> u32 {
     if n <= 1 {
         0
     } else {
@@ -229,16 +194,14 @@ mod tests {
     #[test]
     fn paper_example_matches_section_ii() {
         // Section II-B, W = 5, 6-LUT: N_LB = 65, N_C+ = 28, N_CT = 7,
-        // N_raw = 284, M = 5, break-even = 28 connections.
+        // N_raw = 284 (M and the break-even count are pinned on vbs-core's
+        // `VbsHeader`, which defines the stream's field widths).
         let spec = ArchSpec::paper_example();
         assert_eq!(spec.lb_config_bits(), 65);
         assert_eq!(spec.cb_cross_switches(), 28);
         assert_eq!(spec.cb_tee_switches(), 7);
         assert_eq!(spec.sb_points(), 5);
         assert_eq!(spec.raw_bits_per_macro(), 284);
-        assert_eq!(spec.macro_io_count(), 28);
-        assert_eq!(spec.io_index_bits(), 5);
-        assert_eq!(spec.break_even_connections(), 28);
     }
 
     #[test]
@@ -248,9 +211,6 @@ mod tests {
         assert_eq!(spec.lb_pins(), 7);
         // N_raw = 65 + 6*(20 + 7*19) + 3*7 = 65 + 918 + 21 = 1004.
         assert_eq!(spec.raw_bits_per_macro(), 1004);
-        // 4*20 + 7 + 1 = 88 identifiers -> 7 bits each.
-        assert_eq!(spec.macro_io_count(), 88);
-        assert_eq!(spec.io_index_bits(), 7);
     }
 
     #[test]
@@ -293,12 +253,5 @@ mod tests {
             assert!(spec.raw_bits_per_macro() > prev);
             prev = spec.raw_bits_per_macro();
         }
-    }
-
-    #[test]
-    fn route_count_field_width_matches_table1() {
-        // Table I: route count on ceil(log2(2W)) bits.
-        assert_eq!(ArchSpec::paper_example().route_count_bits(), 4); // 2W = 10
-        assert_eq!(ArchSpec::paper_evaluation().route_count_bits(), 6); // 2W = 40
     }
 }

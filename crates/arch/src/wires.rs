@@ -95,9 +95,10 @@ impl WireRef {
     ///
     /// Every wire touches exactly two macros (or one, at the device edge):
     /// its owner (as the east/north stub) and the owner's east/north
-    /// neighbour (as the west/south stub).
-    #[cfg(test)]
-    fn boundary_of(&self, at: Coord) -> Option<Side> {
+    /// neighbour (as the west/south stub). Macro `at`'s switch box sits at
+    /// its south-west corner, so this is also the side the wire occupies at
+    /// that switch box.
+    pub fn boundary_of(&self, at: Coord) -> Option<Side> {
         match self.kind {
             WireKind::Horizontal => {
                 if self.owner == at {
@@ -133,8 +134,10 @@ impl WireRef {
     /// Whether this wire can be reached by `pin`'s connection box when the
     /// pin belongs to the logic block of macro `at`.
     ///
-    /// Even pins cross the macro's own horizontal wires, odd pins its vertical
-    /// wires (see [`crate::macro_model::pin_channel_side`]).
+    /// Even pins cross the macro's own horizontal wires (its east stubs), odd
+    /// pins its vertical wires (its north stubs). The LUT output (pin `K = 6`,
+    /// even) therefore drives horizontal wires, the classic VPR convention of
+    /// output pins facing `ChanX`.
     pub fn reachable_from_pin(&self, at: Coord, pin: u8) -> bool {
         if self.owner != at {
             return false;

@@ -1,4 +1,4 @@
-//! Ablation studies of the design choices called out in `DESIGN.md`:
+//! Ablation studies of two coding choices of the paper (see PAPER.md):
 //!
 //! * coding width: the paper's `M = ⌈log2(4W + L + 1)⌉` I/O identifiers vs a
 //!   naive fixed 16-bit pair coding;
@@ -43,7 +43,7 @@ fn main() {
             }
         };
         let stats = vbs_core::VbsStats::of(&vbs);
-        let m_bits = vbs.io_bits() as u64;
+        let m_bits = vbs.header().io_bits() as u64;
         let naive_bits = vbs.size_bits() + stats.connections as u64 * 2 * (16 - m_bits);
         println!(
             "{:<10} {:>12} {:>14} {:>14} {:>13.1}%",

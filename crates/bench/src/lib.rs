@@ -1,4 +1,4 @@
-//! Shared harness for the experiment binaries and Criterion benches.
+//! Shared harness for the experiment binaries.
 //!
 //! Every table and figure of the paper's evaluation is regenerated from the
 //! same pipeline: instantiate the MCNC-calibrated synthetic circuit, run the

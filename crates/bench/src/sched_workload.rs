@@ -1,5 +1,6 @@
-//! Shared workload fixture for the scheduler throughput bench and bin:
-//! a small repository of synthetic tasks plus the device they target.
+//! Shared workload fixture for the `scheduler` throughput bin and the
+//! allocation tests (`tests/zero_alloc.rs`): a small repository of synthetic
+//! tasks plus the device they target.
 
 use vbs_arch::{ArchSpec, Device};
 use vbs_flow::CadFlow;

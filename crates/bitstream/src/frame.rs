@@ -128,8 +128,7 @@ impl<'a> FrameRef<'a> {
 
 /// An exclusive view of one macro frame inside a [`crate::FrameStore`].
 ///
-/// Adds the write accessors on top of everything [`FrameRef`] can read
-/// (reads delegate through [`FrameMut::as_ref`]).
+/// Holds the write accessors; reads go through [`FrameMut::as_ref`].
 #[derive(Debug)]
 pub struct FrameMut<'a> {
     spec: ArchSpec,
@@ -161,39 +160,9 @@ impl<'a> FrameMut<'a> {
         FrameLayout::new(self.spec)
     }
 
-    /// Number of bits in the frame (`N_raw`).
-    pub const fn len(&self) -> usize {
+    /// Number of bits in the frame (`N_raw`), the bound of every write.
+    pub(crate) const fn len(&self) -> usize {
         self.spec.raw_bits_per_macro()
-    }
-
-    /// Whether every bit is zero.
-    pub fn is_empty(&self) -> bool {
-        self.as_ref().is_empty()
-    }
-
-    /// Reads one bit (see [`FrameRef::bit`]).
-    pub fn bit(&self, index: usize) -> bool {
-        self.as_ref().bit(index)
-    }
-
-    /// Number of bits currently set.
-    pub fn popcount(&self) -> usize {
-        self.as_ref().popcount()
-    }
-
-    /// Reads a switch-box pass switch.
-    pub fn sb(&self, track: u16, pair: SbPair) -> bool {
-        self.as_ref().sb(track, pair)
-    }
-
-    /// Reads a connection-box switch.
-    pub fn crossing(&self, pin: u8, track: u16) -> bool {
-        self.as_ref().crossing(pin, track)
-    }
-
-    /// Reads the logic-block section back as `(truth table, registered)`.
-    pub fn logic(&self) -> (TruthTable, bool) {
-        self.as_ref().logic()
     }
 
     /// Writes one bit.
@@ -326,13 +295,13 @@ mod tests {
         let mut f = s.frame_mut(0);
         f.set_sb(2, SbPair::EastWest, true);
         f.set_crossing(6, 2, true);
-        assert!(f.sb(2, SbPair::EastWest));
-        assert!(f.crossing(6, 2));
-        assert!(!f.sb(2, SbPair::NorthSouth));
-        assert!(!f.crossing(6, 3));
-        assert_eq!(f.popcount(), 2);
+        assert!(f.as_ref().sb(2, SbPair::EastWest));
+        assert!(f.as_ref().crossing(6, 2));
+        assert!(!f.as_ref().sb(2, SbPair::NorthSouth));
+        assert!(!f.as_ref().crossing(6, 3));
+        assert_eq!(f.as_ref().popcount(), 2);
         f.set_sb(2, SbPair::EastWest, false);
-        assert_eq!(f.popcount(), 1);
+        assert_eq!(f.as_ref().popcount(), 1);
     }
 
     #[test]
@@ -370,7 +339,7 @@ mod tests {
         assert_eq!(s.frame(0).diff_count(s.frame(1)), 0);
         let mut b = s.frame_mut(1);
         b.clear();
-        assert!(b.is_empty());
+        assert!(b.as_ref().is_empty());
     }
 
     #[test]

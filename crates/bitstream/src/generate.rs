@@ -79,26 +79,23 @@ pub fn edge_to_switch(
                 })
             }
         }
-        (Wire(wa), Wire(wb)) => {
-            use vbs_route::SwitchBoxView as _;
-            match device.shared_switch_box(wa, wb) {
-                Some((sb, side_a, side_b)) => {
-                    let pair = SbPair::between(side_a, side_b).ok_or_else(|| {
-                        BitstreamError::UnmappableEdge {
-                            edge: format!("{a} <-> {b}"),
-                        }
-                    })?;
-                    Ok(SwitchSetting::SwitchBox {
-                        site: sb,
-                        track: wa.track,
-                        pair,
-                    })
-                }
-                None => Err(BitstreamError::UnmappableEdge {
-                    edge: format!("{a} <-> {b}"),
-                }),
+        (Wire(wa), Wire(wb)) => match device.shared_switch_box(wa, wb) {
+            Some((sb, side_a, side_b)) => {
+                let pair = SbPair::between(side_a, side_b).ok_or_else(|| {
+                    BitstreamError::UnmappableEdge {
+                        edge: format!("{a} <-> {b}"),
+                    }
+                })?;
+                Ok(SwitchSetting::SwitchBox {
+                    site: sb,
+                    track: wa.track,
+                    pair,
+                })
             }
-        }
+            None => Err(BitstreamError::UnmappableEdge {
+                edge: format!("{a} <-> {b}"),
+            }),
+        },
         _ => Err(BitstreamError::UnmappableEdge {
             edge: format!("{a} <-> {b}"),
         }),

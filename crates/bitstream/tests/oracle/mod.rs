@@ -39,7 +39,7 @@ pub fn load_task_scalar(memory: &mut ConfigMemory, task: &TaskBitstream, origin:
 pub fn clear_region_scalar(memory: &mut ConfigMemory, region: Rect) {
     for at in region.iter() {
         let mut frame = memory.frame_mut(at);
-        for i in 0..frame.len() {
+        for i in 0..frame.as_ref().len() {
             frame.set_bit(i, false);
         }
     }

@@ -78,7 +78,7 @@ fn set_field_matches_the_per_bit_loop_at_every_offset_and_width() {
             for background in [false, true] {
                 let mut word = TaskBitstream::empty(spec, 1, 1);
                 let mut frame = word.frame_mut(Coord::new(0, 0));
-                for i in 0..frame.len() {
+                for i in 0..frame.as_ref().len() {
                     frame.set_bit(i, background);
                 }
                 let mut scalar = word.clone();

@@ -4,13 +4,14 @@
 //! one coding unit, pooling their routing resources: wires that stay inside
 //! the cluster disappear from the connection lists, only crossings of the
 //! cluster boundary and logic-block pins remain. `k = 1` is the finest grain
-//! (one macro per record), whose I/O numbering coincides with
-//! [`vbs_arch::MacroIo`].
+//! (one macro per record): there [`ClusterIo`] is the paper's macro I/O
+//! numbering of Table I, `4W + L + 1` identifiers of
+//! `M = ⌈log2(4W + L + 1)⌉` bits, and no other type numbers a macro's I/Os.
 
 use crate::error::VbsError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use vbs_arch::{ArchError, ArchSpec, Coord, Side, WireKind, WireRef};
+use vbs_arch::{ceil_log2, ArchError, ArchSpec, Coord, Side, WireKind, WireRef};
 
 /// A black-box I/O of a `k × k` cluster of macros.
 ///
@@ -51,8 +52,7 @@ impl ClusterIo {
     /// Width in bits of one identifier, `⌈log2(4kW + k²L + 1)⌉`
     /// (the generalization of Table I's `M` to clusters).
     pub fn io_bits(spec: &ArchSpec, cluster_size: u16) -> u32 {
-        let count = Self::io_count(spec, cluster_size);
-        u32::BITS - (count - 1).leading_zeros()
+        ceil_log2(Self::io_count(spec, cluster_size))
     }
 
     /// Encodes this I/O as its index.
@@ -279,7 +279,8 @@ impl ClusterGrid {
     ///
     /// Returns [`VbsError::DanglingBoundary`] when the wire would lie outside
     /// the task (e.g. the west boundary of the leftmost cluster column).
-    pub fn boundary_wire(
+    #[cfg(test)]
+    pub(crate) fn boundary_wire(
         &self,
         cluster: Coord,
         side: Side,
@@ -350,9 +351,34 @@ mod tests {
 
     #[test]
     fn io_count_matches_macroio_for_k1() {
+        // Section II-B / Table I: 4W + L + 1 macro I/O identifiers, 28 at
+        // W = 5 (M = 5 bits) and 88 at W = 20 (M = 7 bits).
         let s = spec();
-        assert_eq!(ClusterIo::io_count(&s, 1), s.macro_io_count());
-        assert_eq!(ClusterIo::io_bits(&s, 1), s.io_index_bits());
+        assert_eq!(ClusterIo::io_count(&s, 1), 28);
+        assert_eq!(ClusterIo::io_bits(&s, 1), 5);
+        let eval = ArchSpec::paper_evaluation();
+        assert_eq!(ClusterIo::io_count(&eval, 1), 88);
+        assert_eq!(ClusterIo::io_bits(&eval, 1), 7);
+    }
+
+    #[test]
+    fn io_numbering_layout_matches_documentation() {
+        // At k = 1: null, then W tracks per side (north, east, south, west),
+        // then the L pins.
+        let s = spec();
+        let w = u32::from(s.channel_width());
+        let index = |io: ClusterIo| io.index(&s, 1);
+        let boundary = |side, offset| ClusterIo::Boundary { side, offset };
+        assert_eq!(index(ClusterIo::Null), 0);
+        assert_eq!(index(boundary(Side::North, 0)), 1);
+        assert_eq!(index(boundary(Side::East, 0)), 1 + w);
+        assert_eq!(index(boundary(Side::West, s.channel_width() - 1)), 4 * w);
+        assert_eq!(index(ClusterIo::Pin { local: 0, pin: 0 }), 4 * w + 1);
+        let last_pin = ClusterIo::Pin {
+            local: 0,
+            pin: s.lb_pins() - 1,
+        };
+        assert_eq!(index(last_pin), ClusterIo::io_count(&s, 1) - 1);
     }
 
     #[test]

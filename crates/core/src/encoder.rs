@@ -133,7 +133,8 @@ impl VbsEncoder {
         // One decode arena shared by every feedback-loop check of this
         // encode, so candidate verification stays allocation-free.
         let mut decode_scratch = DecodeScratch::new();
-        let raw_bits = template.raw_routing_bits_per_record();
+        let header = template.header();
+        let raw_bits = header.raw_routing_bits_per_record();
 
         let mut records: Vec<ClusterRecord> = Vec::new();
         let mut rest = lists.connections.as_slice();
@@ -150,10 +151,10 @@ impl VbsEncoder {
             }
 
             let coded_bits =
-                template.route_count_bits() as usize + 2 * template.io_bits() as usize * run.len();
+                header.route_count_bits() as usize + 2 * header.io_bits() as usize * run.len();
             let routes = if run.is_empty() {
                 ClusterRoutes::Coded(Vec::new())
-            } else if run.len() > template.max_routes_per_record() || coded_bits >= raw_bits {
+            } else if run.len() > header.max_routes_per_record() || coded_bits >= raw_bits {
                 self.raw_routes(&grid, raw, cluster)
             } else {
                 // Feedback loop: decode the candidate record and verify it

@@ -17,9 +17,10 @@
 //!
 //! Differences with the literal Table I are limited to the fixed preamble
 //! (the paper leaves the architecture parameters implicit) and the explicit
-//! mode bit for the raw-macro fallback the paper describes in Section III-B;
-//! both are documented in `DESIGN.md` and amount to a handful of bits per
-//! task.
+//! mode bit for the raw-macro fallback the paper describes in Section III-B.
+//! The preamble lets a stream be parsed without knowing its architecture in
+//! advance, and the mode bit is the one bit that tells a decoder which of the
+//! two record bodies follows; together they cost a handful of bits per task.
 //!
 //! Two forms of a stream share one record shape. An owned [`Vbs`] is what
 //! the encoder produces and [`Vbs::to_bytes`] serializes; its payloads are
@@ -33,7 +34,7 @@ use crate::cluster::{ClusterGrid, ClusterIo};
 use crate::error::VbsError;
 use crate::view::VbsView;
 use serde::{Deserialize, Serialize};
-use vbs_arch::{ArchSpec, Coord};
+use vbs_arch::{ceil_log2, ArchSpec, Coord};
 
 /// Format version written in the preamble.
 pub const FORMAT_VERSION: u8 = 1;
@@ -292,11 +293,6 @@ pub struct VbsHeader {
     pub height: u16,
 }
 
-/// `⌈log2(m)⌉`, at least 1.
-fn bits_for(m: u32) -> u32 {
-    (u32::BITS - m.saturating_sub(1).leading_zeros()).max(1)
-}
-
 impl VbsHeader {
     /// Number of cluster columns and rows of the task.
     pub(crate) fn cluster_dims(&self) -> (u16, u16) {
@@ -305,36 +301,36 @@ impl VbsHeader {
     }
 
     /// Width of the position fields: `⌈log2(max(cols, rows))⌉`, at least 1.
-    pub(crate) fn coord_bits(&self) -> u32 {
+    pub fn coord_bits(&self) -> u32 {
         let (cols, rows) = self.cluster_dims();
-        bits_for(u32::from(cols.max(rows)))
+        ceil_log2(u32::from(cols.max(rows))).max(1)
     }
 
     /// Width of the route-count field: `⌈log2(2·W·k²)⌉`, the generalization
     /// of Table I's `⌈log2(2W)⌉` to clusters.
-    pub(crate) fn route_count_bits(&self) -> u32 {
+    pub fn route_count_bits(&self) -> u32 {
         let k = u32::from(self.cluster_size);
-        bits_for(2 * u32::from(self.spec.channel_width()) * k * k)
+        ceil_log2(2 * u32::from(self.spec.channel_width()) * k * k).max(1)
     }
 
     /// Maximum number of connections a coded record can hold.
-    pub(crate) fn max_routes_per_record(&self) -> usize {
+    pub fn max_routes_per_record(&self) -> usize {
         (1usize << self.route_count_bits()) - 1
     }
 
     /// Width of one I/O identifier (`M` for `k = 1`).
-    pub(crate) fn io_bits(&self) -> u32 {
+    pub fn io_bits(&self) -> u32 {
         ClusterIo::io_bits(&self.spec, self.cluster_size)
     }
 
     /// Number of logic-data bits per record (`k² · N_LB`).
-    pub(crate) fn logic_bits_per_record(&self) -> usize {
+    pub fn logic_bits_per_record(&self) -> usize {
         let k = self.cluster_size as usize;
         k * k * self.spec.lb_config_bits()
     }
 
     /// Number of raw routing bits per record (`k² · (N_raw − N_LB)`).
-    pub(crate) fn raw_routing_bits_per_record(&self) -> usize {
+    pub fn raw_routing_bits_per_record(&self) -> usize {
         let k = self.cluster_size as usize;
         k * k * (self.spec.raw_bits_per_macro() - self.spec.lb_config_bits())
     }
@@ -416,37 +412,6 @@ impl Vbs {
             .expect("validated at construction")
     }
 
-    /// Width of the position fields: `⌈log2(max(cols, rows))⌉`, at least 1.
-    pub fn coord_bits(&self) -> u32 {
-        self.header().coord_bits()
-    }
-
-    /// Width of the route-count field: `⌈log2(2·W·k²)⌉`, the generalization
-    /// of Table I's `⌈log2(2W)⌉` to clusters.
-    pub fn route_count_bits(&self) -> u32 {
-        self.header().route_count_bits()
-    }
-
-    /// Maximum number of connections a coded record can hold.
-    pub fn max_routes_per_record(&self) -> usize {
-        self.header().max_routes_per_record()
-    }
-
-    /// Width of one I/O identifier (`M` for `k = 1`).
-    pub fn io_bits(&self) -> u32 {
-        self.header().io_bits()
-    }
-
-    /// Number of logic-data bits per record (`k² · N_LB`).
-    pub fn logic_bits_per_record(&self) -> usize {
-        self.header().logic_bits_per_record()
-    }
-
-    /// Number of raw routing bits per record (`k² · (N_raw − N_LB)`).
-    pub fn raw_routing_bits_per_record(&self) -> usize {
-        self.header().raw_routing_bits_per_record()
-    }
-
     /// Size of the fixed preamble in bits.
     pub const fn preamble_bits() -> usize {
         4 + 8 + 4 + 9 + 12 + 12 + 20
@@ -454,12 +419,14 @@ impl Vbs {
 
     /// Total size of the serialized stream, in bits.
     pub fn size_bits(&self) -> u64 {
+        let header = self.header();
         let mut bits = Self::preamble_bits() as u64;
-        let coord = self.coord_bits() as u64;
-        let io = self.io_bits() as u64;
-        let rc = self.route_count_bits() as u64;
+        let coord = header.coord_bits() as u64;
+        let io = header.io_bits() as u64;
+        let rc = header.route_count_bits() as u64;
+        let logic = header.logic_bits_per_record() as u64;
         for record in &self.records {
-            bits += 2 * coord + 1 + self.logic_bits_per_record() as u64;
+            bits += 2 * coord + 1 + logic;
             bits += match &record.routes {
                 ClusterRoutes::Coded(connections) => rc + 2 * io * connections.len() as u64,
                 ClusterRoutes::Raw(raw) => raw.len() as u64,
@@ -507,14 +474,15 @@ impl Vbs {
         w.write_bits(self.height as u64, 12);
         w.write_bits(self.records.len() as u64, 20);
 
-        let coord = self.coord_bits();
-        let io = self.io_bits();
-        let rc = self.route_count_bits();
+        let header = self.header();
+        let coord = header.coord_bits();
+        let io = header.io_bits();
+        let rc = header.route_count_bits();
         for record in &self.records {
             w.write_bits(record.position.x as u64, coord);
             w.write_bits(record.position.y as u64, coord);
             w.write_bits(u64::from(record.routes.is_raw()), 1);
-            debug_assert_eq!(record.logic.len(), self.logic_bits_per_record());
+            debug_assert_eq!(record.logic.len(), header.logic_bits_per_record());
             w.write_range(record.logic.as_range());
             match &record.routes {
                 ClusterRoutes::Coded(connections) => {
@@ -525,7 +493,7 @@ impl Vbs {
                     }
                 }
                 ClusterRoutes::Raw(raw) => {
-                    debug_assert_eq!(raw.len(), self.raw_routing_bits_per_record());
+                    debug_assert_eq!(raw.len(), header.raw_routing_bits_per_record());
                     w.write_range(raw.as_range());
                 }
             }
@@ -593,13 +561,45 @@ mod tests {
 
     #[test]
     fn field_widths_match_table_1() {
-        let v = sample_vbs();
+        let v = sample_vbs().header();
         // W = 5, L = 7: M = 5 bits, route count on ceil(log2(10)) = 4 bits.
         assert_eq!(v.io_bits(), 5);
         assert_eq!(v.route_count_bits(), 4);
         assert_eq!(v.coord_bits(), 2);
         assert_eq!(v.logic_bits_per_record(), 65);
         assert_eq!(v.raw_routing_bits_per_record(), 284 - 65);
+    }
+
+    /// A one-macro task's header at `k = 1`.
+    fn macro_header(spec: ArchSpec) -> VbsHeader {
+        VbsHeader {
+            spec,
+            cluster_size: 1,
+            width: 1,
+            height: 1,
+        }
+    }
+
+    #[test]
+    fn route_count_field_width_matches_table1() {
+        // Table I: route count on ceil(log2(2W)) bits (2W = 10 and 40), and
+        // M = ceil(log2(4W + L + 1)) (28 identifiers at W = 5, 88 at W = 20).
+        let example = macro_header(ArchSpec::paper_example());
+        let evaluation = macro_header(ArchSpec::paper_evaluation());
+        assert_eq!(example.route_count_bits(), 4);
+        assert_eq!(evaluation.route_count_bits(), 6);
+        assert_eq!(example.io_bits(), 5);
+        assert_eq!(evaluation.io_bits(), 7);
+    }
+
+    #[test]
+    fn break_even_matches_section_ii() {
+        // Section II-B: a W = 5 macro holds up to floor(N_raw / 2M) =
+        // floor(284 / 10) = 28 coded connections before the list stops
+        // being smaller than the raw frame.
+        let header = macro_header(ArchSpec::paper_example());
+        let n_raw = header.spec.raw_bits_per_macro();
+        assert_eq!(n_raw / (2 * header.io_bits() as usize), 28);
     }
 
     #[test]

@@ -97,7 +97,7 @@ impl OracleEncoder {
 
         // 2. Build one record per occupied cluster, applying the size bound
         //    and the decode feedback loop.
-        let template = Vbs::new(self.spec, self.cluster_size, width, height, Vec::new())?;
+        let header = Vbs::new(self.spec, self.cluster_size, width, height, Vec::new())?.header();
         let devirt_scratch = Vbs::new(self.spec, self.cluster_size, width, height, Vec::new())?;
         let devirtualizer = Devirtualizer::new(&devirt_scratch)?;
         let mut scratch = TaskBitstream::empty(self.spec, width.max(1), height.max(1));
@@ -120,13 +120,12 @@ impl OracleEncoder {
                 continue;
             }
 
-            let coded_bits = template.route_count_bits() as usize
-                + 2 * template.io_bits() as usize * connections.len();
-            let raw_bits = template.raw_routing_bits_per_record();
+            let coded_bits = header.route_count_bits() as usize
+                + 2 * header.io_bits() as usize * connections.len();
+            let raw_bits = header.raw_routing_bits_per_record();
             let mut routes = if connections.is_empty() {
                 ClusterRoutes::Coded(Vec::new())
-            } else if connections.len() > template.max_routes_per_record() || coded_bits >= raw_bits
-            {
+            } else if connections.len() > header.max_routes_per_record() || coded_bits >= raw_bits {
                 self.raw_routes(&grid, raw, cluster)
             } else {
                 // Feedback loop: decode the candidate record and verify it
@@ -170,8 +169,8 @@ impl OracleEncoder {
 
             // Final guard: never let a coded record be larger than raw.
             if let ClusterRoutes::Coded(c) = &routes {
-                let bits = template.route_count_bits() as usize
-                    + 2 * template.io_bits() as usize * c.len();
+                let bits =
+                    header.route_count_bits() as usize + 2 * header.io_bits() as usize * c.len();
                 if bits >= raw_bits && !c.is_empty() {
                     routes = self.raw_routes(&grid, raw, cluster);
                 }

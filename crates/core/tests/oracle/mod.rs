@@ -16,9 +16,9 @@
 //! *whole task* ([`RrGraph::neighbors_into`] called per expansion, nothing
 //! cached), constrained to the wires touching the record's cluster by
 //! [`ClusterGrid::wire_touches`]; switches come from [`edge_to_switch`] per
-//! path edge, endpoints from [`ClusterGrid::boundary_wire`] /
-//! [`ClusterGrid::macro_at`], state lives in hash maps keyed by task nodes
-//! and frame bits are written one at a time. Costs (0.1 / 1.0 / 6.0), the
+//! path edge, endpoints from [`boundary_wire`] (the inverse of
+//! [`ClusterGrid::wire_io`]) / [`ClusterGrid::macro_at`], state lives in
+//! hash maps keyed by task nodes and frame bits are written one at a time. Costs (0.1 / 1.0 / 6.0), the
 //! `f32::EPSILON` improvement threshold and the `(cost, node)` pop order are
 //! the decoder's contract with every stored stream; `decode_differential`
 //! holds the pattern decoder to them bit for bit.
@@ -32,7 +32,7 @@ pub mod parse;
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
-use vbs_arch::{Coord, Device, WireRef};
+use vbs_arch::{Coord, Device, Side, WireRef};
 use vbs_bitstream::{edge_to_switch, SwitchSetting, TaskBitstream};
 use vbs_core::{ClusterGrid, ClusterIo, ClusterRecord, ClusterRoutes, Connection, Vbs, VbsError};
 use vbs_route::{RrGraph, RrNode};
@@ -49,12 +49,12 @@ pub fn decode_record(
     let spec = vbs.spec();
     let k = grid.cluster_size() as usize;
     let lb_bits = spec.lb_config_bits();
-    if record.logic.len() != vbs.logic_bits_per_record() {
+    if record.logic.len() != vbs.header().logic_bits_per_record() {
         return Err(VbsError::Malformed {
             reason: format!(
                 "record at {cluster} carries {} logic bits, expected {}",
                 record.logic.len(),
-                vbs.logic_bits_per_record()
+                vbs.header().logic_bits_per_record()
             ),
         });
     }
@@ -69,12 +69,12 @@ pub fn decode_record(
     }
     match &record.routes {
         ClusterRoutes::Raw(raw) => {
-            if raw.len() != vbs.raw_routing_bits_per_record() {
+            if raw.len() != vbs.header().raw_routing_bits_per_record() {
                 return Err(VbsError::Malformed {
                     reason: format!(
                         "raw record at {cluster} carries {} routing bits, expected {}",
                         raw.len(),
-                        vbs.raw_routing_bits_per_record()
+                        vbs.header().raw_routing_bits_per_record()
                     ),
                 });
             }
@@ -158,7 +158,7 @@ fn io_node(grid: &ClusterGrid, cluster: Coord, io: ClusterIo) -> Result<RrNode, 
             reason: format!("null i/o used as a connection endpoint in cluster {cluster}"),
         }),
         ClusterIo::Boundary { side, offset } => {
-            Ok(RrNode::Wire(grid.boundary_wire(cluster, side, offset)?))
+            Ok(RrNode::Wire(boundary_wire(grid, cluster, side, offset)?))
         }
         ClusterIo::Pin { local, pin } => {
             let site = grid
@@ -173,6 +173,35 @@ fn io_node(grid: &ClusterGrid, cluster: Coord, io: ClusterIo) -> Result<RrNode, 
             Ok(RrNode::Pin { site, pin })
         }
     }
+}
+
+/// The task-relative wire behind boundary I/O `side[offset]` of `cluster`:
+/// the wire crossing `side` of the cluster's macro on that side, `offset / W`
+/// macros along it, or `DanglingBoundary` when it would lie outside the task.
+fn boundary_wire(
+    grid: &ClusterGrid,
+    cluster: Coord,
+    side: Side,
+    offset: u16,
+) -> Result<WireRef, VbsError> {
+    let k = grid.cluster_size();
+    let w = grid.spec().channel_width();
+    let (along, track) = (offset / w, offset % w);
+    let (x0, y0) = (cluster.x * k, cluster.y * k);
+    // The cluster's last column / row, cut at the task edge.
+    let last = |start: u16, extent: u16| start + (k - 1).min(extent - 1 - start);
+    let at = match side {
+        Side::East => Coord::new(last(x0, grid.width()), y0 + along),
+        Side::West => Coord::new(x0, y0 + along),
+        Side::North => Coord::new(x0 + along, last(y0, grid.height())),
+        Side::South => Coord::new(x0 + along, y0),
+    };
+    WireRef::from_boundary(at, side, track)
+        .filter(|wire| along < k && wire.owner.x < grid.width() && wire.owner.y < grid.height())
+        .ok_or_else(|| VbsError::DanglingBoundary {
+            cluster,
+            io: format!("{side}[{offset}]"),
+        })
 }
 
 fn route(

@@ -53,12 +53,12 @@ fn parse_body(bytes: &[u8]) -> Result<Vbs, VbsError> {
         reason: format!("invalid architecture in preamble: {e}"),
     })?;
 
-    let template = Vbs::new(spec, cluster_size, width, height, Vec::new())?;
-    let coord = template.coord_bits();
-    let io = template.io_bits();
-    let rc = template.route_count_bits();
-    let logic_bits = template.logic_bits_per_record();
-    let raw_bits = template.raw_routing_bits_per_record();
+    let header = Vbs::new(spec, cluster_size, width, height, Vec::new())?.header();
+    let coord = header.coord_bits();
+    let io = header.io_bits();
+    let rc = header.route_count_bits();
+    let logic_bits = header.logic_bits_per_record();
+    let raw_bits = header.raw_routing_bits_per_record();
 
     let mut records = Vec::new();
     for _ in 0..record_count {

@@ -7,8 +7,10 @@
 //! depend on routing density — how many of each macro's switches a routed
 //! task uses — which the generator reproduces by construction (the same number
 //! of LUTs routed on the same grid at the same normalized channel width), not
-//! on the boolean functions themselves. See `DESIGN.md` for the substitution
-//! rationale.
+//! on the boolean functions themselves. Compression is measured on the
+//! routed switches, so a circuit with the same LUT count, grid and channel
+//! width stands in for the original; its LUT functions only fill the
+//! logic-data bits, which are `k² · N_LB` per record whatever they hold.
 
 use crate::error::NetlistError;
 use crate::generate::SyntheticSpec;
@@ -117,7 +119,9 @@ impl McncCircuit {
 /// The `inputs`/`outputs` columns are not part of Table II; they are the I/O
 /// counts used by the synthetic equivalents, chosen close to the historical
 /// MCNC values but capped so that logic blocks plus pads fit the paper's array
-/// size (this model places I/O pads on grid sites, see `DESIGN.md`).
+/// size: this model places I/O pads on grid sites, as the paper treats
+/// inputs and outputs as part of the fabric (Section II-A), so
+/// `logic blocks + inputs + outputs` must not exceed `size²`.
 pub const TABLE2: [McncCircuit; 20] = [
     McncCircuit {
         name: "alu4",

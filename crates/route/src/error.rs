@@ -22,6 +22,12 @@ pub enum RouteError {
     },
     /// The placement does not cover every block of the netlist.
     PlacementIncomplete,
+    /// [`crate::RouterConfig::astar_weight`] is negative, NaN or not finite
+    /// once narrowed to the search's `f32`.
+    InvalidAstarWeight {
+        /// The rejected weight.
+        weight: f64,
+    },
     /// Legality check failure: a wire carries more than one net.
     CheckOveruse {
         /// Description of the overused wire.
@@ -67,6 +73,9 @@ impl fmt::Display for RouteError {
             }
             RouteError::PlacementIncomplete => {
                 write!(f, "placement does not cover every netlist block")
+            }
+            RouteError::InvalidAstarWeight { weight } => {
+                write!(f, "A* weight {weight} is not a finite number >= 0")
             }
             RouteError::CheckOveruse { wire, nets } => {
                 write!(f, "wire {wire} carries {nets} nets")

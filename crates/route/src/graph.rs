@@ -204,13 +204,15 @@ impl<'a> RrGraph<'a> {
 
     /// Pushes the wires reachable through the switch box at `sb`, excluding
     /// the wire arriving from `from_side` (the side *the arriving wire
-    /// occupies* at this switch box).
+    /// occupies* at this switch box). The switch box of macro `sb` sits at
+    /// the macro's south-west corner, so the wire on its `side` is the wire
+    /// crossing that side of the macro ([`Device::boundary_wire`]).
     fn push_sb_wires(&self, sb: Coord, track: u16, from_side: Side, out: &mut Vec<RrNode>) {
         for side in Side::ALL {
             if side == from_side {
                 continue;
             }
-            if let Some(wire) = self.device.boundary_wire_at_sb(sb, side, track) {
+            if let Some(wire) = self.device.boundary_wire(sb, side, track) {
                 out.push(RrNode::Wire(wire));
             }
         }
@@ -219,100 +221,6 @@ impl<'a> RrGraph<'a> {
     /// Whether two nodes are connected by an architecture edge.
     pub fn are_neighbors(&self, a: RrNode, b: RrNode) -> bool {
         self.neighbors(a).contains(&b)
-    }
-}
-
-/// Extension helpers on [`Device`] used by the graph and the configuration
-/// extraction: wires seen from a *switch box* rather than from a macro.
-pub trait SwitchBoxView {
-    /// The wire occupying `side` of the switch box at `sb` on `track`, if it
-    /// exists in the device.
-    ///
-    /// The switch box of macro `(x, y)` sits at the south-west corner of the
-    /// macro: its east wire is the macro's own horizontal wire, its west wire
-    /// is the west neighbour's, its north wire is the macro's own vertical
-    /// wire and its south wire is the south neighbour's.
-    fn boundary_wire_at_sb(&self, sb: Coord, side: Side, track: u16) -> Option<WireRef>;
-
-    /// The switch box shared by two wires of equal track, if any, together
-    /// with the sides the two wires occupy there.
-    fn shared_switch_box(&self, a: WireRef, b: WireRef) -> Option<(Coord, Side, Side)>;
-}
-
-impl SwitchBoxView for Device {
-    fn boundary_wire_at_sb(&self, sb: Coord, side: Side, track: u16) -> Option<WireRef> {
-        if !self.contains(sb) || track >= self.spec().channel_width() {
-            return None;
-        }
-        let wire = match side {
-            Side::East => Some(WireRef::horizontal(sb.x, sb.y, track)),
-            Side::North => Some(WireRef::vertical(sb.x, sb.y, track)),
-            Side::West => {
-                sb.x.checked_sub(1)
-                    .map(|x| WireRef::horizontal(x, sb.y, track))
-            }
-            Side::South => {
-                sb.y.checked_sub(1)
-                    .map(|y| WireRef::vertical(sb.x, y, track))
-            }
-        }?;
-        if self.wire_exists(wire) {
-            Some(wire)
-        } else {
-            None
-        }
-    }
-
-    fn shared_switch_box(&self, a: WireRef, b: WireRef) -> Option<(Coord, Side, Side)> {
-        if a.track != b.track {
-            return None;
-        }
-        // Candidate switch boxes of a wire: its owner and the macro past its
-        // far end.
-        let ends = |w: WireRef| -> [Option<Coord>; 2] {
-            let far = match w.kind {
-                WireKind::Horizontal => w.owner.neighbor(Side::East),
-                WireKind::Vertical => w.owner.neighbor(Side::North),
-            };
-            [Some(w.owner), far.filter(|c| self.contains(*c))]
-        };
-        for ea in ends(a).into_iter().flatten() {
-            for eb in ends(b).into_iter().flatten() {
-                if ea == eb {
-                    let side_a = side_at_sb(a, ea)?;
-                    let side_b = side_at_sb(b, ea)?;
-                    if side_a != side_b {
-                        return Some((ea, side_a, side_b));
-                    }
-                }
-            }
-        }
-        None
-    }
-}
-
-/// The side wire `w` occupies at the switch box of macro `sb`, if it touches
-/// that switch box.
-pub fn side_at_sb(w: WireRef, sb: Coord) -> Option<Side> {
-    match w.kind {
-        WireKind::Horizontal => {
-            if w.owner == sb {
-                Some(Side::East)
-            } else if w.owner.x + 1 == sb.x && w.owner.y == sb.y {
-                Some(Side::West)
-            } else {
-                None
-            }
-        }
-        WireKind::Vertical => {
-            if w.owner == sb {
-                Some(Side::North)
-            } else if w.owner.x == sb.x && w.owner.y + 1 == sb.y {
-                Some(Side::South)
-            } else {
-                None
-            }
-        }
     }
 }
 
@@ -392,22 +300,6 @@ mod tests {
         let pins = neighbors.len() - wires;
         assert_eq!(wires, 6);
         assert_eq!(pins, 4);
-    }
-
-    #[test]
-    fn shared_switch_box_finds_the_common_corner() {
-        let d = device();
-        let a = WireRef::horizontal(2, 2, 1); // east wire of (2,2)
-        let b = WireRef::vertical(3, 2, 1); // north wire of (3,2)
-        let (sb, sa, sb_side) = d
-            .shared_switch_box(a, b)
-            .expect("adjacent wires share a SB");
-        assert_eq!(sb, Coord::new(3, 2));
-        assert_eq!(sa, Side::West);
-        assert_eq!(sb_side, Side::North);
-        // Different tracks never share.
-        let c = WireRef::vertical(3, 2, 2);
-        assert!(d.shared_switch_box(a, c).is_none());
     }
 
     #[test]

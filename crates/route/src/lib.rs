@@ -45,7 +45,7 @@ mod router;
 pub mod check;
 
 pub use error::RouteError;
-pub use graph::{side_at_sb, RrGraph, RrNode, SwitchBoxView};
+pub use graph::{RrGraph, RrNode};
 pub use mcw::{minimum_channel_width, McwSearch};
 pub use result::{RouteTree, Routing, RoutingStats};
 pub use router::{route, RouterConfig};

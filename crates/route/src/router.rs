@@ -29,7 +29,9 @@ pub struct RouterConfig {
     /// Maximum number of PathFinder iterations before giving up.
     pub max_iterations: usize,
     /// Weight of the A* distance estimate (1.0 = admissible, larger trades
-    /// quality for speed).
+    /// quality for speed, 0 is a plain Dijkstra search). Valid range
+    /// `[0, ∞)`: [`route`] refuses a negative, NaN or infinite weight, and
+    /// one too large for the search's `f32`.
     pub astar_weight: f64,
 }
 
@@ -67,6 +69,8 @@ impl Default for RouterConfig {
 ///
 /// # Errors
 ///
+/// * [`RouteError::InvalidAstarWeight`] if [`RouterConfig::astar_weight`]
+///   is outside `[0, ∞)` (negative, NaN or infinite as an `f32`);
 /// * [`RouteError::PlacementIncomplete`] if the placement does not cover the
 ///   netlist;
 /// * [`RouteError::NoPath`] if some sink is unreachable regardless of
@@ -80,6 +84,12 @@ pub fn route(
     placement: &Placement,
     config: &RouterConfig,
 ) -> Result<Routing, RouteError> {
+    let astar_weight = config.astar_weight as f32;
+    if !(astar_weight.is_finite() && astar_weight >= 0.0) {
+        return Err(RouteError::InvalidAstarWeight {
+            weight: config.astar_weight,
+        });
+    }
     if placement.placed_blocks() != netlist.block_count() {
         return Err(RouteError::PlacementIncomplete);
     }
@@ -146,7 +156,7 @@ pub fn route(
                 *source,
                 sinks,
                 &costs,
-                config.astar_weight as f32,
+                astar_weight,
                 margin,
                 &mut search,
             )
@@ -355,7 +365,7 @@ impl HeapEntry {
 }
 
 /// `x`'s bits, mapped so that unsigned order is [`f32::total_cmp`] order
-/// (estimates can be negative or NaN: `astar_weight` is any `f64`).
+/// (a total order over every `f32`, whatever the estimate).
 fn total_order_bits(x: f32) -> u32 {
     let bits = x.to_bits();
     if bits >> 31 == 1 {
@@ -603,6 +613,44 @@ mod tests {
             route(&netlist, &device, &placement, &RouterConfig::fast()),
             Err(RouteError::PlacementIncomplete)
         ));
+    }
+
+    #[test]
+    fn astar_weights_outside_zero_to_infinity_are_refused() {
+        let netlist = SyntheticSpec::new("w", 10, 3, 3)
+            .with_seed(1)
+            .build()
+            .unwrap();
+        let device = Device::new(ArchSpec::new(8, 6).unwrap(), 6, 6).unwrap();
+        let placement = place(&netlist, &device, &PlacerConfig::fast(1)).unwrap();
+        let with_weight = |astar_weight| RouterConfig {
+            astar_weight,
+            ..RouterConfig::fast()
+        };
+        for weight in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.5,
+            -1e-30,
+            1e300,
+        ] {
+            let refused = route(&netlist, &device, &placement, &with_weight(weight));
+            assert!(
+                matches!(refused, Err(RouteError::InvalidAstarWeight { weight: w })
+                    if w.to_bits() == weight.to_bits()),
+                "weight {weight}: {refused:?}"
+            );
+        }
+        // A huge weight routes greedily and may not converge, but it is
+        // taken.
+        for weight in [0.0, -0.0, 1.0, 1e30] {
+            let taken = route(&netlist, &device, &placement, &with_weight(weight));
+            assert!(
+                !matches!(taken, Err(RouteError::InvalidAstarWeight { .. })),
+                "weight {weight}: {taken:?}"
+            );
+        }
     }
 
     #[test]

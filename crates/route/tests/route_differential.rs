@@ -5,10 +5,12 @@
 //! every expansion. On seeded synthetic netlists (locality 0–1, channel
 //! widths 2–12, grids 5–12, placer seeds drawn per case) both must return
 //! the same `Routing` — every tree and the iteration count — or the same
-//! `RouteError`, under `RouterConfig::fast()`, `default()` and A* weights
-//! 0, −0.5 and NaN, with `max_iterations` cut to 1–4 often enough that
-//! `Unroutable` is reached. The minimum-channel-width search must log the
-//! same attempts either way (under `fast()` and `default()`).
+//! `RouteError`, under `RouterConfig::fast()`, `default()` and A* weight 0,
+//! with `max_iterations` cut to 1–4 often enough that `Unroutable` is
+//! reached. A* weights outside `[0, ∞)` (−0.5, NaN, ±∞) have no oracle
+//! answer: `route` must refuse them up front. The minimum-channel-width
+//! search must log the same attempts either way (under `fast()` and
+//! `default()`).
 //!
 //! A failure prints the sampled case; the case count follows
 //! `PROPTEST_CASES`.
@@ -22,13 +24,18 @@ use vbs_netlist::Netlist;
 use vbs_place::{place, Placement, PlacerConfig};
 use vbs_route::{minimum_channel_width, route, RouteError, RouterConfig};
 
+/// Number of router configurations [`config`] selects from: `fast()`,
+/// `default()`, then A* weights 0, −0.5, NaN, +∞ and −∞.
+const SELECTORS: u8 = 7;
+
 /// The router configurations under test, by index.
 fn config(selector: u8, max_iterations: usize) -> RouterConfig {
     let mut config = match selector {
         0 => RouterConfig::fast(),
         1 => RouterConfig::default(),
         weight => RouterConfig {
-            astar_weight: [0.0, -0.5, f64::NAN][weight as usize - 2],
+            astar_weight: [0.0, -0.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY]
+                [weight as usize - 2],
             ..RouterConfig::fast()
         },
     };
@@ -39,9 +46,9 @@ fn config(selector: u8, max_iterations: usize) -> RouterConfig {
 }
 
 /// A seeded synthetic netlist placed on an `edge` × `edge` grid at channel
-/// width `w`, or `None` when the placer refuses it. Under the A* weights
-/// that search the whole region (0, −0.5 and NaN, which orders the heap by
-/// node id alone) the grid and netlist shrink, to keep a debug run short.
+/// width `w`, or `None` when the placer refuses it. Under A* weight 0,
+/// whose searches cover the whole region, the grid and netlist shrink, to
+/// keep a debug run short.
 fn placed(
     seed: u64,
     locality: f64,
@@ -50,7 +57,7 @@ fn placed(
     edge: u16,
     selector: u8,
 ) -> Option<(Netlist, Device, Placement)> {
-    let (luts, edge) = if selector >= 2 {
+    let (luts, edge) = if selector == 2 {
         (luts.min(10), edge.min(6))
     } else {
         (luts, edge)
@@ -67,7 +74,8 @@ fn placed(
     Some((netlist, device, placement))
 }
 
-/// Routes both ways and returns the shared outcome.
+/// Routes both ways and returns the shared outcome, or checks that `route`
+/// refuses a weight outside `[0, ∞)` and returns that refusal.
 fn compare(
     netlist: &Netlist,
     device: &Device,
@@ -76,6 +84,15 @@ fn compare(
     label: &str,
 ) -> Result<usize, RouteError> {
     let product = route(netlist, device, placement, config);
+    if !(config.astar_weight >= 0.0 && config.astar_weight.is_finite()) {
+        let refused = product.expect_err(label);
+        assert!(
+            matches!(refused, RouteError::InvalidAstarWeight { weight }
+                if weight.to_bits() == config.astar_weight.to_bits()),
+            "{label}: {refused:?}"
+        );
+        return Err(refused);
+    }
     let oracle = oracle::route(netlist, device, placement, config);
     match (product, oracle) {
         (Ok(product), Ok(oracle)) => {
@@ -90,13 +107,14 @@ fn compare(
     }
 }
 
-/// Both outcomes, `Ok` and `Unroutable`, are reached by the fixed sweep.
+/// `Ok`, `Unroutable` and a refused weight are all reached by the fixed
+/// sweep.
 #[test]
 fn fixed_sweep_reaches_success_and_unroutable() {
-    let (mut routed, mut unroutable) = (0, 0);
+    let (mut routed, mut unroutable, mut refused) = (0, 0, 0);
     for seed in 0..8u64 {
         let w = [2, 4, 8, 12][seed as usize % 4];
-        for selector in 0..5 {
+        for selector in 0..SELECTORS {
             let Some((netlist, device, placement)) = placed(seed, 0.5, 40, w, 8, selector) else {
                 continue;
             };
@@ -105,13 +123,14 @@ fn fixed_sweep_reaches_success_and_unroutable() {
             match compare(&netlist, &device, &placement, &config, &label) {
                 Ok(_) => routed += 1,
                 Err(RouteError::Unroutable { .. }) => unroutable += 1,
+                Err(RouteError::InvalidAstarWeight { .. }) => refused += 1,
                 Err(_) => {}
             }
         }
     }
     assert!(
-        routed > 5 && unroutable > 5,
-        "{routed} routed, {unroutable} unroutable"
+        routed > 5 && unroutable > 5 && refused > 5,
+        "{routed} routed, {unroutable} unroutable, {refused} refused"
     );
 }
 
@@ -123,7 +142,7 @@ proptest! {
         luts in 4usize..32,
         w in 2u16..=12,
         edge in 5u16..=12,
-        selector in 0u8..5,
+        selector in 0u8..SELECTORS,
         max_iterations in 0usize..=4,
     ) {
         let locality = f64::from(locality) / 100.0;

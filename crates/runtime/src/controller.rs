@@ -304,7 +304,7 @@ impl ReconfigurationController {
             region.origin.y + (frame / region.width as u32) as u16,
         );
         let mut target = self.memory.frame_mut(at);
-        let old = target.bit(offset);
+        let old = target.as_ref().bit(offset);
         target.set_bit(offset, !old);
     }
 
@@ -746,7 +746,7 @@ mod tests {
 
         // Flip one configuration bit behind the controller's back.
         let mut frame = controller.memory.frame_mut(Coord::new(1, 1));
-        let old = frame.bit(3);
+        let old = frame.as_ref().bit(3);
         frame.set_bit(3, !old);
         let err = controller.verify_region(region).unwrap_err();
         assert!(matches!(

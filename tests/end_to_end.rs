@@ -8,7 +8,7 @@ use vbs_repro::flow::CadFlow;
 use vbs_repro::netlist::generate::SyntheticSpec;
 use vbs_repro::netlist::Netlist;
 use vbs_repro::runtime::{ReconfigurationController, TaskManager, VbsRepository};
-use vbs_repro::vbs::{decode, Vbs, VbsStats};
+use vbs_repro::vbs::{decode, Vbs, VbsHeader, VbsStats};
 
 fn small_netlist(seed: u64) -> Netlist {
     SyntheticSpec::new("e2e", 36, 6, 6)
@@ -157,9 +157,18 @@ fn paper_example_constants_hold_end_to_end() {
     // The W = 5 example of Section II-B: 284 raw bits per macro, 5-bit I/O
     // identifiers, 28-connection break-even point.
     let spec = ArchSpec::paper_example();
+    let header = VbsHeader {
+        spec,
+        cluster_size: 1,
+        width: 1,
+        height: 1,
+    };
     assert_eq!(spec.raw_bits_per_macro(), 284);
-    assert_eq!(spec.io_index_bits(), 5);
-    assert_eq!(spec.break_even_connections(), 28);
+    assert_eq!(header.io_bits(), 5);
+    assert_eq!(
+        spec.raw_bits_per_macro() / (2 * header.io_bits() as usize),
+        28
+    );
     // And the evaluation architecture used by every experiment binary.
     let eval = ArchSpec::paper_evaluation();
     assert_eq!(eval.channel_width(), 20);

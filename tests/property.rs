@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
-use vbs_repro::arch::{ArchSpec, Coord, Device, MacroIo, Side};
+use vbs_repro::arch::{ArchSpec, Coord, Device, Side};
 use vbs_repro::flow::CadFlow;
 use vbs_repro::netlist::generate::SyntheticSpec;
 use vbs_repro::netlist::TruthTable;
@@ -14,7 +14,7 @@ use vbs_repro::sched::{
     LruEviction, Outcome, PriorityEviction, Request, Scheduler, SchedulerConfig,
 };
 use vbs_repro::vbs::bitio::{BitReader, BitWriter};
-use vbs_repro::vbs::{ClusterIo, Vbs};
+use vbs_repro::vbs::{ClusterIo, Vbs, VbsHeader};
 
 /// Two small tasks used by the scheduler sequence property, built through
 /// the CAD flow once per test binary.
@@ -92,14 +92,14 @@ proptest! {
         }
     }
 
-    /// Every macro I/O index decodes back to the I/O that produced it, for
-    /// any supported channel width and LUT size.
+    /// Every macro I/O index (cluster I/O at `k = 1`) decodes back to the
+    /// I/O that produced it, for any supported channel width and LUT size.
     #[test]
     fn macro_io_index_roundtrip(w in 2u16..40, k in 2u8..9, idx_seed in 0u32..10_000) {
         let spec = ArchSpec::new(w, k).unwrap();
-        let idx = idx_seed % spec.macro_io_count();
-        let io = MacroIo::from_index(&spec, idx).unwrap();
-        prop_assert_eq!(io.index(&spec), idx);
+        let idx = idx_seed % ClusterIo::io_count(&spec, 1);
+        let io = ClusterIo::from_index(&spec, 1, idx).unwrap();
+        prop_assert_eq!(io.index(&spec, 1), idx);
     }
 
     /// Cluster I/O numbering is a bijection for every cluster size.
@@ -121,9 +121,11 @@ proptest! {
             let smaller = ArchSpec::new(w - 1, k).unwrap();
             prop_assert!(spec.raw_bits_per_macro() > smaller.raw_bits_per_macro());
         }
-        // The break-even point of Section II-B is always at least one
-        // connection: coding a single route never loses against raw.
-        prop_assert!(spec.break_even_connections() >= 1);
+        // The break-even point of Section II-B, floor(N_raw / 2M), is always
+        // at least one connection: coding a single route never loses
+        // against raw.
+        let header = VbsHeader { spec, cluster_size: 1, width: 1, height: 1 };
+        prop_assert!(spec.raw_bits_per_macro() / (2 * header.io_bits() as usize) >= 1);
     }
 
     /// Truth tables evaluate consistently with their entry encoding.

@@ -84,7 +84,7 @@ use crate::error::VbsError;
 use crate::format::{Connection, RecordRef, RoutesRef, Vbs, VbsHeader};
 use crate::pattern::{self, ClusterPattern};
 use crate::view::{Records, VbsRef};
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use vbs_arch::{ArchSpec, Coord, Device, Side, WireRef};
 use vbs_bitstream::{FrameMut, FrameRef, TaskBitstream};
@@ -267,7 +267,8 @@ struct SearchScratch {
     via: Vec<u32>,
     stamp: Vec<u32>,
     generation: u32,
-    heap: BinaryHeap<Entry>,
+    /// The frontier as packed [`search_key`]s, cheapest first.
+    heap: BinaryHeap<Reverse<u64>>,
     /// The edges of the route found, source to target.
     path: Vec<u32>,
     /// Searches run over the life of the scratch.
@@ -332,16 +333,10 @@ impl SearchScratch {
 
         stamp[source] = generation;
         cost[source] = 0.0;
-        heap.push(Entry {
-            cost: 0.0,
-            id: source as u32,
-        });
+        heap.push(Reverse(search_key(0.0, source as u32)));
 
-        while let Some(Entry {
-            cost: node_cost,
-            id,
-        }) = heap.pop()
-        {
+        while let Some(Reverse(key)) = heap.pop() {
+            let (node_cost, id) = split_key(key);
             let node = id as usize;
             if node_cost > cost[node] {
                 continue;
@@ -393,10 +388,7 @@ impl SearchScratch {
                     cost[next] = next_cost;
                     parent[next] = id;
                     via[next] = edge as u32;
-                    heap.push(Entry {
-                        cost: next_cost,
-                        id: next as u32,
-                    });
+                    heap.push(Reverse(search_key(next_cost, next as u32)));
                 }
             }
         }
@@ -404,29 +396,17 @@ impl SearchScratch {
     }
 }
 
-/// A search frontier entry; the heap pops the cheapest, ties to the smaller
-/// id (= the smaller node).
-#[derive(Debug, PartialEq)]
-struct Entry {
-    cost: f32,
-    id: u32,
+/// A search frontier entry packed into one integer: the cost's bits above
+/// the node id. Costs are finite sums of non-negative steps, and the bits
+/// of a non-negative `f32` order as its values do, so the smallest key is
+/// the cheapest entry, ties to the smaller id (= the smaller node).
+fn search_key(cost: f32, id: u32) -> u64 {
+    u64::from(cost.to_bits()) << 32 | u64::from(id)
 }
 
-impl Eq for Entry {}
-
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .cost
-            .total_cmp(&self.cost)
-            .then_with(|| other.id.cmp(&self.id))
-    }
-}
-
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+/// The `(cost, id)` a [`search_key`] packs.
+fn split_key(key: u64) -> (f32, u32) {
+    (f32::from_bits((key >> 32) as u32), key as u32)
 }
 
 /// Per-record net bookkeeping: which net group each node belongs to — for a
@@ -621,10 +601,48 @@ impl ClusterSite<'_> {
 
 /// Why a connection between two nodes could not be programmed.
 #[derive(Debug, Clone, Copy)]
-enum RouteFailure {
+pub(crate) enum RouteFailure {
     NoPath,
     /// The path takes a switch outside the cluster.
     Conflict,
+}
+
+/// Why a record did not expand, as [`Devirtualizer::expand_record`]
+/// reports it: no text is formatted for a connection that cannot be
+/// routed.
+#[derive(Debug)]
+pub(crate) enum RecordFailure {
+    /// Connection `index` of the record could not be routed.
+    Route { index: usize, kind: RouteFailure },
+    /// The record is malformed or lies outside the task, or an endpoint is
+    /// invalid.
+    Invalid(VbsError),
+}
+
+impl From<VbsError> for RecordFailure {
+    fn from(error: VbsError) -> Self {
+        RecordFailure::Invalid(error)
+    }
+}
+
+impl RecordFailure {
+    /// The error [`Devirtualizer::decode_record_with`] reports for this
+    /// failure of `record`: a routing failure names the connection by its
+    /// `Display` text.
+    fn into_error(self, record: RecordRef<'_>) -> VbsError {
+        match self {
+            RecordFailure::Invalid(error) => error,
+            RecordFailure::Route { index, kind } => {
+                let RoutesRef::Coded(connections) = record.routes else {
+                    unreachable!("only coded records route connections");
+                };
+                let connection = connections
+                    .get(index)
+                    .expect("a routed connection is valid");
+                kind.error(record.position, &connection)
+            }
+        }
+    }
 }
 
 impl RouteFailure {
@@ -662,7 +680,8 @@ enum Endpoint {
 /// [`Devirtualizer::decode_into`] for the whole task (zero allocations on a
 /// warm scratch), [`Devirtualizer::decode_streaming`] to emit frames as they
 /// complete, or [`Devirtualizer::decode_record_with`] to expand a single
-/// record (the encoder's feedback loop checks each record that way).
+/// record (the encoder's feedback loop checks each record through its
+/// crate-private twin, which formats no error text).
 #[derive(Debug)]
 pub struct Devirtualizer<'a> {
     stream: VbsRef<'a>,
@@ -816,6 +835,20 @@ impl<'a> Devirtualizer<'a> {
         scratch: &mut DecodeScratch,
     ) -> Result<(), VbsError> {
         let record = record.into();
+        self.expand_record(record, task, scratch)
+            .map_err(|failure| failure.into_error(record))
+    }
+
+    /// [`Devirtualizer::decode_record_with`] without formatting a routing
+    /// failure: a connection that cannot be routed is reported by its index
+    /// in the record and the kind of failure. The encoder's feedback loop
+    /// expands every candidate record this way and needs no text.
+    pub(crate) fn expand_record(
+        &self,
+        record: RecordRef<'_>,
+        task: &mut TaskBitstream,
+        scratch: &mut DecodeScratch,
+    ) -> Result<(), RecordFailure> {
         let cluster = record.position;
         let k = self.grid.cluster_size();
         let spec = &self.header.spec;
@@ -823,13 +856,13 @@ impl<'a> Devirtualizer<'a> {
         scratch.claimed.clear();
 
         if record.logic.len() != self.header.logic_bits_per_record() {
-            return Err(VbsError::Malformed {
+            return Err(RecordFailure::Invalid(VbsError::Malformed {
                 reason: format!(
                     "record at {cluster} carries {} logic bits, expected {}",
                     record.logic.len(),
                     self.header.logic_bits_per_record()
                 ),
-            });
+            }));
         }
         // The part of the cluster inside the task (edge clusters may be
         // cut): its lower-left macro and its extent.
@@ -837,7 +870,9 @@ impl<'a> Devirtualizer<'a> {
         let y0 = u32::from(cluster.y) * u32::from(k);
         let (width, height) = (u32::from(self.grid.width()), u32::from(self.grid.height()));
         if x0 >= width || y0 >= height {
-            return Err(VbsError::RecordOutOfTask { cluster });
+            return Err(RecordFailure::Invalid(VbsError::RecordOutOfTask {
+                cluster,
+            }));
         }
         let origin = Coord::new(x0 as u16, y0 as u16);
         let cols = (width - x0).min(u32::from(k)) as u16;
@@ -860,13 +895,13 @@ impl<'a> Devirtualizer<'a> {
         match record.routes {
             RoutesRef::Raw(raw) => {
                 if raw.len() != self.header.raw_routing_bits_per_record() {
-                    return Err(VbsError::Malformed {
+                    return Err(RecordFailure::Invalid(VbsError::Malformed {
                         reason: format!(
                             "raw record at {cluster} carries {} routing bits, expected {}",
                             raw.len(),
                             self.header.raw_routing_bits_per_record()
                         ),
-                    });
+                    }));
                 }
                 let per_macro = spec.raw_bits_per_macro() - lb_bits;
                 for (site, local) in macros {
@@ -900,15 +935,12 @@ impl<'a> Devirtualizer<'a> {
                     let (Some(source), Some(target)) = (node(input), node(output)) else {
                         let connection = connections.get(i)?;
                         *routes += 1;
-                        self.route_io(&site, &connection, nets, search, task)?;
+                        self.route_io(&site, (i, &connection), nets, search, task)?;
                         continue;
                     };
                     *routes += 1;
                     site.route(source, target, nets, search, task)
-                        .map_err(|failure| {
-                            let connection = connections.get(i).expect("resolved ids are valid");
-                            failure.error(cluster, &connection)
-                        })?;
+                        .map_err(|kind| RecordFailure::Route { index: i, kind })?;
                 }
                 // Ids order as the wires they stand for.
                 nets.claimed.sort_unstable();
@@ -928,19 +960,22 @@ impl<'a> Devirtualizer<'a> {
     fn route_io(
         &self,
         site: &ClusterSite<'_>,
-        connection: &Connection,
+        (index, connection): (usize, &Connection),
         nets: &mut NetScratch,
         search: &mut SearchScratch,
         task: &mut TaskBitstream,
-    ) -> Result<(), VbsError> {
+    ) -> Result<(), RecordFailure> {
         let source = self.endpoint(site, connection.input)?;
         let target = self.endpoint(site, connection.output)?;
         match (source, target) {
             (Endpoint::Node(source), Endpoint::Node(target)) => site
                 .route(source, target, nets, search, task)
-                .map_err(|failure| failure.error(site.cluster, connection)),
+                .map_err(|kind| RecordFailure::Route { index, kind }),
             _ if connection.input == connection.output => Ok(()),
-            _ => Err(RouteFailure::NoPath.error(site.cluster, connection)),
+            _ => Err(RecordFailure::Route {
+                index,
+                kind: RouteFailure::NoPath,
+            }),
         }
     }
 
@@ -1331,6 +1366,94 @@ mod tests {
         // The occupied cluster streamed before the empty remainder.
         assert_eq!(sink.emits[0].0, Coord::new(1, 1));
         assert!(sink.emits[0].1 > 0);
+    }
+
+    /// A connection that cannot be routed is reported by index and kind
+    /// inside the crate, and by its text through the public method.
+    #[test]
+    fn routing_failures_name_the_connection_by_index_and_by_text() {
+        let boundary = |side, offset| ClusterIo::Boundary { side, offset };
+        let vbs = Vbs::new(
+            spec(),
+            1,
+            4,
+            4,
+            vec![record(vec![
+                Connection {
+                    input: boundary(Side::West, 0),
+                    output: boundary(Side::East, 0),
+                },
+                // A switch box joins equal tracks only.
+                Connection {
+                    input: boundary(Side::West, 1),
+                    output: boundary(Side::East, 2),
+                },
+            ])],
+        )
+        .unwrap();
+        let devirt = Devirtualizer::new(&vbs).unwrap();
+        let mut scratch = DecodeScratch::new();
+        let mut task = TaskBitstream::empty(spec(), 4, 4);
+        let record = RecordRef::from(&vbs.records()[0]);
+        assert!(matches!(
+            devirt.expand_record(record, &mut task, &mut scratch),
+            Err(RecordFailure::Route {
+                index: 1,
+                kind: RouteFailure::NoPath
+            })
+        ));
+        let error = devirt
+            .decode_record_with(record, &mut task, &mut scratch)
+            .unwrap_err();
+        assert_eq!(
+            error.to_string(),
+            VbsError::DecodeNoPath {
+                cluster: Coord::new(1, 1),
+                connection: "west[1] -> east[2]".into(),
+            }
+            .to_string()
+        );
+    }
+
+    /// Packed search keys pop in the order of the `(cost, id)` entries
+    /// they replaced: by `f32::total_cmp` on the cost, then by id. The
+    /// costs are every sum of up to four 0.1 / 1.0 / 6.0 steps, added in
+    /// every order, so equal values reached along different sums (and
+    /// sums that round apart) both occur.
+    #[test]
+    fn search_keys_pop_by_cost_then_id() {
+        let mut costs = vec![0.0f32];
+        let mut frontier = vec![0.0f32];
+        for _ in 0..4 {
+            frontier = frontier
+                .iter()
+                .flat_map(|&c| [c + 0.1, c + 1.0, c + 6.0])
+                .collect();
+            costs.extend(&frontier);
+        }
+        let entries: Vec<(f32, u32)> = costs
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &cost)| [(cost, (i * 7 % 13) as u32), (cost, 500 - i as u32)])
+            .collect();
+        let mut heap: BinaryHeap<Reverse<u64>> = entries
+            .iter()
+            .map(|&(cost, id)| Reverse(search_key(cost, id)))
+            .collect();
+        let mut popped = Vec::new();
+        while let Some(Reverse(key)) = heap.pop() {
+            popped.push(split_key(key));
+        }
+        let mut expected = entries;
+        expected.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let bits = |list: &[(f32, u32)]| -> Vec<(u32, u32)> {
+            list.iter().map(|&(c, id)| (c.to_bits(), id)).collect()
+        };
+        assert_eq!(bits(&popped), bits(&expected));
+        // Equal costs along different sums tie on the id alone.
+        let (a, b) = (0.1f32 + 1.0 + 1.0, 1.0f32 + 1.0 + 0.1);
+        assert_eq!(a, b);
+        assert!(search_key(a, 3) < search_key(b, 4));
     }
 
     #[test]

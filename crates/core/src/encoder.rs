@@ -19,24 +19,38 @@
 //! canonical order: boundary-to-boundary first, then boundary destinations,
 //! then boundary sources, then the rest, and within a rank by the byte
 //! order of the connection's `Display` text (`east[12]` before `east[1]`).
-//! That order is part of the stream; the checked-in corpus holds it.
+//! That order is part of the stream; the checked-in corpus holds it. The
+//! text's bytes are written straight into a fixed key, no formatter runs,
+//! and the text is only written when two connections of one piece tie on
+//! rank.
+//!
+//! While grouping, every boundary crossing a cluster's share of the routing
+//! touches is marked in one byte per dense wire index: bit 0 when the
+//! cluster holds the wire's owner macro (an east / north crossing), bit 1
+//! when it holds the macro past the far end (a west / south one). A
+//! crossing joins exactly those two clusters, so the two bits are the whole
+//! "which clusters touched it" set, read back in O(1). Interior wires are
+//! never asked about, so they are not marked.
 //!
 //! Following Section III-B, every coded record goes through the offline
 //! **feedback loop**: it is decoded with the same de-virtualization algorithm
 //! the run-time controller uses, and is only kept if the expansion succeeds
 //! and stays within the wires the original routing allocated to the cluster.
-//! Only when the record's own order fails is the list re-sorted into the
-//! canonical order and tried once more; as a last resort the record falls
-//! back to the raw coding of the cluster (which also happens when the list
-//! would be larger than the raw frames).
+//! The loop expands through the decoder's crate-private entry point, which
+//! reports a failing connection by its index and kind and formats no error
+//! text. Only when the record's own order fails is the list re-sorted into
+//! the canonical order and tried once more; as a last resort the record
+//! falls back to the raw coding of the cluster (which also happens when the
+//! list would be larger than the raw frames). Logic and raw payloads are
+//! gathered from the set bits of the frames.
 
 use crate::bitio::PackedBits;
 use crate::cluster::{ClusterGrid, ClusterIo};
 use crate::decoder::{DecodeScratch, Devirtualizer};
 use crate::error::VbsError;
 use crate::format::{ClusterRecord, ClusterRoutes, Connection, RecordRef, RoutesRef, Vbs};
-use std::io::Write as _;
-use vbs_arch::{ArchSpec, Coord, Device, WireRef};
+use std::ops::Range;
+use vbs_arch::{ArchSpec, Coord, Device, Side, WireRef};
 use vbs_bitstream::{edge_to_switch, TaskBitstream};
 use vbs_route::{RouteTree, Routing, RrNode};
 
@@ -113,7 +127,10 @@ impl VbsEncoder {
         // 1. Group the programmed switches and the wires they touch by
         //    cluster, net by net.
         let geometry = Device::new(self.spec, width, height)?;
-        let mut lists = ClusterLists::default();
+        let mut lists = ClusterLists {
+            connections: Vec::new(),
+            touched: vec![0; geometry.wire_count()],
+        };
         let mut trees = TreeScratch::default();
         for (_, tree) in routing.iter_trees() {
             if !tree.is_empty() {
@@ -122,8 +139,6 @@ impl VbsEncoder {
         }
         // Cluster by cluster, nets in order (the sort is stable).
         lists.connections.sort_by_key(|&(id, _)| id);
-        lists.wires.sort_unstable();
-        lists.wires.dedup();
 
         // 2. Build one record per occupied cluster, applying the size bound
         //    and the decode feedback loop.
@@ -167,11 +182,11 @@ impl VbsEncoder {
                         routes: RoutesRef::Coded(connections.into()),
                     };
                     devirtualizer
-                        .decode_record_with(record, &mut image, &mut decode_scratch)
+                        .expand_record(record, &mut image, &mut decode_scratch)
                         .is_ok()
                         && decode_scratch.claimed_wires().iter().all(|&w| {
-                            grid.wire_io(cluster, w).is_none()
-                                || lists.wires.binary_search(&(id, w)).is_ok()
+                            grid.wire_io(cluster, w)
+                                .is_none_or(|io| lists.crossed(&geometry, w, io))
                         })
                 };
                 let mut accepted = decodes_safely(&connections);
@@ -198,46 +213,108 @@ impl VbsEncoder {
 
     /// Collects the logic bits of a cluster from the raw frames.
     fn logic_bits(&self, grid: &ClusterGrid, raw: &TaskBitstream, cluster: Coord) -> PackedBits {
-        let k = self.cluster_size as usize;
         let lb = self.spec.lb_config_bits();
-        let mut bits = PackedBits::zeros(k * k * lb);
-        for local in 0..(k * k) {
-            if let Some(site) = grid.macro_at(cluster, local as u16) {
-                for (i, b) in raw.frame(site).logic_bits().enumerate() {
-                    bits.set(local * lb + i, b);
-                }
-            }
-        }
-        bits
+        self.gather(grid, raw, cluster, 0..lb)
     }
 
     /// The raw fallback payload of a cluster: the routing sections of its
     /// frames, verbatim.
     fn raw_routes(&self, grid: &ClusterGrid, raw: &TaskBitstream, cluster: Coord) -> ClusterRoutes {
-        let k = self.cluster_size as usize;
         let lb = self.spec.lb_config_bits();
-        let per_macro = self.spec.raw_bits_per_macro() - lb;
+        ClusterRoutes::Raw(self.gather(grid, raw, cluster, lb..self.spec.raw_bits_per_macro()))
+    }
+
+    /// Frame bits `section` of every macro of a cluster, back to back in
+    /// local macro order (a macro outside the task contributes zeros).
+    /// Frames are sparse, so only their set bits are visited.
+    fn gather(
+        &self,
+        grid: &ClusterGrid,
+        raw: &TaskBitstream,
+        cluster: Coord,
+        section: Range<usize>,
+    ) -> PackedBits {
+        let k = self.cluster_size as usize;
+        let per_macro = section.len();
         let mut bits = PackedBits::zeros(k * k * per_macro);
         for local in 0..(k * k) {
             if let Some(site) = grid.macro_at(cluster, local as u16) {
-                let frame = raw.frame(site);
-                for i in 0..per_macro {
-                    bits.set(local * per_macro + i, frame.bit(lb + i));
+                let words = raw.frame(site).words().iter().enumerate();
+                let span = words
+                    .take(section.end.div_ceil(64))
+                    .skip(section.start / 64);
+                for (w, &word) in span {
+                    let mut word = word;
+                    while word != 0 {
+                        let bit = w * 64 + word.trailing_zeros() as usize;
+                        word &= word - 1;
+                        if section.contains(&bit) {
+                            bits.set(local * per_macro + bit - section.start, true);
+                        }
+                    }
                 }
             }
         }
-        ClusterRoutes::Raw(bits)
+        bits
     }
 }
 
-/// What step 1 found, tagged with the id of the cluster it belongs to
-/// (row-major, the order of [`ClusterGrid::iter_clusters`]).
-#[derive(Debug, Default)]
+/// What step 1 found.
+#[derive(Debug)]
 struct ClusterLists {
-    /// Connections in net order and, within a net, in piece order.
+    /// Connections in net order and, within a net, in piece order, tagged
+    /// with the id of their cluster (row-major, the order of
+    /// [`ClusterGrid::iter_clusters`]).
     connections: Vec<(u32, Connection)>,
-    /// Wires each cluster's share of the routing touches.
-    wires: Vec<(u32, WireRef)>,
+    /// Per dense wire index ([`Device::wire_index`]): [`OWNER_SIDE`] when
+    /// the routing's share of the cluster holding the wire's owner macro
+    /// touches it as an east / north crossing, [`FAR_SIDE`] when the share
+    /// of the cluster holding the macro past it touches it as a west /
+    /// south one. A wire crosses no other boundary. Interior wires are not
+    /// recorded: the feedback loop only asks about crossings.
+    touched: Vec<u8>,
+}
+
+/// [`ClusterLists::touched`]: touched in the owner macro's cluster.
+const OWNER_SIDE: u8 = 1;
+/// [`ClusterLists::touched`]: touched in the cluster of the macro past the
+/// wire's far end.
+const FAR_SIDE: u8 = 2;
+
+impl ClusterLists {
+    /// Records that a cluster's share of the routing touches `node`, which
+    /// is the I/O `io` of that cluster ([`node_io`]). A wire outside the
+    /// task can never be claimed by a decode, so it is not recorded.
+    fn touch(&mut self, geometry: &Device, node: RrNode, io: Option<ClusterIo>) {
+        if let (RrNode::Wire(wire), Some(side)) = (node, io.and_then(crossing_side)) {
+            if geometry.wire_exists(wire) {
+                self.touched[geometry.wire_index(wire)] |= side;
+            }
+        }
+    }
+
+    /// Whether the routing's share of the cluster whose crossing `io` the
+    /// wire is touches it.
+    fn crossed(&self, geometry: &Device, wire: WireRef, io: ClusterIo) -> bool {
+        crossing_side(io).is_some_and(|side| self.touched[geometry.wire_index(wire)] & side != 0)
+    }
+}
+
+/// Which of the two clusters a wire crossing a boundary as `io` touches is
+/// the one `io` belongs to: the owner macro's for an east / north
+/// crossing, the far macro's for a west / south one.
+fn crossing_side(io: ClusterIo) -> Option<u8> {
+    match io {
+        ClusterIo::Boundary {
+            side: Side::East | Side::North,
+            ..
+        } => Some(OWNER_SIDE),
+        ClusterIo::Boundary {
+            side: Side::West | Side::South,
+            ..
+        } => Some(FAR_SIDE),
+        _ => None,
+    }
 }
 
 /// Step 1's working buffers, reused from tree to tree. The per-node arrays
@@ -257,8 +334,8 @@ struct TreeScratch {
     reach: Vec<Option<ClusterIo>>,
     /// For an entry: the smallest node of its piece.
     smallest: Vec<RrNode>,
-    /// One group's connections: `(entry, order key, connection)`.
-    pending: Vec<(u32, OrderKey, Connection)>,
+    /// One group's connections: `(entry, connection)`.
+    pending: Vec<(u32, Connection)>,
 }
 
 impl TreeScratch {
@@ -301,7 +378,7 @@ impl TreeScratch {
         for group in edges.chunk_by(|a, b| a.0 == b.0) {
             let id = group[0].0;
             let cluster = Coord::new((id % u32::from(cols)) as u16, (id / u32::from(cols)) as u16);
-            self.add_group(grid, cluster, id, group, lists);
+            self.add_group(grid, geometry, cluster, id, group, lists);
         }
         self.edges = edges;
         Ok(())
@@ -312,18 +389,12 @@ impl TreeScratch {
     fn add_group(
         &mut self,
         grid: &ClusterGrid,
+        geometry: &Device,
         cluster: Coord,
         id: u32,
         group: &[(u32, u32, u32)],
         lists: &mut ClusterLists,
     ) {
-        let mut touch = |node: RrNode| {
-            if let RrNode::Wire(w) = node {
-                if grid.wire_touches(cluster, w) {
-                    lists.wires.push((id, w));
-                }
-            }
-        };
         for &(_, child, parent) in group {
             let (child, parent) = (child as usize, parent as usize);
             // A parent visited in this group is inside the piece; any other
@@ -332,8 +403,9 @@ impl TreeScratch {
                 (self.entry[parent], self.reach[parent])
             } else {
                 self.smallest[parent] = self.nodes[parent];
-                touch(self.nodes[parent]);
-                (parent as u32, node_io(grid, cluster, self.nodes[parent]))
+                let io = node_io(grid, cluster, self.nodes[parent]);
+                lists.touch(geometry, self.nodes[parent], io);
+                (parent as u32, io)
             };
             // Every I/O of the piece gets one connection from its nearest
             // I/O ancestor in the piece (often the entry). Interior wires
@@ -343,13 +415,12 @@ impl TreeScratch {
             let io = node_io(grid, cluster, self.nodes[child]);
             if let (Some(input), Some(output)) = (input, io) {
                 let connection = Connection { input, output };
-                self.pending
-                    .push((entry, order_key(&connection), connection));
+                self.pending.push((entry, connection));
             }
             self.visited[child] = id + 1;
             self.entry[child] = entry;
             self.reach[child] = io.or(input);
-            touch(self.nodes[child]);
+            lists.touch(geometry, self.nodes[child], io);
         }
         for &(_, child, _) in group {
             let entry = self.entry[child as usize] as usize;
@@ -357,14 +428,18 @@ impl TreeScratch {
         }
         // Pieces in order of their smallest node; boundary outputs first
         // within a piece, so the decoder allocates the shared wires before
-        // hooking pins through them.
+        // hooking pins through them. A piece's connections mostly differ
+        // in rank, so their texts are only written when the ranks tie.
         let smallest = &self.smallest;
         self.pending.sort_unstable_by(|a, b| {
-            (smallest[a.0 as usize], &a.1).cmp(&(smallest[b.0 as usize], &b.1))
+            smallest[a.0 as usize]
+                .cmp(&smallest[b.0 as usize])
+                .then_with(|| rank(&a.1).cmp(&rank(&b.1)))
+                .then_with(|| order_key(&a.1).cmp(&order_key(&b.1)))
         });
         lists
             .connections
-            .extend(self.pending.drain(..).map(|(_, _, c)| (id, c)));
+            .extend(self.pending.drain(..).map(|(_, c)| (id, c)));
     }
 }
 
@@ -385,15 +460,77 @@ fn node_io(grid: &ClusterGrid, cluster: Coord, node: RrNode) -> Option<ClusterIo
 type OrderKey = (u8, [u8; 40]);
 
 fn order_key(connection: &Connection) -> OrderKey {
-    let rank = match (&connection.input, &connection.output) {
+    let mut text = KeyText {
+        bytes: [0; 40],
+        len: 0,
+    };
+    text.io(connection.input);
+    text.push(b" -> ");
+    text.io(connection.output);
+    (rank(connection), text.bytes)
+}
+
+/// A connection's rank in the canonical order.
+fn rank(connection: &Connection) -> u8 {
+    match (&connection.input, &connection.output) {
         (ClusterIo::Boundary { .. }, ClusterIo::Boundary { .. }) => 0,
         (_, ClusterIo::Boundary { .. }) => 1,
         (ClusterIo::Boundary { .. }, _) => 2,
         _ => 3,
-    };
-    let mut text = [0; 40];
-    write!(&mut text[..], "{connection}").expect("a connection's text fits its key");
-    (rank, text)
+    }
+}
+
+/// The `Display` text of a connection, written straight into its key's
+/// bytes without a formatter.
+struct KeyText {
+    bytes: [u8; 40],
+    len: usize,
+}
+
+impl KeyText {
+    fn push(&mut self, text: &[u8]) {
+        self.bytes[self.len..self.len + text.len()].copy_from_slice(text);
+        self.len += text.len();
+    }
+
+    /// Decimal digits, as `{}` writes them.
+    fn number(&mut self, mut value: u16) {
+        let mut digits = [0; 5];
+        let mut start = digits.len();
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (value % 10) as u8;
+            value /= 10;
+            if value == 0 {
+                break;
+            }
+        }
+        self.push(&digits[start..]);
+    }
+
+    /// `null`, `{side}[{offset}]` or `m{local}.pin{pin}`.
+    fn io(&mut self, io: ClusterIo) {
+        match io {
+            ClusterIo::Null => self.push(b"null"),
+            ClusterIo::Boundary { side, offset } => {
+                self.push(match side {
+                    Side::North => b"north",
+                    Side::East => b"east",
+                    Side::South => b"south",
+                    Side::West => b"west",
+                });
+                self.push(b"[");
+                self.number(offset);
+                self.push(b"]");
+            }
+            ClusterIo::Pin { local, pin } => {
+                self.push(b"m");
+                self.number(local);
+                self.push(b".pin");
+                self.number(pin.into());
+            }
+        }
+    }
 }
 
 /// Canonical connection order: boundary-to-boundary first, then boundary
@@ -425,7 +562,8 @@ fn rel_node(node: RrNode, origin: Coord) -> RrNode {
 mod tests {
     use super::*;
     use crate::decoder::decode;
-    use vbs_arch::{ArchSpec, Device, Side};
+    use proptest::prelude::*;
+    use vbs_arch::{ArchSpec, Device};
     use vbs_netlist::generate::SyntheticSpec;
     use vbs_place::{place, PlacerConfig};
     use vbs_route::{route, RouterConfig};
@@ -519,6 +657,93 @@ mod tests {
             "an almost-empty task must skip empty macros"
         );
         assert!(!vbs.records().is_empty());
+    }
+
+    /// One endpoint drawn from `(variant, side, number choice, number,
+    /// pin choice, pin)`: a choice below the extremes' count takes that
+    /// extreme, any other the drawn number.
+    fn io(
+        (variant, side, choice, number, pin_choice, pin): (u8, usize, usize, u16, usize, u8),
+    ) -> ClusterIo {
+        const EXTREMES: [u16; 6] = [0, 9, 10, 99, 255, 65535];
+        let number = EXTREMES.get(choice).copied().unwrap_or(number);
+        let pin = EXTREMES.get(pin_choice).map_or(pin, |&e| e.min(255) as u8);
+        match variant {
+            0 => ClusterIo::Null,
+            1 => ClusterIo::Boundary {
+                side: Side::ALL[side],
+                offset: number,
+            },
+            _ => ClusterIo::Pin { local: number, pin },
+        }
+    }
+
+    proptest! {
+        /// The order key is the connection's rank, then its `Display`
+        /// bytes zero-padded to the key's length.
+        #[test]
+        fn order_key_is_rank_then_display_text(
+            input in (0u8..3, 0usize..4, 0usize..12, 0u16..=u16::MAX, 0usize..12, 0u8..=u8::MAX),
+            output in (0u8..3, 0usize..4, 0usize..12, 0u16..=u16::MAX, 0usize..12, 0u8..=u8::MAX),
+        ) {
+            let connection = Connection { input: io(input), output: io(output) };
+            let boundary = |io| matches!(io, ClusterIo::Boundary { .. });
+            let rank = match (boundary(connection.input), boundary(connection.output)) {
+                (true, true) => 0,
+                (false, true) => 1,
+                (true, false) => 2,
+                (false, false) => 3,
+            };
+            let mut text = [0; 40];
+            let display = connection.to_string();
+            text[..display.len()].copy_from_slice(display.as_bytes());
+            prop_assert_eq!(order_key(&connection), (rank, text), "{}", display);
+        }
+    }
+
+    /// The touched-wire bytes answer what the sorted `(cluster, wire)` list
+    /// they replaced answered, for every wire of the task and every cluster
+    /// whose boundary it crosses, whichever of the pairs were touched.
+    #[test]
+    fn touched_wires_answer_as_a_cluster_wire_set() {
+        let spec = ArchSpec::new(3, 6).unwrap();
+        let (width, height) = (7, 5);
+        let geometry = Device::new(spec, width, height).unwrap();
+        let wires: Vec<WireRef> = (0..width)
+            .flat_map(|x| (0..height).flat_map(move |y| (0..3).map(move |t| (x, y, t))))
+            .flat_map(|(x, y, t)| [WireRef::horizontal(x, y, t), WireRef::vertical(x, y, t)])
+            .collect();
+        for k in 1..=3 {
+            let grid = ClusterGrid::new(spec, k, width, height).unwrap();
+            let crossings: Vec<(Coord, WireRef, ClusterIo)> = grid
+                .iter_clusters()
+                .flat_map(|c| wires.iter().map(move |&w| (c, w)))
+                .filter_map(|(c, w)| grid.wire_io(c, w).map(|io| (c, w, io)))
+                .collect();
+            for seed in 1..=3u64 {
+                let mut lists = ClusterLists {
+                    connections: Vec::new(),
+                    touched: vec![0; geometry.wire_count()],
+                };
+                let mut set = std::collections::BTreeSet::new();
+                // About half the crossings, scattered by a multiplicative
+                // hash.
+                let picked = crossings.iter().enumerate().filter(|&(i, _)| {
+                    (i as u64 + seed).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 63 == 1
+                });
+                for (_, &(cluster, wire, io)) in picked {
+                    lists.touch(&geometry, RrNode::Wire(wire), Some(io));
+                    set.insert((cluster, wire));
+                }
+                for &(cluster, wire, io) in &crossings {
+                    assert_eq!(
+                        lists.crossed(&geometry, wire, io),
+                        set.contains(&(cluster, wire)),
+                        "k = {k}, seed {seed}: {wire} in {cluster}"
+                    );
+                }
+            }
+        }
     }
 
     /// The canonical order, pinned literally: boundary destinations first,

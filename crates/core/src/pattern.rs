@@ -13,7 +13,13 @@
 //! [`RrGraph::neighbors_into`], [`edge_to_switch`] and the [`ClusterGrid`]
 //! predicates on a small reference device that holds the cluster at grid
 //! position `(1, 1)`, so it cannot disagree with the CAD side about which
-//! wires exist or which switch joins them. Task-edge effects that depend on
+//! wires exist or which switch joins them. Only the cluster's neighbourhood
+//! is enumerated — its own macros and the column / row just west / south
+//! of it, which own every node that can touch it — never the whole
+//! reference device, and an edge back to a node whose row is already built
+//! takes its switch from there (the edges are symmetric), so
+//! [`edge_to_switch`] runs once per pair of nodes. The whole-device
+//! derivation lives on as the test oracle. Task-edge effects that depend on
 //! where the cluster sits are kept out of it: a cluster cut by the east or
 //! north task edge is simply a narrower shape (its own pattern), and the
 //! west / south boundary wires a cluster in column / row 0 lacks are
@@ -21,7 +27,7 @@
 
 use crate::cluster::{ClusterGrid, ClusterIo};
 use crate::error::VbsError;
-use vbs_arch::{ArchSpec, Coord, Device, FrameLayout, Side, WireRef};
+use vbs_arch::{ArchSpec, Coord, Device, FrameLayout, Side, WireKind, WireRef};
 use vbs_bitstream::{edge_to_switch, SwitchSetting};
 use vbs_route::{RrGraph, RrNode};
 
@@ -34,7 +40,7 @@ pub(crate) const WEST: u8 = 2;
 pub(crate) const SOUTH: u8 = 4;
 
 /// The frame bit one pattern edge programs, relative to the cluster origin.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Switch {
     /// Macro holding the switch, as an offset from the cluster's lower-left
     /// macro.
@@ -80,6 +86,31 @@ pub(crate) struct ClusterPattern {
 /// An [`ClusterPattern::io_node`] entry naming no node.
 const NO_NODE: u32 = u32::MAX;
 
+/// The frame bit the edge `from → to` of the reference device programs,
+/// relative to the cluster's lower-left macro `(k, k)`: `None` when the
+/// architecture has no switch for it or the switch lies outside `cluster`.
+fn switch_of(
+    device: &Device,
+    grid: &ClusterGrid,
+    layout: &FrameLayout,
+    cluster: Coord,
+    k: u16,
+    from: RrNode,
+    to: RrNode,
+) -> Option<Switch> {
+    edge_to_switch(device, from, to)
+        .ok()
+        .filter(|s| grid.cluster_of(s.site()) == cluster)
+        .map(|s| Switch {
+            dx: s.site().x - k,
+            dy: s.site().y - k,
+            bit: match s {
+                SwitchSetting::Crossing { pin, track, .. } => layout.crossing_bit(pin, track),
+                SwitchSetting::SwitchBox { track, pair, .. } => layout.sb_bit(track, pair),
+            } as u32,
+        })
+}
+
 impl ClusterPattern {
     /// Derives the pattern of a `cols × rows` cluster (`1..=k` each) of a
     /// cluster-size-`k` tiling.
@@ -100,14 +131,27 @@ impl ClusterPattern {
         let graph = RrGraph::new(&device);
         let layout = FrameLayout::new(spec);
 
+        // A node touching the cluster belongs to one of its macros or, for
+        // a wire crossing its west / south side, to the macro just west /
+        // south of it: only the macros `[k - 1, k + cols) × [k - 1, k +
+        // rows)` are enumerated, through the same predicates, and in node
+        // order, so the sort below finds them sorted.
+        let w = spec.channel_width();
+        let owners = (k - 1..width).flat_map(|x| (k - 1..height).map(move |y| Coord::new(x, y)));
         let mut nodes = Vec::with_capacity(graph.node_count());
+        let wires = [WireKind::Horizontal, WireKind::Vertical]
+            .into_iter()
+            .flat_map(|kind| {
+                owners
+                    .clone()
+                    .flat_map(move |owner| (0..w).map(move |track| WireRef { kind, owner, track }))
+            })
+            .filter(|&wire| device.wire_exists(wire) && grid.wire_touches(cluster, wire));
+        nodes.extend(wires.map(RrNode::Wire));
         nodes.extend(
-            (0..graph.node_count())
-                .map(|i| graph.node(i))
-                .filter(|node| match *node {
-                    RrNode::Wire(w) => grid.wire_touches(cluster, w),
-                    RrNode::Pin { site, .. } => grid.cluster_of(site) == cluster,
-                }),
+            owners
+                .filter(|&site| grid.cluster_of(site) == cluster)
+                .flat_map(|site| (0..spec.lb_pins()).map(move |pin| RrNode::Pin { site, pin })),
         );
         nodes.sort_unstable();
         let wire_count = nodes.partition_point(RrNode::is_wire);
@@ -121,12 +165,12 @@ impl ClusterPattern {
         // Capacities only (so each array allocates once): a pin reaches the
         // W wires of its channel, a wire at most three others at each end
         // plus the owner's pins of its parity.
-        let degree = usize::from(spec.channel_width()).max(usize::from(spec.lb_pins()) / 2 + 7);
+        let degree = usize::from(w).max(usize::from(spec.lb_pins()) / 2 + 7);
         let mut offsets = Vec::with_capacity(nodes.len() + 1);
         let mut targets = Vec::with_capacity(nodes.len() * degree);
         let mut switches = Vec::with_capacity(nodes.len() * degree);
         let mut neighbors = Vec::with_capacity(degree);
-        for &node in &nodes {
+        for (from, &node) in nodes.iter().enumerate() {
             offsets.push(targets.len() as u32);
             graph.neighbors_into(node, &mut neighbors);
             for &next in &neighbors {
@@ -134,23 +178,21 @@ impl ClusterPattern {
                 if id == OUTSIDE {
                     continue;
                 }
+                // The edges are symmetric and a switch joins its two nodes
+                // either way round: an edge back to a node whose row is
+                // built takes the switch found there.
+                let back = offsets.get(id as usize + 1).and_then(|&end| {
+                    let row = offsets[id as usize] as usize..end as usize;
+                    targets[row.clone()]
+                        .iter()
+                        .position(|&t| t as usize == from)
+                        .map(|i| switches[row.start + i])
+                });
                 targets.push(id);
                 switches.push(
-                    edge_to_switch(&device, node, next)
-                        .ok()
-                        .filter(|s| grid.cluster_of(s.site()) == cluster)
-                        .map(|s| Switch {
-                            dx: s.site().x - k,
-                            dy: s.site().y - k,
-                            bit: match s {
-                                SwitchSetting::Crossing { pin, track, .. } => {
-                                    layout.crossing_bit(pin, track)
-                                }
-                                SwitchSetting::SwitchBox { track, pair, .. } => {
-                                    layout.sb_bit(track, pair)
-                                }
-                            } as u32,
-                        }),
+                    back.unwrap_or_else(|| {
+                        switch_of(&device, &grid, &layout, cluster, k, node, next)
+                    }),
                 );
             }
         }
@@ -175,7 +217,7 @@ impl ClusterPattern {
             })
             .collect();
 
-        let w = u32::from(spec.channel_width());
+        let w = u32::from(w);
         let mut pattern = ClusterPattern {
             cols,
             rows,
@@ -323,6 +365,127 @@ impl ClusterPattern {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The derivation [`ClusterPattern::build`] replaced, kept as its
+    /// oracle: every node of the reference device is enumerated and
+    /// filtered, and every edge's switch is looked up on its own.
+    fn whole_device_pattern(spec: ArchSpec, k: u16, cols: u16, rows: u16) -> ClusterPattern {
+        let (width, height) = (k + cols, k + rows);
+        let device = Device::new(spec, width, height).unwrap();
+        let grid = ClusterGrid::new(spec, k, width, height).unwrap();
+        let cluster = Coord::new(1, 1);
+        let graph = RrGraph::new(&device);
+        let layout = FrameLayout::new(spec);
+
+        let mut nodes: Vec<RrNode> = (0..graph.node_count())
+            .map(|i| graph.node(i))
+            .filter(|node| match *node {
+                RrNode::Wire(w) => grid.wire_touches(cluster, w),
+                RrNode::Pin { site, .. } => grid.cluster_of(site) == cluster,
+            })
+            .collect();
+        nodes.sort_unstable();
+        let wire_count = nodes.partition_point(RrNode::is_wire);
+        let mut ids = vec![u32::MAX; graph.node_count()];
+        for (id, &node) in nodes.iter().enumerate() {
+            ids[graph.index(node)] = id as u32;
+        }
+        let (mut offsets, mut targets, mut switches) = (Vec::new(), Vec::new(), Vec::new());
+        let mut neighbors = Vec::new();
+        for &node in &nodes {
+            offsets.push(targets.len() as u32);
+            graph.neighbors_into(node, &mut neighbors);
+            for &next in &neighbors {
+                let id = ids[graph.index(next)];
+                if id != u32::MAX {
+                    targets.push(id);
+                    switches.push(switch_of(&device, &grid, &layout, cluster, k, node, next));
+                }
+            }
+        }
+        offsets.push(targets.len() as u32);
+        let flags = nodes[..wire_count]
+            .iter()
+            .map(|node| {
+                let RrNode::Wire(w) = *node else {
+                    unreachable!("wires sort before pins");
+                };
+                match grid.wire_io(cluster, w) {
+                    None => INTERIOR,
+                    Some(ClusterIo::Boundary {
+                        side: Side::West, ..
+                    }) => WEST,
+                    Some(ClusterIo::Boundary {
+                        side: Side::South, ..
+                    }) => SOUTH,
+                    Some(_) => 0,
+                }
+            })
+            .collect();
+        let w = u32::from(spec.channel_width());
+        let mut pattern = ClusterPattern {
+            cols,
+            rows,
+            base: k,
+            channel_width: w,
+            pins: u32::from(spec.lb_pins()),
+            vertical_base: (u32::from(cols) + 1) * u32::from(rows) * w,
+            wire_count: wire_count as u32,
+            nodes,
+            offsets,
+            targets,
+            switches,
+            flags,
+            io_nodes: Vec::new(),
+        };
+        pattern.io_nodes = (0..ClusterIo::io_count(&spec, k))
+            .map(|index| {
+                let io = ClusterIo::from_index(&spec, k, index).unwrap();
+                pattern.io_node_of(k, io).map_or(NO_NODE, |id| id as u32)
+            })
+            .collect();
+        pattern
+    }
+
+    /// The neighbourhood derivation yields the whole-device derivation's
+    /// pattern, array for array, for every shape of every cluster size.
+    #[test]
+    fn patterns_match_the_whole_device_derivation() {
+        for spec in [ArchSpec::paper_example(), ArchSpec::new(8, 4).unwrap()] {
+            for k in 1u16..=4 {
+                for cols in 1..=k {
+                    for rows in 1..=k {
+                        let p = ClusterPattern::build(spec, k, cols, rows).unwrap();
+                        let q = whole_device_pattern(spec, k, cols, rows);
+                        let at = format!("k = {k}, {cols}x{rows}");
+                        assert_eq!(p.nodes, q.nodes, "{at}");
+                        assert_eq!(p.offsets, q.offsets, "{at}");
+                        assert_eq!(p.targets, q.targets, "{at}");
+                        assert_eq!(p.switches, q.switches, "{at}");
+                        assert_eq!(p.flags, q.flags, "{at}");
+                        assert_eq!(p.io_nodes, q.io_nodes, "{at}");
+                        assert_eq!(
+                            (
+                                p.base,
+                                p.channel_width,
+                                p.pins,
+                                p.vertical_base,
+                                p.wire_count
+                            ),
+                            (
+                                q.base,
+                                q.channel_width,
+                                q.pins,
+                                q.vertical_base,
+                                q.wire_count
+                            ),
+                            "{at}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     /// The id arithmetic of `boundary` / `pin` agrees with where the sort
     /// put the node the grid names, and ids order as nodes do, for complete

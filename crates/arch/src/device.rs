@@ -51,16 +51,6 @@ impl Device {
         })
     }
 
-    /// Creates the square device used for a benchmark of array size `n`
-    /// (Table II's "Size" column is the edge length of a square array).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArchError::InvalidDeviceSize`] if `n` is zero or too large.
-    pub fn square(spec: ArchSpec, n: u16) -> Result<Self, ArchError> {
-        Device::new(spec, n, n)
-    }
-
     /// The architecture parameters of every macro of this device.
     pub const fn spec(&self) -> &ArchSpec {
         &self.spec
@@ -123,7 +113,7 @@ impl Device {
     ///
     /// Panics if `c` is outside the device; check untrusted input with
     /// [`Device::contains`] first.
-    pub fn macro_index(&self, c: Coord) -> usize {
+    pub(crate) fn macro_index(&self, c: Coord) -> usize {
         assert!(self.contains(c), "coordinate {c} outside device");
         c.y as usize * self.width as usize + c.x as usize
     }
@@ -133,7 +123,7 @@ impl Device {
     /// # Panics
     ///
     /// Panics if `index >= macro_count()`.
-    pub fn macro_at(&self, index: usize) -> Coord {
+    pub(crate) fn macro_at(&self, index: usize) -> Coord {
         assert!(index < self.macro_count() as usize);
         Coord::new(
             (index % self.width as usize) as u16,
@@ -148,16 +138,16 @@ impl Device {
         (0..self.height).flat_map(move |y| (0..w).map(move |x| Coord::new(x, y)))
     }
 
-    /// Whether a wire exists in this device (its owner must be inside the
-    /// grid).
+    /// Whether a wire exists in this device: its owner lies inside the grid
+    /// and its track inside the channel.
     pub fn wire_exists(&self, wire: WireRef) -> bool {
-        self.contains(wire.owner)
+        self.contains(wire.owner) && wire.track < self.spec.channel_width()
     }
 
     /// The wire crossing boundary `side` of macro `at` on `track`, when that
     /// wire exists inside this device.
-    pub fn boundary_wire(&self, at: Coord, side: Side, track: u16) -> Option<WireRef> {
-        if !self.contains(at) || track >= self.spec.channel_width() {
+    pub(crate) fn boundary_wire(&self, at: Coord, side: Side, track: u16) -> Option<WireRef> {
+        if !self.contains(at) {
             return None;
         }
         WireRef::from_boundary(at, side, track).filter(|w| self.wire_exists(*w))
@@ -169,7 +159,7 @@ impl Device {
     /// The switch box of macro `(x, y)` sits at the macro's south-west
     /// corner, so a wire's candidate switch boxes are its owner's and, inside
     /// the device, the one past its far (east or north) end.
-    pub fn shared_switch_box(&self, a: WireRef, b: WireRef) -> Option<(Coord, Side, Side)> {
+    pub(crate) fn shared_switch_box(&self, a: WireRef, b: WireRef) -> Option<(Coord, Side, Side)> {
         if a.track != b.track {
             return None;
         }
@@ -192,21 +182,6 @@ impl Device {
             }
         }
         None
-    }
-
-    /// Total number of wires in the device.
-    pub fn wire_count(&self) -> usize {
-        WireRef::count_in_device(&self.spec, self.width, self.height)
-    }
-
-    /// Dense index of a wire of this device.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the wire does not belong to this device.
-    pub fn wire_index(&self, wire: WireRef) -> usize {
-        assert!(self.wire_exists(wire), "wire {wire} outside device");
-        wire.dense_index(&self.spec, self.width, self.height)
     }
 }
 
@@ -240,7 +215,7 @@ mod tests {
     #[test]
     fn raw_bitstream_size_scales_with_area() {
         let spec = ArchSpec::paper_evaluation();
-        let d = Device::square(spec, 35).unwrap();
+        let d = Device::new(spec, 35, 35).unwrap();
         assert_eq!(
             d.raw_bitstream_bits(),
             35 * 35 * spec.raw_bits_per_macro() as u64

@@ -45,7 +45,7 @@ impl Coord {
     ///
     /// The caller is responsible for checking the upper bound against the
     /// device dimensions.
-    pub fn neighbor(self, side: Side) -> Option<Coord> {
+    pub(crate) fn neighbor(self, side: Side) -> Option<Coord> {
         match side {
             Side::North => Some(Coord::new(self.x, self.y.checked_add(1)?)),
             Side::East => Some(Coord::new(self.x.checked_add(1)?, self.y)),
@@ -214,31 +214,6 @@ impl fmt::Display for Side {
             Side::West => "west",
         };
         f.write_str(s)
-    }
-}
-
-/// A routing track index inside a channel (`0 .. W`).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-pub struct TrackId(pub u16);
-
-impl TrackId {
-    /// Returns the raw index.
-    pub const fn index(self) -> u16 {
-        self.0
-    }
-}
-
-impl fmt::Display for TrackId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "t{}", self.0)
-    }
-}
-
-impl From<u16> for TrackId {
-    fn from(t: u16) -> Self {
-        TrackId(t)
     }
 }
 

@@ -27,6 +27,10 @@
 //! * [`wires`] — global wire naming shared by the router, the bit-stream
 //!   generator and the VBS encoder/decoder.
 //! * [`device`] — a sized device (grid of macros).
+//! * [`graph`] — the device's routing-resource graph: its nodes
+//!   ([`RrNode`]) and their dense numbering, the one neighbour function,
+//!   and the one map between an edge and the programmable switch
+//!   ([`SwitchSetting`]) that realizes it.
 //!
 //! # Example
 //!
@@ -54,12 +58,14 @@ mod spec;
 
 pub mod device;
 pub mod geometry;
+pub mod graph;
 pub mod macro_model;
 pub mod wires;
 
 pub use device::Device;
 pub use error::ArchError;
-pub use geometry::{Coord, Rect, Side, TrackId};
-pub use macro_model::{FrameLayout, SbPair};
+pub use geometry::{Coord, Rect, Side};
+pub use graph::RrNode;
+pub use macro_model::{FrameLayout, SbPair, SwitchSetting};
 pub use spec::{ceil_log2, ArchSpec};
 pub use wires::{WireKind, WireRef};

@@ -5,14 +5,15 @@
 //! This module holds the macro's **raw frame view**, the one the
 //! conventional bit-stream uses: the [`FrameLayout`] maps every programmable
 //! switch of the macro (Equation (1)) to a bit position inside an
-//! `N_raw`-bit frame, and [`SbPair`] names the six pass switches of a
-//! switch point.
+//! `N_raw`-bit frame, [`SbPair`] names the six pass switches of a switch
+//! point, and [`SwitchSetting`] names one switch of a device by the macro
+//! whose frame holds it.
 //!
 //! The macro's **black-box view**, the `M = ⌈log2(4W + L + 1)⌉`-bit I/O
 //! identifiers of a VBS connection list (Table I), is the cluster I/O
 //! numbering of `vbs-core` (`ClusterIo`) at cluster size `k = 1`.
 
-use crate::geometry::Side;
+use crate::geometry::{Coord, Side};
 use crate::spec::ArchSpec;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -48,7 +49,7 @@ impl SbPair {
     ];
 
     /// Index of this pair within a 6-bit switch-point group.
-    pub const fn index(self) -> usize {
+    pub(crate) const fn index(self) -> usize {
         match self {
             SbPair::NorthSouth => 0,
             SbPair::NorthEast => 1,
@@ -60,7 +61,7 @@ impl SbPair {
     }
 
     /// The pair of sides connected by this switch.
-    pub const fn sides(self) -> (Side, Side) {
+    pub(crate) const fn sides(self) -> (Side, Side) {
         match self {
             SbPair::NorthSouth => (Side::North, Side::South),
             SbPair::NorthEast => (Side::North, Side::East),
@@ -74,7 +75,7 @@ impl SbPair {
     /// The switch connecting two distinct sides, if any.
     ///
     /// Returns `None` when `a == b`.
-    pub fn between(a: Side, b: Side) -> Option<SbPair> {
+    pub(crate) fn between(a: Side, b: Side) -> Option<SbPair> {
         if a == b {
             return None;
         }
@@ -94,6 +95,41 @@ impl fmt::Display for SbPair {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let (a, b) = self.sides();
         write!(f, "{a}-{b}")
+    }
+}
+
+/// One programmable switch of the fabric, located in the frame of the macro
+/// at `site` (device-absolute coordinates). [`crate::Device::switch_between`]
+/// names the switch joining two routing-resource nodes and
+/// [`crate::Device::switch_ends`] the two nodes a switch joins.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum SwitchSetting {
+    /// Connection-box crossing of `pin` over `track`.
+    Crossing {
+        /// The macro whose frame holds the switch.
+        site: Coord,
+        /// The logic-block pin.
+        pin: u8,
+        /// The channel track.
+        track: u16,
+    },
+    /// Switch-box pass switch at `track` between two sides.
+    SwitchBox {
+        /// The macro whose frame holds the switch.
+        site: Coord,
+        /// The channel track.
+        track: u16,
+        /// The pass-switch position.
+        pair: SbPair,
+    },
+}
+
+impl SwitchSetting {
+    /// The macro whose frame holds this switch.
+    pub fn site(&self) -> Coord {
+        match self {
+            SwitchSetting::Crossing { site, .. } | SwitchSetting::SwitchBox { site, .. } => *site,
+        }
     }
 }
 

@@ -17,7 +17,6 @@
 //! island-style devices.
 
 use crate::geometry::{Coord, Side};
-use crate::spec::ArchSpec;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -98,7 +97,7 @@ impl WireRef {
     /// neighbour (as the west/south stub). Macro `at`'s switch box sits at
     /// its south-west corner, so this is also the side the wire occupies at
     /// that switch box.
-    pub fn boundary_of(&self, at: Coord) -> Option<Side> {
+    pub(crate) fn boundary_of(&self, at: Coord) -> Option<Side> {
         match self.kind {
             WireKind::Horizontal => {
                 if self.owner == at {
@@ -131,43 +130,25 @@ impl WireRef {
         [self.owner, second]
     }
 
-    /// Whether this wire can be reached by `pin`'s connection box when the
-    /// pin belongs to the logic block of macro `at`.
+    /// The wire of macro `at` that `pin`'s connection box crosses on
+    /// `track`.
     ///
     /// Even pins cross the macro's own horizontal wires (its east stubs), odd
     /// pins its vertical wires (its north stubs). The LUT output (pin `K = 6`,
     /// even) therefore drives horizontal wires, the classic VPR convention of
     /// output pins facing `ChanX`.
-    pub fn reachable_from_pin(&self, at: Coord, pin: u8) -> bool {
-        if self.owner != at {
-            return false;
-        }
-        match self.kind {
-            WireKind::Horizontal => pin.is_multiple_of(2),
-            WireKind::Vertical => !pin.is_multiple_of(2),
+    pub(crate) const fn of_pin(at: Coord, pin: u8, track: u16) -> WireRef {
+        if pin.is_multiple_of(2) {
+            WireRef::horizontal(at.x, at.y, track)
+        } else {
+            WireRef::vertical(at.x, at.y, track)
         }
     }
 
-    /// A stable dense index for this wire within a `width` × `height` device
-    /// with channel width taken from `spec`.
-    ///
-    /// Horizontal wires come first, then vertical ones; within each kind the
-    /// order is row-major by owner, then by track.
-    pub fn dense_index(&self, spec: &ArchSpec, width: u16, height: u16) -> usize {
-        let w = spec.channel_width() as usize;
-        let per_tile = w;
-        let tiles = width as usize * height as usize;
-        let tile_idx = self.owner.y as usize * width as usize + self.owner.x as usize;
-        let base = match self.kind {
-            WireKind::Horizontal => 0,
-            WireKind::Vertical => tiles * per_tile,
-        };
-        base + tile_idx * per_tile + self.track as usize
-    }
-
-    /// Total number of wires in a `width` × `height` device.
-    pub fn count_in_device(spec: &ArchSpec, width: u16, height: u16) -> usize {
-        2 * spec.channel_width() as usize * width as usize * height as usize
+    /// Whether this wire can be reached by `pin`'s connection box when the
+    /// pin belongs to the logic block of macro `at` ([`WireRef::of_pin`]).
+    pub(crate) fn reachable_from_pin(&self, at: Coord, pin: u8) -> bool {
+        *self == WireRef::of_pin(at, pin, self.track)
     }
 }
 
@@ -184,6 +165,7 @@ impl fmt::Display for WireRef {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::ArchSpec;
 
     #[test]
     fn boundary_mapping_roundtrip() {
@@ -235,13 +217,14 @@ mod tests {
     fn dense_indices_are_unique_and_compact() {
         let spec = ArchSpec::new(4, 6).unwrap();
         let (width, height) = (3u16, 2u16);
-        let total = WireRef::count_in_device(&spec, width, height);
+        let device = crate::Device::new(spec, width, height).unwrap();
+        let total = device.wire_count();
         let mut seen = vec![false; total];
         for y in 0..height {
             for x in 0..width {
                 for t in 0..spec.channel_width() {
                     for wire in [WireRef::horizontal(x, y, t), WireRef::vertical(x, y, t)] {
-                        let idx = wire.dense_index(&spec, width, height);
+                        let idx = device.wire_index(wire);
                         assert!(idx < total);
                         assert!(!seen[idx], "duplicate dense index {idx}");
                         seen[idx] = true;

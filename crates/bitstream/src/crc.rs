@@ -90,24 +90,18 @@ pub(crate) fn crc32_words_slice8(mut crc: u32, words: &[u64]) -> u32 {
 
 /// A streaming CRC-32 accumulator (IEEE polynomial, reflected).
 #[derive(Debug, Clone, Copy)]
-pub struct Crc32 {
+struct Crc32 {
     state: u32,
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Crc32::new()
-    }
 }
 
 impl Crc32 {
     /// Starts a fresh checksum.
-    pub const fn new() -> Self {
+    const fn new() -> Self {
         Crc32 { state: !0 }
     }
 
     /// Folds a byte slice into the checksum.
-    pub fn update(&mut self, bytes: &[u8]) {
+    fn update(&mut self, bytes: &[u8]) {
         self.state = crc32_bytes_slice8(self.state, bytes);
     }
 
@@ -118,7 +112,7 @@ impl Crc32 {
     }
 
     /// The final checksum value.
-    pub const fn finish(&self) -> u32 {
+    const fn finish(&self) -> u32 {
         !self.state
     }
 }

@@ -67,7 +67,7 @@ impl<'a> FrameRef<'a> {
 
     /// Number of bits currently set.
     pub fn popcount(&self) -> usize {
-        crate::Kernels::active().popcount(self.words)
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Reads the logic-block section back as `(truth table, registered)`.
@@ -122,7 +122,8 @@ impl<'a> FrameRef<'a> {
             self.spec, other.spec,
             "comparing frames of different layouts"
         );
-        crate::Kernels::active().xor_popcount(self.words, other.words)
+        let pairs = self.words.iter().zip(other.words);
+        pairs.map(|(a, b)| (a ^ b).count_ones() as usize).sum()
     }
 }
 
@@ -203,7 +204,7 @@ impl<'a> FrameMut<'a> {
     }
 
     /// Writes the logic-block section: LUT truth table plus flip-flop bypass.
-    pub fn set_logic(&mut self, truth: &TruthTable, registered: bool) {
+    pub(crate) fn set_logic(&mut self, truth: &TruthTable, registered: bool) {
         let layout = self.layout();
         let table = truth.widen(self.spec.lut_size());
         for (i, bit) in table.iter().enumerate() {

@@ -1,7 +1,8 @@
 //! Raw bit-stream generation from a placed-and-routed task.
 //!
 //! Every edge of every route tree is mapped to the programmable switch it
-//! turns on:
+//! turns on by [`Device::switch_between`], the device's one edge-to-switch
+//! map:
 //!
 //! * a **pin ↔ wire** edge programs the connection-box crossing of that pin
 //!   over the wire's track, in the macro owning the wire;
@@ -13,108 +14,31 @@
 
 use crate::error::BitstreamError;
 use crate::task::TaskBitstream;
-use vbs_arch::{Coord, Device, SbPair};
+use vbs_arch::{Coord, Device, SwitchSetting};
 use vbs_netlist::{BlockKind, Netlist};
 use vbs_place::Placement;
 use vbs_route::check::check_routing;
-use vbs_route::{Routing, RrNode};
-
-/// One programmable switch turned on by a routing edge, located in the frame
-/// of the macro at `site` (device-absolute coordinates).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SwitchSetting {
-    /// Connection-box crossing of `pin` over `track`.
-    Crossing {
-        /// The macro whose frame holds the switch.
-        site: Coord,
-        /// The logic-block pin.
-        pin: u8,
-        /// The channel track.
-        track: u16,
-    },
-    /// Switch-box pass switch at `track` between two sides.
-    SwitchBox {
-        /// The macro whose frame holds the switch.
-        site: Coord,
-        /// The channel track.
-        track: u16,
-        /// The pass-switch position.
-        pair: SbPair,
-    },
-}
-
-impl SwitchSetting {
-    /// The macro whose frame holds this switch.
-    pub fn site(&self) -> Coord {
-        match self {
-            SwitchSetting::Crossing { site, .. } | SwitchSetting::SwitchBox { site, .. } => *site,
-        }
-    }
-}
-
-/// Maps one routing edge to the switch it programs.
-///
-/// # Errors
-///
-/// Returns [`BitstreamError::UnmappableEdge`] when the two nodes are not
-/// connected by any switch of the architecture (which indicates a corrupted
-/// route tree).
-pub fn edge_to_switch(
-    device: &Device,
-    a: RrNode,
-    b: RrNode,
-) -> Result<SwitchSetting, BitstreamError> {
-    use vbs_route::RrNode::{Pin, Wire};
-    match (a, b) {
-        (Pin { site, pin }, Wire(w)) | (Wire(w), Pin { site, pin }) => {
-            if w.reachable_from_pin(site, pin) {
-                Ok(SwitchSetting::Crossing {
-                    site,
-                    pin,
-                    track: w.track,
-                })
-            } else {
-                Err(BitstreamError::UnmappableEdge {
-                    edge: format!("{a} <-> {b}"),
-                })
-            }
-        }
-        (Wire(wa), Wire(wb)) => match device.shared_switch_box(wa, wb) {
-            Some((sb, side_a, side_b)) => {
-                let pair = SbPair::between(side_a, side_b).ok_or_else(|| {
-                    BitstreamError::UnmappableEdge {
-                        edge: format!("{a} <-> {b}"),
-                    }
-                })?;
-                Ok(SwitchSetting::SwitchBox {
-                    site: sb,
-                    track: wa.track,
-                    pair,
-                })
-            }
-            None => Err(BitstreamError::UnmappableEdge {
-                edge: format!("{a} <-> {b}"),
-            }),
-        },
-        _ => Err(BitstreamError::UnmappableEdge {
-            edge: format!("{a} <-> {b}"),
-        }),
-    }
-}
+use vbs_route::Routing;
 
 /// Enumerates every switch programmed by a routing, net by net.
 ///
 /// # Errors
 ///
-/// Propagates [`BitstreamError::UnmappableEdge`] for corrupted route trees.
-pub fn configured_switches(
+/// Returns [`BitstreamError::UnmappableEdge`] for an edge no switch of the
+/// device realizes (a corrupted route tree).
+fn configured_switches(
     device: &Device,
     routing: &Routing,
 ) -> Result<Vec<SwitchSetting>, BitstreamError> {
     let mut switches = Vec::new();
     for (_, tree) in routing.iter_trees() {
         for (parent, child) in tree.iter_edges() {
-            switches.push(edge_to_switch(device, parent, child)?);
+            let switch = device.switch_between(parent, child).ok_or_else(|| {
+                BitstreamError::UnmappableEdge {
+                    edge: format!("{parent} <-> {child}"),
+                }
+            })?;
+            switches.push(switch);
         }
     }
     Ok(switches)
@@ -181,10 +105,10 @@ pub fn generate_bitstream(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vbs_arch::ArchSpec;
+    use vbs_arch::{ArchSpec, RrNode, WireRef};
     use vbs_netlist::generate::SyntheticSpec;
     use vbs_place::{place, PlacerConfig};
-    use vbs_route::{route, RouterConfig};
+    use vbs_route::{route, RouteTree, RouterConfig};
 
     fn flow() -> (Netlist, Device, Placement, Routing) {
         let netlist = SyntheticSpec::new("bits", 24, 5, 5)
@@ -241,41 +165,90 @@ mod tests {
         }
     }
 
+    /// A routing of one net whose tree is the single edge `from → to`.
+    fn one_edge(device: &Device, from: RrNode, to: RrNode) -> Routing {
+        let mut tree = RouteTree::new(from);
+        tree.push(to, 0);
+        Routing::new(*device.spec(), vec![tree], 1)
+    }
+
+    fn pin(x: u16, y: u16, pin: u8) -> RrNode {
+        RrNode::Pin {
+            site: Coord::new(x, y),
+            pin,
+        }
+    }
+
     #[test]
     fn unmappable_edges_are_rejected() {
         let device = Device::new(ArchSpec::new(6, 6).unwrap(), 5, 5).unwrap();
-        // Two wires on different tracks never share a switch.
-        let a = RrNode::Wire(vbs_arch::WireRef::horizontal(1, 1, 0));
-        let b = RrNode::Wire(vbs_arch::WireRef::horizontal(2, 1, 1));
-        assert!(matches!(
-            edge_to_switch(&device, a, b),
-            Err(BitstreamError::UnmappableEdge { .. })
-        ));
-        // A pin and a wire of the wrong parity cannot be crossed either.
-        let pin = RrNode::Pin {
-            site: Coord::new(1, 1),
-            pin: 1,
+        let unmappable = |a, b| {
+            matches!(
+                configured_switches(&device, &one_edge(&device, a, b)),
+                Err(BitstreamError::UnmappableEdge { .. })
+            )
         };
-        let h = RrNode::Wire(vbs_arch::WireRef::horizontal(1, 1, 0));
-        assert!(edge_to_switch(&device, pin, h).is_err());
+        // Two wires on different tracks never share a switch.
+        let a = RrNode::Wire(WireRef::horizontal(1, 1, 0));
+        let b = RrNode::Wire(WireRef::horizontal(2, 1, 1));
+        assert!(unmappable(a, b));
+        // A pin and a wire of the wrong parity cannot be crossed either.
+        let h = RrNode::Wire(WireRef::horizontal(1, 1, 0));
+        assert!(unmappable(pin(1, 1, 1), h));
+    }
+
+    #[test]
+    fn edges_the_graph_never_lists_are_unmappable() {
+        // Each of these pairs once mapped to a switch, some outside the
+        // device, though neither is an edge of the routing-resource graph.
+        let device = Device::new(ArchSpec::new(8, 6).unwrap(), 5, 5).unwrap();
+        let wire = RrNode::Wire;
+        let cases = [
+            (pin(2, 3, 6), wire(WireRef::horizontal(2, 3, 40))),
+            (pin(2, 3, 200), wire(WireRef::horizontal(2, 3, 0))),
+            (
+                wire(WireRef::horizontal(9, 9, 1)),
+                wire(WireRef::vertical(9, 9, 1)),
+            ),
+            (
+                wire(WireRef::horizontal(1, 1, 30)),
+                wire(WireRef::vertical(1, 1, 30)),
+            ),
+            (pin(7, 1, 0), wire(WireRef::horizontal(7, 1, 0))),
+        ];
+        let mut neighbors = Vec::new();
+        let mut lists = |a, b| {
+            device.neighbors_into(a, &mut neighbors);
+            neighbors.contains(&b)
+        };
+        for (a, b) in cases {
+            // A node outside the device may list neighbours, but an edge is
+            // listed from both of its ends.
+            assert!(!(lists(a, b) && lists(b, a)), "{a} / {b} is an edge");
+            for (from, to) in [(a, b), (b, a)] {
+                let result = configured_switches(&device, &one_edge(&device, from, to));
+                assert_eq!(
+                    result,
+                    Err(BitstreamError::UnmappableEdge {
+                        edge: format!("{from} <-> {to}")
+                    })
+                );
+            }
+        }
     }
 
     #[test]
     fn pin_wire_edges_map_to_crossings_in_the_owner_macro() {
         let device = Device::new(ArchSpec::new(6, 6).unwrap(), 5, 5).unwrap();
-        let pin = RrNode::Pin {
-            site: Coord::new(2, 3),
-            pin: 6,
-        };
-        let wire = RrNode::Wire(vbs_arch::WireRef::horizontal(2, 3, 4));
-        let s = edge_to_switch(&device, pin, wire).unwrap();
+        let wire = RrNode::Wire(WireRef::horizontal(2, 3, 4));
+        let switches = configured_switches(&device, &one_edge(&device, pin(2, 3, 6), wire));
         assert_eq!(
-            s,
-            SwitchSetting::Crossing {
+            switches,
+            Ok(vec![SwitchSetting::Crossing {
                 site: Coord::new(2, 3),
                 pin: 6,
                 track: 4
-            }
+            }])
         );
     }
 }

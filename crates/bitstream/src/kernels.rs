@@ -1,43 +1,39 @@
-//! Runtime-dispatched word-sweep kernels.
+//! The runtime-dispatched CRC-32 word kernel.
 //!
-//! The three read-only sweeps of the frame arena that a wider instruction
-//! set measurably speeds up funnel through this module: the XOR-popcount
-//! behind `diff_count` (2.3–2.9× over portable on an AVX2 host), plain
-//! popcounts (the baseline x86-64 target has no `POPCNT`), and the CRC-32
-//! word fold used by readback verify and the VBS stream footer (16–16.6×
-//! with PCLMULQDQ); `VBS_KERNELS=portable bash benchmark/run.sh` against a
-//! default run compares the backends end to end. Bulk copies and clears
-//! are *not* here: they are `copy_from_slice` and `fill(0)` at their call
-//! sites, because an AVX2 copy measured 0.93× of `memcpy` and an indirect
-//! call per 5-word frame costs more than it could win. A [`Kernels`] value
-//! is a table of function pointers for the three sweeps; the table is
+//! One read-only sweep of the frame arena funnels through this module: the
+//! CRC-32 word fold used by readback verify and the VBS stream footer
+//! (16–16.6× with PCLMULQDQ). `VBS_KERNELS=portable bash benchmark/run.sh`
+//! against a default run compares the backends end to end. Popcounts and
+//! frame diffs are not here: they serve test assertions only and are plain
+//! `count_ones` loops at their call sites, and bulk copies and clears are
+//! `copy_from_slice` and `fill(0)`, because an AVX2 copy measured 0.93× of
+//! `memcpy` and an indirect call per 5-word frame costs more than it could
+//! win. A [`Kernels`] value is a table holding the CRC fold; the table is
 //! selected **once** per process:
 //!
 //! * `VBS_KERNELS=portable` in the environment forces the portable backend
-//!   (CI uses this to keep the fallback covered on AVX2 hosts);
-//! * otherwise, on x86-64, `is_x86_feature_detected!` picks the AVX2
-//!   backend — with a PCLMULQDQ-folded CRC when carry-less multiply and
-//!   SSE4.1 are also present;
-//! * everywhere else the portable chunked-`u64` backend runs.
+//!   (CI uses this to keep the fallback covered on PCLMULQDQ hosts);
+//! * otherwise, on x86-64, `is_x86_feature_detected!` picks the
+//!   PCLMULQDQ-folded CRC when carry-less multiply and SSE4.1 are present;
+//! * everywhere else the portable slice-by-8 backend runs.
 //!
-//! The portable backend is not a straw man: it is the word-loop code the
-//! arena ran before dispatch existed, and every SIMD path is
-//! proptest-pinned bit-identical against it and against obvious scalar
-//! loops (`tests/kernels_diff.rs`). The CRC oracle those tests compare with
-//! is a bitwise, table-free CRC-32 in `tests/oracle/mod.rs`.
+//! The portable backend is not a straw man: it is the table-driven code the
+//! CRC ran before dispatch existed, and the folded path is proptest-pinned
+//! bit-identical against it and against a bitwise, table-free CRC-32
+//! (`tests/kernels_diff.rs`, oracle in `tests/oracle/mod.rs`).
 //!
 //! # Safety
 //!
 //! This is the one module of the crate that contains `unsafe`: the
-//! `#[target_feature]` intrinsics bodies and the three wrappers that call
-//! them. Each backend's safe wrappers are installed into the table only
-//! after the features they require were detected at runtime.
+//! `#[target_feature]` intrinsics bodies and the wrapper that calls them.
+//! That wrapper is installed into a table only after the features it
+//! requires were detected at runtime.
 
 #![allow(unsafe_code)]
 
 use std::sync::OnceLock;
 
-/// A resolved backend: one function pointer per hot word sweep.
+/// A resolved backend: the function pointer of the CRC word fold.
 ///
 /// Obtain the process-wide selection with [`Kernels::active`], or a specific
 /// backend with [`Kernels::portable`] / [`Kernels::detected`] (the
@@ -45,8 +41,6 @@ use std::sync::OnceLock;
 /// global slot).
 pub struct Kernels {
     name: &'static str,
-    xor_popcount: fn(&[u64], &[u64]) -> usize,
-    popcount: fn(&[u64]) -> usize,
     crc32_words: fn(u32, &[u64]) -> u32,
 }
 
@@ -54,7 +48,7 @@ pub struct Kernels {
 static ACTIVE: OnceLock<&'static Kernels> = OnceLock::new();
 
 impl Kernels {
-    /// The backend every arena sweep dispatches through, selected on first
+    /// The backend every CRC fold dispatches through, selected on first
     /// call (environment override first, then feature detection).
     pub fn active() -> &'static Kernels {
         ACTIVE.get_or_init(Self::select)
@@ -67,7 +61,7 @@ impl Kernels {
         Self::detected()
     }
 
-    /// The portable chunked-`u64` backend (the pre-dispatch scalar code).
+    /// The portable slice-by-8 backend (the pre-dispatch scalar code).
     pub fn portable() -> &'static Kernels {
         &PORTABLE
     }
@@ -77,40 +71,24 @@ impl Kernels {
     pub fn detected() -> &'static Kernels {
         #[cfg(target_arch = "x86_64")]
         {
-            if std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("popcnt")
+            if std::arch::is_x86_feature_detected!("pclmulqdq")
+                && std::arch::is_x86_feature_detected!("sse4.1")
             {
-                if std::arch::is_x86_feature_detected!("pclmulqdq")
-                    && std::arch::is_x86_feature_detected!("sse4.1")
-                {
-                    return &x86::AVX2_PCLMUL;
-                }
-                return &x86::AVX2;
+                return &x86::PCLMUL;
             }
         }
         &PORTABLE
     }
 
-    /// The backend's name (`"portable"`, `"avx2"`, `"avx2+pclmul"`).
+    /// The backend's name (`"portable"`, `"pclmul"`).
     pub const fn name(&self) -> &'static str {
         self.name
-    }
-
-    /// Number of bits where `a` and `b` differ (equal lengths required).
-    pub fn xor_popcount(&self, a: &[u64], b: &[u64]) -> usize {
-        assert_eq!(a.len(), b.len(), "kernel diff length mismatch");
-        (self.xor_popcount)(a, b)
-    }
-
-    /// Number of set bits in `words`.
-    pub fn popcount(&self, words: &[u64]) -> usize {
-        (self.popcount)(words)
     }
 
     /// Folds `words` (little-endian byte order) into a raw CRC-32 state.
     ///
     /// `state` and the return value are the *internal* (inverted) CRC
-    /// register — [`crate::Crc32`] owns the pre/post inversion.
+    /// register — [`crate::crc32_words`] owns the pre/post inversion.
     pub fn crc32_words(&self, state: u32, words: &[u64]) -> u32 {
         (self.crc32_words)(state, words)
     }
@@ -124,29 +102,8 @@ impl std::fmt::Debug for Kernels {
 
 static PORTABLE: Kernels = Kernels {
     name: "portable",
-    xor_popcount: portable::xor_popcount,
-    popcount: portable::popcount,
-    crc32_words: portable::crc32_words,
+    crc32_words: crate::crc::crc32_words_slice8,
 };
-
-mod portable {
-    use crate::crc;
-
-    pub(super) fn xor_popcount(a: &[u64], b: &[u64]) -> usize {
-        a.iter()
-            .zip(b)
-            .map(|(x, y)| (x ^ y).count_ones() as usize)
-            .sum()
-    }
-
-    pub(super) fn popcount(words: &[u64]) -> usize {
-        words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    pub(super) fn crc32_words(state: u32, words: &[u64]) -> u32 {
-        crc::crc32_words_slice8(state, words)
-    }
-}
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
@@ -154,66 +111,19 @@ mod x86 {
     use crate::crc;
     use std::arch::x86_64::*;
 
-    pub(super) static AVX2: Kernels = Kernels {
-        name: "avx2",
-        xor_popcount,
-        popcount,
-        crc32_words: crc_slice8,
-    };
-
-    pub(super) static AVX2_PCLMUL: Kernels = Kernels {
-        name: "avx2+pclmul",
-        xor_popcount,
-        popcount,
+    pub(super) static PCLMUL: Kernels = Kernels {
+        name: "pclmul",
         crc32_words: crc_pclmul,
     };
 
-    // Safe wrappers: these are only ever installed into a `Kernels` table
-    // that `detected()` returns after the required features tested present,
-    // so the `#[target_feature]` bodies cannot execute on a host without
-    // them.
-
-    fn xor_popcount(a: &[u64], b: &[u64]) -> usize {
-        // SAFETY: AVX2 + POPCNT detected before this backend is selected.
-        unsafe { xor_popcount_avx2(a, b) }
-    }
-
-    fn popcount(words: &[u64]) -> usize {
-        // SAFETY: AVX2 + POPCNT detected before this backend is selected.
-        unsafe { popcount_avx2(words) }
-    }
-
-    fn crc_slice8(state: u32, words: &[u64]) -> u32 {
-        crc::crc32_words_slice8(state, words)
-    }
+    // Safe wrapper: it is only ever installed into the table `detected()`
+    // returns after the required features tested present, so the
+    // `#[target_feature]` bodies cannot execute on a host without them.
 
     fn crc_pclmul(state: u32, words: &[u64]) -> u32 {
         // SAFETY: PCLMULQDQ + SSE4.1 detected before this backend is
         // selected.
         unsafe { crc32_words_clmul(state, words) }
-    }
-
-    // The popcounts stay scalar loops *inside* a `#[target_feature]` body:
-    // the baseline x86-64 target lacks POPCNT, so `count_ones` otherwise
-    // compiles to the bit-twiddling fallback. With `popcnt` (and AVX2 for
-    // the vectorizer) enabled the loop body becomes hardware popcounts.
-
-    #[target_feature(enable = "avx2,popcnt")]
-    unsafe fn xor_popcount_avx2(a: &[u64], b: &[u64]) -> usize {
-        let mut total = 0usize;
-        for i in 0..a.len() {
-            total += (a[i] ^ b[i]).count_ones() as usize;
-        }
-        total
-    }
-
-    #[target_feature(enable = "avx2,popcnt")]
-    unsafe fn popcount_avx2(words: &[u64]) -> usize {
-        let mut total = 0usize;
-        for &w in words {
-            total += w.count_ones() as usize;
-        }
-        total
     }
 
     // CRC-32 by PCLMULQDQ folding — the classic zlib/Intel "Fast CRC
@@ -295,28 +205,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn portable_backend_matches_the_obvious_loops() {
-        let k = Kernels::portable();
-        assert_eq!(k.name(), "portable");
-        let src = [1u64, 2, 3];
-        let dst = [5u64, 6, 7];
-        assert_eq!(k.xor_popcount(&dst, &src), 3);
-        assert_eq!(k.popcount(&dst), 2 + 2 + 3);
-    }
-
-    #[test]
     fn detected_backend_is_bit_identical_on_a_smoke_buffer() {
         let det = Kernels::detected();
         let port = Kernels::portable();
         let a: Vec<u64> = (0..997u64)
             .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (i << 7))
             .collect();
-        let b: Vec<u64> = a
-            .iter()
-            .map(|w| w.rotate_left(13) ^ 0x0f0f_f0f0_00ff_ff00)
-            .collect();
-        assert_eq!(det.xor_popcount(&a, &b), port.xor_popcount(&a, &b));
-        assert_eq!(det.popcount(&a), port.popcount(&a));
         assert_eq!(det.crc32_words(!0, &a), port.crc32_words(!0, &a));
     }
 

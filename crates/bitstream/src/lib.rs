@@ -41,9 +41,9 @@
 //! ```
 
 // `unsafe` is denied crate-wide and allowed back in exactly one place: the
-// `kernels` module, whose `#[target_feature]` SIMD bodies need it (each is
-// guarded by runtime feature detection and pinned bit-identical to the safe
-// portable backend).
+// `kernels` module, whose `#[target_feature]` CLMUL CRC body needs it (it
+// is guarded by runtime feature detection and pinned bit-identical to the
+// safe portable backend).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -56,10 +56,10 @@ mod memory;
 mod store;
 mod task;
 
-pub use crc::{crc32, crc32_words, Crc32};
+pub use crc::{crc32, crc32_words};
 pub use error::BitstreamError;
 pub use frame::{FrameMut, FrameRef};
-pub use generate::{configured_switches, edge_to_switch, generate_bitstream, SwitchSetting};
+pub use generate::generate_bitstream;
 pub use kernels::Kernels;
 pub use memory::ConfigMemory;
 pub use store::FrameStore;

@@ -22,7 +22,6 @@
 
 use crate::error::BitstreamError;
 use crate::frame::{FrameMut, FrameRef};
-use crate::kernels::Kernels;
 use serde::{Deserialize, Serialize};
 use vbs_arch::ArchSpec;
 
@@ -166,7 +165,7 @@ impl FrameStore {
     /// architectures (a mismatched copy would silently clip or smear frame
     /// boundaries); [`BitstreamError::RunOutOfBounds`] when either run falls
     /// outside its store.
-    pub fn copy_run_from(
+    pub(crate) fn copy_run_from(
         &mut self,
         dst_start: usize,
         src: &FrameStore,
@@ -195,7 +194,7 @@ impl FrameStore {
     /// # Panics
     ///
     /// Panics on out-of-range runs.
-    pub fn copy_run_within(&mut self, src_start: usize, dst_start: usize, count: usize) {
+    pub(crate) fn copy_run_within(&mut self, src_start: usize, dst_start: usize, count: usize) {
         let words = count * self.stride;
         let src = src_start * self.stride;
         let dst = dst_start * self.stride;
@@ -209,7 +208,7 @@ impl FrameStore {
     ///
     /// [`BitstreamError::RunOutOfBounds`] when the run falls outside the
     /// store.
-    pub fn clear_run(&mut self, start: usize, count: usize) -> Result<(), BitstreamError> {
+    pub(crate) fn clear_run(&mut self, start: usize, count: usize) -> Result<(), BitstreamError> {
         self.check_run(start, count)?;
         self.run_mut(start, count).fill(0);
         Ok(())
@@ -217,7 +216,7 @@ impl FrameStore {
 
     /// Number of set bits over the whole store.
     pub fn popcount(&self) -> usize {
-        Kernels::active().popcount(&self.words)
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 }
 

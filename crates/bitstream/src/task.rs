@@ -73,7 +73,7 @@ impl TaskBitstream {
 
     /// Mutable access to the word arena — the bulk-copy entry point of the
     /// word-level region operations.
-    pub fn store_mut(&mut self) -> &mut FrameStore {
+    pub(crate) fn store_mut(&mut self) -> &mut FrameStore {
         &mut self.store
     }
 
@@ -156,7 +156,8 @@ impl TaskBitstream {
         if self.spec() != other.spec() || self.width != other.width || self.height != other.height {
             return Err(BitstreamError::LayoutMismatch);
         }
-        Ok(crate::Kernels::active().xor_popcount(self.store.words(), other.store.words()))
+        let pairs = self.store.words().iter().zip(other.store.words());
+        Ok(pairs.map(|(a, b)| (a ^ b).count_ones() as usize).sum())
     }
 
     /// Serializes the bit-stream to bytes (frames concatenated LSB-first,

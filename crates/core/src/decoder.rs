@@ -43,7 +43,7 @@
 //!   resources of the connection's own net cost 0.1 (fanout shares its
 //!   trunk), free interior wires 1.0, unallocated boundary crossings 6.0,
 //!   wires of other nets are barred, ties go to the smaller node in
-//!   [`vbs_route::RrNode`] order — which local ids preserve.
+//!   [`vbs_arch::RrNode`] order — which local ids preserve.
 //!
 //! [`DecodeScratch::route_counts`] reports how many routes were expanded
 //! and how many of them needed the search, as exact counts.

@@ -50,9 +50,9 @@ use crate::decoder::{DecodeScratch, Devirtualizer};
 use crate::error::VbsError;
 use crate::format::{ClusterRecord, ClusterRoutes, Connection, RecordRef, RoutesRef, Vbs};
 use std::ops::Range;
-use vbs_arch::{ArchSpec, Coord, Device, Side, WireRef};
-use vbs_bitstream::{edge_to_switch, TaskBitstream};
-use vbs_route::{RouteTree, Routing, RrNode};
+use vbs_arch::{ArchSpec, Coord, Device, RrNode, Side, WireRef};
+use vbs_bitstream::{BitstreamError, TaskBitstream};
+use vbs_route::{RouteTree, Routing};
 
 /// The Virtual Bit-Stream encoder (the paper's `vbsgen`).
 #[derive(Debug, Clone)]
@@ -358,8 +358,12 @@ impl TreeScratch {
             let Some(parent) = tree.parent(child) else {
                 continue;
             };
-            let switch = edge_to_switch(geometry, self.nodes[parent], self.nodes[child])
-                .map_err(VbsError::Bitstream)?;
+            let (from, to) = (self.nodes[parent], self.nodes[child]);
+            let switch = geometry.switch_between(from, to).ok_or_else(|| {
+                VbsError::Bitstream(BitstreamError::UnmappableEdge {
+                    edge: format!("{from} <-> {to}"),
+                })
+            })?;
             let cluster = grid.cluster_of(switch.site());
             // A switch outside the tiling belongs to no record.
             if cluster.x < cols && cluster.y < rows {

@@ -10,15 +10,15 @@
 //! frame bit or reports a claimed wire.
 //!
 //! The pattern is *derived*, not re-implemented: it is read off
-//! [`RrGraph::neighbors_into`], [`edge_to_switch`] and the [`ClusterGrid`]
-//! predicates on a small reference device that holds the cluster at grid
-//! position `(1, 1)`, so it cannot disagree with the CAD side about which
-//! wires exist or which switch joins them. Only the cluster's neighbourhood
+//! [`Device::neighbors_into`], [`Device::switch_between`] and the
+//! [`ClusterGrid`] predicates on a small reference device that holds the
+//! cluster at grid position `(1, 1)`, so it cannot disagree with the CAD
+//! side about which wires exist or which switch joins them. Only the cluster's neighbourhood
 //! is enumerated — its own macros and the column / row just west / south
 //! of it, which own every node that can touch it — never the whole
 //! reference device, and an edge back to a node whose row is already built
 //! takes its switch from there (the edges are symmetric), so
-//! [`edge_to_switch`] runs once per pair of nodes. The whole-device
+//! [`Device::switch_between`] runs once per pair of nodes. The whole-device
 //! derivation lives on as the test oracle. Task-edge effects that depend on
 //! where the cluster sits are kept out of it: a cluster cut by the east or
 //! north task edge is simply a narrower shape (its own pattern), and the
@@ -27,9 +27,9 @@
 
 use crate::cluster::{ClusterGrid, ClusterIo};
 use crate::error::VbsError;
-use vbs_arch::{ArchSpec, Coord, Device, FrameLayout, Side, WireKind, WireRef};
-use vbs_bitstream::{edge_to_switch, SwitchSetting};
-use vbs_route::{RrGraph, RrNode};
+use vbs_arch::{
+    ArchSpec, Coord, Device, FrameLayout, RrNode, Side, SwitchSetting, WireKind, WireRef,
+};
 
 /// The wire never leaves the cluster: free to route through (cost 1.0
 /// unallocated, against 6.0 for a boundary crossing).
@@ -70,7 +70,7 @@ pub(crate) struct ClusterPattern {
     /// The nodes in reference coordinates, by id.
     nodes: Vec<RrNode>,
     /// CSR rows: the edges of node `i` are `offsets[i]..offsets[i + 1]`, in
-    /// [`RrGraph::neighbors_into`] order.
+    /// [`Device::neighbors_into`] order.
     offsets: Vec<u32>,
     targets: Vec<u32>,
     /// Per edge: the switch it programs, `None` when the architecture has
@@ -98,8 +98,8 @@ fn switch_of(
     from: RrNode,
     to: RrNode,
 ) -> Option<Switch> {
-    edge_to_switch(device, from, to)
-        .ok()
+    device
+        .switch_between(from, to)
         .filter(|s| grid.cluster_of(s.site()) == cluster)
         .map(|s| Switch {
             dx: s.site().x - k,
@@ -128,7 +128,6 @@ impl ClusterPattern {
         let device = Device::new(spec, width, height)?;
         let grid = ClusterGrid::new(spec, k, width, height)?;
         let cluster = Coord::new(1, 1);
-        let graph = RrGraph::new(&device);
         let layout = FrameLayout::new(spec);
 
         // A node touching the cluster belongs to one of its macros or, for
@@ -138,7 +137,7 @@ impl ClusterPattern {
         // order, so the sort below finds them sorted.
         let w = spec.channel_width();
         let owners = (k - 1..width).flat_map(|x| (k - 1..height).map(move |y| Coord::new(x, y)));
-        let mut nodes = Vec::with_capacity(graph.node_count());
+        let mut nodes = Vec::with_capacity(device.node_count());
         let wires = [WireKind::Horizontal, WireKind::Vertical]
             .into_iter()
             .flat_map(|kind| {
@@ -157,9 +156,9 @@ impl ClusterPattern {
         let wire_count = nodes.partition_point(RrNode::is_wire);
         // Reference-graph index → id, for the neighbours met below.
         const OUTSIDE: u32 = u32::MAX;
-        let mut ids = vec![OUTSIDE; graph.node_count()];
+        let mut ids = vec![OUTSIDE; device.node_count()];
         for (id, &node) in nodes.iter().enumerate() {
-            ids[graph.index(node)] = id as u32;
+            ids[device.node_index(node)] = id as u32;
         }
 
         // Capacities only (so each array allocates once): a pin reaches the
@@ -172,9 +171,9 @@ impl ClusterPattern {
         let mut neighbors = Vec::with_capacity(degree);
         for (from, &node) in nodes.iter().enumerate() {
             offsets.push(targets.len() as u32);
-            graph.neighbors_into(node, &mut neighbors);
+            device.neighbors_into(node, &mut neighbors);
             for &next in &neighbors {
-                let id = ids[graph.index(next)];
+                let id = ids[device.node_index(next)];
                 if id == OUTSIDE {
                     continue;
                 }
@@ -374,11 +373,10 @@ mod tests {
         let device = Device::new(spec, width, height).unwrap();
         let grid = ClusterGrid::new(spec, k, width, height).unwrap();
         let cluster = Coord::new(1, 1);
-        let graph = RrGraph::new(&device);
         let layout = FrameLayout::new(spec);
 
-        let mut nodes: Vec<RrNode> = (0..graph.node_count())
-            .map(|i| graph.node(i))
+        let mut nodes: Vec<RrNode> = (0..device.node_count())
+            .map(|i| device.node_at(i))
             .filter(|node| match *node {
                 RrNode::Wire(w) => grid.wire_touches(cluster, w),
                 RrNode::Pin { site, .. } => grid.cluster_of(site) == cluster,
@@ -386,17 +384,17 @@ mod tests {
             .collect();
         nodes.sort_unstable();
         let wire_count = nodes.partition_point(RrNode::is_wire);
-        let mut ids = vec![u32::MAX; graph.node_count()];
+        let mut ids = vec![u32::MAX; device.node_count()];
         for (id, &node) in nodes.iter().enumerate() {
-            ids[graph.index(node)] = id as u32;
+            ids[device.node_index(node)] = id as u32;
         }
         let (mut offsets, mut targets, mut switches) = (Vec::new(), Vec::new(), Vec::new());
         let mut neighbors = Vec::new();
         for &node in &nodes {
             offsets.push(targets.len() as u32);
-            graph.neighbors_into(node, &mut neighbors);
+            device.neighbors_into(node, &mut neighbors);
             for &next in &neighbors {
-                let id = ids[graph.index(next)];
+                let id = ids[device.node_index(next)];
                 if id != u32::MAX {
                     targets.push(id);
                     switches.push(switch_of(&device, &grid, &layout, cluster, k, node, next));

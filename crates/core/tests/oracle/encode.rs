@@ -10,13 +10,13 @@
 //! holds the product to it value for value and byte for byte.
 
 use std::collections::{HashMap, HashSet};
-use vbs_arch::{ArchSpec, Coord, WireRef};
-use vbs_bitstream::{edge_to_switch, TaskBitstream};
+use vbs_arch::{ArchSpec, Coord, RrNode, WireRef};
+use vbs_bitstream::{BitstreamError, TaskBitstream};
 use vbs_core::{
     ClusterGrid, ClusterIo, ClusterRecord, ClusterRoutes, Connection, DecodeScratch, Devirtualizer,
     PackedBits, RecordRef, RoutesRef, Vbs, VbsError,
 };
-use vbs_route::{Routing, RrNode};
+use vbs_route::Routing;
 
 /// The reference encoder.
 #[derive(Debug, Clone)]
@@ -76,7 +76,11 @@ impl OracleEncoder {
             // Assign each edge to the cluster owning its switch.
             let mut cluster_edges: HashMap<Coord, Vec<(RrNode, RrNode)>> = HashMap::new();
             for (p, c) in &edges {
-                let switch = edge_to_switch(&geometry, *p, *c).map_err(VbsError::Bitstream)?;
+                let switch = geometry.switch_between(*p, *c).ok_or_else(|| {
+                    VbsError::Bitstream(BitstreamError::UnmappableEdge {
+                        edge: format!("{p} <-> {c}"),
+                    })
+                })?;
                 let cluster = grid.cluster_of(switch.site());
                 cluster_edges.entry(cluster).or_default().push((*p, *c));
             }

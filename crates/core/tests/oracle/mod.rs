@@ -13,10 +13,10 @@
 //! # `decode_record`
 //!
 //! Every connection is a Dijkstra over the routing-resource graph of the
-//! *whole task* ([`RrGraph::neighbors_into`] called per expansion, nothing
+//! *whole task* ([`Device::neighbors_into`] called per expansion, nothing
 //! cached), constrained to the wires touching the record's cluster by
-//! [`ClusterGrid::wire_touches`]; switches come from [`edge_to_switch`] per
-//! path edge, endpoints from [`boundary_wire`] (the inverse of
+//! [`ClusterGrid::wire_touches`]; switches come from
+//! [`Device::switch_between`] per path edge, endpoints from [`boundary_wire`] (the inverse of
 //! [`ClusterGrid::wire_io`]) / [`ClusterGrid::macro_at`], state lives in
 //! hash maps keyed by task nodes and frame bits are written one at a time. Costs (0.1 / 1.0 / 6.0), the
 //! `f32::EPSILON` improvement threshold and the `(cost, node)` pop order are
@@ -32,10 +32,9 @@ pub mod parse;
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
-use vbs_arch::{Coord, Device, Side, WireRef};
-use vbs_bitstream::{edge_to_switch, SwitchSetting, TaskBitstream};
+use vbs_arch::{Coord, Device, RrNode, Side, SwitchSetting, WireRef};
+use vbs_bitstream::TaskBitstream;
 use vbs_core::{ClusterGrid, ClusterIo, ClusterRecord, ClusterRoutes, Connection, Vbs, VbsError};
-use vbs_route::{RrGraph, RrNode};
 
 /// Expands `record` of `vbs` into `task` and returns the wires it claimed,
 /// sorted and deduplicated (empty for raw records).
@@ -229,7 +228,9 @@ fn route(
         connection: connection.to_string(),
     };
     for hop in path.windows(2) {
-        let switch = edge_to_switch(geometry, hop[0], hop[1]).map_err(|_| conflict())?;
+        let switch = geometry
+            .switch_between(hop[0], hop[1])
+            .ok_or_else(conflict)?;
         if grid.cluster_of(switch.site()) != cluster {
             return Err(conflict());
         }
@@ -279,7 +280,6 @@ fn search(
     group: u32,
     nets: &Nets,
 ) -> Option<Vec<RrNode>> {
-    let graph = RrGraph::new(geometry);
     let group_root = nets.root(group);
     let mut cost: HashMap<RrNode, f32> = HashMap::from([(source, 0.0)]);
     let mut parent: HashMap<RrNode, RrNode> = HashMap::new();
@@ -309,7 +309,7 @@ fn search(
         if !node.is_wire() && node != source {
             continue;
         }
-        graph.neighbors_into(node, &mut neighbors);
+        geometry.neighbors_into(node, &mut neighbors);
         for &next in &neighbors {
             let step = match next {
                 RrNode::Pin { .. } if next == target => 1.0,

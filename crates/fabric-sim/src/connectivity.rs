@@ -2,35 +2,20 @@
 
 use crate::error::SimError;
 use std::collections::HashMap;
-use vbs_arch::{Coord, SbPair, Side, WireRef};
+use vbs_arch::{Coord, Device, RrNode, SbPair, SwitchSetting};
 use vbs_bitstream::TaskBitstream;
 use vbs_netlist::{BlockKind, Netlist};
 use vbs_place::Placement;
-
-/// One electrical node of the configured fabric: a wire or a logic-block pin,
-/// in task-relative coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum FabricNode {
-    /// A routing wire.
-    Wire(WireRef),
-    /// Pin `pin` of the macro at `site`.
-    Pin {
-        /// The macro owning the pin.
-        site: Coord,
-        /// The pin number.
-        pin: u8,
-    },
-}
 
 /// The electrical nets created by a configuration: a partition of the fabric
 /// nodes touched by at least one closed switch.
 #[derive(Debug, Clone)]
 pub struct Connectivity {
-    parent: HashMap<FabricNode, FabricNode>,
+    parent: HashMap<RrNode, RrNode>,
 }
 
 impl Connectivity {
-    fn find(&self, mut node: FabricNode) -> FabricNode {
+    fn find(&self, mut node: RrNode) -> RrNode {
         while let Some(&p) = self.parent.get(&node) {
             if p == node {
                 break;
@@ -42,14 +27,15 @@ impl Connectivity {
 
     /// The representative node of the electrical net a pin belongs to, if the
     /// pin is connected to anything.
-    pub fn net_of_pin(&self, site: Coord, pin: u8) -> Option<FabricNode> {
-        let node = FabricNode::Pin { site, pin };
+    pub(crate) fn net_of_pin(&self, site: Coord, pin: u8) -> Option<RrNode> {
+        let node = RrNode::Pin { site, pin };
         self.parent.contains_key(&node).then(|| self.find(node))
     }
 
     /// Number of distinct electrical nets.
-    pub fn net_count(&self) -> usize {
-        let mut roots: Vec<FabricNode> = self.parent.keys().map(|&n| self.find(n)).collect();
+    #[cfg(test)]
+    pub(crate) fn net_count(&self) -> usize {
+        let mut roots: Vec<RrNode> = self.parent.keys().map(|&n| self.find(n)).collect();
         roots.sort_unstable();
         roots.dedup();
         roots.len()
@@ -57,7 +43,7 @@ impl Connectivity {
 }
 
 struct Builder {
-    parent: HashMap<FabricNode, FabricNode>,
+    parent: HashMap<RrNode, RrNode>,
 }
 
 impl Builder {
@@ -67,7 +53,7 @@ impl Builder {
         }
     }
 
-    fn find(&mut self, node: FabricNode) -> FabricNode {
+    fn find(&mut self, node: RrNode) -> RrNode {
         let p = *self.parent.entry(node).or_insert(node);
         if p == node {
             return node;
@@ -77,7 +63,7 @@ impl Builder {
         root
     }
 
-    fn union(&mut self, a: FabricNode, b: FabricNode) {
+    fn union(&mut self, a: RrNode, b: RrNode) {
         let ra = self.find(a);
         let rb = self.find(b);
         if ra != rb {
@@ -87,46 +73,39 @@ impl Builder {
 }
 
 /// Rebuilds the electrical nets created by every closed switch of `task`.
-pub fn extract_connectivity(task: &TaskBitstream) -> Connectivity {
+///
+/// Nodes are in task-relative coordinates: the task is read as a device of
+/// its own size, so a switch one of whose ends ([`Device::switch_ends`])
+/// lies outside the task joins nothing.
+pub(crate) fn extract_connectivity(task: &TaskBitstream) -> Connectivity {
     let spec = *task.spec();
     let mut b = Builder::new();
-    let in_task = |w: &WireRef| w.owner.x < task.width() && w.owner.y < task.height();
+    // A task with a zero edge has no frames, hence no closed switch; one
+    // wider or taller than `Device::MAX_EDGE` fits no device, and every net
+    // of it reads as open.
+    let Ok(device) = Device::new(spec, task.width(), task.height()) else {
+        return Connectivity { parent: b.parent };
+    };
+    let mut join = |switch| {
+        if let Some([x, y]) = device.switch_ends(switch) {
+            b.union(x, y);
+        }
+    };
 
-    for (at, frame) in task.iter_frames() {
+    for (site, frame) in task.iter_frames() {
         // Switch-box pass switches.
-        for t in 0..spec.channel_width() {
+        for track in 0..spec.channel_width() {
             for pair in SbPair::ALL {
-                if !frame.sb(t, pair) {
-                    continue;
-                }
-                let (sa, sb) = pair.sides();
-                let wire_at = |side: Side| -> Option<WireRef> {
-                    let w = match side {
-                        Side::East => Some(WireRef::horizontal(at.x, at.y, t)),
-                        Side::North => Some(WireRef::vertical(at.x, at.y, t)),
-                        Side::West => at.x.checked_sub(1).map(|x| WireRef::horizontal(x, at.y, t)),
-                        Side::South => at.y.checked_sub(1).map(|y| WireRef::vertical(at.x, y, t)),
-                    }?;
-                    in_task(&w).then_some(w)
-                };
-                if let (Some(wa), Some(wb)) = (wire_at(sa), wire_at(sb)) {
-                    b.union(FabricNode::Wire(wa), FabricNode::Wire(wb));
+                if frame.sb(track, pair) {
+                    join(SwitchSetting::SwitchBox { site, track, pair });
                 }
             }
         }
         // Connection-box crossings.
         for pin in 0..spec.lb_pins() {
-            for t in 0..spec.channel_width() {
-                if !frame.crossing(pin, t) {
-                    continue;
-                }
-                let wire = if pin % 2 == 0 {
-                    WireRef::horizontal(at.x, at.y, t)
-                } else {
-                    WireRef::vertical(at.x, at.y, t)
-                };
-                if in_task(&wire) {
-                    b.union(FabricNode::Pin { site: at, pin }, FabricNode::Wire(wire));
+            for track in 0..spec.channel_width() {
+                if frame.crossing(pin, track) {
+                    join(SwitchSetting::Crossing { site, pin, track });
                 }
             }
         }
@@ -157,7 +136,7 @@ pub fn verify_against_netlist(
     let output_pin = task.spec().output_pin();
 
     // 1. Connectivity of every net, and 2. no shorts between nets.
-    let mut owner_of_root: HashMap<FabricNode, String> = HashMap::new();
+    let mut owner_of_root: HashMap<RrNode, String> = HashMap::new();
     for (_, net) in netlist.iter_nets() {
         if net.sinks.is_empty() {
             continue;

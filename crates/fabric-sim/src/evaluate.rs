@@ -1,9 +1,9 @@
 //! Functional evaluation of a configured fabric.
 
-use crate::connectivity::{extract_connectivity, FabricNode};
+use crate::connectivity::extract_connectivity;
 use crate::error::SimError;
 use std::collections::HashMap;
-use vbs_arch::Coord;
+use vbs_arch::{Coord, RrNode};
 use vbs_bitstream::TaskBitstream;
 use vbs_netlist::{BlockKind, Netlist};
 use vbs_place::Placement;
@@ -41,7 +41,7 @@ pub fn evaluate(
     let lut_size = task.spec().lut_size() as usize;
 
     // Electrical net values, keyed by representative node.
-    let mut values: HashMap<FabricNode, bool> = HashMap::new();
+    let mut values: HashMap<RrNode, bool> = HashMap::new();
 
     // Drive primary inputs.
     for (block_id, block) in netlist.iter_blocks() {
@@ -55,7 +55,7 @@ pub fn evaluate(
     }
 
     // Relax LUT outputs until the values settle.
-    let lut_sites: Vec<(Coord, Vec<Option<FabricNode>>, Option<FabricNode>)> = netlist
+    let lut_sites: Vec<(Coord, Vec<Option<RrNode>>, Option<RrNode>)> = netlist
         .iter_blocks()
         .filter(|(_, b)| b.kind.is_lut())
         .map(|(id, _)| {

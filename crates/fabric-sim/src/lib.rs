@@ -6,7 +6,9 @@
 //! the intended circuit. The simulator:
 //!
 //! * interprets a [`vbs_bitstream::TaskBitstream`] switch by switch and
-//!   rebuilds the electrical nets it creates ([`extract_connectivity`]);
+//!   rebuilds the electrical nets it creates, reading both ends of every
+//!   closed switch off the device's routing-resource graph
+//!   ([`vbs_arch::Device::switch_ends`]);
 //! * checks a configuration against the placed netlist it is supposed to
 //!   implement ([`verify_against_netlist`]): every source pin must reach all
 //!   of its sink pins, no two nets may be shorted, and every LUT site must
@@ -24,6 +26,6 @@ mod connectivity;
 mod error;
 mod evaluate;
 
-pub use connectivity::{extract_connectivity, verify_against_netlist, Connectivity, FabricNode};
+pub use connectivity::{verify_against_netlist, Connectivity};
 pub use error::SimError;
 pub use evaluate::{evaluate, evaluate_netlist};

@@ -7,10 +7,9 @@
 //! decodes each candidate record inside the encoder.
 
 use crate::error::RouteError;
-use crate::graph::{RrGraph, RrNode};
 use crate::result::Routing;
 use std::collections::HashMap;
-use vbs_arch::Device;
+use vbs_arch::{Device, RrNode};
 use vbs_netlist::{BlockKind, Netlist};
 use vbs_place::Placement;
 
@@ -30,7 +29,6 @@ pub fn check_routing(
     placement: &Placement,
     routing: &Routing,
 ) -> Result<(), RouteError> {
-    let graph = RrGraph::new(device);
     let output_pin = device.spec().output_pin();
 
     for (net_id, net) in netlist.iter_nets() {
@@ -38,7 +36,7 @@ pub fn check_routing(
 
         // 1. Edges must exist in the fabric.
         for (parent, child) in tree.iter_edges() {
-            if !graph.are_neighbors(parent, child) {
+            if device.switch_between(parent, child).is_none() {
                 return Err(RouteError::CheckIllegalEdge {
                     net: net_id,
                     edge: format!("{parent} -> {child}"),

@@ -3,12 +3,10 @@
 //! The paper's flow uses VPR to route each hardware task; this crate plays
 //! that role. It provides:
 //!
-//! * [`RrGraph`] — the routing-resource graph derived from the architecture
-//!   model: one node per routing wire and per logic-block pin, with edges
-//!   generated on the fly from the switch-box and connection-box topology;
 //! * [`route`] — a negotiated-congestion (PathFinder) router with A*-directed
-//!   search over a per-call CSR copy of that graph, producing one
-//!   [`RouteTree`] per net;
+//!   search over a per-call CSR copy of the device's routing-resource graph
+//!   (`vbs_arch::Device::neighbors_into`, one node per routing wire and per
+//!   logic-block pin), producing one [`RouteTree`] per net;
 //! * [`check`] — an independent legality checker (no overused wire, every
 //!   sink reached, every edge realizable by the architecture), used by
 //!   tests and by a debug assertion in bitstream generation;
@@ -28,7 +26,7 @@
 //! let device = Device::new(ArchSpec::new(8, 6)?, 7, 7)?;
 //! let placement = place(&netlist, &device, &PlacerConfig::fast(1))?;
 //! let routing = route(&netlist, &device, &placement, &RouterConfig::default())?;
-//! assert_eq!(routing.tree_count(), netlist.net_count());
+//! assert_eq!(routing.iter_trees().count(), netlist.net_count());
 //! # Ok(())
 //! # }
 //! ```
@@ -37,7 +35,6 @@
 #![warn(missing_docs)]
 
 mod error;
-mod graph;
 mod mcw;
 mod result;
 mod router;
@@ -45,7 +42,6 @@ mod router;
 pub mod check;
 
 pub use error::RouteError;
-pub use graph::{RrGraph, RrNode};
 pub use mcw::{minimum_channel_width, McwSearch};
-pub use result::{RouteTree, Routing, RoutingStats};
+pub use result::{RouteTree, Routing};
 pub use router::{route, RouterConfig};

@@ -1,9 +1,7 @@
 //! Routing results: per-net route trees and whole-circuit statistics.
 
-use crate::graph::RrNode;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use vbs_arch::{ArchSpec, Coord, WireRef};
+use vbs_arch::{ArchSpec, RrNode, WireRef};
 use vbs_netlist::NetId;
 
 /// The routed tree of one net: node 0 is the source pin, every other node has
@@ -25,7 +23,7 @@ impl RouteTree {
     }
 
     /// The source node of the net (its driver pin).
-    pub fn source(&self) -> RrNode {
+    pub(crate) fn source(&self) -> RrNode {
         self.nodes[0]
     }
 
@@ -119,7 +117,8 @@ impl Routing {
     }
 
     /// Number of route trees (equals the net count of the routed netlist).
-    pub fn tree_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn tree_count(&self) -> usize {
         self.trees.len()
     }
 
@@ -142,8 +141,9 @@ impl Routing {
     }
 
     /// Number of nets using each wire (legal routings never exceed one).
-    pub fn wire_occupancy(&self) -> HashMap<WireRef, usize> {
-        let mut occ: HashMap<WireRef, usize> = HashMap::new();
+    #[cfg(test)]
+    pub(crate) fn wire_occupancy(&self) -> std::collections::HashMap<WireRef, usize> {
+        let mut occ = std::collections::HashMap::new();
         for tree in &self.trees {
             for wire in tree.iter_wires() {
                 *occ.entry(wire).or_insert(0) += 1;
@@ -153,44 +153,10 @@ impl Routing {
     }
 
     /// Total number of wire segments used, summed over nets.
-    pub fn total_wirelength(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn total_wirelength(&self) -> usize {
         self.trees.iter().map(|t| t.iter_wires().count()).sum()
     }
-
-    /// Aggregated statistics of the routing.
-    pub fn stats(&self) -> RoutingStats {
-        let occupancy = self.wire_occupancy();
-        let used_wires = occupancy.len();
-        let mut per_macro: HashMap<Coord, usize> = HashMap::new();
-        for (wire, _) in occupancy.iter() {
-            for m in wire.touching_macros() {
-                *per_macro.entry(m).or_insert(0) += 1;
-            }
-        }
-        let max_wires_per_macro = per_macro.values().copied().max().unwrap_or(0);
-        RoutingStats {
-            nets: self.trees.len(),
-            iterations: self.iterations,
-            total_wirelength: self.total_wirelength(),
-            used_wires,
-            max_wires_per_macro,
-        }
-    }
-}
-
-/// Summary statistics of a routing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RoutingStats {
-    /// Number of routed nets.
-    pub nets: usize,
-    /// PathFinder iterations used.
-    pub iterations: usize,
-    /// Total wire segments over all nets.
-    pub total_wirelength: usize,
-    /// Number of distinct wires used at least once.
-    pub used_wires: usize,
-    /// Largest number of distinct used wires touching a single macro.
-    pub max_wires_per_macro: usize,
 }
 
 #[cfg(test)]
@@ -235,8 +201,5 @@ mod tests {
         let routing = Routing::new(spec, vec![a, b], 1);
         assert_eq!(routing.wire_occupancy()[&w], 2);
         assert_eq!(routing.total_wirelength(), 2);
-        let stats = routing.stats();
-        assert_eq!(stats.used_wires, 1);
-        assert_eq!(stats.nets, 2);
     }
 }

@@ -8,18 +8,17 @@
 //!
 //! Each [`route`] call first flattens the graph into a CSR adjacency over
 //! dense `u32` node ids plus one grid position per node, read once from
-//! [`RrGraph::neighbors_into`]. Every sink search then runs on ids alone:
+//! [`Device::neighbors_into`]. Every sink search then runs on ids alone:
 //! a packed `(estimate, node)` heap key, one `(stamp, cost)` slot per node,
 //! and heap, path and sink-order buffers kept across sinks and nets. No
 //! [`RrNode`] is built until a found path joins its net's [`RouteTree`].
 
 use crate::error::RouteError;
-use crate::graph::{RrGraph, RrNode};
 use crate::result::{RouteTree, Routing};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use vbs_arch::{Coord, Device};
+use vbs_arch::{Coord, Device, RrNode};
 use vbs_netlist::{BlockKind, NetId, Netlist};
 use vbs_place::Placement;
 
@@ -93,9 +92,8 @@ pub fn route(
     if placement.placed_blocks() != netlist.block_count() {
         return Err(RouteError::PlacementIncomplete);
     }
-    let graph = RrGraph::new(device);
-    let ids = IdGraph::new(&graph);
-    let wire_count = graph.wire_count();
+    let ids = IdGraph::new(device);
+    let wire_count = device.wire_count();
 
     // Net terminals as node ids: the source, then the sinks.
     let output_pin = device.spec().output_pin();
@@ -119,19 +117,19 @@ pub fn route(
             .sinks
             .iter()
             .map(|s| {
-                IdGraph::id(graph.index(RrNode::Pin {
+                IdGraph::id(device.node_index(RrNode::Pin {
                     site: placement.site(s.block),
                     pin: s.slot,
                 }))
             })
             .collect();
-        terminals.push((IdGraph::id(graph.index(source)), sinks));
+        terminals.push((IdGraph::id(device.node_index(source)), sinks));
         trees.push(RouteTree::new(source));
     }
 
     let mut occupancy: Vec<u16> = vec![0; wire_count];
     let mut history: Vec<f32> = vec![0.0; wire_count];
-    let mut search = Search::new(graph.node_count());
+    let mut search = Search::new(device.node_count());
     let mut present_factor = INITIAL_PRESENT_FACTOR;
 
     for iteration in 0..config.max_iterations {
@@ -142,7 +140,7 @@ pub fn route(
             }
             // Rip up the previous tree of this net.
             for wire in trees[net_index].iter_wires() {
-                let idx = graph.index(RrNode::Wire(wire));
+                let idx = device.node_index(RrNode::Wire(wire));
                 occupancy[idx] = occupancy[idx].saturating_sub(1);
             }
             let costs = WireCosts {
@@ -151,7 +149,7 @@ pub fn route(
                 present_factor: present_factor as f32,
             };
             trees[net_index] = route_net(
-                &graph,
+                device,
                 &ids,
                 *source,
                 sinks,
@@ -162,7 +160,7 @@ pub fn route(
             )
             .map_err(|sink| RouteError::NoPath {
                 net: NetId(net_index as u32),
-                sink: graph.node(sink as usize).to_string(),
+                sink: device.node_at(sink as usize).to_string(),
             })?;
             for &id in &search.tree {
                 if (id as usize) < wire_count {
@@ -193,8 +191,8 @@ pub fn route(
 }
 
 /// The routing-resource graph of one [`route`] call over dense `u32` node
-/// ids ([`RrGraph::index`]): a CSR adjacency read once from
-/// [`RrGraph::neighbors_into`], plus every node's grid position.
+/// ids ([`Device::node_index`]): a CSR adjacency read once from
+/// [`Device::neighbors_into`], plus every node's grid position.
 ///
 /// A row keeps only the *wire* neighbours of its node. The search never
 /// enters a pin other than its sink, and it reaches the sink through
@@ -207,22 +205,22 @@ struct IdGraph {
 }
 
 impl IdGraph {
-    fn new(graph: &RrGraph<'_>) -> Self {
-        let node_count = graph.node_count();
+    fn new(device: &Device) -> Self {
+        let node_count = device.node_count();
         let mut offsets = Vec::with_capacity(node_count + 1);
         let mut targets = Vec::new();
         let mut positions = Vec::with_capacity(node_count);
         let mut neighbors = Vec::with_capacity(16);
         offsets.push(0);
         for index in 0..node_count {
-            let node = graph.node(index);
+            let node = device.node_at(index);
             positions.push(node.position());
-            graph.neighbors_into(node, &mut neighbors);
+            device.neighbors_into(node, &mut neighbors);
             targets.extend(
                 neighbors
                     .iter()
                     .filter(|n| n.is_wire())
-                    .map(|&n| Self::id(graph.index(n))),
+                    .map(|&n| Self::id(device.node_index(n))),
             );
             offsets.push(Self::id(targets.len()));
         }
@@ -403,7 +401,7 @@ impl PartialOrd for HeapEntry {
 /// Returns `Err(sink)` naming the first unreachable sink.
 #[allow(clippy::too_many_arguments)]
 fn route_net(
-    graph: &RrGraph<'_>,
+    device: &Device,
     ids: &IdGraph,
     source: u32,
     sinks: &[u32],
@@ -412,14 +410,14 @@ fn route_net(
     margin: u16,
     search: &mut Search,
 ) -> Result<RouteTree, u32> {
-    let mut tree = RouteTree::new(graph.node(source as usize));
+    let mut tree = RouteTree::new(device.node_at(source as usize));
     search.tree.clear();
     search.tree.push(source);
 
     // Search region: net bounding box plus a growing margin.
     let source_pos = ids.position(source);
     let sink_positions = sinks.iter().map(|&s| ids.position(s));
-    let (lo, hi) = net_region(source_pos, sink_positions, graph.device(), margin);
+    let (lo, hi) = net_region(source_pos, sink_positions, device, margin);
 
     // Closest sinks first: the tree grows outwards and later sinks can reuse
     // earlier branches.
@@ -491,7 +489,7 @@ fn route_net(
         }
         let mut parent = parent_tree_index;
         for &node in search.path.iter().rev() {
-            parent = tree.push(graph.node(node as usize), parent);
+            parent = tree.push(device.node_at(node as usize), parent);
             search.tree.push(node);
         }
     }

@@ -1,7 +1,7 @@
 //! The router as it was before it searched over dense node ids: every
-//! expansion rebuilt an [`RrNode`] with [`RrGraph::node`], enumerated its
-//! neighbours through [`RrGraph::neighbors_into`] and re-indexed each one
-//! with [`RrGraph::index`]. `route_differential` holds the product router
+//! expansion rebuilt an [`RrNode`] with [`Device::node_at`], enumerated its
+//! neighbours through [`Device::neighbors_into`] and re-indexed each one
+//! with [`Device::node_index`]. `route_differential` holds the product router
 //! to it tree for tree and error for error; [`minimum_channel_width`] is
 //! the product's search, calling this [`route`].
 
@@ -10,10 +10,10 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use vbs_arch::{ArchSpec, Coord, Device};
+use vbs_arch::{ArchSpec, Coord, Device, RrNode};
 use vbs_netlist::{BlockKind, NetId, Netlist};
 use vbs_place::Placement;
-use vbs_route::{McwSearch, RouteError, RouteTree, RouterConfig, Routing, RrGraph, RrNode};
+use vbs_route::{McwSearch, RouteError, RouteTree, RouterConfig, Routing};
 
 /// Present-congestion factor of the first iteration.
 const INITIAL_PRESENT_FACTOR: f64 = 0.6;
@@ -46,9 +46,8 @@ pub fn route(
     if placement.placed_blocks() != netlist.block_count() {
         return Err(RouteError::PlacementIncomplete);
     }
-    let graph = RrGraph::new(device);
-    let node_count = graph.node_count();
-    let wire_count = graph.wire_count();
+    let node_count = device.node_count();
+    let wire_count = device.wire_count();
 
     // Net terminals in graph terms.
     let output_pin = device.spec().output_pin();
@@ -95,11 +94,11 @@ pub fn route(
             }
             // Rip up the previous tree of this net.
             for wire in trees[net_index].iter_wires() {
-                let idx = graph.index(RrNode::Wire(wire));
+                let idx = device.node_index(RrNode::Wire(wire));
                 occupancy[idx] = occupancy[idx].saturating_sub(1);
             }
             let tree = route_net(
-                &graph,
+                device,
                 *source,
                 sinks,
                 &occupancy,
@@ -114,7 +113,7 @@ pub fn route(
                 sink,
             })?;
             for wire in tree.iter_wires() {
-                let idx = graph.index(RrNode::Wire(wire));
+                let idx = device.node_index(RrNode::Wire(wire));
                 occupancy[idx] += 1;
             }
             trees[net_index] = tree;
@@ -216,7 +215,7 @@ impl PartialOrd for HeapEntry {
 /// Returns `Err(description)` naming the first unreachable sink.
 #[allow(clippy::too_many_arguments)]
 fn route_net(
-    graph: &RrGraph<'_>,
+    device: &Device,
     source: RrNode,
     sinks: &[RrNode],
     occupancy: &[u16],
@@ -230,7 +229,7 @@ fn route_net(
 
     // Search region: net bounding box plus a growing margin.
     let margin = BOUNDING_BOX_MARGIN + 2 * iteration as u16;
-    let (lo, hi) = net_region(source, sinks, graph.device(), margin);
+    let (lo, hi) = net_region(source, sinks, device, margin);
 
     // Closest sinks first: the tree grows outwards and later sinks can reuse
     // earlier branches.
@@ -244,11 +243,11 @@ fn route_net(
         search.begin();
         let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
         let sink_pos = sink.position();
-        let sink_idx = graph.index(sink);
+        let sink_idx = device.node_index(sink);
 
         // Seed the frontier with the whole current tree at cost zero.
         for (tree_idx, &node) in tree.nodes().iter().enumerate() {
-            let idx = graph.index(node);
+            let idx = device.node_index(node);
             // came_from encodes "already in tree" as u32::MAX - 1 - tree index.
             search.record(idx, 0.0, u32::MAX - 1 - tree_idx as u32);
             heap.push(HeapEntry {
@@ -267,7 +266,7 @@ fn route_net(
                 found = true;
                 break;
             }
-            let node = graph.node(entry.node);
+            let node = device.node_at(entry.node);
             // Pins are never route-throughs: only the target sink pin may be
             // entered, and only source/tree pins may be expanded from.
             if let RrNode::Pin { .. } = node {
@@ -275,10 +274,10 @@ fn route_net(
                     continue;
                 }
             }
-            graph.neighbors_into(node, &mut search.neighbors);
+            device.neighbors_into(node, &mut search.neighbors);
             let neighbors = std::mem::take(&mut search.neighbors);
             for &next in &neighbors {
-                let next_idx = graph.index(next);
+                let next_idx = device.node_index(next);
                 match next {
                     RrNode::Pin { .. } => {
                         if next_idx != sink_idx {
@@ -328,7 +327,7 @@ fn route_net(
         }
         let mut parent = parent_tree_index;
         for &node_idx in path.iter().rev() {
-            parent = tree.push(graph.node(node_idx), parent);
+            parent = tree.push(device.node_at(node_idx), parent);
         }
     }
 

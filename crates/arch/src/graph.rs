@@ -141,12 +141,16 @@ impl Device {
         }
     }
 
-    /// Appends every neighbour of `node` to `out` (cleared first).
+    /// Appends every neighbour of `node` to `out` (cleared first). A node
+    /// outside this device (a wire on a track `>= W` or owned outside the
+    /// grid, a pin `>= L` or of a site outside the grid) has none.
     pub fn neighbors_into(&self, node: RrNode, out: &mut Vec<RrNode>) {
         out.clear();
         let spec = self.spec();
         let w = spec.channel_width();
         match node {
+            RrNode::Pin { site, pin } if !self.contains(site) || pin >= spec.lb_pins() => {}
+            RrNode::Wire(wire) if !self.wire_exists(wire) => {}
             RrNode::Pin { site, pin } => {
                 // Connection box: the pin reaches all W wires of its channel.
                 for t in 0..w {
@@ -385,10 +389,38 @@ mod tests {
                     assert_eq!(d.node_index(node), i, "{at}: {node}");
                 }
 
+                // Nodes just outside the device: a track or pin one past the
+                // last, an owner or site one past the grid's east / north
+                // edge. They list no neighbour and no switch reaches them.
+                let outside = (0..width).flat_map(|x| {
+                    (0..height).flat_map(move |y| {
+                        let wires = [
+                            WireRef::horizontal(x, y, w),
+                            WireRef::vertical(x, y, w),
+                            WireRef::horizontal(width, y, 0),
+                            WireRef::vertical(x, height, 0),
+                        ];
+                        wires.into_iter().map(RrNode::Wire).chain([
+                            RrNode::Pin {
+                                site: Coord::new(x, y),
+                                pin: spec.lb_pins(),
+                            },
+                            RrNode::Pin {
+                                site: Coord::new(width, height),
+                                pin: 0,
+                            },
+                        ])
+                    })
+                });
+                let all: Vec<RrNode> = nodes.iter().copied().chain(outside).collect();
+                for &a in &all[nodes.len()..] {
+                    assert_eq!(neighbors(&d, a), [], "{at}: {a} lies outside");
+                }
+
                 let mut edges = 0;
-                for &a in &nodes {
+                for &a in &all {
                     let listed: HashSet<RrNode> = neighbors(&d, a).into_iter().collect();
-                    for &b in &nodes {
+                    for &b in &all {
                         let switch = d.switch_between(a, b);
                         assert_eq!(switch, d.switch_between(b, a), "{at}: {a} / {b}");
                         if !listed.contains(&b) {

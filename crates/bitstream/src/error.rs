@@ -10,6 +10,12 @@ pub enum BitstreamError {
         /// Human-readable description of the edge.
         edge: String,
     },
+    /// The routing handed to the bit-stream generator fails the routing
+    /// checker (`vbs_route::check::check_routing`).
+    IllegalRouting {
+        /// The checker's verdict.
+        reason: String,
+    },
     /// A macro coordinate lies outside the task rectangle.
     OutOfTask {
         /// The offending coordinate (device-absolute).
@@ -55,6 +61,9 @@ impl fmt::Display for BitstreamError {
         match self {
             BitstreamError::UnmappableEdge { edge } => {
                 write!(f, "routing edge cannot be mapped to a switch: {edge}")
+            }
+            BitstreamError::IllegalRouting { reason } => {
+                write!(f, "illegal routing: {reason}")
             }
             BitstreamError::OutOfTask { at } => {
                 write!(f, "macro {at} is outside the task rectangle")

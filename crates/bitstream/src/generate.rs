@@ -51,23 +51,28 @@ fn configured_switches(
 /// which is what makes the raw bit-stream comparable with the relocatable
 /// Virtual Bit-Stream.
 ///
-/// The routing is first re-validated with [`check_routing`] in debug builds.
+/// The routing is first re-validated with [`check_routing`], in every
+/// build.
 ///
 /// # Errors
 ///
-/// Returns [`BitstreamError::UnmappableEdge`] if a route tree contains an
-/// edge the fabric cannot realize, or [`BitstreamError::OutOfTask`] if the
-/// routing escapes the placement region.
+/// Returns [`BitstreamError::IllegalRouting`] if [`check_routing`] rejects
+/// the routing (an edge the fabric does not have, a sink not reached, a
+/// wire carrying two nets), [`BitstreamError::UnmappableEdge`] if a route
+/// tree past the netlist's nets contains an edge the fabric cannot
+/// realize, or [`BitstreamError::OutOfTask`] if the routing escapes the
+/// placement region.
 pub fn generate_bitstream(
     netlist: &Netlist,
     device: &Device,
     placement: &Placement,
     routing: &Routing,
 ) -> Result<TaskBitstream, BitstreamError> {
-    debug_assert!(
-        check_routing(netlist, device, placement, routing).is_ok(),
-        "generate_bitstream called with an illegal routing"
-    );
+    check_routing(netlist, device, placement, routing).map_err(|error| {
+        BitstreamError::IllegalRouting {
+            reason: error.to_string(),
+        }
+    })?;
     let region = placement.region();
     let origin = region.origin;
     let mut task = TaskBitstream::empty(*device.spec(), region.width, region.height);
@@ -165,6 +170,49 @@ mod tests {
         }
     }
 
+    /// An illegal routing gets the checker's verdict from the public entry
+    /// point, in debug and release builds alike: a grafted edge the fabric
+    /// does not have, and a branch onto a wire another net already uses.
+    #[test]
+    fn illegal_routings_are_refused_in_every_build() {
+        let (netlist, device, placement, routing) = flow();
+        let trees = || -> Vec<RouteTree> { routing.iter_trees().map(|(_, t)| t.clone()).collect() };
+        let refused = |trees: Vec<RouteTree>| {
+            let tampered = Routing::new(*routing.spec(), trees, routing.iterations());
+            match generate_bitstream(&netlist, &device, &placement, &tampered) {
+                Err(BitstreamError::IllegalRouting { reason }) => reason,
+                other => panic!("an illegal routing gave {other:?}"),
+            }
+        };
+
+        let mut grafted = trees();
+        let victim = grafted.iter_mut().find(|t| !t.is_empty()).unwrap();
+        victim.push(RrNode::Wire(WireRef::horizontal(6, 0, 7)), 0);
+        assert!(refused(grafted).contains("edge the fabric does not have"));
+
+        // Branch one net onto a wire of another through a real switch.
+        let mut shared = trees();
+        let branch = (0..shared.len())
+            .flat_map(|a| (0..shared.len()).map(move |b| (a, b)))
+            .filter(|(a, b)| a != b)
+            .find_map(|(a, b)| {
+                let wires: Vec<WireRef> = shared[b].iter_wires().collect();
+                shared[a]
+                    .nodes()
+                    .iter()
+                    .enumerate()
+                    .find_map(|(at, &node)| {
+                        wires
+                            .iter()
+                            .find(|&&w| device.switch_between(node, RrNode::Wire(w)).is_some())
+                            .map(|&w| (a, at, w))
+                    })
+            });
+        let (net, at, wire) = branch.expect("two nets run side by side");
+        shared[net].push(RrNode::Wire(wire), at);
+        assert_eq!(refused(shared), format!("wire {wire} carries 2 nets"));
+    }
+
     /// A routing of one net whose tree is the single edge `from → to`.
     fn one_edge(device: &Device, from: RrNode, to: RrNode) -> Routing {
         let mut tree = RouteTree::new(from);
@@ -222,9 +270,8 @@ mod tests {
             neighbors.contains(&b)
         };
         for (a, b) in cases {
-            // A node outside the device may list neighbours, but an edge is
-            // listed from both of its ends.
-            assert!(!(lists(a, b) && lists(b, a)), "{a} / {b} is an edge");
+            // Neither end lists the other.
+            assert!(!lists(a, b) && !lists(b, a), "{a} / {b} is listed");
             for (from, to) in [(a, b), (b, a)] {
                 let result = configured_switches(&device, &one_edge(&device, from, to));
                 assert_eq!(

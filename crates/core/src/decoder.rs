@@ -34,19 +34,40 @@
 //!
 //! Expanding one connection:
 //!
-//! * if one switch joins source and target — every route of a `k = 1`
-//!   stream, about a third to a half at `k = 2 / 3` — that switch is the
-//!   route. No search runs: the direct hop costs exactly the target's own
-//!   step, every detour pays that same last step plus at least 0.1 more, so
-//!   it is the unique minimum the search below would return;
+//! * if its endpoints are one node, or one switch joins them — every route
+//!   of a `k = 1` stream, about a third to a half at `k = 2 / 3` — that
+//!   switch is the route. No search runs: the direct hop costs exactly the
+//!   target's own step, every detour pays that same last step plus at least
+//!   0.1 more, so it is the unique minimum the search below would return.
+//!   Nothing else is done: the hop claims no wire but its endpoints;
 //! * otherwise a Dijkstra over the pattern finds the cheapest path:
 //!   resources of the connection's own net cost 0.1 (fanout shares its
 //!   trunk), free interior wires 1.0, unallocated boundary crossings 6.0,
 //!   wires of other nets are barred, ties go to the smaller node in
 //!   [`vbs_arch::RrNode`] order — which local ids preserve.
 //!
+//! Only the search reads net groups (which wires belong to which net), so
+//! they are built on demand: the first connection that searches (or whose
+//! endpoints need the I/O path below) first lets every single hop before
+//! it join its endpoints' group, in record order, re-reading their indices
+//! from the record. The union-find then holds, at every search, exactly
+//! the state an eager build would have. A `k = 1` stream therefore decodes
+//! with no net bookkeeping at all.
+//!
 //! [`DecodeScratch::route_counts`] reports how many routes were expanded
 //! and how many of them needed the search, as exact counts.
+//!
+//! # Who asks for the claimed wires
+//!
+//! [`Devirtualizer::decode_record_with`] — and the encoder's feedback loop
+//! (Section III-B of the paper), which runs the same expansion offline to
+//! keep each record inside its routed wires — also reports the wires a
+//! record claimed ([`DecodeScratch::claimed_wires`]): the last hops join
+//! their groups when the record ends, and the claims are sorted and
+//! translated to task coordinates. The run-time paths,
+//! [`Devirtualizer::decode_into`] and [`Devirtualizer::decode_streaming`],
+//! program the same frames with the same route counts and skip that
+//! report.
 //!
 //! # A stream is read where it lies
 //!
@@ -188,7 +209,9 @@ impl DecodeScratch {
 
     /// The task-relative wires claimed by the most recent
     /// [`Devirtualizer::decode_record_with`] call, sorted and deduplicated.
-    /// Empty for raw-fallback records.
+    /// Empty for raw-fallback records, after a failed record, and after
+    /// [`Devirtualizer::decode_into`] or
+    /// [`Devirtualizer::decode_streaming`], which do not report claims.
     pub fn claimed_wires(&self) -> &[WireRef] {
         &self.claimed
     }
@@ -551,9 +574,58 @@ impl ClusterSite<'_> {
             .then_some(node)
     }
 
-    /// Routes one connection between two nodes of the pattern and writes
-    /// the switches it programs.
+    /// Programs a connection that needs no net state: its endpoints are one
+    /// node, or one switch joins them — that hop is the unique cheapest path
+    /// (see the module docs). `Ok(false)` when it needs the search.
+    fn hop(
+        &self,
+        source: usize,
+        target: usize,
+        task: &mut TaskBitstream,
+    ) -> Result<bool, RouteFailure> {
+        if source == target {
+            return Ok(true);
+        }
+        let Some(edge) = self.pattern.edge_between(source, target) else {
+            return Ok(false);
+        };
+        self.program(edge, task)?;
+        Ok(true)
+    }
+
+    /// Sets the frame bit of the switch on pattern edge `edge`.
+    fn program(&self, edge: usize, task: &mut TaskBitstream) -> Result<(), RouteFailure> {
+        let switch = self.pattern.switch(edge).ok_or(RouteFailure::Conflict)?;
+        task.frame_mut(Coord::new(
+            self.origin.x + switch.dx,
+            self.origin.y + switch.dy,
+        ))
+        .set_bit(switch.bit as usize, true);
+        Ok(())
+    }
+
+    /// Routes one connection between two nodes of the pattern, joins its
+    /// endpoints' net group and writes the switches it programs.
     fn route(
+        &self,
+        source: usize,
+        target: usize,
+        nets: &mut NetScratch,
+        search: &mut SearchScratch,
+        task: &mut TaskBitstream,
+    ) -> Result<(), RouteFailure> {
+        if self.hop(source, target, task)? {
+            // A hop claims no wire but its endpoints.
+            nets.group_of_endpoints(self.pattern.wire_count(), source, target);
+            return Ok(());
+        }
+        self.search(source, target, nets, search, task)
+    }
+
+    /// Routes a connection that no single switch carries: joins its
+    /// endpoints' net group, searches the cheapest path, programs its
+    /// switches and claims the wires it passes.
+    fn search(
         &self,
         source: usize,
         target: usize,
@@ -564,30 +636,11 @@ impl ClusterSite<'_> {
         let pattern = self.pattern;
         let wires = pattern.wire_count();
         let group = nets.group_of_endpoints(wires, source, target);
-        if source == target {
-            return Ok(());
-        }
-
-        if let Some(edge) = pattern.edge_between(source, target) {
-            // One switch joins them: that hop is the unique cheapest path
-            // (see the module docs), no search needed.
-            search.path.clear();
-            search.path.push(edge as u32);
-        } else if !search.dijkstra(pattern, self.absent, source, target, group, nets) {
+        if !search.dijkstra(pattern, self.absent, source, target, group, nets) {
             return Err(RouteFailure::NoPath);
         }
-
-        // Program the switches along the path, then claim the wires it
-        // passes (the endpoints already belong to the group).
         for &edge in &search.path {
-            let switch = pattern
-                .switch(edge as usize)
-                .ok_or(RouteFailure::Conflict)?;
-            task.frame_mut(Coord::new(
-                self.origin.x + switch.dx,
-                self.origin.y + switch.dy,
-            ))
-            .set_bit(switch.bit as usize, true);
+            self.program(edge as usize, task)?;
         }
         for &edge in &search.path {
             let node = pattern.target(edge as usize);
@@ -750,6 +803,11 @@ impl<'a> Devirtualizer<'a> {
     /// load path: with a warm scratch and a right-sized `task`, no heap
     /// allocation happens at all.
     ///
+    /// The image and [`DecodeScratch::route_counts`] equal those of
+    /// [`Devirtualizer::decode_record_with`] over every record, but no
+    /// claimed wires are reported, so single-switch connections cost one
+    /// table lookup and one bit each (see the module docs).
+    ///
     /// # Errors
     ///
     /// Returns the first record-level failure; `task` then holds the
@@ -763,7 +821,7 @@ impl<'a> Devirtualizer<'a> {
         task.reset(self.header.spec, w, h);
         self.reserve(scratch)?;
         for record in self.records() {
-            self.decode_record_with(record, task, scratch)?;
+            self.decode_record(record, task, scratch)?;
         }
         Ok(())
     }
@@ -774,6 +832,7 @@ impl<'a> Devirtualizer<'a> {
     /// at the end (see the [`FrameSink`] contract). `staging` ends up
     /// holding the same image [`Devirtualizer::decode_into`] would produce,
     /// so callers can retain it (e.g. for a decode cache) at no extra cost.
+    /// Like `decode_into`, it reports no claimed wires.
     ///
     /// # Errors
     ///
@@ -794,7 +853,7 @@ impl<'a> Devirtualizer<'a> {
         scratch.emitted.resize(w as usize * h as usize, false);
         let k = self.grid.cluster_size();
         for record in self.records() {
-            self.decode_record_with(record, staging, scratch)?;
+            self.decode_record(record, staging, scratch)?;
             for local in 0..(u32::from(k) * u32::from(k)) {
                 let Some(site) = self.grid.macro_at(record.position, local as u16) else {
                     continue;
@@ -817,7 +876,8 @@ impl<'a> Devirtualizer<'a> {
     /// Expands one record into `task` (only the record's own frames are
     /// touched) with every working buffer taken from `scratch`, and leaves
     /// the task-relative wires the expansion claimed in
-    /// [`DecodeScratch::claimed_wires`].
+    /// [`DecodeScratch::claimed_wires`] — the reporting path, which the
+    /// whole-stream decodes skip.
     ///
     /// The claimed-wire list is what the offline feedback loop of the encoder
     /// inspects: a coded record is only kept if its expansion stays within
@@ -848,6 +908,31 @@ impl<'a> Devirtualizer<'a> {
         record: RecordRef<'_>,
         task: &mut TaskBitstream,
         scratch: &mut DecodeScratch,
+    ) -> Result<(), RecordFailure> {
+        self.expand(record, task, scratch, true)
+    }
+
+    /// Expands one record of a whole-stream decode: the frames only, with
+    /// [`DecodeScratch::claimed_wires`] left empty.
+    fn decode_record(
+        &self,
+        record: RecordRef<'_>,
+        task: &mut TaskBitstream,
+        scratch: &mut DecodeScratch,
+    ) -> Result<(), VbsError> {
+        self.expand(record, task, scratch, false)
+            .map_err(|failure| failure.into_error(record))
+    }
+
+    /// Expands one record into `task`; with `report`, also leaves the wires
+    /// it claimed in `scratch.claimed`. The frames and route counts do not
+    /// depend on `report`.
+    fn expand(
+        &self,
+        record: RecordRef<'_>,
+        task: &mut TaskBitstream,
+        scratch: &mut DecodeScratch,
+        report: bool,
     ) -> Result<(), RecordFailure> {
         let cluster = record.position;
         let k = self.grid.cluster_size();
@@ -927,28 +1012,56 @@ impl<'a> Devirtualizer<'a> {
                         | if y0 == 0 { pattern::SOUTH } else { 0 },
                 };
                 nets.clear();
-                let node = |index: Option<u32>| index.and_then(|index| site.node_of(index));
+                let wires = site.pattern.wire_count();
+                let endpoints = |i: usize| {
+                    let (input, output) = connections.indices(i, spec, k);
+                    let node = |index: Option<u32>| index.and_then(|index| site.node_of(index));
+                    (node(input), node(output))
+                };
+                // Net groups are built only when a search or the report
+                // reads them: the connections from `grouped` up to the
+                // current one were single hops, and their endpoints join
+                // their groups then, in record order, as each would have on
+                // its own turn.
+                let mut grouped = 0;
+                let join = |range: std::ops::Range<usize>, nets: &mut NetScratch| {
+                    for i in range {
+                        if let (Some(source), Some(target)) = endpoints(i) {
+                            nets.group_of_endpoints(wires, source, target);
+                        }
+                    }
+                };
                 for i in 0..connections.len() {
                     // A plain endpoint pair is two table lookups; anything
                     // else takes the I/O path, which also reports errors.
-                    let (input, output) = connections.indices(i, spec, k);
-                    let (Some(source), Some(target)) = (node(input), node(output)) else {
+                    let failed = |kind| RecordFailure::Route { index: i, kind };
+                    let (Some(source), Some(target)) = endpoints(i) else {
                         let connection = connections.get(i)?;
                         *routes += 1;
+                        join(grouped..i, nets);
+                        grouped = i + 1;
                         self.route_io(&site, (i, &connection), nets, search, task)?;
                         continue;
                     };
                     *routes += 1;
-                    site.route(source, target, nets, search, task)
-                        .map_err(|kind| RecordFailure::Route { index: i, kind })?;
+                    if site.hop(source, target, task).map_err(failed)? {
+                        continue;
+                    }
+                    join(grouped..i, nets);
+                    grouped = i + 1;
+                    site.search(source, target, nets, search, task)
+                        .map_err(failed)?;
                 }
-                // Ids order as the wires they stand for.
-                nets.claimed.sort_unstable();
-                claimed.extend(
-                    nets.claimed
-                        .iter()
-                        .map(|&wire| site.pattern.wire_at(wire as usize, origin)),
-                );
+                if report {
+                    join(grouped..connections.len(), nets);
+                    // Ids order as the wires they stand for.
+                    nets.claimed.sort_unstable();
+                    claimed.extend(
+                        nets.claimed
+                            .iter()
+                            .map(|&wire| site.pattern.wire_at(wire as usize, origin)),
+                    );
+                }
             }
         }
         Ok(())
@@ -1454,6 +1567,44 @@ mod tests {
         let (a, b) = (0.1f32 + 1.0 + 1.0, 1.0f32 + 1.0 + 0.1);
         assert_eq!(a, b);
         assert!(search_key(a, 3) < search_key(b, 4));
+    }
+
+    /// One-switch hops resolve no net group when they are expanded; the
+    /// search after them must still see the groups they would have built.
+    /// Here two hops that share the wire north[3] put pin 1, north[3] and
+    /// east[3] into one net before that net's pin 1 → pin 0 connection
+    /// needs the search, which then reuses track 3 (0.1 a wire) instead of
+    /// the first free track (6.0 a wire). A third hop gives south[4] →
+    /// north[4] to another net, so pin 3 → west[4] cannot pass through
+    /// north[4] and finds no path.
+    #[test]
+    fn hops_before_a_search_join_their_nets_first() {
+        let boundary = |side, offset| ClusterIo::Boundary { side, offset };
+        let (pin0, pin1) = (
+            ClusterIo::Pin { local: 0, pin: 0 },
+            ClusterIo::Pin { local: 0, pin: 1 },
+        );
+        let connection = |input, output| Connection { input, output };
+        let reuse = vec![
+            connection(pin1, boundary(Side::North, 3)),
+            connection(boundary(Side::North, 3), boundary(Side::East, 3)),
+            connection(boundary(Side::South, 4), boundary(Side::North, 4)),
+            connection(pin1, pin0),
+        ];
+        let task = decode_single(reuse.clone()).unwrap();
+        let frame = task.frame(Coord::new(1, 1));
+        assert!(frame.crossing(1, 3) && frame.sb(3, SbPair::NorthEast));
+        assert!(frame.crossing(0, 3), "pin 0 joins the net on track 3");
+        assert!(frame.sb(4, SbPair::NorthSouth));
+        assert_eq!(frame.popcount(), 4, "no other track is taken");
+
+        let mut blocked = reuse;
+        let pin3 = ClusterIo::Pin { local: 0, pin: 3 };
+        blocked.push(connection(pin3, boundary(Side::West, 4)));
+        assert!(matches!(
+            decode_single(blocked),
+            Err(VbsError::DecodeNoPath { .. })
+        ));
     }
 
     #[test]

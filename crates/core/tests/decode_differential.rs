@@ -22,6 +22,12 @@
 //! stream's records in seeded random orders and requires the in-order
 //! image: records are independent (Section II-C of the paper).
 //!
+//! `decode_into` skips the claimed-wire report and resolves net groups only
+//! when a search reads them, so the corpus streams (k = 1), the recompiles
+//! at every k and the random lists are also decoded whole and compared
+//! with their record-by-record decode: same image, same result, same route
+//! counts. Every k = 1 corpus stream decodes with no search at all.
+//!
 //! The proptest shim does not shrink, so a failing case prints its seed and
 //! record.
 
@@ -94,6 +100,40 @@ fn compare(vbs: &Vbs, scratch: &mut DecodeScratch, label: &str, seen: &mut Seen)
     }
 }
 
+/// Decodes `vbs` whole through `decode_into`, which reports no claimed
+/// wires and resolves net groups only when a search reads them, and record
+/// by record through `decode_record_with`, which reports; each on a fresh
+/// scratch. The two must agree on the result, on the image word for word
+/// (up to the first failing record) and on the route counts, which are
+/// returned.
+fn compare_paths(vbs: &Vbs, label: &str) -> (u64, u64) {
+    let devirt = Devirtualizer::new(vbs).expect("task geometry");
+    let (mut whole, mut scratch) = (
+        TaskBitstream::empty(*vbs.spec(), 1, 1),
+        DecodeScratch::new(),
+    );
+    let result = devirt.decode_into(&mut whole, &mut scratch);
+    assert!(
+        scratch.claimed_wires().is_empty(),
+        "{label}: decode_into reported wires"
+    );
+
+    let mut by_record = TaskBitstream::empty(*vbs.spec(), vbs.width(), vbs.height());
+    let mut reporting = DecodeScratch::new();
+    let expected = vbs
+        .records()
+        .iter()
+        .try_for_each(|record| devirt.decode_record_with(record, &mut by_record, &mut reporting));
+    assert_eq!(result, expected, "{label}");
+    assert!(
+        whole.store().words() == by_record.store().words(),
+        "{label}: decode_into differs from the record decodes in {} bits",
+        whole.diff_count(&by_record).expect("same shape")
+    );
+    assert_eq!(scratch.route_counts(), reporting.route_counts(), "{label}");
+    scratch.route_counts()
+}
+
 fn corpus_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/traces/mcnc")
 }
@@ -127,6 +167,11 @@ fn corpus_streams_decode_identically_and_never_search() {
     for (name, ..) in &tasks {
         let vbs = Vbs::from_bytes(&corpus_stream(name)).expect("corpus streams parse");
         compare(&vbs, &mut scratch, name, &mut seen);
+        let (routes, searches) = compare_paths(&vbs, name);
+        assert!(
+            routes > 0 && searches == 0,
+            "{name}: {routes} routes, {searches} searches"
+        );
     }
     assert_eq!(seen.ok, seen.records, "every corpus record decodes");
     // Exact evidence for the fast path: at cluster size 1 every coded
@@ -159,6 +204,7 @@ fn recompiled_corpus_circuits_decode_identically_at_every_cluster_size() {
             let vbs = result.vbs(k).expect("encode");
             let mut scratch = DecodeScratch::new();
             compare(&vbs, &mut scratch, &format!("{name} k={k}"), &mut seen);
+            compare_paths(&vbs, &format!("{name} k={k}"));
             if (name.as_str(), k) == ("alu4", 2) {
                 alu4_k2 = scratch.route_counts();
             }
@@ -298,12 +344,10 @@ fn random_connection_lists_reach_every_outcome_identically() {
     let mut scratch = DecodeScratch::new();
     let mut seen = Seen::default();
     for seed in 0..1500 {
-        compare(
-            &random_stream(seed),
-            &mut scratch,
-            &format!("seed {seed}"),
-            &mut seen,
-        );
+        let vbs = random_stream(seed);
+        let label = format!("seed {seed}");
+        compare(&vbs, &mut scratch, &label, &mut seen);
+        compare_paths(&vbs, &label);
     }
     let (routes, searches) = scratch.route_counts();
     assert!(
@@ -321,12 +365,10 @@ proptest! {
     /// sweep above.
     #[test]
     fn random_connection_lists_decode_identically(seed in 0u64..u64::MAX) {
-        compare(
-            &random_stream(seed),
-            &mut DecodeScratch::new(),
-            &format!("seed {seed}"),
-            &mut Seen::default(),
-        );
+        let vbs = random_stream(seed);
+        let label = format!("seed {seed}");
+        compare(&vbs, &mut DecodeScratch::new(), &label, &mut Seen::default());
+        compare_paths(&vbs, &label);
     }
 
     /// The mutation corpus of `corrupt_decode.rs`: two bit flips in a
@@ -351,6 +393,7 @@ proptest! {
             if Devirtualizer::new(&vbs).is_ok() {
                 let label = format!("{name} ^ {}.{bit} ^ {}.{extra_bit}", byte_sel % len, extra_sel % len);
                 compare(&vbs, &mut DecodeScratch::new(), &label, &mut Seen::default());
+                compare_paths(&vbs, &label);
             }
         }
     }

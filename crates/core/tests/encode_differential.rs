@@ -10,25 +10,47 @@
 //!   manifest's `arch` line, the task's edge, the circuit's seed);
 //! * `PROPTEST_CASES` seeded synthetic netlists on grids whose edges are no
 //!   multiple of 2, 3 or 4 (cut east and north clusters at every k > 1),
-//!   at channel widths 6, 8, 10 and 12 and LUT sizes 4 and 6.
+//!   at channel widths 6, 8, 10 and 12 and LUT sizes 4 and 6;
+//! * `4 × PROPTEST_CASES` seeded random routings: trees that turn, branch
+//!   and dead-end anywhere on 4..7-wide devices with 2..4 tracks, which the
+//!   decoder often cannot follow.
 //!
-//! A failure prints its circuit or seed and the cluster size.
+//! Every coded record of every stream is also decoded once more to check
+//! that it claims no boundary crossing it does not name
+//! ([`assert_crossing_claims_are_named`]). A failure prints its circuit or
+//! seed and the cluster size.
 
 mod oracle;
 
 use oracle::encode::OracleEncoder;
 use std::path::{Path, PathBuf};
-use vbs_core::VbsEncoder;
+use vbs_arch::{ArchSpec, Coord, Device, SwitchSetting};
+use vbs_bitstream::TaskBitstream;
+use vbs_core::{ClusterRoutes, DecodeScratch, Devirtualizer, Vbs, VbsEncoder};
 use vbs_flow::{CadFlow, FlowResult};
 use vbs_netlist::generate::SyntheticSpec;
 use vbs_netlist::{blif, mcnc};
+use vbs_route::{RouteTree, Routing};
 
 /// Encodes `result` both ways at cluster size `k` and compares; returns
 /// the record count, or `None` when both refused.
 fn compare(result: &FlowResult, k: u16, label: &str) -> Option<usize> {
-    let spec = *result.device().spec();
     let origin = result.placement().region().origin;
-    let (raw, routing) = (result.raw_bitstream(), result.routing());
+    compare_routing(result.raw_bitstream(), result.routing(), origin, k, label)
+        .map(|(records, _)| records)
+}
+
+/// [`compare`] on a raw bit-stream and the routing it was generated from;
+/// also returns how many routes of the stream's coded records the decoder
+/// had to search.
+fn compare_routing(
+    raw: &TaskBitstream,
+    routing: &Routing,
+    origin: Coord,
+    k: u16,
+    label: &str,
+) -> Option<(usize, u64)> {
+    let spec = *raw.spec();
     let product = VbsEncoder::new(spec, k).and_then(|e| e.encode_with_origin(raw, routing, origin));
     let oracle =
         OracleEncoder::new(spec, k).and_then(|e| e.encode_with_origin(raw, routing, origin));
@@ -39,7 +61,8 @@ fn compare(result: &FlowResult, k: u16, label: &str) -> Option<usize> {
                 product.to_bytes() == oracle.to_bytes(),
                 "{label} k={k}: bytes differ"
             );
-            Some(product.records().len())
+            let searches = assert_crossing_claims_are_named(&product, &format!("{label} k={k}"));
+            Some((product.records().len(), searches))
         }
         (Err(product), Err(oracle)) => {
             assert_eq!(product, oracle, "{label} k={k}");
@@ -47,6 +70,40 @@ fn compare(result: &FlowResult, k: u16, label: &str) -> Option<usize> {
         }
         (product, oracle) => panic!("{label} k={k}: product {product:?}, oracle {oracle:?}"),
     }
+}
+
+/// Decodes every coded record of an encoded stream the way the feedback
+/// loop did and requires that each boundary crossing the decode claims is
+/// an endpoint the record names.
+///
+/// This is why the loop's crossing verdict never refuses a candidate: in a
+/// cluster's pattern a crossing meets one switch box, plus the pins of its
+/// owner macro for an east / north one, so a search never passes through
+/// it except to hook such a pin, and a route tree reaches such a pin only
+/// through that crossing, which makes it an endpoint. Candidates are
+/// refused only when they fail to decode. Returns the searches run.
+fn assert_crossing_claims_are_named(vbs: &Vbs, label: &str) -> u64 {
+    let devirt = Devirtualizer::new(vbs).expect("task geometry");
+    let mut task = TaskBitstream::empty(*vbs.spec(), vbs.width(), vbs.height());
+    let mut scratch = DecodeScratch::new();
+    for record in vbs.records() {
+        let ClusterRoutes::Coded(connections) = &record.routes else {
+            continue;
+        };
+        devirt
+            .decode_record_with(record, &mut task, &mut scratch)
+            .unwrap_or_else(|e| panic!("{label}: an emitted record fails: {e}"));
+        for &wire in scratch.claimed_wires() {
+            if let Some(io) = vbs.grid().wire_io(record.position, wire) {
+                assert!(
+                    connections.iter().any(|c| c.input == io || c.output == io),
+                    "{label}: {} claims {wire} ({io}), which it does not name",
+                    record.position
+                );
+            }
+        }
+    }
+    scratch.route_counts().1
 }
 
 fn corpus_dir() -> PathBuf {
@@ -145,5 +202,81 @@ fn synthetic_netlists_encode_identically() {
     assert!(
         routed * 4 >= cases * 3,
         "only {routed} of {cases} synthetic netlists routed"
+    );
+}
+
+/// A routing of random trees, each wire used by at most one net, and its
+/// raw bit-stream: every tree edge programs its switch. A tree starts at a
+/// random pin and grows by random neighbours of its source and wires, so
+/// it turns, branches and ends anywhere, unlike a router's shortest paths.
+/// Decoding its clusters at k >= 2 often takes another track than the tree
+/// did: the pins of a macro on a cluster's east (north) column reach only
+/// the east (north) crossings, and every track of them costs the same, so
+/// a decode can claim a crossing that the cluster's share of the routing
+/// never touched while the neighbour's share did. The feedback loop must
+/// refuse such a record by which side touched the wire.
+fn random_routing(seed: u64) -> (TaskBitstream, Routing) {
+    let mut rng = Rng(seed);
+    let spec = ArchSpec::new(rng.pick(&[2u16, 3, 4]), rng.pick(&[4u8, 6])).expect("arch");
+    let (width, height) = (rng.pick(&[4u16, 5, 6, 7]), rng.pick(&[4u16, 5, 6, 7]));
+    let device = Device::new(spec, width, height).expect("device");
+    let mut used = vec![false; device.node_count()];
+    let mut raw = TaskBitstream::empty(spec, width, height);
+    let mut trees = Vec::new();
+    let mut neighbors = Vec::new();
+    for _ in 0..4 + rng.below(12) {
+        let wires = device.wire_count() as u64;
+        let source =
+            device.node_at((wires + rng.below(device.node_count() as u64 - wires)) as usize);
+        if used[device.node_index(source)] {
+            continue;
+        }
+        used[device.node_index(source)] = true;
+        let mut tree = RouteTree::new(source);
+        for _ in 0..rng.below(16) {
+            // Grow from the source or a wire; pins are leaves.
+            let growing: Vec<usize> = (0..tree.len())
+                .filter(|&i| i == 0 || tree.nodes()[i].is_wire())
+                .collect();
+            let parent = rng.pick(&growing);
+            device.neighbors_into(tree.nodes()[parent], &mut neighbors);
+            let next = rng.pick(&neighbors);
+            if used[device.node_index(next)] {
+                continue;
+            }
+            used[device.node_index(next)] = true;
+            tree.push(next, parent);
+            let switch = device
+                .switch_between(tree.nodes()[parent], next)
+                .expect("neighbours share a switch");
+            let mut frame = raw.frame_mut(switch.site());
+            match switch {
+                SwitchSetting::Crossing { pin, track, .. } => frame.set_crossing(pin, track, true),
+                SwitchSetting::SwitchBox { track, pair, .. } => frame.set_sb(track, pair, true),
+            }
+        }
+        trees.push(tree);
+    }
+    (raw, Routing::new(spec, trees, 1))
+}
+
+#[test]
+fn random_routings_encode_identically() {
+    let cases = u64::from(proptest::test_runner::cases());
+    let (mut records, mut searches) = (0, 0);
+    for seed in 0..4 * cases {
+        let (raw, routing) = random_routing(seed);
+        for k in 1..=4 {
+            let label = format!("random routing {seed}");
+            let (r, s) = compare_routing(&raw, &routing, Coord::new(0, 0), k, &label)
+                .expect("every cluster size fits a 4x4 task");
+            (records, searches) = (records + r, searches + s);
+        }
+    }
+    // The crossing check is not vacuous: the decodes search, and searches
+    // are where a claim could stray.
+    assert!(
+        records as u64 > 20 * cases && searches > 10 * cases,
+        "{records} records, {searches} searches"
     );
 }

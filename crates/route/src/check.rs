@@ -2,13 +2,12 @@
 //!
 //! The checker re-derives everything from the architecture rules instead of
 //! trusting the router's bookkeeping. Tests call it on every routing they
-//! build, and `generate_bitstream` asserts it in debug builds. It is not
+//! build, and `generate_bitstream` refuses a routing it rejects. It is not
 //! the offline VBS feedback loop (Section III-B of the paper): that loop
 //! decodes each candidate record inside the encoder.
 
 use crate::error::RouteError;
 use crate::result::Routing;
-use std::collections::HashMap;
 use vbs_arch::{Device, RrNode};
 use vbs_netlist::{BlockKind, Netlist};
 use vbs_place::Placement;
@@ -76,23 +75,27 @@ pub fn check_routing(
         }
     }
 
-    // 3. Wire exclusivity.
-    let mut users: HashMap<vbs_arch::WireRef, usize> = HashMap::new();
-    for (_, tree) in routing.iter_trees() {
+    // 3. Wire exclusivity, counted by dense wire index: the overused wire
+    //    reported is the first in that order.
+    let mut users = vec![0usize; device.wire_count()];
+    for (net, tree) in routing.iter_trees() {
         for wire in tree.iter_wires() {
-            *users.entry(wire).or_insert(0) += 1;
+            if !device.wire_exists(wire) {
+                return Err(RouteError::CheckIllegalEdge {
+                    net,
+                    edge: format!("{wire} lies outside the device"),
+                });
+            }
+            users[device.wire_index(wire)] += 1;
         }
     }
-    for (wire, nets) in users {
-        if nets > 1 {
-            return Err(RouteError::CheckOveruse {
-                wire: format!("{wire}"),
-                nets,
-            });
-        }
+    match users.iter().position(|&nets| nets > 1) {
+        Some(index) => Err(RouteError::CheckOveruse {
+            wire: device.node_at(index).to_string(),
+            nets: users[index],
+        }),
+        None => Ok(()),
     }
-
-    Ok(())
 }
 
 #[cfg(test)]

@@ -79,13 +79,14 @@ const COLD_PAIR_ALLOCATION_BUDGET: u64 = 1;
 /// warm re-decode), the same for every corpus stream.
 const DECODING_PAIR_ALLOCATION_BUDGET: u64 = 11;
 
-/// Allocations of a cold `decode_into` of `fft_stage`, as counted: the one
-/// cluster pattern's six arrays and the table it is derived through (each
-/// sized before it is filled), the pattern list, and one per working buffer
-/// (the optimizer elides one: 18 in a release build). It was 21, then 3
-/// more on the second decode, when the adjacency of the whole task was
-/// built per geometry.
-const COLD_DECODE_ALLOCATION_BUDGET: u64 = 19;
+/// Allocations of a cold `decode_into` of `fft_stage`, as counted in debug
+/// and release builds alike: the one cluster pattern's six arrays and the
+/// table it is derived through (each sized before it is filled), the
+/// pattern list, and one per working buffer. It was 19 when the scratch
+/// also reserved the two claimed-wire lists of a report only tests read,
+/// and 21, then 3 more on the second decode, when the adjacency of the
+/// whole task was built per geometry.
+const COLD_DECODE_ALLOCATION_BUDGET: u64 = 17;
 
 /// Allocations of a corpus fleet cache-hit pair (submit load, process,
 /// submit unload, process) on the K = 2 least-loaded fleet, as counted. It
@@ -106,11 +107,14 @@ const FLEET_HIT_PAIR_ALLOCATIONS: u64 = 11;
 const FLEET_BUILD_BYTE_BUDGET: u64 = 64 * 1024;
 
 /// Allocations `FlowResult::vbs(k)` may make over the nine corpus circuits
-/// at k = 1, 2 and 3: 1 448 / 1 104 / 992 measured, mostly the records'
-/// own buffers and the cluster patterns of the feedback decode. They were
-/// 129 326 / 103 379 / 102 562 when the encoder rebuilt every route tree as
-/// hash maps and formatted two `String`s per connection comparison.
-const ENCODE_ALLOCATION_BUDGETS: [u64; 3] = [1_500, 1_150, 1_050];
+/// at k = 1, 2 and 3, as counted: mostly the records' own buffers and the
+/// cluster patterns of the feedback decode. They were 1 376 / 917 / 767
+/// when every encode also built a byte per wire of the crossings its
+/// routing touched and its feedback decodes reserved two claimed-wire
+/// lists, and 129 326 / 103 379 / 102 562 when the encoder rebuilt every
+/// route tree as hash maps and formatted two `String`s per connection
+/// comparison.
+const ENCODE_ALLOCATION_BUDGETS: [u64; 3] = [1_349, 890, 740];
 
 /// `Devirtualizer::decode_into` on a caller-held scratch and image — the
 /// decode a controller runs, without the pool.

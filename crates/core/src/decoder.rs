@@ -30,7 +30,7 @@
 //! through a per-index table of the pattern, net ownership and search state are arrays of a few dozen to
 //! a few hundred entries, every edge carries the frame bit it programs, and
 //! task coordinates appear only when a bit is written (cluster origin plus
-//! the switch's offset) and when the claimed wires are reported.
+//! the switch's offset).
 //!
 //! Expanding one connection:
 //!
@@ -57,17 +57,10 @@
 //! [`DecodeScratch::route_counts`] reports how many routes were expanded
 //! and how many of them needed the search, as exact counts.
 //!
-//! # Who asks for the claimed wires
-//!
-//! [`Devirtualizer::decode_record_with`] — and the encoder's feedback loop
-//! (Section III-B of the paper), which runs the same expansion offline to
-//! keep each record inside its routed wires — also reports the wires a
-//! record claimed ([`DecodeScratch::claimed_wires`]): the last hops join
-//! their groups when the record ends, and the claims are sorted and
-//! translated to task coordinates. The run-time paths,
-//! [`Devirtualizer::decode_into`] and [`Devirtualizer::decode_streaming`],
-//! program the same frames with the same route counts and skip that
-//! report.
+//! One routine expands a record for every caller: the whole-stream decodes,
+//! [`Devirtualizer::decode_record_with`], and the encoder's offline feedback
+//! loop (Section III-B of the paper), which keeps a record if and only if
+//! it expands.
 //!
 //! # A stream is read where it lies
 //!
@@ -88,8 +81,8 @@
 //! its time in the allocator. Two pieces make that possible:
 //!
 //! * [`DecodeScratch`] — a reusable arena holding every buffer the decode
-//!   needs (the cluster patterns, the search state, the per-record net
-//!   bookkeeping and the claimed-wire list). A warm scratch makes
+//!   needs (the cluster patterns, the search state and the per-record net
+//!   bookkeeping). A warm scratch makes
 //!   [`Devirtualizer::decode_into`] perform **zero heap allocations** per
 //!   load; a cold scratch derives its patterns and sizes every buffer from
 //!   them before the first record is expanded.
@@ -107,7 +100,7 @@ use crate::pattern::{self, ClusterPattern};
 use crate::view::{Records, VbsRef};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use vbs_arch::{ArchSpec, Coord, Device, Side, WireRef};
+use vbs_arch::{ArchSpec, Coord, Device, Side};
 use vbs_bitstream::{FrameMut, FrameRef, TaskBitstream};
 
 /// Decodes a whole Virtual Bit-Stream into the raw bit-stream of the task
@@ -192,7 +185,6 @@ pub struct DecodeScratch {
     search: SearchScratch,
     nets: NetScratch,
     patterns: PatternSet,
-    claimed: Vec<WireRef>,
     emitted: Vec<bool>,
     /// Coded connections expanded (how many ran the search is counted by
     /// the search itself).
@@ -205,15 +197,6 @@ impl DecodeScratch {
     /// buffer from them).
     pub fn new() -> Self {
         DecodeScratch::default()
-    }
-
-    /// The task-relative wires claimed by the most recent
-    /// [`Devirtualizer::decode_record_with`] call, sorted and deduplicated.
-    /// Empty for raw-fallback records, after a failed record, and after
-    /// [`Devirtualizer::decode_into`] or
-    /// [`Devirtualizer::decode_streaming`], which do not report claims.
-    pub fn claimed_wires(&self) -> &[WireRef] {
-        &self.claimed
     }
 
     /// `(routes, searches)` over the life of this scratch: the coded
@@ -240,7 +223,6 @@ impl DecodeScratch {
         let pattern = &self.patterns.shapes[index];
         self.search.fit(pattern);
         self.nets.fit(pattern, routes);
-        reserve_total(&mut self.claimed, pattern.wire_count());
         Ok(index)
     }
 }
@@ -322,7 +304,7 @@ impl SearchScratch {
     /// nothing else reaches); interior wires are exclusive per net. Costs,
     /// the improvement threshold and the `(cost, node order)` pop order are
     /// those of every stream ever encoded: the encoder's feedback loop kept
-    /// a record only if *this* search stayed inside the routed wires.
+    /// a record only if *this* search expanded it.
     fn dijkstra(
         &mut self,
         pattern: &ClusterPattern,
@@ -400,8 +382,8 @@ impl SearchScratch {
                         // Unallocated boundary-crossing wire: strongly
                         // discouraged (it is shared with a neighbouring
                         // cluster), used only when no interior path exists.
-                        // The encoder's feedback loop verifies such choices
-                        // against the original routing.
+                        // No encoded record's route takes one (see the
+                        // encoder's module docs).
                         None => 6.0,
                     }
                 };
@@ -442,8 +424,6 @@ fn split_key(key: u64) -> (f32, u32) {
 struct NetScratch {
     tagged: Vec<u32>,
     group: Vec<u32>,
-    /// Wires claimed this record, in first-claim order.
-    claimed: Vec<u32>,
     generation: u32,
     parent: Vec<u32>,
 }
@@ -454,7 +434,6 @@ impl NetScratch {
             self.tagged.resize(pattern.node_count(), 0);
             self.group.resize(pattern.node_count(), 0);
         }
-        reserve_total(&mut self.claimed, pattern.wire_count());
         // Every connection opens at most one group.
         reserve_total(&mut self.parent, routes);
     }
@@ -465,7 +444,6 @@ impl NetScratch {
             self.generation = 0;
         }
         self.generation += 1;
-        self.claimed.clear();
         self.parent.clear();
     }
 
@@ -507,25 +485,19 @@ impl NetScratch {
     }
 
     /// Resolves the net group of a connection from its two endpoints and
-    /// claims the endpoint wires for it.
+    /// claims both endpoints for it.
     ///
     /// Connections sharing an endpoint (transitively) describe the same
     /// electrical net — an I/O can only carry one signal — so their groups
     /// are merged; a fresh group is created when neither endpoint is known.
-    fn group_of_endpoints(&mut self, wires: usize, source: usize, target: usize) -> u32 {
+    fn group_of_endpoints(&mut self, source: usize, target: usize) -> u32 {
         let group = match (self.owner(source), self.owner(target)) {
             (None, None) => self.fresh(),
             (Some(g), None) | (None, Some(g)) => self.find(g),
             (Some(a), Some(b)) => self.union(a, b),
         };
-        for node in [source, target] {
-            if node < wires {
-                self.claim(node, group);
-            } else {
-                self.tagged[node] = self.generation;
-                self.group[node] = group;
-            }
-        }
+        self.claim(source, group);
+        self.claim(target, group);
         group
     }
 
@@ -534,12 +506,10 @@ impl NetScratch {
         (self.tagged[node] == self.generation).then(|| self.group[node])
     }
 
-    fn claim(&mut self, wire: usize, group: u32) {
-        if self.tagged[wire] != self.generation {
-            self.tagged[wire] = self.generation;
-            self.claimed.push(wire as u32);
-        }
-        self.group[wire] = group;
+    /// Gives `node` to net `group` for the rest of the record.
+    fn claim(&mut self, node: usize, group: u32) {
+        self.tagged[node] = self.generation;
+        self.group[node] = group;
     }
 }
 
@@ -616,7 +586,7 @@ impl ClusterSite<'_> {
     ) -> Result<(), RouteFailure> {
         if self.hop(source, target, task)? {
             // A hop claims no wire but its endpoints.
-            nets.group_of_endpoints(self.pattern.wire_count(), source, target);
+            nets.group_of_endpoints(source, target);
             return Ok(());
         }
         self.search(source, target, nets, search, task)
@@ -634,19 +604,16 @@ impl ClusterSite<'_> {
         task: &mut TaskBitstream,
     ) -> Result<(), RouteFailure> {
         let pattern = self.pattern;
-        let wires = pattern.wire_count();
-        let group = nets.group_of_endpoints(wires, source, target);
+        let group = nets.group_of_endpoints(source, target);
         if !search.dijkstra(pattern, self.absent, source, target, group, nets) {
             return Err(RouteFailure::NoPath);
         }
         for &edge in &search.path {
             self.program(edge as usize, task)?;
         }
+        // The path's last node is the target, already the net's.
         for &edge in &search.path {
-            let node = pattern.target(edge as usize);
-            if node < wires {
-                nets.claim(node, group);
-            }
+            nets.claim(pattern.target(edge as usize), group);
         }
         Ok(())
     }
@@ -733,8 +700,8 @@ enum Endpoint {
 /// [`Devirtualizer::decode_into`] for the whole task (zero allocations on a
 /// warm scratch), [`Devirtualizer::decode_streaming`] to emit frames as they
 /// complete, or [`Devirtualizer::decode_record_with`] to expand a single
-/// record (the encoder's feedback loop checks each record through its
-/// crate-private twin, which formats no error text).
+/// record. All three, and the encoder's feedback loop, expand each record
+/// through one crate-private routine.
 #[derive(Debug)]
 pub struct Devirtualizer<'a> {
     stream: VbsRef<'a>,
@@ -803,10 +770,9 @@ impl<'a> Devirtualizer<'a> {
     /// load path: with a warm scratch and a right-sized `task`, no heap
     /// allocation happens at all.
     ///
-    /// The image and [`DecodeScratch::route_counts`] equal those of
-    /// [`Devirtualizer::decode_record_with`] over every record, but no
-    /// claimed wires are reported, so single-switch connections cost one
-    /// table lookup and one bit each (see the module docs).
+    /// Each record is expanded as [`Devirtualizer::decode_record_with`]
+    /// expands it; a single-switch connection costs one table lookup and
+    /// one bit (see the module docs).
     ///
     /// # Errors
     ///
@@ -821,7 +787,7 @@ impl<'a> Devirtualizer<'a> {
         task.reset(self.header.spec, w, h);
         self.reserve(scratch)?;
         for record in self.records() {
-            self.decode_record(record, task, scratch)?;
+            self.decode_record_with(record, task, scratch)?;
         }
         Ok(())
     }
@@ -832,7 +798,6 @@ impl<'a> Devirtualizer<'a> {
     /// at the end (see the [`FrameSink`] contract). `staging` ends up
     /// holding the same image [`Devirtualizer::decode_into`] would produce,
     /// so callers can retain it (e.g. for a decode cache) at no extra cost.
-    /// Like `decode_into`, it reports no claimed wires.
     ///
     /// # Errors
     ///
@@ -853,7 +818,7 @@ impl<'a> Devirtualizer<'a> {
         scratch.emitted.resize(w as usize * h as usize, false);
         let k = self.grid.cluster_size();
         for record in self.records() {
-            self.decode_record(record, staging, scratch)?;
+            self.decode_record_with(record, staging, scratch)?;
             for local in 0..(u32::from(k) * u32::from(k)) {
                 let Some(site) = self.grid.macro_at(record.position, local as u16) else {
                     continue;
@@ -874,14 +839,9 @@ impl<'a> Devirtualizer<'a> {
     }
 
     /// Expands one record into `task` (only the record's own frames are
-    /// touched) with every working buffer taken from `scratch`, and leaves
-    /// the task-relative wires the expansion claimed in
-    /// [`DecodeScratch::claimed_wires`] — the reporting path, which the
-    /// whole-stream decodes skip.
-    ///
-    /// The claimed-wire list is what the offline feedback loop of the encoder
-    /// inspects: a coded record is only kept if its expansion stays within
-    /// the wires the original routing used for the cluster.
+    /// touched) with every working buffer taken from `scratch`. Records are
+    /// independent, so expanding every record of a stream this way, in any
+    /// order, programs the image [`Devirtualizer::decode_into`] does.
     ///
     /// # Errors
     ///
@@ -909,36 +869,10 @@ impl<'a> Devirtualizer<'a> {
         task: &mut TaskBitstream,
         scratch: &mut DecodeScratch,
     ) -> Result<(), RecordFailure> {
-        self.expand(record, task, scratch, true)
-    }
-
-    /// Expands one record of a whole-stream decode: the frames only, with
-    /// [`DecodeScratch::claimed_wires`] left empty.
-    fn decode_record(
-        &self,
-        record: RecordRef<'_>,
-        task: &mut TaskBitstream,
-        scratch: &mut DecodeScratch,
-    ) -> Result<(), VbsError> {
-        self.expand(record, task, scratch, false)
-            .map_err(|failure| failure.into_error(record))
-    }
-
-    /// Expands one record into `task`; with `report`, also leaves the wires
-    /// it claimed in `scratch.claimed`. The frames and route counts do not
-    /// depend on `report`.
-    fn expand(
-        &self,
-        record: RecordRef<'_>,
-        task: &mut TaskBitstream,
-        scratch: &mut DecodeScratch,
-        report: bool,
-    ) -> Result<(), RecordFailure> {
         let cluster = record.position;
         let k = self.grid.cluster_size();
         let spec = &self.header.spec;
         let lb_bits = spec.lb_config_bits();
-        scratch.claimed.clear();
 
         if record.logic.len() != self.header.logic_bits_per_record() {
             return Err(RecordFailure::Invalid(VbsError::Malformed {
@@ -1000,7 +934,6 @@ impl<'a> Devirtualizer<'a> {
                     search,
                     nets,
                     patterns,
-                    claimed,
                     routes,
                     ..
                 } = scratch;
@@ -1012,22 +945,20 @@ impl<'a> Devirtualizer<'a> {
                         | if y0 == 0 { pattern::SOUTH } else { 0 },
                 };
                 nets.clear();
-                let wires = site.pattern.wire_count();
                 let endpoints = |i: usize| {
                     let (input, output) = connections.indices(i, spec, k);
                     let node = |index: Option<u32>| index.and_then(|index| site.node_of(index));
                     (node(input), node(output))
                 };
-                // Net groups are built only when a search or the report
-                // reads them: the connections from `grouped` up to the
-                // current one were single hops, and their endpoints join
-                // their groups then, in record order, as each would have on
-                // its own turn.
+                // Net groups are built only when a search reads them: the
+                // connections from `grouped` up to the current one were
+                // single hops, and their endpoints join their groups then,
+                // in record order, as each would have on its own turn.
                 let mut grouped = 0;
                 let join = |range: std::ops::Range<usize>, nets: &mut NetScratch| {
                     for i in range {
                         if let (Some(source), Some(target)) = endpoints(i) {
-                            nets.group_of_endpoints(wires, source, target);
+                            nets.group_of_endpoints(source, target);
                         }
                     }
                 };
@@ -1051,16 +982,6 @@ impl<'a> Devirtualizer<'a> {
                     grouped = i + 1;
                     site.search(source, target, nets, search, task)
                         .map_err(failed)?;
-                }
-                if report {
-                    join(grouped..connections.len(), nets);
-                    // Ids order as the wires they stand for.
-                    nets.claimed.sort_unstable();
-                    claimed.extend(
-                        nets.claimed
-                            .iter()
-                            .map(|&wire| site.pattern.wire_at(wire as usize, origin)),
-                    );
                 }
             }
         }
@@ -1605,24 +1526,5 @@ mod tests {
             decode_single(blocked),
             Err(VbsError::DecodeNoPath { .. })
         ));
-    }
-
-    #[test]
-    fn decode_record_with_reports_claimed_wires_in_scratch() {
-        let vbs = two_net_vbs();
-        let devirt = Devirtualizer::new(&vbs).unwrap();
-        let mut scratch = DecodeScratch::new();
-        let mut task = TaskBitstream::empty(spec(), 4, 4);
-        devirt
-            .decode_record_with(&vbs.records()[0], &mut task, &mut scratch)
-            .unwrap();
-        let claimed = scratch.claimed_wires();
-        assert!(!claimed.is_empty());
-        assert!(
-            claimed.windows(2).all(|w| w[0] < w[1]),
-            "sorted and deduplicated: {claimed:?}"
-        );
-        // The stream holds one record, so expanding it is the whole decode.
-        assert_eq!(task.diff_count(&decode(&vbs).unwrap()).unwrap(), 0);
     }
 }

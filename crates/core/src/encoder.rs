@@ -24,24 +24,23 @@
 //! and the text is only written when two connections of one piece tie on
 //! rank.
 //!
-//! While grouping, every boundary crossing a cluster's share of the routing
-//! touches is marked in one byte per dense wire index: bit 0 when the
-//! cluster holds the wire's owner macro (an east / north crossing), bit 1
-//! when it holds the macro past the far end (a west / south one). A
-//! crossing joins exactly those two clusters, so the two bits are the whole
-//! "which clusters touched it" set, read back in O(1). Interior wires are
-//! never asked about, so they are not marked.
-//!
 //! Following Section III-B, every coded record goes through the offline
-//! **feedback loop**: it is decoded with the same de-virtualization algorithm
-//! the run-time controller uses, and is only kept if the expansion succeeds
-//! and stays within the wires the original routing allocated to the cluster.
-//! The loop expands through the decoder's crate-private entry point, which
-//! reports a failing connection by its index and kind and formats no error
-//! text. Only when the record's own order fails is the list re-sorted into
-//! the canonical order and tried once more; as a last resort the record
-//! falls back to the raw coding of the cluster (which also happens when the
-//! list would be larger than the raw frames). Logic and raw payloads are
+//! **feedback loop**: it is expanded by the same routine the run-time
+//! de-virtualization uses, through the decoder's crate-private entry point,
+//! which reports a failing connection by its index and kind and formats no
+//! error text. A record is kept if and only if it expands. The paper also
+//! requires the expansion to stay within the wires the routing allocated to
+//! the cluster, and here that follows from success: in a cluster's pattern
+//! a boundary crossing meets one switch box, plus its owner macro's pins
+//! for an east / north crossing, so a decode takes a crossing only as an
+//! endpoint or to hook such a pin, and the encoder always names the
+//! crossing that feeds such a pin. A decode therefore never claims a
+//! crossing its record does not name (`tests/encode_differential.rs`
+//! asserts it, against an oracle encoder that still applies the check).
+//! Only when the record's own order fails is the list re-sorted into the
+//! canonical order and tried once more; as a last resort the record falls
+//! back to the raw coding of the cluster (which also happens when the list
+//! would be larger than the raw frames). Logic and raw payloads are
 //! gathered from the set bits of the frames.
 
 use crate::bitio::PackedBits;
@@ -98,7 +97,8 @@ impl VbsEncoder {
     /// # Errors
     ///
     /// * [`VbsError::EncoderInputMismatch`] if the raw bit-stream and the
-    ///   routing target different architectures;
+    ///   routing target different architectures, or a routing node lies
+    ///   west or south of `origin`;
     /// * [`VbsError::InvalidClusterSize`] if the cluster does not fit the
     ///   task;
     /// * any decoding error that survives the feedback loop (which indicates
@@ -124,21 +124,20 @@ impl VbsEncoder {
         let height = raw.height();
         let grid = ClusterGrid::new(self.spec, self.cluster_size, width, height)?;
 
-        // 1. Group the programmed switches and the wires they touch by
-        //    cluster, net by net.
+        // 1. Group the programmed switches by cluster into connections in
+        //    net order and, within a net, in piece order, each tagged with
+        //    the id of its cluster (row-major, the order of
+        //    `ClusterGrid::iter_clusters`).
         let geometry = Device::new(self.spec, width, height)?;
-        let mut lists = ClusterLists {
-            connections: Vec::new(),
-            touched: vec![0; geometry.wire_count()],
-        };
+        let mut connections = Vec::new();
         let mut trees = TreeScratch::default();
         for (_, tree) in routing.iter_trees() {
             if !tree.is_empty() {
-                trees.add_tree(&grid, &geometry, tree, origin, &mut lists)?;
+                trees.add_tree(&grid, &geometry, tree, origin, &mut connections)?;
             }
         }
         // Cluster by cluster, nets in order (the sort is stable).
-        lists.connections.sort_by_key(|&(id, _)| id);
+        connections.sort_by_key(|&(id, _)| id);
 
         // 2. Build one record per occupied cluster, applying the size bound
         //    and the decode feedback loop.
@@ -152,7 +151,7 @@ impl VbsEncoder {
         let raw_bits = header.raw_routing_bits_per_record();
 
         let mut records: Vec<ClusterRecord> = Vec::new();
-        let mut rest = lists.connections.as_slice();
+        let mut rest = connections.as_slice();
         for (id, cluster) in grid.iter_clusters().enumerate() {
             let id = id as u32;
             let count = rest.iter().take_while(|&&(c, _)| c == id).count();
@@ -172,8 +171,7 @@ impl VbsEncoder {
             } else if run.len() > header.max_routes_per_record() || coded_bits >= raw_bits {
                 self.raw_routes(&grid, raw, cluster)
             } else {
-                // Feedback loop: decode the candidate record and verify it
-                // stays within the wires the original routing used here.
+                // Feedback loop: keep the candidate record if it decodes.
                 let mut connections: Vec<Connection> = run.iter().map(|&(_, c)| c).collect();
                 let mut decodes_safely = |connections: &[Connection]| {
                     let record = RecordRef {
@@ -184,10 +182,6 @@ impl VbsEncoder {
                     devirtualizer
                         .expand_record(record, &mut image, &mut decode_scratch)
                         .is_ok()
-                        && decode_scratch.claimed_wires().iter().all(|&w| {
-                            grid.wire_io(cluster, w)
-                                .is_none_or(|io| lists.crossed(&geometry, w, io))
-                        })
                 };
                 let mut accepted = decodes_safely(&connections);
                 if !accepted {
@@ -259,64 +253,6 @@ impl VbsEncoder {
     }
 }
 
-/// What step 1 found.
-#[derive(Debug)]
-struct ClusterLists {
-    /// Connections in net order and, within a net, in piece order, tagged
-    /// with the id of their cluster (row-major, the order of
-    /// [`ClusterGrid::iter_clusters`]).
-    connections: Vec<(u32, Connection)>,
-    /// Per dense wire index ([`Device::wire_index`]): [`OWNER_SIDE`] when
-    /// the routing's share of the cluster holding the wire's owner macro
-    /// touches it as an east / north crossing, [`FAR_SIDE`] when the share
-    /// of the cluster holding the macro past it touches it as a west /
-    /// south one. A wire crosses no other boundary. Interior wires are not
-    /// recorded: the feedback loop only asks about crossings.
-    touched: Vec<u8>,
-}
-
-/// [`ClusterLists::touched`]: touched in the owner macro's cluster.
-const OWNER_SIDE: u8 = 1;
-/// [`ClusterLists::touched`]: touched in the cluster of the macro past the
-/// wire's far end.
-const FAR_SIDE: u8 = 2;
-
-impl ClusterLists {
-    /// Records that a cluster's share of the routing touches `node`, which
-    /// is the I/O `io` of that cluster ([`node_io`]). A wire outside the
-    /// task can never be claimed by a decode, so it is not recorded.
-    fn touch(&mut self, geometry: &Device, node: RrNode, io: Option<ClusterIo>) {
-        if let (RrNode::Wire(wire), Some(side)) = (node, io.and_then(crossing_side)) {
-            if geometry.wire_exists(wire) {
-                self.touched[geometry.wire_index(wire)] |= side;
-            }
-        }
-    }
-
-    /// Whether the routing's share of the cluster whose crossing `io` the
-    /// wire is touches it.
-    fn crossed(&self, geometry: &Device, wire: WireRef, io: ClusterIo) -> bool {
-        crossing_side(io).is_some_and(|side| self.touched[geometry.wire_index(wire)] & side != 0)
-    }
-}
-
-/// Which of the two clusters a wire crossing a boundary as `io` touches is
-/// the one `io` belongs to: the owner macro's for an east / north
-/// crossing, the far macro's for a west / south one.
-fn crossing_side(io: ClusterIo) -> Option<u8> {
-    match io {
-        ClusterIo::Boundary {
-            side: Side::East | Side::North,
-            ..
-        } => Some(OWNER_SIDE),
-        ClusterIo::Boundary {
-            side: Side::West | Side::South,
-            ..
-        } => Some(FAR_SIDE),
-        _ => None,
-    }
-}
-
 /// Step 1's working buffers, reused from tree to tree. The per-node arrays
 /// are indexed by tree index.
 #[derive(Debug, Default)]
@@ -339,18 +275,21 @@ struct TreeScratch {
 }
 
 impl TreeScratch {
-    /// Adds the connections and wires of one route tree to `lists`.
+    /// Adds the connections of one route tree to `connections`, each
+    /// tagged with the id of its cluster.
     fn add_tree(
         &mut self,
         grid: &ClusterGrid,
         geometry: &Device,
         tree: &RouteTree,
         origin: Coord,
-        lists: &mut ClusterLists,
+        connections: &mut Vec<(u32, Connection)>,
     ) -> Result<(), VbsError> {
         self.nodes.clear();
-        self.nodes
-            .extend(tree.nodes().iter().map(|&node| rel_node(node, origin)));
+        self.nodes.reserve(tree.len());
+        for &node in tree.nodes() {
+            self.nodes.push(rel_node(node, origin)?);
+        }
         let (cols, rows) = (grid.cluster_cols(), grid.cluster_rows());
         let mut edges = std::mem::take(&mut self.edges);
         edges.clear();
@@ -382,22 +321,21 @@ impl TreeScratch {
         for group in edges.chunk_by(|a, b| a.0 == b.0) {
             let id = group[0].0;
             let cluster = Coord::new((id % u32::from(cols)) as u16, (id / u32::from(cols)) as u16);
-            self.add_group(grid, geometry, cluster, id, group, lists);
+            self.add_group(grid, cluster, id, group, connections);
         }
         self.edges = edges;
         Ok(())
     }
 
-    /// Adds the connections and wires of the tree edges `group` (sorted by
-    /// child index), whose switches all lie in `cluster`.
+    /// Adds the connections of the tree edges `group` (sorted by child
+    /// index), whose switches all lie in `cluster`.
     fn add_group(
         &mut self,
         grid: &ClusterGrid,
-        geometry: &Device,
         cluster: Coord,
         id: u32,
         group: &[(u32, u32, u32)],
-        lists: &mut ClusterLists,
+        connections: &mut Vec<(u32, Connection)>,
     ) {
         for &(_, child, parent) in group {
             let (child, parent) = (child as usize, parent as usize);
@@ -407,9 +345,7 @@ impl TreeScratch {
                 (self.entry[parent], self.reach[parent])
             } else {
                 self.smallest[parent] = self.nodes[parent];
-                let io = node_io(grid, cluster, self.nodes[parent]);
-                lists.touch(geometry, self.nodes[parent], io);
-                (parent as u32, io)
+                (parent as u32, node_io(grid, cluster, self.nodes[parent]))
             };
             // Every I/O of the piece gets one connection from its nearest
             // I/O ancestor in the piece (often the entry). Interior wires
@@ -424,7 +360,6 @@ impl TreeScratch {
             self.visited[child] = id + 1;
             self.entry[child] = entry;
             self.reach[child] = io.or(input);
-            lists.touch(geometry, self.nodes[child], io);
         }
         for &(_, child, _) in group {
             let entry = self.entry[child as usize] as usize;
@@ -441,9 +376,7 @@ impl TreeScratch {
                 .then_with(|| rank(&a.1).cmp(&rank(&b.1)))
                 .then_with(|| order_key(&a.1).cmp(&order_key(&b.1)))
         });
-        lists
-            .connections
-            .extend(self.pending.drain(..).map(|(_, c)| (id, c)));
+        connections.extend(self.pending.drain(..).map(|(_, c)| (id, c)));
     }
 }
 
@@ -547,19 +480,25 @@ fn order_connections(connections: &mut [Connection]) {
     connections.sort_by_cached_key(order_key);
 }
 
-/// Translates a device-absolute routing node into task-relative coordinates.
-fn rel_node(node: RrNode, origin: Coord) -> RrNode {
-    match node {
+/// Translates a device-absolute routing node into task-relative coordinates,
+/// refusing one that lies west or south of the task's `origin`.
+fn rel_node(node: RrNode, origin: Coord) -> Result<RrNode, VbsError> {
+    let relative = |at: Coord| match (at.x.checked_sub(origin.x), at.y.checked_sub(origin.y)) {
+        (Some(x), Some(y)) => Ok(Coord::new(x, y)),
+        _ => Err(VbsError::EncoderInputMismatch {
+            reason: format!("routing node {node} lies west or south of the task origin {origin}"),
+        }),
+    };
+    Ok(match node {
         RrNode::Pin { site, pin } => RrNode::Pin {
-            site: Coord::new(site.x - origin.x, site.y - origin.y),
+            site: relative(site)?,
             pin,
         },
         RrNode::Wire(w) => RrNode::Wire(WireRef {
-            kind: w.kind,
-            owner: Coord::new(w.owner.x - origin.x, w.owner.y - origin.y),
-            track: w.track,
+            owner: relative(w.owner)?,
+            ..w
         }),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -705,49 +644,22 @@ mod tests {
         }
     }
 
-    /// The touched-wire bytes answer what the sorted `(cluster, wire)` list
-    /// they replaced answered, for every wire of the task and every cluster
-    /// whose boundary it crosses, whichever of the pairs were touched.
+    /// A routing node west or south of the task origin lies outside the
+    /// task: refused by name, in every build, instead of wrapping around.
     #[test]
-    fn touched_wires_answer_as_a_cluster_wire_set() {
-        let spec = ArchSpec::new(3, 6).unwrap();
-        let (width, height) = (7, 5);
-        let geometry = Device::new(spec, width, height).unwrap();
-        let wires: Vec<WireRef> = (0..width)
-            .flat_map(|x| (0..height).flat_map(move |y| (0..3).map(move |t| (x, y, t))))
-            .flat_map(|(x, y, t)| [WireRef::horizontal(x, y, t), WireRef::vertical(x, y, t)])
-            .collect();
-        for k in 1..=3 {
-            let grid = ClusterGrid::new(spec, k, width, height).unwrap();
-            let crossings: Vec<(Coord, WireRef, ClusterIo)> = grid
-                .iter_clusters()
-                .flat_map(|c| wires.iter().map(move |&w| (c, w)))
-                .filter_map(|(c, w)| grid.wire_io(c, w).map(|io| (c, w, io)))
-                .collect();
-            for seed in 1..=3u64 {
-                let mut lists = ClusterLists {
-                    connections: Vec::new(),
-                    touched: vec![0; geometry.wire_count()],
-                };
-                let mut set = std::collections::BTreeSet::new();
-                // About half the crossings, scattered by a multiplicative
-                // hash.
-                let picked = crossings.iter().enumerate().filter(|&(i, _)| {
-                    (i as u64 + seed).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 63 == 1
-                });
-                for (_, &(cluster, wire, io)) in picked {
-                    lists.touch(&geometry, RrNode::Wire(wire), Some(io));
-                    set.insert((cluster, wire));
-                }
-                for &(cluster, wire, io) in &crossings {
-                    assert_eq!(
-                        lists.crossed(&geometry, wire, io),
-                        set.contains(&(cluster, wire)),
-                        "k = {k}, seed {seed}: {wire} in {cluster}"
-                    );
-                }
-            }
-        }
+    fn nodes_west_or_south_of_the_origin_are_refused() {
+        let (device, raw, routing) = flow(20, 7, 10, 1);
+        let encoder = VbsEncoder::new(*device.spec(), 1).unwrap();
+        let error = encoder
+            .encode_with_origin(&raw, &routing, Coord::new(5, 5))
+            .unwrap_err();
+        let VbsError::EncoderInputMismatch { reason } = error else {
+            panic!("expected an input mismatch, got {error:?}");
+        };
+        assert!(
+            reason.contains("west or south of the task origin (5, 5)"),
+            "{reason}"
+        );
     }
 
     /// The canonical order, pinned literally: boundary destinations first,

@@ -7,7 +7,7 @@
 //! edge programs are the same for every cluster of the same shape, wherever
 //! it sits. A [`ClusterPattern`] stores them once, in cluster-local ids,
 //! and the decoder translates to task coordinates only when it writes a
-//! frame bit or reports a claimed wire.
+//! frame bit.
 //!
 //! The pattern is *derived*, not re-implemented: it is read off
 //! [`Device::neighbors_into`], [`Device::switch_between`] and the
@@ -60,8 +60,6 @@ pub(crate) struct Switch {
 pub(crate) struct ClusterPattern {
     cols: u16,
     rows: u16,
-    /// Reference-device coordinate of the cluster's lower-left macro.
-    base: u16,
     channel_width: u32,
     pins: u32,
     /// Id of the first vertical wire.
@@ -220,7 +218,6 @@ impl ClusterPattern {
         let mut pattern = ClusterPattern {
             cols,
             rows,
-            base: k,
             channel_width: w,
             pins: u32::from(spec.lb_pins()),
             vertical_base: (u32::from(cols) + 1) * u32::from(rows) * w,
@@ -344,21 +341,6 @@ impl ClusterPattern {
         let tile = u32::from(dx) * u32::from(self.rows) + u32::from(dy);
         (self.wire_count + tile * self.pins + u32::from(pin)) as usize
     }
-
-    /// The task-relative wire behind id `wire` for a cluster whose
-    /// lower-left macro is `origin`.
-    pub(crate) fn wire_at(&self, wire: usize, origin: Coord) -> WireRef {
-        let RrNode::Wire(w) = self.nodes[wire] else {
-            unreachable!("ids below wire_count are wires");
-        };
-        WireRef {
-            owner: Coord::new(
-                w.owner.x + origin.x - self.base,
-                w.owner.y + origin.y - self.base,
-            ),
-            ..w
-        }
-    }
 }
 
 #[cfg(test)]
@@ -424,7 +406,6 @@ mod tests {
         let mut pattern = ClusterPattern {
             cols,
             rows,
-            base: k,
             channel_width: w,
             pins: u32::from(spec.lb_pins()),
             vertical_base: (u32::from(cols) + 1) * u32::from(rows) * w,
@@ -463,20 +444,8 @@ mod tests {
                         assert_eq!(p.flags, q.flags, "{at}");
                         assert_eq!(p.io_nodes, q.io_nodes, "{at}");
                         assert_eq!(
-                            (
-                                p.base,
-                                p.channel_width,
-                                p.pins,
-                                p.vertical_base,
-                                p.wire_count
-                            ),
-                            (
-                                q.base,
-                                q.channel_width,
-                                q.pins,
-                                q.vertical_base,
-                                q.wire_count
-                            ),
+                            (p.channel_width, p.pins, p.vertical_base, p.wire_count),
+                            (q.channel_width, q.pins, q.vertical_base, q.wire_count),
                             "{at}"
                         );
                     }
@@ -509,7 +478,6 @@ mod tests {
                                 let wire = grid.boundary_wire(cluster, side, offset).unwrap();
                                 let id = p.boundary(side, offset / w, offset % w);
                                 assert_eq!(p.nodes[id], RrNode::Wire(wire), "{k} {cols}x{rows}");
-                                assert_eq!(p.wire_at(id, Coord::new(k, k)), wire);
                                 let io = ClusterIo::Boundary { side, offset };
                                 assert_eq!(p.io_node(io.index(&spec, k)), Some(id));
                                 named += 1;

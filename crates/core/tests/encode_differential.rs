@@ -15,8 +15,12 @@
 //!   and dead-end anywhere on 4..7-wide devices with 2..4 tracks, which the
 //!   decoder often cannot follow.
 //!
-//! Every coded record of every stream is also decoded once more to check
-//! that it claims no boundary crossing it does not name
+//! The oracle's feedback loop still refuses a candidate whose decode claims
+//! a boundary crossing the cluster's share of the routing never touched;
+//! the product's keeps every candidate that decodes. Equal streams are
+//! therefore the evidence that this verdict never refuses. Every coded
+//! record of every stream is also decoded once more by the oracle decoder
+//! to check that it claims no boundary crossing it does not name
 //! ([`assert_crossing_claims_are_named`]). A failure prints its circuit or
 //! seed and the cluster size.
 
@@ -72,28 +76,25 @@ fn compare_routing(
     }
 }
 
-/// Decodes every coded record of an encoded stream the way the feedback
-/// loop did and requires that each boundary crossing the decode claims is
+/// Decodes every coded record of an encoded stream through the oracle
+/// decoder and requires that each boundary crossing the decode claims is
 /// an endpoint the record names.
 ///
-/// This is why the loop's crossing verdict never refuses a candidate: in a
+/// This is why a record that decodes stays within its routed wires: in a
 /// cluster's pattern a crossing meets one switch box, plus the pins of its
 /// owner macro for an east / north one, so a search never passes through
 /// it except to hook such a pin, and a route tree reaches such a pin only
-/// through that crossing, which makes it an endpoint. Candidates are
-/// refused only when they fail to decode. Returns the searches run.
+/// through that crossing, which makes it an endpoint. Returns the searches
+/// the product decoder runs over the stream.
 fn assert_crossing_claims_are_named(vbs: &Vbs, label: &str) -> u64 {
-    let devirt = Devirtualizer::new(vbs).expect("task geometry");
     let mut task = TaskBitstream::empty(*vbs.spec(), vbs.width(), vbs.height());
-    let mut scratch = DecodeScratch::new();
     for record in vbs.records() {
         let ClusterRoutes::Coded(connections) = &record.routes else {
             continue;
         };
-        devirt
-            .decode_record_with(record, &mut task, &mut scratch)
+        let claimed = oracle::decode_record(vbs, record, &mut task)
             .unwrap_or_else(|e| panic!("{label}: an emitted record fails: {e}"));
-        for &wire in scratch.claimed_wires() {
+        for wire in claimed {
             if let Some(io) = vbs.grid().wire_io(record.position, wire) {
                 assert!(
                     connections.iter().any(|c| c.input == io || c.output == io),
@@ -103,6 +104,10 @@ fn assert_crossing_claims_are_named(vbs: &Vbs, label: &str) -> u64 {
             }
         }
     }
+    let mut scratch = DecodeScratch::new();
+    Devirtualizer::new(vbs)
+        .and_then(|devirt| devirt.decode_into(&mut task, &mut scratch))
+        .unwrap_or_else(|e| panic!("{label}: the stream fails: {e}"));
     scratch.route_counts().1
 }
 
@@ -210,11 +215,11 @@ fn synthetic_netlists_encode_identically() {
 /// random pin and grows by random neighbours of its source and wires, so
 /// it turns, branches and ends anywhere, unlike a router's shortest paths.
 /// Decoding its clusters at k >= 2 often takes another track than the tree
-/// did: the pins of a macro on a cluster's east (north) column reach only
-/// the east (north) crossings, and every track of them costs the same, so
-/// a decode can claim a crossing that the cluster's share of the routing
-/// never touched while the neighbour's share did. The feedback loop must
-/// refuse such a record by which side touched the wire.
+/// did, so these are the streams where a decode could stray onto a
+/// crossing that the cluster's share of the routing never touched while
+/// the neighbour's share did: the oracle's verdict would refuse such a
+/// record, and [`assert_crossing_claims_are_named`] checks that no kept
+/// record claims one.
 fn random_routing(seed: u64) -> (TaskBitstream, Routing) {
     let mut rng = Rng(seed);
     let spec = ArchSpec::new(rng.pick(&[2u16, 3, 4]), rng.pick(&[4u8, 6])).expect("arch");

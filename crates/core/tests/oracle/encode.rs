@@ -5,16 +5,20 @@
 //! both feedback-loop candidates built for every coded record.
 //!
 //! It is the product encoder's code verbatim apart from its name, shorter
-//! doc comments and one line: the empty-logic test reads the bits one at a
-//! time (`BitRange::iter`), since the word walk it used is crate-private. `encode_differential`
-//! holds the product to it value for value and byte for byte.
+//! doc comments and two changes: the empty-logic test reads the bits one at
+//! a time (`BitRange::iter`), since the word walk it used is crate-private,
+//! and the feedback loop expands candidates with [`super::decode_record`],
+//! whose claimed wires the loop's full Section III-B verdict reads (every
+//! claimed boundary crossing must be one the cluster's share of the routing
+//! touched). The product encoder keeps a record whenever it decodes;
+//! `encode_differential` holds it to this one value for value and byte for
+//! byte, so the verdict never refuses a record the product keeps.
 
 use std::collections::{HashMap, HashSet};
 use vbs_arch::{ArchSpec, Coord, RrNode, WireRef};
 use vbs_bitstream::{BitstreamError, TaskBitstream};
 use vbs_core::{
-    ClusterGrid, ClusterIo, ClusterRecord, ClusterRoutes, Connection, DecodeScratch, Devirtualizer,
-    PackedBits, RecordRef, RoutesRef, Vbs, VbsError,
+    ClusterGrid, ClusterIo, ClusterRecord, ClusterRoutes, Connection, PackedBits, Vbs, VbsError,
 };
 use vbs_route::Routing;
 
@@ -101,13 +105,9 @@ impl OracleEncoder {
 
         // 2. Build one record per occupied cluster, applying the size bound
         //    and the decode feedback loop.
-        let header = Vbs::new(self.spec, self.cluster_size, width, height, Vec::new())?.header();
-        let devirt_scratch = Vbs::new(self.spec, self.cluster_size, width, height, Vec::new())?;
-        let devirtualizer = Devirtualizer::new(&devirt_scratch)?;
+        let template = Vbs::new(self.spec, self.cluster_size, width, height, Vec::new())?;
+        let header = template.header();
         let mut scratch = TaskBitstream::empty(self.spec, width.max(1), height.max(1));
-        // One decode arena shared by every feedback-loop check of this
-        // encode, so candidate verification stays allocation-free.
-        let mut decode_scratch = DecodeScratch::new();
 
         let mut records: Vec<ClusterRecord> = Vec::new();
         for cluster in grid.iter_clusters() {
@@ -139,18 +139,13 @@ impl OracleEncoder {
                 let candidates = [connections.clone(), ordered];
                 let mut accepted = None;
                 for candidate in candidates {
-                    let record = RecordRef {
+                    let record = ClusterRecord {
                         position: cluster,
-                        logic: logic.as_range(),
-                        routes: RoutesRef::Coded(candidate.as_slice().into()),
+                        logic: logic.clone(),
+                        routes: ClusterRoutes::Coded(candidate.clone()),
                     };
-                    match devirtualizer.decode_record_with(
-                        record,
-                        &mut scratch,
-                        &mut decode_scratch,
-                    ) {
-                        Ok(()) => {
-                            let claimed = decode_scratch.claimed_wires();
+                    match super::decode_record(&template, &record, &mut scratch) {
+                        Ok(claimed) => {
                             let safe = match allowed {
                                 Some(allowed) => claimed.iter().all(|w| {
                                     grid.wire_io(cluster, *w).is_none() || allowed.contains(w)

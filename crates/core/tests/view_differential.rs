@@ -6,8 +6,7 @@
 //!   ran before — value for value, and on failure error for error (variant,
 //!   fields and message).
 //! * Where both parse, decoding through the view and through the owned
-//!   stream must agree record by record: frames word for word, claimed
-//!   wires, errors.
+//!   stream must agree record by record: frames word for word, errors.
 //! * A view a repository rebuilds from one stream's remembered layout over
 //!   other bytes (another stream, a mutant) reads garbage but never panics.
 //!
@@ -124,7 +123,6 @@ fn compare_decodes(view: VbsView<'_>, vbs: &Vbs, label: &str) {
             (Err(got), Err(expected)) => assert_same_error(got, expected, &context),
             _ => panic!("{context}: view {got:?}, owned {expected:?}"),
         }
-        assert_eq!(left.0.claimed_wires(), right.0.claimed_wires(), "{context}");
         assert!(
             left.1.store().words() == right.1.store().words(),
             "{context}: frames differ"

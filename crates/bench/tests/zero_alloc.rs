@@ -14,7 +14,8 @@
 //!   recorded on every load) stay at zero allocations — recording is
 //!   relaxed atomics and preallocated ring slots;
 //! * a **cold** decode derives its cluster pattern and sizes every buffer
-//!   from it, so the first decode makes exactly the pinned number of
+//!   it uses from it (a k = 1 stream never searches, so the search buffers
+//!   wait), so the first decode makes exactly the pinned number of
 //!   allocations instead of growing buffers incrementally;
 //! * a **shape-cycling** task mix (alternating tall/wide/larger rectangles)
 //!   also stays at zero steady-state allocations, through both direct
@@ -80,13 +81,15 @@ const COLD_PAIR_ALLOCATION_BUDGET: u64 = 1;
 const DECODING_PAIR_ALLOCATION_BUDGET: u64 = 11;
 
 /// Allocations of a cold `decode_into` of `fft_stage`, as counted in debug
-/// and release builds alike: the one cluster pattern's six arrays and the
-/// table it is derived through (each sized before it is filled), the
-/// pattern list, and one per working buffer. It was 19 when the scratch
-/// also reserved the two claimed-wire lists of a report only tests read,
-/// and 21, then 3 more on the second decode, when the adjacency of the
-/// whole task was built per geometry.
-const COLD_DECODE_ALLOCATION_BUDGET: u64 = 17;
+/// and release builds alike: the one cluster pattern's six arrays and its
+/// hop table (each sized before it is filled), the neighbour list they are
+/// derived through, the pattern list, and the three buffers of the net
+/// bookkeeping. It was 17 when the scratch also sized the six search
+/// buffers before the first record, which a k = 1 stream never searches,
+/// 19 when it also reserved the two claimed-wire lists of a report only
+/// tests read, and 21, then 3 more on the second decode, when the
+/// adjacency of the whole task was built per geometry.
+const COLD_DECODE_ALLOCATION_BUDGET: u64 = 12;
 
 /// Allocations of a corpus fleet cache-hit pair (submit load, process,
 /// submit unload, process) on the K = 2 least-loaded fleet, as counted. It
@@ -108,13 +111,16 @@ const FLEET_BUILD_BYTE_BUDGET: u64 = 64 * 1024;
 
 /// Allocations `FlowResult::vbs(k)` may make over the nine corpus circuits
 /// at k = 1, 2 and 3, as counted: mostly the records' own buffers and the
-/// cluster patterns of the feedback decode. They were 1 376 / 917 / 767
+/// cluster patterns of the feedback decode. The k = 1 count was 1 349
+/// when every encode's feedback decode sized the six search buffers that
+/// its single-switch routes never use (54 allocations over the nine
+/// circuits) and built no hop table (9). They were 1 376 / 917 / 767
 /// when every encode also built a byte per wire of the crossings its
 /// routing touched and its feedback decodes reserved two claimed-wire
 /// lists, and 129 326 / 103 379 / 102 562 when the encoder rebuilt every
 /// route tree as hash maps and formatted two `String`s per connection
 /// comparison.
-const ENCODE_ALLOCATION_BUDGETS: [u64; 3] = [1_349, 890, 740];
+const ENCODE_ALLOCATION_BUDGETS: [u64; 3] = [1_304, 890, 740];
 
 /// `Devirtualizer::decode_into` on a caller-held scratch and image — the
 /// decode a controller runs, without the pool.

@@ -34,6 +34,13 @@
 //!
 //! Expanding one connection:
 //!
+//! * at `k = 1`, one read of the pattern's hop table, indexed by the
+//!   connection's raw identifier pair, settles every connection a valid
+//!   stream holds: it names the frame bit to set (or nothing, for two
+//!   identifiers of one node) when both endpoints exist in this cluster.
+//!   Every other pair — a search, a switch outside the cluster, a null or
+//!   out-of-range identifier, a west / south wire the cluster lacks — takes
+//!   the general path below, unchanged;
 //! * if its endpoints are one node, or one switch joins them — every route
 //!   of a `k = 1` stream, about a third to a half at `k = 2 / 3` — that
 //!   switch is the route. No search runs: the direct hop costs exactly the
@@ -68,9 +75,10 @@
 //! serialized bytes, and sees every record as the same
 //! [`crate::RecordRef`], so one routine expands both. Logic and raw routing
 //! payloads are bit ranges, copied into the frame a word at a time. A
-//! connection's two I/O indices — one word read from a packed record,
-//! computed for an owned one — become pattern nodes through that table;
-//! anything it does not resolve to a plain node (a missing west / south
+//! connection's identifier pair — one word read from a packed record,
+//! computed for an owned one — indexes the hop table at `k = 1`, and its
+//! two I/O indices become pattern nodes through the per-index table;
+//! anything that does not resolve to a plain node (a missing west / south
 //! wire, a cut side, an invalid I/O) goes through [`ClusterIo`], which is
 //! where every endpoint error is reported, for both forms alike.
 //!
@@ -84,8 +92,9 @@
 //!   needs (the cluster patterns, the search state and the per-record net
 //!   bookkeeping). A warm scratch makes
 //!   [`Devirtualizer::decode_into`] perform **zero heap allocations** per
-//!   load; a cold scratch derives its patterns and sizes every buffer from
-//!   them before the first record is expanded.
+//!   load; a cold scratch derives its patterns and sizes the net
+//!   bookkeeping from them before the first record is expanded, and the
+//!   search buffers at the first search (a valid `k = 1` stream runs none).
 //! * [`FrameSink`] — a push interface through which
 //!   [`Devirtualizer::decode_streaming`] emits each macro frame as soon as
 //!   its cluster record has been expanded, so a run-time controller can
@@ -96,7 +105,7 @@ use crate::bitio::BitRange;
 use crate::cluster::{ClusterGrid, ClusterIo};
 use crate::error::VbsError;
 use crate::format::{Connection, RecordRef, RoutesRef, Vbs, VbsHeader};
-use crate::pattern::{self, ClusterPattern};
+use crate::pattern::{self, ClusterPattern, Hop};
 use crate::view::{Records, VbsRef};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -175,8 +184,10 @@ pub trait FrameSink {
 ///   heap allocations in [`Devirtualizer::decode_into`] /
 ///   [`Devirtualizer::decode_streaming`], whatever the task's geometry.
 /// * A **cold** scratch derives the cluster patterns of the stream (a
-///   handful of small arrays each) and allocates every working buffer at
-///   most once, sized by the largest pattern, before decoding starts.
+///   handful of small arrays each, plus the hop table at `k = 1`) and
+///   sizes the net bookkeeping by the largest before decoding starts; the
+///   search buffers are sized by the first pattern that searches, and grow
+///   only for a larger one.
 /// * A scratch is intentionally cheap to construct ([`DecodeScratch::new`]
 ///   allocates nothing); one long-lived scratch reused by every decode is
 ///   the intended usage (held by one decode at a time, never shared).
@@ -209,9 +220,11 @@ impl DecodeScratch {
     }
 
     /// Index (in `self.patterns.shapes`) of the pattern of a `shape.0 ×
-    /// shape.1` cluster, derived on first use, with every working buffer
+    /// shape.1` cluster, derived on first use, with the net bookkeeping
     /// sized for records of that shape holding up to `routes` connections.
-    /// Allocates nothing once pattern and buffers exist.
+    /// The search buffers wait for the shape's first search, which a valid
+    /// `k = 1` stream never runs. Allocates nothing once pattern and
+    /// buffers exist.
     fn pattern_for(
         &mut self,
         spec: &ArchSpec,
@@ -220,9 +233,7 @@ impl DecodeScratch {
         routes: usize,
     ) -> Result<usize, VbsError> {
         let index = self.patterns.ensure(spec, k, shape)?;
-        let pattern = &self.patterns.shapes[index];
-        self.search.fit(pattern);
-        self.nets.fit(pattern, routes);
+        self.nets.fit(&self.patterns.shapes[index], routes);
         Ok(index)
     }
 }
@@ -605,6 +616,7 @@ impl ClusterSite<'_> {
     ) -> Result<(), RouteFailure> {
         let pattern = self.pattern;
         let group = nets.group_of_endpoints(source, target);
+        search.fit(pattern);
         if !search.dijkstra(pattern, self.absent, source, target, group, nets) {
             return Err(RouteFailure::NoPath);
         }
@@ -771,8 +783,8 @@ impl<'a> Devirtualizer<'a> {
     /// allocation happens at all.
     ///
     /// Each record is expanded as [`Devirtualizer::decode_record_with`]
-    /// expands it; a single-switch connection costs one table lookup and
-    /// one bit (see the module docs).
+    /// expands it; at `k = 1` a single-switch connection costs one read of
+    /// the hop table and one bit (see the module docs).
     ///
     /// # Errors
     ///
@@ -871,7 +883,8 @@ impl<'a> Devirtualizer<'a> {
     ) -> Result<(), RecordFailure> {
         let cluster = record.position;
         let k = self.grid.cluster_size();
-        let spec = &self.header.spec;
+        let header = &self.header;
+        let spec = &header.spec;
         let lb_bits = spec.lb_config_bits();
 
         if record.logic.len() != self.header.logic_bits_per_record() {
@@ -945,10 +958,11 @@ impl<'a> Devirtualizer<'a> {
                         | if y0 == 0 { pattern::SOUTH } else { 0 },
                 };
                 nets.clear();
-                let endpoints = |i: usize| {
-                    let (input, output) = connections.indices(i, spec, k);
-                    let node = |index: Option<u32>| index.and_then(|index| site.node_of(index));
-                    (node(input), node(output))
+                let io_bits = header.io_bits();
+                let endpoints = |pair: Option<u64>| {
+                    let pair = pair?;
+                    let input = site.node_of((pair & ((1 << io_bits) - 1)) as u32)?;
+                    Some((input, site.node_of((pair >> io_bits) as u32)?))
                 };
                 // Net groups are built only when a search reads them: the
                 // connections from `grouped` up to the current one were
@@ -957,16 +971,26 @@ impl<'a> Devirtualizer<'a> {
                 let mut grouped = 0;
                 let join = |range: std::ops::Range<usize>, nets: &mut NetScratch| {
                     for i in range {
-                        if let (Some(source), Some(target)) = endpoints(i) {
+                        if let Some((source, target)) = endpoints(connections.pair(i, header)) {
                             nets.group_of_endpoints(source, target);
                         }
                     }
                 };
                 for i in 0..connections.len() {
+                    // At k = 1 a plain hop is one read of the hop table.
+                    let pair = connections.pair(i, header);
+                    let hop = pair.map_or(Hop::General, |pair| site.pattern.hop(pair, site.absent));
+                    if hop != Hop::General {
+                        *routes += 1;
+                        if let Hop::Switch(bit) = hop {
+                            task.frame_mut(origin).set_bit(bit, true);
+                        }
+                        continue;
+                    }
                     // A plain endpoint pair is two table lookups; anything
                     // else takes the I/O path, which also reports errors.
                     let failed = |kind| RecordFailure::Route { index: i, kind };
-                    let (Some(source), Some(target)) = endpoints(i) else {
+                    let Some((source, target)) = endpoints(pair) else {
                         let connection = connections.get(i)?;
                         *routes += 1;
                         join(grouped..i, nets);
@@ -988,9 +1012,8 @@ impl<'a> Devirtualizer<'a> {
         Ok(())
     }
 
-    /// Expands one connection named by its cluster I/Os: every connection
-    /// of an owned record, and those of a packed record whose endpoints are
-    /// not both plain nodes ([`ClusterSite::node_of`]).
+    /// Expands one connection named by its cluster I/Os: one whose
+    /// endpoints are not both plain nodes ([`ClusterSite::node_of`]).
     fn route_io(
         &self,
         site: &ClusterSite<'_>,

@@ -143,17 +143,17 @@ struct PackedConnections<'a> {
 }
 
 impl PackedConnections<'_> {
-    /// The raw I/O indices of connection `i`, input first: one word read
-    /// (an identifier is at most 32 bits wide).
-    fn indices(&self, i: usize) -> (u32, u32) {
+    /// The raw identifier pair of connection `i`, input in the low
+    /// `io_bits`: one word read.
+    fn pair(&self, i: usize) -> u64 {
         let io = self.io_bits;
-        let pair = self.bits.word(2 * i * io as usize, 2 * io);
-        ((pair & ((1 << io) - 1)) as u32, (pair >> io) as u32)
+        self.bits.word(2 * i * io as usize, 2 * io)
     }
 
     /// Connection `i`, both identifiers checked against the I/O count.
     fn get(&self, i: usize) -> Result<Connection, VbsError> {
-        let (input, output) = self.indices(i);
+        let (io, pair) = (self.io_bits, self.pair(i));
+        let (input, output) = ((pair & ((1 << io) - 1)) as u32, (pair >> io) as u32);
         let io = |index| ClusterIo::from_index(&self.spec, self.cluster_size, index);
         Ok(Connection {
             input: io(input)?,
@@ -204,19 +204,19 @@ impl<'a> Connections<'a> {
         }
     }
 
-    /// The I/O indices of connection `i` for a cluster of size `k` of
-    /// `spec`, input first: read straight from a packed list, computed for
-    /// an owned one — where an I/O with a field out of range has none.
-    pub(crate) fn indices(&self, i: usize, spec: &ArchSpec, k: u16) -> (Option<u32>, Option<u32>) {
+    /// The identifier pair of connection `i` in a stream of `header`'s
+    /// shape, the input in the low [`VbsHeader::io_bits`] bits: read
+    /// straight from a packed list, computed for an owned one — where an
+    /// I/O with a field out of range has none.
+    pub(crate) fn pair(&self, i: usize, header: &VbsHeader) -> Option<u64> {
         match self.0 {
-            ConnectionSource::Owned(list) => (
-                list[i].input.checked_index(spec, k),
-                list[i].output.checked_index(spec, k),
-            ),
-            ConnectionSource::Packed(packed) => {
-                let (input, output) = packed.indices(i);
-                (Some(input), Some(output))
+            ConnectionSource::Owned(list) => {
+                let (spec, k) = (&header.spec, header.cluster_size);
+                let input = list[i].input.checked_index(spec, k)?;
+                let output = list[i].output.checked_index(spec, k)?;
+                Some(u64::from(input) | u64::from(output) << header.io_bits())
             }
+            ConnectionSource::Packed(packed) => Some(packed.pair(i)),
         }
     }
 }

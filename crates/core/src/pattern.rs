@@ -24,6 +24,27 @@
 //! north task edge is simply a narrower shape (its own pattern), and the
 //! west / south boundary wires a cluster in column / row 0 lacks are
 //! flagged so a record can mask them.
+//!
+//! # The hop table (`k = 1`)
+//!
+//! At `k = 1` every route of an encoded record is one switch or one node,
+//! so a connection's whole expansion is fixed by its identifier pair. A
+//! `k = 1` pattern therefore also holds a *hop table* indexed by the raw
+//! `2·M`-bit pair, input in the low `M` bits, as a stream stores it: each
+//! entry is the frame bit of the one switch joining the two nodes, a
+//! same-node marker, or a *general* marker, plus the west / south flags of
+//! both endpoints. The decoder reads one entry per connection and runs its
+//! general path — which does every search and reports every error — only
+//! on a general entry or a missing side. The table is derived from the
+//! pattern's own rows (each identifier's row once, its targets named by
+//! their identifiers), so it can only disagree with the rows by omission,
+//! and an omitted entry is general, which is never wrong. `2^(2M)` u16
+//! entries are 2 KB at `W = 5`, 8 KB at `W = 10`, 32 KB at `W = 20` and
+//! 128 KB at `W = 40`. Past `k = 1` an identifier pair no longer fixes a
+//! route (the search and the net state decide it) and the table would
+//! grow with `(4kW + k²L)²`, so larger clusters have none; neither do
+//! architectures whose pairs exceed 16 bits or whose frames exceed 4 096
+//! bits.
 
 use crate::cluster::{ClusterGrid, ClusterIo};
 use crate::error::VbsError;
@@ -38,6 +59,30 @@ pub(crate) const INTERIOR: u8 = 1;
 pub(crate) const WEST: u8 = 2;
 /// The wire crosses the cluster's south boundary; absent in cluster row 0.
 pub(crate) const SOUTH: u8 = 4;
+
+/// Hop-table entry bits: the frame bit of the switch (a frame holds at
+/// most 4 096 bits where a table exists), the same-node marker, the
+/// endpoints' [`WEST`] / [`SOUTH`] flags shifted by [`HOP_FLAGS_SHIFT`],
+/// and the general marker.
+const HOP_BIT: u16 = 0x0fff;
+const HOP_SAME: u16 = 1 << 12;
+const HOP_FLAGS_SHIFT: u32 = 12;
+const HOP_GENERAL: u16 = 1 << 15;
+/// Identifier-pair width above which a `k = 1` pattern keeps no hop table.
+const HOP_PAIR_BITS: u32 = 16;
+
+/// What the hop table answers for one identifier pair
+/// ([`ClusterPattern::hop`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Hop {
+    /// Both identifiers name one node: nothing to program.
+    Same,
+    /// One switch inside the cluster joins the two nodes: set this bit of
+    /// the cluster's frame.
+    Switch(usize),
+    /// Anything else: the decoder's general path.
+    General,
+}
 
 /// The frame bit one pattern edge programs, relative to the cluster origin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,6 +124,9 @@ pub(crate) struct ClusterPattern {
     /// Per I/O index of the cluster size: the node it names, or
     /// [`NO_NODE`] when it names none of this shape.
     io_nodes: Vec<u32>,
+    /// At `k = 1`: the hop table, by raw identifier pair (see the module
+    /// docs). Empty otherwise.
+    hops: Vec<u16>,
 }
 
 /// An [`ClusterPattern::io_node`] entry naming no node.
@@ -228,16 +276,89 @@ impl ClusterPattern {
             switches,
             flags,
             io_nodes: Vec::new(),
+            hops: Vec::new(),
         };
         // The I/O table reuses the id table's room: the reference device
         // holds every node a cluster I/O names, so it is at least as long.
+        let io_count = ClusterIo::io_count(&spec, k) as usize;
         ids.clear();
-        ids.extend((0..ClusterIo::io_count(&spec, k)).map(|index| {
+        ids.extend((0..io_count as u32).map(|index| {
             let io = ClusterIo::from_index(&spec, k, index).expect("index below io_count");
             pattern.io_node_of(k, io).map_or(NO_NODE, |id| id as u32)
         }));
+        let io_bits = ClusterIo::io_bits(&spec, k);
+        if k == 1 && 2 * io_bits <= HOP_PAIR_BITS && spec.raw_bits_per_macro() <= 1 << 12 {
+            // The hop table's node → I/O map takes the room after the I/O
+            // table: the 2 × 2 reference device of a k = 1 pattern has
+            // 8W + 4L nodes, more than the 8W + 2L + 1 the two need.
+            ids.resize(io_count + pattern.node_count(), NO_NODE);
+            let (io_nodes, named_by) = ids.split_at_mut(io_count);
+            for (index, &node) in io_nodes.iter().enumerate() {
+                if node != NO_NODE {
+                    named_by[node as usize] = index as u32;
+                }
+            }
+            pattern.hops = pattern.hop_table(io_nodes, named_by, io_bits);
+            ids.truncate(io_count);
+        }
         pattern.io_nodes = ids;
         Ok(pattern)
+    }
+
+    /// The hop table of a `k = 1` pattern: the row of each identifier's
+    /// node is walked once, and every target some identifier names gets
+    /// its entry. Every other pair stays general.
+    fn hop_table(&self, io_nodes: &[u32], named_by: &[u32], io_bits: u32) -> Vec<u16> {
+        // The west / south flags of a node, in entry position.
+        let side_flags = |node: usize| {
+            let flags = if node < self.wire_count() {
+                self.flags[node] & (WEST | SOUTH)
+            } else {
+                0
+            };
+            u16::from(flags) << HOP_FLAGS_SHIFT
+        };
+        let mut hops = vec![HOP_GENERAL; 1 << (2 * io_bits)];
+        for (input, &source) in io_nodes.iter().enumerate() {
+            if source == NO_NODE {
+                continue;
+            }
+            let source = source as usize;
+            hops[input | input << io_bits] = HOP_SAME | side_flags(source);
+            for edge in self.row(source) {
+                let target = self.target(edge);
+                let output = named_by[target];
+                if output == NO_NODE {
+                    continue;
+                }
+                // A switch outside the cluster is a conflict the general
+                // path reports.
+                if let Some(switch) = self.switch(edge) {
+                    debug_assert_eq!((switch.dx, switch.dy), (0, 0));
+                    hops[input | (output as usize) << io_bits] =
+                        switch.bit as u16 | side_flags(source) | side_flags(target);
+                }
+            }
+        }
+        hops
+    }
+
+    /// What the hop table says about the identifier pair `pair` (input in
+    /// the low bits) in a cluster lacking the [`WEST`] / [`SOUTH`] sides
+    /// `absent`: [`Hop::General`] for a pair the table does not settle,
+    /// and for every pair of a pattern with no table.
+    pub(crate) fn hop(&self, pair: u64, absent: u8) -> Hop {
+        let miss = HOP_GENERAL | u16::from(absent) << HOP_FLAGS_SHIFT;
+        match self.hops.get(pair as usize) {
+            Some(&entry) if entry & miss == 0 => {
+                if entry & HOP_SAME != 0 {
+                    Hop::Same
+                } else {
+                    Hop::Switch(usize::from(entry & HOP_BIT))
+                }
+            }
+            _ => Hop::General,
+        }
     }
 
     /// The node `io` names in this shape, if it is one: a boundary wire
@@ -416,6 +537,7 @@ mod tests {
             switches,
             flags,
             io_nodes: Vec::new(),
+            hops: Vec::new(),
         };
         pattern.io_nodes = (0..ClusterIo::io_count(&spec, k))
             .map(|index| {
@@ -518,6 +640,67 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every entry of a `k = 1` hop table, at every combination of missing
+    /// west / south sides, says what the pattern's rows say: the bit of
+    /// the one switch inside the cluster joining two nodes, nothing for
+    /// one node, and general for anything else — an identifier that is
+    /// null or past the I/O count, a side the cluster lacks, no edge, or an
+    /// edge whose switch lies outside. Larger clusters keep no table.
+    #[test]
+    fn hop_tables_agree_with_the_rows_entry_for_entry() {
+        let specs = [
+            ArchSpec::paper_example(),
+            ArchSpec::new(3, 4).unwrap(),
+            ArchSpec::new(10, 6).unwrap(),
+            ArchSpec::paper_evaluation(),
+            ArchSpec::new(40, 6).unwrap(),
+        ];
+        for spec in specs {
+            let p = ClusterPattern::build(spec, 1, 1, 1).unwrap();
+            let (io_count, io_bits) = (ClusterIo::io_count(&spec, 1), ClusterIo::io_bits(&spec, 1));
+            assert_eq!(
+                p.hops.len(),
+                1 << (2 * io_bits),
+                "W = {}",
+                spec.channel_width()
+            );
+            let node = |index: u64| (index < u64::from(io_count)).then(|| p.io_node(index as u32));
+            let mut switches = 0;
+            for pair in 0..1u64 << (2 * io_bits) {
+                let ends = node(pair & ((1 << io_bits) - 1)).zip(node(pair >> io_bits));
+                for absent in [0, WEST, SOUTH, WEST | SOUTH] {
+                    let present =
+                        |node: usize| node >= p.wire_count() || p.flags(node) & absent == 0;
+                    let expected = match ends {
+                        Some((Some(a), Some(b))) if present(a) && present(b) => {
+                            if a == b {
+                                Hop::Same
+                            } else {
+                                p.edge_between(a, b)
+                                    .and_then(|edge| p.switch(edge))
+                                    .map_or(Hop::General, |s| Hop::Switch(s.bit as usize))
+                            }
+                        }
+                        _ => Hop::General,
+                    };
+                    assert_eq!(
+                        p.hop(pair, absent),
+                        expected,
+                        "pair {pair:#x}, absent {absent}"
+                    );
+                    switches += usize::from(matches!(expected, Hop::Switch(_)));
+                }
+            }
+            assert!(switches > 0);
+        }
+        // 4 096 u16 entries at the corpus architecture (W = 10, K = 6).
+        let corpus = ClusterPattern::build(ArchSpec::new(10, 6).unwrap(), 1, 1, 1).unwrap();
+        assert_eq!(corpus.hops.len() * std::mem::size_of::<u16>(), 8 * 1024);
+        let k2 = ClusterPattern::build(ArchSpec::paper_example(), 2, 2, 2).unwrap();
+        assert!(k2.hops.is_empty());
+        assert_eq!(k2.hop(0x21, 0), Hop::General);
     }
 
     /// Every edge between two nodes of a cluster programs a switch inside

@@ -18,6 +18,13 @@
 //!   corner and cut positions, where nets collide, fanout merges, boundary
 //!   detours are taken and paths run out.
 //!
+//! At cluster size 1 the decoder settles a connection with one read of a
+//! hop table indexed by its raw identifier pair, so one more pass decodes
+//! a one-connection record for *every* `2·M`-bit pair value — null and
+//! out-of-range identifiers included — at an interior, a column-0, a
+//! row-0 and a corner cluster, on three architectures, from the packed
+//! bytes and as an owned record.
+//!
 //! One more pass over the corpus streams and recompiles decodes each
 //! stream's records in seeded random orders and requires the in-order
 //! image: records are independent (Section II-C of the paper).
@@ -35,11 +42,11 @@ mod oracle;
 
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
-use vbs_arch::{ArchSpec, Coord};
+use vbs_arch::{ArchSpec, Coord, Device};
 use vbs_bitstream::TaskBitstream;
 use vbs_core::{
-    ClusterIo, ClusterRecord, ClusterRoutes, Connection, DecodeScratch, Devirtualizer, Vbs,
-    VbsError,
+    ClusterIo, ClusterRecord, ClusterRoutes, Connection, DecodeScratch, Devirtualizer, PackedBits,
+    RoutesRef, Vbs, VbsError, VbsView,
 };
 use vbs_flow::{CadFlow, FlowResult};
 use vbs_netlist::{blif, mcnc};
@@ -211,6 +218,159 @@ fn recompiled_corpus_circuits_decode_identically_at_every_cluster_size() {
     // stays, it just stops being the common case.
     let (routes, searches) = alu4_k2;
     assert!(0 < searches && searches < routes, "alu4 k=2: {alu4_k2:?}");
+}
+
+/// Sets the `width` bits of `bytes` from stream bit `at` on to `value`,
+/// LSB-first, as the stream writer lays out a field.
+fn write_field(bytes: &mut [u8], at: usize, width: u32, value: u64) {
+    for i in 0..width as usize {
+        let (byte, bit) = ((at + i) / 8, (at + i) % 8);
+        bytes[byte] = bytes[byte] & !(1 << bit) | (((value >> i) & 1) as u8) << bit;
+    }
+}
+
+/// Every `2·M`-bit value a k = 1 connection can hold, in a one-connection
+/// record at four positions of a 3×3 task (interior, column 0, row 0, the
+/// corner) on the paper's example architecture (W = 5), the corpus one
+/// (W = 10, K = 6) and the evaluation one (W = 20). The pair is written
+/// into the packed bytes of one stream and read through that stream's
+/// layout, so identifiers past the I/O count reach the decoder too.
+///
+/// Each decode must program the oracle's image (logic bits included) and
+/// return its result and error text; a pair past the I/O count fails as
+/// its first such identifier does, with the logic copied. The owned record
+/// of an in-range pair decodes identically. The route counts are the
+/// definition's: a route for every in-range pair, and a search exactly
+/// when two distinct nodes that exist share no switch.
+#[test]
+fn every_k1_identifier_pair_decodes_as_the_oracle_does() {
+    let positions = [(1, 1), (0, 1), (1, 0), (0, 0)].map(|(x, y)| Coord::new(x, y));
+    let specs = [
+        ArchSpec::paper_example(),
+        ArchSpec::new(10, 6).expect("corpus arch"),
+        ArchSpec::paper_evaluation(),
+    ];
+    let (mut seen, mut single_switches) = (Seen::default(), 0);
+    let mut scratch = DecodeScratch::new();
+    for spec in specs {
+        let (io_count, io_bits) = (ClusterIo::io_count(&spec, 1), ClusterIo::io_bits(&spec, 1));
+        let device = Device::new(spec, 3, 3).expect("device");
+        let logic: PackedBits = (0..spec.lb_config_bits()).map(|i| i % 5 == 1).collect();
+        for position in positions {
+            let vbs_of = |connections| {
+                let record = ClusterRecord {
+                    position,
+                    logic: logic.clone(),
+                    routes: ClusterRoutes::Coded(connections),
+                };
+                Vbs::new(spec, 1, 3, 3, vec![record]).expect("record inside the task")
+            };
+            let null = Connection {
+                input: ClusterIo::Null,
+                output: ClusterIo::Null,
+            };
+            let mut bytes = vbs_of(vec![null]).to_bytes();
+            let layout = VbsView::parse(&bytes).expect("template parses").layout();
+            let header = layout.header();
+            let at = Vbs::preamble_bits()
+                + 2 * header.coord_bits() as usize
+                + 1
+                + header.logic_bits_per_record()
+                + header.route_count_bits() as usize;
+            let logic_only = {
+                let vbs = vbs_of(Vec::new());
+                let mut image = TaskBitstream::empty(spec, 3, 3);
+                oracle::decode_record(&vbs, &vbs.records()[0], &mut image).expect("logic only");
+                image
+            };
+            let (mut expected, mut decoded) = (
+                TaskBitstream::empty(spec, 3, 3),
+                TaskBitstream::empty(spec, 3, 3),
+            );
+            for pair in 0..1u64 << (2 * io_bits) {
+                let label = format!("W = {} {position} pair {pair:#x}", spec.channel_width());
+                let (input, output) = (
+                    (pair & ((1 << io_bits) - 1)) as u32,
+                    (pair >> io_bits) as u32,
+                );
+                write_field(&mut bytes, at, 2 * io_bits, pair);
+                let view = layout.view(&bytes);
+                let devirt = Devirtualizer::new(view).expect("task geometry");
+                let record = devirt.records().next().expect("one record");
+                decoded.reset(spec, 3, 3);
+                let before = scratch.route_counts();
+                let result = devirt.decode_record_with(record, &mut decoded, &mut scratch);
+                let counts = scratch.route_counts();
+                let counts = (counts.0 - before.0, counts.1 - before.1);
+
+                let out_of_range = [input, output].into_iter().find(|&index| index >= io_count);
+                if let Some(index) = out_of_range {
+                    assert_eq!(
+                        result,
+                        Err(VbsError::InvalidIo { index, io_count }),
+                        "{label}"
+                    );
+                    expected.clone_from(&logic_only);
+                    assert_eq!(counts, (0, 0), "{label}");
+                } else {
+                    let io = |index| ClusterIo::from_index(&spec, 1, index).expect("in range");
+                    let connection = Connection {
+                        input: io(input),
+                        output: io(output),
+                    };
+                    let RoutesRef::Coded(list) = record.routes else {
+                        panic!("{label}: a coded record");
+                    };
+                    assert_eq!(list.iter().next(), Some(Ok(connection)), "{label}");
+                    let vbs = vbs_of(vec![connection]);
+                    expected.reset(spec, 3, 3);
+                    let reference = oracle::decode_record(&vbs, &vbs.records()[0], &mut expected);
+                    match (&result, &reference) {
+                        (Ok(()), Ok(_)) => seen.ok += 1,
+                        (Err(error), Err(reference)) => {
+                            assert_eq!(error, reference, "{label}");
+                            assert_eq!(error.to_string(), reference.to_string(), "{label}");
+                            seen.no_path +=
+                                usize::from(matches!(error, VbsError::DecodeNoPath { .. }));
+                            seen.dangling +=
+                                usize::from(matches!(error, VbsError::DanglingBoundary { .. }));
+                        }
+                        _ => panic!("{label}: decoder {result:?}, oracle {reference:?}"),
+                    }
+                    let mut owned = TaskBitstream::empty(spec, 3, 3);
+                    let before = scratch.route_counts();
+                    let owned_result = Devirtualizer::new(&vbs).and_then(|d| {
+                        d.decode_record_with(&vbs.records()[0], &mut owned, &mut scratch)
+                    });
+                    let after = scratch.route_counts();
+                    assert_eq!(owned_result, result, "{label}: owned record");
+                    assert_eq!((after.0 - before.0, after.1 - before.1), counts, "{label}");
+                    assert!(
+                        owned.store().words() == decoded.store().words(),
+                        "{label}: owned record"
+                    );
+                    let grid = vbs.grid();
+                    let node = |io| oracle::io_node(&grid, position, io);
+                    let search = match (node(connection.input), node(connection.output)) {
+                        (Ok(a), Ok(b)) => a != b && device.switch_between(a, b).is_none(),
+                        _ => false,
+                    };
+                    assert_eq!(counts, (1, u64::from(search)), "{label}");
+                    single_switches += usize::from(!search && result.is_ok() && input != output);
+                }
+                assert!(
+                    decoded.store().words() == expected.store().words(),
+                    "{label}: frames differ in {} bits",
+                    decoded.diff_count(&expected).expect("same shape")
+                );
+                seen.records += 1;
+            }
+        }
+    }
+    assert!(
+        seen.ok > 1000 && seen.no_path > 100 && seen.dangling > 100 && single_switches > 1000,
+        "the pairs no longer reach every outcome: {seen:?}, {single_switches} single switches"
+    );
 }
 
 /// Seeded shuffles per stream in [`records_decode_identically_in_any_order`].

@@ -12,7 +12,9 @@
 //! claimed boundary crossing must be one the cluster's share of the routing
 //! touched). The product encoder keeps a record whenever it decodes;
 //! `encode_differential` holds it to this one value for value and byte for
-//! byte, so the verdict never refuses a record the product keeps.
+//! byte, so the verdict never refuses a record the product keeps. The
+//! encoder also returns, per record, the wires the accepted candidate's
+//! decode claimed, so a caller checks the claims without decoding again.
 
 use std::collections::{HashMap, HashSet};
 use vbs_arch::{ArchSpec, Coord, RrNode, WireRef};
@@ -39,13 +41,15 @@ impl OracleEncoder {
     }
 
     /// Encodes a task whose routing was computed at device-absolute
-    /// coordinates, `origin` being the task's lower-left corner.
+    /// coordinates, `origin` being the task's lower-left corner. Also
+    /// returns, per record, the wires its kept candidate's decode claimed
+    /// (none for a raw record or an empty list).
     pub fn encode_with_origin(
         &self,
         raw: &TaskBitstream,
         routing: &Routing,
         origin: Coord,
-    ) -> Result<Vbs, VbsError> {
+    ) -> Result<(Vbs, Vec<Vec<WireRef>>), VbsError> {
         if raw.spec() != &self.spec {
             return Err(VbsError::EncoderInputMismatch {
                 reason: "raw bit-stream architecture differs from the encoder's".into(),
@@ -110,6 +114,7 @@ impl OracleEncoder {
         let mut scratch = TaskBitstream::empty(self.spec, width.max(1), height.max(1));
 
         let mut records: Vec<ClusterRecord> = Vec::new();
+        let mut claims = Vec::new();
         for cluster in grid.iter_clusters() {
             let nets = per_cluster.remove(&cluster);
             let logic = self.logic_bits(&grid, raw, cluster);
@@ -127,6 +132,7 @@ impl OracleEncoder {
             let coded_bits = header.route_count_bits() as usize
                 + 2 * header.io_bits() as usize * connections.len();
             let raw_bits = header.raw_routing_bits_per_record();
+            let mut kept_claims = Vec::new();
             let mut routes = if connections.is_empty() {
                 ClusterRoutes::Coded(Vec::new())
             } else if connections.len() > header.max_routes_per_record() || coded_bits >= raw_bits {
@@ -154,6 +160,7 @@ impl OracleEncoder {
                             };
                             if safe {
                                 accepted = Some(candidate);
+                                kept_claims = claimed;
                                 break;
                             }
                         }
@@ -172,6 +179,7 @@ impl OracleEncoder {
                     header.route_count_bits() as usize + 2 * header.io_bits() as usize * c.len();
                 if bits >= raw_bits && !c.is_empty() {
                     routes = self.raw_routes(&grid, raw, cluster);
+                    kept_claims.clear();
                 }
             }
 
@@ -180,9 +188,11 @@ impl OracleEncoder {
                 logic,
                 routes,
             });
+            claims.push(kept_claims);
         }
 
-        Vbs::new(self.spec, self.cluster_size, width, height, records)
+        let vbs = Vbs::new(self.spec, self.cluster_size, width, height, records)?;
+        Ok((vbs, claims))
     }
 
     /// Collects the logic bits of a cluster from the raw frames.

@@ -151,7 +151,9 @@ impl Nets {
     }
 }
 
-fn io_node(grid: &ClusterGrid, cluster: Coord, io: ClusterIo) -> Result<RrNode, VbsError> {
+/// The task node `io` of `cluster` names, or the error the oracle decode
+/// reports for it.
+pub fn io_node(grid: &ClusterGrid, cluster: Coord, io: ClusterIo) -> Result<RrNode, VbsError> {
     match io {
         ClusterIo::Null => Err(VbsError::Malformed {
             reason: format!("null i/o used as a connection endpoint in cluster {cluster}"),
